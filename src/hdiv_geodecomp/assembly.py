@@ -26,7 +26,8 @@ from . import linalg, tensors
 from .checks import FAIL, PASS, SKIPPED, CheckResult
 from .dofs import FACEWISE, INTERIOR, DoFSet, DoFTerm, MixedDirection, build_dofs, dof_matrix
 from .mesh import Mesh, validate_mesh
-from .spaces import Family, decompose, div_field
+from .spaces import Family, decompose, div_row
+from .tensors import SpaceTag
 
 
 class AssemblyError(ValueError):
@@ -195,7 +196,7 @@ def check_dims(space: GlobalSpace) -> CheckResult:
     formula: int | None = None
     if family is Family.LAGRANGE:
         formula = lagrange_dim_formula(space.mesh, space.degree)
-    elif family in (Family.VECTOR_LAGRANGE, Family.FACE):
+    elif family.space_tag is SpaceTag.VECTOR:
         formula = face_dim_formula(space.mesh, space.degree, space.continuity_order)
     ok = formula is None or formula == space.dim
     return CheckResult(
@@ -208,18 +209,6 @@ def check_dims(space: GlobalSpace) -> CheckResult:
 
 # ---------------------------------------------------------------------------
 # trace extraction
-
-
-def _contract_full(coeff) -> tuple:
-    return tensors.flatten(coeff)
-
-
-def _contract_with_normal(coeff, normal) -> tuple:
-    if coeff and isinstance(coeff[0], tuple):
-        return tuple(tensors.mat_vec(coeff, normal))
-    if len(coeff) == 1:
-        return (coeff[0],)
-    return (tensors.dot(coeff, normal),)
 
 
 def _contract_normal_normal(coeff, left, right) -> tuple:
@@ -327,10 +316,10 @@ def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> Che
         c1, c2 = mesh.facet_cells[facet]
         normal = mesh.facet_normal(facet)
         if family is Family.LAGRANGE:
-            contract = _contract_full
+            contract = tensors.flatten
         else:
             def contract(coeff, normal=normal):
-                return _contract_with_normal(coeff, normal)
+                return tensors.contract_normal(coeff, normal)
 
         ids = sorted(set(space.local_to_global[c1]) | set(space.local_to_global[c2]))
         rows1 = _global_site_rows(space, c1, mesh.local_site(c1, facet), contract, ids)
@@ -362,11 +351,11 @@ def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> Che
                 _, normals = mesh.frame_vectors(gsite)
                 if ell <= k:
                     if ell == 0:
-                        contracts.append(("value_at_vertex", _contract_full))
+                        contracts.append(("value_at_vertex", tensors.flatten))
                     else:
                         for nrm in normals:
                             def with_normal(coeff, nrm=nrm):
-                                return _contract_with_normal(coeff, nrm)
+                                return tensors.contract_normal(coeff, nrm)
 
                             contracts.append(("normal_component", with_normal))
                 elif family is Family.SYMMETRIC:
@@ -463,7 +452,7 @@ def flip_facet_orientation(space: GlobalSpace, facet: tuple[int, ...] | None = N
 
 def _div_threshold(family: Family, n: int, k: int | None) -> int:
     """Smallest degree at which the piecewise div image is claimed onto."""
-    if family in (Family.VECTOR_LAGRANGE, Family.FACE):
+    if family.space_tag is SpaceTag.VECTOR:
         return 1 if k == -1 else k + 2
     if family is Family.TRACELESS:
         return k + 2
@@ -472,22 +461,10 @@ def _div_threshold(family: Family, n: int, k: int | None) -> int:
     raise ValueError("the scalar family has no div image to check")
 
 
-def _q_width(family: Family, n: int) -> int:
-    return 1 if family in (Family.VECTOR_LAGRANGE, Family.FACE) else n
-
-
 def _cell_div_rows(space: GlobalSpace, cell_index: int) -> list[list[Fraction]]:
     """Per member: div expanded over the degree r-1 lattice, component fastest."""
     simplex = space.mesh.cell_simplices[cell_index]
-    basis = space.cell_basis(cell_index)
-    rdeg = space.degree - 1
-    rows = []
-    for m in basis.members:
-        df = div_field(m, simplex)
-        comps = df if isinstance(df, tuple) else (df,)
-        vecs = [bn.coeff_vector(c, rdeg) for c in comps]
-        rows.append([v[a] for a in range(len(vecs[0])) for v in vecs])
-    return rows
+    return [div_row(m, simplex, space.degree - 1) for m in space.cell_basis(cell_index).members]
 
 
 def check_div_onto(space: GlobalSpace) -> CheckResult:
@@ -502,7 +479,7 @@ def check_div_onto(space: GlobalSpace) -> CheckResult:
         raise ValueError("the scalar family has no div image to check")
     mesh = space.mesh
     n, r = mesh.dim, space.degree
-    qdim_cell = _q_width(family, n) * bn.space_dim(n, r - 1)
+    qdim_cell = family.space_tag.div_width(n) * bn.space_dim(n, r - 1)
     dim_q = qdim_cell * len(mesh.cells)
     rows = [[Fraction(0)] * dim_q for _ in range(space.dim)]
     for ci in range(len(mesh.cells)):
@@ -579,7 +556,7 @@ def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> Chec
         raise ValueError("the scalar family has no div pairing")
     mesh = space.mesh
     n, r = mesh.dim, space.degree
-    width = _q_width(family, n)
+    width = family.space_tag.div_width(n)
     qlat = bn.space_dim(n, r - 1)
     qdim_cell = width * qlat
     dim_q = qdim_cell * len(mesh.cells)

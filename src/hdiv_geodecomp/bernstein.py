@@ -198,29 +198,13 @@ def extend(p: BernsteinPoly, target: SubSimplexId) -> BernsteinPoly:
     return BernsteinPoly(target, p.degree, out)
 
 
-@dataclass(frozen=True)
-class Integral:
-    """An exact integral, as (rational value) × |measure sub-simplex|.
-
-    Vertex integrals are point evaluations; their measure tag is None and
-    the value is the plain function value.
-    """
-
-    value: Fraction
-    measure: SubSimplexId | None
-
-    def resolve(self, measure_value: Fraction) -> Fraction:
-        if self.measure is None:
-            return self.value
-        return self.value * measure_value
-
-
-def integrate(p: BernsteinPoly, f: SubSimplexId) -> Integral:
-    """∫_f p ds, exact, with the measure |f| carried as a symbolic tag.
+def integrate(p: BernsteinPoly, f: SubSimplexId) -> Fraction:
+    """∫_f p ds / |f|, exact: the integral with the measure divided out.
 
     Uses ∫_f λ^α ds = |f| · ℓ! α! / (|α|+ℓ)! for α supported on f.  The
     polynomial is restricted to f first, so coefficients supported off f
-    drop out, matching the zero set of the barycentric coordinates.
+    drop out, matching the zero set of the barycentric coordinates.  On a
+    vertex (ℓ = 0) this is point evaluation.
     """
     restricted = p if p.domain == f else restrict(p, f)
     ell = f.dim
@@ -231,7 +215,7 @@ def integrate(p: BernsteinPoly, f: SubSimplexId) -> Integral:
             factorial(sum(alpha) + ell),
         )
         total += c * weight
-    return Integral(total, None if ell == 0 else f)
+    return total
 
 
 def derivative(p: BernsteinPoly, direction: Sequence, simplex: Simplex) -> BernsteinPoly:

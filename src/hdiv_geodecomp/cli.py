@@ -7,13 +7,15 @@ Exit codes: 0 when every non-skipped check passes, 1 on check failures,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import traceback
 
 from .checks import FAIL, SKIPPED
+from .dofs import resolve_continuity_order
 from .mesh import MeshError, resolve_mesh
 from .report import (
+    DIV_UNITS,
+    MESH_UNITS,
     CaseParams,
     build_report,
     exit_code,
@@ -24,7 +26,7 @@ from .report import (
     write_atomic,
 )
 from .simplex import FRAME_CONVENTIONS
-from .spaces import Family
+from .spaces import FAMILY_ALIASES, Family
 
 SUBCOMMANDS = (
     "decompose",
@@ -37,8 +39,6 @@ SUBCOMMANDS = (
     "dims",
     "all",
 )
-_NEEDS_MESH = ("assemble", "conformity", "infsup", "dims")
-_NEEDS_DIV = ("bubbles", "div-image", "infsup")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--family",
         required=True,
-        choices=[f.value for f in Family],
-        help="value space of the element family",
+        choices=[f.value for f in Family] + list(FAMILY_ALIASES),
+        help="value space of the element family (vector is an alias of face)",
     )
     common.add_argument("--dim", type=int, help="ambient simplex dimension")
     common.add_argument("--degree", type=int, required=True, help="polynomial degree")
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--k",
         type=int,
         default=None,
-        help="continuity order; default -1 (vector) or 0 (matrix families)",
+        help="continuity order; default -1 (face) or 0 (matrix families)",
     )
     common.add_argument("--mesh", help="builtin mesh name or JSON path")
     common.add_argument(
@@ -75,10 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="seed for random rational sample points"
     )
     common.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="parallel workers for independent units (env HDIV_GEODECOMP_JOBS)",
+        "--jobs", type=int, default=1, help="parallel workers for independent units"
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
@@ -94,9 +91,9 @@ def _resolve_case(parser: argparse.ArgumentParser, args) -> CaseParams:
             mesh = resolve_mesh(args.mesh)
         except MeshError as exc:
             parser.error(f"--mesh: {exc}")
-    if args.subcommand in _NEEDS_MESH and mesh is None:
+    if args.subcommand in MESH_UNITS and mesh is None:
         parser.error(f"{args.subcommand} requires --mesh")
-    if args.subcommand in _NEEDS_DIV and family is Family.LAGRANGE:
+    if args.subcommand in DIV_UNITS and family is Family.LAGRANGE:
         parser.error(f"{args.subcommand} applies to the vector/matrix families")
     if mesh is not None:
         if args.dim is not None and args.dim != mesh.dim:
@@ -108,23 +105,10 @@ def _resolve_case(parser: argparse.ArgumentParser, args) -> CaseParams:
         parser.error("--dim is required without --mesh")
     if dim < 1:
         parser.error("--dim must be at least 1")
-
-    if family is Family.LAGRANGE:
-        if args.k is not None:
-            parser.error("--k does not apply to the scalar family")
-        if args.degree < 1:
-            parser.error("scalar family needs --degree >= 1")
-        k = None
-    else:
-        is_vec = family in (Family.VECTOR_LAGRANGE, Family.FACE)
-        k = args.k if args.k is not None else (-1 if is_vec else 0)
-        lo = -1 if is_vec else 0
-        if not lo <= k <= dim - 2:
-            parser.error(
-                f"--k {k} outside [{lo}, {dim - 2}] for {family.value} in dimension {dim}"
-            )
-        if args.degree < (1 if is_vec else 2):
-            parser.error(f"{family.value} family needs --degree >= {1 if is_vec else 2}")
+    try:
+        k = resolve_continuity_order(family, dim, args.degree, args.k)
+    except ValueError as exc:
+        parser.error(str(exc))
     return CaseParams(
         family=family.value,
         dim=dim,
@@ -143,12 +127,9 @@ def run(argv=None) -> int:
         params = _resolve_case(parser, args)
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("HDIV_GEODECOMP_JOBS", "1"))
     names = expand_all(params) if args.subcommand == "all" else [args.subcommand]
     try:
-        checks, timings = run_units(names, params, jobs)
+        checks, timings = run_units(names, params, args.jobs)
         seen = [c.name for c in checks]
         if len(set(seen)) != len(seen):
             raise RuntimeError(f"duplicate check names in suite: {sorted(seen)}")

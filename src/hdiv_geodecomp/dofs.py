@@ -34,13 +34,11 @@ from .spaces import (
     facet_normal,
     lattice_basis,
 )
+from .tensors import SpaceTag
 
 GLOBAL = "global_on_f"
 FACEWISE = "facewise_on_F"
 INTERIOR = "interior"
-
-POINT_VALUE = "point_value"
-MOMENT = "moment"
 
 MOD_P0 = "mod_P0"
 MOD_P1 = "mod_P1"
@@ -67,7 +65,6 @@ class DoFTerm:
 class DoFFunctional:
     site: SubSimplexId
     terms: tuple[DoFTerm, ...]
-    kind: str  # POINT_VALUE | MOMENT
     scope: str  # GLOBAL | FACEWISE | INTERIOR
     face: SubSimplexId | None = None  # the facet F of a facewise functional
 
@@ -80,8 +77,7 @@ class DoFFunctional:
 
 
 def _moment(site, weight, direction, scope, face=None):
-    kind = POINT_VALUE if site.dim == 0 else MOMENT
-    return DoFFunctional(site, (DoFTerm(weight, direction),), kind, scope, face)
+    return DoFFunctional(site, (DoFTerm(weight, direction),), scope, face)
 
 
 def _direction_matrix(direction):
@@ -114,7 +110,7 @@ def _site_integral(scalar: bn.BernsteinPoly, weight: bn.BernsteinPoly, site: Sub
     if restricted.is_zero():
         value = Fraction(0)
     else:
-        value = bn.integrate(bn.multiply(restricted, weight), site).value
+        value = bn.integrate(bn.multiply(restricted, weight), site)
     if cache is not None:
         cache[key] = value
     return value
@@ -147,19 +143,12 @@ class DoFSet:
     def at_site(self, site: SubSimplexId) -> list[DoFFunctional]:
         return [nf for nf in self.functionals if nf.site == site]
 
-    def sites(self) -> list[SubSimplexId]:
-        seen = []
-        for nf in self.functionals:
-            if nf.site not in seen:
-                seen.append(nf.site)
-        return seen
-
 
 _MATRIX_MIN_DEGREE = 2
 
 
 def _k_range(family: Family, n: int) -> tuple[int, int]:
-    lo = -1 if family in (Family.VECTOR_LAGRANGE, Family.FACE) else 0
+    lo = -1 if family.space_tag is SpaceTag.VECTOR else 0
     return lo, n - 2
 
 
@@ -184,16 +173,17 @@ def _validate_params(family: Family, n: int, degree: int, k: int | None) -> None
         )
 
 
-def _vertex_directions(family: Family, frame) -> list:
-    """A basis of the constrained space attached to one vertex's frame."""
-    if family in (Family.VECTOR_LAGRANGE, Family.FACE):
-        return list(frame.normals)
-    split = tensors.tn_split(frame.sub_simplex, frame, family.space_tag)
-    return list(split.normal_basis)
+def resolve_continuity_order(family: Family, n: int, degree: int, k: int | None) -> int | None:
+    """The admissible continuity order for (family, n, degree), or ValueError.
 
-
-def _cartesian(n: int) -> list[tuple]:
-    return [tuple(Fraction(int(i == d)) for i in range(n)) for d in range(n)]
+    An omitted order defaults to the least continuous admissible one: -1 for
+    the vector (face) family, 0 for the matrix families, none for the scalar
+    family.
+    """
+    if k is None and family is not Family.LAGRANGE:
+        k = _k_range(family, n)[0]
+    _validate_params(family, n, degree, k)
+    return k
 
 
 def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_order: int | None, frame_convention: str = "edge_tangents_face_normals", frames=None, facet_normals=None) -> DoFSet:
@@ -213,8 +203,8 @@ def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_o
     n = simplex.dim
     k = continuity_order
     _validate_params(family, n, degree, k)
-    is_vec = family in (Family.VECTOR_LAGRANGE, Family.FACE)
-    units = _cartesian(n)
+    vector = family.space_tag is SpaceTag.VECTOR
+    units = tensors.identity(n)
     out: list[DoFFunctional] = []
 
     for ell in range(n):
@@ -229,12 +219,13 @@ def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_o
                 frame = frames(f)
             else:
                 frame = build_frame(simplex, f, frame_convention)
-            if ell == 0 and not is_vec:
-                directions = _vertex_directions(family, frame)
+            if ell == 0 and not vector:
+                # A basis of the whole constrained space at the vertex.
+                directions = tensors.tn_split(f, frame, family.space_tag).normal_basis
                 out.extend(_moment(f, m, d, GLOBAL) for m in monos for d in directions)
                 continue
             if ell <= k:
-                if is_vec:
+                if vector:
                     out.extend(
                         _moment(f, m, nrm, GLOBAL)
                         for m in monos
@@ -263,7 +254,7 @@ def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_o
                     n_face = facet_normals(face)
                 else:
                     n_face = facet_normal(simplex, face)
-                if is_vec:
+                if vector:
                     out.extend(_moment(f, m, n_face, FACEWISE, face) for m in monos)
                 elif family is Family.TRACELESS:
                     out.extend(
@@ -286,7 +277,7 @@ def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_o
         )
     else:
         for b in bubble_space(family, simplex, degree, frame_convention).members:
-            out.append(DoFFunctional(full, (DoFTerm(b.scalar, b.coeff),), MOMENT, INTERIOR))
+            out.append(_moment(full, b.scalar, b.coeff, INTERIOR))
 
     dofs = DoFSet(family, simplex, degree, k, frame_convention, tuple(out))
     expected = family.constrained_dim(n) * bn.space_dim(n, degree)
@@ -484,17 +475,13 @@ def _face_bubble_collection(F: SubSimplexId, degree: int, k: int) -> list[bn.Ber
     """b_f * P_{degree-l-1}(f) over the sub-simplices of F of dimension > k."""
     out = []
     for ell in range(k + 1, F.dim + 1):
-        for labels in _subsets(F.indices, ell + 1):
+        for labels in combinations(F.indices, ell + 1):
             f = SubSimplexId(labels, F.parent_dim)
             b = _bubble_on(F, f)
             out.extend(
                 bn.multiply(b, bn.extend(m, F)) for m in bn.monomial_basis(f, degree - ell - 1)
             )
     return out
-
-
-def _subsets(labels: tuple[int, ...], size: int):
-    return combinations(labels, size)
 
 
 @dataclass(frozen=True)
@@ -538,7 +525,7 @@ def quotient_face_space(F: SubSimplexId, degree: int, continuity_order: int, mod
         fixed = [bn.one(F)]
     else:
         fixed = [bn.barycentric(F, label) for label in F.indices]
-    gram = [[bn.integrate(bn.multiply(q, b), F).value for b in bubbles] for q in fixed]
+    gram = [[bn.integrate(bn.multiply(q, b), F) for b in bubbles] for q in fixed]
     if linalg.rank(gram) != len(fixed):
         raise AssertionError(f"P_{s} is not resolved by the bubble collection on {F.indices}")
     combos = linalg.nullspace(gram, cols=len(bubbles))
@@ -559,14 +546,14 @@ def _certify_face_moments(F: SubSimplexId, degree: int, k: int, face_weights) ->
     columns = bn.monomial_basis(F, degree)
     rows = []
     for ell in range(k + 1):
-        for labels in _subsets(F.indices, ell + 1):
+        for labels in combinations(F.indices, ell + 1):
             f = SubSimplexId(labels, F.parent_dim)
             for m in bn.monomial_basis(f, degree - ell - 1):
                 rows.append(
-                    [bn.integrate(bn.multiply(bn.restrict(v, f), m), f).value for v in columns]
+                    [bn.integrate(bn.multiply(bn.restrict(v, f), m), f) for v in columns]
                 )
     for w in face_weights:
-        rows.append([bn.integrate(bn.multiply(v, w), F).value for v in columns])
+        rows.append([bn.integrate(bn.multiply(v, w), F) for v in columns])
     if len(rows) != len(columns) or linalg.rank(rows) != len(columns):
         raise AssertionError(
             f"face moment system on {F.indices} is not unisolvent "
@@ -640,10 +627,9 @@ def merge_face_dofs(dofs: DoFSet, F: SubSimplexId) -> MergedFaceDoFs:
     k = dofs.continuity_order
     r = dofs.degree
     n_face = facet_normal(simplex, F)
-    is_vec = family in (Family.VECTOR_LAGRANGE, Family.FACE)
 
     added: list[DoFFunctional] = []
-    if is_vec:
+    if family.space_tag is SpaceTag.VECTOR:
         if k == -1:
             weights = bn.monomial_basis(F, r)
         else:
@@ -651,11 +637,10 @@ def merge_face_dofs(dofs: DoFSet, F: SubSimplexId) -> MergedFaceDoFs:
         added = [_moment(F, w, n_face, FACEWISE, F) for w in weights]
     elif family is Family.TRACELESS:
         weights = quotient_face_space(F, r, k, MOD_P1).full_basis
-        units = _cartesian(n)
         added = [
             _moment(F, w, tensors.outer(e, n_face), FACEWISE, F)
             for w in weights
-            for e in units
+            for e in tensors.identity(n)
         ]
     else:
         if k != 0:
@@ -667,7 +652,7 @@ def merge_face_dofs(dofs: DoFSet, F: SubSimplexId) -> MergedFaceDoFs:
                 for w, t in zip(field, frame.tangents)
                 if not w.is_zero()
             )
-            added.append(DoFFunctional(F, terms, MOMENT, FACEWISE, F))
+            added.append(DoFFunctional(F, terms, FACEWISE, F))
 
     if len(added) != len(old):
         raise AssertionError(

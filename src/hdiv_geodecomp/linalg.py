@@ -232,56 +232,7 @@ def subspace_equal(a_span: RowSeq, b_span: RowSeq) -> bool:
     return ra == rb == rank(_concat([a_span, b_span]))
 
 
-def subspace_contains(outer_span: RowSeq, inner_span: RowSeq) -> bool:
-    return rank(outer_span) == rank(_concat([outer_span, inner_span]))
-
-
 def is_direct_sum(spans: Sequence[RowSeq]) -> bool:
     """True iff the spans are independent: Σ rank = rank of the union."""
     total = sum(rank(span) for span in spans)
     return total == rank(_concat(spans))
-
-
-def subspace_intersection(a_span: RowSeq, b_span: RowSeq) -> list[list[Fraction]]:
-    """Basis of span(A) ∩ span(B), as primitive vectors."""
-    a = [[Fraction(x) for x in row] for row in a_span]
-    b = [[Fraction(x) for x in row] for row in b_span]
-    if not a or not b:
-        return []
-    n = len(a[0])
-    # Kernel of [Aᵀ | -Bᵀ]: coefficient pairs with matching combinations.
-    stacked = [[*(a[i][d] for i in range(len(a))), *(-b[j][d] for j in range(len(b)))] for d in range(n)]
-    out = []
-    for ker in nullspace(stacked, cols=len(a) + len(b)):
-        vec = [sum(ker[i] * a[i][d] for i in range(len(a))) for d in range(n)]
-        if any(vec):
-            out.append(primitive_vector(vec))
-    # The construction can repeat directions; keep an independent subset.
-    kept: list[list[Fraction]] = []
-    for vec in out:
-        if not subspace_contains(kept, [vec]):
-            kept.append(vec)
-    return kept
-
-
-def coordinates(span: RowSeq, vec: Sequence[Scalar]) -> list[Fraction] | None:
-    """Coefficients of vec in the (independent) spanning rows, or None."""
-    rows = [[Fraction(x) for x in row] for row in span]
-    target = [Fraction(x) for x in vec]
-    if not rows:
-        return [] if not any(target) else None
-    n = len(target)
-    aug = [[rows[i][d] for i in range(len(rows))] + [target[d]] for d in range(n)]
-    ech = _int_rows(aug)
-    pivots = _echelon_int(ech)
-    if any(c == len(rows) for _, c in pivots):
-        return None
-    coeffs = [Fraction(0)] * len(rows)
-    for pr, pc in reversed(pivots):
-        row = ech[pr]
-        acc = Fraction(row[len(rows)])
-        for j in range(pc + 1, len(rows)):
-            if row[j] and coeffs[j]:
-                acc -= row[j] * coeffs[j]
-        coeffs[pc] = acc / row[pc]
-    return coeffs

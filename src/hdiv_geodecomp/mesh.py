@@ -158,8 +158,7 @@ class Mesh:
     def global_frame(self, cell_index: int, f: SubSimplexId) -> Frame:
         """The shared frame of f's global site, attached to cell-local labels."""
         tangents, normals = self.frame_vectors(self.global_site(cell_index, f))
-        tags = ("global",) * (len(tangents) + len(normals))
-        return Frame(f, tangents, normals, "edge_tangents_face_normals", tags)
+        return Frame(f, tangents, normals, "edge_tangents_face_normals")
 
     def facet_normal(self, facet: tuple[int, ...]) -> tuple[Fraction, ...]:
         """The chosen normal of a facet: outward from the lowest incident cell."""
@@ -189,11 +188,12 @@ def _barycentric_of_point(simplex: Simplex, point: Coordinate) -> list[Fraction]
 
 
 def validate_mesh(mesh: Mesh) -> None:
-    """Reject duplicate vertices, degenerate cells, bad incidence, hanging nodes.
+    """Reject duplicate vertices, degenerate cells, bad incidence, folds, hanging nodes.
 
-    Facets must belong to one or two cells, and no vertex may land inside the
-    closed hull of a cell it is not a vertex of; together these catch the
-    usual ways a vertex-indexed partition fails to be conforming.
+    Facets must belong to one or two cells, the two cells of an interior
+    facet must lie on opposite sides of it, and no vertex may land inside
+    the closed hull of a cell it is not a vertex of; together these catch
+    the usual ways a vertex-indexed partition fails to be conforming.
     """
     if len(set(mesh.vertices)) != len(mesh.vertices):
         raise MeshError("two vertices share the same coordinates")
@@ -201,6 +201,18 @@ def validate_mesh(mesh: Mesh) -> None:
     for facet, cells in mesh.facet_cells.items():
         if len(cells) > 2:
             raise MeshError(f"facet {facet} is shared by {len(cells)} cells")
+    for facet in mesh.interior_facets:
+        c1, c2 = mesh.facet_cells[facet]
+        (apex1,) = set(mesh.cells[c1]) - set(facet)
+        (apex2,) = set(mesh.cells[c2]) - set(facet)
+        # The barycentric coordinate of c1's apex vanishes on the facet, so
+        # its sign at c2's apex tells the side of the facet c2 lies on.
+        coords = _barycentric_of_point(mesh.cell_simplices[c1], mesh.vertices[apex2])
+        if coords[mesh.cells[c1].index(apex1)] >= 0:
+            raise MeshError(
+                f"cells {mesh.cells[c1]} and {mesh.cells[c2]} lie on the same side "
+                f"of facet {facet}: folded mesh"
+            )
     for ci, cell in enumerate(mesh.cells):
         simplex = mesh.cell_simplices[ci]
         members = set(cell)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -13,7 +13,7 @@ from . import linalg
 
 Vector = tuple[Fraction, ...]
 
-FRAME_CONVENTIONS = ("edge_tangents_face_normals", "orthogonalized", "face_normal_basis")
+FRAME_CONVENTIONS = ("edge_tangents_face_normals", "orthogonalized")
 
 
 class SingularGeometryError(ValueError):
@@ -70,10 +70,6 @@ def enumerate_subsimplices(n: int, ell: int) -> list[SubSimplexId]:
     if not 0 <= ell <= n:
         raise ValueError(f"sub-simplex dimension {ell} outside 0..{n}")
     return [SubSimplexId(c, n) for c in itertools.combinations(range(n + 1), ell + 1)]
-
-
-def complement(f: SubSimplexId) -> SubSimplexId | None:
-    return f.complement()
 
 
 @dataclass(frozen=True)
@@ -164,12 +160,6 @@ class Frame:
     tangents: tuple[Vector, ...]
     normals: tuple[Vector, ...]
     convention: str
-    globality: tuple[str, ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.globality:
-            count = len(self.tangents) + len(self.normals)
-            object.__setattr__(self, "globality", ("local",) * count)
 
     @property
     def all_vectors(self) -> tuple[Vector, ...]:

@@ -21,26 +21,30 @@ from .simplex import Simplex, SubSimplexId, barycentric_gradients, build_frame, 
 from .tensors import AffineField, SpaceTag
 
 
+# Input spellings accepted for a family besides its value.
+FAMILY_ALIASES = {"vector": "face"}
+
+
 class Family(Enum):
     LAGRANGE = "lagrange"
-    VECTOR_LAGRANGE = "vector"
     FACE = "face"
     TRACELESS = "traceless"
     SYMMETRIC = "symmetric"
+
+    @classmethod
+    def _missing_(cls, value):
+        alias = FAMILY_ALIASES.get(value)
+        return None if alias is None else cls(alias)
 
     @property
     def space_tag(self) -> SpaceTag | None:
         if self is Family.LAGRANGE:
             return None
-        if self in (Family.VECTOR_LAGRANGE, Family.FACE):
+        if self is Family.FACE:
             return SpaceTag.VECTOR
         if self is Family.TRACELESS:
             return SpaceTag.TRACELESS
         return SpaceTag.SYMMETRIC
-
-    def value_width(self, n: int) -> int:
-        tag = self.space_tag
-        return 1 if tag is None else tag.value_width(n)
 
     def constrained_dim(self, n: int) -> int:
         tag = self.space_tag
@@ -67,10 +71,6 @@ class ShapeFunction:
         parts = tensors.flatten(self.coeff)
         return [s * c for s in scalars for c in parts]
 
-    def components(self) -> tuple[bn.BernsteinPoly, ...]:
-        parts = tensors.flatten(self.coeff)
-        return tuple(self.scalar * c for c in parts)
-
 
 @dataclass(frozen=True)
 class SpaceBasis:
@@ -78,10 +78,6 @@ class SpaceBasis:
     n: int
     degree: int
     members: tuple[ShapeFunction, ...]
-
-    @property
-    def flat_dim(self) -> int:
-        return self.family.value_width(self.n) * bn.space_dim(self.n, self.degree)
 
     def flat_matrix(self) -> list[list[Fraction]]:
         return [m.flat(self.degree) for m in self.members]
@@ -159,7 +155,7 @@ def lattice_basis(family: Family, simplex: Simplex, degree: int) -> SpaceBasis:
     if tag is None:
         directions: Sequence = [_scalar_coeff()]
     elif tag is SpaceTag.VECTOR:
-        directions = [tuple(Fraction(int(i == d)) for i in range(n)) for d in range(n)]
+        directions = tensors.identity(n)
     else:
         frame = build_frame(simplex, full)
         split = tensors.tn_split(full, frame, tag)
@@ -189,11 +185,8 @@ def trace_div(member: ShapeFunction, facet: SubSimplexId, normal: Sequence):
     if facet.dim != facet.parent_dim - 1:
         raise ValueError("normal traces are defined on facets only")
     restricted = bn.restrict(member.scalar, facet)
-    if member.coeff and isinstance(member.coeff[0], tuple):
-        contracted = tensors.mat_vec(member.coeff, normal)
-        return tuple(restricted * c for c in contracted)
-    weight = tensors.dot(member.coeff, normal) if len(member.coeff) > 1 else member.coeff[0]
-    return restricted * weight
+    traced = tuple(restricted * c for c in tensors.contract_normal(member.coeff, normal))
+    return traced if isinstance(member.coeff[0], tuple) else traced[0]
 
 
 def bubble_space(family: Family, simplex: Simplex, degree: int, frame_convention: str = "edge_tangents_face_normals") -> SpaceBasis:
@@ -209,18 +202,6 @@ def bubble_space(family: Family, simplex: Simplex, degree: int, frame_convention
         if m.provenance.component == "tangential" and m.provenance.sub_simplex.dim >= 1
     )
     return SpaceBasis(family, simplex.dim, degree, members)
-
-
-def divergence(components: Sequence[bn.BernsteinPoly], simplex: Simplex) -> bn.BernsteinPoly:
-    """Σ_d ∂_d components[d] for a vector field given component-wise."""
-    n = simplex.dim
-    if len(components) != n:
-        raise ValueError("one component per ambient coordinate expected")
-    total = bn.zero(bn.full_domain(n))
-    for d, comp in enumerate(components):
-        direction = tuple(Fraction(int(i == d)) for i in range(n))
-        total = total + bn.derivative(comp, direction, simplex)
-    return total
 
 
 def div_field(member: ShapeFunction, simplex: Simplex):
@@ -246,18 +227,18 @@ def affine_field_polys(field: AffineField, simplex: Simplex) -> tuple[bn.Bernste
     return tuple(comps)
 
 
-def _div_flat(member: ShapeFunction, simplex: Simplex, degree: int) -> list[Fraction]:
+def div_row(member: ShapeFunction, simplex: Simplex, degree: int) -> list[Fraction]:
+    """div of one member over the degree lattice, component fastest."""
     image = div_field(member, simplex)
-    if isinstance(image, tuple):
-        vectors = [bn.coeff_vector(p, degree) for p in image]
-        return [v[k] for k in range(len(vectors[0])) for v in vectors]
-    return bn.coeff_vector(image, degree)
+    comps = image if isinstance(image, tuple) else (image,)
+    vectors = [bn.coeff_vector(c, degree) for c in comps]
+    return [v[k] for k in range(len(vectors[0])) for v in vectors]
 
 
 def div_codim_fields(family: Family, simplex: Simplex) -> list[tuple[bn.BernsteinPoly, ...]]:
     """The fields div(bubbles) are orthogonal to: 1, RT, or RM."""
     n = simplex.dim
-    if family in (Family.VECTOR_LAGRANGE, Family.FACE):
+    if family.space_tag is SpaceTag.VECTOR:
         return [(bn.one(bn.full_domain(n)),)]
     rt, rm = tensors.rigid_spaces(n)
     fields = rt if family is Family.TRACELESS else rm
@@ -265,7 +246,6 @@ def div_codim_fields(family: Family, simplex: Simplex) -> list[tuple[bn.Bernstei
 
 
 _DIV_IMAGE_MIN_DEGREE = {
-    Family.VECTOR_LAGRANGE: 2,
     Family.FACE: 2,
     Family.TRACELESS: 2,
     Family.SYMMETRIC: 3,
@@ -344,11 +324,10 @@ def verify_div_image(family: Family, simplex: Simplex, degree: int, frame_conven
         )
     n = simplex.dim
     bubbles = bubble_space(family, simplex, degree, frame_convention)
-    rows = [_div_flat(m, simplex, degree - 1) for m in bubbles.members]
+    rows = [div_row(m, simplex, degree - 1) for m in bubbles.members]
     got = linalg.rank(rows)
-    target_width = 1 if family in (Family.VECTOR_LAGRANGE, Family.FACE) else n
     codim = len(div_codim_fields(family, simplex))
-    expected = target_width * bn.space_dim(n, degree - 1) - codim
+    expected = family.space_tag.div_width(n) * bn.space_dim(n, degree - 1) - codim
     status = PASS if got == expected else FAIL
     return CheckResult(
         name,

@@ -35,9 +35,9 @@ class SpaceTag(Enum):
             return n * n - 1
         return n * (n + 1) // 2
 
-    def value_width(self, n: int) -> int:
-        """Components of one value: n for vectors, n² for matrices."""
-        return n if self is SpaceTag.VECTOR else n * n
+    def div_width(self, n: int) -> int:
+        """Components of a divergence: scalar for vectors, row-wise for matrices."""
+        return 1 if self is SpaceTag.VECTOR else n
 
 
 def as_vec(x: Sequence) -> Vec:
@@ -114,12 +114,15 @@ def flatten(value) -> tuple[Fraction, ...]:
     return tuple(value)
 
 
-@dataclass(frozen=True)
-class NormalFlags:
-    """Bookkeeping for one normal-component basis element."""
-
-    free_column: bool
-    active_constraint_representative: bool
+def contract_normal(value, normal: Sequence) -> tuple[Fraction, ...]:
+    """Components of the normal contraction: A n for a matrix, (v·n,) for a
+    vector.  A one-component value (scalar, or a vector in one dimension) is
+    returned as is, so the sign of a 1D normal never enters."""
+    if value and isinstance(value[0], tuple):
+        return mat_vec(value, normal)
+    if len(value) == 1:
+        return (value[0],)
+    return (dot(value, normal),)
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,6 @@ class TnSplit:
     space: SpaceTag
     tangential_basis: tuple
     normal_basis: tuple
-    normal_flags: tuple[NormalFlags, ...]
 
 
 def _corrected(u: Vec, v: Vec, direction: Mat, direction_norm: Fraction) -> Mat:
@@ -154,14 +156,12 @@ def tn_split(f: SubSimplexId, frame: Frame, space: SpaceTag) -> TnSplit:
     tans = frame.tangents
     nors = frame.normals
     if space is SpaceTag.VECTOR:
-        flags = tuple(NormalFlags(True, False) for _ in nors)
-        return TnSplit(f, space, tans, nors, flags)
+        return TnSplit(f, space, tans, nors)
     if space is SpaceTag.FULL:
         slots = tans + nors
         tangential = tuple(outer(w, t) for w in slots for t in tans)
         normal = tuple(outer(w, m) for w in slots for m in nors)
-        flags = tuple(NormalFlags(True, False) for _ in normal)
-        return TnSplit(f, space, tangential, normal, flags)
+        return TnSplit(f, space, tangential, normal)
     if space is SpaceTag.TRACELESS:
         if ell >= 1:
             direction = outer(tans[0], tans[0])
@@ -179,7 +179,6 @@ def tn_split(f: SubSimplexId, frame: Frame, space: SpaceTag) -> TnSplit:
                 for i in range(n - ell)
                 for j in range(n - ell)
             ]
-            free = True
         else:
             direction = outer(nors[0], nors[0])
             norm = dot(nors[0], nors[0])
@@ -190,27 +189,20 @@ def tn_split(f: SubSimplexId, frame: Frame, space: SpaceTag) -> TnSplit:
                 for j in range(n)
                 if (i, j) != (0, 0)
             ]
-            free = False
-        flags = tuple(NormalFlags(free, False) for _ in normal)
-        return TnSplit(f, space, tuple(tangential), tuple(normal), flags)
+        return TnSplit(f, space, tuple(tangential), tuple(normal))
     if space is SpaceTag.SYMMETRIC:
         tangential = [
             sym(outer(tans[i], tans[j]))
             for i in range(ell)
             for j in range(i, ell)
         ]
-        normal = []
-        flags = []
-        free = (n - ell) == 1
-        for t in tans:
-            for m in nors:
-                normal.append(sym(outer(t, m)))
-                flags.append(NormalFlags(free, False))
-        for i in range(n - ell):
-            for j in range(i, n - ell):
-                normal.append(sym(outer(nors[i], nors[j])))
-                flags.append(NormalFlags(free, i != j))
-        return TnSplit(f, space, tuple(tangential), tuple(normal), tuple(flags))
+        normal = [sym(outer(t, m)) for t in tans for m in nors]
+        normal += [
+            sym(outer(nors[i], nors[j]))
+            for i in range(n - ell)
+            for j in range(i, n - ell)
+        ]
+        return TnSplit(f, space, tuple(tangential), tuple(normal))
     raise ValueError(f"unsupported space {space!r}")
 
 
@@ -277,10 +269,7 @@ def rigid_spaces(n: int) -> tuple[list[AffineField], list[AffineField]]:
     if n < 1:
         raise ValueError("ambient dimension must be at least 1")
     zero_mat = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-    rt = [
-        AffineField(zero_mat, tuple(Fraction(int(i == d)) for i in range(n)))
-        for d in range(n)
-    ]
+    rt = [AffineField(zero_mat, e) for e in identity(n)]
     rt.append(AffineField(identity(n), tuple(Fraction(0) for _ in range(n))))
     # Rows: upper-triangular entries of sym(A); columns: (A row-major, b).
     rows = []

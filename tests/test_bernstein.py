@@ -134,16 +134,13 @@ def test_extend_restrict_round_trip():
 
 
 def test_integral_of_one_is_the_measure():
-    result = bn.integrate(bn.one(TRI), TRI)
-    assert result.value == 1 and result.measure == TRI
+    assert bn.integrate(bn.one(TRI), TRI) == 1
 
 
 def test_edge_product_integral():
     edge = SubSimplexId((0, 1), 2)
     p = bn.bubble(edge)
-    result = bn.integrate(p, edge)
-    assert result.value == Fraction(1, 6)
-    assert result.measure == edge
+    assert bn.integrate(p, edge) == Fraction(1, 6)
 
 
 def test_vertex_integral_is_point_value():
@@ -151,9 +148,8 @@ def test_vertex_integral_is_point_value():
     p = random_poly(rng, TRI, 3)
     for i in range(3):
         got = bn.integrate(p, SubSimplexId((i,), 2))
-        assert got.measure is None
         point = [Fraction(int(k == i)) for k in range(3)]
-        assert got.value == p.evaluate(point)
+        assert got == p.evaluate(point)
 
 
 def _gauss_mean(alpha, points=12):
@@ -192,7 +188,7 @@ def test_integration_formula_against_quadrature():
             prev = c
         alpha = tuple(alpha)
         f = SubSimplexId(tuple(range(ell + 1)), ell)
-        exact = bn.integrate(bn.monomial(f, alpha), f).value
+        exact = bn.integrate(bn.monomial(f, alpha), f)
         approx = _gauss_mean(alpha)
         assert abs(float(exact) - approx) <= 1e-12 * max(1.0, abs(approx))
 

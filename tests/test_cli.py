@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from hdiv_geodecomp import cli, report
 from hdiv_geodecomp.checks import FAIL, PASS, CheckResult
-from hdiv_geodecomp.mesh import builtin_mesh, save_mesh
+from hdiv_geodecomp.mesh import Mesh, builtin_mesh, save_mesh
 from hdiv_geodecomp.report import CaseParams, canonical_json
+from hdiv_geodecomp.spaces import Family
 
 
 def run_json(capsys, argv):
@@ -101,10 +103,34 @@ def test_skipped_checks_do_not_fail_the_run(capsys):
         ["dims", "--family", "face", "--degree", "2", "--mesh", "/no/such/mesh.json"],
         ["unknown-subcommand", "--family", "face", "--dim", "2", "--degree", "2"],
         ["unisolvence", "--family", "face", "--dim", "2", "--degree", "0"],
+        # not a frame convention
+        ["unisolvence", "--family", "face", "--dim", "2", "--degree", "2",
+         "--frame", "face_normal_basis"],
     ],
 )
 def test_bad_arguments_exit_two(capsys, argv):
     assert cli.run(argv) == 2
+
+
+def test_folded_mesh_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "folded.json"
+    folded = Mesh(2, ((0, 0), (1, 0), (0, 1), (Fraction(1, 2), 2)), ((0, 1, 2), (0, 1, 3)))
+    save_mesh(folded, path)
+    code = cli.run(["dims", "--family", "face", "--degree", "2", "--mesh", str(path)])
+    assert code == 2
+    assert "folded mesh" in capsys.readouterr().err
+
+
+def test_vector_is_an_input_alias_of_face(capsys):
+    assert Family("vector") is Family.FACE
+    assert [f.value for f in Family] == ["lagrange", "face", "traceless", "symmetric"]
+    argv = ["dims", "--degree", "2", "--mesh", "two_triangles", "--family"]
+    code_alias, via_alias = run_json(capsys, argv + ["vector"])
+    code_face, direct = run_json(capsys, argv + ["face"])
+    assert code_alias == code_face == 0
+    assert via_alias["checks"] == direct["checks"]
+    assert via_alias["params"] == direct["params"]
+    assert direct["params"]["family"] == "face"
 
 
 def test_check_failure_exits_one(capsys, monkeypatch):

@@ -29,7 +29,7 @@ def test_lagrange_triangle_cubic_counts():
 
 def test_vector_tet_quadratic_count():
     simp = reference_simplex(3)
-    basis = spaces.decompose(Family.VECTOR_LAGRANGE, simp, 2)
+    basis = spaces.decompose(Family.FACE, simp, 2)
     assert len(basis.members) == 30 == 3 * comb(5, 3)
 
 
@@ -48,7 +48,7 @@ def test_decompose_rejects_degree_zero():
     "family,n,r",
     [
         (Family.LAGRANGE, 2, 3),
-        (Family.VECTOR_LAGRANGE, 2, 2),
+        (Family.FACE, 2, 2),
         (Family.TRACELESS, 2, 2),
         (Family.TRACELESS, 3, 2),
         (Family.SYMMETRIC, 2, 3),
@@ -79,7 +79,7 @@ def test_lagrange_members_vanish_on_lower_subsimplices():
 
 def test_trace_of_tangential_members_is_zero():
     rng = random.Random(18)
-    for family in (Family.VECTOR_LAGRANGE, Family.TRACELESS, Family.SYMMETRIC):
+    for family in (Family.FACE, Family.TRACELESS, Family.SYMMETRIC):
         simp = random_simplex(rng, 2)
         basis = spaces.decompose(family, simp, 2)
         for facet in enumerate_subsimplices(2, 1):
@@ -95,7 +95,7 @@ def test_trace_of_tangential_members_is_zero():
 def test_trace_vanishes_off_site():
     rng = random.Random(19)
     simp = random_simplex(rng, 3)
-    basis = spaces.decompose(Family.VECTOR_LAGRANGE, simp, 2)
+    basis = spaces.decompose(Family.FACE, simp, 2)
     for facet in enumerate_subsimplices(3, 2):
         normal = spaces.facet_normal(simp, facet)
         for m in basis.members:
@@ -119,19 +119,19 @@ def test_trace_of_constant_normal_field():
 
 def test_trace_requires_facet():
     simp = reference_simplex(3)
-    member = spaces.decompose(Family.VECTOR_LAGRANGE, simp, 2).members[0]
+    member = spaces.decompose(Family.FACE, simp, 2).members[0]
     with pytest.raises(ValueError):
         spaces.trace_div(member, SubSimplexId((0, 1), 3), (1, 0, 0))
 
 
 def test_vector_bubble_dimensions():
     simp = reference_simplex(2)
-    bubbles = spaces.bubble_space(Family.VECTOR_LAGRANGE, simp, 2)
+    bubbles = spaces.bubble_space(Family.FACE, simp, 2)
     assert len(bubbles.members) == 3
     # Same count from the trace side: dim P_r(T;R^2) minus one trace per edge.
     assert len(bubbles.members) == 2 * comb(4, 2) - 3 * comb(3, 1)
-    assert len(spaces.bubble_space(Family.VECTOR_LAGRANGE, simp, 1).members) == 0
-    assert len(spaces.bubble_space(Family.VECTOR_LAGRANGE, simp, 0).members) == 0
+    assert len(spaces.bubble_space(Family.FACE, simp, 1).members) == 0
+    assert len(spaces.bubble_space(Family.FACE, simp, 0).members) == 0
 
 
 def test_traceless_bubble_dimension_tet():
@@ -152,9 +152,9 @@ def test_bubble_space_rejects_lagrange():
 @pytest.mark.parametrize(
     "family,n,r",
     [
-        (Family.VECTOR_LAGRANGE, 2, 2),
-        (Family.VECTOR_LAGRANGE, 2, 3),
-        (Family.VECTOR_LAGRANGE, 3, 2),
+        (Family.FACE, 2, 2),
+        (Family.FACE, 2, 3),
+        (Family.FACE, 3, 2),
         (Family.TRACELESS, 2, 2),
         (Family.TRACELESS, 3, 2),
         (Family.SYMMETRIC, 2, 2),
@@ -171,7 +171,7 @@ def test_bubble_characterization_passes(family, n, r):
 
 def test_bubble_characterization_below_threshold():
     simp = reference_simplex(2)
-    result = spaces.verify_bubble_characterization(Family.VECTOR_LAGRANGE, simp, 1)
+    result = spaces.verify_bubble_characterization(Family.FACE, simp, 1)
     assert result.status == SKIPPED
 
 
@@ -184,8 +184,11 @@ def test_divergence_of_position_field():
         for i in range(3):
             poly = poly + simp.vertices[i][d] * bn.barycentric(domain, i)
         components.append(poly)
-    result = spaces.divergence(components, simplex=simp)
-    assert result == bn.constant(domain, 2)
+    # div = Σ_d ∂_d (component d), each term a directional derivative.
+    partials = [
+        bn.derivative(comp, e, simp) for comp, e in zip(components, tensors.identity(2))
+    ]
+    assert partials[0] + partials[1] == bn.constant(domain, 2)
 
 
 def test_divergence_of_interior_bubble_has_zero_mean():
@@ -196,13 +199,13 @@ def test_divergence_of_interior_bubble_has_zero_mean():
         bn.bubble(cell), (Fraction(2), Fraction(-3)), spaces.Provenance(cell, "tangential")
     )
     image = spaces.div_field(member, simp)
-    assert bn.integrate(image, cell).value == 0
+    assert bn.integrate(image, cell) == 0
 
 
 @pytest.mark.parametrize(
     "family,n,r",
     [
-        (Family.VECTOR_LAGRANGE, 2, 2),
+        (Family.FACE, 2, 2),
         (Family.TRACELESS, 2, 2),
         (Family.SYMMETRIC, 2, 3),
     ],
@@ -219,12 +222,12 @@ def test_bubble_div_orthogonal_to_rigid_fields(family, n, r):
             pairing = bn.zero(bn.full_domain(n))
             for a, b in zip(image_polys, q_polys):
                 pairing = pairing + a * b
-            assert bn.integrate(pairing, cell).value == 0
+            assert bn.integrate(pairing, cell) == 0
 
 
 def test_div_image_ranks_match_quotients():
     simp = reference_simplex(2)
-    vec = spaces.verify_div_image(Family.VECTOR_LAGRANGE, simp, 2)
+    vec = spaces.verify_div_image(Family.FACE, simp, 2)
     assert vec.status == PASS and vec.witness["rank"] == 2
     tls = spaces.verify_div_image(Family.TRACELESS, simp, 2)
     assert tls.status == PASS and tls.witness["rank"] == 3
@@ -234,14 +237,14 @@ def test_div_image_ranks_match_quotients():
 
 def test_div_image_thresholds():
     simp = reference_simplex(2)
-    assert spaces.verify_div_image(Family.VECTOR_LAGRANGE, simp, 1).status == SKIPPED
+    assert spaces.verify_div_image(Family.FACE, simp, 1).status == SKIPPED
     assert spaces.verify_div_image(Family.SYMMETRIC, simp, 2).status == SKIPPED
 
 
 def test_div_image_tet_cases():
     rng = random.Random(60)
     simp = random_simplex(rng, 3)
-    for family, r in ((Family.VECTOR_LAGRANGE, 2), (Family.TRACELESS, 2)):
+    for family, r in ((Family.FACE, 2), (Family.TRACELESS, 2)):
         result = spaces.verify_div_image(family, simp, r)
         assert result.status == PASS, result.witness
 

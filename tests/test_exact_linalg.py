@@ -124,20 +124,6 @@ def test_direct_sum_cases():
     assert not linalg.is_direct_sum([[[1, 0, 0]], [[1, 1, 0], [0, 1, 0]]])
 
 
-def test_subspace_intersection_plane_with_plane():
-    a = [[1, 0, 0], [0, 1, 0]]
-    b = [[0, 1, 0], [0, 0, 1]]
-    meet = linalg.subspace_intersection(a, b)
-    assert linalg.subspace_equal(meet, [[0, 1, 0]])
-
-
-def test_coordinates_recovers_coefficients():
-    span = [[1, 0, 2], [0, 1, 1]]
-    coeffs = linalg.coordinates(span, [3, -2, 4])
-    assert coeffs == [Fraction(3), Fraction(-2)]
-    assert linalg.coordinates(span, [0, 0, 1]) is None
-
-
 def test_echelon_trace_is_reproducible():
     rng = random.Random(13)
     m = random_rational_matrix(rng, 6, 9)

@@ -125,6 +125,18 @@ def test_validate_mesh_rejects_bad_input():
         mesh_from_data(1, [(0,), (1,), (2,), (3,)], [(0, 1), (1, 2), (1, 3)])
     with pytest.raises(MeshError):
         validate_mesh(_hanging_node_mesh())
+    # Folded pairs: both cells on the same side of their shared facet, and no
+    # vertex inside the other cell, so only the opposite-side test sees them.
+    with pytest.raises(MeshError, match=r"facet \(0, 1\): folded"):
+        mesh_from_data(
+            2, [(0, 0), (1, 0), (0, 1), (Fraction(1, 2), 2)], [(0, 1, 2), (0, 1, 3)]
+        )
+    with pytest.raises(MeshError, match=r"facet \(0, 1, 2\): folded"):
+        mesh_from_data(
+            3,
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)],
+            [(0, 1, 2, 3), (0, 1, 2, 4)],
+        )
 
 
 def test_shared_facet_normal_and_frames_are_cell_independent():
@@ -137,7 +149,6 @@ def test_shared_facet_normal_and_frames_are_cell_independent():
     f2 = m.global_frame(c2, m.local_site(c2, facet))
     assert f1.tangents == f2.tangents
     assert f1.normals == f2.normals
-    assert set(f1.globality) == {"global"}
 
 
 def test_local_and_global_site_roundtrip():

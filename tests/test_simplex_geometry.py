@@ -159,7 +159,7 @@ def test_vertex_normals_follow_convention():
     vertex = SubSimplexId((0,), 2)
     cartesian = build_frame(simp, vertex, "orthogonalized")
     assert cartesian.normals == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    gradient_based = build_frame(simp, vertex, "face_normal_basis")
+    gradient_based = build_frame(simp, vertex)
     grads = barycentric_gradients(simp)
     assert gradient_based.normals == (grads[1], grads[2])
 

@@ -148,29 +148,6 @@ def test_symmetric_mixed_normal_trace_is_half_of_plain_tensor():
                 assert left == tensors.mat_vec(plain, n_f)
 
 
-def test_active_constraint_counts():
-    rng = random.Random(9)
-    simp = random_simplex(rng, 3)
-    split, _, _ = _split(simp, (0, 2), SpaceTag.SYMMETRIC)
-    active = [fl for fl in split.normal_flags if fl.active_constraint_representative]
-    assert len(active) == 1
-    vertex_split, _, _ = _split(simp, (1,), SpaceTag.SYMMETRIC)
-    active = [fl for fl in vertex_split.normal_flags if fl.active_constraint_representative]
-    assert len(active) == 3
-
-
-def test_free_column_flags():
-    rng = random.Random(10)
-    simp = random_simplex(rng, 3)
-    for ell in range(4):
-        f = SubSimplexId(tuple(range(ell + 1)), 3)
-        frame = build_frame(simp, f)
-        t_split = tensors.tn_split(f, frame, SpaceTag.TRACELESS)
-        assert all(fl.free_column == (ell >= 1) for fl in t_split.normal_flags)
-        s_split = tensors.tn_split(f, frame, SpaceTag.SYMMETRIC)
-        assert all(fl.free_column == (3 - ell == 1) for fl in s_split.normal_flags)
-
-
 def test_traceless_gradient_basis_duality():
     rng = random.Random(11)
     for n in (2, 3):
