@@ -12,7 +12,7 @@ import traceback
 
 from .checks import FAIL, SKIPPED
 from .dofs import resolve_continuity_order
-from .mesh import MeshError, resolve_mesh
+from .mesh import Mesh, MeshError, resolve_mesh
 from .report import (
     DIV_UNITS,
     MESH_UNITS,
@@ -83,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_case(parser: argparse.ArgumentParser, args) -> CaseParams:
+def _resolve_case(parser: argparse.ArgumentParser, args) -> tuple[CaseParams, Mesh | None]:
+    """Validated parameters, plus the resolved mesh for the run to reuse."""
     family = Family(args.family)
     mesh = None
     if args.mesh is not None:
@@ -109,7 +110,7 @@ def _resolve_case(parser: argparse.ArgumentParser, args) -> CaseParams:
         k = resolve_continuity_order(family, dim, args.degree, args.k)
     except ValueError as exc:
         parser.error(str(exc))
-    return CaseParams(
+    params = CaseParams(
         family=family.value,
         dim=dim,
         degree=args.degree,
@@ -118,18 +119,19 @@ def _resolve_case(parser: argparse.ArgumentParser, args) -> CaseParams:
         frame=args.frame,
         seed=args.seed,
     )
+    return params, mesh
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        params = _resolve_case(parser, args)
+        params, mesh = _resolve_case(parser, args)
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
     names = expand_all(params) if args.subcommand == "all" else [args.subcommand]
     try:
-        checks, timings = run_units(names, params, args.jobs)
+        checks, timings = run_units(names, params, args.jobs, mesh)
         seen = [c.name for c in checks]
         if len(set(seen)) != len(seen):
             raise RuntimeError(f"duplicate check names in suite: {sorted(seen)}")

@@ -216,8 +216,13 @@ def validate_mesh(mesh: Mesh) -> None:
     for ci, cell in enumerate(mesh.cells):
         simplex = mesh.cell_simplices[ci]
         members = set(cell)
+        # The closed hull lies in the closed bounding box, so a vertex outside
+        # the box cannot be in the cell and needs no barycentric solve.
+        box = [(min(axis), max(axis)) for axis in zip(*simplex.vertices)]
         for vi, point in enumerate(mesh.vertices):
             if vi in members:
+                continue
+            if any(x < lo or x > hi for x, (lo, hi) in zip(point, box)):
                 continue
             coords = _barycentric_of_point(simplex, point)
             if all(x >= 0 for x in coords):

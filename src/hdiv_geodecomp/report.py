@@ -18,9 +18,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import bernstein as bn
 from .assembly import (
+    GlobalSpace,
     assemble,
     check_conformity,
     check_dims,
@@ -29,7 +31,7 @@ from .assembly import (
 )
 from .checks import FAIL, PASS, CheckResult
 from .dofs import INTERIOR, certify_unisolvence
-from .mesh import resolve_mesh
+from .mesh import Mesh, resolve_mesh
 from .simplex import reference_simplex
 from .spaces import (
     Family,
@@ -64,11 +66,29 @@ class Report:
     timings: dict
 
 
+@dataclass
+class RunContext:
+    """What the units of one run share: the mesh, resolved and validated
+    once, and one assembled space, so each cell DoF matrix is built and
+    inverted once.  Without a mesh the context resolves p.mesh itself."""
+
+    params: CaseParams
+    mesh: Mesh | None = None
+
+    @cached_property
+    def space(self) -> GlobalSpace:
+        p = self.params
+        mesh = self.mesh if self.mesh is not None else resolve_mesh(p.mesh)
+        k = None if Family(p.family) is Family.LAGRANGE else p.continuity_order
+        return assemble(mesh, Family(p.family), p.degree, k)
+
+
 # ---------------------------------------------------------------------------
 # suite units
 
 
-def unit_decompose(p: CaseParams) -> list[CheckResult]:
+def unit_decompose(run: RunContext) -> list[CheckResult]:
+    p = run.params
     family = Family(p.family)
     basis = decompose(family, reference_simplex(p.dim), p.degree, p.frame)
     expected = family.constrained_dim(p.dim) * bn.space_dim(p.dim, p.degree)
@@ -90,7 +110,8 @@ def unit_decompose(p: CaseParams) -> list[CheckResult]:
     ]
 
 
-def unit_unisolvence(p: CaseParams) -> list[CheckResult]:
+def unit_unisolvence(run: RunContext) -> list[CheckResult]:
+    p = run.params
     cert = certify_unisolvence(
         Family(p.family), p.dim, p.degree, p.continuity_order, p.frame
     )
@@ -111,7 +132,8 @@ def unit_unisolvence(p: CaseParams) -> list[CheckResult]:
     ]
 
 
-def unit_bubbles(p: CaseParams) -> list[CheckResult]:
+def unit_bubbles(run: RunContext) -> list[CheckResult]:
+    p = run.params
     return [
         verify_bubble_characterization(
             Family(p.family), reference_simplex(p.dim), p.degree, p.frame
@@ -119,13 +141,15 @@ def unit_bubbles(p: CaseParams) -> list[CheckResult]:
     ]
 
 
-def unit_div_image(p: CaseParams) -> list[CheckResult]:
+def unit_div_image(run: RunContext) -> list[CheckResult]:
+    p = run.params
     return [
         verify_div_image(Family(p.family), reference_simplex(p.dim), p.degree, p.frame)
     ]
 
 
-def unit_dual_basis(p: CaseParams) -> list[CheckResult]:
+def unit_dual_basis(run: RunContext) -> list[CheckResult]:
+    p = run.params
     frames = traceless_gradient_basis(reference_simplex(p.dim))
     size = len(frames.basis)
     expected = p.dim * p.dim - 1
@@ -144,14 +168,8 @@ def unit_dual_basis(p: CaseParams) -> list[CheckResult]:
     ]
 
 
-def _assembled(p: CaseParams):
-    mesh = resolve_mesh(p.mesh)
-    k = None if Family(p.family) is Family.LAGRANGE else p.continuity_order
-    return assemble(mesh, Family(p.family), p.degree, k)
-
-
-def unit_assemble(p: CaseParams) -> list[CheckResult]:
-    space = _assembled(p)
+def unit_assemble(run: RunContext) -> list[CheckResult]:
+    p, space = run.params, run.space
     scopes: dict[str, int] = {}
     for key in space.keys:
         label = "interior" if key[0] == INTERIOR else (
@@ -168,17 +186,17 @@ def unit_assemble(p: CaseParams) -> list[CheckResult]:
     ]
 
 
-def unit_dims(p: CaseParams) -> list[CheckResult]:
-    return [check_dims(_assembled(p))]
+def unit_dims(run: RunContext) -> list[CheckResult]:
+    return [check_dims(run.space)]
 
 
-def unit_conformity(p: CaseParams) -> list[CheckResult]:
-    return [check_conformity(_assembled(p), samples=p.samples, seed=p.seed)]
+def unit_conformity(run: RunContext) -> list[CheckResult]:
+    p = run.params
+    return [check_conformity(run.space, samples=p.samples, seed=p.seed)]
 
 
-def unit_infsup(p: CaseParams) -> list[CheckResult]:
-    space = _assembled(p)
-    return [infsup_constant(space), check_div_onto(space)]
+def unit_infsup(run: RunContext) -> list[CheckResult]:
+    return [infsup_constant(run.space), check_div_onto(run.space)]
 
 
 UNITS = {
@@ -212,27 +230,34 @@ def expand_all(p: CaseParams) -> list[str]:
     return names
 
 
-def _run_one(name: str, p: CaseParams) -> tuple[str, list[CheckResult], float]:
+def _run_one(name: str, run: RunContext) -> tuple[str, list[CheckResult], float]:
     t0 = time.perf_counter()
-    checks = UNITS[name](p)
+    checks = UNITS[name](run)
     return name, checks, time.perf_counter() - t0
 
 
-def run_units(names: list[str], p: CaseParams, jobs: int = 1) -> tuple[list[CheckResult], dict]:
-    """Run units, possibly in parallel; results merge in sorted unit order."""
+def run_units(names: list[str], p: CaseParams, jobs: int = 1, mesh: Mesh | None = None) -> tuple[list[CheckResult], dict]:
+    """Run units, possibly in parallel; results merge in sorted unit order.
+
+    Serial units share one RunContext, so shared work is charged to the
+    first unit that needs it.  Each parallel unit gets a context of its own.
+    """
     ordered = sorted(set(names))
     outcomes: dict[str, tuple[list[CheckResult], float]] = {}
     t0 = time.perf_counter()
     if jobs > 1 and len(ordered) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_one, name, p) for name in ordered]
+            futures = [pool.submit(_run_one, name, RunContext(p)) for name in ordered]
             for fut in futures:
                 name, checks, elapsed = fut.result()
                 outcomes[name] = (checks, elapsed)
     else:
+        run = RunContext(p, mesh)
         for name in ordered:
-            _, checks, elapsed = _run_one(name, p)
+            _, checks, elapsed = _run_one(name, run)
             outcomes[name] = (checks, elapsed)
+        # Free the assembled space and its dual caches inside the timed total.
+        del run
     checks: list[CheckResult] = []
     timings: dict[str, int] = {}
     for name in ordered:

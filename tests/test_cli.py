@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from hdiv_geodecomp import cli, report
+from hdiv_geodecomp import assembly, cli, dofs, mesh, report
 from hdiv_geodecomp.checks import FAIL, PASS, CheckResult
 from hdiv_geodecomp.mesh import Mesh, builtin_mesh, save_mesh
 from hdiv_geodecomp.report import CaseParams, canonical_json
@@ -180,16 +181,50 @@ def test_reports_are_byte_identical_for_fixed_seed(tmp_path):
     assert not list(tmp_path.glob("*.part"))
 
 
-def test_jobs_flag_does_not_change_report_content(tmp_path):
-    argv = [
-        "all", "--family", "face", "--dim", "2", "--degree", "2",
-        "--k", "-1", "--mesh", "two_triangles",
-    ]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["all", "--family", "face", "--dim", "2", "--degree", "2",
+         "--k", "-1", "--mesh", "two_triangles"],
+        ["all", "--family", "traceless", "--degree", "2",
+         "--k", "0", "--mesh", "two_triangles"],
+    ],
+    ids=["face", "traceless"],
+)
+def test_jobs_flag_does_not_change_report_content(tmp_path, argv):
     serial = tmp_path / "serial.json"
     parallel = tmp_path / "parallel.json"
     assert cli.run(argv + ["--out", str(serial), "--jobs", "1"]) == 0
     assert cli.run(argv + ["--out", str(parallel), "--jobs", "3"]) == 0
     assert _strip_timings(serial.read_text()) == _strip_timings(parallel.read_text())
+
+
+def test_all_suite_shares_mesh_space_and_cell_duals(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "criss_cross.json"
+    criss_cross = builtin_mesh("criss_cross")
+    save_mesh(criss_cross, path)
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(report, "assemble", counted("assemble", report.assemble))
+    for module, fn in [(dofs, "dof_matrix"), (assembly, "dof_matrix"),
+                       (mesh, "validate_mesh"), (assembly, "validate_mesh")]:
+        monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
+    code, _ = run_json(
+        capsys, ["all", "--family", "face", "--degree", "2", "--mesh", str(path)]
+    )
+    assert code == 0
+    assert calls["assemble"] == 1
+    # one DoF matrix per cell, plus the reference cell of the unisolvence unit
+    assert calls["dof_matrix"] == len(criss_cross.cells) + 1
+    # once on loading the file, once more inside assemble
+    assert calls["validate_mesh"] <= 2
 
 
 def test_csv_projection_is_flat(capsys):

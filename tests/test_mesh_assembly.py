@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -20,7 +22,7 @@ from hdiv_geodecomp.assembly import (
     lagrange_dim_formula,
 )
 from hdiv_geodecomp.checks import FAIL, PASS, SKIPPED
-from hdiv_geodecomp.dofs import INTERIOR, dof_matrix
+from hdiv_geodecomp.dofs import FACEWISE, GLOBAL, INTERIOR, build_dofs, dof_matrix
 from hdiv_geodecomp.mesh import (
     Mesh,
     MeshError,
@@ -32,6 +34,7 @@ from hdiv_geodecomp.mesh import (
     save_mesh,
     validate_mesh,
 )
+from hdiv_geodecomp.simplex import reference_simplex
 from hdiv_geodecomp.spaces import Family
 
 
@@ -114,16 +117,18 @@ def test_mesh_json_roundtrip(tmp_path):
 
 
 def test_validate_mesh_rejects_bad_input():
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="share the same coordinates"):
         # coincident vertices
         mesh_from_data(1, [(0,), (0,), (1,)], [(0, 2), (1, 2)])
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match=r"cell \(0, 1, 2\) is degenerate"):
         # flat triangle
         mesh_from_data(2, [(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="shared by 3 cells"):
         # vertex 1 sits on three segments
         mesh_from_data(1, [(0,), (1,), (2,), (3,)], [(0, 1), (1, 2), (1, 3)])
-    with pytest.raises(MeshError):
+    # The hanging vertex lies on the edge x = 0 of the coarse cell, which is
+    # also the boundary of that cell's bounding box.
+    with pytest.raises(MeshError, match=r"vertex 3 lies inside cell \(0, 1, 2\): hanging node"):
         validate_mesh(_hanging_node_mesh())
     # Folded pairs: both cells on the same side of their shared facet, and no
     # vertex inside the other cell, so only the opposite-side test sees them.
@@ -191,6 +196,42 @@ def test_vector_dimension_formula_continuity_sweep():
     # raising the continuity order glues more, so dimensions must not grow
     dims = [assemble(m, "face", 3, k).dim for k in (-1, 0, 1)]
     assert dims == sorted(dims, reverse=True)
+
+
+def _layout_dim(mesh: Mesh, family: str, degree: int, k: int) -> int:
+    """Assembled dimension counted from the reference-cell DoF layout: global
+    functionals once per site, facewise ones once per facet, interior ones
+    once per cell."""
+    n = mesh.dim
+    functionals = build_dofs(Family(family), reference_simplex(n), degree, k).functionals
+    global_by_dim = Counter(nf.site.dim for nf in functionals if nf.scope == GLOBAL)
+    facewise = sum(nf.scope == FACEWISE for nf in functionals)
+    interior = sum(nf.scope == INTERIOR for nf in functionals)
+    total = len(mesh.cells) * interior
+    for ell, count in global_by_dim.items():
+        per_site, rest = divmod(count, comb(n + 1, ell + 1))
+        assert rest == 0, f"uneven global layout on {ell}-sites"
+        total += len(mesh.sub_simplices(ell)) * per_site
+    per_facet, rest = divmod(facewise, n + 1)
+    assert rest == 0, "uneven facewise layout"
+    return total + len(mesh.sub_simplices(n - 1)) * per_facet
+
+
+@pytest.mark.parametrize(
+    "name, family, degree, k, expected",
+    [
+        ("two_triangles", "traceless", 2, 0, 28),
+        ("two_triangles", "symmetric", 4, 0, 78),
+        ("criss_cross", "traceless", 3, 0, 83),
+        ("criss_cross", "symmetric", 3, 0, 83),
+        ("two_tets", "traceless", 2, 0, 127),
+        ("two_tets", "symmetric", 3, 1, 189),
+        ("two_tets", "symmetric", 4, 0, 357),
+    ],
+)
+def test_matrix_dims_match_reference_layout_count(name, family, degree, k, expected):
+    m = builtin_mesh(name)
+    assert assemble(m, family, degree, k).dim == _layout_dim(m, family, degree, k) == expected
 
 
 def test_matrix_dims_reported_without_formula():
