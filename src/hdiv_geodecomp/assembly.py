@@ -24,7 +24,17 @@ from scipy import linalg as scipy_linalg
 from . import bernstein as bn
 from . import linalg, tensors
 from .checks import FAIL, PASS, SKIPPED, CheckResult
-from .dofs import FACEWISE, INTERIOR, DoFSet, DoFTerm, MixedDirection, build_dofs, dof_matrix
+from .dofs import (
+    FACEWISE,
+    INTERIOR,
+    DoFSet,
+    DoFTerm,
+    MixedDirection,
+    SiteBlockError,
+    build_dofs,
+    dof_matrix,
+    site_blocks,
+)
 from .mesh import Mesh, validate_mesh
 from .spaces import Family, decompose, div_row
 from .tensors import SpaceTag
@@ -39,8 +49,8 @@ class GlobalSpace:
     """An assembled space: per-cell DoF sets plus the identification table.
 
     keys[g] is the hashable identity of global DoF g; local_to_global[c][i]
-    is the global index of cell c's i-th functional.  Cell dual bases are
-    computed on demand and cached.
+    is the global index of cell c's i-th functional.  Cell dual bases and
+    cell div rows are computed on demand and cached.
     """
 
     mesh: Mesh
@@ -51,6 +61,7 @@ class GlobalSpace:
     local_to_global: tuple[tuple[int, ...], ...]
     keys: tuple[tuple, ...]
     _dual_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _div_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -63,19 +74,35 @@ class GlobalSpace:
 
     def dual_coefficients(self, cell_index: int) -> list[list[Fraction]]:
         """Exact inverse of the cell DoF matrix: column i is the i-th dual
-        basis function expanded over the cell's decomposition members."""
+        basis function expanded over the cell's decomposition members.
+
+        The matrix is block lower-triangular over its site blocks, so the
+        inverse is one small inverse per site plus block forward substitution.
+        """
         hit = self._dual_cache.get(cell_index)
         if hit is not None:
             return hit
-        mat = dof_matrix(self.cell_dofs[cell_index], self.cell_basis(cell_index))
+        dofs = self.cell_dofs[cell_index]
+        basis = self.cell_basis(cell_index)
+        mat = dof_matrix(dofs, basis)
+        cell = self.mesh.cells[cell_index]
         try:
-            inv = linalg.invert(mat)
+            blocks = site_blocks(dofs, basis, mat)
+        except SiteBlockError as exc:
+            raise AssemblyError(f"cell {cell}: {exc}") from exc
+        try:
+            inv = linalg.invert_block_lower(mat, blocks)
         except linalg.SingularMatrixError as exc:
-            raise AssemblyError(
-                f"cell {self.mesh.cells[cell_index]} has a singular DoF matrix"
-            ) from exc
+            raise AssemblyError(f"cell {cell} has a singular DoF matrix: {exc}") from exc
         self._dual_cache[cell_index] = inv
         return inv
+
+    def div_rows(self, cell_index: int) -> list[list[Fraction]]:
+        """Per member of the cell basis: div over the degree r-1 lattice."""
+        hit = self._div_cache.get(cell_index)
+        if hit is None:
+            hit = self._div_cache[cell_index] = _cell_div_rows(self, cell_index)
+        return hit
 
     def local_index(self, cell_index: int) -> dict[int, int]:
         return {g: i for i, g in enumerate(self.local_to_global[cell_index])}
@@ -483,7 +510,7 @@ def check_div_onto(space: GlobalSpace) -> CheckResult:
     dim_q = qdim_cell * len(mesh.cells)
     rows = [[Fraction(0)] * dim_q for _ in range(space.dim)]
     for ci in range(len(mesh.cells)):
-        div_rows = _cell_div_rows(space, ci)
+        div_rows = space.div_rows(ci)
         dual = space.dual_coefficients(ci)
         offset = ci * qdim_cell
         for i, g in enumerate(space.local_to_global[ci]):
@@ -574,7 +601,7 @@ def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> Chec
             [[float(x) for x in bn.coeff_vector(m.scalar, r)] for m in members]
         )
         gram_val = _coeff_pair_matrix(members) * (scal @ w_val @ scal.T)
-        div_rows = _cell_div_rows(space, ci)
+        div_rows = space.div_rows(ci)
         ndiv = np.array([[float(x) for x in row] for row in div_rows])
         ndiv = ndiv.reshape(len(members), qlat, width)
         gram_div = np.zeros_like(gram_val)

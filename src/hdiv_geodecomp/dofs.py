@@ -13,7 +13,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 from . import bernstein as bn
 from . import linalg, tensors
@@ -86,44 +88,116 @@ def _direction_matrix(direction):
     return direction
 
 
-def _pair(coeff: tuple, direction) -> Fraction:
-    d = _direction_matrix(direction)
-    if isinstance(d[0], tuple):
-        return tensors.frobenius(coeff, d)
-    if len(coeff) == 1 and len(d) == 1:
-        return coeff[0] * d[0]
-    return tensors.dot(coeff, d)
+def _pair(coeff: tuple, direction: tuple):
+    """The one pairing of a member coefficient with a functional direction."""
+    if isinstance(direction[0], tuple):
+        return tensors.frobenius(coeff, direction)
+    return tensors.dot(coeff, direction)
 
 
-def _poly_key(p: bn.BernsteinPoly):
-    return (p.domain.indices, p.degree, tuple(sorted(p.coeffs.items())))
+class MomentTable:
+    """Geometry-free moments of the member monomials of one degree on the n-simplex.
+
+    entry(g, β, α) = ∫_g restrict(λ^β, g) λ^α ds / |g| for a member monomial
+    λ^β on the full simplex and a weight monomial λ^α on the site g.  It is
+    zero unless supp β ⊆ g, and otherwise depends on the labels alone, not on
+    the vertices, so one table serves every cell of a mesh.  Entries are
+    computed on first use; their number is bounded by the sites, member
+    monomials and weight monomials of (n, degree).
+    """
+
+    def __init__(self, n: int, degree: int):
+        self.domain = bn.full_domain(n)
+        self.degree = degree
+        self._entries: dict[tuple, Fraction] = {}
+
+    def entry(self, site: SubSimplexId, beta: bn.MultiIndex, alpha: bn.MultiIndex) -> Fraction:
+        key = (site.indices, beta, alpha)
+        value = self._entries.get(key)
+        if value is None:
+            if any(b and label not in site.indices for label, b in enumerate(beta)):
+                value = Fraction(0)
+            else:
+                restricted = bn.restrict(bn.monomial(self.domain, beta), site)
+                value = bn.integrate(bn.multiply(restricted, bn.monomial(site, alpha)), site)
+            self._entries[key] = value
+        return value
+
+    def integral(self, site: SubSimplexId, scalar: bn.BernsteinPoly, weight: bn.BernsteinPoly) -> Fraction:
+        """∫_site restrict(scalar, site) · weight / |site|, bilinear over the entries."""
+        if scalar.domain != self.domain or scalar.degree != self.degree:
+            raise ValueError("member scalar does not belong to this moment table")
+        total = Fraction(0)
+        for beta, c_beta in scalar.coeffs.items():
+            for alpha, c_alpha in weight.coeffs.items():
+                moment = self.entry(site, beta, alpha)
+                if moment:
+                    total += c_beta * c_alpha * moment
+        return total
 
 
-def _site_integral(scalar: bn.BernsteinPoly, weight: bn.BernsteinPoly, site: SubSimplexId, cache: dict | None) -> Fraction:
-    key = None
-    if cache is not None:
-        key = (site.indices, _poly_key(scalar), _poly_key(weight))
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    restricted = bn.restrict(scalar, site)
-    if restricted.is_zero():
-        value = Fraction(0)
-    else:
-        value = bn.integrate(bn.multiply(restricted, weight), site)
-    if cache is not None:
-        cache[key] = value
-    return value
+@lru_cache(maxsize=8)
+def moment_table(n: int, degree: int) -> MomentTable:
+    return MomentTable(n, degree)
 
 
-def apply_functional(functional: DoFFunctional, member: ShapeFunction, cache: dict | None = None) -> Fraction:
+def _integer_values(values) -> tuple[list[tuple], int]:
+    """Vectors or matrices rewritten as integers over one common denominator."""
+    den = lcm(*(x.denominator for v in values for x in tensors.flatten(v)))
+
+    def scale(x):
+        return x.numerator * (den // x.denominator)
+
+    out = []
+    for v in values:
+        if isinstance(v[0], tuple):
+            out.append(tuple(tuple(scale(x) for x in row) for row in v))
+        else:
+            out.append(tuple(scale(x) for x in v))
+    return out, den
+
+
+def _functional_rows(functionals, members, n: int, degree: int) -> list[list[Fraction]]:
+    """N_i(phi_j) for every functional and member, measure divided out.
+
+    Each term contributes moment × pairing: the moment comes from the
+    geometry-free table, once per term and distinct member scalar, and the
+    pairing is taken only where the moment is nonzero, on member
+    coefficients and term directions scaled to integers over one
+    denominator each.
+    """
+    table = moment_table(n, degree)
+    coeffs, coeff_den = _integer_values([m.coeff for m in members])
+    terms = [term for nf in functionals for term in nf.terms]
+    directions, direction_den = _integer_values([_direction_matrix(t.direction) for t in terms])
+    scale = Fraction(1, coeff_den * direction_den)
+    groups: dict[frozenset, tuple[bn.BernsteinPoly, list[int]]] = {}
+    for j, m in enumerate(members):
+        groups.setdefault(frozenset(m.scalar.coeffs.items()), (m.scalar, []))[1].append(j)
+    rows = []
+    position = 0
+    for nf in functionals:
+        row = [Fraction(0)] * len(members)
+        for term in nf.terms:
+            direction = directions[position]
+            position += 1
+            for scalar, cols in groups.values():
+                moment = table.integral(nf.site, scalar, term.weight)
+                if not moment:
+                    continue
+                moment *= scale
+                for j in cols:
+                    pairing = _pair(coeffs[j], direction)
+                    if pairing:
+                        row[j] += moment * pairing
+        rows.append(row)
+    return rows
+
+
+def apply_functional(functional: DoFFunctional, member: ShapeFunction) -> Fraction:
     """Exact value of the functional on one shape function, measure divided out."""
-    total = Fraction(0)
-    for term in functional.terms:
-        pairing = _pair(member.coeff, term.direction)
-        if pairing:
-            total += pairing * _site_integral(member.scalar, term.weight, functional.site, cache)
-    return total
+    scalar = member.scalar
+    return _functional_rows((functional,), (member,), scalar.domain.dim, scalar.degree)[0][0]
 
 
 @dataclass(frozen=True)
@@ -310,7 +384,7 @@ def _symmetric_global(f: SubSimplexId, frame, monos) -> list[DoFFunctional]:
     return out
 
 
-def dof_matrix(dofs: DoFSet, basis: SpaceBasis, cache: dict | None = None) -> list[list[Fraction]]:
+def dof_matrix(dofs: DoFSet, basis: SpaceBasis) -> list[list[Fraction]]:
     """Square matrix N_i(phi_j) of the functionals against the basis."""
     if basis.family.space_tag is not dofs.family.space_tag or basis.n != dofs.simplex.dim or basis.degree != dofs.degree:
         raise ValueError("DoF set and basis describe different spaces")
@@ -318,12 +392,7 @@ def dof_matrix(dofs: DoFSet, basis: SpaceBasis, cache: dict | None = None) -> li
         raise ValueError(
             f"count mismatch: {dofs.count} functionals vs {len(basis.members)} members"
         )
-    if cache is None:
-        cache = {}
-    return [
-        [apply_functional(nf, m, cache) for m in basis.members]
-        for nf in dofs.functionals
-    ]
+    return _functional_rows(dofs.functionals, basis.members, basis.n, basis.degree)
 
 
 @dataclass(frozen=True)
@@ -380,6 +449,33 @@ def _column_blocks(dofs: DoFSet, basis: SpaceBasis) -> list[tuple[str, list[int]
     return [(label, placed[label]) for label in order]
 
 
+class SiteBlockError(AssertionError):
+    """The DoF matrix is not block lower-triangular over its site blocks."""
+
+
+def site_blocks(dofs: DoFSet, basis: SpaceBasis, matrix) -> list[tuple[str, list[int], list[int]]]:
+    """(label, rows, columns) of each site block, in functional order.
+
+    The blocks are returned only after checking that they tile the matrix
+    and that every block above the diagonal is exactly zero, so the matrix
+    is block lower-triangular: invertible iff every diagonal block is.
+    """
+    rows = _row_blocks(dofs)
+    cols = _column_blocks(dofs, basis)
+    if cols is None or [len(r) for _, r in rows] != [len(c) for _, c in cols]:
+        raise SiteBlockError("site blocks do not tile the DoF matrix")
+    for bi, (row_label, row_idx) in enumerate(rows):
+        for col_label, col_idx in cols[bi + 1 :]:
+            for i in row_idx:
+                row = matrix[i]
+                if any(row[j] for j in col_idx):
+                    raise SiteBlockError(
+                        f"functional at {row_label} does not annihilate "
+                        f"member block {col_label}"
+                    )
+    return [(label, r, c) for (label, r), (_, c) in zip(rows, cols)]
+
+
 def certify_unisolvence(
     family: Family | None = None,
     simplex: Simplex | int | None = None,
@@ -425,23 +521,9 @@ def certify_unisolvence(
             failure=None if data.rank == size else {"rank": data.rank, "size": size},
         )
 
-    rows = _row_blocks(dofs)
-    cols = _column_blocks(dofs, basis)
-    if cols is None or [len(r) for _, r in rows] != [len(c) for _, c in cols]:
-        raise AssertionError("site blocks do not tile the DoF matrix")
-    for bi, (row_label, row_idx) in enumerate(rows):
-        for col_label, col_idx in cols[bi + 1 :]:
-            for i in row_idx:
-                for j in col_idx:
-                    if matrix[i][j]:
-                        raise AssertionError(
-                            f"functional at {row_label} does not annihilate "
-                            f"member block {col_label}"
-                        )
-
     digest = hashlib.sha256()
     block_sizes = []
-    for (label, row_idx), (_, col_idx) in zip(rows, cols):
+    for label, row_idx, col_idx in site_blocks(dofs, basis, matrix):
         block = [[matrix[i][j] for j in col_idx] for i in row_idx]
         data = linalg.echelon_data(block)
         digest.update(f"{label}:{data.trace_hash()};".encode())
@@ -681,13 +763,9 @@ def _span_equality_on_facet(dofs: DoFSet, F: SubSimplexId, old, new) -> CheckRes
         if nf.scope == GLOBAL and F.contains(nf.site)
     ]
     basis = lattice_basis(dofs.family, dofs.simplex, dofs.degree)
-    cache: dict = {}
 
     def rows(functionals):
-        return [
-            [apply_functional(nf, m, cache) for m in basis.members]
-            for nf in functionals
-        ]
+        return _functional_rows(functionals, basis.members, basis.n, basis.degree)
 
     base = rows(context)
     old_rows = rows(old)

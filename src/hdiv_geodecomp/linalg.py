@@ -183,6 +183,91 @@ def invert(mat: RowSeq) -> list[list[Fraction]]:
     return [[cols[j][i] for j in range(m)] for i in range(m)]
 
 
+def _over_common_denominator(mat: RowSeq) -> tuple[list[list[int]], int]:
+    """Integer matrix N and one positive d with mat == N / d entrywise."""
+    fracs = [[Fraction(x) for x in row] for row in mat]
+    den = lcm(*(x.denominator for row in fracs for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in fracs], den
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def invert_block_lower(mat: RowSeq, blocks: Sequence[tuple[str, Sequence[int], Sequence[int]]]) -> list[list[Fraction]]:
+    """Exact inverse of a square matrix that is block lower-triangular
+    once its columns are grouped.
+
+    blocks lists (label, rows, cols) in elimination order; the row and
+    column index sets tile the matrix and mat[rows_i][cols_j] is zero for
+    every j > i, which the caller certifies.  Each diagonal block is
+    inverted with invert; the blocks below the diagonal follow by block
+    forward substitution, X_ij = -A_ii^-1 sum_{j <= k < i} A_ik X_kj, in
+    integer arithmetic over one denominator per block, skipping zero
+    blocks.  Row c of the result belongs to column c of mat, as for invert.
+    """
+    ints, den = _over_common_denominator(mat)  # mat == ints / den
+
+    def block(i: int, k: int) -> list[list[int]]:
+        return [[ints[r][c] for c in blocks[k][2]] for r in blocks[i][1]]
+
+    lower = {}
+    for i in range(len(blocks)):
+        for k in range(i):
+            part = block(i, k)
+            if any(any(row) for row in part):
+                lower[i, k] = part
+    diagonal = []
+    for i, (label, rows, _) in enumerate(blocks):
+        try:
+            diagonal.append(_over_common_denominator(invert(block(i, i))))
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(
+                f"diagonal block {label} of size {len(rows)} is singular"
+            ) from exc
+
+    m = len(ints)
+    zero = Fraction(0)
+    out = [[zero] * m for _ in range(m)]
+    for j in range(len(blocks)):
+        # Block column j of ints^-1, each block as (integer matrix, denominator).
+        column = {j: diagonal[j]}
+        for i in range(j + 1, len(blocks)):
+            terms = [(lower[i, k], column[k]) for k in range(j, i) if (i, k) in lower and k in column]
+            if not terms:
+                continue
+            common = lcm(*(d for _, (_, d) in terms))
+            acc = [[0] * len(blocks[j][1]) for _ in blocks[i][1]]
+            for a_ik, (x_kj, d) in terms:
+                f = common // d
+                for acc_row, row in zip(acc, _int_matmul(a_ik, x_kj)):
+                    for c, y in enumerate(row):
+                        acc_row[c] += f * y
+            inv_i, d_i = diagonal[i]
+            x_ij = [[-y for y in row] for row in _int_matmul(inv_i, acc)]
+            d_ij = d_i * common
+            g = gcd(d_ij, *(y for row in x_ij for y in row))
+            column[i] = ([[y // g for y in row] for row in x_ij], d_ij // g)
+        # Rows of mat in block j index the columns of the inverse.
+        for i, (x, d) in column.items():
+            for r, row in zip(blocks[i][2], x):
+                target = out[r]
+                for c, y in zip(blocks[j][1], row):
+                    if y:
+                        target[c] = Fraction(den * y, d)
+    return out
+
+
 def det(mat: RowSeq) -> Fraction:
     """Determinant by the Bareiss fraction-free scheme."""
     m = len(mat)

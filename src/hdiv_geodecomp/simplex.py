@@ -138,7 +138,8 @@ def max_normalized(vec: Sequence[Fraction]) -> Vector:
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    """Exact dot product; integer inputs give an integer."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def _gram_schmidt(vectors: Sequence[Vector]) -> list[Vector]:

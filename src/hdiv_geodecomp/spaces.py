@@ -103,7 +103,10 @@ def decompose(family: Family, simplex: Simplex, degree: int, frame_convention: s
 
     Members are b_f · (monomial on f) · (tangential or normal direction),
     grouped by sub-simplex.  The union is verified to have full exact rank,
-    which simultaneously certifies the direct sum and the total span.
+    which simultaneously certifies the direct sum and the total span.  Every
+    member scalar is one monomial λ^β, and members with different β have
+    disjoint support in the flat layout, so that rank is the sum over β of
+    the rank of the coefficients sharing λ^β.
     """
     if degree < 1:
         raise ValueError("decompositions start at degree 1")
@@ -137,13 +140,23 @@ def decompose(family: Family, simplex: Simplex, degree: int, frame_convention: s
                     ShapeFunction(s, c, Provenance(f, "normal"))
                     for c in split.normal_basis
                 )
-    basis = SpaceBasis(family, n, degree, tuple(members))
     expected = family.constrained_dim(n) * bn.space_dim(n, degree)
-    if len(members) != expected or linalg.rank(basis.flat_matrix()) != expected:
+    if len(members) != expected or _rank_by_monomial(members) != expected:
         raise AssertionError(
             f"decomposition of {family.value} n={n} r={degree} is not a basis"
         )
-    return basis
+    return SpaceBasis(family, n, degree, tuple(members))
+
+
+def _rank_by_monomial(members: Sequence[ShapeFunction]) -> int:
+    """Exact rank of the flat matrix of members whose scalars are monomials."""
+    by_monomial: dict[tuple, list[tuple]] = {}
+    for m in members:
+        if len(m.scalar.coeffs) != 1:
+            raise AssertionError(f"member scalar at {m.provenance.sub_simplex.indices} is not a monomial")
+        (beta,) = m.scalar.coeffs
+        by_monomial.setdefault(beta, []).append(tensors.flatten(m.coeff))
+    return sum(linalg.rank(rows) for rows in by_monomial.values())
 
 
 def lattice_basis(family: Family, simplex: Simplex, degree: int) -> SpaceBasis:
@@ -313,7 +326,9 @@ def verify_bubble_characterization(family: Family, simplex: Simplex, degree: int
 
 
 def verify_div_image(family: Family, simplex: Simplex, degree: int, frame_convention: str = "edge_tangents_face_normals") -> CheckResult:
-    """Check rank(div 𝔹) = dim ℙ_{r−1}(target) − codim for the family."""
+    """Check rank(div 𝔹) = dim ℙ_{r−1}(target) − codim for the family, and
+    that div 𝔹 is exactly L2-orthogonal to the codim fields (1, RT or RM),
+    so the image is the orthogonal complement of those fields."""
     name = f"div_image[{family.value},n={simplex.dim},r={degree}]"
     if family is Family.LAGRANGE:
         raise ValueError("div images are defined for the vector/matrix families")
@@ -326,11 +341,20 @@ def verify_div_image(family: Family, simplex: Simplex, degree: int, frame_conven
     bubbles = bubble_space(family, simplex, degree, frame_convention)
     rows = [div_row(m, simplex, degree - 1) for m in bubbles.members]
     got = linalg.rank(rows)
-    codim = len(div_codim_fields(family, simplex))
+    fields = div_codim_fields(family, simplex)
+    codim = len(fields)
     expected = family.space_tag.div_width(n) * bn.space_dim(n, degree - 1) - codim
-    status = PASS if got == expected else FAIL
-    return CheckResult(
-        name,
-        status,
-        {"rank": got, "expected": expected, "codim": codim, "bubble_dim": len(bubbles.members)},
-    )
+    witness = {"rank": got, "expected": expected, "codim": codim, "bubble_dim": len(bubbles.members)}
+    if got != expected:
+        return CheckResult(name, FAIL, witness)
+    # ∫ div(b)·q over the simplex is linear in the lattice row of div(b).
+    domain = bn.full_domain(n)
+    monos = bn.monomial_basis(domain, degree - 1)
+    non_orthogonal = 0
+    for field in fields:
+        weights = [bn.integrate(bn.multiply(mono, comp), domain) for mono in monos for comp in field]
+        non_orthogonal += sum(1 for row in rows if tensors.dot(row, weights))
+    if non_orthogonal:
+        witness["non_orthogonal_pairs"] = non_orthogonal
+        return CheckResult(name, FAIL, witness)
+    return CheckResult(name, PASS, witness)

@@ -98,9 +98,8 @@ def mat_scale(a: Mat, c) -> Mat:
 
 
 def frobenius(a: Mat, b: Mat) -> Fraction:
-    return sum(
-        (x * y for ra, rb in zip(a, b) for x, y in zip(ra, rb)), Fraction(0)
-    )
+    """Exact entrywise pairing; integer inputs give an integer."""
+    return sum(x * y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def identity(n: int) -> Mat:

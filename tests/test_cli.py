@@ -6,6 +6,7 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -199,6 +200,14 @@ def test_jobs_flag_does_not_change_report_content(tmp_path, argv):
     assert _strip_timings(serial.read_text()) == _strip_timings(parallel.read_text())
 
 
+def _counting(calls: Counter, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def test_all_suite_shares_mesh_space_and_cell_duals(tmp_path, capsys, monkeypatch):
     path = tmp_path / "criss_cross.json"
     criss_cross = builtin_mesh("criss_cross")
@@ -206,11 +215,7 @@ def test_all_suite_shares_mesh_space_and_cell_duals(tmp_path, capsys, monkeypatc
     calls: Counter = Counter()
 
     def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
+        return _counting(calls, name, fn)
 
     monkeypatch.setattr(report, "assemble", counted("assemble", report.assemble))
     for module, fn in [(dofs, "dof_matrix"), (assembly, "dof_matrix"),
@@ -225,6 +230,21 @@ def test_all_suite_shares_mesh_space_and_cell_duals(tmp_path, capsys, monkeypatc
     assert calls["dof_matrix"] == len(criss_cross.cells) + 1
     # once on loading the file, once more inside assemble
     assert calls["validate_mesh"] <= 2
+
+
+def test_infsup_builds_cell_div_rows_once_per_cell(capsys, monkeypatch):
+    calls: Counter = Counter()
+    for fn in ("_cell_div_rows", "div_row"):
+        monkeypatch.setattr(assembly, fn, _counting(calls, fn, getattr(assembly, fn)))
+    code, _ = run_json(
+        capsys, ["infsup", "--family", "traceless", "--degree", "2", "--mesh", "criss_cross"]
+    )
+    assert code == 0
+    cells = len(builtin_mesh("criss_cross").cells)
+    # inf-sup and div-onto share the rows of each cell
+    assert calls["_cell_div_rows"] == cells
+    members = Family.TRACELESS.constrained_dim(2) * comb(2 + 2, 2)
+    assert calls["div_row"] == cells * members
 
 
 def test_csv_projection_is_flat(capsys):

@@ -397,3 +397,89 @@ def test_merged_sets_stay_grouped_by_site():
     dofs = merge_all_faces(build_dofs(Family.FACE, 3, 2, -1))
     dims = [nf.site.dim for nf in dofs.functionals]
     assert dims == sorted(dims)
+
+
+# --------------------------------------------------------- moment table
+
+
+def _reference_moment(site, beta, alpha):
+    member = bn.monomial(bn.full_domain(site.parent_dim), beta)
+    return bn.integrate(bn.multiply(bn.restrict(member, site), bn.monomial(site, alpha)), site)
+
+
+@pytest.mark.parametrize("n,r", [(1, 3), (2, 3), (3, 2)])
+def test_moment_table_matches_bernstein_integrals(n, r):
+    table = dofmod.moment_table(n, r)
+    zeros = nonzeros = 0
+    for ell in range(n + 1):
+        for site in enumerate_subsimplices(n, ell):
+            for beta in bn.lattice(n + 1, r):
+                for degree in range(r + 1):
+                    for alpha in bn.lattice(ell + 1, degree):
+                        value = table.entry(site, beta, alpha)
+                        assert value == _reference_moment(site, beta, alpha)
+                        supported = all(b == 0 or i in site.indices for i, b in enumerate(beta))
+                        assert bool(value) == supported
+                        zeros += not value
+                        nonzeros += bool(value)
+    assert zeros and nonzeros
+    assert dofmod.moment_table(n, r) is table
+
+
+def test_moment_table_rejects_members_of_another_degree():
+    site = SubSimplexId((0, 1), 2)
+    member = bn.monomial(bn.full_domain(2), (1, 1, 1))
+    with pytest.raises(ValueError):
+        dofmod.moment_table(2, 2).integral(site, member, bn.one(site))
+
+
+def _reference_entry(nf, member):
+    """N(phi) term by term from Bernstein integrals and Fraction pairings."""
+    total = Fraction(0)
+    for term in nf.terms:
+        direction = term.direction
+        if isinstance(direction, MixedDirection):
+            direction = direction.matrix()
+        if isinstance(direction[0], tuple):
+            pairing = tensors.frobenius(member.coeff, direction)
+        else:
+            pairing = tensors.dot(member.coeff, direction)
+        restricted = bn.restrict(member.scalar, nf.site)
+        total += pairing * bn.integrate(bn.multiply(restricted, term.weight), nf.site)
+    return total
+
+
+@pytest.mark.parametrize(
+    "family,n,r,k",
+    [
+        (Family.FACE, 2, 3, 0),
+        (Family.FACE, 3, 2, 0),
+        (Family.TRACELESS, 3, 3, 0),
+        (Family.SYMMETRIC, 2, 3, 0),
+        (Family.SYMMETRIC, 3, 2, 0),
+        (Family.SYMMETRIC, 3, 3, 0),
+    ],
+)
+def test_dof_matrix_of_merged_sets_matches_entrywise_reference(family, n, r, k):
+    rng = random.Random(80 + n)
+    simp = random_simplex(rng, n)
+    merged = merge_all_faces(build_dofs(family, simp, r, k))
+    non_monomial = [nf for nf in merged.functionals if any(len(t.weight.coeffs) > 1 for t in nf.terms)]
+    assert non_monomial
+    if family is Family.SYMMETRIC and n == 3:
+        assert any(len(nf.terms) > 1 for nf in merged.functionals)
+    basis = decompose(family, simp, r)
+    matrix = dof_matrix(merged, basis)
+    for nf, row in zip(merged.functionals, matrix):
+        assert row == [_reference_entry(nf, m) for m in basis.members]
+
+
+def test_site_blocks_reject_a_planted_upper_entry():
+    dofs = build_dofs(Family.FACE, 2, 2, -1)
+    basis = decompose(Family.FACE, reference_simplex(2), 2)
+    matrix = dof_matrix(dofs, basis)
+    blocks = dofmod.site_blocks(dofs, basis, matrix)
+    (_, first_rows, _), (_, _, last_cols) = blocks[0], blocks[-1]
+    matrix[first_rows[0]][last_cols[0]] = Fraction(1)
+    with pytest.raises(dofmod.SiteBlockError, match="functional at f0 does not annihilate member block interior"):
+        dofmod.site_blocks(dofs, basis, matrix)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -10,7 +11,7 @@ import pytest
 
 from hdiv_geodecomp import bernstein as bn
 from hdiv_geodecomp import linalg, spaces, tensors
-from hdiv_geodecomp.checks import PASS, SKIPPED
+from hdiv_geodecomp.checks import FAIL, PASS, SKIPPED
 from hdiv_geodecomp.simplex import SubSimplexId, enumerate_subsimplices, reference_simplex
 from hdiv_geodecomp.spaces import Family
 
@@ -260,3 +261,77 @@ def test_flat_layout_component_fastest():
     pos = keys.index((1, 0, 0))
     assert flat[2 * pos] == 3 and flat[2 * pos + 1] == 5
     assert sum(1 for x in flat if x) == 2
+
+
+def _admissible_decompositions():
+    for n in (1, 2, 3):
+        for r in (1, 2, 3):
+            yield Family.LAGRANGE, n, r
+            yield Family.FACE, n, r
+            if n >= 2:
+                yield Family.TRACELESS, n, r
+                yield Family.SYMMETRIC, n, r
+
+
+def test_rank_by_monomial_equals_dense_flat_rank():
+    for family, n, r in _admissible_decompositions():
+        basis = spaces.decompose(family, reference_simplex(n), r)
+        expected = family.constrained_dim(n) * bn.space_dim(n, r)
+        assert spaces._rank_by_monomial(basis.members) == expected
+        assert linalg.rank(basis.flat_matrix()) == expected, (family, n, r)
+
+
+def test_decompose_detects_a_repeated_normal_direction(monkeypatch):
+    original = tensors.tn_split
+
+    def repeated(f, frame, space):
+        split = original(f, frame, space)
+        if f.indices != (0,):
+            return split
+        normals = split.normal_basis
+        return replace(split, normal_basis=normals[:-1] + normals[:1])
+
+    spaces.decompose.cache_clear()
+    monkeypatch.setattr(tensors, "tn_split", repeated)
+    try:
+        with pytest.raises(AssertionError, match="is not a basis"):
+            spaces.decompose(Family.TRACELESS, reference_simplex(2), 2)
+    finally:
+        spaces.decompose.cache_clear()
+
+
+def test_decompose_rejects_a_non_monomial_member_scalar(monkeypatch):
+    original = bn.bubble
+
+    def perturbed(f):
+        b = original(f)
+        if f.dim == 0:
+            return b
+        # b_f is square-free on at least two labels, so λ_0^deg is a second monomial
+        return b + bn.monomial(b.domain, (b.degree,) + (0,) * f.parent_dim)
+
+    spaces.decompose.cache_clear()
+    monkeypatch.setattr(bn, "bubble", perturbed)
+    try:
+        with pytest.raises(AssertionError, match="is not a monomial"):
+            spaces.decompose(Family.FACE, reference_simplex(2), 2)
+    finally:
+        spaces.decompose.cache_clear()
+
+
+def test_div_image_pass_keeps_its_witness_keys():
+    result = spaces.verify_div_image(Family.TRACELESS, reference_simplex(2), 3)
+    assert result.status == PASS
+    assert set(result.witness) == {"rank", "expected", "codim", "bubble_dim"}
+
+
+def test_div_image_fails_on_a_field_div_bubbles_is_not_orthogonal_to(monkeypatch):
+    def shifted(family, simplex):
+        # same count as the true codim fields, so the rank comparison still passes
+        return [(bn.barycentric(bn.full_domain(simplex.dim), 0),)]
+
+    monkeypatch.setattr(spaces, "div_codim_fields", shifted)
+    result = spaces.verify_div_image(Family.FACE, reference_simplex(2), 2)
+    assert result.status == FAIL
+    assert result.witness["rank"] == result.witness["expected"]
+    assert result.witness["non_orthogonal_pairs"] > 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -11,6 +12,7 @@ import pytest
 from hdiv_geodecomp import assembly, linalg
 from hdiv_geodecomp.assembly import (
     AssemblyError,
+    GlobalSpace,
     assemble,
     check_conformity,
     check_dims,
@@ -22,7 +24,7 @@ from hdiv_geodecomp.assembly import (
     lagrange_dim_formula,
 )
 from hdiv_geodecomp.checks import FAIL, PASS, SKIPPED
-from hdiv_geodecomp.dofs import FACEWISE, GLOBAL, INTERIOR, build_dofs, dof_matrix
+from hdiv_geodecomp.dofs import FACEWISE, GLOBAL, INTERIOR, DoFTerm, build_dofs, dof_matrix
 from hdiv_geodecomp.mesh import (
     Mesh,
     MeshError,
@@ -285,6 +287,66 @@ def test_dual_coefficients_invert_the_dof_matrix():
         assert prod == [
             [Fraction(int(i == k)) for k in range(n)] for i in range(n)
         ]
+
+
+@pytest.mark.parametrize(
+    "name,family,degree,k",
+    [
+        ("criss_cross", "face", 3, 0),
+        ("criss_cross", "traceless", 3, 0),
+        ("criss_cross", "symmetric", 3, 0),
+        ("criss_cross", "lagrange", 3, None),
+        ("two_tets", "face", 2, 1),
+        ("two_tets", "traceless", 2, 0),
+        ("two_tets", "symmetric", 2, 1),
+        ("two_tets", "lagrange", 3, None),
+    ],
+)
+def test_site_block_dual_equals_dense_inverse(name, family, degree, k):
+    space = assemble(builtin_mesh(name), family, degree, k)
+    for ci in range(len(space.mesh.cells)):
+        mat = dof_matrix(space.cell_dofs[ci], space.cell_basis(ci))
+        assert space.dual_coefficients(ci) == linalg.invert(mat)
+
+
+def _with_cell_functionals(space, cell_index, functionals) -> GlobalSpace:
+    cell_dofs = list(space.cell_dofs)
+    cell_dofs[cell_index] = replace(cell_dofs[cell_index], functionals=tuple(functionals))
+    return GlobalSpace(
+        space.mesh,
+        space.family,
+        space.degree,
+        space.continuity_order,
+        tuple(cell_dofs),
+        space.local_to_global,
+        space.keys,
+    )
+
+
+def test_dual_rejects_a_functional_planted_above_the_site_blocks():
+    space = assemble(builtin_mesh("criss_cross"), "face", 2, -1)
+    functionals = list(space.cell_dofs[0].functionals)
+    basis = space.cell_basis(0)
+    i, nf = next((i, nf) for i, nf in enumerate(functionals) if nf.site.dim == 1)
+    tangential = next(
+        m for m in basis.members
+        if m.provenance.sub_simplex == nf.site and m.provenance.component == "tangential"
+    )
+    functionals[i] = replace(nf, terms=(DoFTerm(nf.terms[0].weight, tangential.coeff),))
+    broken = _with_cell_functionals(space, 0, functionals)
+    label = "f" + "".join(map(str, nf.site.indices))
+    with pytest.raises(AssemblyError, match=f"functional at {label} does not annihilate member block interior"):
+        broken.dual_coefficients(0)
+
+
+def test_dual_rejects_a_singular_site_block():
+    space = assemble(builtin_mesh("criss_cross"), "face", 2, -1)
+    functionals = list(space.cell_dofs[0].functionals)
+    assert functionals[0].site == functionals[1].site
+    functionals[1] = functionals[0]
+    broken = _with_cell_functionals(space, 0, functionals)
+    with pytest.raises(AssemblyError, match="singular DoF matrix: diagonal block f0 of size 2 is singular"):
+        broken.dual_coefficients(0)
 
 
 def test_assemble_validates_the_mesh():
