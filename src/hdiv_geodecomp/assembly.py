@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import comb, factorial, prod, sqrt
 
 import numpy as np
@@ -36,7 +36,7 @@ from .dofs import (
     site_blocks,
 )
 from .mesh import Mesh, validate_mesh
-from .spaces import Family, decompose, div_row
+from .spaces import Family, decompose, div_row, site_row
 from .tensors import SpaceTag
 
 
@@ -103,9 +103,6 @@ class GlobalSpace:
         if hit is None:
             hit = self._div_cache[cell_index] = _cell_div_rows(self, cell_index)
         return hit
-
-    def local_index(self, cell_index: int) -> dict[int, int]:
-        return {g: i for i, g in enumerate(self.local_to_global[cell_index])}
 
 
 def _weight_alpha(functional) -> tuple[int, ...]:
@@ -235,90 +232,120 @@ def check_dims(space: GlobalSpace) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# trace extraction
+# assembled rows and conformity
+
+
+def cell_rows(space: GlobalSpace, cell_index: int, member_rows: dict[int, list]) -> tuple[list[list[int]], int]:
+    """Rows of the cell's assembled basis functions from rows of its members.
+
+    member_rows maps a member index j to its row; members left out have a
+    zero row.  Row i is sum_j dual[j][i] * member_rows[j], returned as
+    integer rows over one positive denominator.  Only members with a nonzero
+    row enter the sum.
+    """
+    dual = space.dual_coefficients(cell_index)
+    support = [j for j, row in member_rows.items() if any(row)]
+    if not support:
+        width = max(map(len, member_rows.values()))
+        return [[0] * width for _ in space.local_to_global[cell_index]], 1
+    coeffs, d_coeffs = linalg._over_common_denominator(list(zip(*(dual[j] for j in support))))
+    rows, d_rows = linalg._over_common_denominator([member_rows[j] for j in support])
+    return linalg._int_matmul(coeffs, rows), d_coeffs * d_rows
 
 
 def _contract_normal_normal(coeff, left, right) -> tuple:
     return (tensors.dot(left, tensors.mat_vec(coeff, right)),)
 
 
-def _member_site_rows(space: GlobalSpace, cell_index: int, local_site, contract) -> list[list[Fraction]]:
-    """Per decomposition member: restriction to the site, contracted to
-    components, flattened over site lattice x component (component fastest)."""
-    basis = space.cell_basis(cell_index)
-    rows = []
-    for m in basis.members:
-        weights = contract(m.coeff)
-        svec = bn.coeff_vector(bn.restrict(m.scalar, local_site), space.degree)
-        rows.append([s * w for s in svec for w in weights])
-    return rows
-
-
-def _global_site_rows(space: GlobalSpace, cell_index: int, local_site, contract, global_ids) -> dict[int, list[Fraction]]:
-    """The same contracted restrictions for assembled basis functions."""
-    member_rows = _member_site_rows(space, cell_index, local_site, contract)
-    width = len(member_rows[0]) if member_rows else 0
-    dual = space.dual_coefficients(cell_index)
-    local_of = space.local_index(cell_index)
-    out = {}
-    for g in global_ids:
-        i = local_of.get(g)
-        if i is None:
-            out[g] = [Fraction(0)] * width
-            continue
-        row = [Fraction(0)] * width
-        for j, member_row in enumerate(member_rows):
-            c = dual[j][i]
-            if not c:
+def _statements(space: GlobalSpace) -> list[tuple[str, tuple[int, ...], object]]:
+    """Every continuity claim as (kind, global site, contraction), in report
+    order: the trace on each interior facet (the value, for the scalar
+    family), then with a nonnegative continuity order the whole value at
+    shared vertices, normal components on shared sites up to the order, and
+    for symmetric values the normal-normal component on shared sites above it.
+    """
+    mesh = space.mesh
+    family = space.family
+    out = []
+    for facet in mesh.interior_facets:
+        if family is Family.LAGRANGE:
+            out.append(("normal_trace", facet, tensors.flatten))
+        else:
+            out.append(("normal_trace", facet, partial(tensors.contract_normal, normal=mesh.facet_normal(facet))))
+    k = space.continuity_order if space.continuity_order is not None else -1
+    if family is Family.LAGRANGE or k < 0:
+        return out
+    nn_top = mesh.dim - 1 if family is Family.SYMMETRIC else -1
+    for ell in range(0, max(k, nn_top) + 1):
+        for gsite in mesh.sub_simplices(ell):
+            if len(mesh.cells_containing(gsite)) < 2:
                 continue
-            for w in range(width):
-                if member_row[w]:
-                    row[w] += c * member_row[w]
-        out[g] = row
+            _, normals = mesh.frame_vectors(gsite)
+            if ell == 0:
+                out.append(("value_at_vertex", gsite, tensors.flatten))
+            elif ell <= k:
+                out.extend(
+                    ("normal_component", gsite, partial(tensors.contract_normal, normal=nrm))
+                    for nrm in normals
+                )
+            elif family is Family.SYMMETRIC:
+                out.extend(
+                    ("normal_normal", gsite, partial(_contract_normal_normal, left=normals[a], right=normals[b]))
+                    for a in range(len(normals))
+                    for b in range(a, len(normals))
+                )
     return out
 
 
-def _random_barycentric(rng: random.Random, labels: int) -> tuple[Fraction, ...]:
-    raw = [Fraction(rng.randint(1, 997), 1000) for _ in range(labels)]
-    total = sum(raw)
-    return tuple(x / total for x in raw)
+def _shared_site_rows(space: GlobalSpace, site: tuple[int, ...], contract):
+    """The global DoFs of the cells sharing a site and, per such cell, the
+    contracted restrictions of their basis functions to it: one integer row
+    per global DoF (zero off the cell) and one denominator."""
+    mesh = space.mesh
+    cells = mesh.cells_containing(site)
+    ids = sorted(set().union(*(space.local_to_global[c] for c in cells)))
+    per_cell = []
+    for c in cells:
+        local_site = mesh.local_site(c, site)
+        # A member vanishes on every site that does not contain its
+        # sub-simplex (decompose certifies the support of its monomial).
+        member_rows = {
+            j: site_row(m, local_site, contract, space.degree)
+            for j, m in enumerate(space.cell_basis(c).members)
+            if local_site.contains(m.provenance.sub_simplex)
+        }
+        ints, den = cell_rows(space, c, member_rows)
+        zero = [0] * len(ints[0])
+        by_global = dict(zip(space.local_to_global[c], ints))
+        per_cell.append(([by_global.get(g, zero) for g in ids], den))
+    return ids, per_cell
 
 
-def _eval_rows(row: list[Fraction], lattice_keys, point) -> list[Fraction]:
-    """Evaluate a flattened (lattice x component) row at a barycentric point."""
-    width = len(row) // len(lattice_keys) if lattice_keys else 0
-    values = [Fraction(0)] * width
-    for a, alpha in enumerate(lattice_keys):
-        mono = prod(
-            (point[t] ** e for t, e in enumerate(alpha)), start=Fraction(1)
-        )
-        if mono == 0:
-            continue
-        for w in range(width):
-            if row[a * width + w]:
-                values[w] += row[a * width + w] * mono
-    return values
+def _jumps(ids, per_cell):
+    """(global DoF, first differing entry, difference) of each cell's rows
+    against the first cell's, compared by cross-multiplication."""
+    (rows_a, d_a), *others = per_cell
+    for rows_b, d_b in others:
+        for g, a, b in zip(ids, rows_a, rows_b):
+            for entry, (x, y) in enumerate(zip(a, b)):
+                if x * d_b != y * d_a:
+                    yield g, entry, Fraction(x, d_a) - Fraction(y, d_b)
+                    break
 
 
-def _jump_violation(rows_a, rows_b, global_ids):
-    for g in global_ids:
-        a, b = rows_a[g], rows_b[g]
-        for idx, (x, y) in enumerate(zip(a, b)):
-            if x != y:
-                yield g, idx, x - y
-                break
+def _evaluate(row: list[int], monomials: list[int]) -> list[int]:
+    """Sum over the site lattice of a (lattice x component) row, weighted."""
+    width = len(row) // len(monomials)
+    return [sum(row[a * width + w] * m for a, m in enumerate(monomials)) for w in range(width)]
 
 
 def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> CheckResult:
     """Exact continuity of every assembled basis function.
 
-    Across each interior facet the full normal trace (or the full value, for
-    the scalar family) must agree coefficient by coefficient in Bernstein
-    form; random rational points provide a redundant sampled guard.  With a
-    positive continuity order the extra shared pieces are checked as well:
-    whole values at vertices, normal components on shared sites up to the
-    continuity order, and for symmetric values the normal-normal component
-    on every shared site above it.
+    Each continuity statement restricts the basis functions of every cell
+    sharing its site, contracts them, and compares Bernstein coefficients
+    exactly against the first such cell.  On interior facets random rational
+    points provide a redundant sampled guard.
     """
     mesh = space.mesh
     family = space.family
@@ -327,6 +354,7 @@ def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> Che
     facets_checked = 0
     traces_compared = 0
     points_checked = 0
+    extra_sites: set[tuple[int, ...]] = set()
 
     def record(kind, site, g, entry, delta):
         violations.append(
@@ -339,73 +367,28 @@ def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> Che
             }
         )
 
-    for facet in mesh.interior_facets:
-        c1, c2 = mesh.facet_cells[facet]
-        normal = mesh.facet_normal(facet)
-        if family is Family.LAGRANGE:
-            contract = tensors.flatten
-        else:
-            def contract(coeff, normal=normal):
-                return tensors.contract_normal(coeff, normal)
-
-        ids = sorted(set(space.local_to_global[c1]) | set(space.local_to_global[c2]))
-        rows1 = _global_site_rows(space, c1, mesh.local_site(c1, facet), contract, ids)
-        rows2 = _global_site_rows(space, c2, mesh.local_site(c2, facet), contract, ids)
+    for kind, site, contract in _statements(space):
+        ids, per_cell = _shared_site_rows(space, site, contract)
+        for g, entry, delta in _jumps(ids, per_cell):
+            record(kind, site, g, entry, delta)
+        if kind != "normal_trace":
+            extra_sites.add(site)
+            continue
         facets_checked += 1
         traces_compared += len(ids)
-        for g, entry, delta in _jump_violation(rows1, rows2, ids):
-            record("normal_trace", facet, g, entry, delta)
-        lattice_keys = bn.lattice(len(facet), space.degree)
+        # At weights w the point is w / sum(w), so every lattice monomial
+        # carries the same factor sum(w)^degree, which equality ignores.
+        lattice_keys = bn.lattice(len(site), space.degree)
+        (rows_a, d_a), (rows_b, d_b) = per_cell
         for _ in range(samples):
-            point = _random_barycentric(rng, len(facet))
+            weights = [rng.randint(1, 997) for _ in site]
+            monomials = [prod(w**e for w, e in zip(weights, alpha)) for alpha in lattice_keys]
             points_checked += 1
-            for g in ids:
-                va = _eval_rows(rows1[g], lattice_keys, point)
-                vb = _eval_rows(rows2[g], lattice_keys, point)
-                if va != vb:
-                    record("normal_trace_sample", facet, g, -1, "point mismatch")
-
-    k = space.continuity_order if space.continuity_order is not None else -1
-    extra_sites = 0
-    if family is not Family.LAGRANGE and k >= 0:
-        nn_top = mesh.dim - 1 if family is Family.SYMMETRIC else -1
-        for ell in range(0, max(k, nn_top) + 1):
-            for gsite in mesh.sub_simplices(ell):
-                cells = mesh.cells_containing(gsite)
-                if len(cells) < 2:
-                    continue
-                contracts: list[tuple[str, object]] = []
-                _, normals = mesh.frame_vectors(gsite)
-                if ell <= k:
-                    if ell == 0:
-                        contracts.append(("value_at_vertex", tensors.flatten))
-                    else:
-                        for nrm in normals:
-                            def with_normal(coeff, nrm=nrm):
-                                return tensors.contract_normal(coeff, nrm)
-
-                            contracts.append(("normal_component", with_normal))
-                elif family is Family.SYMMETRIC:
-                    for a in range(len(normals)):
-                        for b in range(a, len(normals)):
-                            def with_pair(coeff, na=normals[a], nb=normals[b]):
-                                return _contract_normal_normal(coeff, na, nb)
-
-                            contracts.append(("normal_normal", with_pair))
-                if not contracts:
-                    continue
-                extra_sites += 1
-                ids = sorted(set().union(*(space.local_to_global[c] for c in cells)))
-                for kind, contract in contracts:
-                    per_cell = [
-                        _global_site_rows(
-                            space, c, mesh.local_site(c, gsite), contract, ids
-                        )
-                        for c in cells
-                    ]
-                    for other in per_cell[1:]:
-                        for g, entry, delta in _jump_violation(per_cell[0], other, ids):
-                            record(kind, gsite, g, entry, delta)
+            for g, a, b in zip(ids, rows_a, rows_b):
+                va = _evaluate(a, monomials)
+                vb = _evaluate(b, monomials)
+                if any(x * d_b != y * d_a for x, y in zip(va, vb)):
+                    record("normal_trace_sample", site, g, -1, "point mismatch")
 
     status = PASS if not violations else FAIL
     return CheckResult(
@@ -416,7 +399,7 @@ def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> Che
             "interior_facets": facets_checked,
             "traces_compared": traces_compared,
             "sample_points": points_checked,
-            "extra_sites": extra_sites,
+            "extra_sites": len(extra_sites),
             "violations": violations,
         },
     )
@@ -508,20 +491,14 @@ def check_div_onto(space: GlobalSpace) -> CheckResult:
     n, r = mesh.dim, space.degree
     qdim_cell = family.space_tag.div_width(n) * bn.space_dim(n, r - 1)
     dim_q = qdim_cell * len(mesh.cells)
-    rows = [[Fraction(0)] * dim_q for _ in range(space.dim)]
+    rows = [[0] * dim_q for _ in range(space.dim)]
     for ci in range(len(mesh.cells)):
-        div_rows = space.div_rows(ci)
-        dual = space.dual_coefficients(ci)
+        # Column block ci keeps the cell's own denominator: scaling a block
+        # of columns by a nonzero constant leaves the rank unchanged.
+        ints, _ = cell_rows(space, ci, dict(enumerate(space.div_rows(ci))))
         offset = ci * qdim_cell
-        for i, g in enumerate(space.local_to_global[ci]):
-            target = rows[g]
-            for j, member_row in enumerate(div_rows):
-                c = dual[j][i]
-                if not c:
-                    continue
-                for a, x in enumerate(member_row):
-                    if x:
-                        target[offset + a] += c * x
+        for g, row in zip(space.local_to_global[ci], ints):
+            rows[g][offset:offset + qdim_cell] = row
     rank = linalg.rank(rows)
     deficit = dim_q - rank
     threshold = _div_threshold(family, n, space.continuity_order)

@@ -43,12 +43,6 @@ class SubSimplexId:
     def dim(self) -> int:
         return len(self.indices) - 1
 
-    def complement(self) -> "SubSimplexId | None":
-        rest = tuple(i for i in range(self.parent_dim + 1) if i not in self.indices)
-        if not rest:
-            return None
-        return SubSimplexId(rest, self.parent_dim)
-
     def complement_labels(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.parent_dim + 1) if i not in self.indices)
 
@@ -101,9 +95,6 @@ class Simplex:
         n = self.dim
         edges = [list(self.edge_vector(0, j)) for j in range(1, n + 1)]
         return abs(linalg.det(edges)) / factorial(n)
-
-    def sub_simplex(self, labels: Sequence[int]) -> SubSimplexId:
-        return SubSimplexId(tuple(labels), self.dim)
 
 
 def reference_simplex(n: int) -> Simplex:

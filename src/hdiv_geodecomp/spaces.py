@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Sequence
 
 from . import bernstein as bn
@@ -67,9 +67,16 @@ class ShapeFunction:
 
     def flat(self, degree: int) -> list[Fraction]:
         """Coefficients over lattice × value components, component fastest."""
-        scalars = bn.coeff_vector(self.scalar, degree)
-        parts = tensors.flatten(self.coeff)
-        return [s * c for s in scalars for c in parts]
+        return site_row(self, self.scalar.domain, tensors.flatten, degree)
+
+
+def site_row(member: ShapeFunction, site: SubSimplexId, contract, degree: int) -> list[Fraction]:
+    """The member restricted to a site with its coefficient contracted:
+    coefficients over the site's degree lattice × the components of
+    contract(coeff), component fastest."""
+    weights = contract(member.coeff)
+    scalars = bn.coeff_vector(bn.restrict(member.scalar, site), degree)
+    return [s * w for s in scalars for w in weights]
 
 
 @dataclass(frozen=True)
@@ -104,9 +111,9 @@ def decompose(family: Family, simplex: Simplex, degree: int, frame_convention: s
     Members are b_f · (monomial on f) · (tangential or normal direction),
     grouped by sub-simplex.  The union is verified to have full exact rank,
     which simultaneously certifies the direct sum and the total span.  Every
-    member scalar is one monomial λ^β, and members with different β have
-    disjoint support in the flat layout, so that rank is the sum over β of
-    the rank of the coefficients sharing λ^β.
+    member scalar is one monomial λ^β with supp β = f, and members with
+    different β have disjoint support in the flat layout, so that rank is
+    the sum over β of the rank of the coefficients sharing λ^β.
     """
     if degree < 1:
         raise ValueError("decompositions start at degree 1")
@@ -149,12 +156,17 @@ def decompose(family: Family, simplex: Simplex, degree: int, frame_convention: s
 
 
 def _rank_by_monomial(members: Sequence[ShapeFunction]) -> int:
-    """Exact rank of the flat matrix of members whose scalars are monomials."""
+    """Exact rank of the flat matrix of members whose scalars are monomials
+    supported exactly on their sub-simplices, which is what makes a member
+    vanish on every site that does not contain its sub-simplex."""
     by_monomial: dict[tuple, list[tuple]] = {}
     for m in members:
+        site = m.provenance.sub_simplex.indices
         if len(m.scalar.coeffs) != 1:
-            raise AssertionError(f"member scalar at {m.provenance.sub_simplex.indices} is not a monomial")
+            raise AssertionError(f"member scalar at {site} is not a monomial")
         (beta,) = m.scalar.coeffs
+        if tuple(i for i, e in zip(m.scalar.domain.indices, beta) if e) != site:
+            raise AssertionError(f"member scalar at {site} is not supported exactly on it")
         by_monomial.setdefault(beta, []).append(tensors.flatten(m.coeff))
     return sum(linalg.rank(rows) for rows in by_monomial.values())
 
@@ -274,16 +286,13 @@ def verify_bubble_characterization(family: Family, simplex: Simplex, degree: int
         return CheckResult(name, SKIPPED, {"reason": f"degree {degree} below 2"})
     n = simplex.dim
     basis = decompose(family, simplex, degree, frame_convention)
-    facets = enumerate_subsimplices(n, n - 1)
+    normal_traces = [
+        (facet, partial(tensors.contract_normal, normal=facet_normal(simplex, facet)))
+        for facet in enumerate_subsimplices(n, n - 1)
+    ]
 
     def stacked_trace(member: ShapeFunction) -> list[Fraction]:
-        out: list[Fraction] = []
-        for facet in facets:
-            traced = trace_div(member, facet, facet_normal(simplex, facet))
-            polys = traced if isinstance(traced, tuple) else (traced,)
-            for p in polys:
-                out.extend(bn.coeff_vector(p, degree))
-        return out
+        return [x for facet, contract in normal_traces for x in site_row(member, facet, contract, degree)]
 
     # Kernel of the trace map on the constrained space, in the coordinates
     # of its lattice basis (the constrained directions times monomials).

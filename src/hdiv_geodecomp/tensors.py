@@ -22,15 +22,12 @@ Mat = tuple[Vec, ...]
 
 class SpaceTag(Enum):
     VECTOR = "vector"
-    FULL = "full"
     TRACELESS = "traceless"
     SYMMETRIC = "symmetric"
 
     def dim(self, n: int) -> int:
         if self is SpaceTag.VECTOR:
             return n
-        if self is SpaceTag.FULL:
-            return n * n
         if self is SpaceTag.TRACELESS:
             return n * n - 1
         return n * (n + 1) // 2
@@ -156,11 +153,6 @@ def tn_split(f: SubSimplexId, frame: Frame, space: SpaceTag) -> TnSplit:
     nors = frame.normals
     if space is SpaceTag.VECTOR:
         return TnSplit(f, space, tans, nors)
-    if space is SpaceTag.FULL:
-        slots = tans + nors
-        tangential = tuple(outer(w, t) for w in slots for t in tans)
-        normal = tuple(outer(w, m) for w in slots for m in nors)
-        return TnSplit(f, space, tangential, normal)
     if space is SpaceTag.TRACELESS:
         if ell >= 1:
             direction = outer(tans[0], tans[0])

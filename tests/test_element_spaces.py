@@ -319,6 +319,29 @@ def test_decompose_rejects_a_non_monomial_member_scalar(monkeypatch):
         spaces.decompose.cache_clear()
 
 
+def test_decompose_rejects_a_member_scalar_supported_off_its_site(monkeypatch):
+    original = bn.bubble
+
+    def shifted(f):
+        b = original(f)
+        if f.dim == 0 or f.dim == f.parent_dim:
+            return b
+        # move one factor of b_f to a label outside f
+        ((beta, c),) = b.coeffs.items()
+        moved = list(beta)
+        moved[f.indices[0]] -= 1
+        moved[f.complement_labels()[0]] += 1
+        return bn.monomial(b.domain, tuple(moved), c)
+
+    spaces.decompose.cache_clear()
+    monkeypatch.setattr(bn, "bubble", shifted)
+    try:
+        with pytest.raises(AssertionError, match="is not supported exactly on it"):
+            spaces.decompose(Family.FACE, reference_simplex(2), 2)
+    finally:
+        spaces.decompose.cache_clear()
+
+
 def test_div_image_pass_keeps_its_witness_keys():
     result = spaces.verify_div_image(Family.TRACELESS, reference_simplex(2), 3)
     assert result.status == PASS

@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from hdiv_geodecomp import assembly, linalg
+from hdiv_geodecomp import assembly, linalg, tensors
 from hdiv_geodecomp.assembly import (
     AssemblyError,
     GlobalSpace,
@@ -36,8 +36,8 @@ from hdiv_geodecomp.mesh import (
     save_mesh,
     validate_mesh,
 )
-from hdiv_geodecomp.simplex import reference_simplex
-from hdiv_geodecomp.spaces import Family
+from hdiv_geodecomp.simplex import enumerate_subsimplices, reference_simplex
+from hdiv_geodecomp.spaces import Family, site_row
 
 
 # ---------------------------------------------------------------- meshes
@@ -357,29 +357,34 @@ def test_assemble_validates_the_mesh():
 # ---------------------------------------------------------------- conformity
 
 
+# (mesh, family, degree, k, (traces_compared, extra_sites) with samples=1)
 BASE_CASES = [
-    ("two_triangles", "lagrange", 2, None),
-    ("two_triangles", "face", 2, -1),
-    ("two_triangles", "face", 3, 0),
-    ("two_triangles", "traceless", 2, 0),
-    ("two_triangles", "symmetric", 3, 0),
-    ("criss_cross", "face", 2, -1),
-    ("criss_cross", "symmetric", 3, 0),
-    ("two_tets", "lagrange", 2, None),
-    ("two_tets", "face", 2, 0),
-    ("two_tets", "traceless", 2, 0),
-    ("two_tets", "symmetric", 2, 1),
-    ("cube_freudenthal", "face", 2, -1),
+    ("two_triangles", "lagrange", 2, None, (9, 0)),
+    ("two_triangles", "face", 2, -1, (21, 0)),
+    ("two_triangles", "face", 3, 0, (34, 2)),
+    ("two_triangles", "traceless", 2, 0, (28, 2)),
+    ("two_triangles", "symmetric", 3, 0, (50, 3)),
+    ("criss_cross", "face", 2, -1, (84, 0)),
+    ("criss_cross", "symmetric", 3, 0, (200, 9)),
+    ("two_tets", "lagrange", 2, None, (14, 0)),
+    ("two_tets", "face", 2, 0, (48, 3)),
+    ("two_tets", "traceless", 2, 0, (127, 3)),
+    ("two_tets", "symmetric", 2, 1, (87, 7)),
+    ("cube_freudenthal", "face", 2, -1, (324, 0)),
 ]
 
 
-@pytest.mark.parametrize("name,family,degree,k", BASE_CASES)
-def test_conformity_exact_on_base_meshes(name, family, degree, k):
+@pytest.mark.parametrize(
+    "name,family,degree,k,counts", BASE_CASES, ids=["-".join(map(str, case[:4])) for case in BASE_CASES]
+)
+def test_conformity_exact_on_base_meshes(name, family, degree, k, counts):
     space = assemble(builtin_mesh(name), family, degree, k)
     res = check_conformity(space, samples=1)
     assert res.status == PASS, res.witness["violations"][:3]
     assert res.witness["violations"] == []
     assert res.witness["interior_facets"] == len(space.mesh.interior_facets)
+    assert res.witness["sample_points"] == res.witness["interior_facets"]
+    assert (res.witness["traces_compared"], res.witness["extra_sites"]) == counts
     if family in ("traceless", "symmetric") or (family == "face" and k >= 0):
         assert res.witness["extra_sites"] > 0
 
@@ -401,6 +406,63 @@ def test_flipped_facet_is_detected():
         assert res.witness["violations"]
         flagged = {tuple(v["site"]) for v in res.witness["violations"]}
         assert tuple(m.interior_facets[0]) in flagged
+
+
+def test_cell_rows_combine_member_rows_through_the_dual():
+    space = assemble(builtin_mesh("criss_cross"), "symmetric", 3, 0)
+    for ci in range(len(space.mesh.cells)):
+        dual = space.dual_coefficients(ci)
+        div_rows = space.div_rows(ci)
+        ints, den = assembly.cell_rows(space, ci, dict(enumerate(div_rows)))
+        for i, row in enumerate(ints):
+            expected = [sum(dual[j][i] * r[a] for j, r in enumerate(div_rows)) for a in range(len(row))]
+            assert [Fraction(x, den) for x in row] == expected
+        # members whose sub-simplex is not in the site restrict to zero there
+        members = space.cell_basis(ci).members
+        for site in enumerate_subsimplices(2, 1):
+            rows = {j: site_row(m, site, tensors.flatten, 3) for j, m in enumerate(members)}
+            full, d_full = assembly.cell_rows(space, ci, rows)
+            kept = {j: row for j, row in rows.items() if site.contains(members[j].provenance.sub_simplex)}
+            assert any(map(any, full))
+            assert not any(any(row) for j, row in rows.items() if j not in kept)
+            assert assembly.cell_rows(space, ci, kept) == (full, d_full)
+
+
+def _flip_shared_functional(space: GlobalSpace, site: tuple[int, ...]) -> GlobalSpace:
+    """Negate the direction of the first global functional at a shared site
+    in one cell, keeping the identification table."""
+    mesh = space.mesh
+    victim = max(mesh.cells_containing(site))
+    functionals = list(space.cell_dofs[victim].functionals)
+    i = next(
+        i for i, nf in enumerate(functionals)
+        if nf.scope == GLOBAL and mesh.global_site(victim, nf.site) == site
+    )
+    (term,) = functionals[i].terms
+    functionals[i] = replace(
+        functionals[i], terms=(DoFTerm(term.weight, assembly._negate_direction(term.direction)),)
+    )
+    cell_dofs = list(space.cell_dofs)
+    cell_dofs[victim] = replace(cell_dofs[victim], functionals=tuple(functionals))
+    return replace(space, cell_dofs=tuple(cell_dofs), _dual_cache={}, _div_cache={})
+
+
+@pytest.mark.parametrize(
+    "name,family,degree,k,site,kind",
+    [
+        ("two_triangles", "face", 3, 0, (1,), "value_at_vertex"),
+        ("two_tets", "face", 2, 1, (1, 2), "normal_component"),
+        ("two_tets", "symmetric", 2, 1, (1, 2), "normal_component"),
+        ("two_triangles", "symmetric", 3, 0, (1, 2), "normal_normal"),
+    ],
+    ids=["two_triangles-face-3-0", "two_tets-face-2-1", "two_tets-symmetric-2-1", "two_triangles-symmetric-3-0"],
+)
+def test_flipped_shared_functional_is_detected(name, family, degree, k, site, kind):
+    space = assemble(builtin_mesh(name), family, degree, k)
+    assert len(space.mesh.cells_containing(site)) == 2
+    res = check_conformity(_flip_shared_functional(space, site), samples=1)
+    assert res.status == FAIL
+    assert (kind, site) in {(v["check"], tuple(v["site"])) for v in res.witness["violations"]}
 
 
 def test_flip_rejects_scalar_family_and_boundary_only_meshes():

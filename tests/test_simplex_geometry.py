@@ -48,19 +48,6 @@ def test_enumerate_dimension_out_of_range():
         enumerate_subsimplices(2, -1)
 
 
-def test_complement_cases():
-    assert SubSimplexId((0, 1), 3).complement().indices == (2, 3)
-    assert SubSimplexId((0, 1, 2), 2).complement() is None
-    assert SubSimplexId((2,), 4).complement().indices == (0, 1, 3, 4)
-
-
-def test_complement_is_involution():
-    for n in range(1, 5):
-        for ell in range(n):
-            for f in enumerate_subsimplices(n, ell):
-                assert f.complement().complement() == f
-
-
 def test_faces_containing():
     f = SubSimplexId((0, 1), 3)
     faces = [g.indices for g in f.faces_containing()]

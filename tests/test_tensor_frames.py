@@ -52,7 +52,6 @@ def test_dev_is_traceless_on_random_matrices():
 def test_space_dims():
     for n in (2, 3, 4):
         assert SpaceTag.VECTOR.dim(n) == n
-        assert SpaceTag.FULL.dim(n) == n * n
         assert SpaceTag.TRACELESS.dim(n) == n * n - 1
         assert SpaceTag.SYMMETRIC.dim(n) == n * (n + 1) // 2
 
@@ -116,7 +115,7 @@ def test_split_is_direct_sum_of_the_constrained_space(space):
                         assert b == tensors.transpose(b)
 
 
-@pytest.mark.parametrize("space", [SpaceTag.TRACELESS, SpaceTag.SYMMETRIC, SpaceTag.FULL])
+@pytest.mark.parametrize("space", [SpaceTag.TRACELESS, SpaceTag.SYMMETRIC])
 def test_tangential_elements_annihilate_containing_face_normals(space):
     rng = random.Random(7)
     for n in (2, 3):
