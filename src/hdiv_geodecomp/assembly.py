@@ -477,6 +477,22 @@ def _cell_div_rows(space: GlobalSpace, cell_index: int) -> list[list[Fraction]]:
     return [div_row(m, simplex, space.degree - 1) for m in space.cell_basis(cell_index).members]
 
 
+def _div_onto_rows(space: GlobalSpace) -> list[list[int]]:
+    """One integer row per global basis function: its div over the degree
+    r-1 lattice of every cell, one column block per cell."""
+    mesh = space.mesh
+    qdim_cell = space.family.space_tag.div_width(mesh.dim) * bn.space_dim(mesh.dim, space.degree - 1)
+    rows = [[0] * (qdim_cell * len(mesh.cells)) for _ in range(space.dim)]
+    for ci in range(len(mesh.cells)):
+        # Column block ci keeps the cell's own denominator: scaling a block
+        # of columns by a nonzero constant leaves the rank unchanged.
+        ints, _ = cell_rows(space, ci, dict(enumerate(space.div_rows(ci))))
+        offset = ci * qdim_cell
+        for g, row in zip(space.local_to_global[ci], ints):
+            rows[g][offset:offset + qdim_cell] = row
+    return rows
+
+
 def check_div_onto(space: GlobalSpace) -> CheckResult:
     """Exact rank of the global div map against the discontinuous target.
 
@@ -489,17 +505,8 @@ def check_div_onto(space: GlobalSpace) -> CheckResult:
         raise ValueError("the scalar family has no div image to check")
     mesh = space.mesh
     n, r = mesh.dim, space.degree
-    qdim_cell = family.space_tag.div_width(n) * bn.space_dim(n, r - 1)
-    dim_q = qdim_cell * len(mesh.cells)
-    rows = [[0] * dim_q for _ in range(space.dim)]
-    for ci in range(len(mesh.cells)):
-        # Column block ci keeps the cell's own denominator: scaling a block
-        # of columns by a nonzero constant leaves the rank unchanged.
-        ints, _ = cell_rows(space, ci, dict(enumerate(space.div_rows(ci))))
-        offset = ci * qdim_cell
-        for g, row in zip(space.local_to_global[ci], ints):
-            rows[g][offset:offset + qdim_cell] = row
-    rank = linalg.rank(rows)
+    dim_q = family.space_tag.div_width(n) * bn.space_dim(n, r - 1) * len(mesh.cells)
+    rank = linalg.rank(_div_onto_rows(space))
     deficit = dim_q - rank
     threshold = _div_threshold(family, n, space.continuity_order)
     if r < threshold:

@@ -4,6 +4,14 @@ All routines are deterministic.  Elimination is fraction-free over integer
 rows (each input row is scaled by the lcm of its denominators, which never
 changes rank or kernel), with cross-multiplication updates and per-row
 content reduction to keep entries small.
+
+rank keeps only the nonzero entries of each row and picks pivots in
+Markowitz order (fewest nonzeros), because the matrices it sees (global div
+maps, stacked spans) are sparse and only the count of pivots is read.
+echelon_data, nullspace and solve_many eliminate dense rows in
+first-nonzero column order instead: the pivot hashes in reports are taken
+from that order, and the frame and quotient directions built from
+nullspace depend on the basis that order returns.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Scalar = Fraction | int
 RowSeq = Sequence[Sequence[Scalar]]
@@ -93,9 +101,62 @@ def echelon_data(mat: RowSeq) -> EchelonData:
     return EchelonData(len(rows), ncols, len(pivots), trace)
 
 
+def _sparse_int_row(row: Sequence[Scalar]) -> dict[int, int]:
+    """Nonzero entries of the row scaled to coprime integers, by column."""
+    nonzero = [(j, x) for j, x in enumerate(row) if x]
+    scale = lcm(*(x.denominator for _, x in nonzero))
+    ints = {j: x.numerator * (scale // x.denominator) for j, x in nonzero}
+    g = gcd(*ints.values())
+    return ints if g == 1 else {j: x // g for j, x in ints.items()}
+
+
 def rank(mat: RowSeq) -> int:
-    rows = _int_rows(mat)
-    return len(_echelon_int(rows))
+    """Exact rank by fraction-free elimination over sparse integer rows.
+
+    Each step takes the remaining row with the fewest nonzeros and, in it,
+    the column held by the fewest remaining rows (Markowitz order), so a
+    pivot disturbs as few rows and creates as little fill as the greedy
+    choice allows.  Every row holding the pivot column is updated by cross
+    multiplication and reduced to coprime entries.
+    """
+    rows = {}
+    holders: dict[int, set[int]] = {}  # column -> remaining rows nonzero there
+    for i, row in enumerate(mat):
+        ints = _sparse_int_row(row)
+        if ints:
+            rows[i] = ints
+            for j in ints:
+                holders.setdefault(j, set()).add(i)
+    pivots = 0
+    while rows:
+        p = min(rows, key=lambda i: len(rows[i]))
+        pivot_row = rows.pop(p)
+        c = min(pivot_row, key=lambda j: len(holders[j]))
+        for j in pivot_row:
+            holders[j].discard(p)
+        piv = pivot_row[c]
+        for i in sorted(holders[c]):
+            row = rows[i]
+            g = gcd(piv, row[c])
+            a, b = piv // g, row[c] // g
+            new = {j: a * x for j, x in row.items()}
+            for j, y in pivot_row.items():
+                x = new.get(j, 0) - b * y
+                if x:
+                    new[j] = x
+                else:
+                    del new[j]
+            for j in row.keys() - new.keys():
+                holders[j].discard(i)
+            for j in new.keys() - row.keys():
+                holders[j].add(i)
+            if new:
+                g = gcd(*new.values())
+                rows[i] = new if g == 1 else {j: x // g for j, x in new.items()}
+            else:
+                del rows[i]
+        pivots += 1
+    return pivots
 
 
 def primitive_vector(vec: Sequence[Scalar]) -> list[Fraction]:
@@ -185,9 +246,8 @@ def invert(mat: RowSeq) -> list[list[Fraction]]:
 
 def _over_common_denominator(mat: RowSeq) -> tuple[list[list[int]], int]:
     """Integer matrix N and one positive d with mat == N / d entrywise."""
-    fracs = [[Fraction(x) for x in row] for row in mat]
-    den = lcm(*(x.denominator for row in fracs for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in fracs], den
+    den = lcm(*(x.denominator for row in mat for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in mat], den
 
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -303,21 +363,8 @@ def det(mat: RowSeq) -> Fraction:
     return Fraction(sign * rows[m - 1][m - 1], scale)
 
 
-def _concat(spans: Iterable[RowSeq]) -> list[list[Fraction]]:
-    out = []
-    for span in spans:
-        out.extend([Fraction(x) for x in row] for row in span)
-    return out
-
-
 def subspace_equal(a_span: RowSeq, b_span: RowSeq) -> bool:
     """True iff the two row spans coincide (same ambient dimension assumed)."""
     ra = rank(a_span)
     rb = rank(b_span)
-    return ra == rb == rank(_concat([a_span, b_span]))
-
-
-def is_direct_sum(spans: Sequence[RowSeq]) -> bool:
-    """True iff the spans are independent: Σ rank = rank of the union."""
-    total = sum(rank(span) for span in spans)
-    return total == rank(_concat(spans))
+    return ra == rb == rank([*a_span, *b_span])

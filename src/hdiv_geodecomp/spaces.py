@@ -300,11 +300,18 @@ def verify_bubble_characterization(family: Family, simplex: Simplex, degree: int
     member_traces = [stacked_trace(m) for m in reference.members]
     trace_rows = [list(col) for col in zip(*member_traces)]
     kernel_coords = linalg.nullspace(trace_rows, cols=len(reference.members))
+    # ref_flat is very sparse (one monomial per member), so the product
+    # visits only its nonzero entries.
     ref_flat = reference.flat_matrix()
-    kernel = [
-        [sum(c * row[k] for c, row in zip(coords, ref_flat)) for k in range(len(ref_flat[0]))]
-        for coords in kernel_coords
-    ]
+    ref_nonzero = [[(k, x) for k, x in enumerate(row) if x] for row in ref_flat]
+    kernel = []
+    for coords in kernel_coords:
+        acc = [Fraction(0)] * len(ref_flat[0])
+        for c, entries in zip(coords, ref_nonzero):
+            if c:
+                for k, x in entries:
+                    acc[k] += c * x
+        kernel.append(acc)
     bubbles = bubble_space(family, simplex, degree, frame_convention)
     bubble_flat = bubbles.flat_matrix()
     if not linalg.subspace_equal(kernel, bubble_flat):

@@ -170,6 +170,23 @@ def test_bubble_characterization_passes(family, n, r):
     assert result.status == PASS, result.witness
 
 
+def test_bubble_characterization_fails_when_a_bubble_is_swapped_for_a_normal_member(monkeypatch):
+    simp = reference_simplex(3)
+    basis = spaces.decompose(Family.TRACELESS, simp, 2)
+    normal = next(m for m in basis.members if m.provenance.component == "normal")
+    true_bubbles = spaces.bubble_space
+
+    def swapped(family, simplex, degree, frame_convention):
+        bubbles = true_bubbles(family, simplex, degree, frame_convention)
+        return replace(bubbles, members=(normal,) + bubbles.members[1:])
+
+    monkeypatch.setattr(spaces, "bubble_space", swapped)
+    result = spaces.verify_bubble_characterization(Family.TRACELESS, simp, 2)
+    assert result.status == FAIL
+    assert result.witness["identity"] == "ker(tr_div) == bubble span"
+    assert result.witness["kernel_dim"] == result.witness["bubble_dim"]
+
+
 def test_bubble_characterization_below_threshold():
     simp = reference_simplex(2)
     result = spaces.verify_bubble_characterization(Family.FACE, simp, 1)

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdiv_geodecomp import linalg
 
@@ -118,12 +120,6 @@ def test_subspace_equal_cases():
     assert linalg.subspace_equal([e1, e2], [e1, e2])
 
 
-def test_direct_sum_cases():
-    axes = [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]]
-    assert linalg.is_direct_sum(axes)
-    assert not linalg.is_direct_sum([[[1, 0, 0]], [[1, 1, 0], [0, 1, 0]]])
-
-
 def test_echelon_trace_is_reproducible():
     rng = random.Random(13)
     m = random_rational_matrix(rng, 6, 9)
@@ -131,3 +127,39 @@ def test_echelon_trace_is_reproducible():
     second = linalg.echelon_data([list(row) for row in m])
     assert first.trace_hash() == second.trace_hash()
     assert first.rank == linalg.rank(m)
+
+
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def rank_test_matrices(draw):
+    """Random or planted rank-r matrices, tall or wide, with duplicate,
+    scaled and zero rows mixed in."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, min(rows, cols)))
+        left = draw(st.lists(st.lists(_entries, min_size=r, max_size=r), min_size=rows, max_size=rows))
+        right = draw(st.lists(st.lists(_entries, min_size=cols, max_size=cols), min_size=r, max_size=r))
+        mat = [[sum((a * b for a, b in zip(row, col)), 0) for col in zip(*right)] if r else [0] * cols
+               for row in left]
+    else:
+        mat = draw(st.lists(st.lists(_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    for pick in draw(st.lists(st.integers(-1, max(rows - 1, 0)), max_size=3)):
+        if pick < 0 or not rows:
+            mat.append([0] * cols)
+        else:
+            scale = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+            mat.append([scale * x for x in mat[pick]])
+    order = draw(st.permutations(range(len(mat))))
+    return [mat[i] for i in order]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_test_matrices())
+def test_sparse_rank_matches_dense_echelon_rank(mat):
+    assert linalg.rank(mat) == linalg.echelon_data(mat).rank

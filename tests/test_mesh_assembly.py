@@ -482,6 +482,17 @@ def test_div_onto_at_threshold_degrees():
         assert res.witness["deficit"] == 0
 
 
+def test_div_onto_rank_drops_by_one_per_zeroed_target_column():
+    space = assemble(builtin_mesh("two_tets"), "traceless", 2, 0)
+    res = check_div_onto(space)
+    assert res.status == PASS
+    rows = assembly._div_onto_rows(space)
+    assert linalg.rank(rows) == res.witness["rank"] == res.witness["dim_q"] == len(rows[0])
+    for col in range(len(rows[0])):
+        cut = [row[:col] + [0] + row[col + 1:] for row in rows]
+        assert linalg.rank(cut) == res.witness["rank"] - 1, col
+
+
 def test_div_onto_below_threshold_is_recorded_not_asserted():
     res = check_div_onto(assemble(builtin_mesh("two_triangles"), "symmetric", 2, 0))
     assert res.status == SKIPPED
