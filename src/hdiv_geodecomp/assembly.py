@@ -72,8 +72,9 @@ class GlobalSpace:
             self.family, self.mesh.cell_simplices[cell_index], self.degree
         )
 
-    def dual_coefficients(self, cell_index: int) -> list[list[Fraction]]:
-        """Exact inverse of the cell DoF matrix: column i is the i-th dual
+    def dual_coefficients(self, cell_index: int) -> tuple[list[list[int]], int]:
+        """Exact inverse of the cell DoF matrix as an integer matrix N over
+        the least positive denominator d: column i of N / d is the i-th dual
         basis function expanded over the cell's decomposition members.
 
         The matrix is block lower-triangular over its site blocks, so the
@@ -243,14 +244,14 @@ def cell_rows(space: GlobalSpace, cell_index: int, member_rows: dict[int, list])
     integer rows over one positive denominator.  Only members with a nonzero
     row enter the sum.
     """
-    dual = space.dual_coefficients(cell_index)
+    dual, d_dual = space.dual_coefficients(cell_index)
     support = [j for j, row in member_rows.items() if any(row)]
     if not support:
         width = max(map(len, member_rows.values()))
         return [[0] * width for _ in space.local_to_global[cell_index]], 1
-    coeffs, d_coeffs = linalg._over_common_denominator(list(zip(*(dual[j] for j in support))))
     rows, d_rows = linalg._over_common_denominator([member_rows[j] for j in support])
-    return linalg._int_matmul(coeffs, rows), d_coeffs * d_rows
+    coeffs = list(zip(*(dual[j] for j in support)))
+    return linalg._int_matmul(coeffs, rows), d_dual * d_rows
 
 
 def _contract_normal_normal(coeff, left, right) -> tuple:
@@ -594,9 +595,9 @@ def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> Chec
             slab = ndiv[:, :, comp]
             gram_div += slab @ w_div @ slab.T
             b_cell[comp::width, :] = w_div @ slab.T
-        dual = np.array(
-            [[float(x) for x in row] for row in space.dual_coefficients(ci)]
-        )
+        # int / int is correctly rounded, as float(Fraction(x, d)) is.
+        ints, d = space.dual_coefficients(ci)
+        dual = np.array([[x / d for x in row] for row in ints])
         gidx = np.array(space.local_to_global[ci])
         local_v = dual.T @ (vol * (gram_val + gram_div)) @ dual
         big_v[np.ix_(gidx, gidx)] += local_v

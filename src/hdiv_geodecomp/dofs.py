@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
 
 from . import bernstein as bn
 from . import linalg, tensors
@@ -29,7 +28,6 @@ from .simplex import (
 )
 from .spaces import (
     Family,
-    ShapeFunction,
     SpaceBasis,
     bubble_space,
     decompose,
@@ -143,17 +141,14 @@ def moment_table(n: int, degree: int) -> MomentTable:
 
 def _integer_values(values) -> tuple[list[tuple], int]:
     """Vectors or matrices rewritten as integers over one common denominator."""
-    den = lcm(*(x.denominator for v in values for x in tensors.flatten(v)))
-
-    def scale(x):
-        return x.numerator * (den // x.denominator)
-
+    flat, den = linalg.integer_form(x for v in values for x in tensors.flatten(v))
+    entries = iter(flat)
     out = []
     for v in values:
         if isinstance(v[0], tuple):
-            out.append(tuple(tuple(scale(x) for x in row) for row in v))
+            out.append(tuple(tuple(next(entries) for _ in row) for row in v))
         else:
-            out.append(tuple(scale(x) for x in v))
+            out.append(tuple(next(entries) for _ in v))
     return out, den
 
 
@@ -194,12 +189,6 @@ def _functional_rows(functionals, members, n: int, degree: int) -> list[list[Fra
     return rows
 
 
-def apply_functional(functional: DoFFunctional, member: ShapeFunction) -> Fraction:
-    """Exact value of the functional on one shape function, measure divided out."""
-    scalar = member.scalar
-    return _functional_rows((functional,), (member,), scalar.domain.dim, scalar.degree)[0][0]
-
-
 @dataclass(frozen=True)
 class DoFSet:
     family: Family
@@ -213,9 +202,6 @@ class DoFSet:
     @property
     def count(self) -> int:
         return len(self.functionals)
-
-    def at_site(self, site: SubSimplexId) -> list[DoFFunctional]:
-        return [nf for nf in self.functionals if nf.site == site]
 
 
 _MATRIX_MIN_DEGREE = 2
@@ -483,22 +469,19 @@ def certify_unisolvence(
     continuity_order: int | None = None,
     frame_convention: str = "edge_tangents_face_normals",
     dofs: DoFSet | None = None,
-    method: str | None = None,
 ) -> UnisolvenceCertificate:
     """Exact invertibility certificate for the DoF matrix of one element.
 
-    The default path eliminates one diagonal block per site after checking
-    that every block above the diagonal is exactly zero; merged DoF sets
-    fall back to dense elimination, where the annihilation pattern no longer
-    aligns with single sites.
+    A DoF set without merged facets is eliminated one diagonal block per
+    site after checking that every block above the diagonal is exactly
+    zero; merged DoF sets fall back to dense elimination, where the
+    annihilation pattern no longer aligns with single sites.
     """
     if dofs is None:
         if family is None or simplex is None or degree is None:
             raise ValueError("pass either a DoF set or (family, simplex, degree, k)")
         dofs = build_dofs(family, simplex, degree, continuity_order, frame_convention)
     basis = decompose(dofs.family, dofs.simplex, dofs.degree, dofs.frame_convention)
-    if method is None:
-        method = "dense" if dofs.merged_faces else "site_blocks"
     matrix = dof_matrix(dofs, basis)
     size = len(matrix)
     params = (
@@ -509,7 +492,7 @@ def certify_unisolvence(
         dofs.frame_convention,
     )
 
-    if method == "dense":
+    if dofs.merged_faces:
         data = linalg.echelon_data(matrix)
         return UnisolvenceCertificate(
             *params,

@@ -3,7 +3,9 @@
 All routines are deterministic.  Elimination is fraction-free over integer
 rows (each input row is scaled by the lcm of its denominators, which never
 changes rank or kernel), with cross-multiplication updates and per-row
-content reduction to keep entries small.
+content reduction to keep entries small.  integer_form is the one place
+rationals become integers over a common denominator; invert_block_lower
+returns its inverse in that form, an integer matrix over one denominator.
 
 rank keeps only the nonzero entries of each row and picks pivots in
 Markowitz order (fewest nonzeros), because the matrices it sees (global div
@@ -20,7 +22,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Scalar = Fraction | int
 RowSeq = Sequence[Sequence[Scalar]]
@@ -30,13 +32,20 @@ class SingularMatrixError(ValueError):
     """Raised when a solve/invert hits a rank-deficient square matrix."""
 
 
+def integer_form(values: Iterable[Scalar]) -> tuple[list[int], int]:
+    """Integers N and the least positive d with values == N / d entrywise.
+
+    Entries are ints or Fractions; their numerator and denominator are
+    read directly, and a Fraction is always in lowest terms, so
+    gcd(d, *N) == 1.
+    """
+    values = list(values)
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def _int_rows(mat: RowSeq) -> list[list[int]]:
-    rows = []
-    for row in mat:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        rows.append([int(f * scale) for f in fracs])
-    return rows
+    return [integer_form(row)[0] for row in mat]
 
 
 def _reduce_content(row: list[int]) -> list[int]:
@@ -103,11 +112,12 @@ def echelon_data(mat: RowSeq) -> EchelonData:
 
 def _sparse_int_row(row: Sequence[Scalar]) -> dict[int, int]:
     """Nonzero entries of the row scaled to coprime integers, by column."""
-    nonzero = [(j, x) for j, x in enumerate(row) if x]
-    scale = lcm(*(x.denominator for _, x in nonzero))
-    ints = {j: x.numerator * (scale // x.denominator) for j, x in nonzero}
-    g = gcd(*ints.values())
-    return ints if g == 1 else {j: x // g for j, x in ints.items()}
+    cols = [j for j, x in enumerate(row) if x]
+    ints, _ = integer_form(row[j] for j in cols)
+    g = gcd(*ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+    return dict(zip(cols, ints))
 
 
 def rank(mat: RowSeq) -> int:
@@ -161,12 +171,8 @@ def rank(mat: RowSeq) -> int:
 
 def primitive_vector(vec: Sequence[Scalar]) -> list[Fraction]:
     """Scale to coprime integer entries with positive leading sign."""
-    fracs = [Fraction(x) for x in vec]
-    scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * scale) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    ints, _ = integer_form(vec)
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     lead = next((x for x in ints if x), 0)
@@ -245,9 +251,10 @@ def invert(mat: RowSeq) -> list[list[Fraction]]:
 
 
 def _over_common_denominator(mat: RowSeq) -> tuple[list[list[int]], int]:
-    """Integer matrix N and one positive d with mat == N / d entrywise."""
-    den = lcm(*(x.denominator for row in mat for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in mat], den
+    """Integer matrix N and the least positive d with mat == N / d entrywise."""
+    flat, den = integer_form(x for row in mat for x in row)
+    entries = iter(flat)
+    return [[next(entries) for _ in row] for row in mat], den
 
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -264,9 +271,10 @@ def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def invert_block_lower(mat: RowSeq, blocks: Sequence[tuple[str, Sequence[int], Sequence[int]]]) -> list[list[Fraction]]:
+def invert_block_lower(mat: RowSeq, blocks: Sequence[tuple[str, Sequence[int], Sequence[int]]]) -> tuple[list[list[int]], int]:
     """Exact inverse of a square matrix that is block lower-triangular
-    once its columns are grouped.
+    once its columns are grouped, as an integer matrix N over the least
+    positive denominator d (so gcd(d, *N) == 1).
 
     blocks lists (label, rows, cols) in elimination order; the row and
     column index sets tile the matrix and mat[rows_i][cols_j] is zero for
@@ -274,7 +282,7 @@ def invert_block_lower(mat: RowSeq, blocks: Sequence[tuple[str, Sequence[int], S
     inverted with invert; the blocks below the diagonal follow by block
     forward substitution, X_ij = -A_ii^-1 sum_{j <= k < i} A_ik X_kj, in
     integer arithmetic over one denominator per block, skipping zero
-    blocks.  Row c of the result belongs to column c of mat, as for invert.
+    blocks.  Row c of N belongs to column c of mat, as for invert.
     """
     ints, den = _over_common_denominator(mat)  # mat == ints / den
 
@@ -296,9 +304,7 @@ def invert_block_lower(mat: RowSeq, blocks: Sequence[tuple[str, Sequence[int], S
                 f"diagonal block {label} of size {len(rows)} is singular"
             ) from exc
 
-    m = len(ints)
-    zero = Fraction(0)
-    out = [[zero] * m for _ in range(m)]
+    columns = []
     for j in range(len(blocks)):
         # Block column j of ints^-1, each block as (integer matrix, denominator).
         column = {j: diagonal[j]}
@@ -318,14 +324,25 @@ def invert_block_lower(mat: RowSeq, blocks: Sequence[tuple[str, Sequence[int], S
             d_ij = d_i * common
             g = gcd(d_ij, *(y for row in x_ij for y in row))
             column[i] = ([[y // g for y in row] for row in x_ij], d_ij // g)
+        columns.append(column)
+
+    # mat^-1 == den * ints^-1; bring every block over one denominator.
+    d_out = lcm(*(d for column in columns for _, d in column.values()))
+    m = len(ints)
+    out = [[0] * m for _ in range(m)]
+    for j, column in enumerate(columns):
         # Rows of mat in block j index the columns of the inverse.
         for i, (x, d) in column.items():
+            f = den * (d_out // d)
             for r, row in zip(blocks[i][2], x):
                 target = out[r]
                 for c, y in zip(blocks[j][1], row):
                     if y:
-                        target[c] = Fraction(den * y, d)
-    return out
+                        target[c] = f * y
+    g = gcd(d_out, *(y for row in out for y in row))
+    if g > 1:
+        out = [[y // g for y in row] for row in out]
+    return out, d_out // g
 
 
 def det(mat: RowSeq) -> Fraction:
@@ -338,10 +355,9 @@ def det(mat: RowSeq) -> Fraction:
     rows = []
     scale = 1
     for row in mat:
-        fracs = [Fraction(x) for x in row]
-        s = lcm(*(f.denominator for f in fracs))
+        ints, s = integer_form(row)
         scale *= s
-        rows.append([int(f * s) for f in fracs])
+        rows.append(ints)
     sign = 1
     prev = 1
     for k in range(m - 1):

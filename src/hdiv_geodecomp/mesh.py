@@ -110,10 +110,6 @@ class Mesh:
     def interior_facets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(g for g, cs in sorted(self.facet_cells.items()) if len(cs) == 2)
 
-    @cached_property
-    def boundary_facets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(g for g, cs in sorted(self.facet_cells.items()) if len(cs) == 1)
-
     def local_site(self, cell_index: int, site: tuple[int, ...]) -> SubSimplexId:
         """The cell-local labels of a global site, order preserved."""
         cell = self.cells[cell_index]

@@ -153,10 +153,6 @@ class Frame:
     normals: tuple[Vector, ...]
     convention: str
 
-    @property
-    def all_vectors(self) -> tuple[Vector, ...]:
-        return self.tangents + self.normals
-
 
 def build_frame(simplex: Simplex, f: SubSimplexId, convention: str = "edge_tangents_face_normals") -> Frame:
     """Frame for f: ℓ edge tangents within f, n−ℓ normals indexed by f*.

@@ -89,16 +89,6 @@ class SpaceBasis:
     def flat_matrix(self) -> list[list[Fraction]]:
         return [m.flat(self.degree) for m in self.members]
 
-    def members_at(self, f: SubSimplexId, component: str | None = None) -> list[ShapeFunction]:
-        out = []
-        for m in self.members:
-            if m.provenance.sub_simplex != f:
-                continue
-            if component is not None and m.provenance.component != component:
-                continue
-            out.append(m)
-        return out
-
 
 def _scalar_coeff() -> tuple:
     return (Fraction(1),)

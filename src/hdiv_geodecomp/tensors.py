@@ -37,20 +37,8 @@ class SpaceTag(Enum):
         return 1 if self is SpaceTag.VECTOR else n
 
 
-def as_vec(x: Sequence) -> Vec:
-    return tuple(Fraction(v) for v in x)
-
-
-def as_mat(rows: Sequence[Sequence]) -> Mat:
-    return tuple(as_vec(r) for r in rows)
-
-
 def outer(u: Sequence, v: Sequence) -> Mat:
     return tuple(tuple(Fraction(a) * Fraction(b) for b in v) for a in u)
-
-
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
 
 
 def trace(a: Mat) -> Fraction:
@@ -63,16 +51,6 @@ def sym(a: Mat) -> Mat:
     n = len(a)
     return tuple(
         tuple((a[i][j] + a[j][i]) / 2 for j in range(n)) for i in range(n)
-    )
-
-
-def dev(a: Mat) -> Mat:
-    """Trace-free part A − (trace A / n) I."""
-    _require_square(a)
-    n = len(a)
-    shift = trace(a) / n
-    return tuple(
-        tuple(a[i][j] - (shift if i == j else 0) for j in range(n)) for i in range(n)
     )
 
 

@@ -62,7 +62,8 @@ def test_criterion_1_scalar_decomposition_and_nodal_unisolvence():
             assert linalg.rank(basis.flat_matrix()) == expected
             for ell in range(n + 1):
                 for f in enumerate_subsimplices(n, ell):
-                    assert len(basis.members_at(f)) == comb(r - 1, ell)
+                    at_f = [m for m in basis.members if m.provenance.sub_simplex == f]
+                    assert len(at_f) == comb(r - 1, ell)
             cert = certify_unisolvence(Family.LAGRANGE, n, r, None)
             assert cert.ok
             assert cert.method == "site_blocks"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -163,3 +164,69 @@ def rank_test_matrices(draw):
 @given(rank_test_matrices())
 def test_sparse_rank_matches_dense_echelon_rank(mat):
     assert linalg.rank(mat) == linalg.echelon_data(mat).rank
+
+
+@st.composite
+def block_lower_systems(draw):
+    """(matrix, blocks) for invert_block_lower: block lower-triangular once
+    rows and columns are grouped (the groups are scattered by random
+    permutations), some blocks below the diagonal zero and some not, and
+    strictly diagonally dominant, hence invertible, diagonal blocks."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    starts = [sum(sizes[:b]) for b in range(len(sizes))]
+    m = sum(sizes)
+    dense = [[0] * m for _ in range(m)]
+    for b, (start, size) in enumerate(zip(starts, sizes)):
+        span = range(start, start + size)
+        for c in range(b):
+            if draw(st.booleans()):
+                for i in span:
+                    for j in range(starts[c], starts[c] + sizes[c]):
+                        dense[i][j] = draw(_entries)
+        for i in span:
+            for j in span:
+                dense[i][j] = draw(_entries)
+            margin = draw(st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6))
+            off = sum(abs(dense[i][j]) for j in span if j != i)
+            dense[i][i] = draw(st.sampled_from([1, -1])) * (off + margin)
+    rows = draw(st.permutations(range(m)))
+    cols = draw(st.permutations(range(m)))
+    mat = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            mat[rows[i]][cols[j]] = dense[i][j]
+    blocks = [
+        (f"b{b}", [rows[i] for i in range(start, start + size)], [cols[j] for j in range(start, start + size)])
+        for b, (start, size) in enumerate(zip(starts, sizes))
+    ]
+    return mat, blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_lower_systems())
+def test_block_lower_inverse_is_the_exact_inverse_over_its_least_denominator(system):
+    mat, blocks = system
+    ints, d = linalg.invert_block_lower(mat, blocks)
+    inverse = linalg.invert(mat)
+    assert d > 0
+    assert all(type(x) is int for row in ints for x in row)
+    assert gcd(d, *(x for row in ints for x in row)) == 1
+    assert [[Fraction(x, d) for x in row] for row in ints] == inverse
+
+
+@settings(max_examples=50, deadline=None)
+@given(block_lower_systems(), st.data())
+def test_block_lower_inverse_names_a_singular_diagonal_block(system, data):
+    mat, blocks = system
+    label, rows, cols = data.draw(st.sampled_from(blocks))
+    for c in cols:
+        mat[rows[0]][c] = 0
+    with pytest.raises(linalg.SingularMatrixError, match=f"diagonal block {label} of size {len(rows)} is singular"):
+        linalg.invert_block_lower(mat, blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(2**300), 2**300), st.integers(1, 2**300))
+def test_int_division_is_the_correctly_rounded_fraction(x, d):
+    # infsup_constant converts the integer cell duals with x / d
+    assert x / d == float(Fraction(x, d))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -69,7 +69,7 @@ def test_builtin_mesh_inventories():
             len(m.vertices),
             len(m.cells),
             len(m.interior_facets),
-            len(m.boundary_facets),
+            sum(len(cs) == 1 for cs in m.facet_cells.values()),
         )
         assert got == (dim, nv, nc, ni, nb), name
 
@@ -89,7 +89,7 @@ def test_refined_two_triangles_facet_split():
     fine = refine(builtin_mesh("two_triangles"))
     assert len(fine.vertices) == 9
     assert len(fine.interior_facets) == 8
-    assert len(fine.boundary_facets) == 8
+    assert sum(len(cs) == 1 for cs in fine.facet_cells.values()) == 8
 
 
 def test_builtin_name_parsing_errors():
@@ -278,10 +278,13 @@ def test_dual_coefficients_invert_the_dof_matrix():
     space = assemble(builtin_mesh("two_triangles"), "face", 1, -1)
     for ci in range(2):
         mat = dof_matrix(space.cell_dofs[ci], space.cell_basis(ci))
-        dual = space.dual_coefficients(ci)
+        dual, d = space.dual_coefficients(ci)
+        assert space.dual_coefficients(ci) is space._dual_cache[ci]
+        assert all(type(x) is int for row in dual for x in row)
+        assert d > 0 and gcd(d, *(x for row in dual for x in row)) == 1
         n = len(mat)
         prod = [
-            [sum(mat[i][j] * dual[j][k] for j in range(n)) for k in range(n)]
+            [sum(mat[i][j] * Fraction(dual[j][k], d) for j in range(n)) for k in range(n)]
             for i in range(n)
         ]
         assert prod == [
@@ -306,7 +309,8 @@ def test_site_block_dual_equals_dense_inverse(name, family, degree, k):
     space = assemble(builtin_mesh(name), family, degree, k)
     for ci in range(len(space.mesh.cells)):
         mat = dof_matrix(space.cell_dofs[ci], space.cell_basis(ci))
-        assert space.dual_coefficients(ci) == linalg.invert(mat)
+        dual, d = space.dual_coefficients(ci)
+        assert [[Fraction(x, d) for x in row] for row in dual] == linalg.invert(mat)
 
 
 def _with_cell_functionals(space, cell_index, functionals) -> GlobalSpace:
@@ -411,11 +415,11 @@ def test_flipped_facet_is_detected():
 def test_cell_rows_combine_member_rows_through_the_dual():
     space = assemble(builtin_mesh("criss_cross"), "symmetric", 3, 0)
     for ci in range(len(space.mesh.cells)):
-        dual = space.dual_coefficients(ci)
+        dual, d = space.dual_coefficients(ci)
         div_rows = space.div_rows(ci)
         ints, den = assembly.cell_rows(space, ci, dict(enumerate(div_rows)))
         for i, row in enumerate(ints):
-            expected = [sum(dual[j][i] * r[a] for j, r in enumerate(div_rows)) for a in range(len(row))]
+            expected = [sum(Fraction(dual[j][i], d) * r[a] for j, r in enumerate(div_rows)) for a in range(len(row))]
             assert [Fraction(x, den) for x in row] == expected
         # members whose sub-simplex is not in the site restrict to zero there
         members = space.cell_basis(ci).members

@@ -125,11 +125,11 @@ def test_frames_span_and_orthogonality(convention):
                 frame = build_frame(simp, f, convention)
                 assert len(frame.tangents) == ell
                 assert len(frame.normals) == n - ell
-                assert linalg.rank(list(frame.all_vectors)) == n
+                assert linalg.rank(list(frame.tangents + frame.normals)) == n
                 for t in frame.tangents:
                     for m in frame.normals:
                         assert dot(t, m) == 0
-                for vec in frame.all_vectors:
+                for vec in frame.tangents + frame.normals:
                     assert max(abs(x) for x in vec) == 1
 
 

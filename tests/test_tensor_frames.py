@@ -21,32 +21,14 @@ from hdiv_geodecomp.tensors import SpaceTag
 from conftest import random_simplex
 
 
-def random_matrix(rng, n):
-    return tensors.as_mat(
-        [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
-    )
-
-
-def test_dev_of_identity_vanishes():
-    for n in (2, 3, 4):
-        assert tensors.dev(tensors.identity(n)) == tensors.mat_scale(tensors.identity(n), 0)
-
-
 def test_sym_of_outer_product():
     u, v = (1, 2, 3), (4, 5, 6)
     s = tensors.sym(tensors.outer(u, v))
-    assert s == tensors.transpose(s)
+    assert s == tuple(zip(*s))
     direct = tensors.mat_scale(
         tensors.mat_add(tensors.outer(u, v), tensors.outer(v, u)), Fraction(1, 2)
     )
     assert s == direct
-
-
-def test_dev_is_traceless_on_random_matrices():
-    rng = random.Random(2)
-    for n in (2, 3):
-        for _ in range(5):
-            assert tensors.trace(tensors.dev(random_matrix(rng, n))) == 0
 
 
 def test_space_dims():
@@ -111,7 +93,7 @@ def test_split_is_direct_sum_of_the_constrained_space(space):
                         assert tensors.trace(b) == 0
                 if space is SpaceTag.SYMMETRIC:
                     for b in split.tangential_basis + split.normal_basis:
-                        assert b == tensors.transpose(b)
+                        assert b == tuple(zip(*b))
 
 
 @pytest.mark.parametrize("space", [SpaceTag.TRACELESS, SpaceTag.SYMMETRIC])
