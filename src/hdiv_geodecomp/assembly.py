@@ -311,7 +311,7 @@ def _shared_site_rows(space: GlobalSpace, site: tuple[int, ...], contract):
         # A member vanishes on every site that does not contain its
         # sub-simplex (decompose certifies the support of its monomial).
         member_rows = {
-            j: site_row(m, local_site, contract, space.degree)
+            j: site_row(m, local_site, contract)
             for j, m in enumerate(space.cell_basis(c).members)
             if local_site.contains(m.provenance.sub_simplex)
         }
@@ -475,7 +475,7 @@ def _div_threshold(family: Family, n: int, k: int | None) -> int:
 def _cell_div_rows(space: GlobalSpace, cell_index: int) -> list[list[Fraction]]:
     """Per member: div expanded over the degree r-1 lattice, component fastest."""
     simplex = space.mesh.cell_simplices[cell_index]
-    return [div_row(m, simplex, space.degree - 1) for m in space.cell_basis(cell_index).members]
+    return [div_row(m, simplex) for m in space.cell_basis(cell_index).members]
 
 
 def _div_onto_rows(space: GlobalSpace) -> list[list[int]]:
@@ -577,15 +577,15 @@ def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> Chec
     coupling = np.zeros((dim_q, space.dim))
     w_val = np.array(_moment_gram(n + 1, r, n))
     w_div = np.array(_moment_gram(n + 1, r - 1, n))
+    positions = bn.lattice_position(n + 1, r)
     for ci in range(len(mesh.cells)):
         simplex = mesh.cell_simplices[ci]
         vol = float(simplex.volume())
-        basis = space.cell_basis(ci)
-        members = basis.members
-        scal = np.array(
-            [[float(x) for x in bn.coeff_vector(m.scalar, r)] for m in members]
-        )
-        gram_val = _coeff_pair_matrix(members) * (scal @ w_val @ scal.T)
+        members = space.cell_basis(ci).members
+        # Every member scalar is exactly λ^β (decompose certifies it), so
+        # the scalar Gram matrix is the lattice Gram matrix at the β's.
+        at = [positions[m.monomial[0]] for m in members]
+        gram_val = _coeff_pair_matrix(members) * w_val[np.ix_(at, at)]
         div_rows = space.div_rows(ci)
         ndiv = np.array([[float(x) for x in row] for row in div_rows])
         ndiv = ndiv.reshape(len(members), qlat, width)

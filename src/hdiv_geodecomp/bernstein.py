@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, prod
 from typing import Mapping, Sequence
 
@@ -30,6 +31,12 @@ def lattice(num_labels: int, degree: int) -> list[MultiIndex]:
     for head in range(degree + 1):
         out.extend((head, *rest) for rest in lattice(num_labels - 1, degree - head))
     return out
+
+
+@cache
+def lattice_position(num_labels: int, degree: int) -> dict[MultiIndex, int]:
+    """Position of each multi-index in lattice(num_labels, degree); shared, read-only."""
+    return {alpha: k for k, alpha in enumerate(lattice(num_labels, degree))}
 
 
 def space_dim(dim_f: int, degree: int) -> int:

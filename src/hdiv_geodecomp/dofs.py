@@ -121,16 +121,15 @@ class MomentTable:
             self._entries[key] = value
         return value
 
-    def integral(self, site: SubSimplexId, scalar: bn.BernsteinPoly, weight: bn.BernsteinPoly) -> Fraction:
-        """∫_site restrict(scalar, site) · weight / |site|, bilinear over the entries."""
-        if scalar.domain != self.domain or scalar.degree != self.degree:
-            raise ValueError("member scalar does not belong to this moment table")
+    def integral(self, site: SubSimplexId, beta: bn.MultiIndex, weight: bn.BernsteinPoly) -> Fraction:
+        """∫_site restrict(λ^β, site) · weight / |site|, linear over the weight's entries."""
+        if len(beta) != len(self.domain.indices) or sum(beta) != self.degree:
+            raise ValueError("member monomial does not belong to this moment table")
         total = Fraction(0)
-        for beta, c_beta in scalar.coeffs.items():
-            for alpha, c_alpha in weight.coeffs.items():
-                moment = self.entry(site, beta, alpha)
-                if moment:
-                    total += c_beta * c_alpha * moment
+        for alpha, c_alpha in weight.coeffs.items():
+            moment = self.entry(site, beta, alpha)
+            if moment:
+                total += c_alpha * moment
         return total
 
 
@@ -155,20 +154,20 @@ def _integer_values(values) -> tuple[list[tuple], int]:
 def _functional_rows(functionals, members, n: int, degree: int) -> list[list[Fraction]]:
     """N_i(phi_j) for every functional and member, measure divided out.
 
-    Each term contributes moment × pairing: the moment comes from the
-    geometry-free table, once per term and distinct member scalar, and the
-    pairing is taken only where the moment is nonzero, on member
-    coefficients and term directions scaled to integers over one
-    denominator each.
+    Each member is c·λ^β times its coefficient.  Each term contributes
+    moment × pairing: the moment comes from the geometry-free table, once
+    per term and distinct (β, c), and the pairing is taken only where the
+    moment is nonzero, on member coefficients and term directions scaled to
+    integers over one denominator each.
     """
     table = moment_table(n, degree)
     coeffs, coeff_den = _integer_values([m.coeff for m in members])
     terms = [term for nf in functionals for term in nf.terms]
     directions, direction_den = _integer_values([_direction_matrix(t.direction) for t in terms])
     scale = Fraction(1, coeff_den * direction_den)
-    groups: dict[frozenset, tuple[bn.BernsteinPoly, list[int]]] = {}
+    groups: dict[tuple, list[int]] = {}
     for j, m in enumerate(members):
-        groups.setdefault(frozenset(m.scalar.coeffs.items()), (m.scalar, []))[1].append(j)
+        groups.setdefault(m.monomial, []).append(j)
     rows = []
     position = 0
     for nf in functionals:
@@ -176,11 +175,11 @@ def _functional_rows(functionals, members, n: int, degree: int) -> list[list[Fra
         for term in nf.terms:
             direction = directions[position]
             position += 1
-            for scalar, cols in groups.values():
-                moment = table.integral(nf.site, scalar, term.weight)
+            for (beta, c), cols in groups.items():
+                moment = table.integral(nf.site, beta, term.weight)
                 if not moment:
                     continue
-                moment *= scale
+                moment *= c * scale
                 for j in cols:
                     pairing = _pair(coeffs[j], direction)
                     if pairing:

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: rank, nullspace, solve, subspace tests.
+"""Exact rational linear algebra: rank, nullspace, solve, inverse, determinant.
 
 All routines are deterministic.  Elimination is fraction-free over integer
 rows (each input row is scaled by the lcm of its denominators, which never
@@ -378,9 +378,3 @@ def det(mat: RowSeq) -> Fraction:
         prev = rows[k][k]
     return Fraction(sign * rows[m - 1][m - 1], scale)
 
-
-def subspace_equal(a_span: RowSeq, b_span: RowSeq) -> bool:
-    """True iff the two row spans coincide (same ambient dimension assumed)."""
-    ra = rank(a_span)
-    rb = rank(b_span)
-    return ra == rb == rank([*a_span, *b_span])

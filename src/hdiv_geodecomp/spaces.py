@@ -1,9 +1,9 @@
 """Shape-function spaces, their sub-simplex decompositions, traces, and div.
 
-Every basis member is one scalar Bernstein polynomial times one constant
+Every basis member is one scalar monomial c·λ^β times one constant
 coefficient (a vector or a matrix from the tagged constrained space), so
-ranks and kernels of whole spaces reduce to exact integer elimination on
-flattened coefficient vectors.
+its traces and divergence are relabellings of β, and ranks of whole spaces
+reduce to exact integer elimination on coefficient vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 from . import bernstein as bn
 from . import linalg, tensors
 from .checks import FAIL, PASS, SKIPPED, CheckResult
-from .simplex import Simplex, SubSimplexId, barycentric_gradients, build_frame, enumerate_subsimplices, max_normalized
+from .simplex import Simplex, SubSimplexId, barycentric_gradients, build_frame, dot, enumerate_subsimplices, max_normalized
 from .tensors import AffineField, SpaceTag
 
 
@@ -65,18 +65,28 @@ class ShapeFunction:
     coeff: tuple
     provenance: Provenance
 
-    def flat(self, degree: int) -> list[Fraction]:
-        """Coefficients over lattice × value components, component fastest."""
-        return site_row(self, self.scalar.domain, tensors.flatten, degree)
+    @property
+    def monomial(self) -> tuple[bn.MultiIndex, Fraction]:
+        """(β, c) of a scalar c·λ^β; raises ValueError on any other scalar."""
+        ((beta, c),) = self.scalar.coeffs.items()
+        return beta, c
 
 
-def site_row(member: ShapeFunction, site: SubSimplexId, contract, degree: int) -> list[Fraction]:
-    """The member restricted to a site with its coefficient contracted:
-    coefficients over the site's degree lattice × the components of
-    contract(coeff), component fastest."""
+def site_row(member: ShapeFunction, site: SubSimplexId, contract) -> list[Fraction]:
+    """The member restricted to a site, its coefficient contracted, over the
+    site's lattice × the components of contract(coeff), component fastest.
+    Restriction keeps the entries of β at the site's labels: zero unless
+    supp β ⊆ site, else c·λ^β relabelled, at one lattice position."""
+    beta, c = member.monomial
     weights = contract(member.coeff)
-    scalars = bn.coeff_vector(bn.restrict(member.scalar, site), degree)
-    return [s * w for s in scalars for w in weights]
+    labels = member.scalar.domain.indices
+    relabelled = tuple(beta[labels.index(i)] for i in site.indices)
+    positions = bn.lattice_position(len(site.indices), sum(beta))
+    row = [Fraction(0)] * (len(positions) * len(weights))
+    if sum(relabelled) == sum(beta):
+        start = positions[relabelled] * len(weights)
+        row[start:start + len(weights)] = [c * w for w in weights]
+    return row
 
 
 @dataclass(frozen=True)
@@ -85,9 +95,6 @@ class SpaceBasis:
     n: int
     degree: int
     members: tuple[ShapeFunction, ...]
-
-    def flat_matrix(self) -> list[list[Fraction]]:
-        return [m.flat(self.degree) for m in self.members]
 
 
 def _scalar_coeff() -> tuple:
@@ -99,11 +106,11 @@ def decompose(family: Family, simplex: Simplex, degree: int, frame_convention: s
     """Sub-simplex decomposition of ℙ_degree(T; family space).
 
     Members are b_f · (monomial on f) · (tangential or normal direction),
-    grouped by sub-simplex.  The union is verified to have full exact rank,
-    which simultaneously certifies the direct sum and the total span.  Every
-    member scalar is one monomial λ^β with supp β = f, and members with
-    different β have disjoint support in the flat layout, so that rank is
-    the sum over β of the rank of the coefficients sharing λ^β.
+    grouped by sub-simplex.  Each member scalar is certified to be exactly
+    λ^β with supp β = f and each coefficient a value of the family space,
+    so full exact rank certifies a basis and the direct sum.  Members with
+    different β have disjoint support, so that rank is the sum over β of
+    the rank of the coefficients sharing λ^β.
     """
     if degree < 1:
         raise ValueError("decompositions start at degree 1")
@@ -138,26 +145,40 @@ def decompose(family: Family, simplex: Simplex, degree: int, frame_convention: s
                     for c in split.normal_basis
                 )
     expected = family.constrained_dim(n) * bn.space_dim(n, degree)
-    if len(members) != expected or _rank_by_monomial(members) != expected:
+    if len(members) != expected or _rank_by_monomial(members, tag) != expected:
         raise AssertionError(
             f"decomposition of {family.value} n={n} r={degree} is not a basis"
         )
     return SpaceBasis(family, n, degree, tuple(members))
 
 
-def _rank_by_monomial(members: Sequence[ShapeFunction]) -> int:
-    """Exact rank of the flat matrix of members whose scalars are monomials
-    supported exactly on their sub-simplices, which is what makes a member
-    vanish on every site that does not contain its sub-simplex."""
+def _is_value(coeff: tuple, tag: SpaceTag | None) -> bool:
+    """Whether a constant coefficient lies in the family's value space."""
+    if tag is SpaceTag.TRACELESS:
+        return tensors.trace(coeff) == 0
+    return tag is not SpaceTag.SYMMETRIC or coeff == tensors.sym(coeff)
+
+
+def _rank_by_monomial(members: Sequence[ShapeFunction], tag: SpaceTag | None) -> int:
+    """Exact rank of members whose scalars are exactly λ^β supported exactly
+    on their sub-simplices (so a member vanishes on every site that does not
+    contain its sub-simplex) and whose coefficients lie in the value space."""
     by_monomial: dict[tuple, list[tuple]] = {}
+    values: dict[tuple, tuple] = {}
     for m in members:
         site = m.provenance.sub_simplex.indices
+        values.setdefault(m.coeff, site)
         if len(m.scalar.coeffs) != 1:
             raise AssertionError(f"member scalar at {site} is not a monomial")
-        (beta,) = m.scalar.coeffs
+        beta, c = m.monomial
+        if c != 1:
+            raise AssertionError(f"member scalar at {site} has coefficient {c}, not 1")
         if tuple(i for i, e in zip(m.scalar.domain.indices, beta) if e) != site:
             raise AssertionError(f"member scalar at {site} is not supported exactly on it")
         by_monomial.setdefault(beta, []).append(tensors.flatten(m.coeff))
+    for coeff, site in values.items():
+        if not _is_value(coeff, tag):
+            raise AssertionError(f"member coefficient at {site} is not a {tag.value} value")
     return sum(linalg.rank(rows) for rows in by_monomial.values())
 
 
@@ -219,15 +240,6 @@ def bubble_space(family: Family, simplex: Simplex, degree: int, frame_convention
     return SpaceBasis(family, simplex.dim, degree, members)
 
 
-def div_field(member: ShapeFunction, simplex: Simplex):
-    """div of one member: scalar poly for vectors, row-wise vector for matrices."""
-    if member.coeff and isinstance(member.coeff[0], tuple):
-        return tuple(
-            bn.derivative(member.scalar, row, simplex) for row in member.coeff
-        )
-    return bn.derivative(member.scalar, member.coeff, simplex)
-
-
 def affine_field_polys(field: AffineField, simplex: Simplex) -> tuple[bn.BernsteinPoly, ...]:
     """Degree-1 Bernstein form of an affine field by vertex interpolation."""
     n = simplex.dim
@@ -242,12 +254,20 @@ def affine_field_polys(field: AffineField, simplex: Simplex) -> tuple[bn.Bernste
     return tuple(comps)
 
 
-def div_row(member: ShapeFunction, simplex: Simplex, degree: int) -> list[Fraction]:
-    """div of one member over the degree lattice, component fastest."""
-    image = div_field(member, simplex)
-    comps = image if isinstance(image, tuple) else (image,)
-    vectors = [bn.coeff_vector(c, degree) for c in comps]
-    return [v[k] for k in range(len(vectors[0])) for v in vectors]
+def div_row(member: ShapeFunction, simplex: Simplex) -> list[Fraction]:
+    """div of one member over the lattice one degree below it, component
+    fastest: div(c·λ^β·C) = Σ_k c·β_k·λ^(β−e_k)·(C∇λ_k), row-wise for a
+    matrix C."""
+    beta, c = member.monomial
+    rows = member.coeff if isinstance(member.coeff[0], tuple) else (member.coeff,)
+    grads = barycentric_gradients(simplex)
+    positions = bn.lattice_position(len(beta), sum(beta) - 1)
+    out = [Fraction(0)] * (len(positions) * len(rows))
+    for k, b in enumerate(beta):
+        if b:
+            start = positions[beta[:k] + (b - 1,) + beta[k + 1:]] * len(rows)
+            out[start:start + len(rows)] = [c * b * dot(row, grads[k]) for row in rows]
+    return out
 
 
 def div_codim_fields(family: Family, simplex: Simplex) -> list[tuple[bn.BernsteinPoly, ...]]:
@@ -268,67 +288,46 @@ _DIV_IMAGE_MIN_DEGREE = {
 
 
 def verify_bubble_characterization(family: Family, simplex: Simplex, degree: int, frame_convention: str = "edge_tangents_face_normals") -> CheckResult:
-    """Check 𝔹 = ker(tr^div) and injectivity of the trace on normal members."""
+    """Check 𝔹 = ker(tr^div) and injectivity of the trace on normal members.
+
+    decompose certifies its tangential and normal members as a basis, so
+    𝔹 = ker(tr^div) follows from three exact facts: the bubbles are the
+    tangential members, their facet traces vanish, and the normal members'
+    traces are independent."""
     name = f"bubble_characterization[{family.value},n={simplex.dim},r={degree}]"
     if family is Family.LAGRANGE:
         raise ValueError("bubble spaces are defined for the vector/matrix families")
     if degree < 2:
         return CheckResult(name, SKIPPED, {"reason": f"degree {degree} below 2"})
-    n = simplex.dim
     basis = decompose(family, simplex, degree, frame_convention)
     normal_traces = [
         (facet, partial(tensors.contract_normal, normal=facet_normal(simplex, facet)))
-        for facet in enumerate_subsimplices(n, n - 1)
+        for facet in enumerate_subsimplices(simplex.dim, simplex.dim - 1)
     ]
 
     def stacked_trace(member: ShapeFunction) -> list[Fraction]:
-        return [x for facet, contract in normal_traces for x in site_row(member, facet, contract, degree)]
+        return [x for facet, contract in normal_traces for x in site_row(member, facet, contract)]
 
-    # Kernel of the trace map on the constrained space, in the coordinates
-    # of its lattice basis (the constrained directions times monomials).
-    reference = lattice_basis(family, simplex, degree)
-    member_traces = [stacked_trace(m) for m in reference.members]
-    trace_rows = [list(col) for col in zip(*member_traces)]
-    kernel_coords = linalg.nullspace(trace_rows, cols=len(reference.members))
-    # ref_flat is very sparse (one monomial per member), so the product
-    # visits only its nonzero entries.
-    ref_flat = reference.flat_matrix()
-    ref_nonzero = [[(k, x) for k, x in enumerate(row) if x] for row in ref_flat]
-    kernel = []
-    for coords in kernel_coords:
-        acc = [Fraction(0)] * len(ref_flat[0])
-        for c, entries in zip(coords, ref_nonzero):
-            if c:
-                for k, x in entries:
-                    acc[k] += c * x
-        kernel.append(acc)
-    bubbles = bubble_space(family, simplex, degree, frame_convention)
-    bubble_flat = bubbles.flat_matrix()
-    if not linalg.subspace_equal(kernel, bubble_flat):
-        witness = {
-            "kernel_dim": len(kernel),
-            "bubble_dim": len(bubble_flat),
+    bubbles = bubble_space(family, simplex, degree, frame_convention).members
+    tangential = tuple(m for m in basis.members if m.provenance.component != "normal")
+    nonzero_traces = sum(1 for m in bubbles if any(stacked_trace(m)))
+    if bubbles != tangential or nonzero_traces:
+        return CheckResult(name, FAIL, {
+            "bubble_dim": len(bubbles),
+            "tangential_members": len(tangential),
+            "same_members": bubbles == tangential,
+            "nonzero_traces": nonzero_traces,
             "identity": "ker(tr_div) == bubble span",
-        }
-        return CheckResult(name, FAIL, witness)
+        })
     normal_members = [m for m in basis.members if m.provenance.component == "normal"]
-    normal_trace_rows = [stacked_trace(m) for m in normal_members]
-    injective = linalg.rank(normal_trace_rows) == len(normal_members)
-    if not injective:
-        return CheckResult(
-            name,
-            FAIL,
-            {
-                "identity": "trace injective on normal members",
-                "normal_members": len(normal_members),
-                "trace_rank": linalg.rank(normal_trace_rows),
-            },
-        )
-    return CheckResult(
-        name,
-        PASS,
-        {"bubble_dim": len(bubble_flat), "normal_members": len(normal_members)},
-    )
+    trace_rank = linalg.rank([stacked_trace(m) for m in normal_members])
+    if trace_rank != len(normal_members):
+        return CheckResult(name, FAIL, {
+            "identity": "trace injective on normal members",
+            "normal_members": len(normal_members),
+            "trace_rank": trace_rank,
+        })
+    return CheckResult(name, PASS, {"bubble_dim": len(bubbles), "normal_members": len(normal_members)})
 
 
 def verify_div_image(family: Family, simplex: Simplex, degree: int, frame_convention: str = "edge_tangents_face_normals") -> CheckResult:
@@ -345,7 +344,7 @@ def verify_div_image(family: Family, simplex: Simplex, degree: int, frame_conven
         )
     n = simplex.dim
     bubbles = bubble_space(family, simplex, degree, frame_convention)
-    rows = [div_row(m, simplex, degree - 1) for m in bubbles.members]
+    rows = [div_row(m, simplex) for m in bubbles.members]
     got = linalg.rank(rows)
     fields = div_codim_fields(family, simplex)
     codim = len(fields)

