@@ -19,7 +19,6 @@ from functools import cache, partial
 from math import comb, factorial, prod, sqrt
 
 import numpy as np
-from scipy import linalg as scipy_linalg
 
 from . import bernstein as bn
 from . import linalg, tensors
@@ -558,10 +557,14 @@ def _coeff_pair_matrix(members) -> np.ndarray:
 def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> CheckResult:
     """Discrete inf-sup constant of the div pairing, floating point.
 
-    beta^2 is the smallest eigenvalue of the Schur pencil built from the
-    graph-norm mass matrix (value plus div), the discontinuous target mass,
-    and the coupling; eigenvalues under the kernel threshold are discarded
-    and counted, since none are expected at or above the degree threshold.
+    beta^2 is the smallest eigenvalue of the pencil (C V^-1 C^T, Q), with V
+    the graph-norm mass (value plus div), C the div coupling and Q the
+    discontinuous target mass, |T| (W ⊗ I) on cell T.  With W = L L^T the
+    pencil reduces to a plain symmetric matrix whose coupling rows on T are
+    sqrt(|T|) (L^T ⊗ I) times the div rows (Golub and Van Loan, Matrix
+    Computations, §8.7); their Gram matrix is the cell's div Gram matrix.
+    Eigenvalues under the kernel threshold are discarded and counted, since
+    none are expected at or above the degree threshold.
     """
     family = space.family
     if family is Family.LAGRANGE:
@@ -573,10 +576,9 @@ def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> Chec
     qdim_cell = width * qlat
     dim_q = qdim_cell * len(mesh.cells)
     big_v = np.zeros((space.dim, space.dim))
-    big_q = np.zeros((dim_q, dim_q))
     coupling = np.zeros((dim_q, space.dim))
     w_val = np.array(_moment_gram(n + 1, r, n))
-    w_div = np.array(_moment_gram(n + 1, r - 1, n))
+    chol_t = np.linalg.cholesky(np.array(_moment_gram(n + 1, r - 1, n))).T
     positions = bn.lattice_position(n + 1, r)
     for ci in range(len(mesh.cells)):
         simplex = mesh.cell_simplices[ci]
@@ -586,34 +588,28 @@ def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> Chec
         # the scalar Gram matrix is the lattice Gram matrix at the β's.
         at = [positions[m.monomial[0]] for m in members]
         gram_val = _coeff_pair_matrix(members) * w_val[np.ix_(at, at)]
-        div_rows = space.div_rows(ci)
-        ndiv = np.array([[float(x) for x in row] for row in div_rows])
+        ndiv = np.array([[float(x) for x in row] for row in space.div_rows(ci)])
         ndiv = ndiv.reshape(len(members), qlat, width)
-        gram_div = np.zeros_like(gram_val)
-        b_cell = np.zeros((qdim_cell, len(members)))
+        b_cell = np.empty((qdim_cell, len(members)))
         for comp in range(width):
-            slab = ndiv[:, :, comp]
-            gram_div += slab @ w_div @ slab.T
-            b_cell[comp::width, :] = w_div @ slab.T
+            b_cell[comp::width, :] = chol_t @ ndiv[:, :, comp].T
+        gram_div = b_cell.T @ b_cell
         # int / int is correctly rounded, as float(Fraction(x, d)) is.
         ints, d = space.dual_coefficients(ci)
         dual = np.array([[x / d for x in row] for row in ints])
         gidx = np.array(space.local_to_global[ci])
-        local_v = dual.T @ (vol * (gram_val + gram_div)) @ dual
-        big_v[np.ix_(gidx, gidx)] += local_v
+        big_v[np.ix_(gidx, gidx)] += dual.T @ (vol * (gram_val + gram_div)) @ dual
         sl = slice(ci * qdim_cell, (ci + 1) * qdim_cell)
-        coupling[sl, gidx] += vol * (b_cell @ dual)
-        big_q[sl, sl] = vol * np.kron(w_div, np.eye(width))
+        coupling[sl, gidx] += sqrt(vol) * (b_cell @ dual)
     try:
         schur = coupling @ np.linalg.solve(big_v, coupling.T)
-        eigs = scipy_linalg.eigh(schur, big_q, eigvals_only=True)
+        eigs = np.linalg.eigvalsh(schur)
     except np.linalg.LinAlgError as exc:
         return CheckResult(
             name=_infsup_name(space),
             status=FAIL,
             witness={"error": f"singular mass matrix: {exc}"},
         )
-    eigs = np.asarray(eigs)
     kept = eigs[eigs > kernel_threshold]
     discarded = int(eigs.size - kept.size)
     beta = sqrt(float(kept.min())) if kept.size else 0.0

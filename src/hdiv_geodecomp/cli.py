@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--frame",
         default="edge_tangents_face_normals",
         choices=list(FRAME_CONVENTIONS),
-        help="tangent/normal frame convention",
+        help="tangent/normal frame convention of the element units; "
+        "mesh units use the mesh-shared frames",
     )
     common.add_argument("--out", help="report path; stdout when omitted")
     common.add_argument("--format", default="json", choices=["json", "csv"])

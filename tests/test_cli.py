@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +249,38 @@ def test_infsup_builds_cell_div_rows_once_per_cell(capsys, monkeypatch):
     assert calls["_cell_div_rows"] == cells
     members = Family.TRACELESS.constrained_dim(2) * comb(2 + 2, 2)
     assert calls["div_row"] == cells * members
+
+
+def test_mesh_units_ignore_the_frame_convention():
+    # Assembly builds every cell's DoFs with the mesh-shared frames, so only
+    # the element units read --frame.
+    witnesses = []
+    for frame in ("edge_tangents_face_normals", "orthogonalized"):
+        params = CaseParams(
+            family="traceless", dim=3, degree=2, continuity_order=0,
+            mesh="two_tets", frame=frame, seed=0,
+        )
+        checks, _ = report.run_units(list(report.MESH_UNITS), params)
+        witnesses.append({c.name.split("[")[0]: c.witness for c in checks})
+    assert set(witnesses[0]) == {"assemble", "dims", "conformity", "infsup", "div_onto"}
+    assert witnesses[0] == witnesses[1]
+
+
+def test_infsup_runs_without_importing_scipy():
+    script = (
+        "import sys\n"
+        "from hdiv_geodecomp import cli\n"
+        "assert cli.run(['infsup', '--family', 'face', '--degree', '2', '--mesh', 'two_triangles']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_csv_projection_is_flat(capsys):

@@ -523,6 +523,46 @@ def test_infsup_constant_positive_without_kernel():
     assert res.witness["discarded_modes"] == 0
 
 
+# beta recorded from the unreduced pencil: the dense target mass matrix and a
+# generalized symmetric eigensolver.  The Cholesky reduction is exact algebra,
+# so only rounding may move it.
+UNREDUCED_BETA = [
+    ("two_triangles", "face", 2, -1, False, 0.9805806756909203),
+    ("two_triangles", "symmetric", 2, 0, False, 0.9722777449355713),
+    ("criss_cross", "symmetric", 3, 0, False, 0.9672890050809878),
+    ("two_tets", "traceless", 2, 0, True, 0.9900896529189374),
+]
+
+
+@pytest.mark.parametrize(
+    "name,family,degree,k,refined,beta",
+    UNREDUCED_BETA,
+    ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}{'-refined' if c[4] else ''}" for c in UNREDUCED_BETA],
+)
+def test_infsup_beta_matches_the_unreduced_pencil(name, family, degree, k, refined, beta):
+    mesh = builtin_mesh(name)
+    res = infsup_constant(assemble(refine(mesh) if refined else mesh, family, degree, k))
+    assert res.witness["discarded_modes"] == 0
+    assert res.witness["beta"] == pytest.approx(beta, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("cut", [1, 2])
+@pytest.mark.parametrize(
+    "name,family,degree,k",
+    [("two_triangles", "face", 2, -1), ("two_tets", "traceless", 2, 0)],
+    ids=["two_triangles-face-2--1", "two_tets-traceless-2-0"],
+)
+def test_infsup_discards_one_kernel_mode_per_zeroed_target_column(name, family, degree, k, cut):
+    space = assemble(builtin_mesh(name), family, degree, k)
+    assert infsup_constant(space).witness["discarded_modes"] == 0
+    # Cell 0's div image misses its first `cut` target coordinates, so the
+    # coupling loses `cut` ranks and the pencil gains `cut` zero eigenvalues.
+    space._div_cache[0] = [[0] * cut + row[cut:] for row in space.div_rows(0)]
+    res = infsup_constant(space)
+    assert res.status == FAIL
+    assert res.witness["discarded_modes"] == cut
+
+
 def test_infsup_sweep_two_levels():
     base = builtin_mesh("two_triangles")
     res = infsup_sweep([base, refine(base)], "face", 2, -1)
