@@ -18,8 +18,6 @@ from fractions import Fraction
 from functools import cache, partial
 from math import comb, factorial, prod, sqrt
 
-import numpy as np
-
 from . import bernstein as bn
 from . import linalg, tensors
 from .checks import FAIL, PASS, SKIPPED, CheckResult
@@ -67,8 +65,12 @@ class GlobalSpace:
         return len(self.keys)
 
     def cell_basis(self, cell_index: int):
+        # The same arguments as build_dofs passes, so both share one cache entry.
         return decompose(
-            self.family, self.mesh.cell_simplices[cell_index], self.degree
+            self.family,
+            self.mesh.cell_simplices[cell_index],
+            self.degree,
+            self.cell_dofs[cell_index].frame_convention,
         )
 
     def dual_coefficients(self, cell_index: int) -> tuple[list[list[int]], int]:
@@ -91,7 +93,7 @@ class GlobalSpace:
         except SiteBlockError as exc:
             raise AssemblyError(f"cell {cell}: {exc}") from exc
         try:
-            inv = linalg.invert_block_lower(mat, blocks)
+            inv = linalg.invert_block_lower(mat, mat.denominators, blocks)
         except linalg.SingularMatrixError as exc:
             raise AssemblyError(f"cell {cell} has a singular DoF matrix: {exc}") from exc
         self._dual_cache[cell_index] = inv
@@ -548,7 +550,9 @@ def _moment_gram(labels: int, degree: int, dim: int) -> tuple[tuple[float, ...],
     return tuple(rows)
 
 
-def _coeff_pair_matrix(members) -> np.ndarray:
+def _coeff_pair_matrix(members):
+    import numpy as np
+
     parts = [tensors.flatten(m.coeff) for m in members]
     arr = np.array([[float(x) for x in p] for p in parts])
     return arr @ arr.T
@@ -564,8 +568,11 @@ def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> Chec
     sqrt(|T|) (L^T ⊗ I) times the div rows (Golub and Van Loan, Matrix
     Computations, §8.7); their Gram matrix is the cell's div Gram matrix.
     Eigenvalues under the kernel threshold are discarded and counted, since
-    none are expected at or above the degree threshold.
+    none are expected at or above the degree threshold.  numpy is imported
+    here, so runs that compute no inf-sup constant never load it.
     """
+    import numpy as np
+
     family = space.family
     if family is Family.LAGRANGE:
         raise ValueError("the scalar family has no div pairing")

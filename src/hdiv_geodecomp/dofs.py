@@ -5,7 +5,8 @@ direction and integrating against one weight polynomial on the functional's
 site.  Point values at vertices are the same formula: the integral over a
 zero-dimensional site is evaluation.  All values are exact rationals with
 the site measure divided out, so the DoF matrix of a basis is a rational
-matrix whose invertibility settles unisolvence.
+matrix whose invertibility settles unisolvence.  It is built and read as
+integer rows, each over its least positive denominator.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd, lcm
 
 from . import bernstein as bn
 from . import linalg, tensors
@@ -151,41 +153,72 @@ def _integer_values(values) -> tuple[list[tuple], int]:
     return out, den
 
 
-def _functional_rows(functionals, members, n: int, degree: int) -> list[list[Fraction]]:
+class DoFMatrix(list):
+    """The rows N_i(phi_j) as integers, row i over its own denominator:
+    N_i(phi_j) == self[i][j] / self.denominators[i], each denominator the
+    least positive one, so gcd(denominators[i], *self[i]) == 1."""
+
+    def __init__(self, rows: list[list[int]], denominators: list[int]):
+        super().__init__(rows)
+        self.denominators = denominators
+
+
+def _functional_rows(functionals, members, n: int, degree: int) -> DoFMatrix:
     """N_i(phi_j) for every functional and member, measure divided out.
 
-    Each member is c·λ^β times its coefficient.  Each term contributes
-    moment × pairing: the moment comes from the geometry-free table, once
-    per term and distinct (β, c), and the pairing is taken only where the
-    moment is nonzero, on member coefficients and term directions scaled to
-    integers over one denominator each.
+    Each member is c·λ^β times its coefficient, so a term contributes
+    moment × pairing.  The moment comes from the geometry-free table, once
+    per term and distinct (β, c).  The pairing comes from one table over the
+    distinct member coefficients and the distinct term directions, each set
+    scaled to integers once.  A row accumulates numerator × pairing in
+    integers, one vector per moment denominator, and is returned over its
+    least positive denominator.
     """
     table = moment_table(n, degree)
-    coeffs, coeff_den = _integer_values([m.coeff for m in members])
-    terms = [term for nf in functionals for term in nf.terms]
-    directions, direction_den = _integer_values([_direction_matrix(t.direction) for t in terms])
-    scale = Fraction(1, coeff_den * direction_den)
-    groups: dict[tuple, list[int]] = {}
+    coeff_ids: dict[tuple, int] = {}
+    groups: dict[tuple, list[tuple[int, int]]] = {}
     for j, m in enumerate(members):
-        groups.setdefault(m.monomial, []).append(j)
-    rows = []
-    position = 0
-    for nf in functionals:
-        row = [Fraction(0)] * len(members)
-        for term in nf.terms:
-            direction = directions[position]
-            position += 1
+        coeff = coeff_ids.setdefault(m.coeff, len(coeff_ids))
+        groups.setdefault(m.monomial, []).append((j, coeff))
+    direction_ids: dict[tuple, int] = {}
+    term_directions = [
+        [direction_ids.setdefault(_direction_matrix(t.direction), len(direction_ids)) for t in nf.terms]
+        for nf in functionals
+    ]
+    coeffs, coeff_den = _integer_values(list(coeff_ids))
+    directions, direction_den = _integer_values(list(direction_ids))
+    pairing = [[_pair(c, d) for c in coeffs] for d in directions]
+    scale = coeff_den * direction_den
+    width = len(members)
+    rows, dens = [], []
+    for nf, ids in zip(functionals, term_directions):
+        by_den: dict[int, list[int]] = {}
+        for term, d in zip(nf.terms, ids):
+            pairs = pairing[d]
             for (beta, c), cols in groups.items():
-                moment = table.integral(nf.site, beta, term.weight)
+                moment = c * table.integral(nf.site, beta, term.weight)
                 if not moment:
                     continue
-                moment *= c * scale
-                for j in cols:
-                    pairing = _pair(coeffs[j], direction)
-                    if pairing:
-                        row[j] += moment * pairing
-        rows.append(row)
-    return rows
+                acc = by_den.get(moment.denominator)
+                if acc is None:
+                    acc = by_den[moment.denominator] = [0] * width
+                p = moment.numerator
+                for j, coeff in cols:
+                    x = pairs[coeff]
+                    if x:
+                        acc[j] += p * x
+        den = lcm(*by_den)
+        row = [0] * width
+        for q, acc in by_den.items():
+            f = den // q
+            for j, x in enumerate(acc):
+                if x:
+                    row[j] += f * x
+        den *= scale
+        g = gcd(den, *row)
+        rows.append([x // g for x in row] if g > 1 else row)
+        dens.append(den // g)
+    return DoFMatrix(rows, dens)
 
 
 @dataclass(frozen=True)
@@ -369,8 +402,9 @@ def _symmetric_global(f: SubSimplexId, frame, monos) -> list[DoFFunctional]:
     return out
 
 
-def dof_matrix(dofs: DoFSet, basis: SpaceBasis) -> list[list[Fraction]]:
-    """Square matrix N_i(phi_j) of the functionals against the basis."""
+def dof_matrix(dofs: DoFSet, basis: SpaceBasis) -> DoFMatrix:
+    """Square matrix N_i(phi_j) of the functionals against the basis, as
+    integer rows over their least positive denominators."""
     if basis.family.space_tag is not dofs.family.space_tag or basis.n != dofs.simplex.dim or basis.degree != dofs.degree:
         raise ValueError("DoF set and basis describe different spaces")
     if dofs.count != len(basis.members):
@@ -461,6 +495,17 @@ def site_blocks(dofs: DoFSet, basis: SpaceBasis, matrix) -> list[tuple[str, list
     return [(label, r, c) for (label, r), (_, c) in zip(rows, cols)]
 
 
+def _block_rows(matrix: DoFMatrix, row_idx, col_idx) -> list[list[int]]:
+    """The rows of one block, each divided by its gcd with the row's
+    denominator: the integers integer_form makes of the rational block row."""
+    out = []
+    for i in row_idx:
+        part = [matrix[i][j] for j in col_idx]
+        g = gcd(matrix.denominators[i], *part)
+        out.append([x // g for x in part] if g > 1 else part)
+    return out
+
+
 def certify_unisolvence(
     family: Family | None = None,
     simplex: Simplex | int | None = None,
@@ -492,6 +537,7 @@ def certify_unisolvence(
     )
 
     if dofs.merged_faces:
+        # Each row is already coprime with its denominator.
         data = linalg.echelon_data(matrix)
         return UnisolvenceCertificate(
             *params,
@@ -506,8 +552,7 @@ def certify_unisolvence(
     digest = hashlib.sha256()
     block_sizes = []
     for label, row_idx, col_idx in site_blocks(dofs, basis, matrix):
-        block = [[matrix[i][j] for j in col_idx] for i in row_idx]
-        data = linalg.echelon_data(block)
+        data = linalg.echelon_data(_block_rows(matrix, row_idx, col_idx))
         digest.update(f"{label}:{data.trace_hash()};".encode())
         block_sizes.append((label, len(row_idx)))
         if data.rank != len(row_idx):

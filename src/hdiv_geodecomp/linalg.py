@@ -5,7 +5,8 @@ rows (each input row is scaled by the lcm of its denominators, which never
 changes rank or kernel), with cross-multiplication updates and per-row
 content reduction to keep entries small.  integer_form is the one place
 rationals become integers over a common denominator; invert_block_lower
-returns its inverse in that form, an integer matrix over one denominator.
+takes integer rows over per-row denominators and returns its inverse as an
+integer matrix over one denominator.
 
 rank keeps only the nonzero entries of each row and picks pivots in
 Markowitz order (fewest nonzeros), because the matrices it sees (global div
@@ -271,20 +272,23 @@ def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def invert_block_lower(mat: RowSeq, blocks: Sequence[tuple[str, Sequence[int], Sequence[int]]]) -> tuple[list[list[int]], int]:
+def invert_block_lower(rows: Sequence[Sequence[int]], dens: Sequence[int], blocks: Sequence[tuple[str, Sequence[int], Sequence[int]]]) -> tuple[list[list[int]], int]:
     """Exact inverse of a square matrix that is block lower-triangular
     once its columns are grouped, as an integer matrix N over the least
     positive denominator d (so gcd(d, *N) == 1).
 
-    blocks lists (label, rows, cols) in elimination order; the row and
-    column index sets tile the matrix and mat[rows_i][cols_j] is zero for
+    The matrix mat is given as integer rows with row i of mat equal to
+    rows[i] / dens[i], dens[i] > 0, and is brought over their lcm once.
+    blocks lists (label, row indices, column indices) in elimination order;
+    the index sets tile the matrix and mat[rows_i][cols_j] is zero for
     every j > i, which the caller certifies.  Each diagonal block is
     inverted with invert; the blocks below the diagonal follow by block
     forward substitution, X_ij = -A_ii^-1 sum_{j <= k < i} A_ik X_kj, in
     integer arithmetic over one denominator per block, skipping zero
     blocks.  Row c of N belongs to column c of mat, as for invert.
     """
-    ints, den = _over_common_denominator(mat)  # mat == ints / den
+    den = lcm(*dens)  # mat == ints / den
+    ints = [row if d == den else [x * (den // d) for x in row] for row, d in zip(rows, dens)]
 
     def block(i: int, k: int) -> list[list[int]]:
         return [[ints[r][c] for c in blocks[k][2]] for r in blocks[i][1]]

@@ -18,4 +18,9 @@ def random_simplex(rng: random.Random, n: int) -> Simplex:
             continue
 
 
-__all__ = ["random_simplex"]
+def rational_rows(matrix) -> list[list[Fraction]]:
+    """A DoF matrix's integer rows read as the rationals they stand for."""
+    return [[Fraction(x, d) for x in row] for row, d in zip(matrix, matrix.denominators)]
+
+
+__all__ = ["random_simplex", "rational_rows"]

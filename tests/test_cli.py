@@ -283,6 +283,27 @@ def test_infsup_runs_without_importing_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_numpy_is_loaded_only_by_infsup(tmp_path):
+    script = (
+        "import sys\n"
+        "from hdiv_geodecomp import cli\n"
+        "argv = ['all', '--family', 'traceless', '--dim', '3', '--degree', '3', '--k', '0']\n"
+        f"assert cli.run(argv + ['--out', {str(tmp_path / 'element.json')!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'an element run imported numpy'\n"
+        "argv = ['infsup', '--family', 'face', '--degree', '2', '--mesh', 'two_triangles']\n"
+        f"assert cli.run(argv + ['--out', {str(tmp_path / 'infsup.json')!r}]) == 0\n"
+        "assert 'numpy' in sys.modules, 'infsup ran without numpy'\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_csv_projection_is_flat(capsys):
     code = cli.run(
         [

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdiv_geodecomp import bernstein as bn
 from hdiv_geodecomp import dofs as dofmod
@@ -30,7 +32,7 @@ from hdiv_geodecomp.dofs import (
 from hdiv_geodecomp.simplex import SubSimplexId, enumerate_subsimplices, reference_simplex
 from hdiv_geodecomp.spaces import Family, decompose
 
-from conftest import random_simplex
+from conftest import random_simplex, rational_rows
 
 
 # ---------------------------------------------------------------- sizes
@@ -39,7 +41,7 @@ from conftest import random_simplex
 def test_lagrange_interval_nodal_matrix_is_identity():
     dofs = build_dofs(Family.LAGRANGE, 1, 1, None)
     basis = decompose(Family.LAGRANGE, reference_simplex(1), 1)
-    assert dof_matrix(dofs, basis) == [
+    assert rational_rows(dof_matrix(dofs, basis)) == [
         [Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(1)],
     ]
@@ -170,7 +172,7 @@ def test_dense_and_blocked_paths_agree():
     for family, n, r, k in [(Family.FACE, 2, 2, 0), (Family.SYMMETRIC, 2, 2, 0)]:
         blocked = certify_unisolvence(family, n, r, k)
         matrix = dof_matrix(build_dofs(family, n, r, k), decompose(family, reference_simplex(n), r))
-        dense = linalg.echelon_data(matrix)
+        dense = linalg.echelon_data(rational_rows(matrix))
         assert blocked.invertible == (dense.rank == blocked.size) == True
         assert blocked.size == dense.rows == dense.cols
 
@@ -178,7 +180,7 @@ def test_dense_and_blocked_paths_agree():
 def test_vector_face_matrix_has_nonzero_determinant():
     dofs = build_dofs(Family.FACE, 2, 2, -1)
     basis = decompose(Family.FACE, reference_simplex(2), 2)
-    assert linalg.det(dof_matrix(dofs, basis)) != 0
+    assert linalg.det(rational_rows(dof_matrix(dofs, basis))) != 0
 
 
 def test_pivot_hash_is_reproducible():
@@ -233,7 +235,7 @@ def test_vertex_point_values_equal_evaluations():
             expected = member.scalar.evaluate(coords) * tensors.frobenius(
                 member.coeff, direction
             )
-            assert matrix[i][j] == expected
+            assert Fraction(matrix[i][j], matrix.denominators[i]) == expected
 
 
 def test_symmetric_facewise_directions_are_tangent_normal_pairs():
@@ -472,8 +474,53 @@ def test_dof_matrix_of_merged_sets_matches_entrywise_reference(family, n, r, k):
         assert any(len(nf.terms) > 1 for nf in merged.functionals)
     basis = decompose(family, simp, r)
     matrix = dof_matrix(merged, basis)
-    for nf, row in zip(merged.functionals, matrix):
+    for nf, row in zip(merged.functionals, rational_rows(matrix)):
         assert row == [_reference_entry(nf, m) for m in basis.members]
+
+
+# (family, n, degree, k, merged): small enough to compare every entry.
+_INTEGER_FORM_CASES = [
+    (Family.FACE, 2, 2, -1, False),
+    (Family.FACE, 2, 2, -1, True),
+    (Family.FACE, 2, 3, 0, True),
+    (Family.FACE, 3, 2, -1, True),
+    (Family.TRACELESS, 2, 2, 0, False),
+    (Family.TRACELESS, 2, 3, 0, True),
+    (Family.SYMMETRIC, 2, 2, 0, False),
+    (Family.SYMMETRIC, 2, 3, 0, True),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_INTEGER_FORM_CASES), st.randoms(use_true_random=False))
+def test_dof_matrix_rows_are_integers_over_their_least_denominators(case, rng):
+    family, n, r, k, merged = case
+    simp = random_simplex(rng, n)
+    dofs = build_dofs(family, simp, r, k)
+    if merged:
+        dofs = merge_all_faces(dofs)
+    basis = decompose(family, simp, r, dofs.frame_convention)
+    matrix = dof_matrix(dofs, basis)
+    assert len(matrix) == len(matrix.denominators) == dofs.count
+    for nf, row, d in zip(dofs.functionals, matrix, matrix.denominators):
+        assert all(type(x) is int for x in row)
+        assert type(d) is int and d > 0
+        assert gcd(d, *row) == 1
+        assert [Fraction(x, d) for x in row] == [_reference_entry(nf, m) for m in basis.members]
+
+
+@pytest.mark.parametrize(
+    "family,n,r,k,pivot_hash",
+    [
+        (Family.FACE, 2, 2, 0, "5e468ac570b0c5afca35c93524735c853fd1b1ed0a97082c2b61f22d6cfb1096"),
+        (Family.TRACELESS, 2, 3, 0, "6a6ba4a057f6091d68f62e9f7f9117242be40a2e0026d93f2a9c06befb9a4366"),
+        (Family.SYMMETRIC, 3, 3, 0, "0c9b23e79ccfa857a903625bff2a28f19e0db40bf6e1f825219645316f7bf9ec"),
+    ],
+)
+def test_dense_certificate_of_merged_sets_keeps_its_pivot_hash(family, n, r, k, pivot_hash):
+    cert = certify_unisolvence(dofs=merge_all_faces(build_dofs(family, n, r, k)))
+    assert cert.method == "dense" and cert.invertible
+    assert cert.pivot_hash == pivot_hash
 
 
 def test_site_blocks_reject_a_planted_upper_entry():
@@ -482,6 +529,6 @@ def test_site_blocks_reject_a_planted_upper_entry():
     matrix = dof_matrix(dofs, basis)
     blocks = dofmod.site_blocks(dofs, basis, matrix)
     (_, first_rows, _), (_, _, last_cols) = blocks[0], blocks[-1]
-    matrix[first_rows[0]][last_cols[0]] = Fraction(1)
+    matrix[first_rows[0]][last_cols[0]] = 1
     with pytest.raises(dofmod.SiteBlockError, match="functional at f0 does not annihilate member block interior"):
         dofmod.site_blocks(dofs, basis, matrix)

@@ -204,11 +204,17 @@ def block_lower_systems(draw):
     return mat, blocks
 
 
+def _integer_rows(mat):
+    """The rows as integers, each over its least positive denominator."""
+    forms = [linalg.integer_form(row) for row in mat]
+    return [ints for ints, _ in forms], [d for _, d in forms]
+
+
 @settings(max_examples=100, deadline=None)
 @given(block_lower_systems())
 def test_block_lower_inverse_is_the_exact_inverse_over_its_least_denominator(system):
     mat, blocks = system
-    ints, d = linalg.invert_block_lower(mat, blocks)
+    ints, d = linalg.invert_block_lower(*_integer_rows(mat), blocks)
     inverse = linalg.invert(mat)
     assert d > 0
     assert all(type(x) is int for row in ints for x in row)
@@ -224,7 +230,7 @@ def test_block_lower_inverse_names_a_singular_diagonal_block(system, data):
     for c in cols:
         mat[rows[0]][c] = 0
     with pytest.raises(linalg.SingularMatrixError, match=f"diagonal block {label} of size {len(rows)} is singular"):
-        linalg.invert_block_lower(mat, blocks)
+        linalg.invert_block_lower(*_integer_rows(mat), blocks)
 
 
 @settings(max_examples=200, deadline=None)

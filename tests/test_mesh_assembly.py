@@ -37,7 +37,9 @@ from hdiv_geodecomp.mesh import (
     validate_mesh,
 )
 from hdiv_geodecomp.simplex import enumerate_subsimplices, reference_simplex
-from hdiv_geodecomp.spaces import Family, site_row
+from hdiv_geodecomp.spaces import Family, decompose, site_row
+
+from conftest import rational_rows
 
 
 # ---------------------------------------------------------------- meshes
@@ -283,8 +285,9 @@ def test_dual_coefficients_invert_the_dof_matrix():
         assert all(type(x) is int for row in dual for x in row)
         assert d > 0 and gcd(d, *(x for row in dual for x in row)) == 1
         n = len(mat)
+        rational = rational_rows(mat)
         prod = [
-            [sum(mat[i][j] * Fraction(dual[j][k], d) for j in range(n)) for k in range(n)]
+            [sum(rational[i][j] * Fraction(dual[j][k], d) for j in range(n)) for k in range(n)]
             for i in range(n)
         ]
         assert prod == [
@@ -310,7 +313,16 @@ def test_site_block_dual_equals_dense_inverse(name, family, degree, k):
     for ci in range(len(space.mesh.cells)):
         mat = dof_matrix(space.cell_dofs[ci], space.cell_basis(ci))
         dual, d = space.dual_coefficients(ci)
-        assert [[Fraction(x, d) for x in row] for row in dual] == linalg.invert(mat)
+        assert [[Fraction(x, d) for x in row] for row in dual] == linalg.invert(rational_rows(mat))
+
+
+def test_each_cell_is_decomposed_once():
+    # build_dofs (through bubble_space) and cell_basis must share one cache key.
+    decompose.cache_clear()
+    space = assemble(builtin_mesh("refine(two_tets)"), "traceless", 2, 0)
+    for ci in range(len(space.mesh.cells)):
+        space.dual_coefficients(ci)
+    assert decompose.cache_info().misses == len(space.mesh.cells) == 16
 
 
 def _with_cell_functionals(space, cell_index, functionals) -> GlobalSpace:
