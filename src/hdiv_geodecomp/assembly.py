@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, partial
 from math import comb, factorial, prod, sqrt
+from operator import mul
 
 from . import bernstein as bn
 from . import linalg, tensors
@@ -33,7 +34,7 @@ from .dofs import (
     site_blocks,
 )
 from .mesh import Mesh, validate_mesh
-from .spaces import Family, decompose, div_row, site_row
+from .spaces import Family, decompose, div_rows, site_rows
 from .tensors import SpaceTag
 
 
@@ -99,11 +100,13 @@ class GlobalSpace:
         self._dual_cache[cell_index] = inv
         return inv
 
-    def div_rows(self, cell_index: int) -> list[list[Fraction]]:
-        """Per member of the cell basis: div over the degree r-1 lattice."""
+    def div_rows(self, cell_index: int) -> tuple[list[list[int]], int]:
+        """Per member of the cell basis, its div over the degree r-1 lattice,
+        component fastest: integer rows over one denominator."""
         hit = self._div_cache.get(cell_index)
         if hit is None:
-            hit = self._div_cache[cell_index] = _cell_div_rows(self, cell_index)
+            simplex = self.mesh.cell_simplices[cell_index]
+            hit = self._div_cache[cell_index] = div_rows(self.cell_basis(cell_index), simplex)
         return hit
 
 
@@ -237,29 +240,35 @@ def check_dims(space: GlobalSpace) -> CheckResult:
 # assembled rows and conformity
 
 
-def cell_rows(space: GlobalSpace, cell_index: int, member_rows: dict[int, list]) -> tuple[list[list[int]], int]:
+def cell_rows(space: GlobalSpace, cell_index: int, member_rows: dict[int, list[int]], den: int) -> tuple[list[list[int]], int]:
     """Rows of the cell's assembled basis functions from rows of its members.
 
-    member_rows maps a member index j to its row; members left out have a
-    zero row.  Row i is sum_j dual[j][i] * member_rows[j], returned as
-    integer rows over one positive denominator.  Only members with a nonzero
-    row enter the sum.
+    member_rows maps a member index j to its integer row, read over den;
+    members left out have a zero row.  Row i is sum_j dual[j][i] *
+    member_rows[j], returned as integer rows over one positive denominator,
+    the dual's times den.  Only members with a nonzero row enter the sum.
     """
     dual, d_dual = space.dual_coefficients(cell_index)
     support = [j for j, row in member_rows.items() if any(row)]
     if not support:
         width = max(map(len, member_rows.values()))
         return [[0] * width for _ in space.local_to_global[cell_index]], 1
-    rows, d_rows = linalg._over_common_denominator([member_rows[j] for j in support])
     coeffs = list(zip(*(dual[j] for j in support)))
-    return linalg._int_matmul(coeffs, rows), d_dual * d_rows
+    return linalg._int_matmul(coeffs, [member_rows[j] for j in support]), d_dual * den
 
 
 def _contract_normal_normal(coeff, left, right) -> tuple:
     return (tensors.dot(left, tensors.mat_vec(coeff, right)),)
 
 
-def _statements(space: GlobalSpace) -> list[tuple[str, tuple[int, ...], object]]:
+def _normal_normal_contraction(left, right) -> tensors.Contraction:
+    """The normal-normal component left·C·right, read on integers."""
+    lints, lden = linalg.integer_form(left)
+    rints, rden = linalg.integer_form(right)
+    return tensors.Contraction(partial(_contract_normal_normal, left=lints, right=rints), lden * rden)
+
+
+def _statements(space: GlobalSpace) -> list[tuple[str, tuple[int, ...], tensors.Contraction]]:
     """Every continuity claim as (kind, global site, contraction), in report
     order: the trace on each interior facet (the value, for the scalar
     family), then with a nonnegative continuity order the whole value at
@@ -271,9 +280,9 @@ def _statements(space: GlobalSpace) -> list[tuple[str, tuple[int, ...], object]]
     out = []
     for facet in mesh.interior_facets:
         if family is Family.LAGRANGE:
-            out.append(("normal_trace", facet, tensors.flatten))
+            out.append(("normal_trace", facet, tensors.FLATTEN))
         else:
-            out.append(("normal_trace", facet, partial(tensors.contract_normal, normal=mesh.facet_normal(facet))))
+            out.append(("normal_trace", facet, tensors.normal_contraction(mesh.facet_normal(facet))))
     k = space.continuity_order if space.continuity_order is not None else -1
     if family is Family.LAGRANGE or k < 0:
         return out
@@ -284,22 +293,22 @@ def _statements(space: GlobalSpace) -> list[tuple[str, tuple[int, ...], object]]
                 continue
             _, normals = mesh.frame_vectors(gsite)
             if ell == 0:
-                out.append(("value_at_vertex", gsite, tensors.flatten))
+                out.append(("value_at_vertex", gsite, tensors.FLATTEN))
             elif ell <= k:
                 out.extend(
-                    ("normal_component", gsite, partial(tensors.contract_normal, normal=nrm))
+                    ("normal_component", gsite, tensors.normal_contraction(nrm))
                     for nrm in normals
                 )
             elif family is Family.SYMMETRIC:
                 out.extend(
-                    ("normal_normal", gsite, partial(_contract_normal_normal, left=normals[a], right=normals[b]))
+                    ("normal_normal", gsite, _normal_normal_contraction(normals[a], normals[b]))
                     for a in range(len(normals))
                     for b in range(a, len(normals))
                 )
     return out
 
 
-def _shared_site_rows(space: GlobalSpace, site: tuple[int, ...], contract):
+def _shared_site_rows(space: GlobalSpace, site: tuple[int, ...], contraction: tensors.Contraction):
     """The global DoFs of the cells sharing a site and, per such cell, the
     contracted restrictions of their basis functions to it: one integer row
     per global DoF (zero off the cell) and one denominator."""
@@ -308,15 +317,8 @@ def _shared_site_rows(space: GlobalSpace, site: tuple[int, ...], contract):
     ids = sorted(set().union(*(space.local_to_global[c] for c in cells)))
     per_cell = []
     for c in cells:
-        local_site = mesh.local_site(c, site)
-        # A member vanishes on every site that does not contain its
-        # sub-simplex (decompose certifies the support of its monomial).
-        member_rows = {
-            j: site_row(m, local_site, contract)
-            for j, m in enumerate(space.cell_basis(c).members)
-            if local_site.contains(m.provenance.sub_simplex)
-        }
-        ints, den = cell_rows(space, c, member_rows)
+        member_rows, member_den = site_rows(space.cell_basis(c), mesh.local_site(c, site), contraction)
+        ints, den = cell_rows(space, c, member_rows, member_den)
         zero = [0] * len(ints[0])
         by_global = dict(zip(space.local_to_global[c], ints))
         per_cell.append(([by_global.get(g, zero) for g in ids], den))
@@ -329,16 +331,17 @@ def _jumps(ids, per_cell):
     (rows_a, d_a), *others = per_cell
     for rows_b, d_b in others:
         for g, a, b in zip(ids, rows_a, rows_b):
-            for entry, (x, y) in enumerate(zip(a, b)):
-                if x * d_b != y * d_a:
-                    yield g, entry, Fraction(x, d_a) - Fraction(y, d_b)
-                    break
+            scaled_a = [x * d_b for x in a]
+            scaled_b = [y * d_a for y in b]
+            if scaled_a != scaled_b:
+                entry = next(k for k, (x, y) in enumerate(zip(scaled_a, scaled_b)) if x != y)
+                yield g, entry, Fraction(a[entry], d_a) - Fraction(b[entry], d_b)
 
 
 def _evaluate(row: list[int], monomials: list[int]) -> list[int]:
     """Sum over the site lattice of a (lattice x component) row, weighted."""
     width = len(row) // len(monomials)
-    return [sum(row[a * width + w] * m for a, m in enumerate(monomials)) for w in range(width)]
+    return [sum(map(mul, row[w::width], monomials)) for w in range(width)]
 
 
 def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> CheckResult:
@@ -369,8 +372,8 @@ def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> Che
             }
         )
 
-    for kind, site, contract in _statements(space):
-        ids, per_cell = _shared_site_rows(space, site, contract)
+    for kind, site, contraction in _statements(space):
+        ids, per_cell = _shared_site_rows(space, site, contraction)
         for g, entry, delta in _jumps(ids, per_cell):
             record(kind, site, g, entry, delta)
         if kind != "normal_trace":
@@ -473,12 +476,6 @@ def _div_threshold(family: Family, n: int, k: int | None) -> int:
     raise ValueError("the scalar family has no div image to check")
 
 
-def _cell_div_rows(space: GlobalSpace, cell_index: int) -> list[list[Fraction]]:
-    """Per member: div expanded over the degree r-1 lattice, component fastest."""
-    simplex = space.mesh.cell_simplices[cell_index]
-    return [div_row(m, simplex) for m in space.cell_basis(cell_index).members]
-
-
 def _div_onto_rows(space: GlobalSpace) -> list[list[int]]:
     """One integer row per global basis function: its div over the degree
     r-1 lattice of every cell, one column block per cell."""
@@ -488,7 +485,8 @@ def _div_onto_rows(space: GlobalSpace) -> list[list[int]]:
     for ci in range(len(mesh.cells)):
         # Column block ci keeps the cell's own denominator: scaling a block
         # of columns by a nonzero constant leaves the rank unchanged.
-        ints, _ = cell_rows(space, ci, dict(enumerate(space.div_rows(ci))))
+        member_rows, den = space.div_rows(ci)
+        ints, _ = cell_rows(space, ci, dict(enumerate(member_rows)), den)
         offset = ci * qdim_cell
         for g, row in zip(space.local_to_global[ci], ints):
             rows[g][offset:offset + qdim_cell] = row
@@ -595,13 +593,15 @@ def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> Chec
         # the scalar Gram matrix is the lattice Gram matrix at the β's.
         at = [positions[m.monomial[0]] for m in members]
         gram_val = _coeff_pair_matrix(members) * w_val[np.ix_(at, at)]
-        ndiv = np.array([[float(x) for x in row] for row in space.div_rows(ci)])
+        # int / int is correctly rounded, as float(Fraction(x, d)) is; the
+        # same holds for the dual below.
+        rows, den = space.div_rows(ci)
+        ndiv = np.array([[x / den for x in row] for row in rows])
         ndiv = ndiv.reshape(len(members), qlat, width)
         b_cell = np.empty((qdim_cell, len(members)))
         for comp in range(width):
             b_cell[comp::width, :] = chol_t @ ndiv[:, :, comp].T
         gram_div = b_cell.T @ b_cell
-        # int / int is correctly rounded, as float(Fraction(x, d)) is.
         ints, d = space.dual_coefficients(ci)
         dual = np.array([[x / d for x in row] for row in ints])
         gidx = np.array(space.local_to_global[ci])

@@ -58,7 +58,7 @@ class BernsteinPoly:
         width = len(self.domain.indices)
         clean = {}
         for alpha, c in self.coeffs.items():
-            value = Fraction(c)
+            value = c if isinstance(c, Fraction) else Fraction(c)
             if value == 0:
                 continue
             if len(alpha) != width or any(a < 0 for a in alpha) or sum(alpha) != self.degree:

@@ -123,34 +123,22 @@ class MomentTable:
             self._entries[key] = value
         return value
 
-    def integral(self, site: SubSimplexId, beta: bn.MultiIndex, weight: bn.BernsteinPoly) -> Fraction:
+    def integral(self, site: SubSimplexId, beta: bn.MultiIndex, weight: bn.BernsteinPoly) -> Fraction | int:
         """∫_site restrict(λ^β, site) · weight / |site|, linear over the weight's entries."""
         if len(beta) != len(self.domain.indices) or sum(beta) != self.degree:
             raise ValueError("member monomial does not belong to this moment table")
-        total = Fraction(0)
+        total = 0
         for alpha, c_alpha in weight.coeffs.items():
             moment = self.entry(site, beta, alpha)
             if moment:
-                total += c_alpha * moment
+                term = moment if c_alpha == 1 else c_alpha * moment
+                total = total + term if total else term
         return total
 
 
 @lru_cache(maxsize=8)
 def moment_table(n: int, degree: int) -> MomentTable:
     return MomentTable(n, degree)
-
-
-def _integer_values(values) -> tuple[list[tuple], int]:
-    """Vectors or matrices rewritten as integers over one common denominator."""
-    flat, den = linalg.integer_form(x for v in values for x in tensors.flatten(v))
-    entries = iter(flat)
-    out = []
-    for v in values:
-        if isinstance(v[0], tuple):
-            out.append(tuple(tuple(next(entries) for _ in row) for row in v))
-        else:
-            out.append(tuple(next(entries) for _ in v))
-    return out, den
 
 
 class DoFMatrix(list):
@@ -163,40 +151,51 @@ class DoFMatrix(list):
         self.denominators = denominators
 
 
-def _functional_rows(functionals, members, n: int, degree: int) -> DoFMatrix:
+def _functional_rows(functionals, basis: SpaceBasis) -> DoFMatrix:
     """N_i(phi_j) for every functional and member, measure divided out.
 
-    Each member is c·λ^β times its coefficient, so a term contributes
+    Each member is λ^β times its coefficient (c folded in), so a term contributes
     moment × pairing.  The moment comes from the geometry-free table, once
-    per term and distinct (β, c).  The pairing comes from one table over the
-    distinct member coefficients and the distinct term directions, each set
-    scaled to integers once.  A row accumulates numerator × pairing in
-    integers, one vector per moment denominator, and is returned over its
-    least positive denominator.
+    per term and distinct β supported on the functional's site (the others
+    are zero).  The pairing comes from one table over the basis's distinct
+    integer coefficients and the distinct term directions, the directions
+    told apart by identity and scaled to integers once.  A row accumulates
+    numerator × pairing in integers, one vector per moment denominator, and
+    is returned over its least positive denominator.
     """
-    table = moment_table(n, degree)
-    coeff_ids: dict[tuple, int] = {}
+    table = moment_table(basis.n, basis.degree)
+    coeffs = basis.coefficients
     groups: dict[tuple, list[tuple[int, int]]] = {}
-    for j, m in enumerate(members):
-        coeff = coeff_ids.setdefault(m.coeff, len(coeff_ids))
-        groups.setdefault(m.monomial, []).append((j, coeff))
-    direction_ids: dict[tuple, int] = {}
-    term_directions = [
-        [direction_ids.setdefault(_direction_matrix(t.direction), len(direction_ids)) for t in nf.terms]
-        for nf in functionals
-    ]
-    coeffs, coeff_den = _integer_values(list(coeff_ids))
-    directions, direction_den = _integer_values(list(direction_ids))
-    pairing = [[_pair(c, d) for c in coeffs] for d in directions]
-    scale = coeff_den * direction_den
-    width = len(members)
+    for j, (m, coeff) in enumerate(zip(basis.members, coeffs.ids)):
+        groups.setdefault(m.monomial[0], []).append((j, coeff))
+    direction_ids: dict[int, int] = {}
+    distinct = []
+    term_directions = []
+    for nf in functionals:
+        ids = []
+        for t in nf.terms:
+            d = direction_ids.get(id(t.direction))
+            if d is None:
+                d = direction_ids[id(t.direction)] = len(distinct)
+                distinct.append(_direction_matrix(t.direction))
+            ids.append(d)
+        term_directions.append(ids)
+    directions, direction_den = tensors.integer_values(distinct)
+    # pairing[d][c], computed on first use: a functional pairs only with
+    # the coefficients of members supported on its site.
+    pairing = [[None] * len(coeffs.values) for _ in directions]
+    scale = coeffs.den * direction_den
+    width = len(basis.members)
     rows, dens = [], []
     for nf, ids in zip(functionals, term_directions):
+        site = set(nf.site.indices)
+        live = [(beta, cols) for beta, cols in groups.items() if basis.supports[cols[0][0]] <= site]
         by_den: dict[int, list[int]] = {}
         for term, d in zip(nf.terms, ids):
             pairs = pairing[d]
-            for (beta, c), cols in groups.items():
-                moment = c * table.integral(nf.site, beta, term.weight)
+            direction = directions[d]
+            for beta, cols in live:
+                moment = table.integral(nf.site, beta, term.weight)
                 if not moment:
                     continue
                 acc = by_den.get(moment.denominator)
@@ -205,6 +204,8 @@ def _functional_rows(functionals, members, n: int, degree: int) -> DoFMatrix:
                 p = moment.numerator
                 for j, coeff in cols:
                     x = pairs[coeff]
+                    if x is None:
+                        x = pairs[coeff] = _pair(coeffs.values[coeff], direction)
                     if x:
                         acc[j] += p * x
         den = lcm(*by_den)
@@ -298,6 +299,7 @@ def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_o
     vector = family.space_tag is SpaceTag.VECTOR
     units = tensors.identity(n)
     out: list[DoFFunctional] = []
+    traceless_facewise: dict[SubSimplexId, list] = {}  # shared by a facet's sub-sites
 
     for ell in range(n):
         for f in enumerate_subsimplices(n, ell):
@@ -316,50 +318,39 @@ def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_o
                 directions = tensors.tn_split(f, frame, family.space_tag).normal_basis
                 out.extend(_moment(f, m, d, GLOBAL) for m in monos for d in directions)
                 continue
+            # Each direction is built once per site and shared by its
+            # monomials, so the DoF matrix pairs it once.
             if ell <= k:
                 if vector:
-                    out.extend(
-                        _moment(f, m, nrm, GLOBAL)
-                        for m in monos
-                        for nrm in frame.normals
-                    )
+                    directions = frame.normals
                 elif family is Family.TRACELESS:
-                    out.extend(
-                        _moment(f, m, tensors.outer(e, nrm), GLOBAL)
-                        for m in monos
-                        for nrm in frame.normals
-                        for e in units
-                    )
+                    directions = [tensors.outer(e, nrm) for nrm in frame.normals for e in units]
                 else:
-                    out.extend(_symmetric_global(f, frame, monos))
+                    directions = _symmetric_global_directions(frame)
+                out.extend(_moment(f, m, d, GLOBAL) for m in monos for d in directions)
                 continue
             if family is Family.SYMMETRIC:
                 nn = frame.normals
-                out.extend(
-                    _moment(f, m, tensors.outer(nn[j], nn[i]), GLOBAL)
-                    for m in monos
+                directions = [
+                    tensors.outer(nn[j], nn[i])
                     for i in range(len(nn))
                     for j in range(i, len(nn))
-                )
+                ]
+                out.extend(_moment(f, m, d, GLOBAL) for m in monos for d in directions)
             for face in f.faces_containing():
                 if facet_normals is not None:
                     n_face = facet_normals(face)
                 else:
                     n_face = facet_normal(simplex, face)
                 if vector:
-                    out.extend(_moment(f, m, n_face, FACEWISE, face) for m in monos)
+                    directions = [n_face]
                 elif family is Family.TRACELESS:
-                    out.extend(
-                        _moment(f, m, tensors.outer(e, n_face), FACEWISE, face)
-                        for m in monos
-                        for e in units
-                    )
+                    directions = traceless_facewise.get(face)
+                    if directions is None:
+                        directions = traceless_facewise[face] = [tensors.outer(e, n_face) for e in units]
                 else:
-                    out.extend(
-                        _moment(f, m, MixedDirection(t, n_face), FACEWISE, face)
-                        for m in monos
-                        for t in frame.tangents
-                    )
+                    directions = [MixedDirection(t, n_face) for t in frame.tangents]
+                out.extend(_moment(f, m, d, FACEWISE, face) for m in monos for d in directions)
 
     full = bn.full_domain(n)
     if family is Family.LAGRANGE:
@@ -381,8 +372,8 @@ def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_o
     return dofs
 
 
-def _symmetric_global(f: SubSimplexId, frame, monos) -> list[DoFFunctional]:
-    """Independent global moments on a low-dimensional site, symmetric values.
+def _symmetric_global_directions(frame) -> list[tuple]:
+    """Independent global directions on a low-dimensional site, symmetric values.
 
     Pairing with every ambient direction would duplicate the two mixed
     normal-normal moments of a symmetric field, so the directions mirror the
@@ -390,15 +381,9 @@ def _symmetric_global(f: SubSimplexId, frame, monos) -> list[DoFFunctional]:
     pairs taken once with the second index at least the first.
     """
     out = []
-    for m in monos:
-        for j, nrm in enumerate(frame.normals):
-            out.extend(
-                _moment(f, m, tensors.outer(t, nrm), GLOBAL) for t in frame.tangents
-            )
-            out.extend(
-                _moment(f, m, tensors.outer(frame.normals[i], nrm), GLOBAL)
-                for i in range(j + 1)
-            )
+    for j, nrm in enumerate(frame.normals):
+        out.extend(tensors.outer(t, nrm) for t in frame.tangents)
+        out.extend(tensors.outer(frame.normals[i], nrm) for i in range(j + 1))
     return out
 
 
@@ -411,7 +396,7 @@ def dof_matrix(dofs: DoFSet, basis: SpaceBasis) -> DoFMatrix:
         raise ValueError(
             f"count mismatch: {dofs.count} functionals vs {len(basis.members)} members"
         )
-    return _functional_rows(dofs.functionals, basis.members, basis.n, basis.degree)
+    return _functional_rows(dofs.functionals, basis)
 
 
 @dataclass(frozen=True)
@@ -746,19 +731,17 @@ def merge_face_dofs(dofs: DoFSet, F: SubSimplexId) -> MergedFaceDoFs:
         added = [_moment(F, w, n_face, FACEWISE, F) for w in weights]
     elif family is Family.TRACELESS:
         weights = quotient_face_space(F, r, k, MOD_P1).full_basis
-        added = [
-            _moment(F, w, tensors.outer(e, n_face), FACEWISE, F)
-            for w in weights
-            for e in tensors.identity(n)
-        ]
+        directions = [tensors.outer(e, n_face) for e in tensors.identity(n)]
+        added = [_moment(F, w, d, FACEWISE, F) for w in weights for d in directions]
     else:
         if k != 0:
             raise ValueError("the symmetric merge is stated for continuity order 0")
         frame = build_frame(simplex, F, dofs.frame_convention)
+        directions = [MixedDirection(t, n_face) for t in frame.tangents]
         for field in tangential_polynomial_fields(simplex, F, r - 2, dofs.frame_convention):
             terms = tuple(
-                DoFTerm(w, MixedDirection(t, n_face))
-                for w, t in zip(field, frame.tangents)
+                DoFTerm(w, d)
+                for w, d in zip(field, directions)
                 if not w.is_zero()
             )
             added.append(DoFFunctional(F, terms, FACEWISE, F))
@@ -792,7 +775,7 @@ def _span_equality_on_facet(dofs: DoFSet, F: SubSimplexId, old, new) -> CheckRes
     basis = lattice_basis(dofs.family, dofs.simplex, dofs.degree)
 
     def rows(functionals):
-        return _functional_rows(functionals, basis.members, basis.n, basis.degree)
+        return _functional_rows(functionals, basis)
 
     base = rows(context)
     old_rows = rows(old)

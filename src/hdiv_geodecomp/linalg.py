@@ -6,7 +6,8 @@ changes rank or kernel), with cross-multiplication updates and per-row
 content reduction to keep entries small.  integer_form is the one place
 rationals become integers over a common denominator; invert_block_lower
 takes integer rows over per-row denominators and returns its inverse as an
-integer matrix over one denominator.
+integer matrix over one denominator, and adjugate gives the inverse of a
+small integer matrix as integer rows over its determinant.
 
 rank keeps only the nonzero entries of each row and picks pivots in
 Markowitz order (fewest nonzeros), because the matrices it sees (global div
@@ -245,10 +246,44 @@ def solve(mat: RowSeq, rhs: Sequence[Scalar]) -> list[Fraction]:
 
 
 def invert(mat: RowSeq) -> list[list[Fraction]]:
+    """Exact inverse by fraction-free Gauss-Jordan elimination on [S A | S].
+
+    S scales each row of A to integers (the lcm of the row's denominators),
+    so A X = I becomes (S A) X = S over the integers.  Each column's pivot
+    row is cross-multiplied into every other row holding the column, and
+    the row's content is divided out, so the left block ends diagonal, D,
+    and row i of the inverse is R_i / D_ii: the entries of the result are
+    the only Fractions built.
+    """
     m = len(mat)
-    eye = [[Fraction(int(i == j)) for i in range(m)] for j in range(m)]
-    cols = solve_many(mat, eye)
-    return [[cols[j][i] for j in range(m)] for i in range(m)]
+    if any(len(row) != m for row in mat):
+        raise ValueError("matrix must be square")
+    rows = []
+    for i, row in enumerate(mat):
+        ints, s = integer_form(row)
+        scale = [0] * m
+        scale[i] = s
+        rows.append(ints + scale)
+    for c in range(m):
+        sel = next((i for i in range(c, m) if rows[i][c]), None)
+        if sel is None:
+            raise SingularMatrixError(f"matrix of size {m} is rank deficient")
+        rows[c], rows[sel] = rows[sel], rows[c]
+        pivot_row = rows[c]
+        piv = pivot_row[c]
+        support = [j for j in range(c, 2 * m) if pivot_row[j]]
+        for i, row in enumerate(rows):
+            x = row[c]
+            if i == c or not x:
+                continue
+            g = gcd(piv, x)
+            a, b = piv // g, x // g
+            if a != 1:
+                row = [a * y for y in row]
+            for j in support:
+                row[j] -= b * pivot_row[j]
+            rows[i] = _reduce_content(row)
+    return [[Fraction(x, row[i]) for x in row[m:]] for i, row in enumerate(rows)]
 
 
 def _over_common_denominator(mat: RowSeq) -> tuple[list[list[int]], int]:
@@ -260,14 +295,15 @@ def _over_common_denominator(mat: RowSeq) -> tuple[list[list[int]], int]:
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     width = len(b[0]) if b else 0
+    # The nonzeros of each row of b, found once for every row of a.
+    b_sparse = [[(j, y) for j, y in enumerate(b_row) if y] for b_row in b]
     out = []
     for row in a:
         acc = [0] * width
-        for x, b_row in zip(row, b):
+        for x, b_row in zip(row, b_sparse):
             if x:
-                for j, y in enumerate(b_row):
-                    if y:
-                        acc[j] += x * y
+                for j, y in b_row:
+                    acc[j] += x * y
         out.append(acc)
     return out
 
@@ -349,26 +385,19 @@ def invert_block_lower(rows: Sequence[Sequence[int]], dens: Sequence[int], block
     return out, d_out // g
 
 
-def det(mat: RowSeq) -> Fraction:
-    """Determinant by the Bareiss fraction-free scheme."""
-    m = len(mat)
-    if any(len(row) != m for row in mat):
-        raise ValueError("matrix must be square")
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant of an integer matrix by the Bareiss fraction-free scheme;
+    the rows are overwritten."""
+    m = len(rows)
     if m == 0:
-        return Fraction(1)
-    rows = []
-    scale = 1
-    for row in mat:
-        ints, s = integer_form(row)
-        scale *= s
-        rows.append(ints)
+        return 1
     sign = 1
     prev = 1
     for k in range(m - 1):
         if rows[k][k] == 0:
             sel = next((i for i in range(k + 1, m) if rows[i][k] != 0), None)
             if sel is None:
-                return Fraction(0)
+                return 0
             rows[k], rows[sel] = rows[sel], rows[k]
             sign = -sign
         for i in range(k + 1, m):
@@ -380,5 +409,36 @@ def det(mat: RowSeq) -> Fraction:
                 row_i[j] = (rkk * row_i[j] - rik * row_k[j]) // prev
             row_i[k] = 0
         prev = rows[k][k]
-    return Fraction(sign * rows[m - 1][m - 1], scale)
+    return sign * rows[m - 1][m - 1]
 
+
+def det(mat: RowSeq) -> Fraction:
+    """Determinant by the Bareiss fraction-free scheme."""
+    m = len(mat)
+    if any(len(row) != m for row in mat):
+        raise ValueError("matrix must be square")
+    rows = []
+    scale = 1
+    for row in mat:
+        ints, s = integer_form(row)
+        scale *= s
+        rows.append(ints)
+    return Fraction(_bareiss_det(rows), scale)
+
+
+def adjugate(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """adj(A) and det(A) of a square integer matrix, so A adj(A) = det(A) I:
+    the exact inverse as integer rows over one denominator.  Entries are
+    cofactors, adj(A)[i][j] = (-1)^(i+j) times the minor of A without row j
+    and column i, which suits the small matrices of simplex geometry."""
+    m = len(mat)
+    if any(len(row) != m for row in mat):
+        raise ValueError("matrix must be square")
+    adj = [
+        [
+            (-1) ** (i + j) * _bareiss_det([list(row[:i]) + list(row[i + 1:]) for k, row in enumerate(mat) if k != j])
+            for j in range(m)
+        ]
+        for i in range(m)
+    ]
+    return adj, sum(mat[0][j] * adj[j][0] for j in range(m))

@@ -6,7 +6,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, gcd
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -81,6 +82,11 @@ class Simplex:
         edges = [[pts[j][d] - pts[0][d] for d in range(n)] for j in range(1, n + 1)]
         if linalg.det(edges) == 0:
             raise SingularGeometryError("vertices are affinely dependent")
+        # Simplices key the per-cell caches; hash the coordinates once.
+        object.__setattr__(self, "_hash", hash(pts))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -105,32 +111,47 @@ def reference_simplex(n: int) -> Simplex:
 
 
 @cache
-def barycentric_gradients(simplex: Simplex) -> tuple[Vector, ...]:
-    """Gradients ∇λ₀..∇λ_n of the barycentric coordinates, exact.
+def integer_gradients(simplex: Simplex) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Gradients ∇λ₀..∇λ_n as integer rows G over one positive denominator
+    d, the least one, so ∇λ_i == G[i] / d.
 
-    Solves the interpolation system λ_i(v_j) = δ_ij over affine functions.
+    With the edge vectors e_j = v_j − v₀ as the rows of E = E' / s, E' an
+    integer matrix, ∇λ_j·e_i = δ_ij makes ∇λ_j (j ≥ 1) column j of E⁻¹,
+    that is s times column j of adj(E') over det(E'); and ∇λ₀ = −Σ_j ∇λ_j.
     """
     n = simplex.dim
-    system = [list(v) + [Fraction(1)] for v in simplex.vertices]
-    eye = [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
-    try:
-        cols = linalg.solve_many(system, eye)
-    except linalg.SingularMatrixError as exc:
-        raise SingularGeometryError(str(exc)) from exc
-    return tuple(tuple(col[:n]) for col in cols)
+    flat, s = linalg.integer_form(x for j in range(1, n + 1) for x in simplex.edge_vector(0, j))
+    adj, det = linalg.adjugate([flat[k * n:(k + 1) * n] for k in range(n)])
+    if det == 0:
+        raise SingularGeometryError("vertices are affinely dependent")
+    if det < 0:
+        s, det = -s, -det
+    grads = [[s * adj[d][j] for d in range(n)] for j in range(n)]
+    grads.insert(0, [-sum(col) for col in zip(*grads)])
+    g = gcd(det, *(x for row in grads for x in row))
+    return tuple(tuple(x // g for x in row) for row in grads), det // g
+
+
+@cache
+def barycentric_gradients(simplex: Simplex) -> tuple[Vector, ...]:
+    """Gradients ∇λ₀..∇λ_n of the barycentric coordinates, exact: the
+    rationals of integer_gradients."""
+    rows, den = integer_gradients(simplex)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
 def max_normalized(vec: Sequence[Fraction]) -> Vector:
     """Rescale so the largest-magnitude entry is ±1, keeping direction."""
-    top = max(abs(x) for x in vec)
+    ints, _ = linalg.integer_form(vec)
+    top = max(abs(x) for x in ints)
     if top == 0:
         raise ValueError("cannot normalize the zero vector")
-    return tuple(Fraction(x) / top for x in vec)
+    return tuple(Fraction(x, top) for x in ints)
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     """Exact dot product; integer inputs give an integer."""
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _gram_schmidt(vectors: Sequence[Vector]) -> list[Vector]:
@@ -168,7 +189,7 @@ def build_frame(simplex: Simplex, f: SubSimplexId, convention: str = "edge_tange
         raise ValueError("sub-simplex does not belong to this simplex")
     idx = f.indices
     tangents = [max_normalized(simplex.edge_vector(idx[0], idx[i])) for i in range(1, len(idx))]
-    grads = barycentric_gradients(simplex)
+    grads, _ = integer_gradients(simplex)
     normals = [max_normalized(grads[i]) for i in f.complement_labels()]
     if convention == "orthogonalized":
         if f.dim == 0:

@@ -8,16 +8,16 @@ reduce to exact integer elimination on coefficient vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property
 from typing import Sequence
 
 from . import bernstein as bn
 from . import linalg, tensors
 from .checks import FAIL, PASS, SKIPPED, CheckResult
-from .simplex import Simplex, SubSimplexId, barycentric_gradients, build_frame, dot, enumerate_subsimplices, max_normalized
+from .simplex import Simplex, SubSimplexId, build_frame, dot, enumerate_subsimplices, integer_gradients, max_normalized
 from .tensors import AffineField, SpaceTag
 
 
@@ -72,21 +72,17 @@ class ShapeFunction:
         return beta, c
 
 
-def site_row(member: ShapeFunction, site: SubSimplexId, contract) -> list[Fraction]:
-    """The member restricted to a site, its coefficient contracted, over the
-    site's lattice × the components of contract(coeff), component fastest.
-    Restriction keeps the entries of β at the site's labels: zero unless
-    supp β ⊆ site, else c·λ^β relabelled, at one lattice position."""
-    beta, c = member.monomial
-    weights = contract(member.coeff)
-    labels = member.scalar.domain.indices
-    relabelled = tuple(beta[labels.index(i)] for i in site.indices)
-    positions = bn.lattice_position(len(site.indices), sum(beta))
-    row = [Fraction(0)] * (len(positions) * len(weights))
-    if sum(relabelled) == sum(beta):
-        start = positions[relabelled] * len(weights)
-        row[start:start + len(weights)] = [c * w for w in weights]
-    return row
+@dataclass(frozen=True)
+class IntegerCoefficients:
+    """The member coefficients of a basis as integer tensors over one
+    denominator: member j's coefficient, times the c of its monomial, is
+    values[ids[j]] / den entrywise.  Members that share one coefficient
+    object (the members of one sub-simplex direction across β) share one
+    value, so per-coefficient work is keyed by that index."""
+
+    values: tuple
+    ids: tuple[int, ...]
+    den: int
 
 
 @dataclass(frozen=True)
@@ -95,6 +91,76 @@ class SpaceBasis:
     n: int
     degree: int
     members: tuple[ShapeFunction, ...]
+
+    @cached_property
+    def coefficients(self) -> IntegerCoefficients:
+        """Computed once per basis; decompose caches its basis per cell."""
+        index: dict = {}
+        distinct = []
+        ids = []
+        for m in self.members:
+            _, c = m.monomial
+            key = id(m.coeff) if c == 1 else (id(m.coeff), c)
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(distinct)
+                distinct.append(m.coeff if c == 1 else _scaled(m.coeff, c))
+            ids.append(i)
+        values, den = tensors.integer_values(distinct)
+        return IntegerCoefficients(tuple(values), tuple(ids), den)
+
+    @cached_property
+    def supports(self) -> tuple[frozenset[int], ...]:
+        """The labels of supp β of each member's monomial: a member
+        restricts to zero on every site not containing them."""
+        out = []
+        for m in self.members:
+            beta, _ = m.monomial
+            out.append(frozenset(label for label, b in zip(m.scalar.domain.indices, beta) if b))
+        return tuple(out)
+
+
+def _scaled(coeff: tuple, c) -> tuple:
+    if isinstance(coeff[0], tuple):
+        return tensors.mat_scale(coeff, c)
+    return tuple(c * x for x in coeff)
+
+
+def site_row(member: ShapeFunction, site: SubSimplexId, weights: Sequence[int]) -> list[int]:
+    """The member restricted to a site, over the site's lattice × the
+    components of its contracted coefficient, component fastest.  weights
+    are those components (c folded in), as site_rows hands them over.
+    Restriction keeps the entries of β at the site's labels: zero unless
+    supp β ⊆ site, else the weights at one lattice position."""
+    beta, _ = member.monomial
+    labels = member.scalar.domain.indices
+    relabelled = tuple(beta[labels.index(i)] for i in site.indices)
+    positions = bn.lattice_position(len(site.indices), sum(beta))
+    row = [0] * (len(positions) * len(weights))
+    if sum(relabelled) == sum(beta):
+        start = positions[relabelled] * len(weights)
+        row[start:start + len(weights)] = weights
+    return row
+
+
+def site_rows(basis: SpaceBasis, site: SubSimplexId, contraction: tensors.Contraction) -> tuple[dict[int, list[int]], int]:
+    """The rows of the members that do not vanish on a site, by member
+    position, as integers over one denominator: the coefficient
+    denominator times the contraction's.  Members left out restrict to
+    zero.  Each distinct coefficient is contracted once."""
+    coeffs = basis.coefficients
+    labels = set(site.indices)
+    contracted: dict[int, tuple] = {}
+    rows = {}
+    for j, (m, support) in enumerate(zip(basis.members, basis.supports)):
+        if not support <= labels:
+            continue
+        i = coeffs.ids[j]
+        weights = contracted.get(i)
+        if weights is None:
+            weights = contracted[i] = tuple(contraction.apply(coeffs.values[i]))
+        rows[j] = site_row(m, site, weights)
+    return rows, coeffs.den * contraction.den
 
 
 def _scalar_coeff() -> tuple:
@@ -144,30 +210,33 @@ def decompose(family: Family, simplex: Simplex, degree: int, frame_convention: s
                     ShapeFunction(s, c, Provenance(f, "normal"))
                     for c in split.normal_basis
                 )
+    basis = SpaceBasis(family, n, degree, tuple(members))
     expected = family.constrained_dim(n) * bn.space_dim(n, degree)
-    if len(members) != expected or _rank_by_monomial(members, tag) != expected:
+    if len(members) != expected or _rank_by_monomial(basis, tag) != expected:
         raise AssertionError(
             f"decomposition of {family.value} n={n} r={degree} is not a basis"
         )
-    return SpaceBasis(family, n, degree, tuple(members))
+    return basis
 
 
 def _is_value(coeff: tuple, tag: SpaceTag | None) -> bool:
-    """Whether a constant coefficient lies in the family's value space."""
+    """Whether a constant coefficient (rational or integer) lies in the
+    family's value space."""
     if tag is SpaceTag.TRACELESS:
         return tensors.trace(coeff) == 0
-    return tag is not SpaceTag.SYMMETRIC or coeff == tensors.sym(coeff)
+    return tag is not SpaceTag.SYMMETRIC or all(
+        x == coeff[j][i] for i, row in enumerate(coeff) for j, x in enumerate(row)
+    )
 
 
-def _rank_by_monomial(members: Sequence[ShapeFunction], tag: SpaceTag | None) -> int:
+def _rank_by_monomial(basis: SpaceBasis, tag: SpaceTag | None) -> int:
     """Exact rank of members whose scalars are exactly λ^β supported exactly
     on their sub-simplices (so a member vanishes on every site that does not
-    contain its sub-simplex) and whose coefficients lie in the value space."""
-    by_monomial: dict[tuple, list[tuple]] = {}
-    values: dict[tuple, tuple] = {}
-    for m in members:
+    contain its sub-simplex) and whose coefficients lie in the value space.
+    The coefficients are read from the basis's integer table."""
+    betas = []
+    for m in basis.members:
         site = m.provenance.sub_simplex.indices
-        values.setdefault(m.coeff, site)
         if len(m.scalar.coeffs) != 1:
             raise AssertionError(f"member scalar at {site} is not a monomial")
         beta, c = m.monomial
@@ -175,9 +244,16 @@ def _rank_by_monomial(members: Sequence[ShapeFunction], tag: SpaceTag | None) ->
             raise AssertionError(f"member scalar at {site} has coefficient {c}, not 1")
         if tuple(i for i, e in zip(m.scalar.domain.indices, beta) if e) != site:
             raise AssertionError(f"member scalar at {site} is not supported exactly on it")
-        by_monomial.setdefault(beta, []).append(tensors.flatten(m.coeff))
-    for coeff, site in values.items():
-        if not _is_value(coeff, tag):
+        betas.append(beta)
+    coeffs = basis.coefficients
+    flat = [tensors.flatten(v) for v in coeffs.values]
+    sites: dict[int, tuple] = {}
+    by_monomial: dict[tuple, list[tuple]] = {}
+    for m, beta, i in zip(basis.members, betas, coeffs.ids):
+        sites.setdefault(i, m.provenance.sub_simplex.indices)
+        by_monomial.setdefault(beta, []).append(flat[i])
+    for i, site in sites.items():
+        if not _is_value(coeffs.values[i], tag):
             raise AssertionError(f"member coefficient at {site} is not a {tag.value} value")
     return sum(linalg.rank(rows) for rows in by_monomial.values())
 
@@ -209,7 +285,7 @@ def facet_normal(simplex: Simplex, facet: SubSimplexId):
     if facet.dim != simplex.dim - 1:
         raise ValueError("normal traces are defined on facets only")
     missing = facet.complement_labels()[0]
-    return max_normalized(barycentric_gradients(simplex)[missing])
+    return max_normalized(integer_gradients(simplex)[0][missing])
 
 
 def trace_div(member: ShapeFunction, facet: SubSimplexId, normal: Sequence):
@@ -254,20 +330,34 @@ def affine_field_polys(field: AffineField, simplex: Simplex) -> tuple[bn.Bernste
     return tuple(comps)
 
 
-def div_row(member: ShapeFunction, simplex: Simplex) -> list[Fraction]:
+def div_row(member: ShapeFunction, weights: Sequence[Sequence[int]]) -> list[int]:
     """div of one member over the lattice one degree below it, component
-    fastest: div(c·λ^β·C) = Σ_k c·β_k·λ^(β−e_k)·(C∇λ_k), row-wise for a
-    matrix C."""
-    beta, c = member.monomial
-    rows = member.coeff if isinstance(member.coeff[0], tuple) else (member.coeff,)
-    grads = barycentric_gradients(simplex)
+    fastest: div(λ^β·C) = Σ_k β_k·λ^(β−e_k)·(C∇λ_k), row-wise for a matrix
+    C.  weights[k] are the components of C∇λ_k (c folded in), as div_rows
+    hands them over."""
+    beta, _ = member.monomial
+    width = len(weights[0])
     positions = bn.lattice_position(len(beta), sum(beta) - 1)
-    out = [Fraction(0)] * (len(positions) * len(rows))
+    out = [0] * (len(positions) * width)
     for k, b in enumerate(beta):
         if b:
-            start = positions[beta[:k] + (b - 1,) + beta[k + 1:]] * len(rows)
-            out[start:start + len(rows)] = [c * b * dot(row, grads[k]) for row in rows]
+            start = positions[beta[:k] + (b - 1,) + beta[k + 1:]] * width
+            out[start:start + width] = [b * w for w in weights[k]]
     return out
+
+
+def div_rows(basis: SpaceBasis, simplex: Simplex) -> tuple[list[list[int]], int]:
+    """div of every member, by member position, as integer rows over one
+    denominator: the coefficient denominator times the gradient
+    denominator.  Each distinct coefficient meets each gradient once."""
+    coeffs = basis.coefficients
+    grads, grad_den = integer_gradients(simplex)
+    contracted = [
+        [tuple(dot(row, g) for row in (v if isinstance(v[0], tuple) else (v,))) for g in grads]
+        for v in coeffs.values
+    ]
+    rows = [div_row(m, contracted[i]) for m, i in zip(basis.members, coeffs.ids)]
+    return rows, coeffs.den * grad_den
 
 
 def div_codim_fields(family: Family, simplex: Simplex) -> list[tuple[bn.BernsteinPoly, ...]]:
@@ -300,17 +390,26 @@ def verify_bubble_characterization(family: Family, simplex: Simplex, degree: int
     if degree < 2:
         return CheckResult(name, SKIPPED, {"reason": f"degree {degree} below 2"})
     basis = decompose(family, simplex, degree, frame_convention)
-    normal_traces = [
-        (facet, partial(tensors.contract_normal, normal=facet_normal(simplex, facet)))
+    facets = [
+        (facet, tensors.normal_contraction(facet_normal(simplex, facet)))
         for facet in enumerate_subsimplices(simplex.dim, simplex.dim - 1)
     ]
+    # A normal trace has one component per component of a divergence.
+    zero = [0] * (bn.space_dim(simplex.dim - 1, degree) * family.space_tag.div_width(simplex.dim))
 
-    def stacked_trace(member: ShapeFunction) -> list[Fraction]:
-        return [x for facet, contract in normal_traces for x in site_row(member, facet, contract)]
+    def stacked_traces(space: SpaceBasis) -> list[list[int]]:
+        # A facet's rows share one denominator, which neither the zero
+        # test nor the rank reads.
+        per_facet = [site_rows(space, facet, contraction)[0] for facet, contraction in facets]
+        return [
+            [x for rows in per_facet for x in rows.get(j, zero)]
+            for j in range(len(space.members))
+        ]
 
-    bubbles = bubble_space(family, simplex, degree, frame_convention).members
+    bubble_basis = bubble_space(family, simplex, degree, frame_convention)
+    bubbles = bubble_basis.members
     tangential = tuple(m for m in basis.members if m.provenance.component != "normal")
-    nonzero_traces = sum(1 for m in bubbles if any(stacked_trace(m)))
+    nonzero_traces = sum(1 for row in stacked_traces(bubble_basis) if any(row))
     if bubbles != tangential or nonzero_traces:
         return CheckResult(name, FAIL, {
             "bubble_dim": len(bubbles),
@@ -319,8 +418,8 @@ def verify_bubble_characterization(family: Family, simplex: Simplex, degree: int
             "nonzero_traces": nonzero_traces,
             "identity": "ker(tr_div) == bubble span",
         })
-    normal_members = [m for m in basis.members if m.provenance.component == "normal"]
-    trace_rank = linalg.rank([stacked_trace(m) for m in normal_members])
+    normal_members = tuple(m for m in basis.members if m.provenance.component == "normal")
+    trace_rank = linalg.rank(stacked_traces(replace(basis, members=normal_members)))
     if trace_rank != len(normal_members):
         return CheckResult(name, FAIL, {
             "identity": "trace injective on normal members",
@@ -344,7 +443,7 @@ def verify_div_image(family: Family, simplex: Simplex, degree: int, frame_conven
         )
     n = simplex.dim
     bubbles = bubble_space(family, simplex, degree, frame_convention)
-    rows = [div_row(m, simplex) for m in bubbles.members]
+    rows, _ = div_rows(bubbles, simplex)
     got = linalg.rank(rows)
     fields = div_codim_fields(family, simplex)
     codim = len(fields)

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from operator import mul
+from typing import Callable, Sequence
 
 from . import linalg
 from .simplex import Frame, Simplex, SubSimplexId, barycentric_gradients, dot
@@ -38,12 +40,13 @@ class SpaceTag(Enum):
 
 
 def outer(u: Sequence, v: Sequence) -> Mat:
-    return tuple(tuple(Fraction(a) * Fraction(b) for b in v) for a in u)
+    """Exact u ⊗ v; integer inputs give integers."""
+    return tuple(tuple(a * b for b in v) for a in u)
 
 
 def trace(a: Mat) -> Fraction:
     _require_square(a)
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+    return sum(a[i][i] for i in range(len(a)))
 
 
 def sym(a: Mat) -> Mat:
@@ -74,7 +77,7 @@ def mat_scale(a: Mat, c) -> Mat:
 
 def frobenius(a: Mat, b: Mat) -> Fraction:
     """Exact entrywise pairing; integer inputs give an integer."""
-    return sum(x * y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return sum(map(mul, chain.from_iterable(a), chain.from_iterable(b)))
 
 
 def identity(n: int) -> Mat:
@@ -99,6 +102,47 @@ def contract_normal(value, normal: Sequence) -> tuple[Fraction, ...]:
     return (dot(value, normal),)
 
 
+def integer_values(values) -> tuple[list, int]:
+    """Vectors or matrices rewritten as integer tensors of the same shape
+    over one common denominator, the least one."""
+    flat, den = linalg.integer_form(x for v in values for x in flatten(v))
+    entries = iter(flat)
+    out = []
+    for v in values:
+        if v and isinstance(v[0], tuple):
+            out.append(tuple(tuple(next(entries) for _ in row) for row in v))
+        else:
+            out.append(tuple(next(entries) for _ in v))
+    return out, den
+
+
+@dataclass(frozen=True)
+class Contraction:
+    """A linear map from coefficient values to components, applied to
+    integers: the components of a coefficient C / d, C an integer tensor,
+    are the integers apply(C) over d · den."""
+
+    apply: Callable
+    den: int = 1
+
+
+FLATTEN = Contraction(flatten)
+
+
+def normal_contraction(normal: Sequence) -> Contraction:
+    """contract_normal against a rational normal N / den, N integers."""
+    ints, den = linalg.integer_form(normal)
+    ints = tuple(ints)
+
+    def apply(value):
+        if len(value) == 1 and not isinstance(value[0], tuple):
+            # contract_normal returns a one-component value as is
+            return (value[0] * den,)
+        return contract_normal(value, ints)
+
+    return Contraction(apply, den)
+
+
 @dataclass(frozen=True)
 class TnSplit:
     """Tangential/normal basis of a constrained space at one sub-simplex."""
@@ -109,9 +153,43 @@ class TnSplit:
     normal_basis: tuple
 
 
-def _corrected(u: Vec, v: Vec, direction: Mat, direction_norm: Fraction) -> Mat:
-    weight = dot(u, v) / direction_norm
-    return mat_add(outer(u, v), mat_scale(direction, -weight))
+def _integer_vectors(vectors) -> list[tuple[tuple[int, ...], int]]:
+    """Each frame vector as (integer vector, denominator)."""
+    out = []
+    for v in vectors:
+        ints, den = linalg.integer_form(v)
+        out.append((tuple(ints), den))
+    return out
+
+
+def _over(ints, den: int) -> Mat:
+    """An integer matrix over a denominator as rationals, one per entry."""
+    return tuple(tuple(Fraction(x, den) for x in row) for row in ints)
+
+
+def _outer(u, v) -> Mat:
+    (a, da), (b, db) = u, v
+    return _over(outer(a, b), da * db)
+
+
+def _sym_outer(u, v) -> Mat:
+    (a, da), (b, db) = u, v
+    ab = outer(a, b)
+    return _over(tuple(tuple(x + y for x, y in zip(row, col)) for row, col in zip(ab, zip(*ab))), 2 * da * db)
+
+
+def _corrected(u, v, t) -> Mat:
+    """u⊗v − (u·v)/|t|² t⊗t, which is traceless, over du·dv·|t'|² for the
+    integer t' of t: the t denominators cancel."""
+    (a, da), (b, db), (c, _) = u, v, t
+    weight = dot(a, b)
+    norm = dot(c, c)
+    ab = outer(a, b)
+    cc = outer(c, c)
+    return _over(
+        tuple(tuple(x * norm - weight * y for x, y in zip(r1, r2)) for r1, r2 in zip(ab, cc)),
+        da * db * norm,
+    )
 
 
 def tn_split(f: SubSimplexId, frame: Frame, space: SpaceTag) -> TnSplit:
@@ -122,38 +200,37 @@ def tn_split(f: SubSimplexId, frame: Frame, space: SpaceTag) -> TnSplit:
     corrected along t₁⊗t₁ (n₁⊗n₁ at vertices, where no tangent exists) to
     restore the trace or symmetry constraint, scaled by the exact squared
     length of the correction direction since frames are not unit vectors.
+    Each frame vector is scaled to integers once; every element is built
+    in integers over its own denominator and read as one rational per entry.
     """
     if frame.sub_simplex != f:
         raise ValueError("frame does not belong to this sub-simplex")
     n = f.parent_dim
     ell = f.dim
-    tans = frame.tangents
-    nors = frame.normals
     if space is SpaceTag.VECTOR:
-        return TnSplit(f, space, tans, nors)
+        return TnSplit(f, space, frame.tangents, frame.normals)
+    tans = _integer_vectors(frame.tangents)
+    nors = _integer_vectors(frame.normals)
     if space is SpaceTag.TRACELESS:
         if ell >= 1:
-            direction = outer(tans[0], tans[0])
-            norm = dot(tans[0], tans[0])
-            tangential = [outer(m, t) for m in nors for t in tans]
+            direction = tans[0]
+            tangential = [_outer(m, t) for m in nors for t in tans]
             tangential += [
-                _corrected(tans[i], tans[j], direction, norm)
+                _corrected(tans[i], tans[j], direction)
                 for i in range(ell)
                 for j in range(ell)
                 if (i, j) != (0, 0)
             ]
-            normal = [outer(t, m) for t in tans for m in nors]
+            normal = [_outer(t, m) for t in tans for m in nors]
             normal += [
-                _corrected(nors[i], nors[j], direction, norm)
+                _corrected(nors[i], nors[j], direction)
                 for i in range(n - ell)
                 for j in range(n - ell)
             ]
         else:
-            direction = outer(nors[0], nors[0])
-            norm = dot(nors[0], nors[0])
             tangential = []
             normal = [
-                _corrected(nors[i], nors[j], direction, norm)
+                _corrected(nors[i], nors[j], nors[0])
                 for i in range(n)
                 for j in range(n)
                 if (i, j) != (0, 0)
@@ -161,13 +238,13 @@ def tn_split(f: SubSimplexId, frame: Frame, space: SpaceTag) -> TnSplit:
         return TnSplit(f, space, tuple(tangential), tuple(normal))
     if space is SpaceTag.SYMMETRIC:
         tangential = [
-            sym(outer(tans[i], tans[j]))
+            _sym_outer(tans[i], tans[j])
             for i in range(ell)
             for j in range(i, ell)
         ]
-        normal = [sym(outer(t, m)) for t in tans for m in nors]
+        normal = [_sym_outer(t, m) for t in tans for m in nors]
         normal += [
-            sym(outer(nors[i], nors[j]))
+            _sym_outer(nors[i], nors[j])
             for i in range(n - ell)
             for j in range(i, n - ell)
         ]

@@ -36,7 +36,7 @@ from hdiv_geodecomp.spaces import (
     decompose,
     facet_normal,
     lattice_basis,
-    site_row,
+    site_rows,
     trace_div,
     verify_bubble_characterization,
     verify_div_image,
@@ -60,8 +60,9 @@ def test_criterion_1_scalar_decomposition_and_nodal_unisolvence():
             basis = decompose(Family.LAGRANGE, simplex, r)
             expected = bn.space_dim(n, r)
             assert len(basis.members) == expected
-            flat = [site_row(m, m.scalar.domain, tensors.flatten) for m in basis.members]
-            assert linalg.rank(flat) == expected
+            flat, _ = site_rows(basis, bn.full_domain(n), tensors.FLATTEN)
+            assert len(flat) == expected
+            assert linalg.rank(list(flat.values())) == expected
             for ell in range(n + 1):
                 for f in enumerate_subsimplices(n, ell):
                     at_f = [m for m in basis.members if m.provenance.sub_simplex == f]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hdiv_geodecomp import assembly, cli, dofs, mesh, report
+from hdiv_geodecomp import assembly, cli, dofs, mesh, report, spaces
 from hdiv_geodecomp.checks import FAIL, PASS, CheckResult
 from hdiv_geodecomp.mesh import Mesh, builtin_mesh, save_mesh
 from hdiv_geodecomp.report import CaseParams, canonical_json
@@ -238,15 +238,15 @@ def test_all_suite_shares_mesh_space_and_cell_duals(tmp_path, capsys, monkeypatc
 
 def test_infsup_builds_cell_div_rows_once_per_cell(capsys, monkeypatch):
     calls: Counter = Counter()
-    for fn in ("_cell_div_rows", "div_row"):
-        monkeypatch.setattr(assembly, fn, _counting(calls, fn, getattr(assembly, fn)))
+    monkeypatch.setattr(assembly, "div_rows", _counting(calls, "div_rows", assembly.div_rows))
+    monkeypatch.setattr(spaces, "div_row", _counting(calls, "div_row", spaces.div_row))
     code, _ = run_json(
         capsys, ["infsup", "--family", "traceless", "--degree", "2", "--mesh", "criss_cross"]
     )
     assert code == 0
     cells = len(builtin_mesh("criss_cross").cells)
-    # inf-sup and div-onto share the rows of each cell
-    assert calls["_cell_div_rows"] == cells
+    # inf-sup and div-onto share the (rows, denominator) of each cell
+    assert calls["div_rows"] == cells
     members = Family.TRACELESS.constrained_dim(2) * comb(2 + 2, 2)
     assert calls["div_row"] == cells * members
 

@@ -22,8 +22,14 @@ from conftest import random_simplex
 
 
 def _flat_matrix(basis):
-    """Coefficients of each member over lattice × value components."""
-    return [spaces.site_row(m, m.scalar.domain, tensors.flatten) for m in basis.members]
+    """Coefficients of each member over lattice × value components, as
+    integer rows over one denominator (which a rank does not read)."""
+    rows, _ = spaces.site_rows(basis, bn.full_domain(basis.n), tensors.FLATTEN)
+    return [rows[j] for j in range(len(basis.members))]
+
+
+def _one_member_basis(member, n):
+    return spaces.SpaceBasis(Family.FACE, n, member.scalar.degree, (member,))
 
 
 def test_lagrange_triangle_cubic_counts():
@@ -325,7 +331,9 @@ def test_flat_layout_component_fastest():
     member = spaces.ShapeFunction(
         bn.barycentric(domain, 0), (Fraction(3), Fraction(5)), spaces.Provenance(domain, "lattice")
     )
-    flat = spaces.site_row(member, member.scalar.domain, tensors.flatten)
+    rows, den = spaces.site_rows(_one_member_basis(member, 2), domain, tensors.FLATTEN)
+    assert den == 1
+    flat = rows[0]
     keys = bn.lattice(3, 1)
     pos = keys.index((1, 0, 0))
     assert flat[2 * pos] == 3 and flat[2 * pos + 1] == 5
@@ -346,7 +354,7 @@ def test_rank_by_monomial_equals_dense_flat_rank():
     for family, n, r in _admissible_decompositions():
         basis = spaces.decompose(family, reference_simplex(n), r)
         expected = family.constrained_dim(n) * bn.space_dim(n, r)
-        assert spaces._rank_by_monomial(basis.members, family.space_tag) == expected
+        assert spaces._rank_by_monomial(basis, family.space_tag) == expected
         assert linalg.rank(_flat_matrix(basis)) == expected, (family, n, r)
 
 
@@ -495,13 +503,17 @@ def monomial_members(draw):
 def test_site_row_matches_restricted_coefficients(case, data):
     simp, member, site = case
     if data.draw(st.booleans()):
-        contract = tensors.flatten
+        contract, contraction = tensors.flatten, tensors.FLATTEN
     else:
-        contract = partial(tensors.contract_normal, normal=_fractions(data.draw, simp.dim))
+        normal = _fractions(data.draw, simp.dim)
+        contract = partial(tensors.contract_normal, normal=normal)
+        contraction = tensors.normal_contraction(normal)
     r = member.scalar.degree
     scalars = bn.coeff_vector(bn.restrict(member.scalar, site), r)
     expected = [s * w for s in scalars for w in contract(member.coeff)]
-    assert spaces.site_row(member, site, contract) == expected
+    rows, den = spaces.site_rows(_one_member_basis(member, simp.dim), site, contraction)
+    # a member left out restricts to zero
+    assert [Fraction(x, den) for x in rows.get(0, [0] * len(expected))] == expected
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -512,7 +524,8 @@ def test_div_row_matches_derivative_coefficients(case):
     r = member.scalar.degree
     vectors = [bn.coeff_vector(bn.derivative(member.scalar, row, simp), r - 1) for row in rows]
     expected = [v[k] for k in range(len(vectors[0])) for v in vectors]
-    assert spaces.div_row(member, simp) == expected
+    (row,), den = spaces.div_rows(_one_member_basis(member, simp.dim), simp)
+    assert [Fraction(x, den) for x in row] == expected
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -522,7 +535,8 @@ def test_row_kernels_reject_a_two_term_scalar(case):
     (beta,) = member.scalar.coeffs
     other = next(a for a in bn.lattice(len(beta), sum(beta)) if a != beta)
     two_terms = replace(member, scalar=member.scalar + bn.monomial(member.scalar.domain, other))
+    basis = _one_member_basis(two_terms, simp.dim)
     with pytest.raises(ValueError):
-        spaces.site_row(two_terms, site, tensors.flatten)
+        spaces.site_rows(basis, site, tensors.FLATTEN)
     with pytest.raises(ValueError):
-        spaces.div_row(two_terms, simp)
+        spaces.div_rows(basis, simp)

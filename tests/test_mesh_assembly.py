@@ -37,7 +37,7 @@ from hdiv_geodecomp.mesh import (
     validate_mesh,
 )
 from hdiv_geodecomp.simplex import enumerate_subsimplices, reference_simplex
-from hdiv_geodecomp.spaces import Family, decompose, site_row
+from hdiv_geodecomp.spaces import Family, decompose, site_rows
 
 from conftest import rational_rows
 
@@ -428,20 +428,53 @@ def test_cell_rows_combine_member_rows_through_the_dual():
     space = assemble(builtin_mesh("criss_cross"), "symmetric", 3, 0)
     for ci in range(len(space.mesh.cells)):
         dual, d = space.dual_coefficients(ci)
-        div_rows = space.div_rows(ci)
-        ints, den = assembly.cell_rows(space, ci, dict(enumerate(div_rows)))
+        div_rows, d_div = space.div_rows(ci)
+        ints, den = assembly.cell_rows(space, ci, dict(enumerate(div_rows)), d_div)
         for i, row in enumerate(ints):
-            expected = [sum(Fraction(dual[j][i], d) * r[a] for j, r in enumerate(div_rows)) for a in range(len(row))]
+            expected = [
+                sum(Fraction(dual[j][i], d) * Fraction(r[a], d_div) for j, r in enumerate(div_rows))
+                for a in range(len(row))
+            ]
             assert [Fraction(x, den) for x in row] == expected
-        # members whose sub-simplex is not in the site restrict to zero there
-        members = space.cell_basis(ci).members
+        # the members left out are those whose sub-simplex is not in the
+        # site, and their rows are zero there
+        basis = space.cell_basis(ci)
         for site in enumerate_subsimplices(2, 1):
-            rows = {j: site_row(m, site, tensors.flatten) for j, m in enumerate(members)}
-            full, d_full = assembly.cell_rows(space, ci, rows)
-            kept = {j: row for j, row in rows.items() if site.contains(members[j].provenance.sub_simplex)}
+            kept, d_kept = site_rows(basis, site, tensors.FLATTEN)
+            assert set(kept) == {
+                j for j, m in enumerate(basis.members) if site.contains(m.provenance.sub_simplex)
+            }
+            zero = [0] * len(next(iter(kept.values())))
+            rows = {j: kept.get(j, zero) for j in range(len(basis.members))}
+            full, d_full = assembly.cell_rows(space, ci, rows, d_kept)
             assert any(map(any, full))
-            assert not any(any(row) for j, row in rows.items() if j not in kept)
-            assert assembly.cell_rows(space, ci, kept) == (full, d_full)
+            assert assembly.cell_rows(space, ci, kept, d_kept) == (full, d_full)
+
+
+def test_row_kernels_build_no_fractions_once_the_duals_are_cached(monkeypatch):
+    # Div rows and shared site rows are integer work over per-cell
+    # geometry, bases and duals that are already built; a Fraction made
+    # here would mean rational arithmetic came back into a row kernel.
+    space = assemble(builtin_mesh("two_tets"), "traceless", 2, 0)
+    for ci in range(len(space.mesh.cells)):
+        space.dual_coefficients(ci)
+    built = Counter()
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for ci in range(len(space.mesh.cells)):
+        space.div_rows(ci)
+    statements = assembly._statements(space)
+    for _, site, contraction in statements:
+        assembly._shared_site_rows(space, site, contraction)
+    monkeypatch.undo()
+    assert len(space._div_cache) == len(space.mesh.cells)
+    assert {kind for kind, _, _ in statements} == {"normal_trace", "value_at_vertex"}
+    assert built["Fraction"] == 0
 
 
 def _flip_shared_functional(space: GlobalSpace, site: tuple[int, ...]) -> GlobalSpace:
@@ -569,7 +602,8 @@ def test_infsup_discards_one_kernel_mode_per_zeroed_target_column(name, family, 
     assert infsup_constant(space).witness["discarded_modes"] == 0
     # Cell 0's div image misses its first `cut` target coordinates, so the
     # coupling loses `cut` ranks and the pencil gains `cut` zero eigenvalues.
-    space._div_cache[0] = [[0] * cut + row[cut:] for row in space.div_rows(0)]
+    rows, den = space.div_rows(0)
+    space._div_cache[0] = ([[0] * cut + row[cut:] for row in rows], den)
     res = infsup_constant(space)
     assert res.status == FAIL
     assert res.witness["discarded_modes"] == cut
