@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, partial
 from math import comb, factorial, prod, sqrt
-from operator import mul
 
 from . import bernstein as bn
 from . import linalg, tensors
@@ -331,17 +330,16 @@ def _jumps(ids, per_cell):
     (rows_a, d_a), *others = per_cell
     for rows_b, d_b in others:
         for g, a, b in zip(ids, rows_a, rows_b):
-            scaled_a = [x * d_b for x in a]
-            scaled_b = [y * d_a for y in b]
-            if scaled_a != scaled_b:
-                entry = next(k for k, (x, y) in enumerate(zip(scaled_a, scaled_b)) if x != y)
-                yield g, entry, Fraction(a[entry], d_a) - Fraction(b[entry], d_b)
+            for entry, (x, y) in enumerate(zip(a, b)):
+                if x * d_b != y * d_a:
+                    yield g, entry, Fraction(x, d_a) - Fraction(y, d_b)
+                    break
 
 
 def _evaluate(row: list[int], monomials: list[int]) -> list[int]:
     """Sum over the site lattice of a (lattice x component) row, weighted."""
     width = len(row) // len(monomials)
-    return [sum(map(mul, row[w::width], monomials)) for w in range(width)]
+    return [sum(row[a * width + w] * m for a, m in enumerate(monomials)) for w in range(width)]
 
 
 def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> CheckResult:

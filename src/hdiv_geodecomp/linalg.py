@@ -6,16 +6,17 @@ changes rank or kernel), with cross-multiplication updates and per-row
 content reduction to keep entries small.  integer_form is the one place
 rationals become integers over a common denominator; invert_block_lower
 takes integer rows over per-row denominators and returns its inverse as an
-integer matrix over one denominator, and adjugate gives the inverse of a
-small integer matrix as integer rows over its determinant.
+integer matrix over one denominator.
 
 rank keeps only the nonzero entries of each row and picks pivots in
 Markowitz order (fewest nonzeros), because the matrices it sees (global div
 maps, stacked spans) are sparse and only the count of pivots is read.
-echelon_data, nullspace and solve_many eliminate dense rows in
-first-nonzero column order instead: the pivot hashes in reports are taken
-from that order, and the frame and quotient directions built from
-nullspace depend on the basis that order returns.
+echelon_data and nullspace eliminate dense rows in first-nonzero column
+order instead: the pivot hashes in reports are taken from that order, and
+the frame and quotient directions built from nullspace depend on the basis
+that order returns.  solve_many, invert and inverse_columns share one
+Gauss-Jordan elimination, _diagonalize, whose result does not depend on
+the pivot order.
 """
 
 from __future__ import annotations
@@ -209,61 +210,14 @@ def nullspace(mat: RowSeq, cols: int | None = None) -> list[list[Fraction]]:
     return basis
 
 
-def solve_many(mat: RowSeq, rhs_cols: RowSeq) -> list[list[Fraction]]:
-    """Solve A X = B exactly for square A; returns the columns of X.
+def _diagonalize(rows: list[list[int]], m: int) -> list[list[int]]:
+    """Fraction-free Gauss-Jordan on integer rows [A | B], A square of size m.
 
-    rhs_cols is a sequence of right-hand-side column vectors.
+    Each column's pivot row is cross-multiplied into every other row
+    holding the column and the row's content is divided out, so the left
+    block ends diagonal, D, and row i of A^-1 B is R_i / D_ii, read from
+    the right block R.  The rows are overwritten and returned.
     """
-    a = [list(row) for row in mat]
-    m = len(a)
-    if any(len(row) != m for row in a):
-        raise ValueError("matrix must be square")
-    cols = [list(col) for col in rhs_cols]
-    if any(len(col) != m for col in cols):
-        raise ValueError("right-hand side length mismatch")
-    aug = [a[i] + [col[i] for col in cols] for i in range(m)]
-    rows = _int_rows(aug)
-    pivots = _echelon_int(rows)
-    if len(pivots) < m or any(c != i for i, (_, c) in enumerate(pivots)):
-        raise SingularMatrixError(f"matrix of size {m} is rank deficient")
-    out = []
-    for k in range(len(cols)):
-        b = m + k
-        x = [Fraction(0)] * m
-        for i in range(m - 1, -1, -1):
-            row = rows[i]
-            acc = Fraction(row[b])
-            for j in range(i + 1, m):
-                if row[j] and x[j]:
-                    acc -= row[j] * x[j]
-            x[i] = acc / row[i]
-        out.append(x)
-    return out
-
-
-def solve(mat: RowSeq, rhs: Sequence[Scalar]) -> list[Fraction]:
-    return solve_many(mat, [rhs])[0]
-
-
-def invert(mat: RowSeq) -> list[list[Fraction]]:
-    """Exact inverse by fraction-free Gauss-Jordan elimination on [S A | S].
-
-    S scales each row of A to integers (the lcm of the row's denominators),
-    so A X = I becomes (S A) X = S over the integers.  Each column's pivot
-    row is cross-multiplied into every other row holding the column, and
-    the row's content is divided out, so the left block ends diagonal, D,
-    and row i of the inverse is R_i / D_ii: the entries of the result are
-    the only Fractions built.
-    """
-    m = len(mat)
-    if any(len(row) != m for row in mat):
-        raise ValueError("matrix must be square")
-    rows = []
-    for i, row in enumerate(mat):
-        ints, s = integer_form(row)
-        scale = [0] * m
-        scale[i] = s
-        rows.append(ints + scale)
     for c in range(m):
         sel = next((i for i in range(c, m) if rows[i][c]), None)
         if sel is None:
@@ -271,7 +225,7 @@ def invert(mat: RowSeq) -> list[list[Fraction]]:
         rows[c], rows[sel] = rows[sel], rows[c]
         pivot_row = rows[c]
         piv = pivot_row[c]
-        support = [j for j in range(c, 2 * m) if pivot_row[j]]
+        support = [j for j in range(c, len(pivot_row)) if pivot_row[j]]
         for i, row in enumerate(rows):
             x = row[c]
             if i == c or not x:
@@ -283,7 +237,53 @@ def invert(mat: RowSeq) -> list[list[Fraction]]:
             for j in support:
                 row[j] -= b * pivot_row[j]
             rows[i] = _reduce_content(row)
-    return [[Fraction(x, row[i]) for x in row[m:]] for i, row in enumerate(rows)]
+    return rows
+
+
+def solve_many(mat: RowSeq, rhs_cols: RowSeq) -> list[list[Fraction]]:
+    """Solve A X = B exactly for square A; returns the columns of X.
+
+    rhs_cols is a sequence of right-hand-side column vectors.  Each row of
+    [A | B] is scaled to integers, [S A | S B], and diagonalized; the
+    entries of X are the only Fractions built.
+    """
+    a = [list(row) for row in mat]
+    m = len(a)
+    if any(len(row) != m for row in a):
+        raise ValueError("matrix must be square")
+    cols = [list(col) for col in rhs_cols]
+    if any(len(col) != m for col in cols):
+        raise ValueError("right-hand side length mismatch")
+    aug = [a[i] + [col[i] for col in cols] for i in range(m)]
+    rows = _diagonalize(_int_rows(aug), m)
+    return [[Fraction(row[m + k], row[i]) for i, row in enumerate(rows)] for k in range(len(cols))]
+
+
+def solve(mat: RowSeq, rhs: Sequence[Scalar]) -> list[Fraction]:
+    return solve_many(mat, [rhs])[0]
+
+
+def invert(mat: RowSeq) -> list[list[Fraction]]:
+    """Exact inverse: the columns solve_many returns for A X = I, as rows."""
+    m = len(mat)
+    eye = [[int(i == j) for i in range(m)] for j in range(m)]
+    return [list(row) for row in zip(*solve_many(mat, eye))]
+
+
+def inverse_columns(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """The columns of A^-1 for a square integer matrix A, as integer rows
+    over the least positive denominator d: column j of A^-1 is cols[j] / d.
+
+    Every row of the diagonalized [D | R] has content 1 (the rows of
+    [A | I] start so, and each update divides its content out), so the
+    lcm of the D_ii is already the least denominator.
+    """
+    m = len(mat)
+    if any(len(row) != m for row in mat):
+        raise ValueError("matrix must be square")
+    rows = _diagonalize([list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(mat)], m)
+    d = lcm(*(row[i] for i, row in enumerate(rows)))
+    return [[row[m + j] * (d // row[i]) for i, row in enumerate(rows)] for j in range(m)], d
 
 
 def _over_common_denominator(mat: RowSeq) -> tuple[list[list[int]], int]:
@@ -295,15 +295,14 @@ def _over_common_denominator(mat: RowSeq) -> tuple[list[list[int]], int]:
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     width = len(b[0]) if b else 0
-    # The nonzeros of each row of b, found once for every row of a.
-    b_sparse = [[(j, y) for j, y in enumerate(b_row) if y] for b_row in b]
     out = []
     for row in a:
         acc = [0] * width
-        for x, b_row in zip(row, b_sparse):
+        for x, b_row in zip(row, b):
             if x:
-                for j, y in b_row:
-                    acc[j] += x * y
+                for j, y in enumerate(b_row):
+                    if y:
+                        acc[j] += x * y
         out.append(acc)
     return out
 
@@ -385,19 +384,26 @@ def invert_block_lower(rows: Sequence[Sequence[int]], dens: Sequence[int], block
     return out, d_out // g
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Determinant of an integer matrix by the Bareiss fraction-free scheme;
-    the rows are overwritten."""
-    m = len(rows)
+def det(mat: RowSeq) -> Fraction:
+    """Determinant by the Bareiss fraction-free scheme."""
+    m = len(mat)
+    if any(len(row) != m for row in mat):
+        raise ValueError("matrix must be square")
     if m == 0:
-        return 1
+        return Fraction(1)
+    rows = []
+    scale = 1
+    for row in mat:
+        ints, s = integer_form(row)
+        scale *= s
+        rows.append(ints)
     sign = 1
     prev = 1
     for k in range(m - 1):
         if rows[k][k] == 0:
             sel = next((i for i in range(k + 1, m) if rows[i][k] != 0), None)
             if sel is None:
-                return 0
+                return Fraction(0)
             rows[k], rows[sel] = rows[sel], rows[k]
             sign = -sign
         for i in range(k + 1, m):
@@ -409,36 +415,5 @@ def _bareiss_det(rows: list[list[int]]) -> int:
                 row_i[j] = (rkk * row_i[j] - rik * row_k[j]) // prev
             row_i[k] = 0
         prev = rows[k][k]
-    return sign * rows[m - 1][m - 1]
+    return Fraction(sign * rows[m - 1][m - 1], scale)
 
-
-def det(mat: RowSeq) -> Fraction:
-    """Determinant by the Bareiss fraction-free scheme."""
-    m = len(mat)
-    if any(len(row) != m for row in mat):
-        raise ValueError("matrix must be square")
-    rows = []
-    scale = 1
-    for row in mat:
-        ints, s = integer_form(row)
-        scale *= s
-        rows.append(ints)
-    return Fraction(_bareiss_det(rows), scale)
-
-
-def adjugate(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """adj(A) and det(A) of a square integer matrix, so A adj(A) = det(A) I:
-    the exact inverse as integer rows over one denominator.  Entries are
-    cofactors, adj(A)[i][j] = (-1)^(i+j) times the minor of A without row j
-    and column i, which suits the small matrices of simplex geometry."""
-    m = len(mat)
-    if any(len(row) != m for row in mat):
-        raise ValueError("matrix must be square")
-    adj = [
-        [
-            (-1) ** (i + j) * _bareiss_det([list(row[:i]) + list(row[i + 1:]) for k, row in enumerate(mat) if k != j])
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    return adj, sum(mat[0][j] * adj[j][0] for j in range(m))

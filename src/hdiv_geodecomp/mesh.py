@@ -156,16 +156,9 @@ class Mesh:
         tangents, normals = self.frame_vectors(self.global_site(cell_index, f))
         return Frame(f, tangents, normals, "edge_tangents_face_normals")
 
-    @cached_property
-    def _normal_cache(self) -> dict:
-        return {}
-
     def facet_normal(self, facet: tuple[int, ...]) -> tuple[Fraction, ...]:
         """The chosen normal of a facet: outward from the lowest incident cell."""
         facet = tuple(facet)
-        hit = self._normal_cache.get(facet)
-        if hit is not None:
-            return hit
         cells = self.facet_cells.get(facet)
         if not cells:
             raise MeshError(f"{facet} is not a facet of this mesh")
@@ -175,8 +168,7 @@ class Mesh:
         grads, _ = integer_gradients(self.cell_simplices[owner])
         # ∇λ of the opposite vertex points into the cell; the shared normal
         # is the outward one.
-        normal = self._normal_cache[facet] = max_normalized(tuple(-x for x in grads[missing]))
-        return normal
+        return max_normalized(tuple(-x for x in grads[missing]))
 
 
 def mesh_from_data(dim: int, vertices, cells) -> Mesh:

@@ -82,11 +82,6 @@ class Simplex:
         edges = [[pts[j][d] - pts[0][d] for d in range(n)] for j in range(1, n + 1)]
         if linalg.det(edges) == 0:
             raise SingularGeometryError("vertices are affinely dependent")
-        # Simplices key the per-cell caches; hash the coordinates once.
-        object.__setattr__(self, "_hash", hash(pts))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def dim(self) -> int:
@@ -117,19 +112,18 @@ def integer_gradients(simplex: Simplex) -> tuple[tuple[tuple[int, ...], ...], in
 
     With the edge vectors e_j = v_j − v₀ as the rows of E = E' / s, E' an
     integer matrix, ∇λ_j·e_i = δ_ij makes ∇λ_j (j ≥ 1) column j of E⁻¹,
-    that is s times column j of adj(E') over det(E'); and ∇λ₀ = −Σ_j ∇λ_j.
+    that is s times column j of E'⁻¹; and ∇λ₀ = −Σ_j ∇λ_j.
     """
     n = simplex.dim
     flat, s = linalg.integer_form(x for j in range(1, n + 1) for x in simplex.edge_vector(0, j))
-    adj, det = linalg.adjugate([flat[k * n:(k + 1) * n] for k in range(n)])
-    if det == 0:
-        raise SingularGeometryError("vertices are affinely dependent")
-    if det < 0:
-        s, det = -s, -det
-    grads = [[s * adj[d][j] for d in range(n)] for j in range(n)]
+    try:
+        cols, den = linalg.inverse_columns([flat[k * n:(k + 1) * n] for k in range(n)])
+    except linalg.SingularMatrixError as exc:
+        raise SingularGeometryError("vertices are affinely dependent") from exc
+    grads = [[s * x for x in col] for col in cols]
     grads.insert(0, [-sum(col) for col in zip(*grads)])
-    g = gcd(det, *(x for row in grads for x in row))
-    return tuple(tuple(x // g for x in row) for row in grads), det // g
+    g = gcd(den, *(x for row in grads for x in row))
+    return tuple(tuple(x // g for x in row) for row in grads), den // g
 
 
 @cache

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,11 +34,19 @@ def _rationals():
 
 
 def _reference_gradients(simplex):
-    """∇λ_i from the interpolation system λ_i(v_j) = δ_ij, solved exactly."""
+    """∇λ_i from the interpolation system λ_i(v_j) = δ_ij, by Fraction
+    Gauss-Jordan elimination on [V | I], V's rows (v_j, 1)."""
     n = simplex.dim
-    system = [list(v) + [Fraction(1)] for v in simplex.vertices]
-    eye = [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
-    return [col[:n] for col in linalg.solve_many(system, eye)]
+    rows = [list(v) + [Fraction(1)] + [Fraction(int(i == j)) for j in range(n + 1)] for i, v in enumerate(simplex.vertices)]
+    for c in range(n + 1):
+        p = next(i for i in range(c, n + 1) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(n + 1):
+            if i != c and rows[i][c]:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[c])]
+    # Column i of V⁻¹ holds the coefficients of λ_i; its first n entries are ∇λ_i.
+    return [[rows[d][n + 1 + i] for d in range(n)] for i in range(n + 1)]
 
 
 def _reference_corrected(u, v, direction, norm):
@@ -165,6 +174,14 @@ def test_fraction_free_invert_is_the_exact_inverse(a):
     eye = [[int(i == j) for j in range(m)] for i in range(m)]
     assert [[sum(inv[i][k] * a[k][j] for k in range(m)) for j in range(m)] for i in range(m)] == eye
     assert [[sum(a[i][k] * inv[k][j] for k in range(m)) for j in range(m)] for i in range(m)] == eye
+    # The integer inverse of the scaled matrix: A' (cols / d)ᵀ == I.
+    flat, _ = linalg.integer_form(x for row in a for x in row)
+    ints = [flat[i * m:(i + 1) * m] for i in range(m)]
+    cols, d = linalg.inverse_columns(ints)
+    assert d > 0 and gcd(d, *(x for col in cols for x in col)) == 1
+    assert [[sum(ints[i][k] * cols[j][k] for k in range(m)) for j in range(m)] for i in range(m)] == [
+        [d * x for x in row] for row in eye
+    ]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -176,6 +193,9 @@ def test_fraction_free_invert_rejects_a_singular_matrix(a, data):
     a[-1] = [sum((w * row[j] for w, row in zip(weights, a)), Fraction(0)) for j in range(m)]
     with pytest.raises(linalg.SingularMatrixError):
         linalg.invert(a)
+    flat, _ = linalg.integer_form(x for row in a for x in row)
+    with pytest.raises(linalg.SingularMatrixError):
+        linalg.inverse_columns([flat[i * m:(i + 1) * m] for i in range(m)])
 
 
 # ------------------------------------------------------------- row kernels

@@ -453,11 +453,13 @@ def test_cell_rows_combine_member_rows_through_the_dual():
 
 def test_row_kernels_build_no_fractions_once_the_duals_are_cached(monkeypatch):
     # Div rows and shared site rows are integer work over per-cell
-    # geometry, bases and duals that are already built; a Fraction made
-    # here would mean rational arithmetic came back into a row kernel.
+    # geometry, bases, duals and statements that are already built; a
+    # Fraction made here would mean rational arithmetic came back into a
+    # row kernel.
     space = assemble(builtin_mesh("two_tets"), "traceless", 2, 0)
     for ci in range(len(space.mesh.cells)):
         space.dual_coefficients(ci)
+    statements = assembly._statements(space)
     built = Counter()
     original = Fraction.__new__
 
@@ -468,7 +470,6 @@ def test_row_kernels_build_no_fractions_once_the_duals_are_cached(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     for ci in range(len(space.mesh.cells)):
         space.div_rows(ci)
-    statements = assembly._statements(space)
     for _, site, contraction in statements:
         assembly._shared_site_rows(space, site, contraction)
     monkeypatch.undo()
