@@ -205,23 +205,25 @@ def extend(p: BernsteinPoly, target: SubSimplexId) -> BernsteinPoly:
     return BernsteinPoly(target, p.degree, out)
 
 
+def moment(alpha: MultiIndex, ell: int) -> Fraction:
+    """∫_f λ^α ds / |f| = ℓ! α! / (|α|+ℓ)! on an ℓ-dimensional sub-simplex f,
+    α indexed by the labels of f (the Dirichlet formula).  On a vertex
+    (ℓ = 0) this is 1, point evaluation."""
+    return Fraction(factorial(ell) * prod(map(factorial, alpha)), factorial(sum(alpha) + ell))
+
+
 def integrate(p: BernsteinPoly, f: SubSimplexId) -> Fraction:
     """∫_f p ds / |f|, exact: the integral with the measure divided out.
 
-    Uses ∫_f λ^α ds = |f| · ℓ! α! / (|α|+ℓ)! for α supported on f.  The
+    Each monomial contributes its coefficient times moment(α, ℓ).  The
     polynomial is restricted to f first, so coefficients supported off f
-    drop out, matching the zero set of the barycentric coordinates.  On a
-    vertex (ℓ = 0) this is point evaluation.
+    drop out, matching the zero set of the barycentric coordinates.
     """
     restricted = p if p.domain == f else restrict(p, f)
     ell = f.dim
     total = Fraction(0)
     for alpha, c in restricted.coeffs.items():
-        weight = Fraction(
-            factorial(ell) * prod(factorial(a) for a in alpha),
-            factorial(sum(alpha) + ell),
-        )
-        total += c * weight
+        total += c * moment(alpha, ell)
     return total
 
 

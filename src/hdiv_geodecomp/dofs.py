@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from operator import add
 
 from . import bernstein as bn
 from . import linalg, tensors
@@ -100,10 +101,12 @@ class MomentTable:
 
     entry(g, β, α) = ∫_g restrict(λ^β, g) λ^α ds / |g| for a member monomial
     λ^β on the full simplex and a weight monomial λ^α on the site g.  It is
-    zero unless supp β ⊆ g, and otherwise depends on the labels alone, not on
-    the vertices, so one table serves every cell of a mesh.  Entries are
-    computed on first use; their number is bounded by the sites, member
-    monomials and weight monomials of (n, degree).
+    zero unless supp β ⊆ g (λ^β restricts to zero on g), and otherwise the
+    closed form bn.moment(γ, ℓ) = ℓ!·γ! / (|γ|+ℓ)!, with ℓ = dim g and γ the
+    exponent of the restricted monomial plus α.  It depends on the labels
+    alone, not on the vertices, so one table serves every cell of a mesh.
+    Entries are computed on first use; their number is bounded by the
+    sites, member monomials and weight monomials of (n, degree).
     """
 
     def __init__(self, n: int, degree: int):
@@ -115,11 +118,12 @@ class MomentTable:
         key = (site.indices, beta, alpha)
         value = self._entries.get(key)
         if value is None:
-            if any(b and label not in site.indices for label, b in enumerate(beta)):
+            restricted = bn.restrict(bn.monomial(self.domain, beta), site)
+            if restricted.is_zero():
                 value = Fraction(0)
             else:
-                restricted = bn.restrict(bn.monomial(self.domain, beta), site)
-                value = bn.integrate(bn.multiply(restricted, bn.monomial(site, alpha)), site)
+                (beta_g,) = restricted.coeffs
+                value = bn.moment(tuple(map(add, beta_g, alpha)), site.dim)
             self._entries[key] = value
         return value
 

@@ -10,7 +10,9 @@ integer matrix over one denominator.
 
 rank keeps only the nonzero entries of each row and picks pivots in
 Markowitz order (fewest nonzeros), because the matrices it sees (global div
-maps, stacked spans) are sparse and only the count of pivots is read.
+maps, stacked spans) are sparse and only the count of pivots is read.  It
+eliminates along the shorter side, transposing a matrix with more nonzero
+rows than nonzero columns, since rank A = rank Aᵀ.
 echelon_data and nullspace eliminate dense rows in first-nonzero column
 order instead: the pivot hashes in reports are taken from that order, and
 the frame and quotient directions built from nullspace depend on the basis
@@ -113,19 +115,26 @@ def echelon_data(mat: RowSeq) -> EchelonData:
     return EchelonData(len(rows), ncols, len(pivots), trace)
 
 
+def _coprime(row: dict[int, int]) -> dict[int, int]:
+    """A sparse integer row divided by its content."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
 def _sparse_int_row(row: Sequence[Scalar]) -> dict[int, int]:
     """Nonzero entries of the row scaled to coprime integers, by column."""
     cols = [j for j, x in enumerate(row) if x]
     ints, _ = integer_form(row[j] for j in cols)
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return dict(zip(cols, ints))
+    return _coprime(dict(zip(cols, ints)))
 
 
 def rank(mat: RowSeq) -> int:
     """Exact rank by fraction-free elimination over sparse integer rows.
 
+    rank A = rank Aᵀ, so the shorter side is eliminated: when the nonzero
+    rows outnumber the nonzero columns, the sparse rows are transposed
+    (and each new row reduced to coprime entries) first, and the dependent
+    rows of a tall matrix are never reduced to zero one pivot at a time.
     Each step takes the remaining row with the fewest nonzeros and, in it,
     the column held by the fewest remaining rows (Markowitz order), so a
     pivot disturbs as few rows and creates as little fill as the greedy
@@ -133,13 +142,17 @@ def rank(mat: RowSeq) -> int:
     multiplication and reduced to coprime entries.
     """
     rows = {}
-    holders: dict[int, set[int]] = {}  # column -> remaining rows nonzero there
     for i, row in enumerate(mat):
         ints = _sparse_int_row(row)
         if ints:
             rows[i] = ints
-            for j in ints:
-                holders.setdefault(j, set()).add(i)
+    columns: dict[int, dict[int, int]] = {}
+    for i, row in rows.items():
+        for j, x in row.items():
+            columns.setdefault(j, {})[i] = x
+    if len(rows) > len(columns):
+        rows, columns = {j: _coprime(col) for j, col in sorted(columns.items())}, rows
+    holders = {j: set(col) for j, col in columns.items()}  # column -> remaining rows nonzero there
     pivots = 0
     while rows:
         p = min(rows, key=lambda i: len(rows[i]))
@@ -164,8 +177,7 @@ def rank(mat: RowSeq) -> int:
             for j in new.keys() - row.keys():
                 holders[j].add(i)
             if new:
-                g = gcd(*new.values())
-                rows[i] = new if g == 1 else {j: x // g for j, x in new.items()}
+                rows[i] = _coprime(new)
             else:
                 del rows[i]
         pivots += 1

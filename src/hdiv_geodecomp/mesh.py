@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -50,6 +50,9 @@ class Mesh:
     dim: int
     vertices: tuple[Coordinate, ...]
     cells: tuple[tuple[int, ...], ...]
+    # Set by validate_mesh once this instance has passed; a new or
+    # replaced Mesh starts unvalidated.
+    _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(tuple(Fraction(x) for x in p) for p in self.vertices)
@@ -190,7 +193,10 @@ def validate_mesh(mesh: Mesh) -> None:
     facet must lie on opposite sides of it, and no vertex may land inside
     the closed hull of a cell it is not a vertex of; together these catch
     the usual ways a vertex-indexed partition fails to be conforming.
+    A mesh that passed once is not checked again.
     """
+    if mesh._validated:
+        return
     if len(set(mesh.vertices)) != len(mesh.vertices):
         raise MeshError("two vertices share the same coordinates")
     _ = mesh.cell_simplices
@@ -225,6 +231,7 @@ def validate_mesh(mesh: Mesh) -> None:
                 raise MeshError(
                     f"vertex {vi} lies inside cell {cell}: hanging node"
                 )
+    object.__setattr__(mesh, "_validated", True)
 
 
 def _unit_interval(m: int) -> Mesh:

@@ -15,7 +15,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -246,6 +245,9 @@ def run_units(names: list[str], p: CaseParams, jobs: int = 1, mesh: Mesh | None 
     outcomes: dict[str, tuple[list[CheckResult], float]] = {}
     t0 = time.perf_counter()
     if jobs > 1 and len(ordered) > 1:
+        # Imported here so that serial runs never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_one, name, RunContext(p)) for name in ordered]
             for fut in futures:

@@ -304,6 +304,26 @@ def test_numpy_is_loaded_only_by_infsup(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_serial_runs_do_not_load_the_process_pool(tmp_path):
+    script = (
+        "import sys\n"
+        "from hdiv_geodecomp import cli\n"
+        "pool = ('concurrent.futures.process', 'multiprocessing')\n"
+        "assert not [m for m in pool if m in sys.modules], 'importing the CLI loaded the process pool'\n"
+        "argv = ['unisolvence', '--family', 'traceless', '--dim', '3', '--degree', '2', '--k', '0']\n"
+        f"assert cli.run(argv + ['--out', {str(tmp_path / 'element.json')!r}]) == 0\n"
+        "assert not [m for m in pool if m in sys.modules], 'a serial run loaded the process pool'\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_csv_projection_is_flat(capsys):
     code = cli.run(
         [

@@ -407,27 +407,28 @@ def test_merged_sets_stay_grouped_by_site():
 # --------------------------------------------------------- moment table
 
 
-def _reference_moment(site, beta, alpha):
-    member = bn.monomial(bn.full_domain(site.parent_dim), beta)
-    return bn.integrate(bn.multiply(bn.restrict(member, site), bn.monomial(site, alpha)), site)
-
-
-@pytest.mark.parametrize("n,r", [(1, 3), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 5) for r in range(5)])
 def test_moment_table_matches_bernstein_integrals(n, r):
+    # Every site, every member monomial of degree r and every weight monomial
+    # of degree <= r (the DoF weights' degrees among them): the closed-form
+    # entry against restrict, multiply and integrate on Bernstein polynomials.
     table = dofmod.moment_table(n, r)
     zeros = nonzeros = 0
     for ell in range(n + 1):
         for site in enumerate_subsimplices(n, ell):
             for beta in bn.lattice(n + 1, r):
+                restricted = bn.restrict(bn.monomial(bn.full_domain(n), beta), site)
+                supported = all(b == 0 or i in site.indices for i, b in enumerate(beta))
                 for degree in range(r + 1):
                     for alpha in bn.lattice(ell + 1, degree):
                         value = table.entry(site, beta, alpha)
-                        assert value == _reference_moment(site, beta, alpha)
-                        supported = all(b == 0 or i in site.indices for i, b in enumerate(beta))
+                        reference = bn.integrate(bn.multiply(restricted, bn.monomial(site, alpha)), site)
+                        assert value == reference
                         assert bool(value) == supported
                         zeros += not value
                         nonzeros += bool(value)
-    assert zeros and nonzeros
+    assert zeros or r == 0
+    assert nonzeros
     assert dofmod.moment_table(n, r) is table
 
 

@@ -142,9 +142,12 @@ _entries = st.one_of(
 @st.composite
 def rank_test_matrices(draw):
     """Random or planted rank-r matrices, tall or wide, with duplicate,
-    scaled and zero rows mixed in."""
-    rows, cols = draw(st.integers(0, 9)), draw(st.integers(1, 9))
-    if draw(st.booleans()):
+    scaled and zero rows mixed in.  Some are much taller than wide, with
+    many planted dependent rows, and some carry zero columns."""
+    cols = draw(st.integers(1, 9))
+    tall = draw(st.booleans())
+    rows = draw(st.integers(cols + 1, 4 * cols + 4)) if tall else draw(st.integers(0, 9))
+    if tall or draw(st.booleans()):
         r = draw(st.integers(0, min(rows, cols)))
         left = draw(st.lists(st.lists(_entries, min_size=r, max_size=r), min_size=rows, max_size=rows))
         right = draw(st.lists(st.lists(_entries, min_size=cols, max_size=cols), min_size=r, max_size=r))
@@ -158,6 +161,8 @@ def rank_test_matrices(draw):
         else:
             scale = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
             mat.append([scale * x for x in mat[pick]])
+    for j in draw(st.lists(st.integers(0, cols), max_size=2)):
+        mat = [row[:j] + [0] + row[j:] for row in mat]
     order = draw(st.permutations(range(len(mat))))
     return [mat[i] for i in order]
 
@@ -165,7 +170,9 @@ def rank_test_matrices(draw):
 @settings(max_examples=100, deadline=None)
 @given(rank_test_matrices())
 def test_sparse_rank_matches_dense_echelon_rank(mat):
-    assert linalg.rank(mat) == linalg.echelon_data(mat).rank
+    dense = linalg.echelon_data(mat).rank
+    assert linalg.rank(mat) == dense
+    assert linalg.rank([list(col) for col in zip(*mat)]) == dense
 
 
 @st.composite

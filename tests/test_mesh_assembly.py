@@ -9,7 +9,7 @@ from math import comb, gcd
 
 import pytest
 
-from hdiv_geodecomp import assembly, linalg, tensors
+from hdiv_geodecomp import assembly, linalg, mesh as mesh_module, tensors
 from hdiv_geodecomp.assembly import (
     AssemblyError,
     GlobalSpace,
@@ -146,6 +146,35 @@ def test_validate_mesh_rejects_bad_input():
             [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)],
             [(0, 1, 2, 3), (0, 1, 2, 4)],
         )
+
+
+def test_validate_mesh_checks_each_instance_once(monkeypatch):
+    solves = Counter()
+    solve = mesh_module._barycentric_of_point
+
+    def counted(*args):
+        solves["n"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(mesh_module, "_barycentric_of_point", counted)
+    m = Mesh(2, ((0, 0), (1, 0), (0, 1), (1, 1)), ((0, 1, 2), (1, 2, 3)))
+    validate_mesh(m)
+    first = solves["n"]
+    assert first > 0
+    validate_mesh(m)
+    assemble(m, "face", 1, -1)
+    assert solves["n"] == first
+    # A new instance and a replaced one start unvalidated.
+    validate_mesh(Mesh(m.dim, m.vertices, m.cells))
+    validate_mesh(replace(m))
+    assert solves["n"] == 3 * first
+    # A rejected mesh is not remembered as valid: it fails on every call.
+    bad = _hanging_node_mesh()
+    for _ in range(2):
+        with pytest.raises(MeshError, match="hanging node"):
+            validate_mesh(bad)
+    with pytest.raises(MeshError, match="hanging node"):
+        assemble(bad, "face", 1, -1)
 
 
 def test_shared_facet_normal_and_frames_are_cell_independent():
