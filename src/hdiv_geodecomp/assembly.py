@@ -16,7 +16,8 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, partial
-from math import comb, factorial, prod, sqrt
+from math import comb, prod, sqrt
+from operator import add
 
 from . import bernstein as bn
 from . import linalg, tensors
@@ -26,7 +27,6 @@ from .dofs import (
     INTERIOR,
     DoFSet,
     DoFTerm,
-    MixedDirection,
     SiteBlockError,
     build_dofs,
     dof_matrix,
@@ -93,7 +93,7 @@ class GlobalSpace:
         except SiteBlockError as exc:
             raise AssemblyError(f"cell {cell}: {exc}") from exc
         try:
-            inv = linalg.invert_block_lower(mat, mat.denominators, blocks)
+            inv = linalg.invert_block_lower(mat, blocks)
         except linalg.SingularMatrixError as exc:
             raise AssemblyError(f"cell {cell} has a singular DoF matrix: {exc}") from exc
         self._dual_cache[cell_index] = inv
@@ -409,8 +409,6 @@ def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> Che
 
 
 def _negate_direction(direction):
-    if isinstance(direction, MixedDirection):
-        return MixedDirection(direction.tangent, tuple(-x for x in direction.normal))
     if direction and isinstance(direction[0], tuple):
         return tuple(tuple(-x for x in row) for row in direction)
     return tuple(-x for x in direction)
@@ -528,22 +526,7 @@ def check_div_onto(space: GlobalSpace) -> CheckResult:
 def _moment_gram(labels: int, degree: int, dim: int) -> tuple[tuple[float, ...], ...]:
     """Normalized pairwise integrals of the monomial lattice on a dim-simplex."""
     keys = bn.lattice(labels, degree)
-    scale = factorial(dim)
-    rows = []
-    for a in keys:
-        row = []
-        for b in keys:
-            g = [x + y for x, y in zip(a, b)]
-            row.append(
-                float(
-                    Fraction(
-                        scale * prod(factorial(e) for e in g),
-                        factorial(sum(g) + dim),
-                    )
-                )
-            )
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple(float(bn.moment(tuple(map(add, a, b)), dim)) for b in keys) for a in keys)
 
 
 def _coeff_pair_matrix(members):
@@ -587,9 +570,9 @@ def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> Chec
         simplex = mesh.cell_simplices[ci]
         vol = float(simplex.volume())
         members = space.cell_basis(ci).members
-        # Every member scalar is exactly λ^β (decompose certifies it), so
-        # the scalar Gram matrix is the lattice Gram matrix at the β's.
-        at = [positions[m.monomial[0]] for m in members]
+        # Every member scalar is λ^β, so the scalar Gram matrix is the
+        # lattice Gram matrix at the β's.
+        at = [positions[m.beta] for m in members]
         gram_val = _coeff_pair_matrix(members) * w_val[np.ix_(at, at)]
         # int / int is correctly rounded, as float(Fraction(x, d)) is; the
         # same holds for the dual below.

@@ -48,20 +48,9 @@ MOD_P1 = "mod_P1"
 
 
 @dataclass(frozen=True)
-class MixedDirection:
-    """A tangent/normal pair kept unexpanded; pairs as the outer product."""
-
-    tangent: tuple
-    normal: tuple
-
-    def matrix(self) -> tuple:
-        return tensors.outer(self.tangent, self.normal)
-
-
-@dataclass(frozen=True)
 class DoFTerm:
     weight: bn.BernsteinPoly  # lives on the functional's site
-    direction: object  # vector, matrix, or MixedDirection
+    direction: tuple  # vector or matrix
 
 
 @dataclass(frozen=True)
@@ -81,12 +70,6 @@ class DoFFunctional:
 
 def _moment(site, weight, direction, scope, face=None):
     return DoFFunctional(site, (DoFTerm(weight, direction),), scope, face)
-
-
-def _direction_matrix(direction):
-    if isinstance(direction, MixedDirection):
-        return direction.matrix()
-    return direction
 
 
 def _pair(coeff: tuple, direction: tuple):
@@ -145,20 +128,10 @@ def moment_table(n: int, degree: int) -> MomentTable:
     return MomentTable(n, degree)
 
 
-class DoFMatrix(list):
-    """The rows N_i(phi_j) as integers, row i over its own denominator:
-    N_i(phi_j) == self[i][j] / self.denominators[i], each denominator the
-    least positive one, so gcd(denominators[i], *self[i]) == 1."""
-
-    def __init__(self, rows: list[list[int]], denominators: list[int]):
-        super().__init__(rows)
-        self.denominators = denominators
-
-
-def _functional_rows(functionals, basis: SpaceBasis) -> DoFMatrix:
+def _functional_rows(functionals, basis: SpaceBasis) -> linalg.IntegerRows:
     """N_i(phi_j) for every functional and member, measure divided out.
 
-    Each member is λ^β times its coefficient (c folded in), so a term contributes
+    Each member is λ^β times its coefficient, so a term contributes
     moment × pairing.  The moment comes from the geometry-free table, once
     per term and distinct β supported on the functional's site (the others
     are zero).  The pairing comes from one table over the basis's distinct
@@ -171,7 +144,7 @@ def _functional_rows(functionals, basis: SpaceBasis) -> DoFMatrix:
     coeffs = basis.coefficients
     groups: dict[tuple, list[tuple[int, int]]] = {}
     for j, (m, coeff) in enumerate(zip(basis.members, coeffs.ids)):
-        groups.setdefault(m.monomial[0], []).append((j, coeff))
+        groups.setdefault(m.beta, []).append((j, coeff))
     direction_ids: dict[int, int] = {}
     distinct = []
     term_directions = []
@@ -181,7 +154,7 @@ def _functional_rows(functionals, basis: SpaceBasis) -> DoFMatrix:
             d = direction_ids.get(id(t.direction))
             if d is None:
                 d = direction_ids[id(t.direction)] = len(distinct)
-                distinct.append(_direction_matrix(t.direction))
+                distinct.append(t.direction)
             ids.append(d)
         term_directions.append(ids)
     directions, direction_den = tensors.integer_values(distinct)
@@ -223,7 +196,7 @@ def _functional_rows(functionals, basis: SpaceBasis) -> DoFMatrix:
         g = gcd(den, *row)
         rows.append([x // g for x in row] if g > 1 else row)
         dens.append(den // g)
-    return DoFMatrix(rows, dens)
+    return linalg.IntegerRows(rows, dens)
 
 
 @dataclass(frozen=True)
@@ -353,7 +326,7 @@ def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_o
                     if directions is None:
                         directions = traceless_facewise[face] = [tensors.outer(e, n_face) for e in units]
                 else:
-                    directions = [MixedDirection(t, n_face) for t in frame.tangents]
+                    directions = [tensors.outer(t, n_face) for t in frame.tangents]
                 out.extend(_moment(f, m, d, FACEWISE, face) for m in monos for d in directions)
 
     full = bn.full_domain(n)
@@ -391,7 +364,7 @@ def _symmetric_global_directions(frame) -> list[tuple]:
     return out
 
 
-def dof_matrix(dofs: DoFSet, basis: SpaceBasis) -> DoFMatrix:
+def dof_matrix(dofs: DoFSet, basis: SpaceBasis) -> linalg.IntegerRows:
     """Square matrix N_i(phi_j) of the functionals against the basis, as
     integer rows over their least positive denominators."""
     if basis.family.space_tag is not dofs.family.space_tag or basis.n != dofs.simplex.dim or basis.degree != dofs.degree:
@@ -484,7 +457,7 @@ def site_blocks(dofs: DoFSet, basis: SpaceBasis, matrix) -> list[tuple[str, list
     return [(label, r, c) for (label, r), (_, c) in zip(rows, cols)]
 
 
-def _block_rows(matrix: DoFMatrix, row_idx, col_idx) -> list[list[int]]:
+def _block_rows(matrix: linalg.IntegerRows, row_idx, col_idx) -> list[list[int]]:
     """The rows of one block, each divided by its gcd with the row's
     denominator: the integers integer_form makes of the rational block row."""
     out = []
@@ -741,7 +714,7 @@ def merge_face_dofs(dofs: DoFSet, F: SubSimplexId) -> MergedFaceDoFs:
         if k != 0:
             raise ValueError("the symmetric merge is stated for continuity order 0")
         frame = build_frame(simplex, F, dofs.frame_convention)
-        directions = [MixedDirection(t, n_face) for t in frame.tangents]
+        directions = [tensors.outer(t, n_face) for t in frame.tangents]
         for field in tangential_polynomial_fields(simplex, F, r - 2, dofs.frame_convention):
             terms = tuple(
                 DoFTerm(w, d)

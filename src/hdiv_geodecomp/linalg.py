@@ -4,9 +4,11 @@ All routines are deterministic.  Elimination is fraction-free over integer
 rows (each input row is scaled by the lcm of its denominators, which never
 changes rank or kernel), with cross-multiplication updates and per-row
 content reduction to keep entries small.  integer_form is the one place
-rationals become integers over a common denominator; invert_block_lower
-takes integer rows over per-row denominators and returns its inverse as an
-integer matrix over one denominator.
+rationals become integers over a common denominator.  Exact square solves
+return IntegerRows, the form DoF matrices are built in: integer rows, each
+over its least positive denominator.  invert_block_lower takes a matrix in
+that form and returns its inverse as an integer matrix over one
+denominator.
 
 rank keeps only the nonzero entries of each row and picks pivots in
 Markowitz order (fewest nonzeros), because the matrices it sees (global div
@@ -16,9 +18,8 @@ rows than nonzero columns, since rank A = rank Aᵀ.
 echelon_data and nullspace eliminate dense rows in first-nonzero column
 order instead: the pivot hashes in reports are taken from that order, and
 the frame and quotient directions built from nullspace depend on the basis
-that order returns.  solve_many, invert and inverse_columns share one
-Gauss-Jordan elimination, _diagonalize, whose result does not depend on
-the pivot order.
+that order returns.  solve_many and invert share one Gauss-Jordan
+elimination, _diagonalize, whose result does not depend on the pivot order.
 """
 
 from __future__ import annotations
@@ -252,57 +253,54 @@ def _diagonalize(rows: list[list[int]], m: int) -> list[list[int]]:
     return rows
 
 
-def solve_many(mat: RowSeq, rhs_cols: RowSeq) -> list[list[Fraction]]:
-    """Solve A X = B exactly for square A; returns the columns of X.
+class IntegerRows(list):
+    """Rows of integers, row i over its own least positive denominator: the
+    rational entry (i, j) is self[i][j] / self.denominators[i], and
+    gcd(denominators[i], *self[i]) == 1."""
 
-    rhs_cols is a sequence of right-hand-side column vectors.  Each row of
-    [A | B] is scaled to integers, [S A | S B], and diagonalized; the
-    entries of X are the only Fractions built.
+    def __init__(self, rows: list[list[int]], denominators: list[int]):
+        super().__init__(rows)
+        self.denominators = denominators
+
+    def over_one_denominator(self) -> tuple[list[list[int]], int]:
+        """The same matrix as integers N over the least positive d, row i
+        scaled by d / denominators[i]; gcd(d, *N) == 1 follows row by row."""
+        d = lcm(*self.denominators)
+        return [row if e == d else [x * (d // e) for x in row] for row, e in zip(self, self.denominators)], d
+
+
+def solve_many(mat: RowSeq, rhs: RowSeq) -> IntegerRows:
+    """Solve A X = B exactly for square A, with B given by rows; returns
+    the rows of X.
+
+    Each row of [A | B] is scaled to integers, [S A | S B], and
+    diagonalized; row i of X is row i of the right block over the pivot
+    D_ii, divided by their gcd (sign included) so the denominator is the
+    least positive one.  No Fraction is built.
     """
     a = [list(row) for row in mat]
     m = len(a)
     if any(len(row) != m for row in a):
         raise ValueError("matrix must be square")
-    cols = [list(col) for col in rhs_cols]
-    if any(len(col) != m for col in cols):
+    b = [list(row) for row in rhs]
+    if len(b) != m:
         raise ValueError("right-hand side length mismatch")
-    aug = [a[i] + [col[i] for col in cols] for i in range(m)]
-    rows = _diagonalize(_int_rows(aug), m)
-    return [[Fraction(row[m + k], row[i]) for i, row in enumerate(rows)] for k in range(len(cols))]
+    rows = _diagonalize(_int_rows([x + y for x, y in zip(a, b)]), m)
+    out, dens = [], []
+    for i, row in enumerate(rows):
+        x = row[m:]
+        g = gcd(row[i], *x)
+        if row[i] < 0:
+            g = -g
+        out.append(x if g == 1 else [y // g for y in x])
+        dens.append(row[i] // g)
+    return IntegerRows(out, dens)
 
 
-def solve(mat: RowSeq, rhs: Sequence[Scalar]) -> list[Fraction]:
-    return solve_many(mat, [rhs])[0]
-
-
-def invert(mat: RowSeq) -> list[list[Fraction]]:
-    """Exact inverse: the columns solve_many returns for A X = I, as rows."""
+def invert(mat: RowSeq) -> IntegerRows:
+    """Exact inverse: the rows solve_many returns for A X = I."""
     m = len(mat)
-    eye = [[int(i == j) for i in range(m)] for j in range(m)]
-    return [list(row) for row in zip(*solve_many(mat, eye))]
-
-
-def inverse_columns(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """The columns of A^-1 for a square integer matrix A, as integer rows
-    over the least positive denominator d: column j of A^-1 is cols[j] / d.
-
-    Every row of the diagonalized [D | R] has content 1 (the rows of
-    [A | I] start so, and each update divides its content out), so the
-    lcm of the D_ii is already the least denominator.
-    """
-    m = len(mat)
-    if any(len(row) != m for row in mat):
-        raise ValueError("matrix must be square")
-    rows = _diagonalize([list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(mat)], m)
-    d = lcm(*(row[i] for i, row in enumerate(rows)))
-    return [[row[m + j] * (d // row[i]) for i, row in enumerate(rows)] for j in range(m)], d
-
-
-def _over_common_denominator(mat: RowSeq) -> tuple[list[list[int]], int]:
-    """Integer matrix N and the least positive d with mat == N / d entrywise."""
-    flat, den = integer_form(x for row in mat for x in row)
-    entries = iter(flat)
-    return [[next(entries) for _ in row] for row in mat], den
+    return solve_many(mat, [[int(i == j) for j in range(m)] for i in range(m)])
 
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -319,23 +317,22 @@ def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def invert_block_lower(rows: Sequence[Sequence[int]], dens: Sequence[int], blocks: Sequence[tuple[str, Sequence[int], Sequence[int]]]) -> tuple[list[list[int]], int]:
+def invert_block_lower(mat: IntegerRows, blocks: Sequence[tuple[str, Sequence[int], Sequence[int]]]) -> tuple[list[list[int]], int]:
     """Exact inverse of a square matrix that is block lower-triangular
     once its columns are grouped, as an integer matrix N over the least
     positive denominator d (so gcd(d, *N) == 1).
 
-    The matrix mat is given as integer rows with row i of mat equal to
-    rows[i] / dens[i], dens[i] > 0, and is brought over their lcm once.
+    The matrix is brought over the lcm of its row denominators once.
     blocks lists (label, row indices, column indices) in elimination order;
     the index sets tile the matrix and mat[rows_i][cols_j] is zero for
     every j > i, which the caller certifies.  Each diagonal block is
-    inverted with invert; the blocks below the diagonal follow by block
-    forward substitution, X_ij = -A_ii^-1 sum_{j <= k < i} A_ik X_kj, in
-    integer arithmetic over one denominator per block, skipping zero
-    blocks.  Row c of N belongs to column c of mat, as for invert.
+    inverted with invert and its rows brought over one denominator; the
+    blocks below the diagonal follow by block forward substitution,
+    X_ij = -A_ii^-1 sum_{j <= k < i} A_ik X_kj, in integer arithmetic over
+    one denominator per block, skipping zero blocks.  Row c of N belongs to
+    column c of mat, as for invert.
     """
-    den = lcm(*dens)  # mat == ints / den
-    ints = [row if d == den else [x * (den // d) for x in row] for row, d in zip(rows, dens)]
+    ints, den = mat.over_one_denominator()  # mat == ints / den
 
     def block(i: int, k: int) -> list[list[int]]:
         return [[ints[r][c] for c in blocks[k][2]] for r in blocks[i][1]]
@@ -349,7 +346,7 @@ def invert_block_lower(rows: Sequence[Sequence[int]], dens: Sequence[int], block
     diagonal = []
     for i, (label, rows, _) in enumerate(blocks):
         try:
-            diagonal.append(_over_common_denominator(invert(block(i, i))))
+            diagonal.append(invert(block(i, i)).over_one_denominator())
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"diagonal block {label} of size {len(rows)} is singular"

@@ -180,10 +180,12 @@ def mesh_from_data(dim: int, vertices, cells) -> Mesh:
     return mesh
 
 
-def _barycentric_of_point(simplex: Simplex, point: Coordinate) -> list[Fraction]:
-    system = [list(v) + [Fraction(1)] for v in simplex.vertices]
+def _barycentric_of_point(simplex: Simplex, point: Coordinate) -> list[int]:
+    """The numerators of the point's barycentric coordinates, each over its
+    own positive denominator: their signs are the coordinates' signs."""
+    system = [list(v) + [1] for v in simplex.vertices]
     rows = [list(col) for col in zip(*system)]
-    return linalg.solve(rows, list(point) + [Fraction(1)])
+    return [x for (x,) in linalg.solve_many(rows, [[x] for x in point] + [[1]])]
 
 
 def validate_mesh(mesh: Mesh) -> None:
@@ -389,17 +391,19 @@ def save_mesh(mesh: Mesh, path) -> None:
 
 
 def load_mesh(path) -> Mesh:
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
     try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
         verts = [
             tuple(Fraction(int(num), int(den)) for num, den in p)
             for p in data["vertices"]
         ]
         return mesh_from_data(int(data["dim"]), verts, data["cells"])
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, MeshError):
-            raise
+    except MeshError:
+        raise
+    except OSError as exc:
+        raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MeshError(f"malformed mesh file {path}: {exc}") from exc
 
 

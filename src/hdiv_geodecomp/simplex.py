@@ -112,14 +112,15 @@ def integer_gradients(simplex: Simplex) -> tuple[tuple[tuple[int, ...], ...], in
 
     With the edge vectors e_j = v_j − v₀ as the rows of E = E' / s, E' an
     integer matrix, ∇λ_j·e_i = δ_ij makes ∇λ_j (j ≥ 1) column j of E⁻¹,
-    that is s times column j of E'⁻¹; and ∇λ₀ = −Σ_j ∇λ_j.
+    that is s times row j of (E'ᵀ)⁻¹; and ∇λ₀ = −Σ_j ∇λ_j.
     """
     n = simplex.dim
     flat, s = linalg.integer_form(x for j in range(1, n + 1) for x in simplex.edge_vector(0, j))
     try:
-        cols, den = linalg.inverse_columns([flat[k * n:(k + 1) * n] for k in range(n)])
+        inverse = linalg.invert([flat[k::n] for k in range(n)])
     except linalg.SingularMatrixError as exc:
         raise SingularGeometryError("vertices are affinely dependent") from exc
+    cols, den = inverse.over_one_denominator()
     grads = [[s * x for x in col] for col in cols]
     grads.insert(0, [-sum(col) for col in zip(*grads)])
     g = gcd(den, *(x for row in grads for x in row))

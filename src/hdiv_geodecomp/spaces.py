@@ -1,9 +1,10 @@
 """Shape-function spaces, their sub-simplex decompositions, traces, and div.
 
-Every basis member is one scalar monomial c·λ^β times one constant
-coefficient (a vector or a matrix from the tagged constrained space), so
-its traces and divergence are relabellings of β, and ranks of whole spaces
-reduce to exact integer elimination on coefficient vectors.
+Every basis member is one scalar monomial λ^β on the full simplex times
+one constant coefficient (a vector or a matrix from the tagged constrained
+space), and is stored as that exponent and coefficient.  Its traces and
+divergence are read off β, and ranks of whole spaces reduce to exact
+integer elimination on coefficient vectors.
 """
 
 from __future__ import annotations
@@ -59,26 +60,25 @@ class Provenance:
 
 @dataclass(frozen=True)
 class ShapeFunction:
-    """scalar(x) · coeff, with the coefficient constant over the simplex."""
+    """λ^beta · coeff on the full simplex, beta indexed by the vertex labels
+    and the coefficient constant over the simplex."""
 
-    scalar: bn.BernsteinPoly
+    beta: bn.MultiIndex
     coeff: tuple
     provenance: Provenance
 
     @property
-    def monomial(self) -> tuple[bn.MultiIndex, Fraction]:
-        """(β, c) of a scalar c·λ^β; raises ValueError on any other scalar."""
-        ((beta, c),) = self.scalar.coeffs.items()
-        return beta, c
+    def scalar(self) -> bn.BernsteinPoly:
+        return bn.monomial(bn.full_domain(len(self.beta) - 1), self.beta)
 
 
 @dataclass(frozen=True)
 class IntegerCoefficients:
     """The member coefficients of a basis as integer tensors over one
-    denominator: member j's coefficient, times the c of its monomial, is
-    values[ids[j]] / den entrywise.  Members that share one coefficient
-    object (the members of one sub-simplex direction across β) share one
-    value, so per-coefficient work is keyed by that index."""
+    denominator: member j's coefficient is values[ids[j]] / den entrywise.
+    Members that share one coefficient object (the members of one
+    sub-simplex direction across β) share one value, so per-coefficient
+    work is keyed by that index."""
 
     values: tuple
     ids: tuple[int, ...]
@@ -95,50 +95,37 @@ class SpaceBasis:
     @cached_property
     def coefficients(self) -> IntegerCoefficients:
         """Computed once per basis; decompose caches its basis per cell."""
-        index: dict = {}
+        index: dict[int, int] = {}
         distinct = []
         ids = []
         for m in self.members:
-            _, c = m.monomial
-            key = id(m.coeff) if c == 1 else (id(m.coeff), c)
-            i = index.get(key)
+            i = index.get(id(m.coeff))
             if i is None:
-                i = index[key] = len(distinct)
-                distinct.append(m.coeff if c == 1 else _scaled(m.coeff, c))
+                i = index[id(m.coeff)] = len(distinct)
+                distinct.append(m.coeff)
             ids.append(i)
         values, den = tensors.integer_values(distinct)
         return IntegerCoefficients(tuple(values), tuple(ids), den)
 
     @cached_property
     def supports(self) -> tuple[frozenset[int], ...]:
-        """The labels of supp β of each member's monomial: a member
-        restricts to zero on every site not containing them."""
-        out = []
-        for m in self.members:
-            beta, _ = m.monomial
-            out.append(frozenset(label for label, b in zip(m.scalar.domain.indices, beta) if b))
-        return tuple(out)
-
-
-def _scaled(coeff: tuple, c) -> tuple:
-    if isinstance(coeff[0], tuple):
-        return tensors.mat_scale(coeff, c)
-    return tuple(c * x for x in coeff)
+        """The labels of supp β of each member: a member restricts to zero
+        on every site not containing them."""
+        return tuple(frozenset(label for label, b in enumerate(m.beta) if b) for m in self.members)
 
 
 def site_row(member: ShapeFunction, site: SubSimplexId, weights: Sequence[int]) -> list[int]:
     """The member restricted to a site, over the site's lattice × the
     components of its contracted coefficient, component fastest.  weights
-    are those components (c folded in), as site_rows hands them over.
-    Restriction keeps the entries of β at the site's labels: zero unless
-    supp β ⊆ site, else the weights at one lattice position."""
-    beta, _ = member.monomial
-    labels = member.scalar.domain.indices
-    relabelled = tuple(beta[labels.index(i)] for i in site.indices)
+    are those components, as site_rows hands them over.  Restriction keeps
+    the entries of β at the site's labels: zero unless supp β ⊆ site, else
+    the weights at one lattice position."""
+    beta = member.beta
+    restricted = tuple(beta[i] for i in site.indices)
     positions = bn.lattice_position(len(site.indices), sum(beta))
     row = [0] * (len(positions) * len(weights))
-    if sum(relabelled) == sum(beta):
-        start = positions[relabelled] * len(weights)
+    if sum(restricted) == sum(beta):
+        start = positions[restricted] * len(weights)
         row[start:start + len(weights)] = weights
     return row
 
@@ -167,16 +154,25 @@ def _scalar_coeff() -> tuple:
     return (Fraction(1),)
 
 
+def _bubble_exponent(f: SubSimplexId, alpha: bn.MultiIndex) -> bn.MultiIndex:
+    """β of b_f·λ^α: 1 + α on the labels of f, 0 elsewhere."""
+    beta = [0] * (f.parent_dim + 1)
+    for label, a in zip(f.indices, alpha):
+        beta[label] = 1 + a
+    return tuple(beta)
+
+
 @cache
 def decompose(family: Family, simplex: Simplex, degree: int, frame_convention: str = "edge_tangents_face_normals") -> SpaceBasis:
     """Sub-simplex decomposition of ℙ_degree(T; family space).
 
     Members are b_f · (monomial on f) · (tangential or normal direction),
-    grouped by sub-simplex.  Each member scalar is certified to be exactly
-    λ^β with supp β = f and each coefficient a value of the family space,
-    so full exact rank certifies a basis and the direct sum.  Members with
-    different β have disjoint support, so that rank is the sum over β of
-    the rank of the coefficients sharing λ^β.
+    grouped by sub-simplex.  b_f·λ^α is the one monomial λ^β with β = 1 + α
+    on the labels of f and 0 elsewhere, so supp β = f and members are
+    written as β directly.  Each coefficient is certified to be a value of
+    the family space, so full exact rank certifies a basis and the direct
+    sum.  Members with different β are independent monomials, so that rank
+    is the sum over β of the rank of the coefficients sharing λ^β.
     """
     if degree < 1:
         raise ValueError("decompositions start at degree 1")
@@ -185,29 +181,24 @@ def decompose(family: Family, simplex: Simplex, degree: int, frame_convention: s
     members: list[ShapeFunction] = []
     for ell in range(n + 1):
         for f in enumerate_subsimplices(n, ell):
-            lattice_dim = bn.space_dim(ell, degree - ell - 1)
-            if lattice_dim == 0:
+            if degree - ell - 1 < 0:
                 continue
-            bubble_poly = bn.bubble(f)
-            scalars = [
-                bn.multiply(bubble_poly, bn.extend(mono, bubble_poly.domain))
-                for mono in bn.monomial_basis(f, degree - ell - 1)
-            ]
+            betas = [_bubble_exponent(f, alpha) for alpha in bn.lattice(ell + 1, degree - ell - 1)]
             if tag is None:
                 members.extend(
-                    ShapeFunction(s, _scalar_coeff(), Provenance(f, "lattice"))
-                    for s in scalars
+                    ShapeFunction(beta, _scalar_coeff(), Provenance(f, "lattice"))
+                    for beta in betas
                 )
                 continue
             frame = build_frame(simplex, f, frame_convention)
             split = tensors.tn_split(f, frame, tag)
-            for s in scalars:
+            for beta in betas:
                 members.extend(
-                    ShapeFunction(s, c, Provenance(f, "tangential"))
+                    ShapeFunction(beta, c, Provenance(f, "tangential"))
                     for c in split.tangential_basis
                 )
                 members.extend(
-                    ShapeFunction(s, c, Provenance(f, "normal"))
+                    ShapeFunction(beta, c, Provenance(f, "normal"))
                     for c in split.normal_basis
                 )
     basis = SpaceBasis(family, n, degree, tuple(members))
@@ -230,28 +221,17 @@ def _is_value(coeff: tuple, tag: SpaceTag | None) -> bool:
 
 
 def _rank_by_monomial(basis: SpaceBasis, tag: SpaceTag | None) -> int:
-    """Exact rank of members whose scalars are exactly λ^β supported exactly
-    on their sub-simplices (so a member vanishes on every site that does not
-    contain its sub-simplex) and whose coefficients lie in the value space.
-    The coefficients are read from the basis's integer table."""
-    betas = []
-    for m in basis.members:
-        site = m.provenance.sub_simplex.indices
-        if len(m.scalar.coeffs) != 1:
-            raise AssertionError(f"member scalar at {site} is not a monomial")
-        beta, c = m.monomial
-        if c != 1:
-            raise AssertionError(f"member scalar at {site} has coefficient {c}, not 1")
-        if tuple(i for i, e in zip(m.scalar.domain.indices, beta) if e) != site:
-            raise AssertionError(f"member scalar at {site} is not supported exactly on it")
-        betas.append(beta)
+    """Exact rank of the members, the sum over β of the rank of the
+    coefficients sharing λ^β, after certifying that every coefficient lies
+    in the value space.  The coefficients are read from the basis's
+    integer table."""
     coeffs = basis.coefficients
     flat = [tensors.flatten(v) for v in coeffs.values]
     sites: dict[int, tuple] = {}
     by_monomial: dict[tuple, list[tuple]] = {}
-    for m, beta, i in zip(basis.members, betas, coeffs.ids):
+    for m, i in zip(basis.members, coeffs.ids):
         sites.setdefault(i, m.provenance.sub_simplex.indices)
-        by_monomial.setdefault(beta, []).append(flat[i])
+        by_monomial.setdefault(m.beta, []).append(flat[i])
     for i, site in sites.items():
         if not _is_value(coeffs.values[i], tag):
             raise AssertionError(f"member coefficient at {site} is not a {tag.value} value")
@@ -262,8 +242,7 @@ def lattice_basis(family: Family, simplex: Simplex, degree: int) -> SpaceBasis:
     """The plain monomial × constrained-direction basis of the same space."""
     n = simplex.dim
     tag = family.space_tag
-    domain = bn.full_domain(n)
-    full = SubSimplexId(tuple(range(n + 1)), n)
+    full = bn.full_domain(n)
     if tag is None:
         directions: Sequence = [_scalar_coeff()]
     elif tag is SpaceTag.VECTOR:
@@ -273,8 +252,8 @@ def lattice_basis(family: Family, simplex: Simplex, degree: int) -> SpaceBasis:
         split = tensors.tn_split(full, frame, tag)
         directions = list(split.tangential_basis + split.normal_basis)
     members = [
-        ShapeFunction(mono, c, Provenance(full, "lattice"))
-        for mono in bn.monomial_basis(domain, degree)
+        ShapeFunction(beta, c, Provenance(full, "lattice"))
+        for beta in bn.lattice(n + 1, degree)
         for c in directions
     ]
     return SpaceBasis(family, n, degree, tuple(members))
@@ -333,9 +312,9 @@ def affine_field_polys(field: AffineField, simplex: Simplex) -> tuple[bn.Bernste
 def div_row(member: ShapeFunction, weights: Sequence[Sequence[int]]) -> list[int]:
     """div of one member over the lattice one degree below it, component
     fastest: div(λ^β·C) = Σ_k β_k·λ^(β−e_k)·(C∇λ_k), row-wise for a matrix
-    C.  weights[k] are the components of C∇λ_k (c folded in), as div_rows
-    hands them over."""
-    beta, _ = member.monomial
+    C.  weights[k] are the components of C∇λ_k, as div_rows hands them
+    over."""
+    beta = member.beta
     width = len(weights[0])
     positions = bn.lattice_position(len(beta), sum(beta) - 1)
     out = [0] * (len(positions) * width)

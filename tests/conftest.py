@@ -19,7 +19,8 @@ def random_simplex(rng: random.Random, n: int) -> Simplex:
 
 
 def rational_rows(matrix) -> list[list[Fraction]]:
-    """A DoF matrix's integer rows read as the rationals they stand for."""
+    """Integer rows over per-row denominators (a DoF matrix, or the result
+    of an exact solve) read as the rationals they stand for."""
     return [[Fraction(x, d) for x in row] for row, d in zip(matrix, matrix.denominators)]
 
 

@@ -127,6 +127,21 @@ def test_folded_mesh_file_exits_two(tmp_path, capsys):
     assert "folded mesh" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["zero_denominator", "directory"])
+def test_unreadable_mesh_file_exits_two(tmp_path, capsys, kind):
+    path = tmp_path / "mesh.json"
+    if kind == "zero_denominator":
+        save_mesh(builtin_mesh("two_triangles"), path)
+        data = json.loads(path.read_text())
+        data["vertices"][0][0] = [0, 0]
+        path.write_text(json.dumps(data))
+    else:
+        path.mkdir()
+    code = cli.run(["dims", "--family", "face", "--degree", "2", "--mesh", str(path)])
+    assert code == 2
+    assert "--mesh:" in capsys.readouterr().err
+
+
 def test_vector_is_an_input_alias_of_face(capsys):
     assert Family("vector") is Family.FACE
     assert [f.value for f in Family] == ["lagrange", "face", "traceless", "symmetric"]

@@ -20,7 +20,6 @@ from hdiv_geodecomp.dofs import (
     INTERIOR,
     MOD_P0,
     MOD_P1,
-    MixedDirection,
     build_dofs,
     certify_unisolvence,
     dof_matrix,
@@ -29,8 +28,8 @@ from hdiv_geodecomp.dofs import (
     quotient_face_space,
     tangential_polynomial_fields,
 )
-from hdiv_geodecomp.simplex import SubSimplexId, enumerate_subsimplices, reference_simplex
-from hdiv_geodecomp.spaces import Family, decompose
+from hdiv_geodecomp.simplex import SubSimplexId, build_frame, enumerate_subsimplices, reference_simplex
+from hdiv_geodecomp.spaces import Family, decompose, facet_normal
 
 from conftest import random_simplex, rational_rows
 
@@ -238,13 +237,20 @@ def test_vertex_point_values_equal_evaluations():
             assert Fraction(matrix[i][j], matrix.denominators[i]) == expected
 
 
+def _tangent_normal_pairs(simplex, site, face):
+    n_face = facet_normal(simplex, face)
+    return [tensors.outer(t, n_face) for t in build_frame(simplex, site).tangents]
+
+
 def test_symmetric_facewise_directions_are_tangent_normal_pairs():
-    dofs = build_dofs(Family.SYMMETRIC, 3, 2, 0)
+    simp = reference_simplex(3)
+    dofs = build_dofs(Family.SYMMETRIC, simp, 2, 0)
     facewise = [nf for nf in dofs.functionals if nf.scope == FACEWISE]
     assert facewise
     for nf in facewise:
+        pairs = _tangent_normal_pairs(simp, nf.site, nf.face)
         for term in nf.terms:
-            assert isinstance(term.direction, MixedDirection)
+            assert term.direction in pairs
 
 
 # ----------------------------------------------------------- validation
@@ -353,8 +359,9 @@ def test_symmetric_merge_uses_facet_tangent_fields():
     merged = merge_face_dofs(dofs, F)
     assert len(merged.added) == 8  # replaces 3 edges x 2 + face x 2 moments
     assert merged.span_check.status == PASS
+    pairs = _tangent_normal_pairs(reference_simplex(3), F, F)
     for nf in merged.added:
-        assert all(isinstance(t.direction, MixedDirection) for t in nf.terms)
+        assert all(t.direction in pairs for t in nf.terms)
 
 
 @pytest.mark.parametrize(
@@ -443,8 +450,6 @@ def _reference_entry(nf, member):
     total = Fraction(0)
     for term in nf.terms:
         direction = term.direction
-        if isinstance(direction, MixedDirection):
-            direction = direction.matrix()
         if isinstance(direction[0], tuple):
             pairing = tensors.frobenius(member.coeff, direction)
         else:

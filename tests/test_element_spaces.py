@@ -29,7 +29,7 @@ def _flat_matrix(basis):
 
 
 def _one_member_basis(member, n):
-    return spaces.SpaceBasis(Family.FACE, n, member.scalar.degree, (member,))
+    return spaces.SpaceBasis(Family.FACE, n, sum(member.beta), (member,))
 
 
 def test_lagrange_triangle_cubic_counts():
@@ -126,7 +126,7 @@ def test_trace_of_constant_normal_field():
     facet = SubSimplexId((1, 2), 2)
     normal = spaces.facet_normal(simp, facet)
     member = spaces.ShapeFunction(
-        bn.one(bn.full_domain(2)), tuple(normal), spaces.Provenance(facet, "lattice")
+        (0, 0, 0), tuple(normal), spaces.Provenance(facet, "lattice")
     )
     traced = spaces.trace_div(member, facet, normal)
     expected = tensors.dot(normal, normal)
@@ -272,7 +272,7 @@ def test_divergence_of_interior_bubble_has_zero_mean():
     simp = random_simplex(rng, 2)
     cell = SubSimplexId((0, 1, 2), 2)
     member = spaces.ShapeFunction(
-        bn.bubble(cell), (Fraction(2), Fraction(-3)), spaces.Provenance(cell, "tangential")
+        (1, 1, 1), (Fraction(2), Fraction(-3)), spaces.Provenance(cell, "tangential")
     )
     image = bn.derivative(member.scalar, member.coeff, simp)
     assert bn.integrate(image, cell) == 0
@@ -329,7 +329,7 @@ def test_flat_layout_component_fastest():
     simp = reference_simplex(2)
     domain = bn.full_domain(2)
     member = spaces.ShapeFunction(
-        bn.barycentric(domain, 0), (Fraction(3), Fraction(5)), spaces.Provenance(domain, "lattice")
+        (1, 0, 0), (Fraction(3), Fraction(5)), spaces.Provenance(domain, "lattice")
     )
     rows, den = spaces.site_rows(_one_member_basis(member, 2), domain, tensors.FLATTEN)
     assert den == 1
@@ -377,46 +377,23 @@ def test_decompose_detects_a_repeated_normal_direction(monkeypatch):
         spaces.decompose.cache_clear()
 
 
-def test_decompose_rejects_a_non_monomial_member_scalar(monkeypatch):
-    original = bn.bubble
-
-    def perturbed(f):
-        b = original(f)
-        if f.dim == 0:
-            return b
-        # b_f is square-free on at least two labels, so λ_0^deg is a second monomial
-        return b + bn.monomial(b.domain, (b.degree,) + (0,) * f.parent_dim)
-
-    spaces.decompose.cache_clear()
-    monkeypatch.setattr(bn, "bubble", perturbed)
-    try:
-        with pytest.raises(AssertionError, match="is not a monomial"):
-            spaces.decompose(Family.FACE, reference_simplex(2), 2)
-    finally:
-        spaces.decompose.cache_clear()
-
-
-def test_decompose_rejects_a_member_scalar_supported_off_its_site(monkeypatch):
-    original = bn.bubble
-
-    def shifted(f):
-        b = original(f)
-        if f.dim == 0 or f.dim == f.parent_dim:
-            return b
-        # move one factor of b_f to a label outside f
-        ((beta, c),) = b.coeffs.items()
-        moved = list(beta)
-        moved[f.indices[0]] -= 1
-        moved[f.complement_labels()[0]] += 1
-        return bn.monomial(b.domain, tuple(moved), c)
-
-    spaces.decompose.cache_clear()
-    monkeypatch.setattr(bn, "bubble", shifted)
-    try:
-        with pytest.raises(AssertionError, match="is not supported exactly on it"):
-            spaces.decompose(Family.FACE, reference_simplex(2), 2)
-    finally:
-        spaces.decompose.cache_clear()
+@pytest.mark.parametrize("family", list(Family))
+def test_member_scalars_are_bubbles_times_site_monomials(family):
+    # decompose writes each β directly; the reference multiplies b_f by
+    # the site monomials λ^α as polynomials.  Each sub-simplex carries one
+    # member per β and value-space direction, in lattice order of α.
+    for n in range(1, 5):
+        full = bn.full_domain(n)
+        for r in range(1, 5):
+            basis = spaces.decompose(family, reference_simplex(n), r)
+            expected = [
+                (f, bn.multiply(bn.bubble(f), bn.extend(mono, full)))
+                for ell in range(n + 1)
+                for f in enumerate_subsimplices(n, ell)
+                for mono in bn.monomial_basis(f, r - ell - 1)
+                for _ in range(family.constrained_dim(n))
+            ]
+            assert [(m.provenance.sub_simplex, m.scalar) for m in basis.members] == expected, (n, r)
 
 
 def test_div_image_pass_keeps_its_witness_keys():
@@ -457,21 +434,6 @@ def test_decompose_rejects_a_non_traceless_direction(monkeypatch):
         spaces.decompose.cache_clear()
 
 
-def test_decompose_rejects_a_member_scalar_with_coefficient_two(monkeypatch):
-    original = bn.bubble
-
-    def doubled(f):
-        return 2 * original(f)
-
-    spaces.decompose.cache_clear()
-    monkeypatch.setattr(bn, "bubble", doubled)
-    try:
-        with pytest.raises(AssertionError, match="has coefficient 2, not 1"):
-            spaces.decompose(Family.FACE, reference_simplex(2), 2)
-    finally:
-        spaces.decompose.cache_clear()
-
-
 # ------------------------------------------- row kernels against polynomials
 
 
@@ -481,19 +443,19 @@ def _fractions(draw, count):
 
 @st.composite
 def monomial_members(draw):
-    """(simplex, member c·λ^β·C, a site) with a vector or matrix C; the site
-    need not contain supp β."""
+    """(simplex, member λ^β·cC, a site) with a vector or matrix C and a
+    nonzero rational c folded into the coefficient; the site need not
+    contain supp β."""
     n = draw(st.integers(1, 3))
     degree = draw(st.integers(1, 3))
     simp = random_simplex(random.Random(draw(st.integers(0, 10**6))), n)
     beta = draw(st.sampled_from(bn.lattice(n + 1, degree)))
     c = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 5)))
     if draw(st.booleans()):
-        coeff = _fractions(draw, n)
+        coeff = tuple(c * x for x in _fractions(draw, n))
     else:
-        coeff = tuple(_fractions(draw, n) for _ in range(n))
-    scalar = bn.monomial(bn.full_domain(n), beta, c)
-    member = spaces.ShapeFunction(scalar, coeff, spaces.Provenance(scalar.domain, "lattice"))
+        coeff = tensors.mat_scale(tuple(_fractions(draw, n) for _ in range(n)), c)
+    member = spaces.ShapeFunction(beta, coeff, spaces.Provenance(bn.full_domain(n), "lattice"))
     labels = draw(st.sets(st.integers(0, n), min_size=1))
     return simp, member, SubSimplexId(tuple(sorted(labels)), n)
 
@@ -526,17 +488,3 @@ def test_div_row_matches_derivative_coefficients(case):
     expected = [v[k] for k in range(len(vectors[0])) for v in vectors]
     (row,), den = spaces.div_rows(_one_member_basis(member, simp.dim), simp)
     assert [Fraction(x, den) for x in row] == expected
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(monomial_members())
-def test_row_kernels_reject_a_two_term_scalar(case):
-    simp, member, site = case
-    (beta,) = member.scalar.coeffs
-    other = next(a for a in bn.lattice(len(beta), sum(beta)) if a != beta)
-    two_terms = replace(member, scalar=member.scalar + bn.monomial(member.scalar.domain, other))
-    basis = _one_member_basis(two_terms, simp.dim)
-    with pytest.raises(ValueError):
-        spaces.site_rows(basis, site, tensors.FLATTEN)
-    with pytest.raises(ValueError):
-        spaces.div_rows(basis, simp)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from hdiv_geodecomp import linalg
 
+from conftest import rational_rows
+
 
 def random_rational_matrix(rng, rows, cols):
     return [
@@ -84,18 +86,21 @@ def test_solve_round_trip():
     a = random_rational_matrix(rng, m, m)
     x = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(m)]
     b = [sum(a[i][j] * x[j] for j in range(m)) for i in range(m)]
-    assert linalg.solve(a, b) == x
+    # B by rows, two right-hand sides: A X = [b | 2b] has the rows (x_i, 2 x_i).
+    rows = linalg.solve_many(a, [[y, 2 * y] for y in b])
+    assert all(d > 0 and gcd(d, *row) == 1 for row, d in zip(rows, rows.denominators))
+    assert rational_rows(rows) == [[y, 2 * y] for y in x]
 
 
 def test_solve_singular_raises():
     with pytest.raises(linalg.SingularMatrixError):
-        linalg.solve([[1, 2], [2, 4]], [1, 1])
+        linalg.solve_many([[1, 2], [2, 4]], [[1], [1]])
 
 
 def test_invert_gives_identity():
     rng = random.Random(5)
     a = random_rational_matrix(rng, 5, 5)
-    inv = linalg.invert(a)
+    inv = rational_rows(linalg.invert(a))
     prod = matmul(a, inv)
     eye = [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
     assert prod == eye
@@ -211,18 +216,18 @@ def block_lower_systems(draw):
     return mat, blocks
 
 
-def _integer_rows(mat):
+def _integer_rows(mat) -> linalg.IntegerRows:
     """The rows as integers, each over its least positive denominator."""
     forms = [linalg.integer_form(row) for row in mat]
-    return [ints for ints, _ in forms], [d for _, d in forms]
+    return linalg.IntegerRows([ints for ints, _ in forms], [d for _, d in forms])
 
 
 @settings(max_examples=100, deadline=None)
 @given(block_lower_systems())
 def test_block_lower_inverse_is_the_exact_inverse_over_its_least_denominator(system):
     mat, blocks = system
-    ints, d = linalg.invert_block_lower(*_integer_rows(mat), blocks)
-    inverse = linalg.invert(mat)
+    ints, d = linalg.invert_block_lower(_integer_rows(mat), blocks)
+    inverse = rational_rows(linalg.invert(mat))
     assert d > 0
     assert all(type(x) is int for row in ints for x in row)
     assert gcd(d, *(x for row in ints for x in row)) == 1
@@ -237,7 +242,7 @@ def test_block_lower_inverse_names_a_singular_diagonal_block(system, data):
     for c in cols:
         mat[rows[0]][c] = 0
     with pytest.raises(linalg.SingularMatrixError, match=f"diagonal block {label} of size {len(rows)} is singular"):
-        linalg.invert_block_lower(*_integer_rows(mat), blocks)
+        linalg.invert_block_lower(_integer_rows(mat), blocks)
 
 
 @settings(max_examples=200, deadline=None)

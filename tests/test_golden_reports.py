@@ -42,6 +42,7 @@ CASES = {
     "symmetric_r2_k1_two_tets.csv": [
         "--family", "symmetric", "--degree", "2", "--k", "1", "--mesh", "two_tets", "--format", "csv",
     ],
+    "traceless_r2_k0_dim4.json": ["--family", "traceless", "--dim", "4", "--degree", "2", "--k", "0"],
 }
 
 

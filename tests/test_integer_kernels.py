@@ -23,7 +23,7 @@ from hdiv_geodecomp.simplex import Frame, SubSimplexId, dot, enumerate_subsimpli
 from hdiv_geodecomp.spaces import Family
 from hdiv_geodecomp.tensors import SpaceTag
 
-from conftest import random_simplex
+from conftest import random_simplex, rational_rows
 
 
 def _rationals():
@@ -95,7 +95,7 @@ def _reference_tn_split(f, frame, space):
 
 
 def _reference_site_row(member, site, contract):
-    beta, c = member.monomial
+    ((beta, c),) = member.scalar.coeffs.items()
     weights = contract(member.coeff)
     labels = member.scalar.domain.indices
     relabelled = tuple(beta[labels.index(i)] for i in site.indices)
@@ -108,7 +108,7 @@ def _reference_site_row(member, site, contract):
 
 
 def _reference_div_row(member, grads):
-    beta, c = member.monomial
+    ((beta, c),) = member.scalar.coeffs.items()
     rows = member.coeff if isinstance(member.coeff[0], tuple) else (member.coeff,)
     positions = bn.lattice_position(len(beta), sum(beta) - 1)
     out = [Fraction(0)] * (len(positions) * len(rows))
@@ -169,17 +169,21 @@ def square_matrices(draw):
 @given(square_matrices())
 def test_fraction_free_invert_is_the_exact_inverse(a):
     assume(linalg.det(a) != 0)
-    inv = linalg.invert(a)
+    rows = linalg.invert(a)
+    # Integer rows, each over its least positive denominator.
+    assert all(d > 0 and gcd(d, *row) == 1 for row, d in zip(rows, rows.denominators))
+    assert all(type(x) is int for row in rows for x in row)
+    inv = rational_rows(rows)
     m = len(a)
     eye = [[int(i == j) for j in range(m)] for i in range(m)]
     assert [[sum(inv[i][k] * a[k][j] for k in range(m)) for j in range(m)] for i in range(m)] == eye
     assert [[sum(a[i][k] * inv[k][j] for k in range(m)) for j in range(m)] for i in range(m)] == eye
-    # The integer inverse of the scaled matrix: A' (cols / d)ᵀ == I.
+    # The integer inverse of the scaled matrix over one denominator: A' (N / d) == I.
     flat, _ = linalg.integer_form(x for row in a for x in row)
     ints = [flat[i * m:(i + 1) * m] for i in range(m)]
-    cols, d = linalg.inverse_columns(ints)
-    assert d > 0 and gcd(d, *(x for col in cols for x in col)) == 1
-    assert [[sum(ints[i][k] * cols[j][k] for k in range(m)) for j in range(m)] for i in range(m)] == [
+    n_ints, d = linalg.invert(ints).over_one_denominator()
+    assert d > 0 and gcd(d, *(x for row in n_ints for x in row)) == 1
+    assert [[sum(ints[i][k] * n_ints[k][j] for k in range(m)) for j in range(m)] for i in range(m)] == [
         [d * x for x in row] for row in eye
     ]
 
@@ -195,7 +199,7 @@ def test_fraction_free_invert_rejects_a_singular_matrix(a, data):
         linalg.invert(a)
     flat, _ = linalg.integer_form(x for row in a for x in row)
     with pytest.raises(linalg.SingularMatrixError):
-        linalg.inverse_columns([flat[i * m:(i + 1) * m] for i in range(m)])
+        linalg.invert([flat[i * m:(i + 1) * m] for i in range(m)])
 
 
 # ------------------------------------------------------------- row kernels

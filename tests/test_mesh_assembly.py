@@ -24,7 +24,7 @@ from hdiv_geodecomp.assembly import (
     lagrange_dim_formula,
 )
 from hdiv_geodecomp.checks import FAIL, PASS, SKIPPED
-from hdiv_geodecomp.dofs import FACEWISE, GLOBAL, INTERIOR, DoFTerm, build_dofs, dof_matrix
+from hdiv_geodecomp.dofs import FACEWISE, GLOBAL, INTERIOR, DoFTerm, build_dofs, dof_matrix, site_blocks
 from hdiv_geodecomp.mesh import (
     Mesh,
     MeshError,
@@ -342,7 +342,7 @@ def test_site_block_dual_equals_dense_inverse(name, family, degree, k):
     for ci in range(len(space.mesh.cells)):
         mat = dof_matrix(space.cell_dofs[ci], space.cell_basis(ci))
         dual, d = space.dual_coefficients(ci)
-        assert [[Fraction(x, d) for x in row] for row in dual] == linalg.invert(rational_rows(mat))
+        assert [[Fraction(x, d) for x in row] for row in dual] == rational_rows(linalg.invert(rational_rows(mat)))
 
 
 def test_each_cell_is_decomposed_once():
@@ -505,6 +505,35 @@ def test_row_kernels_build_no_fractions_once_the_duals_are_cached(monkeypatch):
     assert len(space._div_cache) == len(space.mesh.cells)
     assert {kind for kind, _, _ in statements} == {"normal_trace", "value_at_vertex"}
     assert built["Fraction"] == 0
+
+
+def test_site_block_inverse_builds_no_fractions(monkeypatch):
+    # Built DoF matrices and the inverses of their site blocks are integer
+    # rows over per-row denominators, which the block inverse reads
+    # directly: a Fraction made here would mean a rational round trip.
+    systems = []
+    for name, family, degree, k in [
+        ("two_tets", "traceless", 2, 0),
+        ("two_tets", "symmetric", 2, 1),
+        ("criss_cross", "face", 3, 0),
+    ]:
+        space = assemble(builtin_mesh(name), family, degree, k)
+        for ci in range(len(space.mesh.cells)):
+            dofs, basis = space.cell_dofs[ci], space.cell_basis(ci)
+            mat = dof_matrix(dofs, basis)
+            systems.append((mat, site_blocks(dofs, basis, mat)))
+    built = Counter()
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    inverses = [linalg.invert_block_lower(mat, blocks) for mat, blocks in systems]
+    monkeypatch.undo()
+    assert built["Fraction"] == 0
+    assert len(inverses) == 8 and all(d > 0 for _, d in inverses)
 
 
 def _flip_shared_functional(space: GlobalSpace, site: tuple[int, ...]) -> GlobalSpace:
