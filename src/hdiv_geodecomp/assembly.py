@@ -32,7 +32,7 @@ from .dofs import (
     dof_matrix,
     site_blocks,
 )
-from .mesh import Mesh, validate_mesh
+from .mesh import Mesh
 from .spaces import Family, decompose, div_rows, site_rows
 from .tensors import SpaceTag
 
@@ -127,7 +127,6 @@ def assemble(mesh: Mesh, family: Family | str, degree: int, continuity_order: in
     """
     if isinstance(family, str):
         family = Family(family)
-    validate_mesh(mesh)
     key_index: dict[tuple, int] = {}
     expected_copies: list[int] = []
     seen_copies: list[int] = []

@@ -76,7 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="seed for random rational sample points"
     )
     common.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers for independent units"
+        "--jobs",
+        type=int,
+        default=1,
+        choices=[1],
+        help="accepted for compatibility; units always run serially",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
@@ -132,7 +136,7 @@ def run(argv=None) -> int:
         return 2 if exc.code is None else int(exc.code)
     names = expand_all(params) if args.subcommand == "all" else [args.subcommand]
     try:
-        checks, timings = run_units(names, params, args.jobs, mesh)
+        checks, timings = run_units(names, params, mesh)
         seen = [c.name for c in checks]
         if len(set(seen)) != len(seen):
             raise RuntimeError(f"duplicate check names in suite: {sorted(seen)}")

@@ -1,5 +1,8 @@
 """Exact rational simplicial meshes: builtins, red refinement, JSON round trip.
 
+A Mesh is valid by construction: every way of building one, replace() too,
+runs validate_mesh once, which raises MeshError for a nonconforming partition.
+
 Cells are stored as sorted global vertex tuples.  The label order of every
 sub-simplex then agrees with the global sorted order in each incident cell,
 so restrictions of Bernstein polynomials can be compared across cells index
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -50,9 +53,6 @@ class Mesh:
     dim: int
     vertices: tuple[Coordinate, ...]
     cells: tuple[tuple[int, ...], ...]
-    # Set by validate_mesh once this instance has passed; a new or
-    # replaced Mesh starts unvalidated.
-    _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(tuple(Fraction(x) for x in p) for p in self.vertices)
@@ -73,6 +73,7 @@ class Mesh:
                 raise MeshError(f"cell {c} references a missing vertex")
         if len(set(cells)) != len(cells):
             raise MeshError("duplicate cell")
+        validate_mesh(self)
 
     @cached_property
     def cell_simplices(self) -> tuple[Simplex, ...]:
@@ -174,12 +175,6 @@ class Mesh:
         return max_normalized(tuple(-x for x in grads[missing]))
 
 
-def mesh_from_data(dim: int, vertices, cells) -> Mesh:
-    mesh = Mesh(dim, tuple(tuple(p) for p in vertices), tuple(tuple(c) for c in cells))
-    validate_mesh(mesh)
-    return mesh
-
-
 def _barycentric_of_point(simplex: Simplex, point: Coordinate) -> list[int]:
     """The numerators of the point's barycentric coordinates, each over its
     own positive denominator: their signs are the coordinates' signs."""
@@ -195,10 +190,9 @@ def validate_mesh(mesh: Mesh) -> None:
     facet must lie on opposite sides of it, and no vertex may land inside
     the closed hull of a cell it is not a vertex of; together these catch
     the usual ways a vertex-indexed partition fails to be conforming.
-    A mesh that passed once is not checked again.
+    Two cells that overlap without sharing a vertex, such as the two
+    triangles of a hexagram, still pass.
     """
-    if mesh._validated:
-        return
     if len(set(mesh.vertices)) != len(mesh.vertices):
         raise MeshError("two vertices share the same coordinates")
     _ = mesh.cell_simplices
@@ -233,7 +227,6 @@ def validate_mesh(mesh: Mesh) -> None:
                 raise MeshError(
                     f"vertex {vi} lies inside cell {cell}: hanging node"
                 )
-    object.__setattr__(mesh, "_validated", True)
 
 
 def _unit_interval(m: int) -> Mesh:
@@ -345,9 +338,7 @@ def refine(mesh: Mesh) -> Mesh:
                 (ac, ad, bd, cd),
                 (ac, bc, bd, cd),
             ]
-    refined = Mesh(n, tuple(verts), tuple(children))
-    validate_mesh(refined)
-    return refined
+    return Mesh(n, tuple(verts), tuple(children))
 
 
 def builtin_mesh(name: str) -> Mesh:
@@ -367,14 +358,11 @@ def builtin_mesh(name: str) -> Mesh:
         "cube_freudenthal": _cube_freudenthal,
         "fichera_coarse": _fichera_coarse,
     }
-    try:
-        mesh = table[text]()
-    except KeyError:
+    if text not in table:
         raise MeshError(
             f"unknown mesh {name!r}; builtins: {', '.join(BUILTIN_MESH_NAMES)}"
-        ) from None
-    validate_mesh(mesh)
-    return mesh
+        )
+    return table[text]()
 
 
 def save_mesh(mesh: Mesh, path) -> None:
@@ -398,7 +386,7 @@ def load_mesh(path) -> Mesh:
             tuple(Fraction(int(num), int(den)) for num, den in p)
             for p in data["vertices"]
         ]
-        return mesh_from_data(int(data["dim"]), verts, data["cells"])
+        return Mesh(int(data["dim"]), verts, data["cells"])
     except MeshError:
         raise
     except OSError as exc:

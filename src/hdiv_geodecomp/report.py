@@ -1,10 +1,13 @@
 """Check suites plus deterministic report serialization.
 
-Every suite unit maps one parameter set to a list of check results; the
-JSON rendering is byte-stable for fixed inputs and seed (sorted keys,
-rationals as "p/q" strings, floats at 17 significant digits), so reports
-can be diffed in CI.  Wall-clock timings are the one volatile field;
-consumers comparing runs should drop the timings object first.
+Every suite unit maps one parameter set to a list of check results.  The
+units of one run execute serially, in sorted name order, on one shared
+RunContext.  A report is one JSON object, built by build_report and read
+by render_json and render_csv; the JSON rendering is byte-stable for fixed
+inputs and seed (sorted keys, rationals as "p/q" strings, floats at 17
+significant digits), so reports can be diffed in CI.  Wall-clock timings
+are the one volatile field; consumers comparing runs should drop the
+timings object first.
 """
 
 from __future__ import annotations
@@ -41,11 +44,13 @@ from .spaces import (
 from .tensors import traceless_gradient_basis
 
 SCHEMA_VERSION = "1"
+# Random rational points per interior facet for the sampled conformity guard.
+CONFORMITY_SAMPLES = 2
 
 
 @dataclass(frozen=True)
 class CaseParams:
-    """One parameter set; picklable so suites can run in worker processes."""
+    """One parameter set, as the CLI resolved it."""
 
     family: str
     dim: int
@@ -54,15 +59,6 @@ class CaseParams:
     mesh: str | None
     frame: str
     seed: int
-    samples: int = 2
-
-
-@dataclass(frozen=True)
-class Report:
-    schema_version: str
-    params: dict
-    checks: tuple[CheckResult, ...]
-    timings: dict
 
 
 @dataclass
@@ -191,7 +187,7 @@ def unit_dims(run: RunContext) -> list[CheckResult]:
 
 def unit_conformity(run: RunContext) -> list[CheckResult]:
     p = run.params
-    return [check_conformity(run.space, samples=p.samples, seed=p.seed)]
+    return [check_conformity(run.space, samples=CONFORMITY_SAMPLES, seed=p.seed)]
 
 
 def unit_infsup(run: RunContext) -> list[CheckResult]:
@@ -229,48 +225,28 @@ def expand_all(p: CaseParams) -> list[str]:
     return names
 
 
-def _run_one(name: str, run: RunContext) -> tuple[str, list[CheckResult], float]:
-    t0 = time.perf_counter()
-    checks = UNITS[name](run)
-    return name, checks, time.perf_counter() - t0
+def run_units(names: list[str], p: CaseParams, mesh: Mesh | None = None) -> tuple[list[CheckResult], dict]:
+    """Run units serially in sorted name order on one RunContext.
 
-
-def run_units(names: list[str], p: CaseParams, jobs: int = 1, mesh: Mesh | None = None) -> tuple[list[CheckResult], dict]:
-    """Run units, possibly in parallel; results merge in sorted unit order.
-
-    Serial units share one RunContext, so shared work is charged to the
-    first unit that needs it.  Each parallel unit gets a context of its own.
+    Shared work is charged to the first unit that needs it.  Each unit is
+    looked up in UNITS when it runs, so a wrapper put there is called.
     """
-    ordered = sorted(set(names))
-    outcomes: dict[str, tuple[list[CheckResult], float]] = {}
-    t0 = time.perf_counter()
-    if jobs > 1 and len(ordered) > 1:
-        # Imported here so that serial runs never load multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_one, name, RunContext(p)) for name in ordered]
-            for fut in futures:
-                name, checks, elapsed = fut.result()
-                outcomes[name] = (checks, elapsed)
-    else:
-        run = RunContext(p, mesh)
-        for name in ordered:
-            _, checks, elapsed = _run_one(name, run)
-            outcomes[name] = (checks, elapsed)
-        # Free the assembled space and its dual caches inside the timed total.
-        del run
     checks: list[CheckResult] = []
     timings: dict[str, int] = {}
-    for name in ordered:
-        unit_checks, elapsed = outcomes[name]
-        checks.extend(unit_checks)
-        timings[name] = int(round(elapsed * 1000))
+    t0 = time.perf_counter()
+    run = RunContext(p, mesh)
+    for name in sorted(set(names)):
+        start = time.perf_counter()
+        checks.extend(UNITS[name](run))
+        timings[name] = int(round((time.perf_counter() - start) * 1000))
+    # Free the assembled space and its dual caches inside the timed total.
+    del run
     timings["total"] = int(round((time.perf_counter() - t0) * 1000))
     return checks, timings
 
 
-def build_report(subcommand: str, p: CaseParams, checks: list[CheckResult], timings: dict) -> Report:
+def build_report(subcommand: str, p: CaseParams, checks: list[CheckResult], timings: dict) -> dict:
+    """The report as the JSON object that render_json and render_csv read."""
     params = {
         "subcommand": subcommand,
         "family": p.family,
@@ -280,20 +256,13 @@ def build_report(subcommand: str, p: CaseParams, checks: list[CheckResult], timi
         "mesh": p.mesh,
         "frame": p.frame,
         "seed": p.seed,
-        "samples": p.samples,
+        "samples": CONFORMITY_SAMPLES,
     }
-    return Report(SCHEMA_VERSION, params, tuple(checks), dict(timings))
-
-
-def report_payload(report: Report) -> dict:
     return {
-        "schema_version": report.schema_version,
-        "params": report.params,
-        "checks": [
-            {"name": c.name, "status": c.status, "witness": c.witness}
-            for c in report.checks
-        ],
-        "timings": report.timings,
+        "schema_version": SCHEMA_VERSION,
+        "params": params,
+        "checks": [{"name": c.name, "status": c.status, "witness": c.witness} for c in checks],
+        "timings": timings,
     }
 
 
@@ -343,20 +312,20 @@ def canonical_json(value, indent: int = 0, pretty: bool = True) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
 
 
-def render_json(report: Report) -> str:
-    return canonical_json(report_payload(report)) + "\n"
+def render_json(report: dict) -> str:
+    return canonical_json(report) + "\n"
 
 
-def render_csv(report: Report) -> str:
+def render_csv(report: dict) -> str:
     """Flat projection: one row per check, context columns repeated."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     context = ["family", "dim", "degree", "k", "mesh", "frame", "seed"]
     writer.writerow(context + ["name", "status", "witness"])
-    base = [_csv_cell(report.params.get(c)) for c in context]
-    for c in report.checks:
+    base = [_csv_cell(report["params"].get(c)) for c in context]
+    for c in report["checks"]:
         writer.writerow(
-            base + [c.name, c.status, canonical_json(c.witness, pretty=False)]
+            base + [c["name"], c["status"], canonical_json(c["witness"], pretty=False)]
         )
     return buf.getvalue()
 

@@ -112,14 +112,12 @@ def integer_gradients(simplex: Simplex) -> tuple[tuple[tuple[int, ...], ...], in
 
     With the edge vectors e_j = v_j − v₀ as the rows of E = E' / s, E' an
     integer matrix, ∇λ_j·e_i = δ_ij makes ∇λ_j (j ≥ 1) column j of E⁻¹,
-    that is s times row j of (E'ᵀ)⁻¹; and ∇λ₀ = −Σ_j ∇λ_j.
+    that is s times row j of (E'ᵀ)⁻¹; and ∇λ₀ = −Σ_j ∇λ_j.  E' is
+    invertible because Simplex rejects affinely dependent vertices.
     """
     n = simplex.dim
     flat, s = linalg.integer_form(x for j in range(1, n + 1) for x in simplex.edge_vector(0, j))
-    try:
-        inverse = linalg.invert([flat[k::n] for k in range(n)])
-    except linalg.SingularMatrixError as exc:
-        raise SingularGeometryError("vertices are affinely dependent") from exc
+    inverse = linalg.invert([flat[k::n] for k in range(n)])
     cols, den = inverse.over_one_denominator()
     grads = [[s * x for x in col] for col in cols]
     grads.insert(0, [-sum(col) for col in zip(*grads)])

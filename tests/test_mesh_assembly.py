@@ -9,7 +9,7 @@ from math import comb, gcd
 
 import pytest
 
-from hdiv_geodecomp import assembly, linalg, mesh as mesh_module, tensors
+from hdiv_geodecomp import assembly, cli, linalg, mesh as mesh_module, tensors
 from hdiv_geodecomp.assembly import (
     AssemblyError,
     GlobalSpace,
@@ -30,11 +30,9 @@ from hdiv_geodecomp.mesh import (
     MeshError,
     builtin_mesh,
     load_mesh,
-    mesh_from_data,
     refine,
     resolve_mesh,
     save_mesh,
-    validate_mesh,
 )
 from hdiv_geodecomp.simplex import enumerate_subsimplices, reference_simplex
 from hdiv_geodecomp.spaces import Family, decompose, site_rows
@@ -104,7 +102,7 @@ def test_builtin_name_parsing_errors():
 
 
 def test_mesh_json_roundtrip(tmp_path):
-    m = mesh_from_data(
+    m = Mesh(
         2,
         [(0, 0), (1, 0), (Fraction(1, 3), Fraction(2, 7)), (1, 1)],
         [(0, 1, 2), (1, 2, 3)],
@@ -123,32 +121,32 @@ def test_mesh_json_roundtrip(tmp_path):
 def test_validate_mesh_rejects_bad_input():
     with pytest.raises(MeshError, match="share the same coordinates"):
         # coincident vertices
-        mesh_from_data(1, [(0,), (0,), (1,)], [(0, 2), (1, 2)])
+        Mesh(1, [(0,), (0,), (1,)], [(0, 2), (1, 2)])
     with pytest.raises(MeshError, match=r"cell \(0, 1, 2\) is degenerate"):
         # flat triangle
-        mesh_from_data(2, [(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
+        Mesh(2, [(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
     with pytest.raises(MeshError, match="shared by 3 cells"):
         # vertex 1 sits on three segments
-        mesh_from_data(1, [(0,), (1,), (2,), (3,)], [(0, 1), (1, 2), (1, 3)])
+        Mesh(1, [(0,), (1,), (2,), (3,)], [(0, 1), (1, 2), (1, 3)])
     # The hanging vertex lies on the edge x = 0 of the coarse cell, which is
     # also the boundary of that cell's bounding box.
     with pytest.raises(MeshError, match=r"vertex 3 lies inside cell \(0, 1, 2\): hanging node"):
-        validate_mesh(_hanging_node_mesh())
+        _hanging_node_mesh()
     # Folded pairs: both cells on the same side of their shared facet, and no
     # vertex inside the other cell, so only the opposite-side test sees them.
     with pytest.raises(MeshError, match=r"facet \(0, 1\): folded"):
-        mesh_from_data(
+        Mesh(
             2, [(0, 0), (1, 0), (0, 1), (Fraction(1, 2), 2)], [(0, 1, 2), (0, 1, 3)]
         )
     with pytest.raises(MeshError, match=r"facet \(0, 1, 2\): folded"):
-        mesh_from_data(
+        Mesh(
             3,
             [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)],
             [(0, 1, 2, 3), (0, 1, 2, 4)],
         )
 
 
-def test_validate_mesh_checks_each_instance_once(monkeypatch):
+def test_validate_mesh_checks_each_instance_once(monkeypatch, tmp_path):
     solves = Counter()
     solve = mesh_module._barycentric_of_point
 
@@ -157,24 +155,25 @@ def test_validate_mesh_checks_each_instance_once(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(mesh_module, "_barycentric_of_point", counted)
+    # Construction validates once.
     m = Mesh(2, ((0, 0), (1, 0), (0, 1), (1, 1)), ((0, 1, 2), (1, 2, 3)))
-    validate_mesh(m)
     first = solves["n"]
     assert first > 0
-    validate_mesh(m)
+    # Neither assemble nor a CLI run on the built mesh validates it again.
     assemble(m, "face", 1, -1)
+    monkeypatch.setattr(cli, "resolve_mesh", lambda spec: m)
+    argv = ["all", "--family", "face", "--degree", "1", "--mesh", "two_triangles",
+            "--out", str(tmp_path / "all.json")]
+    assert cli.run(argv) == 0
     assert solves["n"] == first
-    # A new instance and a replaced one start unvalidated.
-    validate_mesh(Mesh(m.dim, m.vertices, m.cells))
-    validate_mesh(replace(m))
-    assert solves["n"] == 3 * first
-    # A rejected mesh is not remembered as valid: it fails on every call.
-    bad = _hanging_node_mesh()
-    for _ in range(2):
-        with pytest.raises(MeshError, match="hanging node"):
-            validate_mesh(bad)
+    # replace() builds a new instance, which is validated again.
+    replace(m)
+    assert solves["n"] == 2 * first
+    # Nonconforming partitions cannot be constructed at all.
     with pytest.raises(MeshError, match="hanging node"):
-        assemble(bad, "face", 1, -1)
+        _hanging_node_mesh()
+    with pytest.raises(MeshError, match="folded mesh"):
+        Mesh(2, ((0, 0), (1, 0), (0, 1), (Fraction(1, 2), 2)), ((0, 1, 2), (0, 1, 3)))
 
 
 def test_shared_facet_normal_and_frames_are_cell_independent():
@@ -395,6 +394,8 @@ def test_dual_rejects_a_singular_site_block():
 
 
 def test_assemble_validates_the_mesh():
+    # assemble takes a Mesh, which is validated when it is built, so the
+    # hanging-node mesh never reaches it.
     with pytest.raises(MeshError):
         assemble(_hanging_node_mesh(), "face", 1, -1)
 

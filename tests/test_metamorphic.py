@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hdiv_geodecomp import linalg
 from hdiv_geodecomp.assembly import assemble, check_conformity, check_dims, check_div_onto
 from hdiv_geodecomp.dofs import certify_unisolvence
-from hdiv_geodecomp.mesh import builtin_mesh, mesh_from_data
+from hdiv_geodecomp.mesh import Mesh, builtin_mesh
 from hdiv_geodecomp.spaces import Family
 
 # (mesh, family, degree, k): one vector and one matrix family per dimension,
@@ -51,7 +51,7 @@ def relabelled_affine_image(draw, name):
             for row, b in zip(matrix, offset)
         )
     cells = [tuple(perm[i] for i in cell) for cell in mesh.cells]
-    return mesh_from_data(n, vertices, cells), perm
+    return Mesh(n, vertices, cells), perm
 
 
 def _invariants(mesh, family, degree, k, cell_index):
