@@ -7,6 +7,7 @@ Exit codes: 0 when every non-skipped check passes, 1 on check failures,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 
@@ -91,6 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_case(parser: argparse.ArgumentParser, args) -> tuple[CaseParams, Mesh | None]:
     """Validated parameters, plus the resolved mesh for the run to reuse."""
     family = Family(args.family)
+    if args.out and os.path.isdir(args.out):
+        parser.error(f"--out: {args.out} is a directory")
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        parser.error(f"--out: the directory of {args.out} does not exist")
     mesh = None
     if args.mesh is not None:
         try:

@@ -1,4 +1,8 @@
-"""Exact rational simplicial meshes: builtins, red refinement, JSON round trip.
+"""Exact rational simplicial meshes: builtins, refinement, JSON round trip.
+
+One rule builds every structured mesh, the Kuhn paths of the unit n-cube: the
+cube builtins place them at integer offsets, and refine, in any dimension,
+splits each cell into the Kuhn paths of its half-grid (Freudenthal's rule).
 
 A Mesh is valid by construction: every way of building one, replace() too,
 runs validate_mesh once, which raises MeshError for a nonconforming partition.
@@ -12,6 +16,7 @@ computed from the global vertex table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -251,93 +256,76 @@ def _two_tets() -> Mesh:
     return Mesh(3, tuple(verts), ((0, 1, 2, 3), (1, 2, 3, 4)))
 
 
-def _kuhn_cells(vertex_id) -> list[tuple[int, ...]]:
-    """The six path tetrahedra of a unit cube, one per axis permutation."""
-    cells = []
-    for perm in itertools.permutations(range(3)):
-        corner = [0, 0, 0]
-        path = [tuple(corner)]
-        for axis in perm:
-            corner[axis] = 1
-            path.append(tuple(corner))
-        cells.append(tuple(vertex_id(p) for p in path))
-    return cells
+def _kuhn_paths(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The n! Kuhn simplices of the unit n-cube, one per axis permutation:
+    each walks from the origin to the far corner one unit vector at a time."""
+    return [
+        tuple(tuple(int(a in perm[:m]) for a in range(n)) for m in range(n + 1))
+        for perm in itertools.permutations(range(n))
+    ]
+
+
+def _kuhn_cubes(points: list[tuple[int, ...]], offsets) -> Mesh:
+    """Kuhn cubes at integer offsets over lattice points numbered in order.
+    Translated copies match along shared cube faces: the union is conforming."""
+    index = {p: i for i, p in enumerate(points)}
+    n = len(points[0])
+    cells = [
+        tuple(index[tuple(o + x for o, x in zip(offset, p))] for p in path)
+        for offset in offsets
+        for path in _kuhn_paths(n)
+    ]
+    return Mesh(n, points, cells)
 
 
 def _cube_freudenthal() -> Mesh:
-    corners = list(itertools.product((0, 1), repeat=3))
-    index = {p: i for i, p in enumerate(corners)}
-    cells = _kuhn_cells(lambda p: index[p])
-    return Mesh(3, tuple(corners), tuple(cells))
+    return _kuhn_cubes(list(itertools.product((0, 1), repeat=3)), [(0, 0, 0)])
 
 
 def _fichera_coarse() -> Mesh:
-    """Seven Kuhn cubes tiling [0,2]³ minus the far corner cube.
-
-    Translated copies of the same path triangulation match along shared cube
-    faces, so the union is conforming without any extra stitching.
-    """
+    """Seven Kuhn cubes tiling [0,2]³ minus the far corner cube."""
     points = [p for p in itertools.product((0, 1, 2), repeat=3) if p != (2, 2, 2)]
-    index = {p: i for i, p in enumerate(points)}
-    cells: list[tuple[int, ...]] = []
-    for offset in itertools.product((0, 1), repeat=3):
-        if offset == (1, 1, 1):
-            continue
+    offsets = [o for o in itertools.product((0, 1), repeat=3) if o != (1, 1, 1)]
+    return _kuhn_cubes(points, offsets)
 
-        def vertex_id(p, base=offset):
-            return index[tuple(o + x for o, x in zip(base, p))]
 
-        cells.extend(_kuhn_cells(vertex_id))
-    return Mesh(3, tuple(points), tuple(cells))
+@functools.cache
+def _freudenthal_children(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The 2^n children of the reference simplex 1 ≥ y₁ ≥ … ≥ yₙ ≥ 0: the Kuhn
+    paths of its half-grid.  In doubled coordinates the point with i twos and
+    j − i ones is (i, j), the midpoint of local vertices i and j (vertex i if
+    i = j).  Corner children come first in vertex order, then the rest; each
+    is a sorted tuple of pairs, and the rest are in lexicographic order."""
+    children = []
+    for offset in itertools.product((0, 1), repeat=n):
+        for path in _kuhn_paths(n):
+            points = [tuple(o + x for o, x in zip(offset, p)) for p in path]
+            if all(a >= b for p in points for a, b in zip((2,) + p, p + (0,))):
+                pairs = ((p.count(2), n - p.count(0)) for p in points)
+                children.append(tuple(sorted(pairs)))
+    return tuple(sorted(children, key=lambda c: (all(i != j for i, j in c), c)))
 
 
 def refine(mesh: Mesh) -> Mesh:
-    """One sweep of red refinement with exact rational edge midpoints.
-
-    Intervals halve; triangles split into three corner copies plus the middle
-    triangle of midpoints; tetrahedra split into four corner copies plus four
-    tetrahedra from the interior octahedron, cut along the diagonal between
-    the midpoints of edges 02 and 13.
-    """
+    """One sweep of Freudenthal refinement (Bey, Numer. Math. 2000) with exact
+    rational edge midpoints: each n-simplex splits into the 2^n Kuhn simplices
+    of its half-grid.  Intervals halve; triangles give three corner copies and
+    the middle triangle of midpoints; tetrahedra give four corner copies and
+    four tetrahedra from the interior octahedron, cut along the diagonal
+    between the midpoints of edges 02 and 13."""
     n = mesh.dim
-    if n > 3:
-        raise MeshError("refinement is implemented for dimensions 1 to 3")
     verts = list(mesh.vertices)
     midpoint: dict[tuple[int, int], int] = {}
-
-    def mid(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        got = midpoint.get(key)
-        if got is None:
-            pa, pb = mesh.vertices[a], mesh.vertices[b]
-            verts.append(tuple((x + y) / 2 for x, y in zip(pa, pb)))
-            got = midpoint[key] = len(verts) - 1
-        return got
-
     children: list[tuple[int, ...]] = []
     for cell in mesh.cells:
-        if n == 1:
-            a, b = cell
-            m = mid(a, b)
-            children += [(a, m), (m, b)]
-        elif n == 2:
-            a, b, c = cell
-            ab, ac, bc = mid(a, b), mid(a, c), mid(b, c)
-            children += [(a, ab, ac), (b, ab, bc), (c, ac, bc), (ab, ac, bc)]
-        else:
-            a, b, c, d = cell
-            ab, ac, ad = mid(a, b), mid(a, c), mid(a, d)
-            bc, bd, cd = mid(b, c), mid(b, d), mid(c, d)
-            children += [
-                (a, ab, ac, ad),
-                (b, ab, bc, bd),
-                (c, ac, bc, cd),
-                (d, ad, bd, cd),
-                (ab, ac, ad, bd),
-                (ab, ac, bc, bd),
-                (ac, ad, bd, cd),
-                (ac, bc, bd, cd),
-            ]
+        point = {(i, i): v for i, v in enumerate(cell)}
+        for i, j in itertools.combinations(range(n + 1), 2):
+            a, b = cell[i], cell[j]
+            if (a, b) not in midpoint:
+                verts.append(tuple((x + y) / 2 for x, y in zip(verts[a], verts[b])))
+                midpoint[a, b] = len(verts) - 1
+            point[i, j] = midpoint[a, b]
+        children += [tuple(point[p] for p in c) for c in _freudenthal_children(n)]
     return Mesh(n, tuple(verts), tuple(children))
 
 
@@ -378,15 +366,22 @@ def save_mesh(mesh: Mesh, path) -> None:
         handle.write("\n")
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # floats and booleans are rejected, not truncated
+        raise TypeError(f"{what} {json.dumps(value)} is not an integer")
+    return value
+
+
 def load_mesh(path) -> Mesh:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
         verts = [
-            tuple(Fraction(int(num), int(den)) for num, den in p)
+            tuple(Fraction(_json_int(a, "numerator"), _json_int(b, "denominator")) for a, b in p)
             for p in data["vertices"]
         ]
-        return Mesh(int(data["dim"]), verts, data["cells"])
+        cells = [[_json_int(i, "cell index") for i in c] for c in data["cells"]]
+        return Mesh(_json_int(data["dim"], "dim"), verts, cells)
     except MeshError:
         raise
     except OSError as exc:

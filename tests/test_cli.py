@@ -111,6 +111,11 @@ def test_skipped_checks_do_not_fail_the_run(capsys):
         # not a frame convention
         ["unisolvence", "--family", "face", "--dim", "2", "--degree", "2",
          "--frame", "face_normal_basis"],
+        # report paths that cannot be written: caught before any unit runs
+        ["dims", "--family", "face", "--degree", "2", "--mesh", "two_triangles",
+         "--out", "/no/such/dir/r.json"],
+        ["dims", "--family", "face", "--degree", "2", "--mesh", "two_triangles",
+         "--out", "."],
     ],
 )
 def test_bad_arguments_exit_two(capsys, argv):
@@ -132,19 +137,37 @@ def test_folded_mesh_file_exits_two(tmp_path, capsys):
     assert "folded mesh" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["zero_denominator", "directory"])
+# kind -> (edit of the saved two_triangles file, text the message must name)
+NOT_INTEGER_EDITS = {
+    "float_numerator": (lambda d: d["vertices"][3][0].__setitem__(0, 1.9), "numerator 1.9"),
+    "float_denominator": (lambda d: d["vertices"][3][0].__setitem__(1, 1.0), "denominator 1.0"),
+    "float_cell_index": (lambda d: d["cells"][1].__setitem__(2, 3.7), "cell index 3.7"),
+    "bool_cell_index": (lambda d: d["cells"][1].__setitem__(0, True), "cell index true"),
+    "float_dim": (lambda d: d.__setitem__("dim", 2.9), "dim 2.9"),
+}
+
+
+@pytest.mark.parametrize("kind", ["zero_denominator", "directory", *NOT_INTEGER_EDITS])
 def test_unreadable_mesh_file_exits_two(tmp_path, capsys, kind):
     path = tmp_path / "mesh.json"
-    if kind == "zero_denominator":
+    named = ""
+    if kind == "directory":
+        path.mkdir()
+    else:
         save_mesh(builtin_mesh("two_triangles"), path)
         data = json.loads(path.read_text())
-        data["vertices"][0][0] = [0, 0]
+        if kind == "zero_denominator":
+            data["vertices"][0][0] = [0, 0]
+        else:
+            edit, named = NOT_INTEGER_EDITS[kind]
+            edit(data)
         path.write_text(json.dumps(data))
-    else:
-        path.mkdir()
-    code = cli.run(["dims", "--family", "face", "--degree", "2", "--mesh", str(path)])
+    code = cli.run(["dims", "--family", "face", "--degree", "1", "--mesh", str(path)])
     assert code == 2
-    assert "--mesh:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--mesh:" in err
+    if named:
+        assert f"{named} is not an integer" in err
 
 
 def test_vector_is_an_input_alias_of_face(capsys):

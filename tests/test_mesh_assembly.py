@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -74,15 +77,79 @@ def test_builtin_mesh_inventories():
         assert got == (dim, nv, nc, ni, nb), name
 
 
+def _four_simplex() -> Mesh:
+    return Mesh(4, reference_simplex(4).vertices, ((0, 1, 2, 3, 4),))
+
+
+def _kuhn_4cube() -> Mesh:
+    points = list(itertools.product((0, 1), repeat=4))
+    paths = mesh_module._kuhn_paths(4)
+    return Mesh(4, points, [[points.index(p) for p in path] for path in paths])
+
+
 def test_refinement_counts_and_volume_conservation():
-    for name, children in [("two_triangles", 4), ("two_tets", 8), ("unit_interval_2", 2)]:
-        m = builtin_mesh(name)
+    cases = [
+        (builtin_mesh("two_triangles"), 4),
+        (builtin_mesh("two_tets"), 8),
+        (builtin_mesh("unit_interval_2"), 2),
+        (_four_simplex(), 16),
+    ]
+    for m, children in cases:
         fine = refine(m)
         assert len(fine.cells) == children * len(m.cells)
         coarse_vol = sum(s.volume() for s in m.cell_simplices)
-        fine_vol = sum(s.volume() for s in fine.cell_simplices)
-        assert coarse_vol == fine_vol
+        assert sum(s.volume() for s in fine.cell_simplices) == coarse_vol
+    assert len({s.volume() for s in refine(_four_simplex()).cell_simplices}) == 1
     assert len(builtin_mesh("refine(refine(two_triangles))").cells) == 32
+    cube = _kuhn_4cube()
+    assert len(cube.cells) == 24
+    fine = refine(cube)
+    assert len(fine.cells) == 384
+    assert sum(s.volume() for s in fine.cell_simplices) == 1
+
+
+# sha256 of (dim, vertices, cells), vertex and cell order included.  The
+# golden reports cannot pin the order: their exact witnesses do not depend on it.
+MESH_DIGESTS = {
+    "unit_interval_3": "0a8ee5ca06cc7618f8d73ee9b384f52a6f9bbe7704b2bcaf3ef99d9665123f57",
+    "refine(unit_interval_3)": "91dc0438fa0ce18ce7474dc2fb0d9ef855153c2540f787d55f7658b62e6afc68",
+    "refine(refine(unit_interval_3))": "d2948fbe5ceac6de3ba28f067a6071e67122470d6ad0fa73ec7b153f6b233ecc",
+    "two_triangles": "91160bc43930a221239b04262e9cc93551309bd015d010f0cb5827d679831eb1",
+    "refine(two_triangles)": "1140aa8dc7a5be9994ef8ad12e31b661a57133532acdcc997e82456c670c9190",
+    "refine(refine(two_triangles))": "de6e8254c295c1cae49a173f0267fdcee1b53f87f7307b3a2ab030246754f1fa",
+    "criss_cross": "ad0053d969a5534804b6964a062ee067fa2c83acc138ad803c6c3580d8c8041a",
+    "refine(criss_cross)": "6e12f42b46d2c761dbdf539f945db5c0638b28383769585989609f01faadfa62",
+    "refine(refine(criss_cross))": "077c0369509147754ac6b3f069517ee4ec059f5108d4821bc757a24ae3c67930",
+    "two_tets": "ada03acab8460d9ef1981684c903d8c2554d61372f45da76ab9424371d0ea2fb",
+    "refine(two_tets)": "d11e44dea3bbd26be6d8c02d83c61b1e6455c26d540decf7aabae5a08c0a76ff",
+    "refine(refine(two_tets))": "91f76404941c8c985a19da280a3c0efe6ab4e517a0ea8ab863f1fc7aa96f3569",
+    "cube_freudenthal": "9137256779c1f8e83c0df0fd2a73d03cc58ceb139b7b8fff2efa565ee9d8afb5",
+    "refine(cube_freudenthal)": "71ea9446dce253006c1c66544ed076f96f844e6180ba045d9310f09d7903f2f2",
+    "refine(refine(cube_freudenthal))": "0e0615e3cc3ca943b7610f31bae8beb4c103e6bf74ffc1f910020403d32d295e",
+    "fichera_coarse": "1441aa60f99a77da82e10303600aceddf194914790dc06b938795494e37365bc",
+    "refine(fichera_coarse)": "8e59b8c3924b77cb1061bd965ac0173635854e53ccee4eb38bdf2fcdaad6f171",
+}
+
+
+def test_builtin_and_refined_meshes_are_pinned_vertex_for_vertex():
+    for name, expected in MESH_DIGESTS.items():
+        m = builtin_mesh(name)
+        data = [
+            m.dim,
+            [[[x.numerator, x.denominator] for x in p] for p in m.vertices],
+            [list(c) for c in m.cells],
+        ]
+        text = json.dumps(data, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, name
+
+
+def test_face_space_on_the_refined_4_simplex():
+    space = assemble(refine(_four_simplex()), "face", 2, -1)
+    dims = check_dims(space)
+    assert dims.status == PASS
+    assert dims.witness["assembled"] == dims.witness["formula"] == 760
+    assert check_conformity(space).status == PASS
+    assert check_div_onto(space).status == PASS
 
 
 def test_refined_two_triangles_facet_split():
