@@ -528,12 +528,237 @@ def _moment_gram(labels: int, degree: int, dim: int) -> tuple[tuple[float, ...],
     return tuple(tuple(float(bn.moment(tuple(map(add, a, b)), dim)) for b in keys) for a in keys)
 
 
-def _coeff_pair_matrix(members):
+def _float_rows(ints, den):
+    """Integer rows over den as floats: int / int is correctly rounded, as
+    float(Fraction(x, den)) is, and unlike a float array of the integers it
+    cannot overflow."""
     import numpy as np
 
-    parts = [tensors.flatten(m.coeff) for m in members]
-    arr = np.array([[float(x) for x in p] for p in parts])
+    return np.array([[x / den for x in row] for row in ints])
+
+
+def _coeff_pair_matrix(members):
+    ints, den = linalg.integer_form(x for m in members for x in tensors.flatten(m.coeff))
+    arr = _float_rows([ints], den).reshape(len(members), -1)
     return arr @ arr.T
+
+
+def _cell_pencils(space: GlobalSpace):
+    """Per cell, the graph-norm mass V_T and the scaled div coupling C_T on
+    the cell's own DoFs, stacked over the cells.
+
+    V_T is the value plus div Gram matrix of the cell's basis functions and
+    C_T = sqrt(|T|) (L^T ⊗ I) times their div rows, with W = L L^T the
+    lattice Gram matrix of degree r-1, so that C_T^T C_T is their div Gram
+    matrix and the target mass drops out of the pencil.
+    """
+    import numpy as np
+
+    mesh = space.mesh
+    n, r = mesh.dim, space.degree
+    width = space.family.space_tag.div_width(n)
+    qlat = bn.space_dim(n, r - 1)
+    w_val = np.array(_moment_gram(n + 1, r, n))
+    chol_t = np.linalg.cholesky(np.array(_moment_gram(n + 1, r - 1, n))).T
+    positions = bn.lattice_position(n + 1, r)
+    masses, couplings = [], []
+    for ci in range(len(mesh.cells)):
+        vol = float(mesh.cell_simplices[ci].volume())
+        members = space.cell_basis(ci).members
+        # Every member scalar is λ^β, so the scalar Gram matrix is the
+        # lattice Gram matrix at the β's.
+        at = [positions[m.beta] for m in members]
+        gram_val = _coeff_pair_matrix(members) * w_val[np.ix_(at, at)]
+        ndiv = _float_rows(*space.div_rows(ci)).reshape(len(members), qlat, width)
+        b_cell = np.empty((width * qlat, len(members)))
+        for comp in range(width):
+            b_cell[comp::width, :] = chol_t @ ndiv[:, :, comp].T
+        dual = _float_rows(*space.dual_coefficients(ci))
+        masses.append(dual.T @ (vol * (gram_val + b_cell.T @ b_cell)) @ dual)
+        couplings.append(sqrt(vol) * (b_cell @ dual))
+    return np.array(masses), np.array(couplings)
+
+
+def _reverse_cuthill_mckee(cell_dofs, n: int) -> list[int]:
+    """The n DoFs in reverse Cuthill-McKee order, two DoFs adjacent when a
+    cell holds both, neighbours taken by increasing cell count (George and
+    Liu, Computer Solution of Large Sparse Positive Definite Systems, §4.3).
+
+    Each component starts from a pseudo-peripheral DoF: the last DoF reached
+    from its previous start, while that lengthens the search.
+    """
+    cells_of: list[list[int]] = [[] for _ in range(n)]
+    for c, dofs in enumerate(cell_dofs):
+        for g in dofs:
+            cells_of[g].append(c)
+    degree = [len(cs) for cs in cells_of]
+
+    def cuthill_mckee(root):
+        order, levels = [root], [0]
+        seen = {root}
+        expanded = set()
+        for g, level in zip(order, levels):
+            fresh = []
+            for c in cells_of[g]:
+                if c not in expanded:
+                    expanded.add(c)
+                    for h in cell_dofs[c]:
+                        if h not in seen:
+                            seen.add(h)
+                            fresh.append(h)
+            fresh.sort(key=degree.__getitem__)
+            order.extend(fresh)
+            levels.extend([level + 1] * len(fresh))
+        return order, levels[-1]
+
+    out: list[int] = []
+    placed = [False] * n
+    for start in sorted(range(n), key=degree.__getitem__):
+        if placed[start]:
+            continue
+        order, depth = cuthill_mckee(start)
+        while True:
+            far, far_depth = cuthill_mckee(order[-1])
+            if far_depth <= depth:
+                break
+            order, depth = far, far_depth
+        for g in order:
+            placed[g] = True
+        out.extend(order)
+    return out[::-1]
+
+
+_BAND_BLOCK = 128  # rows per block of the envelope Cholesky
+_SCHUR_PANEL = 512  # rows of S per product while accumulating Y^T Y
+
+
+def _condense_cells(space: GlobalSpace):
+    """Eliminate every cell's interior DoFs from its pencil (static
+    condensation, Guyan, AIAA J. 3, 1965), batched over the cells.
+
+    With i the cell's interior DoFs, b the rest and V_ii = R R^T, returns
+    rows[c] (cell c's other DoFs, numbered 0..n_b-1 over the mesh in reverse
+    Cuthill-McKee order), the cellwise Schur complements V_bb - V_bi V_ii^-1
+    V_ib, the condensed couplings C_b - C_i V_ii^-1 V_ib and the diagonal
+    blocks C_i V_ii^-1 C_i^T, all from W_b = R^-1 V_ib and W_c = R^-1 C_i^T.
+    """
+    import numpy as np
+
+    masses, couplings = _cell_pencils(space)
+    # Each cell's local DoFs reordered interior first, the rest numbered
+    # over the mesh.
+    local, cell_b = [], []
+    compact: dict[int, int] = {}
+    for l2g in space.local_to_global:
+        inner = [i for i, g in enumerate(l2g) if space.keys[g][0] == INTERIOR]
+        outer = [i for i, g in enumerate(l2g) if space.keys[g][0] != INTERIOR]
+        local.append(inner + outer)
+        cell_b.append([compact.setdefault(l2g[i], len(compact)) for i in outer])
+    rank_of = np.empty(len(compact), dtype=np.int64)
+    rank_of[_reverse_cuthill_mckee(cell_b, len(compact))] = np.arange(len(compact))
+    rows = rank_of[np.array(cell_b, dtype=np.int64)]
+    ni = len(local[0]) - rows.shape[1]
+    local = np.array(local)
+    v = np.take_along_axis(np.take_along_axis(masses, local[:, :, None], axis=1), local[:, None, :], axis=2)
+    c = np.take_along_axis(couplings, local[:, None, :], axis=2)
+    lower = np.linalg.cholesky(v[:, :ni, :ni])
+    w_b = np.linalg.solve(lower, v[:, :ni, ni:])
+    w_c = np.linalg.solve(lower, c[:, :, :ni].transpose(0, 2, 1))
+    sigma = v[:, ni:, ni:] - w_b.transpose(0, 2, 1) @ w_b
+    c_hat = c[:, :, ni:] - w_c.transpose(0, 2, 1) @ w_b
+    return rows, sigma, c_hat, w_c.transpose(0, 2, 1) @ w_c
+
+
+def _envelope_cholesky_solve(rows, cell_mats, rhs, top) -> None:
+    """Factor Σ = L L^T, assembled from cell_mats[c] on the indices rows[c],
+    and overwrite rhs with L^-1 rhs; top[q] is the first nonzero row of
+    column q of rhs, nondecreasing in q (George and Liu, Computer Solution
+    of Large Sparse Positive Definite Systems, 1981, ch. 4).
+
+    Σ's lower triangle is kept by blocks of rows: block I holds rows r0..r1
+    and columns c0[I]..r1, c0[I] a block boundary at or before the first
+    nonzero column of its rows.  Cholesky fill stays in that envelope, and
+    each block row costs matrix products against the blocks it reaches:
+    L_IJ = (Σ_IJ - L_I,<J L_J,<J^T) L_JJ^-T, then L_II from Σ_II - L_I,<I
+    L_I,<I^T.  Rows r0..r1 of L^-1 rhs are nonzero only in the columns whose
+    top lies above r1.  numpy's Cholesky raises LinAlgError on a diagonal
+    block that is not positive definite.
+    """
+    import numpy as np
+
+    n = rhs.shape[0]
+    nb = _BAND_BLOCK
+    nblocks = -(-n // nb)
+    first = np.full(n, n, dtype=np.int64)
+    np.minimum.at(first, rows.ravel(), np.repeat(rows.min(axis=1), rows.shape[1]))
+    bounds = [min(I * nb, n) for I in range(nblocks + 1)]
+    c0 = np.array([first[bounds[I]:bounds[I + 1]].min() // nb * nb for I in range(nblocks)], dtype=np.int64)
+    widths = np.array(bounds[1:]) - c0
+    offsets = np.concatenate([[0], np.cumsum(widths * np.diff(bounds))])
+    p = np.broadcast_to(rows[:, :, None], cell_mats.shape)
+    q = np.broadcast_to(rows[:, None, :], cell_mats.shape)
+    lower = p >= q
+    p, q = p[lower], q[lower]
+    blk = p // nb
+    pos = offsets[blk] + (p - blk * nb) * widths[blk] + q - c0[blk]
+    envelope = np.bincount(pos, weights=cell_mats[lower], minlength=int(offsets[-1]))
+
+    def block(I):
+        return envelope[offsets[I]:offsets[I + 1]].reshape(bounds[I + 1] - bounds[I], widths[I])
+
+    inv_diag = []
+    for I in range(nblocks):
+        r0, r1, base = bounds[I], bounds[I + 1], int(c0[I])
+        row = block(I)
+        for J in range(base // nb, I):
+            j0, j1 = bounds[J] - base, bounds[J + 1] - base
+            lo = max(base, int(c0[J]))
+            if lo < bounds[J]:
+                row[:, j0:j1] -= row[:, lo - base:j0] @ block(J)[:, lo - c0[J]:bounds[J] - c0[J]].T
+            row[:, j0:j1] = row[:, j0:j1] @ inv_diag[J].T
+        left = row[:, :r0 - base]
+        inv_diag.append(np.linalg.inv(np.linalg.cholesky(row[:, r0 - base:] - left @ left.T)))
+        m = np.searchsorted(top, r1)
+        rhs[r0:r1, :m] = inv_diag[I] @ (rhs[r0:r1, :m] - left @ rhs[base:r0, :m])
+
+
+def _condensed_schur(space: GlobalSpace):
+    """S = C V^-1 C^T of the inf-sup pencil, without forming V.
+
+    Interior DoFs couple only inside their cell, so eliminating them cell by
+    cell gives S = C_i V_ii^-1 C_i^T + Ĉ Σ^-1 Ĉ^T: the first term is block
+    diagonal over the cells, Σ = V_bb - V_bi V_ii^-1 V_ib is assembled from
+    the cellwise Schur complements and Ĉ = C_b - C_i V_ii^-1 V_ib keeps the
+    sparsity of C_b.  With Σ = L L^T from the envelope Cholesky, the second
+    term is Y^T Y, Y = L^-1 Ĉ^T.
+
+    The rows of S come by cell, in the order of each cell's first row in
+    Σ: a symmetric permutation, so the spectrum is unchanged, under which
+    the columns of Ĉ^T have nondecreasing first nonzero rows.  Only the lower
+    triangle of S is filled, which is all eigvalsh reads.
+    """
+    import numpy as np
+
+    rows, sigma, c_hat, diag_blocks = _condense_cells(space)
+    ncells, qdim = c_hat.shape[:2]
+    dim_q = qdim * ncells
+    cell_first = rows.min(axis=1)
+    by_first = np.argsort(cell_first, kind="stable")
+    slot = np.empty(ncells, dtype=np.int64)
+    slot[by_first] = np.arange(ncells)
+    columns = slot[:, None] * qdim + np.arange(qdim)
+    top = np.repeat(cell_first[by_first], qdim)
+    y = np.zeros((int(rows.max()) + 1, dim_q))
+    y[rows[:, :, None], columns[:, None, :]] = c_hat.transpose(0, 2, 1)
+    _envelope_cholesky_solve(rows, sigma, y, top)
+    schur = np.zeros((dim_q, dim_q))
+    schur[columns[:, :, None], columns[:, None, :]] = diag_blocks
+    # Lower triangle of Y^T Y by panels of rows of S; rows of Y above the
+    # panel's first top contribute nothing.
+    for p0 in range(0, dim_q, _SCHUR_PANEL):
+        p1 = min(p0 + _SCHUR_PANEL, dim_q)
+        schur[p0:p1, :p1] += y[top[p0]:, p0:p1].T @ y[top[p0]:, :p1]
+    return schur
 
 
 def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> CheckResult:
@@ -545,6 +770,8 @@ def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> Chec
     pencil reduces to a plain symmetric matrix whose coupling rows on T are
     sqrt(|T|) (L^T ⊗ I) times the div rows (Golub and Van Loan, Matrix
     Computations, §8.7); their Gram matrix is the cell's div Gram matrix.
+    C V^-1 C^T is built by static condensation and an envelope Cholesky, never
+    as a dense dim_v x dim_v solve (see _condensed_schur).
     Eigenvalues under the kernel threshold are discarded and counted, since
     none are expected at or above the degree threshold.  numpy is imported
     here, so runs that compute no inf-sup constant never load it.
@@ -556,40 +783,9 @@ def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> Chec
         raise ValueError("the scalar family has no div pairing")
     mesh = space.mesh
     n, r = mesh.dim, space.degree
-    width = family.space_tag.div_width(n)
-    qlat = bn.space_dim(n, r - 1)
-    qdim_cell = width * qlat
-    dim_q = qdim_cell * len(mesh.cells)
-    big_v = np.zeros((space.dim, space.dim))
-    coupling = np.zeros((dim_q, space.dim))
-    w_val = np.array(_moment_gram(n + 1, r, n))
-    chol_t = np.linalg.cholesky(np.array(_moment_gram(n + 1, r - 1, n))).T
-    positions = bn.lattice_position(n + 1, r)
-    for ci in range(len(mesh.cells)):
-        simplex = mesh.cell_simplices[ci]
-        vol = float(simplex.volume())
-        members = space.cell_basis(ci).members
-        # Every member scalar is λ^β, so the scalar Gram matrix is the
-        # lattice Gram matrix at the β's.
-        at = [positions[m.beta] for m in members]
-        gram_val = _coeff_pair_matrix(members) * w_val[np.ix_(at, at)]
-        # int / int is correctly rounded, as float(Fraction(x, d)) is; the
-        # same holds for the dual below.
-        rows, den = space.div_rows(ci)
-        ndiv = np.array([[x / den for x in row] for row in rows])
-        ndiv = ndiv.reshape(len(members), qlat, width)
-        b_cell = np.empty((qdim_cell, len(members)))
-        for comp in range(width):
-            b_cell[comp::width, :] = chol_t @ ndiv[:, :, comp].T
-        gram_div = b_cell.T @ b_cell
-        ints, d = space.dual_coefficients(ci)
-        dual = np.array([[x / d for x in row] for row in ints])
-        gidx = np.array(space.local_to_global[ci])
-        big_v[np.ix_(gidx, gidx)] += dual.T @ (vol * (gram_val + gram_div)) @ dual
-        sl = slice(ci * qdim_cell, (ci + 1) * qdim_cell)
-        coupling[sl, gidx] += sqrt(vol) * (b_cell @ dual)
+    dim_q = family.space_tag.div_width(n) * bn.space_dim(n, r - 1) * len(mesh.cells)
     try:
-        schur = coupling @ np.linalg.solve(big_v, coupling.T)
+        schur = _condensed_schur(space)
         eigs = np.linalg.eigvalsh(schur)
     except np.linalg.LinAlgError as exc:
         return CheckResult(

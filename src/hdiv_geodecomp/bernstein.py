@@ -14,7 +14,7 @@ from functools import cache
 from math import comb, factorial, prod
 from typing import Mapping, Sequence
 
-from .simplex import Simplex, SubSimplexId, barycentric_gradients, dot
+from .simplex import SubSimplexId
 
 MultiIndex = tuple[int, ...]
 
@@ -102,16 +102,6 @@ class BernsteinPoly:
 
     __rmul__ = __mul__
 
-    def evaluate(self, barycentric: Sequence) -> Fraction:
-        """Value at a point given by barycentric weights for the domain labels."""
-        point = [Fraction(x) for x in barycentric]
-        if len(point) != len(self.domain.indices):
-            raise ValueError("barycentric point length mismatch")
-        total = Fraction(0)
-        for alpha, c in self.coeffs.items():
-            total += c * prod((point[k] ** a for k, a in enumerate(alpha)), start=Fraction(1))
-        return total
-
 
 def zero(domain: SubSimplexId, degree: int = 0) -> BernsteinPoly:
     return BernsteinPoly(domain, degree, {})
@@ -167,15 +157,6 @@ def elevate(p: BernsteinPoly, target_degree: int) -> BernsteinPoly:
     return out
 
 
-def bubble(f: SubSimplexId) -> BernsteinPoly:
-    """b_f = product of the barycentric coordinates of f, on the full simplex."""
-    domain = full_domain(f.parent_dim)
-    out = one(domain)
-    for label in f.indices:
-        out = multiply(out, barycentric(domain, label))
-    return out
-
-
 def restrict(p: BernsteinPoly, f: SubSimplexId) -> BernsteinPoly:
     """Set λ_i = 0 for labels i outside f; the result lives on f."""
     if not p.domain.contains(f):
@@ -225,26 +206,6 @@ def integrate(p: BernsteinPoly, f: SubSimplexId) -> Fraction:
     for alpha, c in restricted.coeffs.items():
         total += c * moment(alpha, ell)
     return total
-
-
-def derivative(p: BernsteinPoly, direction: Sequence, simplex: Simplex) -> BernsteinPoly:
-    """Directional derivative d·∇p, exact; degree drops by one."""
-    n = simplex.dim
-    if p.domain.indices != tuple(range(n + 1)):
-        raise ValueError("derivatives require a polynomial on the full simplex")
-    d = [Fraction(x) for x in direction]
-    grads = barycentric_gradients(simplex)
-    slopes = [dot(d, g) for g in grads]
-    if p.degree == 0:
-        return zero(p.domain)
-    out: dict[MultiIndex, Fraction] = {}
-    for alpha, c in p.coeffs.items():
-        for k, a in enumerate(alpha):
-            if a == 0 or slopes[k] == 0:
-                continue
-            key = tuple(x - int(i == k) for i, x in enumerate(alpha))
-            out[key] = out.get(key, Fraction(0)) + c * a * slopes[k]
-    return BernsteinPoly(p.domain, p.degree - 1, out)
 
 
 def coeff_vector(p: BernsteinPoly, degree: int) -> list[Fraction]:

@@ -133,6 +133,11 @@ def _resolve_case(parser: argparse.ArgumentParser, args) -> tuple[CaseParams, Me
 
 
 def run(argv=None) -> int:
+    # Units run serially and the float inf-sup solves are small, so one
+    # BLAS thread is faster than a pool; OpenBLAS reads this when numpy is
+    # first imported, which only the inf-sup unit does.  A value the caller
+    # set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

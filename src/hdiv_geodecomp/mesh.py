@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +52,17 @@ class MeshError(ValueError):
     """Raised for inputs that are not conforming simplicial partitions."""
 
 
+def _cell_index(value) -> int:
+    """A vertex index as an int: anything with __index__ but a bool, so a
+    float is rejected rather than truncated."""
+    if isinstance(value, bool):
+        raise MeshError(f"cell index {value!r} is a bool, not an integer")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise MeshError(f"cell index {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class Mesh:
     """A conforming partition with exact rational vertex coordinates."""
@@ -62,7 +74,7 @@ class Mesh:
     def __post_init__(self):
         pts = tuple(tuple(Fraction(x) for x in p) for p in self.vertices)
         object.__setattr__(self, "vertices", pts)
-        cells = tuple(tuple(sorted(int(i) for i in c)) for c in self.cells)
+        cells = tuple(tuple(sorted(map(_cell_index, c))) for c in self.cells)
         object.__setattr__(self, "cells", cells)
         n = self.dim
         if n < 1:

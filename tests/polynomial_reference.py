@@ -1,0 +1,51 @@
+"""Polynomial references the tests compare the package's integer kernels
+with: point values, bubbles and directional derivatives of Bernstein-form
+polynomials, built term by term from their definitions."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import prod
+from typing import Sequence
+
+from hdiv_geodecomp import bernstein as bn
+from hdiv_geodecomp.simplex import Simplex, SubSimplexId, barycentric_gradients, dot
+
+
+def evaluate(p: bn.BernsteinPoly, barycentric: Sequence) -> Fraction:
+    """Value at a point given by barycentric weights for the domain labels."""
+    point = [Fraction(x) for x in barycentric]
+    if len(point) != len(p.domain.indices):
+        raise ValueError("barycentric point length mismatch")
+    total = Fraction(0)
+    for alpha, c in p.coeffs.items():
+        total += c * prod((point[k] ** a for k, a in enumerate(alpha)), start=Fraction(1))
+    return total
+
+
+def bubble(f: SubSimplexId) -> bn.BernsteinPoly:
+    """b_f = product of the barycentric coordinates of f, on the full simplex."""
+    domain = bn.full_domain(f.parent_dim)
+    out = bn.one(domain)
+    for label in f.indices:
+        out = bn.multiply(out, bn.barycentric(domain, label))
+    return out
+
+
+def derivative(p: bn.BernsteinPoly, direction: Sequence, simplex: Simplex) -> bn.BernsteinPoly:
+    """Directional derivative d·∇p, exact; degree drops by one."""
+    n = simplex.dim
+    if p.domain.indices != tuple(range(n + 1)):
+        raise ValueError("derivatives require a polynomial on the full simplex")
+    d = [Fraction(x) for x in direction]
+    slopes = [dot(d, g) for g in barycentric_gradients(simplex)]
+    if p.degree == 0:
+        return bn.zero(p.domain)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for alpha, c in p.coeffs.items():
+        for k, a in enumerate(alpha):
+            if a == 0 or slopes[k] == 0:
+                continue
+            key = tuple(x - int(i == k) for i, x in enumerate(alpha))
+            out[key] = out.get(key, Fraction(0)) + c * a * slopes[k]
+    return bn.BernsteinPoly(p.domain, p.degree - 1, out)

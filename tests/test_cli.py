@@ -311,6 +311,19 @@ def test_mesh_units_ignore_the_frame_convention():
     assert witnesses[0] == witnesses[1]
 
 
+def _run_script(script: str, **env: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a child with the package on its path and the
+    given variables set; OPENBLAS_NUM_THREADS is unset unless given."""
+    src = Path(cli.__file__).resolve().parents[1]
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**child_env, "PYTHONPATH": str(src), **env},
+        capture_output=True,
+        text=True,
+    )
+
+
 def test_infsup_runs_without_importing_scipy():
     script = (
         "import sys\n"
@@ -318,35 +331,48 @@ def test_infsup_runs_without_importing_scipy():
         "assert cli.run(['infsup', '--family', 'face', '--degree', '2', '--mesh', 'two_triangles']) == 0\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
-    src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_script(script)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_numpy_is_loaded_only_by_infsup(tmp_path):
     script = (
-        "import sys\n"
+        "import os, sys\n"
         "from hdiv_geodecomp import cli\n"
         "argv = ['all', '--family', 'traceless', '--dim', '3', '--degree', '3', '--k', '0']\n"
         f"assert cli.run(argv + ['--out', {str(tmp_path / 'element.json')!r}]) == 0\n"
         "assert 'numpy' not in sys.modules, 'an element run imported numpy'\n"
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '1', 'set only after numpy loaded'\n"
         "argv = ['infsup', '--family', 'face', '--degree', '2', '--mesh', 'two_triangles']\n"
         f"assert cli.run(argv + ['--out', {str(tmp_path / 'infsup.json')!r}]) == 0\n"
         "assert 'numpy' in sys.modules, 'infsup ran without numpy'\n"
     )
-    src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_script(script)
     assert proc.returncode == 0, proc.stderr
+
+
+def _openblas_threads_around_infsup(out, **env: str) -> list[str]:
+    """OPENBLAS_NUM_THREADS before and after an infsup run in a child."""
+    script = (
+        "import os\n"
+        "from hdiv_geodecomp import cli\n"
+        "before = os.environ.get('OPENBLAS_NUM_THREADS')\n"
+        "argv = ['infsup', '--family', 'face', '--degree', '2', '--mesh', 'two_triangles']\n"
+        f"assert cli.run(argv + ['--out', {str(out)!r}]) == 0\n"
+        "print(before, os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    proc = _run_script(script, **env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_cli_gives_openblas_one_thread_by_default(tmp_path):
+    assert _openblas_threads_around_infsup(tmp_path / "r.json") == ["None", "1"]
+
+
+def test_cli_keeps_a_preset_openblas_thread_count(tmp_path):
+    threads = _openblas_threads_around_infsup(tmp_path / "r.json", OPENBLAS_NUM_THREADS="2")
+    assert threads == ["2", "2"]
 
 
 def test_serial_runs_do_not_load_the_process_pool(tmp_path):
@@ -359,13 +385,7 @@ def test_serial_runs_do_not_load_the_process_pool(tmp_path):
         f"assert cli.run(argv + ['--out', {str(tmp_path / 'element.json')!r}]) == 0\n"
         "assert not [m for m in pool if m in sys.modules], 'a serial run loaded the process pool'\n"
     )
-    src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_script(script)
     assert proc.returncode == 0, proc.stderr
 
 

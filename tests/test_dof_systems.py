@@ -32,6 +32,7 @@ from hdiv_geodecomp.simplex import SubSimplexId, build_frame, enumerate_subsimpl
 from hdiv_geodecomp.spaces import Family, decompose, facet_normal
 
 from conftest import random_simplex, rational_rows
+from polynomial_reference import evaluate
 
 
 # ---------------------------------------------------------------- sizes
@@ -231,7 +232,7 @@ def test_vertex_point_values_equal_evaluations():
             continue
         direction = nf.terms[0].direction
         for j, member in enumerate(basis.members):
-            expected = member.scalar.evaluate(coords) * tensors.frobenius(
+            expected = evaluate(member.scalar, coords) * tensors.frobenius(
                 member.coeff, direction
             )
             assert Fraction(matrix[i][j], matrix.denominators[i]) == expected

@@ -41,6 +41,7 @@ from hdiv_geodecomp.simplex import enumerate_subsimplices, reference_simplex
 from hdiv_geodecomp.spaces import Family, decompose, site_rows
 
 from conftest import rational_rows
+from dense_infsup import dense_infsup
 
 
 # ---------------------------------------------------------------- meshes
@@ -183,6 +184,21 @@ def test_mesh_json_roundtrip(tmp_path):
     assert back.vertices[2][0] == Fraction(1, 3)
     assert resolve_mesh(str(path)).cells == m.cells
     assert resolve_mesh("two_triangles").cells == builtin_mesh("two_triangles").cells
+
+
+@pytest.mark.parametrize("index", [0.9, 0.0, True, "0", Fraction(0)])
+def test_mesh_rejects_cell_indices_that_are_not_integers(index):
+    # A float used to be truncated: (0.9, 1, 2) built the cell (0, 1, 2).
+    with pytest.raises(MeshError, match="cell index"):
+        Mesh(2, [(0, 0), (1, 0), (0, 1)], [(index, 1, 2)])
+
+
+def test_mesh_accepts_cell_indices_with_index():
+    class Index:
+        def __index__(self):
+            return 0
+
+    assert Mesh(2, [(0, 0), (1, 0), (0, 1)], [(Index(), 2, 1)]).cells == ((0, 1, 2),)
 
 
 def test_validate_mesh_rejects_bad_input():
@@ -718,6 +734,66 @@ def test_infsup_beta_matches_the_unreduced_pencil(name, family, degree, k, refin
     assert res.witness["beta"] == pytest.approx(beta, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize(
+    "name,family,degree,k,refined",
+    [c[:5] for c in UNREDUCED_BETA] + [("cube_freudenthal", "traceless", 2, 0, True)],
+    ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}{'-refined' if c[4] else ''}" for c in UNREDUCED_BETA]
+    + ["cube_freudenthal-traceless-2-0-refined"],
+)
+def test_infsup_condensed_solve_matches_the_dense_pencil(name, family, degree, k, refined):
+    mesh = builtin_mesh(name)
+    space = assemble(refine(mesh) if refined else mesh, family, degree, k)
+    beta, discarded = dense_infsup(space)
+    res = infsup_constant(space)
+    assert res.witness["discarded_modes"] == discarded == 0
+    assert res.witness["beta"] == pytest.approx(beta, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "name,family,degree,k",
+    [("two_triangles", "face", 2, -1), ("refine(two_tets)", "traceless", 2, 0)],
+)
+@pytest.mark.parametrize("victim", [0, 1])
+def test_infsup_fails_with_an_error_on_a_singular_mass_matrix(monkeypatch, name, family, degree, k, victim):
+    # Without its value Gram matrix, cell `victim` contributes only the div
+    # Gram matrix, so V is singular on the div-free fields.
+    true_pairs = assembly._coeff_pair_matrix
+    calls = []
+
+    def zeroed(members):
+        calls.append(None)
+        pairs = true_pairs(members)
+        return pairs * 0 if len(calls) == victim + 1 else pairs
+
+    monkeypatch.setattr(assembly, "_coeff_pair_matrix", zeroed)
+    res = infsup_constant(assemble(resolve_mesh(name), family, degree, k))
+    assert res.status == FAIL
+    assert set(res.witness) == {"error"}
+    assert res.witness["error"].startswith("singular mass matrix")
+
+
+def test_infsup_orders_shared_dofs_for_a_narrow_envelope():
+    space = assemble(refine(builtin_mesh("cube_freudenthal")), "traceless", 2, 0)
+    cell_dofs = [
+        [g for g in l2g if space.keys[g][0] != INTERIOR] for l2g in space.local_to_global
+    ]
+    compact = {g: i for i, g in enumerate(sorted({g for dofs in cell_dofs for g in dofs}))}
+    cell_dofs = [[compact[g] for g in dofs] for dofs in cell_dofs]
+    order = assembly._reverse_cuthill_mckee(cell_dofs, len(compact))
+    assert sorted(order) == list(range(len(compact)))
+    rank = {g: i for i, g in enumerate(order)}
+
+    def profile(position):
+        first = {}
+        for dofs in cell_dofs:
+            lo = min(position[g] for g in dofs)
+            for g in dofs:
+                first[position[g]] = min(first.get(position[g], lo), lo)
+        return sum(i - f for i, f in first.items())
+
+    assert profile(rank) < profile({g: g for g in compact.values()}) / 2
+
+
 @pytest.mark.parametrize("cut", [1, 2])
 @pytest.mark.parametrize(
     "name,family,degree,k",
@@ -733,7 +809,9 @@ def test_infsup_discards_one_kernel_mode_per_zeroed_target_column(name, family, 
     space._div_cache[0] = ([[0] * cut + row[cut:] for row in rows], den)
     res = infsup_constant(space)
     assert res.status == FAIL
-    assert res.witness["discarded_modes"] == cut
+    beta, discarded = dense_infsup(space)
+    assert res.witness["discarded_modes"] == discarded == cut
+    assert res.witness["beta"] == pytest.approx(beta, rel=1e-12, abs=0)
 
 
 def test_infsup_sweep_two_levels():
