@@ -10,11 +10,13 @@ over its least positive denominator.  invert_block_lower takes a matrix in
 that form and returns its inverse as an integer matrix over one
 denominator.
 
-rank keeps only the nonzero entries of each row and picks pivots in
-Markowitz order (fewest nonzeros), because the matrices it sees (global div
-maps, stacked spans) are sparse and only the count of pivots is read.  It
-eliminates along the shorter side, transposing a matrix with more nonzero
-rows than nonzero columns, since rank A = rank Aᵀ.
+rank keeps only the nonzero entries of each row and hands them to
+sparse_rank, which picks pivots in Markowitz order (fewest nonzeros),
+because the matrices it sees (stacked spans, the reduced global div map)
+are sparse and only the count of pivots is read.  sparse_rank eliminates
+along the shorter side, transposing a matrix with more nonzero rows than
+nonzero columns, since rank A = rank Aᵀ; callers that build a sparse
+matrix directly pass its rows to it without a dense form.
 echelon_data and nullspace eliminate dense rows in first-nonzero column
 order instead: the pivot hashes in reports are taken from that order, and
 the frame and quotient directions built from nullspace depend on the basis
@@ -55,15 +57,8 @@ def _int_rows(mat: RowSeq) -> list[list[int]]:
 
 
 def _reduce_content(row: list[int]) -> list[int]:
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _echelon_int(rows: list[list[int]]) -> list[tuple[int, int]]:
@@ -123,30 +118,33 @@ def _coprime(row: dict[int, int]) -> dict[int, int]:
 
 
 def _sparse_int_row(row: Sequence[Scalar]) -> dict[int, int]:
-    """Nonzero entries of the row scaled to coprime integers, by column."""
+    """Nonzero entries of the row scaled to integers, by column."""
     cols = [j for j, x in enumerate(row) if x]
     ints, _ = integer_form(row[j] for j in cols)
-    return _coprime(dict(zip(cols, ints)))
+    return dict(zip(cols, ints))
 
 
 def rank(mat: RowSeq) -> int:
-    """Exact rank by fraction-free elimination over sparse integer rows.
+    """Exact rank: each row scaled to integers and kept by its nonzero
+    entries, then sparse_rank."""
+    return sparse_rank(_sparse_int_row(row) for row in mat)
+
+
+def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Exact rank of integer rows given as {column: nonzero entry}, by
+    fraction-free elimination.
 
     rank A = rank Aᵀ, so the shorter side is eliminated: when the nonzero
     rows outnumber the nonzero columns, the sparse rows are transposed
-    (and each new row reduced to coprime entries) first, and the dependent
-    rows of a tall matrix are never reduced to zero one pivot at a time.
-    Each step takes the remaining row with the fewest nonzeros and, in it,
-    the column held by the fewest remaining rows (Markowitz order), so a
-    pivot disturbs as few rows and creates as little fill as the greedy
-    choice allows.  Every row holding the pivot column is updated by cross
-    multiplication and reduced to coprime entries.
+    first, and the dependent rows of a tall matrix are never reduced to
+    zero one pivot at a time.  Each step takes the remaining row with the
+    fewest nonzeros and, in it, the column held by the fewest remaining
+    rows (Markowitz order), so a pivot disturbs as few rows and creates as
+    little fill as the greedy choice allows.  Every row holding the pivot
+    column is updated by cross multiplication and reduced to coprime
+    entries.
     """
-    rows = {}
-    for i, row in enumerate(mat):
-        ints = _sparse_int_row(row)
-        if ints:
-            rows[i] = ints
+    rows = {i: _coprime(row) for i, row in enumerate(rows) if row}
     columns: dict[int, dict[int, int]] = {}
     for i, row in rows.items():
         for j, x in row.items():

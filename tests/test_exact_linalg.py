@@ -178,6 +178,17 @@ def test_sparse_rank_matches_dense_echelon_rank(mat):
     dense = linalg.echelon_data(mat).rank
     assert linalg.rank(mat) == dense
     assert linalg.rank([list(col) for col in zip(*mat)]) == dense
+    # The sparse core alone, on integer rows that are not reduced to coprime.
+    scaled = [{j: 6 * x for j, x in enumerate(linalg.integer_form(row)[0]) if x} for row in mat]
+    assert linalg.sparse_rank(scaled) == dense
+
+
+def test_reduce_content_divides_by_the_row_gcd():
+    assert linalg._reduce_content([0, -6, 4, 0]) == [0, -3, 2, 0]
+    coprime = [3, 0, -5]
+    assert linalg._reduce_content(coprime) is coprime
+    zero = [0, 0]
+    assert linalg._reduce_content(zero) is zero
 
 
 @st.composite

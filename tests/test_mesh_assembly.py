@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -12,7 +13,7 @@ from math import comb, gcd
 
 import pytest
 
-from hdiv_geodecomp import assembly, cli, linalg, mesh as mesh_module, tensors
+from hdiv_geodecomp import assembly, cli, linalg, mesh as mesh_module, spaces, tensors
 from hdiv_geodecomp.assembly import (
     AssemblyError,
     GlobalSpace,
@@ -41,6 +42,7 @@ from hdiv_geodecomp.simplex import enumerate_subsimplices, reference_simplex
 from hdiv_geodecomp.spaces import Family, decompose, site_rows
 
 from conftest import rational_rows
+from dense_div_onto import dense_div_onto_rank, dense_div_onto_rows
 from dense_infsup import dense_infsup
 
 
@@ -257,6 +259,19 @@ def test_validate_mesh_checks_each_instance_once(monkeypatch, tmp_path):
         _hanging_node_mesh()
     with pytest.raises(MeshError, match="folded mesh"):
         Mesh(2, ((0, 0), (1, 0), (0, 1), (Fraction(1, 2), 2)), ((0, 1, 2), (0, 1, 3)))
+
+
+def test_facet_normals_are_computed_once_per_facet():
+    m = builtin_mesh("fichera_coarse")
+    for facet in m.sub_simplices(m.dim - 1):
+        owner = min(m.facet_cells[facet])
+        inward = spaces.facet_normal(m.cell_simplices[owner], m.local_site(owner, facet))
+        normal = m.facet_normal(facet)
+        assert normal == tuple(-x for x in inward)
+        assert m.facet_normal(list(facet)) is normal
+    for _ in range(2):
+        with pytest.raises(MeshError, match="not a facet"):
+            m.facet_normal((0,))
 
 
 def test_shared_facet_normal_and_frames_are_cell_independent():
@@ -674,15 +689,92 @@ def test_div_onto_at_threshold_degrees():
         assert res.witness["deficit"] == 0
 
 
+def _zero_div_columns(space: GlobalSpace, cell: int, columns) -> None:
+    """Zero target columns of one cell's member div rows in the space's
+    cache, so every later reader of div_rows sees them cut."""
+    rows, den = space.div_rows(cell)
+    space._div_cache[cell] = ([[0 if j in columns else x for j, x in enumerate(row)] for row in rows], den)
+
+
+def _zero_div_members(space: GlobalSpace, cell: int, members) -> None:
+    rows, den = space.div_rows(cell)
+    space._div_cache[cell] = ([[0] * len(row) if j in members else row for j, row in enumerate(rows)], den)
+
+
 def test_div_onto_rank_drops_by_one_per_zeroed_target_column():
     space = assemble(builtin_mesh("two_tets"), "traceless", 2, 0)
     res = check_div_onto(space)
     assert res.status == PASS
-    rows = assembly._div_onto_rows(space)
+    rows = dense_div_onto_rows(space)
     assert linalg.rank(rows) == res.witness["rank"] == res.witness["dim_q"] == len(rows[0])
+    qdim_cell = len(rows[0]) // len(space.mesh.cells)
     for col in range(len(rows[0])):
         cut = [row[:col] + [0] + row[col + 1:] for row in rows]
         assert linalg.rank(cut) == res.witness["rank"] - 1, col
+        # The same cut made in the cell's div rows, read by the cellwise rank.
+        zeroed = assemble(builtin_mesh("two_tets"), "traceless", 2, 0)
+        _zero_div_columns(zeroed, col // qdim_cell, {col % qdim_cell})
+        assert check_div_onto(zeroed).witness["deficit"] == 1, col
+
+
+DIV_ONTO_CASES = [
+    # (mesh, family, degree, k): at and below each family's degree threshold.
+    ("unit_interval_3", "face", 1, -1),
+    ("unit_interval_3", "face", 2, -1),
+    ("two_triangles", "face", 1, -1),
+    ("two_triangles", "face", 2, 0),
+    ("two_triangles", "traceless", 2, 0),
+    ("two_triangles", "symmetric", 2, 0),
+    ("two_triangles", "symmetric", 3, 0),
+    ("criss_cross", "face", 2, -1),
+    ("criss_cross", "traceless", 3, 0),
+    ("criss_cross", "symmetric", 3, 0),
+    ("two_tets", "face", 1, -1),
+    ("two_tets", "face", 2, 0),
+    ("two_tets", "traceless", 2, 0),
+    ("two_tets", "symmetric", 3, 1),
+    ("cube_freudenthal", "face", 1, -1),
+    ("cube_freudenthal", "traceless", 2, 0),
+    ("cube_freudenthal", "symmetric", 2, 0),
+]
+
+
+@pytest.mark.parametrize("name,family,degree,k", DIV_ONTO_CASES, ids=["-".join(map(str, c)) for c in DIV_ONTO_CASES])
+def test_div_onto_matches_the_dense_rank(name, family, degree, k):
+    space = assemble(builtin_mesh(name), family, degree, k)
+    if family == "face" and degree == 1:
+        # No interior DoF: every cell's interior kernel is its whole block.
+        assert not any(key[0] == INTERIOR for key in space.keys)
+    res = check_div_onto(space)
+    assert res.witness["rank"] == dense_div_onto_rank(space)
+    assert res.status == (SKIPPED if degree < res.witness["degree_threshold"] else PASS)
+    # Seeded cuts: 1-2 target columns zeroed in 1-2 cells' div rows.
+    rng = random.Random(f"{name}-{family}-{degree}-{k}")
+    for cell in rng.sample(range(len(space.mesh.cells)), min(2, len(space.mesh.cells))):
+        width = len(space.div_rows(cell)[0][0])
+        _zero_div_columns(space, cell, set(rng.sample(range(width), min(2, width))))
+    cut = check_div_onto(space)
+    assert cut.witness["rank"] == dense_div_onto_rank(space)
+    assert cut.witness["deficit"] > 0
+
+
+def test_div_onto_fails_when_one_cell_keeps_only_its_bubbles():
+    space = assemble(builtin_mesh("two_tets"), "traceless", 2, 0)
+    members = space.cell_basis(0).members
+    bubbles = {j for j, m in enumerate(members) if m.provenance.component == "tangential"}
+    assert len(bubbles) == 12
+    # One bubble's div row zeroed: the remaining functions make up for it.
+    _zero_div_members(space, 0, {min(bubbles)})
+    res = check_div_onto(space)
+    assert res.status == PASS
+    assert res.witness["rank"] == dense_div_onto_rank(space) == 24
+    # Every other member's div row zeroed: the bubbles' div image on the
+    # cell misses the rigid (RT) fields, 4 dimensions in 3D.
+    space = assemble(builtin_mesh("two_tets"), "traceless", 2, 0)
+    _zero_div_members(space, 0, set(range(len(members))) - bubbles)
+    res = check_div_onto(space)
+    assert res.status == FAIL
+    assert res.witness["deficit"] == res.witness["dim_q"] - dense_div_onto_rank(space) == 4
 
 
 def test_div_onto_below_threshold_is_recorded_not_asserted():
