@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from math import comb, prod, sqrt
 from operator import add
 
@@ -24,6 +24,7 @@ from . import linalg, tensors
 from .checks import FAIL, PASS, SKIPPED, CheckResult
 from .dofs import (
     FACEWISE,
+    GLOBAL,
     INTERIOR,
     DoFSet,
     DoFTerm,
@@ -63,6 +64,31 @@ class GlobalSpace:
     @property
     def dim(self) -> int:
         return len(self.keys)
+
+    @cached_property
+    def scopes(self) -> tuple[str, ...]:
+        """The scope of each global DoF: "interior" (private to one cell),
+        "facewise" (a moment on one facet) or "shared" (a global moment on a
+        site and every cell around it)."""
+        labels = {INTERIOR: "interior", FACEWISE: "facewise", GLOBAL: "shared"}
+        return tuple(labels[key[0]] for key in self.keys)
+
+    @cached_property
+    def interior_split(self) -> tuple[tuple[list[int], list[int]], ...]:
+        """Per cell, the local indices of its interior DoFs and of the rest,
+        which it may share with its neighbours, each in local order."""
+        interior = [scope == "interior" for scope in self.scopes]
+        return tuple(
+            ([i for i, g in enumerate(l2g) if interior[g]], [i for i, g in enumerate(l2g) if not interior[g]])
+            for l2g in self.local_to_global
+        )
+
+    @cached_property
+    def dim_q(self) -> int:
+        """Dimension of the discontinuous div target: the degree r-1 lattice
+        of every cell, one copy per component of a divergence."""
+        n = self.mesh.dim
+        return self.family.space_tag.div_width(n) * bn.space_dim(n, self.degree - 1) * len(self.mesh.cells)
 
     def cell_basis(self, cell_index: int):
         # The same arguments as build_dofs passes, so both share one cache entry.
@@ -495,8 +521,7 @@ def _div_onto_rank(space: GlobalSpace) -> int:
         member_rows, _ = space.div_rows(ci)
         # Row i: the coefficients of basis function i over the members.
         coeffs = list(zip(*space.dual_coefficients(ci)[0]))
-        inner = [i for i, g in enumerate(l2g) if space.keys[g][0] == INTERIOR]
-        outer = [i for i, g in enumerate(l2g) if space.keys[g][0] != INTERIOR]
+        inner, outer = space.interior_split[ci]
         q_cell = len(member_rows[0])
         interior = linalg._int_matmul([coeffs[i] for i in inner], member_rows)
         kernel = [[int(x) for x in k] for k in linalg.nullspace(interior, cols=q_cell)]
@@ -526,9 +551,8 @@ def check_div_onto(space: GlobalSpace) -> CheckResult:
         raise ValueError("the scalar family has no div image to check")
     mesh = space.mesh
     n, r = mesh.dim, space.degree
-    dim_q = family.space_tag.div_width(n) * bn.space_dim(n, r - 1) * len(mesh.cells)
     rank = _div_onto_rank(space)
-    deficit = dim_q - rank
+    deficit = space.dim_q - rank
     threshold = _div_threshold(family, n, space.continuity_order)
     if r < threshold:
         status = SKIPPED
@@ -540,7 +564,7 @@ def check_div_onto(space: GlobalSpace) -> CheckResult:
         status=status,
         witness={
             "rank": rank,
-            "dim_q": dim_q,
+            "dim_q": space.dim_q,
             "deficit": deficit,
             "degree_threshold": threshold,
         },
@@ -675,9 +699,7 @@ def _condense_cells(space: GlobalSpace):
     # over the mesh.
     local, cell_b = [], []
     compact: dict[int, int] = {}
-    for l2g in space.local_to_global:
-        inner = [i for i, g in enumerate(l2g) if space.keys[g][0] == INTERIOR]
-        outer = [i for i, g in enumerate(l2g) if space.keys[g][0] != INTERIOR]
+    for l2g, (inner, outer) in zip(space.local_to_global, space.interior_split):
         local.append(inner + outer)
         cell_b.append([compact.setdefault(l2g[i], len(compact)) for i in outer])
     rank_of = np.empty(len(compact), dtype=np.int64)
@@ -807,9 +829,7 @@ def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> Chec
     family = space.family
     if family is Family.LAGRANGE:
         raise ValueError("the scalar family has no div pairing")
-    mesh = space.mesh
-    n, r = mesh.dim, space.degree
-    dim_q = family.space_tag.div_width(n) * bn.space_dim(n, r - 1) * len(mesh.cells)
+    n, r = space.mesh.dim, space.degree
     try:
         schur = _condensed_schur(space)
         eigs = np.linalg.eigvalsh(schur)
@@ -833,7 +853,7 @@ def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> Chec
         witness={
             "beta": beta,
             "dim_v": space.dim,
-            "dim_q": dim_q,
+            "dim_q": space.dim_q,
             "discarded_modes": discarded,
             "kernel_threshold": kernel_threshold,
             "degree_threshold": threshold,

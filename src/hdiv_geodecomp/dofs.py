@@ -6,7 +6,10 @@ site.  Point values at vertices are the same formula: the integral over a
 zero-dimensional site is evaluation.  All values are exact rationals with
 the site measure divided out, so the DoF matrix of a basis is a rational
 matrix whose invertibility settles unisolvence.  It is built and read as
-integer rows, each over its least positive denominator.
+integer rows, each over its least positive denominator.  certify_unisolvence
+settles it by exact elimination, one diagonal site block at a time (the
+whole matrix for merged facet sets), and returns the CheckResult a report
+prints, its witness carrying the pivot hashes of linalg.echelon_data.
 """
 
 from __future__ import annotations
@@ -376,25 +379,6 @@ def dof_matrix(dofs: DoFSet, basis: SpaceBasis) -> linalg.IntegerRows:
     return _functional_rows(dofs.functionals, basis)
 
 
-@dataclass(frozen=True)
-class UnisolvenceCertificate:
-    family: str
-    n: int
-    degree: int
-    continuity_order: int | None
-    frame_convention: str
-    size: int
-    invertible: bool
-    method: str  # "site_blocks" | "dense"
-    block_sizes: tuple[tuple[str, int], ...]
-    pivot_hash: str
-    failure: dict | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.invertible
-
-
 def _site_label(site: SubSimplexId, interior: bool) -> str:
     return "interior" if interior else "f" + "".join(str(i) for i in site.indices)
 
@@ -475,13 +459,16 @@ def certify_unisolvence(
     continuity_order: int | None = None,
     frame_convention: str = "edge_tangents_face_normals",
     dofs: DoFSet | None = None,
-) -> UnisolvenceCertificate:
+) -> CheckResult:
     """Exact invertibility certificate for the DoF matrix of one element.
 
     A DoF set without merged facets is eliminated one diagonal block per
     site after checking that every block above the diagonal is exactly
     zero; merged DoF sets fall back to dense elimination, where the
-    annihilation pattern no longer aligns with single sites.
+    annihilation pattern no longer aligns with single sites.  The witness
+    records the matrix size, the method, the block sizes, the pivot hash
+    (of the dense matrix, or a digest of the blocks' hashes) and, on
+    failure, the first rank-deficient block.
     """
     if dofs is None:
         if family is None or simplex is None or degree is None:
@@ -490,50 +477,31 @@ def certify_unisolvence(
     basis = decompose(dofs.family, dofs.simplex, dofs.degree, dofs.frame_convention)
     matrix = dof_matrix(dofs, basis)
     size = len(matrix)
-    params = (
-        dofs.family.value,
-        dofs.simplex.dim,
-        dofs.degree,
-        dofs.continuity_order,
-        dofs.frame_convention,
-    )
-
+    failure = None
     if dofs.merged_faces:
         # Each row is already coprime with its denominator.
-        data = linalg.echelon_data(matrix)
-        return UnisolvenceCertificate(
-            *params,
-            size=size,
-            invertible=data.rank == size,
-            method="dense",
-            block_sizes=(("dense", size),),
-            pivot_hash=data.trace_hash(),
-            failure=None if data.rank == size else {"rank": data.rank, "size": size},
-        )
-
-    digest = hashlib.sha256()
-    block_sizes = []
-    for label, row_idx, col_idx in site_blocks(dofs, basis, matrix):
-        data = linalg.echelon_data(_block_rows(matrix, row_idx, col_idx))
-        digest.update(f"{label}:{data.trace_hash()};".encode())
-        block_sizes.append((label, len(row_idx)))
-        if data.rank != len(row_idx):
-            return UnisolvenceCertificate(
-                *params,
-                size=size,
-                invertible=False,
-                method="site_blocks",
-                block_sizes=tuple(block_sizes),
-                pivot_hash=digest.hexdigest(),
-                failure={"block": label, "rank": data.rank, "size": len(row_idx)},
-            )
-    return UnisolvenceCertificate(
-        *params,
-        size=size,
-        invertible=True,
-        method="site_blocks",
-        block_sizes=tuple(block_sizes),
-        pivot_hash=digest.hexdigest(),
+        method, block_sizes = "dense", [["dense", size]]
+        rank, pivot_hash = linalg.echelon_data(matrix)
+        if rank != size:
+            failure = {"rank": rank, "size": size}
+    else:
+        method, block_sizes = "site_blocks", []
+        digest = hashlib.sha256()
+        for label, row_idx, col_idx in site_blocks(dofs, basis, matrix):
+            rank, block_hash = linalg.echelon_data(_block_rows(matrix, row_idx, col_idx))
+            digest.update(f"{label}:{block_hash};".encode())
+            block_sizes.append([label, len(row_idx)])
+            if rank != len(row_idx):
+                failure = {"block": label, "rank": rank, "size": len(row_idx)}
+                break
+        pivot_hash = digest.hexdigest()
+    witness = {"size": size, "method": method, "block_sizes": block_sizes, "pivot_hash": pivot_hash}
+    if failure is not None:
+        witness["failure"] = failure
+    return CheckResult(
+        name=f"unisolvence[{dofs.family.value} n={dofs.simplex.dim} r={dofs.degree} k={dofs.continuity_order}]",
+        status=PASS if failure is None else FAIL,
+        witness=witness,
     )
 
 

@@ -17,17 +17,21 @@ are sparse and only the count of pivots is read.  sparse_rank eliminates
 along the shorter side, transposing a matrix with more nonzero rows than
 nonzero columns, since rank A = rank Aᵀ; callers that build a sparse
 matrix directly pass its rows to it without a dense form.
-echelon_data and nullspace eliminate dense rows in first-nonzero column
-order instead: the pivot hashes in reports are taken from that order, and
-the frame and quotient directions built from nullspace depend on the basis
-that order returns.  solve_many and invert share one Gauss-Jordan
-elimination, _diagonalize, whose result does not depend on the pivot order.
+
+Dense rows have one forward elimination, _echelon_int, fraction-free in
+the sense of Bareiss (Math. Comp. 1968): pivots in first-nonzero column
+order, cross-multiplication over the gcd and per-row content reduction.
+echelon_data hashes its pivots, and the pivot hashes in reports are taken
+from that order.  nullspace, solve_many and invert follow it with one back
+pass, _back_substitute, and read their results in integers: the kernel
+vectors, whose basis (and so the frame and quotient directions built from
+it) is fixed by that pivot order, and the solution rows, which do not
+depend on it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -88,27 +92,41 @@ def _echelon_int(rows: list[list[int]]) -> list[tuple[int, int]]:
     return pivots
 
 
-@dataclass(frozen=True)
-class EchelonData:
-    """Summary of one elimination run, used for rank certificates."""
+def _back_substitute(rows: list[list[int]], pivots: list[tuple[int, int]]) -> None:
+    """Clear each pivot column above its pivot, in place, on rows that
+    _echelon_int left in echelon form.
 
-    rows: int
-    cols: int
-    rank: int
-    pivots: tuple[tuple[int, int, int], ...]  # (step, column, pivot value)
+    Pivots are taken last first, so a pivot row is already clear in every
+    later pivot column when it is used.  Each row holding the column is
+    cross-multiplied over the gcd of the two entries and divided by its
+    content, as in the forward pass.  Afterwards pivot row i is nonzero in
+    pivot column i only, besides the non-pivot columns.
+    """
+    for pr, pc in reversed(pivots):
+        pivot_row = rows[pr]
+        piv = pivot_row[pc]
+        support = [j for j in range(pc, len(pivot_row)) if pivot_row[j]]
+        for i in range(pr):
+            row = rows[i]
+            x = row[pc]
+            if not x:
+                continue
+            g = gcd(piv, x)
+            a, b = piv // g, x // g
+            row = [a * y for y in row] if a != 1 else row
+            for j in support:
+                row[j] -= b * pivot_row[j]
+            rows[i] = _reduce_content(row)
 
-    def trace_hash(self) -> str:
-        text = ",".join(f"{s}:{c}:{v}" for s, c, v in self.pivots)
-        payload = f"{self.rows}x{self.cols};{text}"
-        return hashlib.sha256(payload.encode()).hexdigest()
 
-
-def echelon_data(mat: RowSeq) -> EchelonData:
+def echelon_data(mat: RowSeq) -> tuple[int, str]:
+    """Rank and pivot hash of the dense elimination: sha256 of the shape
+    and each step's pivot column and value, for rank certificates."""
     rows = _int_rows(mat)
+    shape = f"{len(rows)}x{len(rows[0]) if rows else 0}"
     pivots = _echelon_int(rows)
-    trace = tuple((step, c, rows[step][c]) for step, (_, c) in enumerate(pivots))
-    ncols = len(rows[0]) if rows else 0
-    return EchelonData(len(rows), ncols, len(pivots), trace)
+    text = ",".join(f"{step}:{c}:{rows[r][c]}" for step, (r, c) in enumerate(pivots))
+    return len(pivots), hashlib.sha256(f"{shape};{text}".encode()).hexdigest()
 
 
 def _coprime(row: dict[int, int]) -> dict[int, int]:
@@ -183,72 +201,38 @@ def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
     return pivots
 
 
-def primitive_vector(vec: Sequence[Scalar]) -> list[Fraction]:
-    """Scale to coprime integer entries with positive leading sign."""
-    ints, _ = integer_form(vec)
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return [Fraction(x) for x in ints]
-
-
 def nullspace(mat: RowSeq, cols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel, one primitive vector per free column."""
+    """Basis of the right kernel, one primitive vector per free column.
+
+    After elimination and back substitution each pivot row reads
+    row[pc] x_pc + sum over free columns row[fc] x_fc = 0, so the vector of
+    free column fc is x_fc = L, x_pc = -row[fc] (L / row[pc]) with L the
+    lcm of the pivots involved, and zero elsewhere: integers throughout,
+    divided by their gcd and signed so the leading entry is positive.
+    """
     rows = _int_rows(mat)
     if cols is None:
         if not rows:
             raise ValueError("cols is required for a matrix with no rows")
         cols = len(rows[0])
     pivots = _echelon_int(rows)
+    _back_substitute(rows, pivots)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for fc in range(cols):
         if fc in pivot_cols:
             continue
-        x = [Fraction(0)] * cols
-        x[fc] = Fraction(1)
-        for pr, pc in reversed(pivots):
-            row = rows[pr]
-            acc = Fraction(0)
-            for j in range(pc + 1, cols):
-                if row[j] and x[j]:
-                    acc += row[j] * x[j]
-            x[pc] = -acc / row[pc]
-        basis.append(primitive_vector(x))
+        held = [(rows[pr][fc], rows[pr][pc], pc) for pr, pc in pivots if rows[pr][fc]]
+        scale = lcm(*(piv for _, piv, _ in held))
+        x = [0] * cols
+        x[fc] = scale
+        for y, piv, pc in held:
+            x[pc] = -y * (scale // piv)
+        g = gcd(*x)
+        if next(y for y in x if y) < 0:
+            g = -g
+        basis.append([Fraction(y // g) for y in x])
     return basis
-
-
-def _diagonalize(rows: list[list[int]], m: int) -> list[list[int]]:
-    """Fraction-free Gauss-Jordan on integer rows [A | B], A square of size m.
-
-    Each column's pivot row is cross-multiplied into every other row
-    holding the column and the row's content is divided out, so the left
-    block ends diagonal, D, and row i of A^-1 B is R_i / D_ii, read from
-    the right block R.  The rows are overwritten and returned.
-    """
-    for c in range(m):
-        sel = next((i for i in range(c, m) if rows[i][c]), None)
-        if sel is None:
-            raise SingularMatrixError(f"matrix of size {m} is rank deficient")
-        rows[c], rows[sel] = rows[sel], rows[c]
-        pivot_row = rows[c]
-        piv = pivot_row[c]
-        support = [j for j in range(c, len(pivot_row)) if pivot_row[j]]
-        for i, row in enumerate(rows):
-            x = row[c]
-            if i == c or not x:
-                continue
-            g = gcd(piv, x)
-            a, b = piv // g, x // g
-            if a != 1:
-                row = [a * y for y in row]
-            for j in support:
-                row[j] -= b * pivot_row[j]
-            rows[i] = _reduce_content(row)
-    return rows
 
 
 class IntegerRows(list):
@@ -271,19 +255,23 @@ def solve_many(mat: RowSeq, rhs: RowSeq) -> IntegerRows:
     """Solve A X = B exactly for square A, with B given by rows; returns
     the rows of X.
 
-    Each row of [A | B] is scaled to integers, [S A | S B], and
-    diagonalized; row i of X is row i of the right block over the pivot
-    D_ii, divided by their gcd (sign included) so the denominator is the
-    least positive one.  No Fraction is built.
+    Each row of [A | B] is scaled to integers, [S A | S B], and brought to
+    echelon form; A is singular unless the pivots fall in its columns
+    0..m-1.  Back substitution then leaves the left block diagonal, D, and
+    row i of X is row i of the right block over D_ii, divided by their gcd
+    (sign included) so the denominator is the least positive one.  No
+    Fraction is built.
     """
-    a = [list(row) for row in mat]
-    m = len(a)
-    if any(len(row) != m for row in a):
+    m = len(mat)
+    if any(len(row) != m for row in mat):
         raise ValueError("matrix must be square")
-    b = [list(row) for row in rhs]
-    if len(b) != m:
+    if len(rhs) != m:
         raise ValueError("right-hand side length mismatch")
-    rows = _diagonalize(_int_rows([x + y for x, y in zip(a, b)]), m)
+    rows = _int_rows([[*x, *y] for x, y in zip(mat, rhs)])
+    pivots = _echelon_int(rows)
+    if [c for _, c in pivots] != list(range(m)):
+        raise SingularMatrixError(f"matrix of size {m} is rank deficient")
+    _back_substitute(rows, pivots)
     out, dens = [], []
     for i, row in enumerate(rows):
         x = row[m:]

@@ -201,11 +201,16 @@ class Mesh:
 
 
 def _barycentric_of_point(simplex: Simplex, point: Coordinate) -> list[int]:
-    """The numerators of the point's barycentric coordinates, each over its
-    own positive denominator: their signs are the coordinates' signs."""
-    system = [list(v) + [1] for v in simplex.vertices]
-    rows = [list(col) for col in zip(*system)]
-    return [x for (x,) in linalg.solve_many(rows, [[x] for x in point] + [[1]])]
+    """The point's barycentric coordinates, all scaled by one positive
+    integer: their signs are the coordinates' signs.
+
+    λ_i(p) = [i = 0] + ∇λ_i·(p − v₀), read from the cached integer
+    gradients G / d with p − v₀ = N / s as integers, so d·s·λ_i(p) =
+    [i = 0]·d·s + G_i·N.
+    """
+    grads, den = integer_gradients(simplex)
+    offset, scale = linalg.integer_form(x - y for x, y in zip(point, simplex.vertices[0]))
+    return [int(i == 0) * den * scale + sum(g * x for g, x in zip(row, offset)) for i, row in enumerate(grads)]
 
 
 def validate_mesh(mesh: Mesh) -> None:

@@ -18,6 +18,7 @@ import json
 import os
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -32,7 +33,7 @@ from .assembly import (
     infsup_constant,
 )
 from .checks import FAIL, PASS, CheckResult
-from .dofs import INTERIOR, certify_unisolvence
+from .dofs import certify_unisolvence
 from .mesh import Mesh, resolve_mesh
 from .simplex import reference_simplex
 from .spaces import (
@@ -107,24 +108,7 @@ def unit_decompose(run: RunContext) -> list[CheckResult]:
 
 def unit_unisolvence(run: RunContext) -> list[CheckResult]:
     p = run.params
-    cert = certify_unisolvence(
-        Family(p.family), p.dim, p.degree, p.continuity_order, p.frame
-    )
-    witness = {
-        "size": cert.size,
-        "method": cert.method,
-        "block_sizes": [list(b) for b in cert.block_sizes],
-        "pivot_hash": cert.pivot_hash,
-    }
-    if cert.failure is not None:
-        witness["failure"] = cert.failure
-    return [
-        CheckResult(
-            name=f"unisolvence[{p.family} n={p.dim} r={p.degree} k={p.continuity_order}]",
-            status=PASS if cert.ok else FAIL,
-            witness=witness,
-        )
-    ]
+    return [certify_unisolvence(Family(p.family), p.dim, p.degree, p.continuity_order, p.frame)]
 
 
 def unit_bubbles(run: RunContext) -> list[CheckResult]:
@@ -165,18 +149,12 @@ def unit_dual_basis(run: RunContext) -> list[CheckResult]:
 
 def unit_assemble(run: RunContext) -> list[CheckResult]:
     p, space = run.params, run.space
-    scopes: dict[str, int] = {}
-    for key in space.keys:
-        label = "interior" if key[0] == INTERIOR else (
-            "facewise" if key[2] is not None else "shared"
-        )
-        scopes[label] = scopes.get(label, 0) + 1
     return [
         CheckResult(
             name=f"assemble[{p.family} n={space.mesh.dim} r={p.degree} "
             f"k={space.continuity_order} mesh={p.mesh}]",
             status=PASS,
-            witness={"dim": space.dim, "dofs_by_scope": scopes},
+            witness={"dim": space.dim, "dofs_by_scope": dict(Counter(space.scopes))},
         )
     ]
 

@@ -68,9 +68,9 @@ def test_criterion_1_scalar_decomposition_and_nodal_unisolvence():
                     at_f = [m for m in basis.members if m.provenance.sub_simplex == f]
                     assert len(at_f) == comb(r - 1, ell)
             cert = certify_unisolvence(Family.LAGRANGE, n, r, None)
-            assert cert.ok
-            assert cert.method == "site_blocks"
-            assert cert.size == expected
+            assert cert.status == PASS
+            assert cert.witness["method"] == "site_blocks"
+            assert cert.witness["size"] == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(1, f"scalar decompositions n=1..3 r=1..4 exact, block-triangular nodal "
@@ -120,8 +120,8 @@ def test_criterion_3_unisolvence_certificates_all_families():
                 cases.append((Family.SYMMETRIC, n, r, k))
     for family, n, r, k in cases:
         cert = certify_unisolvence(family, n, r, k)
-        assert cert.ok, (family, n, r, k, cert.failure)
-        assert cert.size == family.constrained_dim(n) * bn.space_dim(n, r)
+        assert cert.status == PASS, (family, n, r, k, cert.witness)
+        assert cert.witness["size"] == family.constrained_dim(n) * bn.space_dim(n, r)
     _report(3, f"{len(cases)} exact determinant certificates (face k=-1, vector "
                f"k=0..n-2, traceless k=0, symmetric k=0 and k=n-2) all invertible")
 

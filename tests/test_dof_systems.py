@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, gcd
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from hdiv_geodecomp import bernstein as bn
 from hdiv_geodecomp import dofs as dofmod
 from hdiv_geodecomp import linalg, tensors
-from hdiv_geodecomp.checks import PASS
+from hdiv_geodecomp.checks import FAIL, PASS
 from hdiv_geodecomp.dofs import (
     FACEWISE,
     GLOBAL,
@@ -58,8 +59,8 @@ def test_certificate_sizes_match_space_dimensions():
     ]
     for family, n, r, k, size in cases:
         cert = certify_unisolvence(family, n, r, k)
-        assert cert.size == size == family.constrained_dim(n) * comb(n + r, n)
-        assert cert.invertible, (family, n, r, k, cert.failure)
+        assert cert.witness["size"] == size == family.constrained_dim(n) * comb(n + r, n)
+        assert cert.status == PASS, (family, n, r, k, cert.witness)
 
 
 def test_traceless_tet_quadratic_vertex_layout():
@@ -143,9 +144,10 @@ def _admissible():
 def test_unisolvence_sweep_all_admissible_parameters():
     for family, n, r, k in _admissible():
         cert = certify_unisolvence(family, n, r, k)
-        assert cert.invertible, (family.value, n, r, k, cert.failure)
-        assert cert.size == family.constrained_dim(n) * comb(n + r, n)
-        assert cert.method == "site_blocks"
+        assert cert.status == PASS, (family.value, n, r, k, cert.witness)
+        assert cert.witness["size"] == family.constrained_dim(n) * comb(n + r, n)
+        assert cert.witness["method"] == "site_blocks"
+        assert "failure" not in cert.witness
 
 
 def test_certificates_on_random_simplices():
@@ -157,24 +159,27 @@ def test_certificates_on_random_simplices():
         (Family.FACE, 3, 2, -1),
     ]:
         cert = certify_unisolvence(family, random_simplex(rng, n), r, k)
-        assert cert.invertible, (family.value, n, r, k, cert.failure)
+        assert cert.status == PASS, (family.value, n, r, k, cert.witness)
 
 
 @pytest.mark.parametrize("convention", ["orthogonalized"])
 def test_certificates_under_other_frame_conventions(convention):
     for family, n, r, k in [(Family.FACE, 2, 2, 0), (Family.SYMMETRIC, 2, 2, 0)]:
         cert = certify_unisolvence(family, n, r, k, frame_convention=convention)
-        assert cert.invertible
-        assert cert.frame_convention == convention
+        assert cert.status == PASS
+        # The convention reaches the DoF set: the certificate is the one of
+        # that DoF set, and its pivot hash differs from the default frame's.
+        assert cert == certify_unisolvence(dofs=build_dofs(family, n, r, k, convention))
+        assert cert.witness["pivot_hash"] != certify_unisolvence(family, n, r, k).witness["pivot_hash"]
 
 
 def test_dense_and_blocked_paths_agree():
     for family, n, r, k in [(Family.FACE, 2, 2, 0), (Family.SYMMETRIC, 2, 2, 0)]:
         blocked = certify_unisolvence(family, n, r, k)
         matrix = dof_matrix(build_dofs(family, n, r, k), decompose(family, reference_simplex(n), r))
-        dense = linalg.echelon_data(rational_rows(matrix))
-        assert blocked.invertible == (dense.rank == blocked.size) == True
-        assert blocked.size == dense.rows == dense.cols
+        rank, _ = linalg.echelon_data(rational_rows(matrix))
+        assert blocked.status == PASS
+        assert rank == blocked.witness["size"] == len(matrix) == len(matrix[0])
 
 
 def test_vector_face_matrix_has_nonzero_determinant():
@@ -186,8 +191,29 @@ def test_vector_face_matrix_has_nonzero_determinant():
 def test_pivot_hash_is_reproducible():
     a = certify_unisolvence(Family.FACE, 2, 3, 0)
     b = certify_unisolvence(Family.FACE, 2, 3, 0)
-    assert a.pivot_hash == b.pivot_hash
-    assert a.pivot_hash != certify_unisolvence(Family.FACE, 2, 2, 0).pivot_hash
+    assert a.witness["pivot_hash"] == b.witness["pivot_hash"]
+    assert a.witness["pivot_hash"] != certify_unisolvence(Family.FACE, 2, 2, 0).witness["pivot_hash"]
+
+
+def test_certificate_fails_on_a_repeated_functional():
+    """Negative control: a DoF set whose last interior moment repeats the
+    one before it is not unisolvent, on the site-block path (the interior
+    block is rank deficient by one) and on the dense path."""
+    dofs = build_dofs(Family.TRACELESS, 2, 3, 0)
+    *rest, last = dofs.functionals
+    repeated = replace(dofs, functionals=(*rest, rest[-1]))
+    assert rest[-1].scope == last.scope == INTERIOR
+    cert = certify_unisolvence(dofs=repeated)
+    size = dofs.count
+    interior = dict(cert.witness["block_sizes"])["interior"]
+    assert cert.status == FAIL
+    assert cert.name == "unisolvence[traceless n=2 r=3 k=0]"
+    assert cert.witness["failure"] == {"block": "interior", "rank": interior - 1, "size": interior}
+    assert cert.witness["size"] == size
+    merged = merge_all_faces(dofs)
+    dense = certify_unisolvence(dofs=replace(merged, functionals=(*merged.functionals[:-1], merged.functionals[-2])))
+    assert dense.status == FAIL and dense.witness["method"] == "dense"
+    assert dense.witness["failure"] == {"rank": size - 1, "size": size}
 
 
 # ------------------------------------------------------------ sparsity
@@ -349,9 +375,9 @@ def test_merge_then_certify_keeps_size_and_invertibility():
         merged = merge_all_faces(dofs)
         assert merged.count == dofs.count
         cert = certify_unisolvence(dofs=merged)
-        assert cert.method == "dense"
-        assert cert.invertible, (family.value, cert.failure)
-        assert cert.size == dofs.count
+        assert cert.witness["method"] == "dense"
+        assert cert.status == PASS, (family.value, cert.witness)
+        assert cert.witness["size"] == dofs.count
 
 
 def test_symmetric_merge_uses_facet_tangent_fields():
@@ -526,8 +552,8 @@ def test_dof_matrix_rows_are_integers_over_their_least_denominators(case, rng):
 )
 def test_dense_certificate_of_merged_sets_keeps_its_pivot_hash(family, n, r, k, pivot_hash):
     cert = certify_unisolvence(dofs=merge_all_faces(build_dofs(family, n, r, k)))
-    assert cert.method == "dense" and cert.invertible
-    assert cert.pivot_hash == pivot_hash
+    assert cert.witness["method"] == "dense" and cert.status == PASS
+    assert cert.witness["pivot_hash"] == pivot_hash
 
 
 def test_site_blocks_reject_a_planted_upper_entry():

@@ -131,10 +131,9 @@ def test_subspace_equal_cases():
 def test_echelon_trace_is_reproducible():
     rng = random.Random(13)
     m = random_rational_matrix(rng, 6, 9)
-    first = linalg.echelon_data(m)
-    second = linalg.echelon_data([list(row) for row in m])
-    assert first.trace_hash() == second.trace_hash()
-    assert first.rank == linalg.rank(m)
+    rank, pivot_hash = linalg.echelon_data(m)
+    assert linalg.echelon_data([list(row) for row in m]) == (rank, pivot_hash)
+    assert rank == linalg.rank(m)
 
 
 _entries = st.one_of(
@@ -175,12 +174,134 @@ def rank_test_matrices(draw):
 @settings(max_examples=100, deadline=None)
 @given(rank_test_matrices())
 def test_sparse_rank_matches_dense_echelon_rank(mat):
-    dense = linalg.echelon_data(mat).rank
+    dense, _ = linalg.echelon_data(mat)
     assert linalg.rank(mat) == dense
     assert linalg.rank([list(col) for col in zip(*mat)]) == dense
     # The sparse core alone, on integer rows that are not reduced to coprime.
     scaled = [{j: 6 * x for j, x in enumerate(linalg.integer_form(row)[0]) if x} for row in mat]
     assert linalg.sparse_rank(scaled) == dense
+
+
+def _rref(mat, cols):
+    """Reduced row echelon form in Fractions, pivots in first-nonzero
+    column order: (nonzero rows, pivot columns)."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    pivots = []
+    for c in range(cols):
+        sel = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        p = len(pivots)
+        rows[p], rows[sel] = rows[sel], rows[p]
+        rows[p] = [x / rows[p][c] for x in rows[p]]
+        for i in range(len(rows)):
+            if i != p and rows[i][c]:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[p])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def _primitive(vec):
+    """Coprime integers with a positive leading entry, as Fractions."""
+    den = 1
+    for x in vec:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in vec]
+    g = gcd(*ints)
+    lead = next(x for x in ints if x)
+    sign = 1 if lead > 0 else -1
+    return [Fraction(sign * x // g) for x in ints]
+
+
+def _kernel_oracle(mat, cols):
+    """The kernel vector of each free column from the Fraction RREF: 1 in
+    the free column, minus the column of R in the pivot columns."""
+    reduced, pivots = _rref(mat, cols)
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        x = [Fraction(0)] * cols
+        x[fc] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            x[pc] = -row[fc]
+        basis.append(_primitive(x))
+    return basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_test_matrices())
+def test_nullspace_matches_a_fraction_rref_oracle(mat):
+    cols = len(mat[0]) if mat else 3
+    kernel = linalg.nullspace(mat, cols=cols)
+    assert kernel == _kernel_oracle(mat, cols)
+    assert all(type(x) is Fraction and x.denominator == 1 for vec in kernel for x in vec)
+
+
+def _gauss_solve(a, b):
+    """X with A X = B by Fraction Gauss elimination and back substitution,
+    or None when a column of A has no pivot."""
+    m = len(a)
+    rows = [[Fraction(x) for x in ra + rb] for ra, rb in zip(a, b)]
+    for c in range(m):
+        sel = next((i for i in range(c, m) if rows[i][c]), None)
+        if sel is None:
+            return None
+        rows[c], rows[sel] = rows[sel], rows[c]
+        for i in range(c + 1, m):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    x = [None] * m
+    for i in reversed(range(m)):
+        acc = rows[i][m:]
+        for j in range(i + 1, m):
+            acc = [s - rows[i][j] * t for s, t in zip(acc, x[j])]
+        x[i] = [s / rows[i][i] for s in acc]
+    return x
+
+
+@st.composite
+def square_systems(draw):
+    """(A, B) with A square, planted rank (full or deficient), duplicated
+    and zero rows or a zero column mixed in, and B of zero to four columns."""
+    m = draw(st.integers(0, 7))
+    r = draw(st.integers(0, m))
+    left = draw(st.lists(st.lists(_entries, min_size=r, max_size=r), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(_entries, min_size=m, max_size=m), min_size=r, max_size=r))
+    a = [[sum((x * y for x, y in zip(row, col)), 0) for col in zip(*right)] if r else [0] * m for row in left]
+    if m and draw(st.booleans()):
+        a = draw(st.lists(st.lists(_entries, min_size=m, max_size=m), min_size=m, max_size=m))
+    if m > 1 and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.permutations(range(m)))[:2]
+        a[i] = list(a[j]) if draw(st.booleans()) else [0] * m
+    if m and draw(st.integers(0, 3)) == 0:
+        j = draw(st.integers(0, m - 1))
+        a = [row[:j] + [0] + row[j + 1:] for row in a]
+    k = draw(st.integers(0, 4))
+    b = draw(st.lists(st.lists(_entries, min_size=k, max_size=k), min_size=m, max_size=m))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_systems())
+def test_solve_many_matches_fraction_gauss_elimination(system):
+    a, b = system
+    want = _gauss_solve(a, b)
+    if want is None:
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.solve_many(a, b)
+        return
+    got = linalg.solve_many(a, b)
+    assert all(d > 0 and gcd(d, *row) == 1 for row, d in zip(got, got.denominators))
+    assert rational_rows(got) == want
+
+
+@pytest.mark.parametrize("b", [[[1], [3]], [[0, 1], [5, 2]], [[2], [4]]])
+def test_solve_many_rejects_a_singular_matrix_whose_missing_pivot_lands_in_b(b):
+    # [A | B] has a pivot in a column of B when B is not in the range of A,
+    # and none at all in A's second column: A is singular either way.
+    with pytest.raises(linalg.SingularMatrixError, match="matrix of size 2 is rank deficient"):
+        linalg.solve_many([[1, 2], [2, 4]], b)
 
 
 def test_reduce_content_divides_by_the_row_gcd():

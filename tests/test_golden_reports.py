@@ -43,6 +43,7 @@ CASES = {
         "--family", "symmetric", "--degree", "2", "--k", "1", "--mesh", "two_tets", "--format", "csv",
     ],
     "traceless_r2_k0_dim4.json": ["--family", "traceless", "--dim", "4", "--degree", "2", "--k", "0"],
+    "traceless_r3_k1_two_tets.json": ["--family", "traceless", "--degree", "3", "--k", "1", "--mesh", "two_tets"],
 }
 
 

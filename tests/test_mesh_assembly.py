@@ -402,6 +402,20 @@ def test_shared_dof_multiplicity_matches_incidence():
         assert counts[g] == len(space.mesh.cells_containing(owner))
 
 
+def test_scopes_and_interior_split_read_the_key_layout():
+    space = assemble(builtin_mesh("two_tets"), "traceless", 2, 0)
+    labels = {INTERIOR: "interior", FACEWISE: "facewise", GLOBAL: "shared"}
+    assert space.scopes == tuple(labels[key[0]] for key in space.keys)
+    assert set(space.scopes) == set(labels.values())
+    for ci, (l2g, (inner, outer)) in enumerate(zip(space.local_to_global, space.interior_split)):
+        assert sorted(inner + outer) == list(range(len(l2g)))
+        assert inner == sorted(inner) and outer == sorted(outer)
+        assert [space.keys[l2g[i]] for i in inner] == [(INTERIOR, ci, seq) for seq in range(len(inner))]
+        assert all(space.keys[l2g[i]][0] != INTERIOR for i in outer)
+    # One column per lattice point and div component on every cell.
+    assert space.dim_q == sum(len(space.div_rows(ci)[0][0]) for ci in range(len(space.mesh.cells)))
+
+
 def test_dual_coefficients_invert_the_dof_matrix():
     space = assemble(builtin_mesh("two_triangles"), "face", 1, -1)
     for ci in range(2):

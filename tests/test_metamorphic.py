@@ -62,8 +62,8 @@ def _invariants(mesh, family, degree, k, cell_index):
         "dims": check_dims(space).witness,
         "div_onto": check_div_onto(space).witness,
         "conformity": check_conformity(space).status,
-        "invertible": cert.invertible,
-        "block_sizes": cert.block_sizes,
+        "unisolvence": cert.status,
+        "block_sizes": cert.witness["block_sizes"],
     }
 
 
