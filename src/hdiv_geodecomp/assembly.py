@@ -595,12 +595,15 @@ def _coeff_pair_matrix(members):
 
 def _cell_pencils(space: GlobalSpace):
     """Per cell, the graph-norm mass V_T and the scaled div coupling C_T on
-    the cell's own DoFs, stacked over the cells.
+    the cell's own DoFs, interior DoFs first (space.interior_split), stored
+    in one (ncells, ndofs, ndofs) and one (ncells, q, ndofs) array.
 
     V_T is the value plus div Gram matrix of the cell's basis functions and
     C_T = sqrt(|T|) (L^T ⊗ I) times their div rows, with W = L L^T the
     lattice Gram matrix of degree r-1, so that C_T^T C_T is their div Gram
-    matrix and the target mass drops out of the pencil.
+    matrix and the target mass drops out of the pencil.  Each product is
+    formed in local order and then indexed into interior-first order, so
+    every entry is the one the local order gives, bit for bit.
     """
     import numpy as np
 
@@ -611,8 +614,11 @@ def _cell_pencils(space: GlobalSpace):
     w_val = np.array(_moment_gram(n + 1, r, n))
     chol_t = np.linalg.cholesky(np.array(_moment_gram(n + 1, r - 1, n))).T
     positions = bn.lattice_position(n + 1, r)
-    masses, couplings = [], []
-    for ci in range(len(mesh.cells)):
+    orders = [inner + outer for inner, outer in space.interior_split]
+    ndofs = len(orders[0])
+    masses = np.empty((len(orders), ndofs, ndofs))
+    couplings = np.empty((len(orders), width * qlat, ndofs))
+    for ci, order in enumerate(orders):
         vol = float(mesh.cell_simplices[ci].volume())
         members = space.cell_basis(ci).members
         # Every member scalar is λ^β, so the scalar Gram matrix is the
@@ -624,9 +630,10 @@ def _cell_pencils(space: GlobalSpace):
         for comp in range(width):
             b_cell[comp::width, :] = chol_t @ ndiv[:, :, comp].T
         dual = _float_rows(*space.dual_coefficients(ci))
-        masses.append(dual.T @ (vol * (gram_val + b_cell.T @ b_cell)) @ dual)
-        couplings.append(sqrt(vol) * (b_cell @ dual))
-    return np.array(masses), np.array(couplings)
+        mass = dual.T @ (vol * (gram_val + b_cell.T @ b_cell)) @ dual
+        masses[ci] = mass[np.ix_(order, order)]
+        couplings[ci] = (sqrt(vol) * (b_cell @ dual))[:, order]
+    return masses, couplings
 
 
 def _reverse_cuthill_mckee(cell_dofs, n: int) -> list[int]:
@@ -694,21 +701,17 @@ def _condense_cells(space: GlobalSpace):
     """
     import numpy as np
 
-    masses, couplings = _cell_pencils(space)
-    # Each cell's local DoFs reordered interior first, the rest numbered
+    # Each cell's pencil comes interior first; its other DoFs are numbered
     # over the mesh.
-    local, cell_b = [], []
+    v, c = _cell_pencils(space)
+    cell_b = []
     compact: dict[int, int] = {}
-    for l2g, (inner, outer) in zip(space.local_to_global, space.interior_split):
-        local.append(inner + outer)
+    for l2g, (_, outer) in zip(space.local_to_global, space.interior_split):
         cell_b.append([compact.setdefault(l2g[i], len(compact)) for i in outer])
     rank_of = np.empty(len(compact), dtype=np.int64)
     rank_of[_reverse_cuthill_mckee(cell_b, len(compact))] = np.arange(len(compact))
     rows = rank_of[np.array(cell_b, dtype=np.int64)]
-    ni = len(local[0]) - rows.shape[1]
-    local = np.array(local)
-    v = np.take_along_axis(np.take_along_axis(masses, local[:, :, None], axis=1), local[:, None, :], axis=2)
-    c = np.take_along_axis(couplings, local[:, None, :], axis=2)
+    ni = v.shape[1] - rows.shape[1]
     lower = np.linalg.cholesky(v[:, :ni, :ni])
     w_b = np.linalg.solve(lower, v[:, :ni, ni:])
     w_c = np.linalg.solve(lower, c[:, :, :ni].transpose(0, 2, 1))

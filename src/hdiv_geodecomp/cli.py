@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
 
 from .checks import FAIL, SKIPPED
 from .dofs import resolve_continuity_order
@@ -163,6 +162,8 @@ def run(argv=None) -> int:
         else:
             sys.stdout.write(text)
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 3
     return exit_code(checks)

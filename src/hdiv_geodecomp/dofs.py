@@ -14,7 +14,6 @@ prints, its witness carrying the pivot hashes of linalg.echelon_data.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -486,7 +485,7 @@ def certify_unisolvence(
             failure = {"rank": rank, "size": size}
     else:
         method, block_sizes = "site_blocks", []
-        digest = hashlib.sha256()
+        digest = linalg.sha256()
         for label, row_idx, col_idx in site_blocks(dofs, basis, matrix):
             rank, block_hash = linalg.echelon_data(_block_rows(matrix, row_idx, col_idx))
             digest.update(f"{label}:{block_hash};".encode())

@@ -31,10 +31,21 @@ depend on it.
 
 from __future__ import annotations
 
-import hashlib
+import heapq
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+# CPython's builtin SHA-256 digests the pivot text without loading
+# OpenSSL's libcrypto, which importing hashlib does (about 3.5 MB of
+# resident memory).  dofs imports sha256 from here.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 Scalar = Fraction | int
 RowSeq = Sequence[Sequence[Scalar]]
@@ -126,7 +137,7 @@ def echelon_data(mat: RowSeq) -> tuple[int, str]:
     shape = f"{len(rows)}x{len(rows[0]) if rows else 0}"
     pivots = _echelon_int(rows)
     text = ",".join(f"{step}:{c}:{rows[r][c]}" for step, (r, c) in enumerate(pivots))
-    return len(pivots), hashlib.sha256(f"{shape};{text}".encode()).hexdigest()
+    return len(pivots), sha256(f"{shape};{text}".encode()).hexdigest()
 
 
 def _coprime(row: dict[int, int]) -> dict[int, int]:
@@ -149,8 +160,15 @@ def rank(mat: RowSeq) -> int:
 
 
 def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
-    """Exact rank of integer rows given as {column: nonzero entry}, by
-    fraction-free elimination.
+    """Exact rank of integer rows given as {column: nonzero entry}: the
+    number of pivots of _markowitz_pivots."""
+    return sum(1 for _ in _markowitz_pivots(rows))
+
+
+def _markowitz_pivots(rows: Iterable[dict[int, int]]) -> Iterator[tuple[int, int]]:
+    """The pivots (row key, column) of a fraction-free elimination of
+    integer rows given as {column: nonzero entry}, in the order taken, on
+    the side eliminated.
 
     rank A = rank Aᵀ, so the shorter side is eliminated: when the nonzero
     rows outnumber the nonzero columns, the sparse rows are transposed
@@ -158,9 +176,11 @@ def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
     zero one pivot at a time.  Each step takes the remaining row with the
     fewest nonzeros and, in it, the column held by the fewest remaining
     rows (Markowitz order), so a pivot disturbs as few rows and creates as
-    little fill as the greedy choice allows.  Every row holding the pivot
-    column is updated by cross multiplication and reduced to coprime
-    entries.
+    little fill as the greedy choice allows.  Ties go to the lowest row
+    key.  The rows wait in a min-heap of (nonzeros, key); a row is pushed
+    again when its count changes, and entries that no longer match their
+    row are skipped.  Every row holding the pivot column is updated by
+    cross multiplication and reduced to coprime entries.
     """
     rows = {i: _coprime(row) for i, row in enumerate(rows) if row}
     columns: dict[int, dict[int, int]] = {}
@@ -170,13 +190,17 @@ def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
     if len(rows) > len(columns):
         rows, columns = {j: _coprime(col) for j, col in sorted(columns.items())}, rows
     holders = {j: set(col) for j, col in columns.items()}  # column -> remaining rows nonzero there
-    pivots = 0
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(heap)
     while rows:
-        p = min(rows, key=lambda i: len(rows[i]))
+        size, p = heapq.heappop(heap)
+        if len(rows.get(p, ())) != size:
+            continue
         pivot_row = rows.pop(p)
         c = min(pivot_row, key=lambda j: len(holders[j]))
         for j in pivot_row:
             holders[j].discard(p)
+        yield p, c
         piv = pivot_row[c]
         for i in sorted(holders[c]):
             row = rows[i]
@@ -194,11 +218,11 @@ def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
             for j in new.keys() - row.keys():
                 holders[j].add(i)
             if new:
+                if len(new) != len(row):
+                    heapq.heappush(heap, (len(new), i))
                 rows[i] = _coprime(new)
             else:
                 del rows[i]
-        pivots += 1
-    return pivots
 
 
 def nullspace(mat: RowSeq, cols: int | None = None) -> list[list[Fraction]]:

@@ -12,7 +12,6 @@ timings object first.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
@@ -295,7 +294,10 @@ def render_json(report: dict) -> str:
 
 
 def render_csv(report: dict) -> str:
-    """Flat projection: one row per check, context columns repeated."""
+    """Flat projection: one row per check, context columns repeated.  csv
+    is imported here, so JSON runs never load it."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     context = ["family", "dim", "degree", "k", "mesh", "frame", "seed"]

@@ -9,6 +9,7 @@ integer elimination on coefficient vectors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -224,18 +225,23 @@ def _rank_by_monomial(basis: SpaceBasis, tag: SpaceTag | None) -> int:
     """Exact rank of the members, the sum over β of the rank of the
     coefficients sharing λ^β, after certifying that every coefficient lies
     in the value space.  The coefficients are read from the basis's
-    integer table."""
+    integer table.  decompose gives every β on a sub-simplex the same
+    coefficient objects, so each distinct tuple of coefficient ids is
+    ranked once and counted once per β that holds it."""
     coeffs = basis.coefficients
-    flat = [tensors.flatten(v) for v in coeffs.values]
     sites: dict[int, tuple] = {}
-    by_monomial: dict[tuple, list[tuple]] = {}
+    by_monomial: dict[tuple, list[int]] = {}
     for m, i in zip(basis.members, coeffs.ids):
         sites.setdefault(i, m.provenance.sub_simplex.indices)
-        by_monomial.setdefault(m.beta, []).append(flat[i])
+        by_monomial.setdefault(m.beta, []).append(i)
     for i, site in sites.items():
         if not _is_value(coeffs.values[i], tag):
             raise AssertionError(f"member coefficient at {site} is not a {tag.value} value")
-    return sum(linalg.rank(rows) for rows in by_monomial.values())
+    betas_per_set = Counter(tuple(ids) for ids in by_monomial.values())
+    return sum(
+        count * linalg.rank([tensors.flatten(coeffs.values[i]) for i in ids])
+        for ids, count in betas_per_set.items()
+    )
 
 
 def lattice_basis(family: Family, simplex: Simplex, degree: int) -> SpaceBasis:

@@ -389,6 +389,31 @@ def test_serial_runs_do_not_load_the_process_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_runs_load_neither_openssl_nor_csv(tmp_path):
+    # The digests use CPython's builtin SHA-256 and csv is read only by the
+    # CSV rendering; a CSV run at the end shows the check can see csv.
+    script = (
+        "import sys\n"
+        "held = [m for m in ('_hashlib', 'csv') if m in sys.modules]\n"
+        "if held:\n"
+        "    print('preloaded', *held)\n"
+        "    sys.exit()\n"
+        "from hdiv_geodecomp import cli\n"
+        "for argv in (['unisolvence', '--family', 'traceless', '--dim', '3', '--degree', '3', '--k', '0'],\n"
+        "             ['all', '--family', 'traceless', '--dim', '3', '--degree', '2', '--k', '0', '--mesh', 'two_tets']):\n"
+        f"    assert cli.run(argv + ['--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "    loaded = [m for m in ('_hashlib', 'csv') if m in sys.modules]\n"
+        "    assert not loaded, f'{argv[0]} loaded {loaded}'\n"
+        "argv = ['unisolvence', '--family', 'face', '--dim', '2', '--degree', '2', '--format', 'csv']\n"
+        f"assert cli.run(argv + ['--out', {str(tmp_path / 'r.csv')!r}]) == 0\n"
+        "assert 'csv' in sys.modules, 'a CSV run did not load csv'\n"
+    )
+    proc = _run_script(script)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.startswith("preloaded"):
+        pytest.skip(f"the interpreter loaded {proc.stdout.split()[1:]} before the package")
+
+
 def test_csv_projection_is_flat(capsys):
     code = cli.run(
         [

@@ -378,6 +378,27 @@ def test_decompose_detects_a_repeated_normal_direction(monkeypatch):
         spaces.decompose.cache_clear()
 
 
+def test_decompose_detects_a_repeated_direction_on_an_edge(monkeypatch):
+    # At r=3 the edge (0,1) carries two β that share one coefficient set,
+    # which _rank_by_monomial ranks once: the deficit must still count.
+    original = tensors.tn_split
+
+    def repeated(f, frame, space):
+        split = original(f, frame, space)
+        if f.indices != (0, 1):
+            return split
+        normals = split.normal_basis
+        return replace(split, normal_basis=normals[:-1] + normals[:1])
+
+    spaces.decompose.cache_clear()
+    monkeypatch.setattr(tensors, "tn_split", repeated)
+    try:
+        with pytest.raises(AssertionError, match="is not a basis"):
+            spaces.decompose(Family.TRACELESS, reference_simplex(2), 3)
+    finally:
+        spaces.decompose.cache_clear()
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_member_scalars_are_bubbles_times_site_monomials(family):
     # decompose writes each β directly; the reference multiplies b_f by

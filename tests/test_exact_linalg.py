@@ -182,6 +182,80 @@ def test_sparse_rank_matches_dense_echelon_rank(mat):
     assert linalg.sparse_rank(scaled) == dense
 
 
+def _markowitz_reference(rows):
+    """The Markowitz pivot order by a scan of every remaining row per step:
+    min over the key-ordered dict takes the lowest key among ties."""
+    rows = {i: linalg._coprime(row) for i, row in enumerate(rows) if row}
+    columns = {}
+    for i, row in rows.items():
+        for j, x in row.items():
+            columns.setdefault(j, {})[i] = x
+    if len(rows) > len(columns):
+        rows, columns = {j: linalg._coprime(col) for j, col in sorted(columns.items())}, rows
+    holders = {j: set(col) for j, col in columns.items()}
+    pivots = []
+    while rows:
+        p = min(rows, key=lambda i: len(rows[i]))
+        pivot_row = rows.pop(p)
+        c = min(pivot_row, key=lambda j: len(holders[j]))
+        for j in pivot_row:
+            holders[j].discard(p)
+        pivots.append((p, c))
+        for i in sorted(holders[c]):
+            row = rows[i]
+            g = gcd(pivot_row[c], row[c])
+            a, b = pivot_row[c] // g, row[c] // g
+            # Keys keep the order of row, then the fill in pivot row order:
+            # the column choice breaks ties by that order.
+            new = {j: a * x for j, x in row.items()}
+            for j, y in pivot_row.items():
+                x = new.get(j, 0) - b * y
+                if x:
+                    new[j] = x
+                else:
+                    del new[j]
+            for j in row.keys() - new.keys():
+                holders[j].discard(i)
+            for j in new.keys() - row.keys():
+                holders[j].add(i)
+            if new:
+                rows[i] = linalg._coprime(new)
+            else:
+                del rows[i]
+    return pivots
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_test_matrices())
+def test_markowitz_heap_keeps_the_scan_pivot_order(mat):
+    rows = [linalg._sparse_int_row(row) for row in mat]
+    assert list(linalg._markowitz_pivots(rows)) == _markowitz_reference(rows)
+
+
+def test_markowitz_heap_keeps_the_scan_pivot_order_on_a_sparse_matrix():
+    # Many rows tie on their count at every step, and updates both grow
+    # and shrink rows.
+    rng = random.Random(5)
+    rows = [{j: rng.choice([-2, -1, 1, 3]) for j in rng.sample(range(60), rng.randint(1, 5))} for _ in range(50)]
+    pivots = list(linalg._markowitz_pivots(rows))
+    assert pivots == _markowitz_reference(rows)
+    assert len(pivots) == linalg.echelon_data([[row.get(j, 0) for j in range(60)] for row in rows])[0]
+
+
+def test_builtin_sha256_matches_hashlib():
+    import hashlib
+
+    # The digests run on CPython's builtin module, never on OpenSSL's.
+    assert linalg.sha256.__module__ in ("_sha2", "_sha256")
+    assert linalg.sha256(b"abc").hexdigest() == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    for text in ["", "3x3;0:0:1,1:1:-2,2:2:7", "f0:" + "ab" * 64 + ";" * 1000]:
+        assert linalg.sha256(text.encode()).hexdigest() == hashlib.sha256(text.encode()).hexdigest()
+    digest = linalg.sha256()
+    for part in ["e01:", "0" * 64, ";"]:
+        digest.update(part.encode())
+    assert digest.hexdigest() == hashlib.sha256(("e01:" + "0" * 64 + ";").encode()).hexdigest()
+
+
 def _rref(mat, cols):
     """Reduced row echelon form in Fractions, pivots in first-nonzero
     column order: (nonzero rows, pivot columns)."""

@@ -43,7 +43,7 @@ from hdiv_geodecomp.spaces import Family, decompose, site_rows
 
 from conftest import rational_rows
 from dense_div_onto import dense_div_onto_rank, dense_div_onto_rows
-from dense_infsup import dense_infsup
+from dense_infsup import cell_pencil, dense_infsup
 
 
 # ---------------------------------------------------------------- meshes
@@ -853,6 +853,22 @@ def test_infsup_condensed_solve_matches_the_dense_pencil(name, family, degree, k
     res = infsup_constant(space)
     assert res.witness["discarded_modes"] == discarded == 0
     assert res.witness["beta"] == pytest.approx(beta, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("name,family,degree,k", [("criss_cross", "face", 2, -1), ("two_tets", "traceless", 2, 0)])
+def test_cell_pencils_are_the_local_products_in_interior_first_order(name, family, degree, k):
+    # Reordering indexes the finished products, so every entry is the one
+    # the local order gives, bit for bit.
+    import numpy as np
+
+    space = assemble(resolve_mesh(name), family, degree, k)
+    masses, couplings = assembly._cell_pencils(space)
+    assert masses.shape[0] == couplings.shape[0] == len(space.mesh.cells)
+    for ci, (inner, outer) in enumerate(space.interior_split):
+        mass, coupling = cell_pencil(space, ci)
+        order = inner + outer
+        assert np.array_equal(masses[ci], mass[np.ix_(order, order)])
+        assert np.array_equal(couplings[ci], coupling[:, order])
 
 
 @pytest.mark.parametrize(
