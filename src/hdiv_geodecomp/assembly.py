@@ -34,8 +34,11 @@ from .dofs import (
     site_blocks,
 )
 from .mesh import Mesh
-from .spaces import Family, decompose, div_rows, site_rows
-from .tensors import SpaceTag
+from .spaces import decompose, div_rows, site_rows
+from .tensors import Family
+
+# Eigenvalues of the inf-sup pencil below this are counted as kernel modes.
+KERNEL_THRESHOLD = 1e-10
 
 
 class AssemblyError(ValueError):
@@ -88,7 +91,15 @@ class GlobalSpace:
         """Dimension of the discontinuous div target: the degree r-1 lattice
         of every cell, one copy per component of a divergence."""
         n = self.mesh.dim
-        return self.family.space_tag.div_width(n) * bn.space_dim(n, self.degree - 1) * len(self.mesh.cells)
+        return self.family.div_width(n) * bn.space_dim(n, self.degree - 1) * len(self.mesh.cells)
+
+    @property
+    def label(self) -> str:
+        """The space as check names spell it."""
+        return (
+            f"{self.family.value} n={self.mesh.dim} r={self.degree} "
+            f"k={self.continuity_order} cells={len(self.mesh.cells)}"
+        )
 
     def cell_basis(self, cell_index: int):
         # The same arguments as build_dofs passes, so both share one cache entry.
@@ -151,8 +162,7 @@ def assemble(mesh: Mesh, family: Family | str, degree: int, continuity_order: in
     their facet; interior moments stay cell-private.  The multiplicity of
     every merged DoF is checked against the incidence tables.
     """
-    if isinstance(family, str):
-        family = Family(family)
+    family = Family(family)
     key_index: dict[tuple, int] = {}
     expected_copies: list[int] = []
     seen_copies: list[int] = []
@@ -249,12 +259,11 @@ def check_dims(space: GlobalSpace) -> CheckResult:
     formula: int | None = None
     if family is Family.LAGRANGE:
         formula = lagrange_dim_formula(space.mesh, space.degree)
-    elif family.space_tag is SpaceTag.VECTOR:
+    elif family is Family.FACE:
         formula = face_dim_formula(space.mesh, space.degree, space.continuity_order)
     ok = formula is None or formula == space.dim
     return CheckResult(
-        name=f"dims[{family.value} n={space.mesh.dim} r={space.degree} "
-        f"k={space.continuity_order} cells={len(space.mesh.cells)}]",
+        name=f"dims[{space.label}]",
         status=PASS if ok else FAIL,
         witness={"assembled": space.dim, "formula": formula},
     )
@@ -376,7 +385,6 @@ def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> Che
     points provide a redundant sampled guard.
     """
     mesh = space.mesh
-    family = space.family
     rng = random.Random(seed)
     violations: list[dict] = []
     facets_checked = 0
@@ -420,8 +428,7 @@ def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> Che
 
     status = PASS if not violations else FAIL
     return CheckResult(
-        name=f"conformity[{family.value} n={mesh.dim} r={space.degree} "
-        f"k={space.continuity_order} cells={len(mesh.cells)}]",
+        name=f"conformity[{space.label}]",
         status=status,
         witness={
             "interior_facets": facets_checked,
@@ -486,17 +493,6 @@ def flip_facet_orientation(space: GlobalSpace, facet: tuple[int, ...] | None = N
 # div image and inf-sup
 
 
-def _div_threshold(family: Family, n: int, k: int | None) -> int:
-    """Smallest degree at which the piecewise div image is claimed onto."""
-    if family.space_tag is SpaceTag.VECTOR:
-        return 1 if k == -1 else k + 2
-    if family is Family.TRACELESS:
-        return k + 2
-    if family is Family.SYMMETRIC:
-        return n + 1
-    raise ValueError("the scalar family has no div image to check")
-
-
 def _div_onto_rank(space: GlobalSpace) -> int:
     """Exact rank of the global div map D: one row per global basis
     function, its div over the degree r-1 lattice of every cell, one
@@ -524,7 +520,7 @@ def _div_onto_rank(space: GlobalSpace) -> int:
         inner, outer = space.interior_split[ci]
         q_cell = len(member_rows[0])
         interior = linalg._int_matmul([coeffs[i] for i in inner], member_rows)
-        kernel = [[int(x) for x in k] for k in linalg.nullspace(interior, cols=q_cell)]
+        kernel = linalg.nullspace(interior, cols=q_cell)
         interior_rank += q_cell - len(kernel)
         if kernel:
             projected = linalg._int_matmul(member_rows, [list(col) for col in zip(*kernel)])
@@ -546,21 +542,15 @@ def check_div_onto(space: GlobalSpace) -> CheckResult:
     as skipped rather than failed: the surjectivity claim is only made from
     the threshold up.
     """
-    family = space.family
-    if family is Family.LAGRANGE:
-        raise ValueError("the scalar family has no div image to check")
-    mesh = space.mesh
-    n, r = mesh.dim, space.degree
+    threshold = space.family.div_onto_min_degree(space.mesh.dim, space.continuity_order)
     rank = _div_onto_rank(space)
     deficit = space.dim_q - rank
-    threshold = _div_threshold(family, n, space.continuity_order)
-    if r < threshold:
+    if space.degree < threshold:
         status = SKIPPED
     else:
         status = PASS if deficit == 0 else FAIL
     return CheckResult(
-        name=f"div_onto[{family.value} n={n} r={r} k={space.continuity_order} "
-        f"cells={len(mesh.cells)}]",
+        name=f"div_onto[{space.label}]",
         status=status,
         witness={
             "rank": rank,
@@ -609,7 +599,7 @@ def _cell_pencils(space: GlobalSpace):
 
     mesh = space.mesh
     n, r = mesh.dim, space.degree
-    width = space.family.space_tag.div_width(n)
+    width = space.family.div_width(n)
     qlat = bn.space_dim(n, r - 1)
     w_val = np.array(_moment_gram(n + 1, r, n))
     chol_t = np.linalg.cholesky(np.array(_moment_gram(n + 1, r - 1, n))).T
@@ -812,7 +802,7 @@ def _condensed_schur(space: GlobalSpace):
     return schur
 
 
-def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> CheckResult:
+def infsup_constant(space: GlobalSpace) -> CheckResult:
     """Discrete inf-sup constant of the div pairing, floating point.
 
     beta^2 is the smallest eigenvalue of the pencil (C V^-1 C^T, Q), with V
@@ -823,55 +813,41 @@ def infsup_constant(space: GlobalSpace, kernel_threshold: float = 1e-10) -> Chec
     Computations, §8.7); their Gram matrix is the cell's div Gram matrix.
     C V^-1 C^T is built by static condensation and an envelope Cholesky, never
     as a dense dim_v x dim_v solve (see _condensed_schur).
-    Eigenvalues under the kernel threshold are discarded and counted, since
+    Eigenvalues under KERNEL_THRESHOLD are discarded and counted, since
     none are expected at or above the degree threshold.  numpy is imported
     here, so runs that compute no inf-sup constant never load it.
     """
     import numpy as np
 
-    family = space.family
-    if family is Family.LAGRANGE:
-        raise ValueError("the scalar family has no div pairing")
-    n, r = space.mesh.dim, space.degree
+    name = f"infsup[{space.label}]"
+    threshold = space.family.div_onto_min_degree(space.mesh.dim, space.continuity_order)
     try:
         schur = _condensed_schur(space)
         eigs = np.linalg.eigvalsh(schur)
     except np.linalg.LinAlgError as exc:
-        return CheckResult(
-            name=_infsup_name(space),
-            status=FAIL,
-            witness={"error": f"singular mass matrix: {exc}"},
-        )
-    kept = eigs[eigs > kernel_threshold]
+        return CheckResult(name, FAIL, {"error": f"singular mass matrix: {exc}"})
+    kept = eigs[eigs > KERNEL_THRESHOLD]
     discarded = int(eigs.size - kept.size)
     beta = sqrt(float(kept.min())) if kept.size else 0.0
-    threshold = _div_threshold(family, n, space.continuity_order)
-    if r < threshold:
+    if space.degree < threshold:
         status = SKIPPED
     else:
         status = PASS if beta > 0 and discarded == 0 else FAIL
     return CheckResult(
-        name=_infsup_name(space),
+        name=name,
         status=status,
         witness={
             "beta": beta,
             "dim_v": space.dim,
             "dim_q": space.dim_q,
             "discarded_modes": discarded,
-            "kernel_threshold": kernel_threshold,
+            "kernel_threshold": KERNEL_THRESHOLD,
             "degree_threshold": threshold,
         },
     )
 
 
-def _infsup_name(space: GlobalSpace) -> str:
-    return (
-        f"infsup[{space.family.value} n={space.mesh.dim} r={space.degree} "
-        f"k={space.continuity_order} cells={len(space.mesh.cells)}]"
-    )
-
-
-def infsup_sweep(meshes, family: Family | str, degree: int, continuity_order: int, drift_tolerance: float = 0.2, kernel_threshold: float = 1e-10) -> CheckResult:
+def infsup_sweep(meshes, family: Family | str, degree: int, continuity_order: int, drift_tolerance: float = 0.2) -> CheckResult:
     """Inf-sup constants over a refinement sequence plus a drift bound.
 
     The stability claim is h-uniformity; at desk scale the proxy is that the
@@ -881,7 +857,7 @@ def infsup_sweep(meshes, family: Family | str, degree: int, continuity_order: in
     results = []
     for mesh in meshes:
         space = assemble(mesh, family, degree, continuity_order)
-        results.append(infsup_constant(space, kernel_threshold))
+        results.append(infsup_constant(space))
     betas = [res.witness.get("beta", 0.0) for res in results]
     drift = (max(betas) - min(betas)) / max(betas) if betas and max(betas) > 0 else 1.0
     all_pass = all(res.status == PASS for res in results)
@@ -890,9 +866,8 @@ def infsup_sweep(meshes, family: Family | str, degree: int, continuity_order: in
         status = SKIPPED
     else:
         status = PASS if all_pass and drift < drift_tolerance else FAIL
-    fam = family if isinstance(family, str) else family.value
     return CheckResult(
-        name=f"infsup_sweep[{fam} r={degree} k={continuity_order} levels={len(betas)}]",
+        name=f"infsup_sweep[{Family(family).value} r={degree} k={continuity_order} levels={len(betas)}]",
         status=status,
         witness={
             "betas": betas,

@@ -26,7 +26,7 @@ from .report import (
     write_atomic,
 )
 from .simplex import FRAME_CONVENTIONS
-from .spaces import FAMILY_ALIASES, Family
+from .tensors import FAMILY_ALIASES, Family
 
 SUBCOMMANDS = (
     "decompose",
@@ -120,7 +120,7 @@ def _resolve_case(parser: argparse.ArgumentParser, args) -> tuple[CaseParams, Me
     except ValueError as exc:
         parser.error(str(exc))
     params = CaseParams(
-        family=family.value,
+        family=family,
         dim=dim,
         degree=args.degree,
         continuity_order=k,

@@ -32,14 +32,13 @@ from .simplex import (
     reference_simplex,
 )
 from .spaces import (
-    Family,
     SpaceBasis,
     bubble_space,
     decompose,
     facet_normal,
     lattice_basis,
 )
-from .tensors import SpaceTag
+from .tensors import Family
 
 GLOBAL = "global_on_f"
 FACEWISE = "facewise_on_F"
@@ -216,32 +215,15 @@ class DoFSet:
         return len(self.functionals)
 
 
-_MATRIX_MIN_DEGREE = 2
-
-
-def _k_range(family: Family, n: int) -> tuple[int, int]:
-    lo = -1 if family.space_tag is SpaceTag.VECTOR else 0
-    return lo, n - 2
-
-
 def _validate_params(family: Family, n: int, degree: int, k: int | None) -> None:
-    if family is Family.LAGRANGE:
-        if degree < 1:
-            raise ValueError("scalar moments need degree >= 1")
-        if k is not None:
-            raise ValueError("the scalar family carries no continuity order")
+    if degree < family.min_degree:
+        raise ValueError(f"{family.value} DoFs need degree >= {family.min_degree}, got {degree}")
+    if family is Family.LAGRANGE and k is None:
         return
-    if family in (Family.TRACELESS, Family.SYMMETRIC):
-        if degree < _MATRIX_MIN_DEGREE:
-            raise ValueError(
-                f"{family.value} DoFs need degree >= {_MATRIX_MIN_DEGREE}, got {degree}"
-            )
-    elif degree < 1:
-        raise ValueError("vector DoFs need degree >= 1")
-    lo, hi = _k_range(family, n)
-    if k is None or not lo <= k <= hi:
+    orders = family.k_range(n)
+    if k not in orders:
         raise ValueError(
-            f"continuity order {k} outside [{lo}, {hi}] for {family.value} in dimension {n}"
+            f"continuity order {k} outside [{orders.start}, {orders.stop - 1}] for {family.value} in dimension {n}"
         )
 
 
@@ -253,7 +235,7 @@ def resolve_continuity_order(family: Family, n: int, degree: int, k: int | None)
     family.
     """
     if k is None and family is not Family.LAGRANGE:
-        k = _k_range(family, n)[0]
+        k = family.k_range(n).start
     _validate_params(family, n, degree, k)
     return k
 
@@ -275,7 +257,7 @@ def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_o
     n = simplex.dim
     k = continuity_order
     _validate_params(family, n, degree, k)
-    vector = family.space_tag is SpaceTag.VECTOR
+    vector = family is Family.FACE
     units = tensors.identity(n)
     out: list[DoFFunctional] = []
     traceless_facewise: dict[SubSimplexId, list] = {}  # shared by a facet's sub-sites
@@ -294,7 +276,7 @@ def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_o
                 frame = build_frame(simplex, f, frame_convention)
             if ell == 0 and not vector:
                 # A basis of the whole constrained space at the vertex.
-                directions = tensors.tn_split(f, frame, family.space_tag).normal_basis
+                directions = tensors.tn_split(f, frame, family).normal_basis
                 out.extend(_moment(f, m, d, GLOBAL) for m in monos for d in directions)
                 continue
             # Each direction is built once per site and shared by its
@@ -369,7 +351,7 @@ def _symmetric_global_directions(frame) -> list[tuple]:
 def dof_matrix(dofs: DoFSet, basis: SpaceBasis) -> linalg.IntegerRows:
     """Square matrix N_i(phi_j) of the functionals against the basis, as
     integer rows over their least positive denominators."""
-    if basis.family.space_tag is not dofs.family.space_tag or basis.n != dofs.simplex.dim or basis.degree != dofs.degree:
+    if basis.family is not dofs.family or basis.n != dofs.simplex.dim or basis.degree != dofs.degree:
         raise ValueError("DoF set and basis describe different spaces")
     if dofs.count != len(basis.members):
         raise ValueError(
@@ -667,7 +649,7 @@ def merge_face_dofs(dofs: DoFSet, F: SubSimplexId) -> MergedFaceDoFs:
     n_face = facet_normal(simplex, F)
 
     added: list[DoFFunctional] = []
-    if family.space_tag is SpaceTag.VECTOR:
+    if family is Family.FACE:
         if k == -1:
             weights = bn.monomial_basis(F, r)
         else:

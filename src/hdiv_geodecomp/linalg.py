@@ -225,7 +225,7 @@ def _markowitz_pivots(rows: Iterable[dict[int, int]]) -> Iterator[tuple[int, int
                 del rows[i]
 
 
-def nullspace(mat: RowSeq, cols: int | None = None) -> list[list[Fraction]]:
+def nullspace(mat: RowSeq, cols: int | None = None) -> list[list[int]]:
     """Basis of the right kernel, one primitive vector per free column.
 
     After elimination and back substitution each pivot row reads
@@ -255,7 +255,7 @@ def nullspace(mat: RowSeq, cols: int | None = None) -> list[list[Fraction]]:
         g = gcd(*x)
         if next(y for y in x if y) < 0:
             g = -g
-        basis.append([Fraction(y // g) for y in x])
+        basis.append([y // g for y in x])
     return basis
 
 

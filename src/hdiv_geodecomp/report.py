@@ -35,13 +35,8 @@ from .checks import FAIL, PASS, CheckResult
 from .dofs import certify_unisolvence
 from .mesh import Mesh, resolve_mesh
 from .simplex import reference_simplex
-from .spaces import (
-    Family,
-    decompose,
-    verify_bubble_characterization,
-    verify_div_image,
-)
-from .tensors import traceless_gradient_basis
+from .spaces import decompose, verify_bubble_characterization, verify_div_image
+from .tensors import Family, traceless_gradient_basis
 
 SCHEMA_VERSION = "1"
 # Random rational points per interior facet for the sampled conformity guard.
@@ -52,7 +47,7 @@ CONFORMITY_SAMPLES = 2
 class CaseParams:
     """One parameter set, as the CLI resolved it."""
 
-    family: str
+    family: Family
     dim: int
     degree: int
     continuity_order: int | None
@@ -74,8 +69,7 @@ class RunContext:
     def space(self) -> GlobalSpace:
         p = self.params
         mesh = self.mesh if self.mesh is not None else resolve_mesh(p.mesh)
-        k = None if Family(p.family) is Family.LAGRANGE else p.continuity_order
-        return assemble(mesh, Family(p.family), p.degree, k)
+        return assemble(mesh, p.family, p.degree, p.continuity_order)
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +78,8 @@ class RunContext:
 
 def unit_decompose(run: RunContext) -> list[CheckResult]:
     p = run.params
-    family = Family(p.family)
-    basis = decompose(family, reference_simplex(p.dim), p.degree, p.frame)
-    expected = family.constrained_dim(p.dim) * bn.space_dim(p.dim, p.degree)
+    basis = decompose(p.family, reference_simplex(p.dim), p.degree, p.frame)
+    expected = p.family.constrained_dim(p.dim) * bn.space_dim(p.dim, p.degree)
     by_site_dim: dict[str, int] = {}
     for m in basis.members:
         label = f"dim_{m.provenance.sub_simplex.dim}"
@@ -94,7 +87,7 @@ def unit_decompose(run: RunContext) -> list[CheckResult]:
     ok = len(basis.members) == expected
     return [
         CheckResult(
-            name=f"decompose[{family.value} n={p.dim} r={p.degree}]",
+            name=f"decompose[{p.family.value} n={p.dim} r={p.degree}]",
             status=PASS if ok else FAIL,
             witness={
                 "members": len(basis.members),
@@ -107,23 +100,17 @@ def unit_decompose(run: RunContext) -> list[CheckResult]:
 
 def unit_unisolvence(run: RunContext) -> list[CheckResult]:
     p = run.params
-    return [certify_unisolvence(Family(p.family), p.dim, p.degree, p.continuity_order, p.frame)]
+    return [certify_unisolvence(p.family, p.dim, p.degree, p.continuity_order, p.frame)]
 
 
 def unit_bubbles(run: RunContext) -> list[CheckResult]:
     p = run.params
-    return [
-        verify_bubble_characterization(
-            Family(p.family), reference_simplex(p.dim), p.degree, p.frame
-        )
-    ]
+    return [verify_bubble_characterization(p.family, reference_simplex(p.dim), p.degree, p.frame)]
 
 
 def unit_div_image(run: RunContext) -> list[CheckResult]:
     p = run.params
-    return [
-        verify_div_image(Family(p.family), reference_simplex(p.dim), p.degree, p.frame)
-    ]
+    return [verify_div_image(p.family, reference_simplex(p.dim), p.degree, p.frame)]
 
 
 def unit_dual_basis(run: RunContext) -> list[CheckResult]:
@@ -150,7 +137,7 @@ def unit_assemble(run: RunContext) -> list[CheckResult]:
     p, space = run.params, run.space
     return [
         CheckResult(
-            name=f"assemble[{p.family} n={space.mesh.dim} r={p.degree} "
+            name=f"assemble[{p.family.value} n={space.mesh.dim} r={p.degree} "
             f"k={space.continuity_order} mesh={p.mesh}]",
             status=PASS,
             witness={"dim": space.dim, "dofs_by_scope": dict(Counter(space.scopes))},
@@ -189,15 +176,14 @@ DIV_UNITS = ("bubbles", "div-image", "infsup")
 
 def expand_all(p: CaseParams) -> list[str]:
     """The unit names 'all' covers for one parameter set."""
-    family = Family(p.family)
     names = ["decompose", "unisolvence"]
-    if family is not Family.LAGRANGE:
+    if p.family is not Family.LAGRANGE:
         names += ["bubbles", "div-image"]
-    if family is Family.TRACELESS:
+    if p.family is Family.TRACELESS:
         names.append("dual-basis")
     if p.mesh is not None:
         names += ["assemble", "dims", "conformity"]
-        if family is not Family.LAGRANGE:
+        if p.family is not Family.LAGRANGE:
             names.append("infsup")
     return names
 
@@ -226,7 +212,7 @@ def build_report(subcommand: str, p: CaseParams, checks: list[CheckResult], timi
     """The report as the JSON object that render_json and render_csv read."""
     params = {
         "subcommand": subcommand,
-        "family": p.family,
+        "family": p.family.value,
         "dim": p.dim,
         "degree": p.degree,
         "k": p.continuity_order,

@@ -1,7 +1,7 @@
 """Shape-function spaces, their sub-simplex decompositions, traces, and div.
 
 Every basis member is one scalar monomial λ^β on the full simplex times
-one constant coefficient (a vector or a matrix from the tagged constrained
+one constant coefficient (a vector or a matrix from the family's value
 space), and is stored as that exponent and coefficient.  Its traces and
 divergence are read off β, and ranks of whole spaces reduce to exact
 integer elimination on coefficient vectors.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Sequence
@@ -20,37 +19,7 @@ from . import bernstein as bn
 from . import linalg, tensors
 from .checks import FAIL, PASS, SKIPPED, CheckResult
 from .simplex import Simplex, SubSimplexId, build_frame, dot, enumerate_subsimplices, integer_gradients, max_normalized
-from .tensors import AffineField, SpaceTag
-
-
-# Input spellings accepted for a family besides its value.
-FAMILY_ALIASES = {"vector": "face"}
-
-
-class Family(Enum):
-    LAGRANGE = "lagrange"
-    FACE = "face"
-    TRACELESS = "traceless"
-    SYMMETRIC = "symmetric"
-
-    @classmethod
-    def _missing_(cls, value):
-        alias = FAMILY_ALIASES.get(value)
-        return None if alias is None else cls(alias)
-
-    @property
-    def space_tag(self) -> SpaceTag | None:
-        if self is Family.LAGRANGE:
-            return None
-        if self is Family.FACE:
-            return SpaceTag.VECTOR
-        if self is Family.TRACELESS:
-            return SpaceTag.TRACELESS
-        return SpaceTag.SYMMETRIC
-
-    def constrained_dim(self, n: int) -> int:
-        tag = self.space_tag
-        return 1 if tag is None else tag.dim(n)
+from .tensors import AffineField, Family
 
 
 @dataclass(frozen=True)
@@ -178,21 +147,20 @@ def decompose(family: Family, simplex: Simplex, degree: int, frame_convention: s
     if degree < 1:
         raise ValueError("decompositions start at degree 1")
     n = simplex.dim
-    tag = family.space_tag
     members: list[ShapeFunction] = []
     for ell in range(n + 1):
         for f in enumerate_subsimplices(n, ell):
             if degree - ell - 1 < 0:
                 continue
             betas = [_bubble_exponent(f, alpha) for alpha in bn.lattice(ell + 1, degree - ell - 1)]
-            if tag is None:
+            if family is Family.LAGRANGE:
                 members.extend(
                     ShapeFunction(beta, _scalar_coeff(), Provenance(f, "lattice"))
                     for beta in betas
                 )
                 continue
             frame = build_frame(simplex, f, frame_convention)
-            split = tensors.tn_split(f, frame, tag)
+            split = tensors.tn_split(f, frame, family)
             for beta in betas:
                 members.extend(
                     ShapeFunction(beta, c, Provenance(f, "tangential"))
@@ -204,24 +172,24 @@ def decompose(family: Family, simplex: Simplex, degree: int, frame_convention: s
                 )
     basis = SpaceBasis(family, n, degree, tuple(members))
     expected = family.constrained_dim(n) * bn.space_dim(n, degree)
-    if len(members) != expected or _rank_by_monomial(basis, tag) != expected:
+    if len(members) != expected or _rank_by_monomial(basis) != expected:
         raise AssertionError(
             f"decomposition of {family.value} n={n} r={degree} is not a basis"
         )
     return basis
 
 
-def _is_value(coeff: tuple, tag: SpaceTag | None) -> bool:
+def _is_value(coeff: tuple, family: Family) -> bool:
     """Whether a constant coefficient (rational or integer) lies in the
     family's value space."""
-    if tag is SpaceTag.TRACELESS:
+    if family is Family.TRACELESS:
         return tensors.trace(coeff) == 0
-    return tag is not SpaceTag.SYMMETRIC or all(
+    return family is not Family.SYMMETRIC or all(
         x == coeff[j][i] for i, row in enumerate(coeff) for j, x in enumerate(row)
     )
 
 
-def _rank_by_monomial(basis: SpaceBasis, tag: SpaceTag | None) -> int:
+def _rank_by_monomial(basis: SpaceBasis) -> int:
     """Exact rank of the members, the sum over β of the rank of the
     coefficients sharing λ^β, after certifying that every coefficient lies
     in the value space.  The coefficients are read from the basis's
@@ -235,8 +203,8 @@ def _rank_by_monomial(basis: SpaceBasis, tag: SpaceTag | None) -> int:
         sites.setdefault(i, m.provenance.sub_simplex.indices)
         by_monomial.setdefault(m.beta, []).append(i)
     for i, site in sites.items():
-        if not _is_value(coeffs.values[i], tag):
-            raise AssertionError(f"member coefficient at {site} is not a {tag.value} value")
+        if not _is_value(coeffs.values[i], basis.family):
+            raise AssertionError(f"member coefficient at {site} is not a {basis.family.value} value")
     betas_per_set = Counter(tuple(ids) for ids in by_monomial.values())
     return sum(
         count * linalg.rank([tensors.flatten(coeffs.values[i]) for i in ids])
@@ -247,15 +215,14 @@ def _rank_by_monomial(basis: SpaceBasis, tag: SpaceTag | None) -> int:
 def lattice_basis(family: Family, simplex: Simplex, degree: int) -> SpaceBasis:
     """The plain monomial × constrained-direction basis of the same space."""
     n = simplex.dim
-    tag = family.space_tag
     full = bn.full_domain(n)
-    if tag is None:
+    if family is Family.LAGRANGE:
         directions: Sequence = [_scalar_coeff()]
-    elif tag is SpaceTag.VECTOR:
+    elif family is Family.FACE:
         directions = tensors.identity(n)
     else:
         frame = build_frame(simplex, full)
-        split = tensors.tn_split(full, frame, tag)
+        split = tensors.tn_split(full, frame, family)
         directions = list(split.tangential_basis + split.normal_basis)
     members = [
         ShapeFunction(beta, c, Provenance(full, "lattice"))
@@ -348,18 +315,11 @@ def div_rows(basis: SpaceBasis, simplex: Simplex) -> tuple[list[list[int]], int]
 def div_codim_fields(family: Family, simplex: Simplex) -> list[tuple[bn.BernsteinPoly, ...]]:
     """The fields div(bubbles) are orthogonal to: 1, RT, or RM."""
     n = simplex.dim
-    if family.space_tag is SpaceTag.VECTOR:
+    if family is Family.FACE:
         return [(bn.one(bn.full_domain(n)),)]
     rt, rm = tensors.rigid_spaces(n)
     fields = rt if family is Family.TRACELESS else rm
     return [affine_field_polys(f, simplex) for f in fields]
-
-
-_DIV_IMAGE_MIN_DEGREE = {
-    Family.FACE: 2,
-    Family.TRACELESS: 2,
-    Family.SYMMETRIC: 3,
-}
 
 
 def verify_bubble_characterization(family: Family, simplex: Simplex, degree: int, frame_convention: str = "edge_tangents_face_normals") -> CheckResult:
@@ -380,7 +340,7 @@ def verify_bubble_characterization(family: Family, simplex: Simplex, degree: int
         for facet in enumerate_subsimplices(simplex.dim, simplex.dim - 1)
     ]
     # A normal trace has one component per component of a divergence.
-    zero = [0] * (bn.space_dim(simplex.dim - 1, degree) * family.space_tag.div_width(simplex.dim))
+    zero = [0] * (bn.space_dim(simplex.dim - 1, degree) * family.div_width(simplex.dim))
 
     def stacked_traces(space: SpaceBasis) -> list[list[int]]:
         # A facet's rows share one denominator, which neither the zero
@@ -419,9 +379,7 @@ def verify_div_image(family: Family, simplex: Simplex, degree: int, frame_conven
     that div 𝔹 is exactly L2-orthogonal to the codim fields (1, RT or RM),
     so the image is the orthogonal complement of those fields."""
     name = f"div_image[{family.value},n={simplex.dim},r={degree}]"
-    if family is Family.LAGRANGE:
-        raise ValueError("div images are defined for the vector/matrix families")
-    threshold = _DIV_IMAGE_MIN_DEGREE[family]
+    threshold = family.div_image_min_degree
     if degree < threshold:
         return CheckResult(
             name, SKIPPED, {"reason": f"degree {degree} below {threshold}"}
@@ -432,7 +390,7 @@ def verify_div_image(family: Family, simplex: Simplex, degree: int, frame_conven
     got = linalg.rank(rows)
     fields = div_codim_fields(family, simplex)
     codim = len(fields)
-    expected = family.space_tag.div_width(n) * bn.space_dim(n, degree - 1) - codim
+    expected = family.div_width(n) * bn.space_dim(n, degree - 1) - codim
     witness = {"rank": got, "expected": expected, "codim": codim, "bubble_dim": len(bubbles.members)}
     if got != expected:
         return CheckResult(name, FAIL, witness)

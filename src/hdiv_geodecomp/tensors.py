@@ -22,21 +22,74 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 
-class SpaceTag(Enum):
-    VECTOR = "vector"
+# Input spellings accepted for a family besides its value.
+FAMILY_ALIASES = {"vector": "face"}
+
+
+class Family(Enum):
+    """An element family: its value space and the continuity orders and
+    degrees for which each claim about it is stated.  Every per-family fact
+    the package reads is read here."""
+
+    LAGRANGE = "lagrange"
+    FACE = "face"
     TRACELESS = "traceless"
     SYMMETRIC = "symmetric"
 
-    def dim(self, n: int) -> int:
-        if self is SpaceTag.VECTOR:
+    @classmethod
+    def _missing_(cls, value):
+        alias = FAMILY_ALIASES.get(value)
+        return None if alias is None else cls(alias)
+
+    def constrained_dim(self, n: int) -> int:
+        """Dimension of the value space: scalars, vectors, traceless or
+        symmetric n x n matrices."""
+        if self is Family.LAGRANGE:
+            return 1
+        if self is Family.FACE:
             return n
-        if self is SpaceTag.TRACELESS:
+        if self is Family.TRACELESS:
             return n * n - 1
         return n * (n + 1) // 2
 
     def div_width(self, n: int) -> int:
         """Components of a divergence: scalar for vectors, row-wise for matrices."""
-        return 1 if self is SpaceTag.VECTOR else n
+        self._require_div()
+        return 1 if self is Family.FACE else n
+
+    def k_range(self, n: int) -> range:
+        """The continuity orders the element is stated for, the least
+        continuous one (the default) first: -1..n-2 for face, -1 being the
+        plain facet-moment layout, and 0..n-2 for the matrix families."""
+        if self is Family.LAGRANGE:
+            raise ValueError("the scalar family carries no continuity order")
+        return range(-1 if self is Family.FACE else 0, n - 1)
+
+    @property
+    def min_degree(self) -> int:
+        """Lowest degree of the DoF system: the matrix families take a
+        basis of the whole value space at each vertex, from degree 2."""
+        return 1 if self in (Family.LAGRANGE, Family.FACE) else 2
+
+    @property
+    def div_image_min_degree(self) -> int:
+        """Lowest degree at which div of the bubbles is claimed to be the
+        L2-complement of the constants, RT or RM in P_{r-1}."""
+        self._require_div()
+        return 3 if self is Family.SYMMETRIC else 2
+
+    def div_onto_min_degree(self, n: int, k: int) -> int:
+        """Lowest degree at which the piecewise div of the assembled space
+        is claimed onto: k + 2 (1 for the facet-moment face layout k = -1),
+        and n + 1 for symmetric matrices."""
+        self._require_div()
+        if self is Family.SYMMETRIC:
+            return n + 1
+        return 1 if k == -1 else k + 2
+
+    def _require_div(self) -> None:
+        if self is Family.LAGRANGE:
+            raise ValueError("the scalar family has no divergence")
 
 
 def outer(u: Sequence, v: Sequence) -> Mat:
@@ -148,7 +201,7 @@ class TnSplit:
     """Tangential/normal basis of a constrained space at one sub-simplex."""
 
     sub_simplex: SubSimplexId
-    space: SpaceTag
+    family: Family
     tangential_basis: tuple
     normal_basis: tuple
 
@@ -192,8 +245,8 @@ def _corrected(u, v, t) -> Mat:
     )
 
 
-def tn_split(f: SubSimplexId, frame: Frame, space: SpaceTag) -> TnSplit:
-    """Split the tagged space into tangential and normal parts at f.
+def tn_split(f: SubSimplexId, frame: Frame, family: Family) -> TnSplit:
+    """Split the family's value space into tangential and normal parts at f.
 
     Tangential elements have zero contraction with every face normal of
     faces containing f; for the constrained spaces the diagonal blocks are
@@ -207,11 +260,11 @@ def tn_split(f: SubSimplexId, frame: Frame, space: SpaceTag) -> TnSplit:
         raise ValueError("frame does not belong to this sub-simplex")
     n = f.parent_dim
     ell = f.dim
-    if space is SpaceTag.VECTOR:
-        return TnSplit(f, space, frame.tangents, frame.normals)
+    if family is Family.FACE:
+        return TnSplit(f, family, frame.tangents, frame.normals)
     tans = _integer_vectors(frame.tangents)
     nors = _integer_vectors(frame.normals)
-    if space is SpaceTag.TRACELESS:
+    if family is Family.TRACELESS:
         if ell >= 1:
             direction = tans[0]
             tangential = [_outer(m, t) for m in nors for t in tans]
@@ -235,8 +288,8 @@ def tn_split(f: SubSimplexId, frame: Frame, space: SpaceTag) -> TnSplit:
                 for j in range(n)
                 if (i, j) != (0, 0)
             ]
-        return TnSplit(f, space, tuple(tangential), tuple(normal))
-    if space is SpaceTag.SYMMETRIC:
+        return TnSplit(f, family, tuple(tangential), tuple(normal))
+    if family is Family.SYMMETRIC:
         tangential = [
             _sym_outer(tans[i], tans[j])
             for i in range(ell)
@@ -248,8 +301,8 @@ def tn_split(f: SubSimplexId, frame: Frame, space: SpaceTag) -> TnSplit:
             for i in range(n - ell)
             for j in range(i, n - ell)
         ]
-        return TnSplit(f, space, tuple(tangential), tuple(normal))
-    raise ValueError(f"unsupported space {space!r}")
+        return TnSplit(f, family, tuple(tangential), tuple(normal))
+    raise ValueError(f"unsupported family {family!r}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from hdiv_geodecomp.assembly import GlobalSpace, cell_rows
 
 def dense_div_onto_rows(space: GlobalSpace) -> list[list[int]]:
     mesh = space.mesh
-    qdim_cell = space.family.space_tag.div_width(mesh.dim) * bn.space_dim(mesh.dim, space.degree - 1)
+    qdim_cell = space.family.div_width(mesh.dim) * bn.space_dim(mesh.dim, space.degree - 1)
     rows = [[0] * (qdim_cell * len(mesh.cells)) for _ in range(space.dim)]
     for ci in range(len(mesh.cells)):
         # Column block ci keeps the cell's own denominator: scaling a block

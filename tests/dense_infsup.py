@@ -14,7 +14,7 @@ from math import sqrt
 import numpy as np
 
 from hdiv_geodecomp import bernstein as bn
-from hdiv_geodecomp.assembly import GlobalSpace, _coeff_pair_matrix, _moment_gram
+from hdiv_geodecomp.assembly import KERNEL_THRESHOLD, GlobalSpace, _coeff_pair_matrix, _moment_gram
 
 
 def cell_pencil(space: GlobalSpace, ci: int):
@@ -22,7 +22,7 @@ def cell_pencil(space: GlobalSpace, ci: int):
     local order."""
     mesh = space.mesh
     n, r = mesh.dim, space.degree
-    width = space.family.space_tag.div_width(n)
+    width = space.family.div_width(n)
     qlat = bn.space_dim(n, r - 1)
     w_val = np.array(_moment_gram(n + 1, r, n))
     chol_t = np.linalg.cholesky(np.array(_moment_gram(n + 1, r - 1, n))).T
@@ -42,7 +42,7 @@ def cell_pencil(space: GlobalSpace, ci: int):
     return dual.T @ (vol * (gram_val + b_cell.T @ b_cell)) @ dual, sqrt(vol) * (b_cell @ dual)
 
 
-def dense_infsup(space: GlobalSpace, kernel_threshold: float = 1e-10) -> tuple[float, int]:
+def dense_infsup(space: GlobalSpace) -> tuple[float, int]:
     big_v = np.zeros((space.dim, space.dim))
     coupling = np.zeros((space.dim_q, space.dim))
     qdim_cell = space.dim_q // len(space.mesh.cells)
@@ -52,6 +52,6 @@ def dense_infsup(space: GlobalSpace, kernel_threshold: float = 1e-10) -> tuple[f
         big_v[np.ix_(gidx, gidx)] += mass
         coupling[ci * qdim_cell:(ci + 1) * qdim_cell, gidx] += cell_coupling
     eigs = np.linalg.eigvalsh(coupling @ np.linalg.solve(big_v, coupling.T))
-    kept = eigs[eigs > kernel_threshold]
+    kept = eigs[eigs > KERNEL_THRESHOLD]
     beta = sqrt(float(kept.min())) if kept.size else 0.0
     return beta, int(eigs.size - kept.size)

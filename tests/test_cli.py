@@ -302,7 +302,7 @@ def test_mesh_units_ignore_the_frame_convention():
     witnesses = []
     for frame in ("edge_tangents_face_normals", "orthogonalized"):
         params = CaseParams(
-            family="traceless", dim=3, degree=2, continuity_order=0,
+            family=Family.TRACELESS, dim=3, degree=2, continuity_order=0,
             mesh="two_tets", frame=frame, seed=0,
         )
         checks, _ = report.run_units(list(report.MESH_UNITS), params)
@@ -469,7 +469,7 @@ def test_canonical_json_rejects_unknown_types():
 
 def test_run_units_merges_sorted_by_unit_name():
     params = CaseParams(
-        family="traceless", dim=2, degree=2, continuity_order=0,
+        family=Family.TRACELESS, dim=2, degree=2, continuity_order=0,
         mesh=None, frame="edge_tangents_face_normals", seed=0,
     )
     names = report.expand_all(params)

@@ -1,4 +1,5 @@
-"""Tangent-normal splits of the constrained matrix spaces, and rigid fields."""
+"""The family table, tangent-normal splits of the constrained matrix
+spaces, and rigid fields."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from hdiv_geodecomp import linalg, tensors
+from hdiv_geodecomp import linalg, spaces, tensors
+from hdiv_geodecomp.dofs import resolve_continuity_order
 from hdiv_geodecomp.simplex import (
     SubSimplexId,
     barycentric_gradients,
@@ -16,7 +18,7 @@ from hdiv_geodecomp.simplex import (
     enumerate_subsimplices,
     reference_simplex,
 )
-from hdiv_geodecomp.tensors import SpaceTag
+from hdiv_geodecomp.tensors import Family
 
 from conftest import random_simplex
 
@@ -31,11 +33,52 @@ def test_sym_of_outer_product():
     assert s == direct
 
 
-def test_space_dims():
-    for n in (2, 3, 4):
-        assert SpaceTag.VECTOR.dim(n) == n
-        assert SpaceTag.TRACELESS.dim(n) == n * n - 1
-        assert SpaceTag.SYMMETRIC.dim(n) == n * (n + 1) // 2
+def test_family_facts_match_the_paper():
+    """Each family's facts for n = 1..4, written out per family: the value
+    space (vectors, traceless or symmetric matrices), the components of a
+    divergence, the continuity orders k (the least continuous, -1 for the
+    facet-moment face layout, is the default), the lowest degree of the DoF
+    system, and the lowest degrees of the claims that div maps the bubbles
+    onto the complement of 1, RT or RM and the assembled space onto the
+    discontinuous P_{r-1}: k + 2 (1 at k = -1), and n + 1 for symmetric."""
+    for n in range(1, 5):
+        table = {
+            Family.FACE: (n, 1, range(-1, n - 1), 1, 2, {k: 1 if k == -1 else k + 2 for k in range(-1, n - 1)}),
+            Family.TRACELESS: (n * n - 1, n, range(0, n - 1), 2, 2, {k: k + 2 for k in range(0, n - 1)}),
+            Family.SYMMETRIC: (n * (n + 1) // 2, n, range(0, n - 1), 2, 3, {k: n + 1 for k in range(0, n - 1)}),
+        }
+        for family, (dim, width, orders, degree, image_degree, onto_degree) in table.items():
+            assert family.constrained_dim(n) == dim
+            assert family.div_width(n) == width
+            assert family.k_range(n) == orders
+            assert family.min_degree == degree
+            assert family.div_image_min_degree == image_degree
+            assert {k: family.div_onto_min_degree(n, k) for k in orders} == onto_degree
+            with pytest.raises(ValueError):
+                resolve_continuity_order(family, n, degree - 1, None)
+            if orders:
+                assert resolve_continuity_order(family, n, degree, None) == orders[0]
+            else:
+                with pytest.raises(ValueError):
+                    resolve_continuity_order(family, n, degree, None)
+        # The scalar family has one value component, no continuity order
+        # and no divergence.
+        assert Family.LAGRANGE.constrained_dim(n) == 1
+        assert Family.LAGRANGE.min_degree == 1
+        assert resolve_continuity_order(Family.LAGRANGE, n, 1, None) is None
+        with pytest.raises(ValueError):
+            Family.LAGRANGE.k_range(n)
+        with pytest.raises(ValueError):
+            Family.LAGRANGE.div_width(n)
+        with pytest.raises(ValueError):
+            Family.LAGRANGE.div_onto_min_degree(n, 0)
+    with pytest.raises(ValueError):
+        Family.LAGRANGE.div_image_min_degree
+    assert Family("vector") is Family.FACE
+    f = SubSimplexId((0, 1), 2)
+    with pytest.raises(ValueError):
+        tensors.tn_split(f, build_frame(reference_simplex(2), f), Family.LAGRANGE)
+    assert spaces.Family is tensors.Family
 
 
 def _split(simp, labels, space, convention="edge_tangents_face_normals"):
@@ -47,7 +90,7 @@ def _split(simp, labels, space, convention="edge_tangents_face_normals"):
 def test_traceless_face_split_dimensions():
     rng = random.Random(3)
     simp = random_simplex(rng, 3)
-    split, _, _ = _split(simp, (0, 1, 2), SpaceTag.TRACELESS)
+    split, _, _ = _split(simp, (0, 1, 2), Family.TRACELESS)
     assert len(split.tangential_basis) == 5
     assert len(split.normal_basis) == 3
     flat = [tensors.flatten(b) for b in split.tangential_basis + split.normal_basis]
@@ -57,7 +100,7 @@ def test_traceless_face_split_dimensions():
 def test_symmetric_edge_split_dimensions():
     rng = random.Random(4)
     simp = random_simplex(rng, 3)
-    split, _, _ = _split(simp, (1, 2), SpaceTag.SYMMETRIC)
+    split, _, _ = _split(simp, (1, 2), Family.SYMMETRIC)
     assert len(split.tangential_basis) == 1
     assert len(split.normal_basis) == 5
     flat = [tensors.flatten(b) for b in split.tangential_basis + split.normal_basis]
@@ -70,12 +113,12 @@ def test_vector_split_dimensions():
     for ell in range(3):
         for f in enumerate_subsimplices(2, ell):
             frame = build_frame(simp, f)
-            split = tensors.tn_split(f, frame, SpaceTag.VECTOR)
+            split = tensors.tn_split(f, frame, Family.FACE)
             assert len(split.tangential_basis) == ell
             assert len(split.normal_basis) == 2 - ell
 
 
-@pytest.mark.parametrize("space", list(SpaceTag))
+@pytest.mark.parametrize("space", [Family.FACE, Family.TRACELESS, Family.SYMMETRIC])
 def test_split_is_direct_sum_of_the_constrained_space(space):
     rng = random.Random(6)
     for n in (2, 3):
@@ -86,17 +129,17 @@ def test_split_is_direct_sum_of_the_constrained_space(space):
                 split = tensors.tn_split(f, frame, space)
                 tan = [tensors.flatten(b) for b in split.tangential_basis]
                 nor = [tensors.flatten(b) for b in split.normal_basis]
-                assert len(tan) + len(nor) == space.dim(n)
-                assert linalg.rank(tan + nor) == space.dim(n)
-                if space is SpaceTag.TRACELESS:
+                assert len(tan) + len(nor) == space.constrained_dim(n)
+                assert linalg.rank(tan + nor) == space.constrained_dim(n)
+                if space is Family.TRACELESS:
                     for b in split.tangential_basis + split.normal_basis:
                         assert tensors.trace(b) == 0
-                if space is SpaceTag.SYMMETRIC:
+                if space is Family.SYMMETRIC:
                     for b in split.tangential_basis + split.normal_basis:
                         assert b == tuple(zip(*b))
 
 
-@pytest.mark.parametrize("space", [SpaceTag.TRACELESS, SpaceTag.SYMMETRIC])
+@pytest.mark.parametrize("space", [Family.TRACELESS, Family.SYMMETRIC])
 def test_tangential_elements_annihilate_containing_face_normals(space):
     rng = random.Random(7)
     for n in (2, 3):
