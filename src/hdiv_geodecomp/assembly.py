@@ -13,7 +13,7 @@ inf-sup constants are the one place floating point enters.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import comb, prod, sqrt
@@ -26,7 +26,6 @@ from .dofs import (
     FACEWISE,
     GLOBAL,
     INTERIOR,
-    DoFSet,
     DoFTerm,
     SiteBlockError,
     build_dofs,
@@ -34,6 +33,7 @@ from .dofs import (
     site_blocks,
 )
 from .mesh import Mesh
+from .records import Record
 from .spaces import decompose, div_rows, site_rows
 from .tensors import Family
 
@@ -45,28 +45,26 @@ class AssemblyError(ValueError):
     """Raised when a mesh and a DoF family cannot be stitched together."""
 
 
-@dataclass(frozen=True)
-class GlobalSpace:
+class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continuity_order cell_dofs local_to_global keys")):
     """An assembled space: per-cell DoF sets plus the identification table.
 
     keys[g] is the hashable identity of global DoF g; local_to_global[c][i]
-    is the global index of cell c's i-th functional.  Cell dual bases and
-    cell div rows are computed on demand and cached.
+    is the global index of cell c's i-th functional; cell_dofs[c] is cell
+    c's DoFSet.  Cell dual bases and cell div rows are computed on demand
+    and cached per instance, outside the fields.
     """
-
-    mesh: Mesh
-    family: Family
-    degree: int
-    continuity_order: int | None
-    cell_dofs: tuple[DoFSet, ...]
-    local_to_global: tuple[tuple[int, ...], ...]
-    keys: tuple[tuple, ...]
-    _dual_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _div_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.keys)
+
+    @cached_property
+    def _dual_cache(self) -> dict:
+        return {}
+
+    @cached_property
+    def _div_cache(self) -> dict:
+        return {}
 
     @cached_property
     def scopes(self) -> tuple[str, ...]:
@@ -469,7 +467,7 @@ def flip_facet_orientation(space: GlobalSpace, facet: tuple[int, ...] | None = N
         if nf.scope == FACEWISE and nf.face == f_loc:
             (term,) = nf.terms
             flipped.append(
-                replace(nf, terms=(DoFTerm(term.weight, _negate_direction(term.direction)),))
+                nf._replace(terms=(DoFTerm(term.weight, _negate_direction(term.direction)),))
             )
             hits += 1
         else:
@@ -477,16 +475,8 @@ def flip_facet_orientation(space: GlobalSpace, facet: tuple[int, ...] | None = N
     if hits == 0:
         raise ValueError(f"no facewise functionals live on facet {facet}")
     new_dofs = list(space.cell_dofs)
-    new_dofs[victim] = replace(space.cell_dofs[victim], functionals=tuple(flipped))
-    return GlobalSpace(
-        mesh,
-        space.family,
-        space.degree,
-        space.continuity_order,
-        tuple(new_dofs),
-        space.local_to_global,
-        space.keys,
-    )
+    new_dofs[victim] = space.cell_dofs[victim]._replace(functionals=tuple(flipped))
+    return space._replace(cell_dofs=tuple(new_dofs))
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ plain convolutions and makes equality at a common degree coefficient-wise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, prod
 from typing import Mapping, Sequence
 
+from .records import Record
 from .simplex import SubSimplexId
 
 MultiIndex = tuple[int, ...]
@@ -46,25 +46,33 @@ def space_dim(dim_f: int, degree: int) -> int:
     return comb(degree + dim_f, dim_f)
 
 
-@dataclass(frozen=True, eq=False)
-class BernsteinPoly:
-    """Homogeneous polynomial of one degree on one sub-simplex domain."""
+class BernsteinPoly(Record):
+    """Homogeneous polynomial of one degree on one sub-simplex domain.
 
-    domain: SubSimplexId
-    degree: int
-    coeffs: Mapping[MultiIndex, Fraction]
+    Equal polynomials may differ in degree, so it is not hashable.  It is
+    not a tuple either: trace_div returns one polynomial or a tuple of
+    them, and callers tell the two apart by isinstance.
+    """
 
-    def __post_init__(self):
-        width = len(self.domain.indices)
+    __slots__ = ("domain", "degree", "coeffs")
+
+    def __init__(self, domain: SubSimplexId, degree: int, coeffs: Mapping[MultiIndex, Fraction]):
+        width = len(domain.indices)
         clean = {}
-        for alpha, c in self.coeffs.items():
+        for alpha, c in coeffs.items():
             value = c if isinstance(c, Fraction) else Fraction(c)
             if value == 0:
                 continue
-            if len(alpha) != width or any(a < 0 for a in alpha) or sum(alpha) != self.degree:
-                raise ValueError(f"multi-index {alpha} invalid for degree {self.degree}")
+            if len(alpha) != width or any(a < 0 for a in alpha) or sum(alpha) != degree:
+                raise ValueError(f"multi-index {alpha} invalid for degree {degree}")
             clean[tuple(alpha)] = value
-        object.__setattr__(self, "coeffs", clean)
+        init = object.__setattr__
+        init(self, "domain", domain)
+        init(self, "degree", degree)
+        init(self, "coeffs", clean)
+
+    def __repr__(self) -> str:
+        return f"BernsteinPoly(domain={self.domain!r}, degree={self.degree!r}, coeffs={self.coeffs!r})"
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -76,6 +84,8 @@ class BernsteinPoly:
             return False
         r = max(self.degree, other.degree)
         return elevate(self, r).coeffs == elevate(other, r).coeffs
+
+    __hash__ = None
 
     def __add__(self, other: "BernsteinPoly") -> "BernsteinPoly":
         if self.domain != other.domain:

@@ -2,20 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped_below_threshold"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one named verification with a machine-readable witness."""
 
     name: str
     status: str
-    witness: dict = field(default_factory=dict)
+    witness: dict
 
     @property
     def ok(self) -> bool:

@@ -14,16 +14,18 @@ prints, its witness carrying the pivot hashes of linalg.echelon_data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import add
+from typing import NamedTuple
 
 from . import bernstein as bn
 from . import linalg, tensors
 from .checks import FAIL, PASS, CheckResult
+from .records import Record
 from .simplex import (
     Simplex,
     SubSimplexId,
@@ -48,25 +50,25 @@ MOD_P0 = "mod_P0"
 MOD_P1 = "mod_P1"
 
 
-@dataclass(frozen=True)
-class DoFTerm:
+class DoFTerm(NamedTuple):
     weight: bn.BernsteinPoly  # lives on the functional's site
     direction: tuple  # vector or matrix
 
 
-@dataclass(frozen=True)
-class DoFFunctional:
-    site: SubSimplexId
-    terms: tuple[DoFTerm, ...]
-    scope: str  # GLOBAL | FACEWISE | INTERIOR
-    face: SubSimplexId | None = None  # the facet F of a facewise functional
+class DoFFunctional(Record, namedtuple("DoFFunctional", "site terms scope face")):
+    """The sum of its terms (a tuple of DoFTerm) on one site.  scope is
+    GLOBAL, FACEWISE or INTERIOR; face is the facet F of a facewise
+    functional and None otherwise."""
 
-    def __post_init__(self):
-        if (self.scope == FACEWISE) != (self.face is not None):
+    __slots__ = ()
+
+    def __new__(cls, site: SubSimplexId, terms: tuple[DoFTerm, ...], scope: str, face: SubSimplexId | None = None):
+        if (scope == FACEWISE) != (face is not None):
             raise ValueError("facewise functionals carry their facet, others none")
-        for term in self.terms:
-            if term.weight.domain != self.site:
+        for term in terms:
+            if term.weight.domain != site:
                 raise ValueError("weight polynomial must live on the site")
+        return tuple.__new__(cls, (site, terms, scope, face))
 
 
 def _moment(site, weight, direction, scope, face=None):
@@ -200,8 +202,7 @@ def _functional_rows(functionals, basis: SpaceBasis) -> linalg.IntegerRows:
     return linalg.IntegerRows(rows, dens)
 
 
-@dataclass(frozen=True)
-class DoFSet:
+class DoFSet(NamedTuple):
     family: Family
     simplex: Simplex
     degree: int
@@ -504,8 +505,7 @@ def _face_bubble_collection(F: SubSimplexId, degree: int, k: int) -> list[bn.Ber
     return out
 
 
-@dataclass(frozen=True)
-class QuotientFaceSpace:
+class QuotientFaceSpace(NamedTuple):
     face: SubSimplexId
     degree: int
     continuity_order: int
@@ -613,8 +613,7 @@ def tangential_polynomial_fields(simplex: Simplex, F: SubSimplexId, degree: int,
     return fields
 
 
-@dataclass(frozen=True)
-class MergedFaceDoFs:
+class MergedFaceDoFs(NamedTuple):
     dofs: DoFSet
     face: SubSimplexId
     removed: tuple[DoFFunctional, ...]
@@ -683,8 +682,7 @@ def merge_face_dofs(dofs: DoFSet, F: SubSimplexId) -> MergedFaceDoFs:
     kept = [nf for nf in dofs.functionals if not (nf.scope == FACEWISE and nf.face == F)]
     combined = kept + added
     combined.sort(key=lambda nf: (nf.site.dim, nf.site.indices))
-    merged = replace(
-        dofs,
+    merged = dofs._replace(
         functionals=tuple(combined),
         merged_faces=dofs.merged_faces + (F,),
     )

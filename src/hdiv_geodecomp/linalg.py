@@ -315,14 +315,15 @@ def invert(mat: RowSeq) -> IntegerRows:
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     width = len(b[0]) if b else 0
+    # The nonzeros of each row of b, found once for every row of a.
+    b_nonzeros = [[(j, y) for j, y in enumerate(b_row) if y] for b_row in b]
     out = []
     for row in a:
         acc = [0] * width
-        for x, b_row in zip(row, b):
+        for x, nonzeros in zip(row, b_nonzeros):
             if x:
-                for j, y in enumerate(b_row):
-                    if y:
-                        acc[j] += x * y
+                for j, y in nonzeros:
+                    acc[j] += x * y
         out.append(acc)
     return out
 

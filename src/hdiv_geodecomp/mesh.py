@@ -4,7 +4,7 @@ One rule builds every structured mesh, the Kuhn paths of the unit n-cube: the
 cube builtins place them at integer offsets, and refine, in any dimension,
 splits each cell into the Kuhn paths of its half-grid (Freudenthal's rule).
 
-A Mesh is valid by construction: every way of building one, replace() too,
+A Mesh is valid by construction: every way of building one, _replace() too,
 runs validate_mesh once, which raises MeshError for a nonconforming partition.
 
 Cells are stored as sorted global vertex tuples.  The label order of every
@@ -21,11 +21,12 @@ import itertools
 import json
 import operator
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
+from .records import Record
 from .simplex import (
     Frame,
     Simplex,
@@ -63,20 +64,14 @@ def _cell_index(value) -> int:
         raise MeshError(f"cell index {value!r} is not an integer") from None
 
 
-@dataclass(frozen=True)
-class Mesh:
-    """A conforming partition with exact rational vertex coordinates."""
+class Mesh(Record, namedtuple("Mesh", "dim vertices cells")):
+    """A conforming partition with exact rational vertex coordinates: dim,
+    the vertices as Coordinates, and the cells as vertex index tuples."""
 
-    dim: int
-    vertices: tuple[Coordinate, ...]
-    cells: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        pts = tuple(tuple(Fraction(x) for x in p) for p in self.vertices)
-        object.__setattr__(self, "vertices", pts)
-        cells = tuple(tuple(sorted(map(_cell_index, c))) for c in self.cells)
-        object.__setattr__(self, "cells", cells)
-        n = self.dim
+    def __new__(cls, dim: int, vertices, cells):
+        pts = tuple(tuple(Fraction(x) for x in p) for p in vertices)
+        cells = tuple(tuple(sorted(map(_cell_index, c))) for c in cells)
+        n = dim
         if n < 1:
             raise MeshError("meshes start at dimension 1")
         if any(len(p) != n for p in pts):
@@ -90,7 +85,9 @@ class Mesh:
                 raise MeshError(f"cell {c} references a missing vertex")
         if len(set(cells)) != len(cells):
             raise MeshError("duplicate cell")
+        self = tuple.__new__(cls, (dim, pts, cells))
         validate_mesh(self)
+        return self
 
     @cached_property
     def cell_simplices(self) -> tuple[Simplex, ...]:

@@ -17,10 +17,10 @@ import json
 import os
 import tempfile
 import time
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import bernstein as bn
 from .assembly import (
@@ -34,6 +34,7 @@ from .assembly import (
 from .checks import FAIL, PASS, CheckResult
 from .dofs import certify_unisolvence
 from .mesh import Mesh, resolve_mesh
+from .records import Record
 from .simplex import reference_simplex
 from .spaces import decompose, verify_bubble_characterization, verify_div_image
 from .tensors import Family, traceless_gradient_basis
@@ -43,8 +44,7 @@ SCHEMA_VERSION = "1"
 CONFORMITY_SAMPLES = 2
 
 
-@dataclass(frozen=True)
-class CaseParams:
+class CaseParams(NamedTuple):
     """One parameter set, as the CLI resolved it."""
 
     family: Family
@@ -56,14 +56,11 @@ class CaseParams:
     seed: int
 
 
-@dataclass
-class RunContext:
+class RunContext(Record, namedtuple("RunContext", "params mesh", defaults=(None,))):
     """What the units of one run share: the mesh, resolved and validated
     once, and one assembled space, so each cell DoF matrix is built and
-    inverted once.  Without a mesh the context resolves p.mesh itself."""
-
-    params: CaseParams
-    mesh: Mesh | None = None
+    inverted once.  params is the CaseParams; without a mesh the context
+    resolves params.mesh itself."""
 
     @cached_property
     def space(self) -> GlobalSpace:

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import factorial, gcd
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
+from .records import Record
 
 Vector = tuple[Fraction, ...]
 
@@ -25,20 +26,17 @@ def _as_point(coords: Sequence) -> Vector:
     return tuple(Fraction(x) for x in coords)
 
 
-@dataclass(frozen=True)
-class SubSimplexId:
+class SubSimplexId(Record, namedtuple("SubSimplexId", "indices parent_dim")):
     """A sub-simplex of an n-simplex, named by its vertex labels."""
 
-    indices: tuple[int, ...]
-    parent_dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.parent_dim
-        idx = self.indices
-        if not idx or any(i < 0 or i > n for i in idx):
-            raise ValueError(f"labels {idx} outside 0..{n}")
-        if list(idx) != sorted(set(idx)):
-            raise ValueError(f"labels {idx} must be strictly increasing")
+    def __new__(cls, indices: tuple[int, ...], parent_dim: int):
+        if not indices or any(i < 0 or i > parent_dim for i in indices):
+            raise ValueError(f"labels {indices} outside 0..{parent_dim}")
+        if list(indices) != sorted(set(indices)):
+            raise ValueError(f"labels {indices} must be strictly increasing")
+        return tuple.__new__(cls, (indices, parent_dim))
 
     @property
     def dim(self) -> int:
@@ -67,21 +65,20 @@ def enumerate_subsimplices(n: int, ell: int) -> list[SubSimplexId]:
     return [SubSimplexId(c, n) for c in itertools.combinations(range(n + 1), ell + 1)]
 
 
-@dataclass(frozen=True)
-class Simplex:
+class Simplex(Record, namedtuple("Simplex", "vertices")):
     """A nondegenerate n-simplex with exact rational vertex coordinates."""
 
-    vertices: tuple[Vector, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        pts = tuple(_as_point(v) for v in self.vertices)
-        object.__setattr__(self, "vertices", pts)
+    def __new__(cls, vertices: Sequence[Sequence]):
+        pts = tuple(_as_point(v) for v in vertices)
         n = len(pts) - 1
         if n < 1 or any(len(p) != n for p in pts):
             raise ValueError("need n+1 vertices with n coordinates each")
         edges = [[pts[j][d] - pts[0][d] for d in range(n)] for j in range(1, n + 1)]
         if linalg.det(edges) == 0:
             raise SingularGeometryError("vertices are affinely dependent")
+        return tuple.__new__(cls, (pts,))
 
     @property
     def dim(self) -> int:
@@ -158,8 +155,7 @@ def _gram_schmidt(vectors: Sequence[Vector]) -> list[Vector]:
     return ortho
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """Tangent and normal spanning vectors attached to one sub-simplex."""
 
     sub_simplex: SubSimplexId

@@ -9,27 +9,25 @@ integer elimination on coefficient vectors.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import bernstein as bn
 from . import linalg, tensors
 from .checks import FAIL, PASS, SKIPPED, CheckResult
+from .records import Record
 from .simplex import Simplex, SubSimplexId, build_frame, dot, enumerate_subsimplices, integer_gradients, max_normalized
 from .tensors import AffineField, Family
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     sub_simplex: SubSimplexId
     component: str  # "tangential" | "normal" | "lattice"
 
 
-@dataclass(frozen=True)
-class ShapeFunction:
+class ShapeFunction(NamedTuple):
     """λ^beta · coeff on the full simplex, beta indexed by the vertex labels
     and the coefficient constant over the simplex."""
 
@@ -42,8 +40,7 @@ class ShapeFunction:
         return bn.monomial(bn.full_domain(len(self.beta) - 1), self.beta)
 
 
-@dataclass(frozen=True)
-class IntegerCoefficients:
+class IntegerCoefficients(NamedTuple):
     """The member coefficients of a basis as integer tensors over one
     denominator: member j's coefficient is values[ids[j]] / den entrywise.
     Members that share one coefficient object (the members of one
@@ -55,12 +52,9 @@ class IntegerCoefficients:
     den: int
 
 
-@dataclass(frozen=True)
-class SpaceBasis:
-    family: Family
-    n: int
-    degree: int
-    members: tuple[ShapeFunction, ...]
+class SpaceBasis(Record, namedtuple("SpaceBasis", "family n degree members")):
+    """A basis of one family's degree-r space on an n-simplex: family, n,
+    degree, and members, a tuple of ShapeFunction."""
 
     @cached_property
     def coefficients(self) -> IntegerCoefficients:
@@ -364,7 +358,7 @@ def verify_bubble_characterization(family: Family, simplex: Simplex, degree: int
             "identity": "ker(tr_div) == bubble span",
         })
     normal_members = tuple(m for m in basis.members if m.provenance.component == "normal")
-    trace_rank = linalg.rank(stacked_traces(replace(basis, members=normal_members)))
+    trace_rank = linalg.rank(stacked_traces(basis._replace(members=normal_members)))
     if trace_rank != len(normal_members):
         return CheckResult(name, FAIL, {
             "identity": "trace injective on normal members",
@@ -394,12 +388,15 @@ def verify_div_image(family: Family, simplex: Simplex, degree: int, frame_conven
     witness = {"rank": got, "expected": expected, "codim": codim, "bubble_dim": len(bubbles.members)}
     if got != expected:
         return CheckResult(name, FAIL, witness)
-    # ∫ div(b)·q over the simplex is linear in the lattice row of div(b).
+    # ∫ div(b)·q over the simplex is linear in the lattice row of div(b);
+    # scaling the weights to integers keeps which pairings are zero.
     domain = bn.full_domain(n)
     monos = bn.monomial_basis(domain, degree - 1)
     non_orthogonal = 0
     for field in fields:
-        weights = [bn.integrate(bn.multiply(mono, comp), domain) for mono in monos for comp in field]
+        weights, _ = linalg.integer_form(
+            bn.integrate(bn.multiply(mono, comp), domain) for mono in monos for comp in field
+        )
         non_orthogonal += sum(1 for row in rows if tensors.dot(row, weights))
     if non_orthogonal:
         witness["non_orthogonal_pairs"] = non_orthogonal

@@ -8,12 +8,11 @@ which is what lets the tangential pieces become bubbles downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import linalg
 from .simplex import Frame, Simplex, SubSimplexId, barycentric_gradients, dot
@@ -169,8 +168,7 @@ def integer_values(values) -> tuple[list, int]:
     return out, den
 
 
-@dataclass(frozen=True)
-class Contraction:
+class Contraction(NamedTuple):
     """A linear map from coefficient values to components, applied to
     integers: the components of a coefficient C / d, C an integer tensor,
     are the integers apply(C) over d · den."""
@@ -196,8 +194,7 @@ def normal_contraction(normal: Sequence) -> Contraction:
     return Contraction(apply, den)
 
 
-@dataclass(frozen=True)
-class TnSplit:
+class TnSplit(NamedTuple):
     """Tangential/normal basis of a constrained space at one sub-simplex."""
 
     sub_simplex: SubSimplexId
@@ -305,8 +302,7 @@ def tn_split(f: SubSimplexId, frame: Frame, family: Family) -> TnSplit:
     raise ValueError(f"unsupported family {family!r}")
 
 
-@dataclass(frozen=True)
-class TracelessGradientBasis:
+class TracelessGradientBasis(NamedTuple):
     """Gradient-aligned basis of the traceless matrices, with its dual."""
 
     index_pairs: tuple[tuple[int, int], ...]
@@ -341,8 +337,7 @@ def traceless_gradient_basis(simplex: Simplex) -> TracelessGradientBasis:
     return TracelessGradientBasis(tuple(pairs), tuple(basis), tuple(dual), pairing)
 
 
-@dataclass(frozen=True)
-class AffineField:
+class AffineField(NamedTuple):
     """Vector field x ↦ A x + b with rational coefficients."""
 
     matrix: Mat

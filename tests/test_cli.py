@@ -66,6 +66,38 @@ def test_all_suite_traceless_includes_dual_basis(capsys):
     }
 
 
+@pytest.mark.parametrize("defect", ["perturbed pairing", "dropped element"])
+def test_dual_basis_unit_fails_on_a_broken_basis(monkeypatch, defect):
+    """Negative control: a pairing that is not the identity, or a basis one
+    element short of n² − 1 (its pairing still the identity), fails."""
+    original = report.traceless_gradient_basis
+
+    def broken(simplex):
+        frames = original(simplex)
+        if defect == "perturbed pairing":
+            pairing = [list(row) for row in frames.pairing]
+            pairing[0][1] += 1
+            return frames._replace(pairing=tuple(map(tuple, pairing)))
+        return frames._replace(
+            index_pairs=frames.index_pairs[:-1],
+            basis=frames.basis[:-1],
+            dual=frames.dual[:-1],
+            pairing=tuple(row[:-1] for row in frames.pairing[:-1]),
+        )
+
+    monkeypatch.setattr(report, "traceless_gradient_basis", broken)
+    params = CaseParams(
+        family=Family.TRACELESS, dim=2, degree=2, continuity_order=0,
+        mesh=None, frame="edge_tangents_face_normals", seed=0,
+    )
+    (check,), _ = report.run_units(["dual-basis"], params)
+    assert check.status == FAIL
+    if defect == "perturbed pairing":
+        assert check.witness == {"size": 3, "expected": 3, "kronecker": False}
+    else:
+        assert check.witness == {"size": 2, "expected": 3, "kronecker": True}
+
+
 def test_all_suite_with_mesh_adds_assembly_units(capsys):
     code, data = run_json(
         capsys,
@@ -407,6 +439,30 @@ def test_runs_load_neither_openssl_nor_csv(tmp_path):
         "argv = ['unisolvence', '--family', 'face', '--dim', '2', '--degree', '2', '--format', 'csv']\n"
         f"assert cli.run(argv + ['--out', {str(tmp_path / 'r.csv')!r}]) == 0\n"
         "assert 'csv' in sys.modules, 'a CSV run did not load csv'\n"
+    )
+    proc = _run_script(script)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.startswith("preloaded"):
+        pytest.skip(f"the interpreter loaded {proc.stdout.split()[1:]} before the package")
+
+
+def test_cli_loads_no_dataclasses_or_inspect(tmp_path):
+    # Records are named tuples or small classes; dataclasses would pull in
+    # inspect, ast and dis on every start.
+    script = (
+        "import sys\n"
+        "heavy = ('dataclasses', 'inspect', 'ast', 'dis')\n"
+        "held = [m for m in heavy if m in sys.modules]\n"
+        "if held:\n"
+        "    print('preloaded', *held)\n"
+        "    sys.exit()\n"
+        "from hdiv_geodecomp import cli\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "assert not loaded, f'importing the CLI loaded {loaded}'\n"
+        "argv = ['unisolvence', '--family', 'traceless', '--dim', '2', '--degree', '2', '--k', '0']\n"
+        f"assert cli.run(argv + ['--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "assert not loaded, f'a unisolvence run loaded {loaded}'\n"
     )
     proc = _run_script(script)
     assert proc.returncode == 0, proc.stderr

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import comb, gcd
 
@@ -201,7 +200,7 @@ def test_certificate_fails_on_a_repeated_functional():
     block is rank deficient by one) and on the dense path."""
     dofs = build_dofs(Family.TRACELESS, 2, 3, 0)
     *rest, last = dofs.functionals
-    repeated = replace(dofs, functionals=(*rest, rest[-1]))
+    repeated = dofs._replace(functionals=(*rest, rest[-1]))
     assert rest[-1].scope == last.scope == INTERIOR
     cert = certify_unisolvence(dofs=repeated)
     size = dofs.count
@@ -211,7 +210,7 @@ def test_certificate_fails_on_a_repeated_functional():
     assert cert.witness["failure"] == {"block": "interior", "rank": interior - 1, "size": interior}
     assert cert.witness["size"] == size
     merged = merge_all_faces(dofs)
-    dense = certify_unisolvence(dofs=replace(merged, functionals=(*merged.functionals[:-1], merged.functionals[-2])))
+    dense = certify_unisolvence(dofs=merged._replace(functionals=(*merged.functionals[:-1], merged.functionals[-2])))
     assert dense.status == FAIL and dense.witness["method"] == "dense"
     assert dense.witness["failure"] == {"rank": size - 1, "size": size}
 

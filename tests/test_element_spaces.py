@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -194,7 +193,7 @@ def test_bubble_characterization_fails_when_a_bubble_is_swapped_for_a_normal_mem
 
     def swapped(family, simplex, degree, frame_convention):
         bubbles = true_bubbles(family, simplex, degree, frame_convention)
-        return replace(bubbles, members=(normal,) + bubbles.members[1:])
+        return bubbles._replace(members=(normal,) + bubbles.members[1:])
 
     monkeypatch.setattr(spaces, "bubble_space", swapped)
     result = spaces.verify_bubble_characterization(Family.TRACELESS, simp, 2)
@@ -211,7 +210,7 @@ def test_bubble_characterization_fails_when_bubble_space_drops_a_member(monkeypa
 
     def dropped(family, simplex, degree, frame_convention):
         bubbles = true_bubbles(family, simplex, degree, frame_convention)
-        return replace(bubbles, members=bubbles.members[1:])
+        return bubbles._replace(members=bubbles.members[1:])
 
     monkeypatch.setattr(spaces, "bubble_space", dropped)
     result = spaces.verify_bubble_characterization(Family.TRACELESS, simp, 2)
@@ -232,7 +231,7 @@ def test_bubble_characterization_fails_when_a_normal_direction_is_labelled_tange
         if f.indices != (0, 1):
             return split
         t, nrm = split.tangential_basis, split.normal_basis
-        return replace(split, tangential_basis=nrm[:1] + t[1:], normal_basis=t[:1] + nrm[1:])
+        return split._replace(tangential_basis=nrm[:1] + t[1:], normal_basis=t[:1] + nrm[1:])
 
     spaces.decompose.cache_clear()
     monkeypatch.setattr(tensors, "tn_split", mislabelled)
@@ -367,7 +366,7 @@ def test_decompose_detects_a_repeated_normal_direction(monkeypatch):
         if f.indices != (0,):
             return split
         normals = split.normal_basis
-        return replace(split, normal_basis=normals[:-1] + normals[:1])
+        return split._replace(normal_basis=normals[:-1] + normals[:1])
 
     spaces.decompose.cache_clear()
     monkeypatch.setattr(tensors, "tn_split", repeated)
@@ -388,7 +387,7 @@ def test_decompose_detects_a_repeated_direction_on_an_edge(monkeypatch):
         if f.indices != (0, 1):
             return split
         normals = split.normal_basis
-        return replace(split, normal_basis=normals[:-1] + normals[:1])
+        return split._replace(normal_basis=normals[:-1] + normals[:1])
 
     spaces.decompose.cache_clear()
     monkeypatch.setattr(tensors, "tn_split", repeated)
@@ -445,7 +444,7 @@ def test_decompose_rejects_a_non_traceless_direction(monkeypatch):
             return split
         # the identity is independent of the traceless directions, so only
         # the membership check on the coefficients can catch it
-        return replace(split, normal_basis=split.normal_basis[:-1] + (tensors.identity(2),))
+        return split._replace(normal_basis=split.normal_basis[:-1] + (tensors.identity(2),))
 
     spaces.decompose.cache_clear()
     monkeypatch.setattr(tensors, "tn_split", widened)

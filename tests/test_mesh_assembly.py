@@ -7,7 +7,6 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import comb, gcd
 
@@ -251,9 +250,12 @@ def test_validate_mesh_checks_each_instance_once(monkeypatch, tmp_path):
             "--out", str(tmp_path / "all.json")]
     assert cli.run(argv) == 0
     assert solves["n"] == first
-    # replace() builds a new instance, which is validated again.
-    replace(m)
+    # A mesh rebuilt from another mesh's fields is validated again, and so
+    # is one that _replace builds.
+    Mesh(*m)
     assert solves["n"] == 2 * first
+    m._replace()
+    assert solves["n"] == 3 * first
     # Nonconforming partitions cannot be constructed at all.
     with pytest.raises(MeshError, match="hanging node"):
         _hanging_node_mesh()
@@ -467,7 +469,7 @@ def test_each_cell_is_decomposed_once():
 
 def _with_cell_functionals(space, cell_index, functionals) -> GlobalSpace:
     cell_dofs = list(space.cell_dofs)
-    cell_dofs[cell_index] = replace(cell_dofs[cell_index], functionals=tuple(functionals))
+    cell_dofs[cell_index] = cell_dofs[cell_index]._replace(functionals=tuple(functionals))
     return GlobalSpace(
         space.mesh,
         space.family,
@@ -488,7 +490,7 @@ def test_dual_rejects_a_functional_planted_above_the_site_blocks():
         m for m in basis.members
         if m.provenance.sub_simplex == nf.site and m.provenance.component == "tangential"
     )
-    functionals[i] = replace(nf, terms=(DoFTerm(nf.terms[0].weight, tangential.coeff),))
+    functionals[i] = nf._replace(terms=(DoFTerm(nf.terms[0].weight, tangential.coeff),))
     broken = _with_cell_functionals(space, 0, functionals)
     label = "f" + "".join(map(str, nf.site.indices))
     with pytest.raises(AssemblyError, match=f"functional at {label} does not annihilate member block interior"):
@@ -660,12 +662,13 @@ def _flip_shared_functional(space: GlobalSpace, site: tuple[int, ...]) -> Global
         if nf.scope == GLOBAL and mesh.global_site(victim, nf.site) == site
     )
     (term,) = functionals[i].terms
-    functionals[i] = replace(
-        functionals[i], terms=(DoFTerm(term.weight, assembly._negate_direction(term.direction)),)
+    functionals[i] = functionals[i]._replace(
+        terms=(DoFTerm(term.weight, assembly._negate_direction(term.direction)),)
     )
     cell_dofs = list(space.cell_dofs)
-    cell_dofs[victim] = replace(cell_dofs[victim], functionals=tuple(functionals))
-    return replace(space, cell_dofs=tuple(cell_dofs), _dual_cache={}, _div_cache={})
+    cell_dofs[victim] = cell_dofs[victim]._replace(functionals=tuple(functionals))
+    # _replace builds a new space, with empty dual and div caches.
+    return space._replace(cell_dofs=tuple(cell_dofs))
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import make_dataclass
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from hdiv_geodecomp import bernstein as bn
 from hdiv_geodecomp import linalg
+from hdiv_geodecomp.dofs import build_dofs
 from hdiv_geodecomp.simplex import (
     FRAME_CONVENTIONS,
     Simplex,
@@ -20,6 +23,8 @@ from hdiv_geodecomp.simplex import (
     enumerate_subsimplices,
     reference_simplex,
 )
+from hdiv_geodecomp.spaces import decompose
+from hdiv_geodecomp.tensors import Family
 
 from conftest import random_simplex
 
@@ -160,3 +165,44 @@ def test_normals_are_scaled_face_gradients():
     grads = barycentric_gradients(simp)
     for label, normal in zip(f.complement_labels(), frame.normals):
         assert linalg.rank([list(normal), list(grads[label])]) == 1
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return type(exc)
+
+
+def test_records_keep_dataclass_equality_hash_and_repr():
+    """The records that were frozen dataclasses hash, compare and print as
+    a frozen dataclass of the same fields did, and stay unassignable."""
+    simplex = reference_simplex(2)
+    f = SubSimplexId((0, 2), 2)
+    assert repr(f) == "SubSimplexId(indices=(0, 2), parent_dim=2)"
+    records = [
+        f,
+        simplex,
+        build_frame(simplex, f),
+        decompose(Family.TRACELESS, simplex, 1).members[0],
+        build_dofs(Family.FACE, 2, 1, -1).functionals[0].terms[0],
+    ]
+    for record in records:
+        fields = tuple(getattr(record, name) for name in record._fields)
+        mirror = make_dataclass(type(record).__name__, record._fields, frozen=True)(*fields)
+        assert repr(record) == repr(mirror)
+        assert _hash_or_error(record) == _hash_or_error(fields) == _hash_or_error(mirror)
+        assert record == type(record)(*fields)
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], fields[0])
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    # A DoF term holds a polynomial, which compares by value across
+    # degrees and so is not hashable.
+    poly = records[-1].weight
+    mirror = make_dataclass("BernsteinPoly", ("domain", "degree", "coeffs"), eq=False)(poly.domain, poly.degree, poly.coeffs)
+    assert repr(poly) == repr(mirror)
+    assert poly == bn.elevate(poly, poly.degree + 1)
+    assert _hash_or_error(poly) is TypeError
+    with pytest.raises(AttributeError):
+        poly.degree = 0
