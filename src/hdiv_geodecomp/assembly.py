@@ -100,13 +100,7 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
         )
 
     def cell_basis(self, cell_index: int):
-        # The same arguments as build_dofs passes, so both share one cache entry.
-        return decompose(
-            self.family,
-            self.mesh.cell_simplices[cell_index],
-            self.degree,
-            self.cell_dofs[cell_index].frame_convention,
-        )
+        return decompose(self.family, self.mesh.cell_simplices[cell_index], self.degree)
 
     def dual_coefficients(self, cell_index: int) -> tuple[list[list[int]], int]:
         """Exact inverse of the cell DoF matrix as an integer matrix N over

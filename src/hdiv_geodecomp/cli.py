@@ -25,7 +25,6 @@ from .report import (
     run_units,
     write_atomic,
 )
-from .simplex import FRAME_CONVENTIONS
 from .tensors import FAMILY_ALIASES, Family
 
 SUBCOMMANDS = (
@@ -63,13 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="continuity order; default -1 (face) or 0 (matrix families)",
     )
     common.add_argument("--mesh", help="builtin mesh name or JSON path")
-    common.add_argument(
-        "--frame",
-        default="edge_tangents_face_normals",
-        choices=list(FRAME_CONVENTIONS),
-        help="tangent/normal frame convention of the element units; "
-        "mesh units use the mesh-shared frames",
-    )
     common.add_argument("--out", help="report path; stdout when omitted")
     common.add_argument("--format", default="json", choices=["json", "csv"])
     common.add_argument(
@@ -125,7 +117,6 @@ def _resolve_case(parser: argparse.ArgumentParser, args) -> tuple[CaseParams, Me
         degree=args.degree,
         continuity_order=k,
         mesh=args.mesh,
-        frame=args.frame,
         seed=args.seed,
     )
     return params, mesh

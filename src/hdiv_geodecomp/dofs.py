@@ -207,7 +207,6 @@ class DoFSet(NamedTuple):
     simplex: Simplex
     degree: int
     continuity_order: int | None  # k; None for the scalar family
-    frame_convention: str
     functionals: tuple[DoFFunctional, ...]
     merged_faces: tuple[SubSimplexId, ...] = ()
 
@@ -222,6 +221,8 @@ def _validate_params(family: Family, n: int, degree: int, k: int | None) -> None
     if family is Family.LAGRANGE and k is None:
         return
     orders = family.k_range(n)
+    if not orders:  # the matrix families in dimension 1
+        raise ValueError(f"{family.value} elements need dimension >= 2, got {n}")
     if k not in orders:
         raise ValueError(
             f"continuity order {k} outside [{orders.start}, {orders.stop - 1}] for {family.value} in dimension {n}"
@@ -241,7 +242,7 @@ def resolve_continuity_order(family: Family, n: int, degree: int, k: int | None)
     return k
 
 
-def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_order: int | None, frame_convention: str = "edge_tangents_face_normals", frames=None, facet_normals=None) -> DoFSet:
+def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_order: int | None, frames=None, facet_normals=None) -> DoFSet:
     """The moment functionals of one element, grouped by site, interior last.
 
     Boundary sites of dimension at most the continuity order carry globally
@@ -249,9 +250,10 @@ def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_o
     per containing facet (plus, for symmetric values, global normal-normal
     moments); the interior block pairs against the div bubble space.
 
-    frames and facet_normals optionally override the element-local frame and
-    facet-normal construction; mesh assembly passes shared vectors through
-    them so that two cells meeting at a site emit identical functionals.
+    Directions come from simplex.build_frame at each site.  frames and
+    facet_normals optionally override that element-local frame and the
+    facet normals; mesh assembly passes shared vectors through them so that
+    two cells meeting at a site emit identical functionals.
     """
     if isinstance(simplex, int):
         simplex = reference_simplex(simplex)
@@ -274,7 +276,7 @@ def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_o
             if frames is not None:
                 frame = frames(f)
             else:
-                frame = build_frame(simplex, f, frame_convention)
+                frame = build_frame(simplex, f)
             if ell == 0 and not vector:
                 # A basis of the whole constrained space at the vertex.
                 directions = tensors.tn_split(f, frame, family).normal_basis
@@ -321,10 +323,10 @@ def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_o
             for m in bn.monomial_basis(full, degree - n - 1)
         )
     else:
-        for b in bubble_space(family, simplex, degree, frame_convention).members:
+        for b in bubble_space(family, simplex, degree).members:
             out.append(_moment(full, b.scalar, b.coeff, INTERIOR))
 
-    dofs = DoFSet(family, simplex, degree, k, frame_convention, tuple(out))
+    dofs = DoFSet(family, simplex, degree, k, tuple(out))
     expected = family.constrained_dim(n) * bn.space_dim(n, degree)
     if dofs.count != expected:
         raise AssertionError(
@@ -439,7 +441,6 @@ def certify_unisolvence(
     simplex: Simplex | int | None = None,
     degree: int | None = None,
     continuity_order: int | None = None,
-    frame_convention: str = "edge_tangents_face_normals",
     dofs: DoFSet | None = None,
 ) -> CheckResult:
     """Exact invertibility certificate for the DoF matrix of one element.
@@ -455,8 +456,8 @@ def certify_unisolvence(
     if dofs is None:
         if family is None or simplex is None or degree is None:
             raise ValueError("pass either a DoF set or (family, simplex, degree, k)")
-        dofs = build_dofs(family, simplex, degree, continuity_order, frame_convention)
-    basis = decompose(dofs.family, dofs.simplex, dofs.degree, dofs.frame_convention)
+        dofs = build_dofs(family, simplex, degree, continuity_order)
+    basis = decompose(dofs.family, dofs.simplex, dofs.degree)
     matrix = dof_matrix(dofs, basis)
     size = len(matrix)
     failure = None
@@ -581,7 +582,7 @@ def _certify_face_moments(F: SubSimplexId, degree: int, k: int, face_weights) ->
         )
 
 
-def tangential_polynomial_fields(simplex: Simplex, F: SubSimplexId, degree: int, frame_convention: str = "edge_tangents_face_normals") -> list[tuple]:
+def tangential_polynomial_fields(simplex: Simplex, F: SubSimplexId, degree: int) -> list[tuple]:
     """Facet-tangent fields q of degree `degree`+1 with q.x of degree `degree`+1.
 
     Fields are returned as per-tangent scalar weights against the facet frame
@@ -590,7 +591,7 @@ def tangential_polynomial_fields(simplex: Simplex, F: SubSimplexId, degree: int,
     on q.x is a rational rank computation with no geometry in it.
     """
     r1 = degree + 1  # component degree of the field
-    frame = build_frame(simplex, F, frame_convention)
+    frame = build_frame(simplex, F)
     monos = bn.monomial_basis(F, r1)
     elevated = [bn.coeff_vector(m, r1 + 1) for m in monos]
     annihilator = linalg.nullspace(elevated, cols=bn.space_dim(F.dim, r1 + 1))
@@ -661,9 +662,9 @@ def merge_face_dofs(dofs: DoFSet, F: SubSimplexId) -> MergedFaceDoFs:
     else:
         if k != 0:
             raise ValueError("the symmetric merge is stated for continuity order 0")
-        frame = build_frame(simplex, F, dofs.frame_convention)
+        frame = build_frame(simplex, F)
         directions = [tensors.outer(t, n_face) for t in frame.tangents]
-        for field in tangential_polynomial_fields(simplex, F, r - 2, dofs.frame_convention):
+        for field in tangential_polynomial_fields(simplex, F, r - 2):
             terms = tuple(
                 DoFTerm(w, d)
                 for w, d in zip(field, directions)

@@ -172,7 +172,7 @@ class Mesh(Record, namedtuple("Mesh", "dim vertices cells")):
     def global_frame(self, cell_index: int, f: SubSimplexId) -> Frame:
         """The shared frame of f's global site, attached to cell-local labels."""
         tangents, normals = self.frame_vectors(self.global_site(cell_index, f))
-        return Frame(f, tangents, normals, "edge_tangents_face_normals")
+        return Frame(f, tangents, normals)
 
     @cached_property
     def _normal_cache(self) -> dict:

@@ -40,6 +40,9 @@ from .spaces import decompose, verify_bubble_characterization, verify_div_image
 from .tensors import Family, traceless_gradient_basis
 
 SCHEMA_VERSION = "1"
+# The name of the one tangent-normal frame convention (simplex.build_frame),
+# kept in every report's params.
+FRAME_NAME = "edge_tangents_face_normals"
 # Random rational points per interior facet for the sampled conformity guard.
 CONFORMITY_SAMPLES = 2
 
@@ -52,7 +55,6 @@ class CaseParams(NamedTuple):
     degree: int
     continuity_order: int | None
     mesh: str | None
-    frame: str
     seed: int
 
 
@@ -75,7 +77,7 @@ class RunContext(Record, namedtuple("RunContext", "params mesh", defaults=(None,
 
 def unit_decompose(run: RunContext) -> list[CheckResult]:
     p = run.params
-    basis = decompose(p.family, reference_simplex(p.dim), p.degree, p.frame)
+    basis = decompose(p.family, reference_simplex(p.dim), p.degree)
     expected = p.family.constrained_dim(p.dim) * bn.space_dim(p.dim, p.degree)
     by_site_dim: dict[str, int] = {}
     for m in basis.members:
@@ -97,17 +99,17 @@ def unit_decompose(run: RunContext) -> list[CheckResult]:
 
 def unit_unisolvence(run: RunContext) -> list[CheckResult]:
     p = run.params
-    return [certify_unisolvence(p.family, p.dim, p.degree, p.continuity_order, p.frame)]
+    return [certify_unisolvence(p.family, p.dim, p.degree, p.continuity_order)]
 
 
 def unit_bubbles(run: RunContext) -> list[CheckResult]:
     p = run.params
-    return [verify_bubble_characterization(p.family, reference_simplex(p.dim), p.degree, p.frame)]
+    return [verify_bubble_characterization(p.family, reference_simplex(p.dim), p.degree)]
 
 
 def unit_div_image(run: RunContext) -> list[CheckResult]:
     p = run.params
-    return [verify_div_image(p.family, reference_simplex(p.dim), p.degree, p.frame)]
+    return [verify_div_image(p.family, reference_simplex(p.dim), p.degree)]
 
 
 def unit_dual_basis(run: RunContext) -> list[CheckResult]:
@@ -214,7 +216,7 @@ def build_report(subcommand: str, p: CaseParams, checks: list[CheckResult], timi
         "degree": p.degree,
         "k": p.continuity_order,
         "mesh": p.mesh,
-        "frame": p.frame,
+        "frame": FRAME_NAME,
         "seed": p.seed,
         "samples": CONFORMITY_SAMPLES,
     }

@@ -15,8 +15,6 @@ from .records import Record
 
 Vector = tuple[Fraction, ...]
 
-FRAME_CONVENTIONS = ("edge_tangents_face_normals", "orthogonalized")
-
 
 class SingularGeometryError(ValueError):
     """Raised for affinely dependent vertex sets."""
@@ -144,35 +142,24 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum(map(mul, a, b))
 
 
-def _gram_schmidt(vectors: Sequence[Vector]) -> list[Vector]:
-    ortho: list[Vector] = []
-    for vec in vectors:
-        cur = list(vec)
-        for prev in ortho:
-            coeff = dot(cur, prev) / dot(prev, prev)
-            cur = [c - coeff * p for c, p in zip(cur, prev)]
-        ortho.append(max_normalized(cur))
-    return ortho
-
-
 class Frame(NamedTuple):
     """Tangent and normal spanning vectors attached to one sub-simplex."""
 
     sub_simplex: SubSimplexId
     tangents: tuple[Vector, ...]
     normals: tuple[Vector, ...]
-    convention: str
 
 
-def build_frame(simplex: Simplex, f: SubSimplexId, convention: str = "edge_tangents_face_normals") -> Frame:
+def build_frame(simplex: Simplex, f: SubSimplexId) -> Frame:
     """Frame for f: ℓ edge tangents within f, n−ℓ normals indexed by f*.
 
-    Every ∇λ_i with i outside f is orthogonal to the span of f's edges, so
-    the normal group is exactly orthogonal to the tangent group without any
-    extra projection.  Vectors are max-entry normalized to stay rational.
+    This is the one frame convention, named edge_tangents_face_normals in
+    reports: the tangents are the edges from f's first vertex, the normals
+    the facet normals ∇λ_i for i outside f.  Every ∇λ_i with i outside f is
+    orthogonal to the span of f's edges, so the normal group is exactly
+    orthogonal to the tangent group without any extra projection.  Vectors
+    are max-entry normalized to stay rational.
     """
-    if convention not in FRAME_CONVENTIONS:
-        raise ValueError(f"unknown frame convention {convention!r}")
     n = simplex.dim
     if f.parent_dim != n:
         raise ValueError("sub-simplex does not belong to this simplex")
@@ -180,10 +167,4 @@ def build_frame(simplex: Simplex, f: SubSimplexId, convention: str = "edge_tange
     tangents = [max_normalized(simplex.edge_vector(idx[0], idx[i])) for i in range(1, len(idx))]
     grads, _ = integer_gradients(simplex)
     normals = [max_normalized(grads[i]) for i in f.complement_labels()]
-    if convention == "orthogonalized":
-        if f.dim == 0:
-            normals = [tuple(Fraction(int(i == d)) for i in range(n)) for d in range(n)]
-        else:
-            tangents = _gram_schmidt(tangents)
-            normals = _gram_schmidt(normals)
-    return Frame(f, tuple(tangents), tuple(normals), convention)
+    return Frame(f, tuple(tangents), tuple(normals))

@@ -127,16 +127,17 @@ def _bubble_exponent(f: SubSimplexId, alpha: bn.MultiIndex) -> bn.MultiIndex:
 
 
 @cache
-def decompose(family: Family, simplex: Simplex, degree: int, frame_convention: str = "edge_tangents_face_normals") -> SpaceBasis:
+def decompose(family: Family, simplex: Simplex, degree: int) -> SpaceBasis:
     """Sub-simplex decomposition of ℙ_degree(T; family space).
 
     Members are b_f · (monomial on f) · (tangential or normal direction),
-    grouped by sub-simplex.  b_f·λ^α is the one monomial λ^β with β = 1 + α
-    on the labels of f and 0 elsewhere, so supp β = f and members are
-    written as β directly.  Each coefficient is certified to be a value of
-    the family space, so full exact rank certifies a basis and the direct
-    sum.  Members with different β are independent monomials, so that rank
-    is the sum over β of the rank of the coefficients sharing λ^β.
+    grouped by sub-simplex; the directions come from simplex.build_frame at
+    f.  b_f·λ^α is the one monomial λ^β with β = 1 + α on the labels of f
+    and 0 elsewhere, so supp β = f and members are written as β directly.
+    Each coefficient is certified to be a value of the family space, so
+    full exact rank certifies a basis and the direct sum.  Members with
+    different β are independent monomials, so that rank is the sum over β
+    of the rank of the coefficients sharing λ^β.
     """
     if degree < 1:
         raise ValueError("decompositions start at degree 1")
@@ -153,7 +154,7 @@ def decompose(family: Family, simplex: Simplex, degree: int, frame_convention: s
                     for beta in betas
                 )
                 continue
-            frame = build_frame(simplex, f, frame_convention)
+            frame = build_frame(simplex, f)
             split = tensors.tn_split(f, frame, family)
             for beta in betas:
                 members.extend(
@@ -247,13 +248,13 @@ def trace_div(member: ShapeFunction, facet: SubSimplexId, normal: Sequence):
     return traced if isinstance(member.coeff[0], tuple) else traced[0]
 
 
-def bubble_space(family: Family, simplex: Simplex, degree: int, frame_convention: str = "edge_tangents_face_normals") -> SpaceBasis:
+def bubble_space(family: Family, simplex: Simplex, degree: int) -> SpaceBasis:
     """Tangential members on positive-dimensional sub-simplices: ker(tr^div)."""
     if family is Family.LAGRANGE:
         raise ValueError("bubble spaces are defined for the vector/matrix families")
     if degree < 2:
         return SpaceBasis(family, simplex.dim, max(degree, 0), ())
-    basis = decompose(family, simplex, degree, frame_convention)
+    basis = decompose(family, simplex, degree)
     members = tuple(
         m
         for m in basis.members
@@ -316,7 +317,7 @@ def div_codim_fields(family: Family, simplex: Simplex) -> list[tuple[bn.Bernstei
     return [affine_field_polys(f, simplex) for f in fields]
 
 
-def verify_bubble_characterization(family: Family, simplex: Simplex, degree: int, frame_convention: str = "edge_tangents_face_normals") -> CheckResult:
+def verify_bubble_characterization(family: Family, simplex: Simplex, degree: int) -> CheckResult:
     """Check 𝔹 = ker(tr^div) and injectivity of the trace on normal members.
 
     decompose certifies its tangential and normal members as a basis, so
@@ -328,7 +329,7 @@ def verify_bubble_characterization(family: Family, simplex: Simplex, degree: int
         raise ValueError("bubble spaces are defined for the vector/matrix families")
     if degree < 2:
         return CheckResult(name, SKIPPED, {"reason": f"degree {degree} below 2"})
-    basis = decompose(family, simplex, degree, frame_convention)
+    basis = decompose(family, simplex, degree)
     facets = [
         (facet, tensors.normal_contraction(facet_normal(simplex, facet)))
         for facet in enumerate_subsimplices(simplex.dim, simplex.dim - 1)
@@ -345,7 +346,7 @@ def verify_bubble_characterization(family: Family, simplex: Simplex, degree: int
             for j in range(len(space.members))
         ]
 
-    bubble_basis = bubble_space(family, simplex, degree, frame_convention)
+    bubble_basis = bubble_space(family, simplex, degree)
     bubbles = bubble_basis.members
     tangential = tuple(m for m in basis.members if m.provenance.component != "normal")
     nonzero_traces = sum(1 for row in stacked_traces(bubble_basis) if any(row))
@@ -368,7 +369,7 @@ def verify_bubble_characterization(family: Family, simplex: Simplex, degree: int
     return CheckResult(name, PASS, {"bubble_dim": len(bubbles), "normal_members": len(normal_members)})
 
 
-def verify_div_image(family: Family, simplex: Simplex, degree: int, frame_convention: str = "edge_tangents_face_normals") -> CheckResult:
+def verify_div_image(family: Family, simplex: Simplex, degree: int) -> CheckResult:
     """Check rank(div 𝔹) = dim ℙ_{r−1}(target) − codim for the family, and
     that div 𝔹 is exactly L2-orthogonal to the codim fields (1, RT or RM),
     so the image is the orthogonal complement of those fields."""
@@ -379,7 +380,7 @@ def verify_div_image(family: Family, simplex: Simplex, degree: int, frame_conven
             name, SKIPPED, {"reason": f"degree {degree} below {threshold}"}
         )
     n = simplex.dim
-    bubbles = bubble_space(family, simplex, degree, frame_convention)
+    bubbles = bubble_space(family, simplex, degree)
     rows, _ = div_rows(bubbles, simplex)
     got = linalg.rank(rows)
     fields = div_codim_fields(family, simplex)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -88,7 +89,7 @@ def test_dual_basis_unit_fails_on_a_broken_basis(monkeypatch, defect):
     monkeypatch.setattr(report, "traceless_gradient_basis", broken)
     params = CaseParams(
         family=Family.TRACELESS, dim=2, degree=2, continuity_order=0,
-        mesh=None, frame="edge_tangents_face_normals", seed=0,
+        mesh=None, seed=0,
     )
     (check,), _ = report.run_units(["dual-basis"], params)
     assert check.status == FAIL
@@ -127,6 +128,14 @@ def test_skipped_checks_do_not_fail_the_run(capsys):
 
 # ---------------------------------------------------------------- exit codes
 
+# The matrix families have no continuity order in dimension 1; the message
+# must say so rather than name an empty range of orders.
+DIMENSION_ONE = [
+    ["all", "--family", "traceless", "--dim", "1", "--degree", "2"],
+    ["all", "--family", "symmetric", "--dim", "1", "--degree", "2"],
+    ["all", "--family", "traceless", "--degree", "2", "--mesh", "unit_interval_3"],
+]
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -140,18 +149,35 @@ def test_skipped_checks_do_not_fail_the_run(capsys):
         ["dims", "--family", "face", "--degree", "2", "--mesh", "/no/such/mesh.json"],
         ["unknown-subcommand", "--family", "face", "--dim", "2", "--degree", "2"],
         ["unisolvence", "--family", "face", "--dim", "2", "--degree", "0"],
-        # not a frame convention
+        # the one frame convention is not an option
         ["unisolvence", "--family", "face", "--dim", "2", "--degree", "2",
-         "--frame", "face_normal_basis"],
+         "--frame", "edge_tangents_face_normals"],
         # report paths that cannot be written: caught before any unit runs
         ["dims", "--family", "face", "--degree", "2", "--mesh", "two_triangles",
          "--out", "/no/such/dir/r.json"],
         ["dims", "--family", "face", "--degree", "2", "--mesh", "two_triangles",
          "--out", "."],
+        *DIMENSION_ONE,
     ],
 )
 def test_bad_arguments_exit_two(capsys, argv):
     assert cli.run(argv) == 2
+    if argv in DIMENSION_ONE:
+        family = argv[argv.index("--family") + 1]
+        assert f"{family} elements need dimension >= 2, got 1" in capsys.readouterr().err
+
+
+# Every option of every subcommand; adding one means adding it here.
+CLI_OPTIONS = {"--help", "--family", "--dim", "--degree", "--k", "--mesh", "--out", "--format", "--seed", "--jobs"}
+
+
+def test_every_subcommand_takes_exactly_the_listed_options():
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(cli.SUBCOMMANDS)
+    for name, sub in subparsers.choices.items():
+        options = {s for action in sub._actions for s in action.option_strings if s.startswith("--")}
+        assert options == CLI_OPTIONS, name
 
 
 def test_folded_mesh_file_exits_two(tmp_path, capsys):
@@ -326,21 +352,6 @@ def test_infsup_builds_cell_div_rows_once_per_cell(capsys, monkeypatch):
     assert calls["div_rows"] == cells
     members = Family.TRACELESS.constrained_dim(2) * comb(2 + 2, 2)
     assert calls["div_row"] == cells * members
-
-
-def test_mesh_units_ignore_the_frame_convention():
-    # Assembly builds every cell's DoFs with the mesh-shared frames, so only
-    # the element units read --frame.
-    witnesses = []
-    for frame in ("edge_tangents_face_normals", "orthogonalized"):
-        params = CaseParams(
-            family=Family.TRACELESS, dim=3, degree=2, continuity_order=0,
-            mesh="two_tets", frame=frame, seed=0,
-        )
-        checks, _ = report.run_units(list(report.MESH_UNITS), params)
-        witnesses.append({c.name.split("[")[0]: c.witness for c in checks})
-    assert set(witnesses[0]) == {"assemble", "dims", "conformity", "infsup", "div_onto"}
-    assert witnesses[0] == witnesses[1]
 
 
 def _run_script(script: str, **env: str) -> subprocess.CompletedProcess:
@@ -526,7 +537,7 @@ def test_canonical_json_rejects_unknown_types():
 def test_run_units_merges_sorted_by_unit_name():
     params = CaseParams(
         family=Family.TRACELESS, dim=2, degree=2, continuity_order=0,
-        mesh=None, frame="edge_tangents_face_normals", seed=0,
+        mesh=None, seed=0,
     )
     names = report.expand_all(params)
     checks, timings = report.run_units(names, params)

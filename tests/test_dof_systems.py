@@ -161,17 +161,6 @@ def test_certificates_on_random_simplices():
         assert cert.status == PASS, (family.value, n, r, k, cert.witness)
 
 
-@pytest.mark.parametrize("convention", ["orthogonalized"])
-def test_certificates_under_other_frame_conventions(convention):
-    for family, n, r, k in [(Family.FACE, 2, 2, 0), (Family.SYMMETRIC, 2, 2, 0)]:
-        cert = certify_unisolvence(family, n, r, k, frame_convention=convention)
-        assert cert.status == PASS
-        # The convention reaches the DoF set: the certificate is the one of
-        # that DoF set, and its pivot hash differs from the default frame's.
-        assert cert == certify_unisolvence(dofs=build_dofs(family, n, r, k, convention))
-        assert cert.witness["pivot_hash"] != certify_unisolvence(family, n, r, k).witness["pivot_hash"]
-
-
 def test_dense_and_blocked_paths_agree():
     for family, n, r, k in [(Family.FACE, 2, 2, 0), (Family.SYMMETRIC, 2, 2, 0)]:
         blocked = certify_unisolvence(family, n, r, k)
@@ -297,6 +286,8 @@ def test_parameter_validation():
         build_dofs(Family.FACE, 2, 0, -1)
     with pytest.raises(ValueError):
         build_dofs(Family.LAGRANGE, 2, 2, 0)
+    with pytest.raises(ValueError, match="symmetric elements need dimension >= 2, got 1"):
+        build_dofs(Family.SYMMETRIC, 1, 2, 0)
 
 
 def test_dof_matrix_rejects_mismatched_basis():
@@ -531,7 +522,7 @@ def test_dof_matrix_rows_are_integers_over_their_least_denominators(case, rng):
     dofs = build_dofs(family, simp, r, k)
     if merged:
         dofs = merge_all_faces(dofs)
-    basis = decompose(family, simp, r, dofs.frame_convention)
+    basis = decompose(family, simp, r)
     matrix = dof_matrix(dofs, basis)
     assert len(matrix) == len(matrix.denominators) == dofs.count
     for nf, row, d in zip(dofs.functionals, matrix, matrix.denominators):

@@ -191,8 +191,8 @@ def test_bubble_characterization_fails_when_a_bubble_is_swapped_for_a_normal_mem
     normal = next(m for m in basis.members if m.provenance.component == "normal")
     true_bubbles = spaces.bubble_space
 
-    def swapped(family, simplex, degree, frame_convention):
-        bubbles = true_bubbles(family, simplex, degree, frame_convention)
+    def swapped(family, simplex, degree):
+        bubbles = true_bubbles(family, simplex, degree)
         return bubbles._replace(members=(normal,) + bubbles.members[1:])
 
     monkeypatch.setattr(spaces, "bubble_space", swapped)
@@ -208,8 +208,8 @@ def test_bubble_characterization_fails_when_bubble_space_drops_a_member(monkeypa
     simp = reference_simplex(3)
     true_bubbles = spaces.bubble_space
 
-    def dropped(family, simplex, degree, frame_convention):
-        bubbles = true_bubbles(family, simplex, degree, frame_convention)
+    def dropped(family, simplex, degree):
+        bubbles = true_bubbles(family, simplex, degree)
         return bubbles._replace(members=bubbles.members[1:])
 
     monkeypatch.setattr(spaces, "bubble_space", dropped)

@@ -36,9 +36,7 @@ CASES = {
     "lagrange_r2_two_tets.json": ["--family", "lagrange", "--degree", "2", "--mesh", "two_tets"],
     "symmetric_r3_k0_criss_cross.json": ["--family", "symmetric", "--degree", "3", "--k", "0", "--mesh", "criss_cross"],
     "face_r2_k1_two_tets.json": ["--family", "face", "--degree", "2", "--k", "1", "--mesh", "two_tets"],
-    "traceless_r2_k0_two_tets_orthogonalized.json": [
-        "--family", "traceless", "--degree", "2", "--k", "0", "--mesh", "two_tets", "--frame", "orthogonalized",
-    ],
+    "traceless_r2_k0_two_tets.json": ["--family", "traceless", "--degree", "2", "--k", "0", "--mesh", "two_tets"],
     "symmetric_r2_k1_two_tets.csv": [
         "--family", "symmetric", "--degree", "2", "--k", "1", "--mesh", "two_tets", "--format", "csv",
     ],

@@ -144,7 +144,6 @@ def test_integer_tn_split_equals_the_fraction_reference(n, ell, data):
         f,
         tuple(data.draw(vector) for _ in range(ell)),
         tuple(data.draw(vector) for _ in range(n - ell)),
-        "edge_tangents_face_normals",
     )
     for space in (Family.FACE, Family.TRACELESS, Family.SYMMETRIC):
         split = tensors.tn_split(f, frame, space)

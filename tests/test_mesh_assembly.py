@@ -27,7 +27,16 @@ from hdiv_geodecomp.assembly import (
     lagrange_dim_formula,
 )
 from hdiv_geodecomp.checks import FAIL, PASS, SKIPPED
-from hdiv_geodecomp.dofs import FACEWISE, GLOBAL, INTERIOR, DoFTerm, build_dofs, dof_matrix, site_blocks
+from hdiv_geodecomp.dofs import (
+    FACEWISE,
+    GLOBAL,
+    INTERIOR,
+    DoFTerm,
+    build_dofs,
+    certify_unisolvence,
+    dof_matrix,
+    site_blocks,
+)
 from hdiv_geodecomp.mesh import (
     Mesh,
     MeshError,
@@ -37,7 +46,7 @@ from hdiv_geodecomp.mesh import (
     resolve_mesh,
     save_mesh,
 )
-from hdiv_geodecomp.simplex import enumerate_subsimplices, reference_simplex
+from hdiv_geodecomp.simplex import build_frame, enumerate_subsimplices, reference_simplex
 from hdiv_geodecomp.spaces import Family, decompose, site_rows
 
 from conftest import rational_rows
@@ -286,6 +295,26 @@ def test_shared_facet_normal_and_frames_are_cell_independent():
     f2 = m.global_frame(c2, m.local_site(c2, facet))
     assert f1.tangents == f2.tangents
     assert f1.normals == f2.normals
+
+
+def test_cell_certificates_hold_under_the_mesh_shared_frames():
+    # Assembly builds each cell's DoFs on the mesh-shared frames, whose
+    # normals are a nullspace basis, not the element frame's facet
+    # gradients: each cell system must stay unisolvent under them.
+    m = builtin_mesh("two_tets")
+    assert any(
+        m.global_frame(ci, f).normals != build_frame(simplex, f).normals
+        for ci, simplex in enumerate(m.cell_simplices)
+        for ell in range(m.dim)
+        for f in enumerate_subsimplices(m.dim, ell)
+    )
+    for family, r, k in [(Family.FACE, 2, 1), (Family.TRACELESS, 2, 0), (Family.SYMMETRIC, 3, 0)]:
+        space = assemble(m, family, r, k)
+        for ci, simplex in enumerate(m.cell_simplices):
+            cert = certify_unisolvence(dofs=space.cell_dofs[ci])
+            assert cert.status == PASS, (family, ci, cert.witness)
+            element = certify_unisolvence(dofs=build_dofs(family, simplex, r, k))
+            assert cert.witness["pivot_hash"] != element.witness["pivot_hash"]
 
 
 def test_local_and_global_site_roundtrip():

@@ -13,7 +13,6 @@ from hdiv_geodecomp import bernstein as bn
 from hdiv_geodecomp import linalg
 from hdiv_geodecomp.dofs import build_dofs
 from hdiv_geodecomp.simplex import (
-    FRAME_CONVENTIONS,
     Simplex,
     SingularGeometryError,
     SubSimplexId,
@@ -120,14 +119,13 @@ def test_frame_extreme_dimensions():
     assert len(vertex.tangents) == 0 and len(vertex.normals) == 3
 
 
-@pytest.mark.parametrize("convention", FRAME_CONVENTIONS)
-def test_frames_span_and_orthogonality(convention):
+def test_frames_span_and_orthogonality():
     rng = random.Random(23)
     for n in (2, 3):
         simp = random_simplex(rng, n)
         for ell in range(n + 1):
             for f in enumerate_subsimplices(n, ell):
-                frame = build_frame(simp, f, convention)
+                frame = build_frame(simp, f)
                 assert len(frame.tangents) == ell
                 assert len(frame.normals) == n - ell
                 assert linalg.rank(list(frame.tangents + frame.normals)) == n
@@ -138,19 +136,9 @@ def test_frames_span_and_orthogonality(convention):
                     assert max(abs(x) for x in vec) == 1
 
 
-def test_orthogonalized_frame_is_orthogonal_within_groups():
-    rng = random.Random(31)
-    simp = random_simplex(rng, 3)
-    frame = build_frame(simp, SubSimplexId((0, 1, 2, 3), 3), "orthogonalized")
-    t = frame.tangents
-    assert dot(t[0], t[1]) == 0 and dot(t[0], t[2]) == 0 and dot(t[1], t[2]) == 0
-
-
 def test_vertex_normals_follow_convention():
     simp = reference_simplex(2)
     vertex = SubSimplexId((0,), 2)
-    cartesian = build_frame(simp, vertex, "orthogonalized")
-    assert cartesian.normals == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     gradient_based = build_frame(simp, vertex)
     grads = barycentric_gradients(simp)
     assert gradient_based.normals == (grads[1], grads[2])

@@ -81,9 +81,9 @@ def test_family_facts_match_the_paper():
     assert spaces.Family is tensors.Family
 
 
-def _split(simp, labels, space, convention="edge_tangents_face_normals"):
+def _split(simp, labels, space):
     f = SubSimplexId(tuple(labels), simp.dim)
-    frame = build_frame(simp, f, convention)
+    frame = build_frame(simp, f)
     return tensors.tn_split(f, frame, space), f, frame
 
 
