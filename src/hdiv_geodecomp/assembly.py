@@ -12,12 +12,18 @@ inf-sup constants are the one place floating point enters.
 
 from __future__ import annotations
 
+import contextlib
+import marshal
+import os
 import random
+import signal
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from math import comb, prod, sqrt
-from operator import add
+from math import comb, lcm, prod, sqrt
+from operator import add, eq, mul
+from typing import NoReturn
 
 from . import bernstein as bn
 from . import linalg, tensors
@@ -350,12 +356,22 @@ def _shared_site_rows(space: GlobalSpace, site: tuple[int, ...], contraction: te
     return ids, per_cell
 
 
+def _scaled(rows, factor: int):
+    return rows if factor == 1 else [[x * factor for x in row] for row in rows]
+
+
 def _jumps(ids, per_cell):
     """(global DoF, first differing entry, difference) of each cell's rows
-    against the first cell's, compared by cross-multiplication."""
+    against the first cell's.  Both sides are brought over the lcm of
+    their denominators and compared as lists; a row that differs is
+    searched by cross-multiplication."""
     (rows_a, d_a), *others = per_cell
     for rows_b, d_b in others:
-        for g, a, b in zip(ids, rows_a, rows_b):
+        common = lcm(d_a, d_b)
+        same = map(eq, _scaled(rows_a, common // d_a), _scaled(rows_b, common // d_b))
+        for g, a, b, equal in zip(ids, rows_a, rows_b, same):
+            if equal:
+                continue
             for entry, (x, y) in enumerate(zip(a, b)):
                 if x * d_b != y * d_a:
                     yield g, entry, Fraction(x, d_a) - Fraction(y, d_b)
@@ -365,7 +381,7 @@ def _jumps(ids, per_cell):
 def _evaluate(row: list[int], monomials: list[int]) -> list[int]:
     """Sum over the site lattice of a (lattice x component) row, weighted."""
     width = len(row) // len(monomials)
-    return [sum(row[a * width + w] * m for a, m in enumerate(monomials)) for w in range(width)]
+    return [sum(map(mul, row[w::width], monomials)) for w in range(width)]
 
 
 def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> CheckResult:
@@ -561,16 +577,55 @@ def _float_rows(ints, den):
     return np.array([[x / den for x in row] for row in ints])
 
 
-def _coeff_pair_matrix(members):
+def _member_coefficients(members) -> tuple[list[list[int]], int]:
+    """Each member's flattened coefficient as an integer row, all over one
+    least denominator."""
     ints, den = linalg.integer_form(x for m in members for x in tensors.flatten(m.coeff))
-    arr = _float_rows([ints], den).reshape(len(members), -1)
+    size = len(ints) // len(members)
+    return [ints[i:i + size] for i in range(0, len(ints), size)], den
+
+
+def _coeff_pair_matrix(coefficients):
+    arr = _float_rows(*coefficients)
     return arr @ arr.T
 
 
-def _cell_pencils(space: GlobalSpace):
+def _float_inputs(space: GlobalSpace):
+    """The exact inputs of the float inf-sup step as builtins that marshal
+    writes: a layout record and an iterator of one record per cell.
+
+    The layout is (n, r, div width, space.interior_split, and per cell the
+    global indices of its other DoFs).  Cell c's record is (its volume as
+    (numerator, denominator), its members' exponents β, their coefficients
+    (_member_coefficients), its div rows and its dual coefficients), the
+    last three as integer rows over one denominator.  Each cell's record is
+    collected when the iterator reaches it.
+    """
+    mesh = space.mesh
+    n = mesh.dim
+    splits = space.interior_split
+    shared = [[l2g[i] for i in outer] for l2g, (_, outer) in zip(space.local_to_global, splits)]
+
+    def cells():
+        for ci in range(len(mesh.cells)):
+            vol = mesh.cell_simplices[ci].volume()
+            members = space.cell_basis(ci).members
+            yield (
+                (vol.numerator, vol.denominator),
+                [m.beta for m in members],
+                _member_coefficients(members),
+                space.div_rows(ci),
+                space.dual_coefficients(ci),
+            )
+
+    return (n, space.degree, space.family.div_width(n), splits, shared), cells()
+
+
+def _cell_pencils(layout, cells):
     """Per cell, the graph-norm mass V_T and the scaled div coupling C_T on
-    the cell's own DoFs, interior DoFs first (space.interior_split), stored
-    in one (ncells, ndofs, ndofs) and one (ncells, q, ndofs) array.
+    the cell's own DoFs, interior DoFs first (the layout's interior split),
+    stored in one (ncells, ndofs, ndofs) and one (ncells, q, ndofs) array,
+    from the records of _float_inputs.
 
     V_T is the value plus div Gram matrix of the cell's basis functions and
     C_T = sqrt(|T|) (L^T ⊗ I) times their div rows, with W = L L^T the
@@ -581,29 +636,27 @@ def _cell_pencils(space: GlobalSpace):
     """
     import numpy as np
 
-    mesh = space.mesh
-    n, r = mesh.dim, space.degree
-    width = space.family.div_width(n)
+    n, r, width, splits, _ = layout
     qlat = bn.space_dim(n, r - 1)
     w_val = np.array(_moment_gram(n + 1, r, n))
     chol_t = np.linalg.cholesky(np.array(_moment_gram(n + 1, r - 1, n))).T
     positions = bn.lattice_position(n + 1, r)
-    orders = [inner + outer for inner, outer in space.interior_split]
+    orders = [inner + outer for inner, outer in splits]
     ndofs = len(orders[0])
     masses = np.empty((len(orders), ndofs, ndofs))
     couplings = np.empty((len(orders), width * qlat, ndofs))
-    for ci, order in enumerate(orders):
-        vol = float(mesh.cell_simplices[ci].volume())
-        members = space.cell_basis(ci).members
+    for ci, (order, cell) in enumerate(zip(orders, cells, strict=True)):
+        (num, den), betas, coefficients, div, dual = cell
+        vol = num / den
         # Every member scalar is λ^β, so the scalar Gram matrix is the
         # lattice Gram matrix at the β's.
-        at = [positions[m.beta] for m in members]
-        gram_val = _coeff_pair_matrix(members) * w_val[np.ix_(at, at)]
-        ndiv = _float_rows(*space.div_rows(ci)).reshape(len(members), qlat, width)
-        b_cell = np.empty((width * qlat, len(members)))
+        at = [positions[beta] for beta in betas]
+        gram_val = _coeff_pair_matrix(coefficients) * w_val[np.ix_(at, at)]
+        ndiv = _float_rows(*div).reshape(len(betas), qlat, width)
+        b_cell = np.empty((width * qlat, len(betas)))
         for comp in range(width):
             b_cell[comp::width, :] = chol_t @ ndiv[:, :, comp].T
-        dual = _float_rows(*space.dual_coefficients(ci))
+        dual = _float_rows(*dual)
         mass = dual.T @ (vol * (gram_val + b_cell.T @ b_cell)) @ dual
         masses[ci] = mass[np.ix_(order, order)]
         couplings[ci] = (sqrt(vol) * (b_cell @ dual))[:, order]
@@ -663,9 +716,10 @@ _BAND_BLOCK = 128  # rows per block of the envelope Cholesky
 _SCHUR_PANEL = 512  # rows of S per product while accumulating Y^T Y
 
 
-def _condense_cells(space: GlobalSpace):
+def _condense_cells(layout, cells):
     """Eliminate every cell's interior DoFs from its pencil (static
-    condensation, Guyan, AIAA J. 3, 1965), batched over the cells.
+    condensation, Guyan, AIAA J. 3, 1965), batched over the cells, from the
+    records of _float_inputs.
 
     With i the cell's interior DoFs, b the rest and V_ii = R R^T, returns
     rows[c] (cell c's other DoFs, numbered 0..n_b-1 over the mesh in reverse
@@ -677,11 +731,9 @@ def _condense_cells(space: GlobalSpace):
 
     # Each cell's pencil comes interior first; its other DoFs are numbered
     # over the mesh.
-    v, c = _cell_pencils(space)
-    cell_b = []
+    v, c = _cell_pencils(layout, cells)
     compact: dict[int, int] = {}
-    for l2g, (_, outer) in zip(space.local_to_global, space.interior_split):
-        cell_b.append([compact.setdefault(l2g[i], len(compact)) for i in outer])
+    cell_b = [[compact.setdefault(g, len(compact)) for g in shared] for shared in layout[4]]
     rank_of = np.empty(len(compact), dtype=np.int64)
     rank_of[_reverse_cuthill_mckee(cell_b, len(compact))] = np.arange(len(compact))
     rows = rank_of[np.array(cell_b, dtype=np.int64)]
@@ -747,8 +799,9 @@ def _envelope_cholesky_solve(rows, cell_mats, rhs, top) -> None:
         rhs[r0:r1, :m] = inv_diag[I] @ (rhs[r0:r1, :m] - left @ rhs[base:r0, :m])
 
 
-def _condensed_schur(space: GlobalSpace):
-    """S = C V^-1 C^T of the inf-sup pencil, without forming V.
+def _condensed_schur(layout, cells):
+    """S = C V^-1 C^T of the inf-sup pencil, without forming V, from the
+    records of _float_inputs.
 
     Interior DoFs couple only inside their cell, so eliminating them cell by
     cell gives S = C_i V_ii^-1 C_i^T + Ĉ Σ^-1 Ĉ^T: the first term is block
@@ -764,7 +817,7 @@ def _condensed_schur(space: GlobalSpace):
     """
     import numpy as np
 
-    rows, sigma, c_hat, diag_blocks = _condense_cells(space)
+    rows, sigma, c_hat, diag_blocks = _condense_cells(layout, cells)
     ncells, qdim = c_hat.shape[:2]
     dim_q = qdim * ncells
     cell_first = rows.min(axis=1)
@@ -786,7 +839,123 @@ def _condensed_schur(space: GlobalSpace):
     return schur
 
 
-def infsup_constant(space: GlobalSpace) -> CheckResult:
+def _float_infsup(layout, cells) -> tuple:
+    """The numpy step of infsup_constant, on the records of _float_inputs:
+    (beta, discarded eigenvalues, None), or (None, None, the text of
+    numpy's LinAlgError) when a mass matrix is not positive definite."""
+    import numpy as np
+
+    try:
+        eigs = np.linalg.eigvalsh(_condensed_schur(layout, cells))
+    except np.linalg.LinAlgError as exc:
+        return None, None, str(exc)
+    kept = eigs[eigs > KERNEL_THRESHOLD]
+    beta = sqrt(float(kept.min())) if kept.size else 0.0
+    return beta, int(eigs.size - kept.size), None
+
+
+def _write_record(out, record) -> None:
+    data = marshal.dumps(record)
+    out.write(len(data).to_bytes(8, "little"))
+    out.write(data)
+
+
+def _read_records(inp) -> list[bytes]:
+    """The marshalled records _write_record wrote, up to EOF; a record cut
+    short is dropped."""
+    records = []
+    while head := inp.read(8):
+        size = int.from_bytes(head, "little")
+        data = inp.read(size)
+        if len(head) < 8 or len(data) < size:
+            break
+        records.append(data)
+    return records
+
+
+def _serve(inputs_fd: int, reply_fd: int) -> NoReturn:
+    """The life of an InfsupWorker's child: import numpy, read the records
+    of _float_inputs up to EOF and write back _float_infsup of them.  It
+    ends in os._exit, so none of the parent's cleanup runs twice, and
+    exits quietly when the pipe closes before every record arrived, as
+    when the parent stops early."""
+    code = 1
+    try:
+        import numpy  # noqa: F401  (loaded while the parent runs the exact units)
+
+        with open(inputs_fd, "rb") as inputs:
+            records = _read_records(inputs)
+        layout = marshal.loads(records[0]) if records else None
+        # Complete: the layout and one record per cell of its interior split.
+        if layout is not None and len(records) == 1 + len(layout[3]):
+            reply = _float_infsup(layout, map(marshal.loads, records[1:]))
+            with open(reply_fd, "wb") as out:
+                out.write(marshal.dumps(reply))
+        code = 0
+    except BaseException:  # whatever is raised, the child ends in os._exit
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+class InfsupWorker:
+    """A forked child that runs the float step of one inf-sup constant.
+
+    Forked when a run starts, the child imports numpy while the parent
+    runs the exact units, so the parent never loads numpy.  solve sends it
+    the records of _float_inputs through a pipe and returns the reply of
+    _float_infsup, computed there on exactly the inputs the parent would
+    use.  The parent calls close on every path.
+    """
+
+    def __init__(self):
+        inputs_r, inputs_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            os.close(inputs_w)
+            os.close(reply_r)
+            _serve(inputs_r, reply_w)
+        os.close(inputs_r)
+        os.close(reply_w)
+        self._inputs = open(inputs_w, "wb")
+        self._replies = open(reply_r, "rb")
+        self._status: int | None = None
+
+    def solve(self, layout, cells) -> tuple:
+        """_float_infsup(layout, cells), computed in the child.  A child that
+        exits without a reply raises RuntimeError."""
+        try:
+            _write_record(self._inputs, layout)
+            for cell in cells:
+                _write_record(self._inputs, cell)
+            self._inputs.close()
+        except BrokenPipeError:
+            pass  # the child stopped reading; its exit status says why
+        reply = self._replies.read()
+        status = self._reap()
+        if status != 0 or not reply:
+            raise RuntimeError(f"the inf-sup worker exited with status {status} and no result")
+        return marshal.loads(reply)
+
+    def close(self) -> None:
+        """Stop the child, unless solve has reaped it, and reap it."""
+        if self._status is None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self) -> int:
+        with contextlib.suppress(BrokenPipeError):
+            self._inputs.close()
+        self._replies.close()
+        self._status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self._status
+
+
+def infsup_constant(space: GlobalSpace, worker: InfsupWorker | None = None) -> CheckResult:
     """Discrete inf-sup constant of the div pairing, floating point.
 
     beta^2 is the smallest eigenvalue of the pencil (C V^-1 C^T, Q), with V
@@ -798,21 +967,17 @@ def infsup_constant(space: GlobalSpace) -> CheckResult:
     C V^-1 C^T is built by static condensation and an envelope Cholesky, never
     as a dense dim_v x dim_v solve (see _condensed_schur).
     Eigenvalues under KERNEL_THRESHOLD are discarded and counted, since
-    none are expected at or above the degree threshold.  numpy is imported
-    here, so runs that compute no inf-sup constant never load it.
+    none are expected at or above the degree threshold.  The exact inputs
+    are collected here without numpy (_float_inputs); the float step
+    (_float_infsup) runs in the worker when one is given, else here, where
+    numpy is imported on its first use.
     """
-    import numpy as np
-
     name = f"infsup[{space.label}]"
     threshold = space.family.div_onto_min_degree(space.mesh.dim, space.continuity_order)
-    try:
-        schur = _condensed_schur(space)
-        eigs = np.linalg.eigvalsh(schur)
-    except np.linalg.LinAlgError as exc:
-        return CheckResult(name, FAIL, {"error": f"singular mass matrix: {exc}"})
-    kept = eigs[eigs > KERNEL_THRESHOLD]
-    discarded = int(eigs.size - kept.size)
-    beta = sqrt(float(kept.min())) if kept.size else 0.0
+    solve = _float_infsup if worker is None else worker.solve
+    beta, discarded, error = solve(*_float_inputs(space))
+    if error is not None:
+        return CheckResult(name, FAIL, {"error": f"singular mass matrix: {error}"})
     if space.degree < threshold:
         status = SKIPPED
     else:

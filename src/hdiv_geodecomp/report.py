@@ -2,12 +2,13 @@
 
 Every suite unit maps one parameter set to a list of check results.  The
 units of one run execute serially, in sorted name order, on one shared
-RunContext.  A report is one JSON object, built by build_report and read
-by render_json and render_csv; the JSON rendering is byte-stable for fixed
-inputs and seed (sorted keys, rationals as "p/q" strings, floats at 17
-significant digits), so reports can be diffed in CI.  Wall-clock timings
-are the one volatile field; consumers comparing runs should drop the
-timings object first.
+RunContext; only the float step of the inf-sup unit may run in a worker
+process forked when the run starts.  A report is one JSON object, built
+by build_report and read by render_json and render_csv; the JSON
+rendering is byte-stable for fixed inputs and seed (sorted keys,
+rationals as "p/q" strings, floats at 17 significant digits), so reports
+can be diffed in CI.  Wall-clock timings are the one volatile field;
+consumers comparing runs should drop the timings object first.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import sys
 import tempfile
 import time
 from collections import Counter, namedtuple
@@ -25,6 +27,7 @@ from typing import NamedTuple
 from . import bernstein as bn
 from .assembly import (
     GlobalSpace,
+    InfsupWorker,
     assemble,
     check_conformity,
     check_dims,
@@ -58,11 +61,12 @@ class CaseParams(NamedTuple):
     seed: int
 
 
-class RunContext(Record, namedtuple("RunContext", "params mesh", defaults=(None,))):
+class RunContext(Record, namedtuple("RunContext", "params mesh worker", defaults=(None, None))):
     """What the units of one run share: the mesh, resolved and validated
     once, and one assembled space, so each cell DoF matrix is built and
     inverted once.  params is the CaseParams; without a mesh the context
-    resolves params.mesh itself."""
+    resolves params.mesh itself.  worker is the run's InfsupWorker, or None
+    to compute the inf-sup constant in this process."""
 
     @cached_property
     def space(self) -> GlobalSpace:
@@ -154,7 +158,7 @@ def unit_conformity(run: RunContext) -> list[CheckResult]:
 
 
 def unit_infsup(run: RunContext) -> list[CheckResult]:
-    return [infsup_constant(run.space), check_div_onto(run.space)]
+    return [infsup_constant(run.space, run.worker), check_div_onto(run.space)]
 
 
 UNITS = {
@@ -192,17 +196,27 @@ def run_units(names: list[str], p: CaseParams, mesh: Mesh | None = None) -> tupl
 
     Shared work is charged to the first unit that needs it.  Each unit is
     looked up in UNITS when it runs, so a wrapper put there is called.
+    When the units include infsup and numpy is not loaded yet, an
+    InfsupWorker is forked before the first unit, so that numpy loads in
+    it while the exact units run here; it is reaped on every path.
     """
     checks: list[CheckResult] = []
     timings: dict[str, int] = {}
+    names = sorted(set(names))
     t0 = time.perf_counter()
-    run = RunContext(p, mesh)
-    for name in sorted(set(names)):
-        start = time.perf_counter()
-        checks.extend(UNITS[name](run))
-        timings[name] = int(round((time.perf_counter() - start) * 1000))
-    # Free the assembled space and its dual caches inside the timed total.
-    del run
+    fork = "infsup" in names and "numpy" not in sys.modules and hasattr(os, "fork")
+    worker = InfsupWorker() if fork else None
+    try:
+        run = RunContext(p, mesh, worker)
+        for name in names:
+            start = time.perf_counter()
+            checks.extend(UNITS[name](run))
+            timings[name] = int(round((time.perf_counter() - start) * 1000))
+        # Free the assembled space and its dual caches inside the timed total.
+        del run
+    finally:
+        if worker is not None:
+            worker.close()
     timings["total"] = int(round((time.perf_counter() - t0) * 1000))
     return checks, timings
 

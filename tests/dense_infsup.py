@@ -14,7 +14,13 @@ from math import sqrt
 import numpy as np
 
 from hdiv_geodecomp import bernstein as bn
-from hdiv_geodecomp.assembly import KERNEL_THRESHOLD, GlobalSpace, _coeff_pair_matrix, _moment_gram
+from hdiv_geodecomp.assembly import (
+    KERNEL_THRESHOLD,
+    GlobalSpace,
+    _coeff_pair_matrix,
+    _member_coefficients,
+    _moment_gram,
+)
 
 
 def cell_pencil(space: GlobalSpace, ci: int):
@@ -30,7 +36,7 @@ def cell_pencil(space: GlobalSpace, ci: int):
     vol = float(mesh.cell_simplices[ci].volume())
     members = space.cell_basis(ci).members
     at = [positions[m.beta] for m in members]
-    gram_val = _coeff_pair_matrix(members) * w_val[np.ix_(at, at)]
+    gram_val = _coeff_pair_matrix(_member_coefficients(members)) * w_val[np.ix_(at, at)]
     rows, den = space.div_rows(ci)
     ndiv = np.array([[x / den for x in row] for row in rows])
     ndiv = ndiv.reshape(len(members), qlat, width)

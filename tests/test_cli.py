@@ -354,16 +354,19 @@ def test_infsup_builds_cell_div_rows_once_per_cell(capsys, monkeypatch):
     assert calls["div_row"] == cells * members
 
 
-def _run_script(script: str, **env: str) -> subprocess.CompletedProcess:
-    """Run a Python script in a child with the package on its path and the
-    given variables set; OPENBLAS_NUM_THREADS is unset unless given."""
+def _run_script(script: str, flags: tuple[str, ...] = (), **env: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a child with the package on its path, the
+    given interpreter flags and the given variables set;
+    OPENBLAS_NUM_THREADS is unset unless given.  A child that hangs, say
+    on a worker it never reaps, fails the test after two minutes."""
     src = Path(cli.__file__).resolve().parents[1]
     child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     return subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *flags, "-c", script],
         env={**child_env, "PYTHONPATH": str(src), **env},
         capture_output=True,
         text=True,
+        timeout=120,
     )
 
 
@@ -378,20 +381,114 @@ def test_infsup_runs_without_importing_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_numpy_is_loaded_only_by_infsup(tmp_path):
+def test_cli_process_never_imports_numpy(tmp_path):
+    # The float inf-sup step runs in a forked worker; the report still
+    # equals the in-process result.
     script = (
-        "import os, sys\n"
+        "import json, os, sys\n"
         "from hdiv_geodecomp import cli\n"
+        "from hdiv_geodecomp.assembly import assemble, infsup_constant\n"
+        "from hdiv_geodecomp.mesh import resolve_mesh\n"
         "argv = ['all', '--family', 'traceless', '--dim', '3', '--degree', '3', '--k', '0']\n"
         f"assert cli.run(argv + ['--out', {str(tmp_path / 'element.json')!r}]) == 0\n"
         "assert 'numpy' not in sys.modules, 'an element run imported numpy'\n"
         "assert os.environ['OPENBLAS_NUM_THREADS'] == '1', 'set only after numpy loaded'\n"
         "argv = ['infsup', '--family', 'face', '--degree', '2', '--mesh', 'two_triangles']\n"
         f"assert cli.run(argv + ['--out', {str(tmp_path / 'infsup.json')!r}]) == 0\n"
-        "assert 'numpy' in sys.modules, 'infsup ran without numpy'\n"
+        "assert 'numpy' not in sys.modules, 'the CLI process imported numpy'\n"
+        "expected = infsup_constant(assemble(resolve_mesh('two_triangles'), 'face', 2, -1))\n"
+        "assert 'numpy' in sys.modules, 'the in-process inf-sup ran without numpy'\n"
+        f"checks = json.load(open({str(tmp_path / 'infsup.json')!r}))['checks']\n"
+        "(check,) = [c for c in checks if c['name'] == expected.name]\n"
+        "assert check == expected._asdict(), (check, expected)\n"
     )
     proc = _run_script(script)
     assert proc.returncode == 0, proc.stderr
+
+
+# Run with -W error: forking a process that has threads warns (Python 3.12).
+STRICT = ("-W", "error")
+
+
+def test_infsup_worker_and_in_process_results_are_equal():
+    script = (
+        "import sys\n"
+        "from hdiv_geodecomp import assembly\n"
+        "from hdiv_geodecomp.assembly import InfsupWorker, assemble, infsup_constant\n"
+        "from hdiv_geodecomp.mesh import resolve_mesh\n"
+        "def refined():\n"
+        "    return assemble(resolve_mesh('refine(two_tets)'), 'traceless', 2, 0)\n"
+        "def singular():\n"
+        "    return assemble(resolve_mesh('two_triangles'), 'face', 2, -1)\n"
+        "def cut():\n"
+        "    space = assemble(resolve_mesh('two_tets'), 'traceless', 2, 0)\n"
+        "    rows, den = space.div_rows(0)\n"
+        "    space._div_cache[0] = ([[0] + row[1:] for row in rows], den)\n"
+        "    return space\n"
+        "true_pairs = assembly._coeff_pair_matrix\n"
+        "calls = []\n"
+        "def zeroed(coefficients):\n"
+        "    # cell 0 without its value Gram matrix: V is singular\n"
+        "    calls.append(None)\n"
+        "    pairs = true_pairs(coefficients)\n"
+        "    return pairs * 0 if len(calls) == 1 else pairs\n"
+        "cases = {'refined': refined, 'singular': singular, 'cut': cut}\n"
+        "def compute(name, forked):\n"
+        "    calls.clear()\n"
+        "    assembly._coeff_pair_matrix = zeroed if name == 'singular' else true_pairs\n"
+        "    if not forked:\n"
+        "        return infsup_constant(cases[name]())\n"
+        "    worker = InfsupWorker()\n"
+        "    try:\n"
+        "        return infsup_constant(cases[name](), worker)\n"
+        "    finally:\n"
+        "        worker.close()\n"
+        "forked = {name: compute(name, True) for name in cases}\n"
+        "assert 'numpy' not in sys.modules\n"
+        "for name in cases:\n"
+        "    assert compute(name, False) == forked[name], (name, forked[name])\n"
+        "assert forked['refined'].status == 'pass', forked['refined']\n"
+        "assert forked['singular'].witness['error'].startswith('singular mass matrix')\n"
+        "assert forked['cut'].witness['discarded_modes'] == 1, forked['cut']\n"
+    )
+    proc = _run_script(script, STRICT)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _no_child_left_script(out, setup: str, code: int) -> str:
+    return (
+        "import os, sys\n"
+        "from hdiv_geodecomp import assembly, cli, report\n"
+        f"{setup}\n"
+        "argv = ['all', '--family', 'face', '--degree', '2', '--mesh', 'two_triangles']\n"
+        f"assert cli.run(argv + ['--out', {str(out)!r}]) == {code}\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('a child process is left')\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "setup,code",
+    [
+        ("", 0),
+        # A unit sorted before infsup raises: the worker never gets its inputs.
+        ("def broken(run):\n    raise RuntimeError('planted')\nreport.UNITS['conformity'] = broken", 3),
+        # The worker dies without a reply: the run fails instead of
+        # computing the constant again in-process.
+        ("assembly._float_infsup = lambda *records: os._exit(5)", 3),
+    ],
+    ids=["passing", "unit_raises", "worker_crashes"],
+)
+def test_cli_leaves_no_child_process(tmp_path, setup, code):
+    proc = _run_script(_no_child_left_script(tmp_path / "r.json", setup, code), STRICT)
+    assert proc.returncode == 0, proc.stderr
+    if code == 3:
+        assert "planted" in proc.stderr or "inf-sup worker exited with status 5" in proc.stderr
 
 
 def _openblas_threads_around_infsup(out, **env: str) -> list[str]:

@@ -8,11 +8,11 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import pytest
 
-from hdiv_geodecomp import assembly, cli, linalg, mesh as mesh_module, spaces, tensors
+from hdiv_geodecomp import assembly, bernstein as bn, cli, linalg, mesh as mesh_module, spaces, tensors
 from hdiv_geodecomp.assembly import (
     AssemblyError,
     GlobalSpace,
@@ -597,6 +597,57 @@ def test_flipped_facet_is_detected():
         assert tuple(m.interior_facets[0]) in flagged
 
 
+def _plain_violations(space: GlobalSpace, samples: int, seed: int) -> list[dict]:
+    """check_conformity's violation list, every row compared entry by entry
+    by cross-multiplication and every sample point evaluated in Fractions."""
+    rng = random.Random(seed)
+    out = []
+    for kind, site, contraction in assembly._statements(space):
+        ids, per_cell = assembly._shared_site_rows(space, site, contraction)
+        (rows_a, d_a), *others = per_cell
+        for rows_b, d_b in others:
+            for g, a, b in zip(ids, rows_a, rows_b):
+                differ = [e for e, (x, y) in enumerate(zip(a, b)) if x * d_b != y * d_a]
+                if differ:
+                    e = differ[0]
+                    delta = Fraction(a[e], d_a) - Fraction(b[e], d_b)
+                    out.append({"check": kind, "site": list(site), "global_index": g, "coefficient": e, "delta": str(delta)})
+        if kind != "normal_trace":
+            continue
+        (rows_a, d_a), (rows_b, d_b) = per_cell
+        lattice = bn.lattice(len(site), space.degree)
+        width = len(rows_a[0]) // len(lattice)
+        for _ in range(samples):
+            weights = [rng.randint(1, 997) for _ in site]
+            monomials = [prod(w**e for w, e in zip(weights, alpha)) for alpha in lattice]
+
+            def value(row, den):
+                return [sum(Fraction(row[i * width + w], den) * m for i, m in enumerate(monomials)) for w in range(width)]
+
+            for g, a, b in zip(ids, rows_a, rows_b):
+                if value(a, d_a) != value(b, d_b):
+                    out.append({"check": "normal_trace_sample", "site": list(site), "global_index": g, "coefficient": -1, "delta": "point mismatch"})
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,family,degree,k",
+    [
+        ("two_triangles", "face", 2, -1),
+        ("two_triangles", "traceless", 2, 0),
+        ("two_triangles", "symmetric", 3, 0),
+        ("two_tets", "face", 2, -1),
+        ("refine(two_tets)", "traceless", 2, 0),
+    ],
+)
+def test_conformity_violations_match_plain_cross_multiplication(name, family, degree, k):
+    space = assemble(resolve_mesh(name), family, degree, k)
+    for candidate, broken in ((space, False), (flip_facet_orientation(space), True)):
+        res = check_conformity(candidate, samples=2, seed=3)
+        assert res.witness["violations"] == _plain_violations(candidate, 2, 3)
+        assert bool(res.witness["violations"]) == broken
+
+
 def test_cell_rows_combine_member_rows_through_the_dual():
     space = assemble(builtin_mesh("criss_cross"), "symmetric", 3, 0)
     for ci in range(len(space.mesh.cells)):
@@ -894,7 +945,7 @@ def test_cell_pencils_are_the_local_products_in_interior_first_order(name, famil
     import numpy as np
 
     space = assemble(resolve_mesh(name), family, degree, k)
-    masses, couplings = assembly._cell_pencils(space)
+    masses, couplings = assembly._cell_pencils(*assembly._float_inputs(space))
     assert masses.shape[0] == couplings.shape[0] == len(space.mesh.cells)
     for ci, (inner, outer) in enumerate(space.interior_split):
         mass, coupling = cell_pencil(space, ci)
