@@ -50,8 +50,8 @@ class BernsteinPoly(Record):
     """Homogeneous polynomial of one degree on one sub-simplex domain.
 
     Equal polynomials may differ in degree, so it is not hashable.  It is
-    not a tuple either: trace_div returns one polynomial or a tuple of
-    them, and callers tell the two apart by isinstance.
+    not a tuple either, so one polynomial is told apart from a tuple of
+    them, one per component, by isinstance.
     """
 
     __slots__ = ("domain", "degree", "coeffs")

@@ -15,7 +15,3 @@ class CheckResult(NamedTuple):
     name: str
     status: str
     witness: dict
-
-    @property
-    def ok(self) -> bool:
-        return self.status != FAIL

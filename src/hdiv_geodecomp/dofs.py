@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import gcd, lcm
 from operator import add
@@ -37,7 +37,6 @@ from .spaces import (
     SpaceBasis,
     bubble_space,
     decompose,
-    facet_normal,
     lattice_basis,
 )
 from .tensors import Family
@@ -242,7 +241,7 @@ def resolve_continuity_order(family: Family, n: int, degree: int, k: int | None)
     return k
 
 
-def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_order: int | None, frames=None, facet_normals=None) -> DoFSet:
+def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_order: int | None, frames=None) -> DoFSet:
     """The moment functionals of one element, grouped by site, interior last.
 
     Boundary sites of dimension at most the continuity order carry globally
@@ -250,13 +249,16 @@ def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_o
     per containing facet (plus, for symmetric values, global normal-normal
     moments); the interior block pairs against the div bubble space.
 
-    Directions come from simplex.build_frame at each site.  frames and
-    facet_normals optionally override that element-local frame and the
-    facet normals; mesh assembly passes shared vectors through them so that
-    two cells meeting at a site emit identical functionals.
+    Directions come from the frame of each site, simplex.build_frame unless
+    frames, a function of the site, overrides it; facewise directions on a
+    facet F pair with n_F, the one normal of F's frame.  Mesh assembly
+    passes the mesh-shared frames, so that two cells meeting at a site emit
+    identical functionals.
     """
     if isinstance(simplex, int):
         simplex = reference_simplex(simplex)
+    if frames is None:
+        frames = partial(build_frame, simplex)
     n = simplex.dim
     k = continuity_order
     _validate_params(family, n, degree, k)
@@ -273,10 +275,7 @@ def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_o
             if family is Family.LAGRANGE:
                 out.extend(_moment(f, m, (Fraction(1),), GLOBAL) for m in monos)
                 continue
-            if frames is not None:
-                frame = frames(f)
-            else:
-                frame = build_frame(simplex, f)
+            frame = frames(f)
             if ell == 0 and not vector:
                 # A basis of the whole constrained space at the vertex.
                 directions = tensors.tn_split(f, frame, family).normal_basis
@@ -302,10 +301,7 @@ def build_dofs(family: Family, simplex: Simplex | int, degree: int, continuity_o
                 ]
                 out.extend(_moment(f, m, d, GLOBAL) for m in monos for d in directions)
             for face in f.faces_containing():
-                if facet_normals is not None:
-                    n_face = facet_normals(face)
-                else:
-                    n_face = facet_normal(simplex, face)
+                n_face = frames(face).normals[0]
                 if vector:
                     directions = [n_face]
                 elif family is Family.TRACELESS:
@@ -646,7 +642,8 @@ def merge_face_dofs(dofs: DoFSet, F: SubSimplexId) -> MergedFaceDoFs:
         raise ValueError(f"no facewise functionals on facet {F.indices}")
     k = dofs.continuity_order
     r = dofs.degree
-    n_face = facet_normal(simplex, F)
+    frame = build_frame(simplex, F)
+    n_face = frame.normals[0]
 
     added: list[DoFFunctional] = []
     if family is Family.FACE:
@@ -662,7 +659,6 @@ def merge_face_dofs(dofs: DoFSet, F: SubSimplexId) -> MergedFaceDoFs:
     else:
         if k != 0:
             raise ValueError("the symmetric merge is stated for continuity order 0")
-        frame = build_frame(simplex, F)
         directions = [tensors.outer(t, n_face) for t in frame.tangents]
         for field in tangential_polynomial_fields(simplex, F, r - 2):
             terms = tuple(
@@ -720,12 +716,3 @@ def _span_equality_on_facet(dofs: DoFSet, F: SubSimplexId, old, new) -> CheckRes
             "facewise": len(old),
         },
     )
-
-
-def merge_all_faces(dofs: DoFSet) -> DoFSet:
-    """Apply the facet merge on every facet; convenience for whole elements."""
-    out = dofs
-    for F in enumerate_subsimplices(dofs.simplex.dim, dofs.simplex.dim - 1):
-        if any(nf.scope == FACEWISE and nf.face == F for nf in out.functionals):
-            out = merge_face_dofs(out, F).dofs
-    return out

@@ -152,7 +152,7 @@ class Mesh(Record, namedtuple("Mesh", "dim vertices cells")):
         global order; they coincide with the element-local ones because cell
         labels are sorted.  Normals are a primitive integer basis of the
         orthogonal complement of the tangent span, the same from every
-        incident cell by construction.
+        incident cell by construction; on a facet the one normal is n_F.
         """
         site = tuple(site)
         hit = self._frame_cache.get(site)
@@ -173,28 +173,6 @@ class Mesh(Record, namedtuple("Mesh", "dim vertices cells")):
         """The shared frame of f's global site, attached to cell-local labels."""
         tangents, normals = self.frame_vectors(self.global_site(cell_index, f))
         return Frame(f, tangents, normals)
-
-    @cached_property
-    def _normal_cache(self) -> dict:
-        return {}
-
-    def facet_normal(self, facet: tuple[int, ...]) -> tuple[Fraction, ...]:
-        """The chosen normal of a facet: outward from the lowest incident cell."""
-        facet = tuple(facet)
-        hit = self._normal_cache.get(facet)
-        if hit is not None:
-            return hit
-        cells = self.facet_cells.get(facet)
-        if not cells:
-            raise MeshError(f"{facet} is not a facet of this mesh")
-        owner = min(cells)
-        local = self.local_site(owner, facet)
-        missing = local.complement_labels()[0]
-        grads, _ = integer_gradients(self.cell_simplices[owner])
-        # ∇λ of the opposite vertex points into the cell; the shared normal
-        # is the outward one.
-        normal = self._normal_cache[facet] = max_normalized(tuple(-x for x in grads[missing]))
-        return normal
 
 
 def _barycentric_of_point(simplex: Simplex, point: Coordinate) -> list[int]:

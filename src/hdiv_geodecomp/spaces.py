@@ -18,7 +18,7 @@ from . import bernstein as bn
 from . import linalg, tensors
 from .checks import FAIL, PASS, SKIPPED, CheckResult
 from .records import Record
-from .simplex import Simplex, SubSimplexId, build_frame, dot, enumerate_subsimplices, integer_gradients, max_normalized
+from .simplex import Simplex, SubSimplexId, build_frame, dot, enumerate_subsimplices, integer_gradients
 from .tensors import AffineField, Family
 
 
@@ -227,27 +227,6 @@ def lattice_basis(family: Family, simplex: Simplex, degree: int) -> SpaceBasis:
     return SpaceBasis(family, n, degree, tuple(members))
 
 
-def facet_normal(simplex: Simplex, facet: SubSimplexId):
-    """Scaled normal of a facet: the gradient of its missing coordinate."""
-    if facet.dim != simplex.dim - 1:
-        raise ValueError("normal traces are defined on facets only")
-    missing = facet.complement_labels()[0]
-    return max_normalized(integer_gradients(simplex)[0][missing])
-
-
-def trace_div(member: ShapeFunction, facet: SubSimplexId, normal: Sequence):
-    """Normal trace on a facet: (coeff ∘ n_F) scaled by the restricted scalar.
-
-    Returns one polynomial on the facet for vector coefficients, and a tuple
-    of n polynomials (the components of coeff·n_F) for matrix coefficients.
-    """
-    if facet.dim != facet.parent_dim - 1:
-        raise ValueError("normal traces are defined on facets only")
-    restricted = bn.restrict(member.scalar, facet)
-    traced = tuple(restricted * c for c in tensors.contract_normal(member.coeff, normal))
-    return traced if isinstance(member.coeff[0], tuple) else traced[0]
-
-
 def bubble_space(family: Family, simplex: Simplex, degree: int) -> SpaceBasis:
     """Tangential members on positive-dimensional sub-simplices: ker(tr^div)."""
     if family is Family.LAGRANGE:
@@ -331,7 +310,7 @@ def verify_bubble_characterization(family: Family, simplex: Simplex, degree: int
         return CheckResult(name, SKIPPED, {"reason": f"degree {degree} below 2"})
     basis = decompose(family, simplex, degree)
     facets = [
-        (facet, tensors.normal_contraction(facet_normal(simplex, facet)))
+        (facet, tensors.normal_contraction(build_frame(simplex, facet).normals[0]))
         for facet in enumerate_subsimplices(simplex.dim, simplex.dim - 1)
     ]
     # A normal trace has one component per component of a divergence.

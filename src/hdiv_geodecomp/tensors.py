@@ -101,14 +101,6 @@ def trace(a: Mat) -> Fraction:
     return sum(a[i][i] for i in range(len(a)))
 
 
-def sym(a: Mat) -> Mat:
-    _require_square(a)
-    n = len(a)
-    return tuple(
-        tuple((a[i][j] + a[j][i]) / 2 for j in range(n)) for i in range(n)
-    )
-
-
 def _require_square(a: Mat) -> None:
     if any(len(row) != len(a) for row in a):
         raise ValueError("matrix must be square")
@@ -365,7 +357,7 @@ def rigid_spaces(n: int) -> tuple[list[AffineField], list[AffineField]]:
     zero_mat = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
     rt = [AffineField(zero_mat, e) for e in identity(n)]
     rt.append(AffineField(identity(n), tuple(Fraction(0) for _ in range(n))))
-    # Rows: upper-triangular entries of sym(A); columns: (A row-major, b).
+    # Rows: upper-triangular entries of (A + Aᵀ)/2; columns: (A row-major, b).
     rows = []
     for i in range(n):
         for j in range(i, n):

@@ -3,7 +3,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from hdiv_geodecomp.simplex import Simplex, SingularGeometryError, reference_simplex
+from hdiv_geodecomp.dofs import FACEWISE, DoFSet, merge_face_dofs
+from hdiv_geodecomp.simplex import Simplex, SingularGeometryError, enumerate_subsimplices, reference_simplex
 
 
 def random_simplex(rng: random.Random, n: int) -> Simplex:
@@ -24,4 +25,19 @@ def rational_rows(matrix) -> list[list[Fraction]]:
     return [[Fraction(x, d) for x in row] for row, d in zip(matrix, matrix.denominators)]
 
 
-__all__ = ["random_simplex", "rational_rows"]
+def merge_all_faces(dofs: DoFSet) -> DoFSet:
+    """Apply the facet merge on every facet that carries facewise moments."""
+    out = dofs
+    for F in enumerate_subsimplices(dofs.simplex.dim, dofs.simplex.dim - 1):
+        if any(nf.scope == FACEWISE and nf.face == F for nf in out.functionals):
+            out = merge_face_dofs(out, F).dofs
+    return out
+
+
+def sym(a):
+    """The symmetric part (A + Aᵀ)/2 of a square matrix, exact."""
+    n = len(a)
+    return tuple(tuple(Fraction(a[i][j] + a[j][i], 2) for j in range(n)) for i in range(n))
+
+
+__all__ = ["merge_all_faces", "random_simplex", "rational_rows", "sym"]

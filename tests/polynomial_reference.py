@@ -1,6 +1,6 @@
 """Polynomial references the tests compare the package's integer kernels
-with: point values, bubbles and directional derivatives of Bernstein-form
-polynomials, built term by term from their definitions."""
+with: point values, bubbles, directional derivatives and normal traces of
+Bernstein-form polynomials, built term by term from their definitions."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ from math import prod
 from typing import Sequence
 
 from hdiv_geodecomp import bernstein as bn
+from hdiv_geodecomp import tensors
+from hdiv_geodecomp.spaces import ShapeFunction
 from hdiv_geodecomp.simplex import Simplex, SubSimplexId, barycentric_gradients, dot
 
 
@@ -49,3 +51,16 @@ def derivative(p: bn.BernsteinPoly, direction: Sequence, simplex: Simplex) -> bn
             key = tuple(x - int(i == k) for i, x in enumerate(alpha))
             out[key] = out.get(key, Fraction(0)) + c * a * slopes[k]
     return bn.BernsteinPoly(p.domain, p.degree - 1, out)
+
+
+def trace_div(member: ShapeFunction, facet: SubSimplexId, normal: Sequence):
+    """Normal trace on a facet: (coeff ∘ n_F) scaled by the restricted scalar.
+
+    Returns one polynomial on the facet for vector coefficients, and a tuple
+    of n polynomials (the components of coeff·n_F) for matrix coefficients.
+    """
+    if facet.dim != facet.parent_dim - 1:
+        raise ValueError("normal traces are defined on facets only")
+    restricted = bn.restrict(member.scalar, facet)
+    traced = tuple(restricted * c for c in tensors.contract_normal(member.coeff, normal))
+    return traced if isinstance(member.coeff[0], tuple) else traced[0]

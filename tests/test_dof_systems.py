@@ -23,15 +23,14 @@ from hdiv_geodecomp.dofs import (
     build_dofs,
     certify_unisolvence,
     dof_matrix,
-    merge_all_faces,
     merge_face_dofs,
     quotient_face_space,
     tangential_polynomial_fields,
 )
 from hdiv_geodecomp.simplex import SubSimplexId, build_frame, enumerate_subsimplices, reference_simplex
-from hdiv_geodecomp.spaces import Family, decompose, facet_normal
+from hdiv_geodecomp.spaces import Family, decompose
 
-from conftest import random_simplex, rational_rows
+from conftest import merge_all_faces, random_simplex, rational_rows
 from polynomial_reference import evaluate
 
 
@@ -253,7 +252,7 @@ def test_vertex_point_values_equal_evaluations():
 
 
 def _tangent_normal_pairs(simplex, site, face):
-    n_face = facet_normal(simplex, face)
+    n_face = build_frame(simplex, face).normals[0]
     return [tensors.outer(t, n_face) for t in build_frame(simplex, site).tangents]
 
 

@@ -22,7 +22,7 @@ from hdiv_geodecomp import bernstein as bn
 from hdiv_geodecomp.simplex import Frame, SubSimplexId, dot, enumerate_subsimplices, integer_gradients
 from hdiv_geodecomp.spaces import Family
 
-from conftest import random_simplex, rational_rows
+from conftest import random_simplex, rational_rows, sym
 
 
 def _rationals():
@@ -83,10 +83,10 @@ def _reference_tn_split(f, frame, space):
             for j in range(n - ell)
         ]
         return tuple(tangential), tuple(normal)
-    tangential = [tensors.sym(tensors.outer(tans[i], tans[j])) for i in range(ell) for j in range(i, ell)]
-    normal = [tensors.sym(tensors.outer(t, m)) for t in tans for m in nors]
+    tangential = [sym(tensors.outer(tans[i], tans[j])) for i in range(ell) for j in range(i, ell)]
+    normal = [sym(tensors.outer(t, m)) for t in tans for m in nors]
     normal += [
-        tensors.sym(tensors.outer(nors[i], nors[j]))
+        sym(tensors.outer(nors[i], nors[j]))
         for i in range(n - ell)
         for j in range(i, n - ell)
     ]

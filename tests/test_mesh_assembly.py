@@ -12,7 +12,7 @@ from math import comb, gcd, prod
 
 import pytest
 
-from hdiv_geodecomp import assembly, bernstein as bn, cli, linalg, mesh as mesh_module, spaces, tensors
+from hdiv_geodecomp import assembly, bernstein as bn, cli, linalg, mesh as mesh_module, tensors
 from hdiv_geodecomp.assembly import (
     AssemblyError,
     GlobalSpace,
@@ -273,28 +273,56 @@ def test_validate_mesh_checks_each_instance_once(monkeypatch, tmp_path):
 
 
 def test_facet_normals_are_computed_once_per_facet():
+    # n_F is the one normal of the facet's mesh frame: a primitive integer
+    # vector, cached per facet, parallel to each incident cell's element
+    # normal, and attached unchanged to either cell's local labels.
     m = builtin_mesh("fichera_coarse")
     for facet in m.sub_simplices(m.dim - 1):
-        owner = min(m.facet_cells[facet])
-        inward = spaces.facet_normal(m.cell_simplices[owner], m.local_site(owner, facet))
-        normal = m.facet_normal(facet)
-        assert normal == tuple(-x for x in inward)
-        assert m.facet_normal(list(facet)) is normal
-    for _ in range(2):
-        with pytest.raises(MeshError, match="not a facet"):
-            m.facet_normal((0,))
+        tangents, normals = m.frame_vectors(facet)
+        assert m.frame_vectors(list(facet))[1] is normals
+        (normal,) = normals
+        assert all(type(x) is int for x in normal) and gcd(*normal) == 1
+        assert all(tensors.dot(t, normal) == 0 for t in tangents)
+        for ci in m.facet_cells[facet]:
+            local = m.local_site(ci, facet)
+            assert m.global_frame(ci, local).normals == normals
+            (element,) = build_frame(m.cell_simplices[ci], local).normals
+            assert linalg.rank([element, normal]) == 1
 
 
 def test_shared_facet_normal_and_frames_are_cell_independent():
     m = builtin_mesh("two_triangles")
     facet = m.interior_facets[0]
     assert facet == (1, 2)
-    assert m.facet_normal(facet) == (Fraction(1), Fraction(1))
+    assert m.frame_vectors(facet)[1] == ((1, 1),)
     c1, c2 = m.facet_cells[facet]
     f1 = m.global_frame(c1, m.local_site(c1, facet))
     f2 = m.global_frame(c2, m.local_site(c2, facet))
     assert f1.tangents == f2.tangents
     assert f1.normals == f2.normals
+
+
+@pytest.mark.parametrize("name, family, degree, k, pairs", [
+    ("fichera_coarse", Family.TRACELESS, 2, 0, 36),
+    ("fichera_coarse", Family.FACE, 2, -1, 36),
+    ("refine(criss_cross)", Family.SYMMETRIC, 3, 0, 4),
+])
+def test_translated_cells_build_equal_dofs(name, family, degree, k, pairs):
+    # Every direction comes from a mesh frame, which reads vertex
+    # differences only, so a cell's DoFs cannot depend on its neighbours:
+    # two cells with equal vertex differences in sorted local order build
+    # equal functionals.
+    m = builtin_mesh(name)
+    space = assemble(m, family, degree, k)
+    first: dict[tuple, int] = {}
+    compared = 0
+    for ci, simplex in enumerate(m.cell_simplices):
+        key = tuple(simplex.edge_vector(0, j) for j in range(1, m.dim + 1))
+        c0 = first.setdefault(key, ci)
+        if c0 != ci:
+            compared += 1
+            assert space.cell_dofs[ci].functionals == space.cell_dofs[c0].functionals, (m.cells[c0], m.cells[ci])
+    assert compared == pairs
 
 
 def test_cell_certificates_hold_under_the_mesh_shared_frames():

@@ -20,12 +20,12 @@ from hdiv_geodecomp.simplex import (
 )
 from hdiv_geodecomp.tensors import Family
 
-from conftest import random_simplex
+from conftest import random_simplex, sym
 
 
 def test_sym_of_outer_product():
     u, v = (1, 2, 3), (4, 5, 6)
-    s = tensors.sym(tensors.outer(u, v))
+    s = sym(tensors.outer(u, v))
     assert s == tuple(zip(*s))
     direct = tensors.mat_scale(
         tensors.mat_add(tensors.outer(u, v), tensors.outer(v, u)), Fraction(1, 2)
@@ -163,7 +163,7 @@ def test_symmetric_mixed_normal_trace_is_half_of_plain_tensor():
     grads = barycentric_gradients(simp)
     for t in frame.tangents:
         for m in frame.normals:
-            mixed = tensors.sym(tensors.outer(t, m))
+            mixed = sym(tensors.outer(t, m))
             plain = tensors.outer(t, m)
             for missing in f.complement_labels():
                 n_f = grads[missing]
@@ -204,7 +204,7 @@ def test_rigid_spaces_dimensions():
 def test_rigid_motions_have_skew_jacobian():
     _, rm = tensors.rigid_spaces(3)
     for field in rm:
-        assert tensors.sym(field.matrix) == tensors.mat_scale(tensors.identity(3), 0)
+        assert sym(field.matrix) == tensors.mat_scale(tensors.identity(3), 0)
 
 
 def test_translations_and_scaling_kernel_of_dev_grad():
