@@ -21,6 +21,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property, partial
+from itertools import chain
 from math import comb, lcm, prod, sqrt
 from operator import add, eq, mul
 from typing import NoReturn
@@ -848,43 +849,30 @@ def _float_infsup(layout, cells) -> tuple:
     return beta, int(eigs.size - kept.size), None
 
 
-def _write_record(out, record) -> None:
-    data = marshal.dumps(record)
-    out.write(len(data).to_bytes(8, "little"))
-    out.write(data)
-
-
-def _read_records(inp) -> list[bytes]:
-    """The marshalled records _write_record wrote, up to EOF; a record cut
-    short is dropped."""
-    records = []
-    while head := inp.read(8):
-        size = int.from_bytes(head, "little")
-        data = inp.read(size)
-        if len(head) < 8 or len(data) < size:
-            break
-        records.append(data)
-    return records
-
-
 def _serve(inputs_fd: int, reply_fd: int) -> NoReturn:
-    """The life of an InfsupWorker's child: import numpy, read the records
-    of _float_inputs up to EOF and write back _float_infsup of them.  It
-    ends in os._exit, so none of the parent's cleanup runs twice, and
-    exits quietly when the pipe closes before every record arrived, as
-    when the parent stops early."""
+    """The life of an InfsupWorker's child: import numpy, read the layout
+    and then one record per cell of its interior split with marshal.load,
+    each decoded when _cell_pencils reaches it, and write back
+    _float_infsup of them.  It ends in os._exit, so none of the parent's
+    cleanup runs twice, and exits quietly (EOFError) when the pipe closes
+    before every record arrived, as when the parent stops early."""
     code = 1
     try:
         import numpy  # noqa: F401  (loaded while the parent runs the exact units)
 
         with open(inputs_fd, "rb") as inputs:
-            records = _read_records(inputs)
-        layout = marshal.loads(records[0]) if records else None
-        # Complete: the layout and one record per cell of its interior split.
-        if layout is not None and len(records) == 1 + len(layout[3]):
-            reply = _float_infsup(layout, map(marshal.loads, records[1:]))
-            with open(reply_fd, "wb") as out:
-                out.write(marshal.dumps(reply))
+
+            def record():
+                # The bytes of a record's marshal.dumps come in one read;
+                # marshal.load of the record itself reads item by item.
+                return marshal.loads(marshal.load(inputs))
+
+            layout = record()
+            reply = _float_infsup(layout, (record() for _ in layout[3]))
+        with open(reply_fd, "wb") as out:
+            out.write(marshal.dumps(reply))
+        code = 0
+    except EOFError:
         code = 0
     except BaseException:  # whatever is raised, the child ends in os._exit
         import traceback
@@ -899,10 +887,11 @@ class InfsupWorker:
     """A forked child that runs the float step of one inf-sup constant.
 
     Forked when a run starts, the child imports numpy while the parent
-    runs the exact units, so the parent never loads numpy.  solve sends it
-    the records of _float_inputs through a pipe and returns the reply of
-    _float_infsup, computed there on exactly the inputs the parent would
-    use.  The parent calls close on every path.
+    runs the exact units, so the parent never loads numpy.  solve writes
+    the records of _float_inputs to a pipe with marshal.dump, one value
+    after another (each as the bytes of its marshal.dumps), and returns
+    the reply of _float_infsup, computed there on exactly the inputs the
+    parent would use.  The parent calls close on every path.
     """
 
     def __init__(self):
@@ -923,9 +912,8 @@ class InfsupWorker:
         """_float_infsup(layout, cells), computed in the child.  A child that
         exits without a reply raises RuntimeError."""
         try:
-            _write_record(self._inputs, layout)
-            for cell in cells:
-                _write_record(self._inputs, cell)
+            for record in chain((layout,), cells):
+                marshal.dump(marshal.dumps(record), self._inputs)
             self._inputs.close()
         except BrokenPipeError:
             pass  # the child stopped reading; its exit status says why

@@ -8,8 +8,9 @@ the site measure divided out, so the DoF matrix of a basis is a rational
 matrix whose invertibility settles unisolvence.  It is built and read as
 integer rows, each over its least positive denominator.  certify_unisolvence
 settles it by exact elimination, one diagonal site block at a time (the
-whole matrix for merged facet sets), and returns the CheckResult a report
-prints, its witness carrying the pivot hashes of linalg.echelon_data.
+sites above k of merged facets form one block), and returns the CheckResult
+a report prints, its witness carrying the pivot hashes of
+linalg.echelon_data.
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ from .simplex import (
     enumerate_subsimplices,
     reference_simplex,
 )
-from .spaces import (
-    SpaceBasis,
-    bubble_space,
-    decompose,
-    lattice_basis,
-)
+from .spaces import SpaceBasis, bubble_space, decompose
 from .tensors import Family
 
 GLOBAL = "global_on_f"
@@ -359,39 +355,42 @@ def dof_matrix(dofs: DoFSet, basis: SpaceBasis) -> linalg.IntegerRows:
     return _functional_rows(dofs.functionals, basis)
 
 
-def _site_label(site: SubSimplexId, interior: bool) -> str:
-    return "interior" if interior else "f" + "".join(str(i) for i in site.indices)
+def _block_label(dofs: DoFSet, site: SubSimplexId, interior: bool) -> str:
+    """The block of a functional or member at site: "interior", "merged"
+    for the sites above k inside merged facets, or "f" and its labels."""
+    if interior:
+        return "interior"
+    if any(F.contains(site) for F in dofs.merged_faces) and site.dim > dofs.continuity_order:
+        return "merged"
+    return "f" + "".join(str(i) for i in site.indices)
 
 
-def _row_blocks(dofs: DoFSet) -> list[tuple[str, list[int]]]:
-    blocks: list[tuple[str, list[int]]] = []
+def _row_blocks(dofs: DoFSet) -> dict[str, list[int]]:
+    """Functional indices by block label, in first-appearance order."""
+    blocks: dict[str, list[int]] = {}
     for idx, nf in enumerate(dofs.functionals):
-        label = _site_label(nf.site, nf.scope == INTERIOR)
-        if blocks and blocks[-1][0] == label:
-            blocks[-1][1].append(idx)
-        else:
-            blocks.append((label, [idx]))
+        blocks.setdefault(_block_label(dofs, nf.site, nf.scope == INTERIOR), []).append(idx)
     return blocks
 
 
-def _column_blocks(dofs: DoFSet, basis: SpaceBasis) -> list[tuple[str, list[int]]] | None:
-    """Columns grouped to match the row blocks; None if shapes disagree.
+def _column_blocks(dofs: DoFSet, basis: SpaceBasis, labels) -> dict[str, list[int]] | None:
+    """Member indices grouped under the row blocks' labels, in their order;
+    None if a member falls in no row block.
 
-    Boundary blocks take the non-tangential members of their own site; the
+    Boundary blocks take the non-tangential members of their own sites; the
     interior block takes every tangential member plus whatever sits on the
     full simplex.  Tangential members vanish under every boundary functional,
     which is what makes the blocked elimination equivalent to the dense one.
     """
-    order = {label: pos for pos, (label, _) in enumerate(_row_blocks(dofs))}
-    placed: dict[str, list[int]] = {label: [] for label in order}
+    placed: dict[str, list[int]] = {label: [] for label in labels}
     for col, member in enumerate(basis.members):
         f = member.provenance.sub_simplex
         interior = member.provenance.component == "tangential" or f.dim == f.parent_dim
-        label = "interior" if interior else _site_label(f, False)
-        if label not in placed:
+        cols = placed.get(_block_label(dofs, f, interior))
+        if cols is None:
             return None
-        placed[label].append(col)
-    return [(label, placed[label]) for label in order]
+        cols.append(col)
+    return placed
 
 
 class SiteBlockError(AssertionError):
@@ -406,11 +405,12 @@ def site_blocks(dofs: DoFSet, basis: SpaceBasis, matrix) -> list[tuple[str, list
     is block lower-triangular: invertible iff every diagonal block is.
     """
     rows = _row_blocks(dofs)
-    cols = _column_blocks(dofs, basis)
-    if cols is None or [len(r) for _, r in rows] != [len(c) for _, c in cols]:
+    cols = _column_blocks(dofs, basis, rows)
+    if cols is None or [len(r) for r in rows.values()] != [len(c) for c in cols.values()]:
         raise SiteBlockError("site blocks do not tile the DoF matrix")
-    for bi, (row_label, row_idx) in enumerate(rows):
-        for col_label, col_idx in cols[bi + 1 :]:
+    blocks = [(label, rows[label], cols[label]) for label in rows]
+    for bi, (row_label, row_idx, _) in enumerate(blocks):
+        for col_label, _, col_idx in blocks[bi + 1 :]:
             for i in row_idx:
                 row = matrix[i]
                 if any(row[j] for j in col_idx):
@@ -418,7 +418,7 @@ def site_blocks(dofs: DoFSet, basis: SpaceBasis, matrix) -> list[tuple[str, list
                         f"functional at {row_label} does not annihilate "
                         f"member block {col_label}"
                     )
-    return [(label, r, c) for (label, r), (_, c) in zip(rows, cols)]
+    return blocks
 
 
 def _block_rows(matrix: linalg.IntegerRows, row_idx, col_idx) -> list[list[int]]:
@@ -441,13 +441,11 @@ def certify_unisolvence(
 ) -> CheckResult:
     """Exact invertibility certificate for the DoF matrix of one element.
 
-    A DoF set without merged facets is eliminated one diagonal block per
-    site after checking that every block above the diagonal is exactly
-    zero; merged DoF sets fall back to dense elimination, where the
-    annihilation pattern no longer aligns with single sites.  The witness
-    records the matrix size, the method, the block sizes, the pivot hash
-    (of the dense matrix, or a digest of the blocks' hashes) and, on
-    failure, the first rank-deficient block.
+    The matrix is eliminated one diagonal site block at a time, after
+    site_blocks has checked that every block above the diagonal is exactly
+    zero; the sites above k of merged facets form one block.  The witness
+    records the matrix size, the method, the block sizes, a digest of the
+    blocks' pivot hashes and, on failure, the first rank-deficient block.
     """
     if dofs is None:
         if family is None or simplex is None or degree is None:
@@ -457,24 +455,16 @@ def certify_unisolvence(
     matrix = dof_matrix(dofs, basis)
     size = len(matrix)
     failure = None
-    if dofs.merged_faces:
-        # Each row is already coprime with its denominator.
-        method, block_sizes = "dense", [["dense", size]]
-        rank, pivot_hash = linalg.echelon_data(matrix)
-        if rank != size:
-            failure = {"rank": rank, "size": size}
-    else:
-        method, block_sizes = "site_blocks", []
-        digest = linalg.sha256()
-        for label, row_idx, col_idx in site_blocks(dofs, basis, matrix):
-            rank, block_hash = linalg.echelon_data(_block_rows(matrix, row_idx, col_idx))
-            digest.update(f"{label}:{block_hash};".encode())
-            block_sizes.append([label, len(row_idx)])
-            if rank != len(row_idx):
-                failure = {"block": label, "rank": rank, "size": len(row_idx)}
-                break
-        pivot_hash = digest.hexdigest()
-    witness = {"size": size, "method": method, "block_sizes": block_sizes, "pivot_hash": pivot_hash}
+    block_sizes = []
+    digest = linalg.sha256()
+    for label, row_idx, col_idx in site_blocks(dofs, basis, matrix):
+        rank, block_hash = linalg.echelon_data(_block_rows(matrix, row_idx, col_idx))
+        digest.update(f"{label}:{block_hash};".encode())
+        block_sizes.append([label, len(row_idx)])
+        if rank != len(row_idx):
+            failure = {"block": label, "rank": rank, "size": len(row_idx)}
+            break
+    witness = {"size": size, "method": "site_blocks", "block_sizes": block_sizes, "pivot_hash": digest.hexdigest()}
     if failure is not None:
         witness["failure"] = failure
     return CheckResult(
@@ -693,7 +683,7 @@ def _span_equality_on_facet(dofs: DoFSet, F: SubSimplexId, old, new) -> CheckRes
         for nf in dofs.functionals
         if nf.scope == GLOBAL and F.contains(nf.site)
     ]
-    basis = lattice_basis(dofs.family, dofs.simplex, dofs.degree)
+    basis = decompose(dofs.family, dofs.simplex, dofs.degree)
 
     def rows(functionals):
         return _functional_rows(functionals, basis)

@@ -207,26 +207,6 @@ def _rank_by_monomial(basis: SpaceBasis) -> int:
     )
 
 
-def lattice_basis(family: Family, simplex: Simplex, degree: int) -> SpaceBasis:
-    """The plain monomial × constrained-direction basis of the same space."""
-    n = simplex.dim
-    full = bn.full_domain(n)
-    if family is Family.LAGRANGE:
-        directions: Sequence = [_scalar_coeff()]
-    elif family is Family.FACE:
-        directions = tensors.identity(n)
-    else:
-        frame = build_frame(simplex, full)
-        split = tensors.tn_split(full, frame, family)
-        directions = list(split.tangential_basis + split.normal_basis)
-    members = [
-        ShapeFunction(beta, c, Provenance(full, "lattice"))
-        for beta in bn.lattice(n + 1, degree)
-        for c in directions
-    ]
-    return SpaceBasis(family, n, degree, tuple(members))
-
-
 def bubble_space(family: Family, simplex: Simplex, degree: int) -> SpaceBasis:
     """Tangential members on positive-dimensional sub-simplices: ker(tr^div)."""
     if family is Family.LAGRANGE:

@@ -1,6 +1,7 @@
 """Polynomial references the tests compare the package's integer kernels
 with: point values, bubbles, directional derivatives and normal traces of
-Bernstein-form polynomials, built term by term from their definitions."""
+Bernstein-form polynomials, built term by term from their definitions, and
+the plain monomial × direction basis of each element space."""
 
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ from typing import Sequence
 
 from hdiv_geodecomp import bernstein as bn
 from hdiv_geodecomp import tensors
-from hdiv_geodecomp.spaces import ShapeFunction
-from hdiv_geodecomp.simplex import Simplex, SubSimplexId, barycentric_gradients, dot
+from hdiv_geodecomp.spaces import Provenance, ShapeFunction, SpaceBasis
+from hdiv_geodecomp.simplex import Simplex, SubSimplexId, barycentric_gradients, build_frame, dot
+from hdiv_geodecomp.tensors import Family
 
 
 def evaluate(p: bn.BernsteinPoly, barycentric: Sequence) -> Fraction:
@@ -64,3 +66,23 @@ def trace_div(member: ShapeFunction, facet: SubSimplexId, normal: Sequence):
     restricted = bn.restrict(member.scalar, facet)
     traced = tuple(restricted * c for c in tensors.contract_normal(member.coeff, normal))
     return traced if isinstance(member.coeff[0], tuple) else traced[0]
+
+
+def lattice_basis(family: Family, simplex: Simplex, degree: int) -> SpaceBasis:
+    """The plain monomial × constrained-direction basis of the same space
+    that spaces.decompose splits geometrically."""
+    n = simplex.dim
+    full = bn.full_domain(n)
+    if family is Family.LAGRANGE:
+        directions: Sequence = [(Fraction(1),)]
+    elif family is Family.FACE:
+        directions = tensors.identity(n)
+    else:
+        split = tensors.tn_split(full, build_frame(simplex, full), family)
+        directions = list(split.tangential_basis + split.normal_basis)
+    members = [
+        ShapeFunction(beta, c, Provenance(full, "lattice"))
+        for beta in bn.lattice(n + 1, degree)
+        for c in directions
+    ]
+    return SpaceBasis(family, n, degree, tuple(members))

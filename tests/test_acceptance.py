@@ -35,7 +35,6 @@ from hdiv_geodecomp.simplex import (
 from hdiv_geodecomp.spaces import (
     Family,
     decompose,
-    lattice_basis,
     site_rows,
     verify_bubble_characterization,
     verify_div_image,
@@ -45,7 +44,7 @@ from hdiv_geodecomp.tensors import traceless_gradient_basis
 import random
 
 from conftest import random_simplex
-from polynomial_reference import trace_div
+from polynomial_reference import lattice_basis, trace_div
 
 
 def _report(number: int, text: str) -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from hdiv_geodecomp import assembly, cli, dofs, mesh, report, spaces
-from hdiv_geodecomp.checks import FAIL, PASS, CheckResult
+from hdiv_geodecomp.checks import FAIL, CheckResult
 from hdiv_geodecomp.mesh import builtin_mesh, save_mesh
 from hdiv_geodecomp.report import CaseParams, canonical_json
 from hdiv_geodecomp.spaces import Family
@@ -453,6 +453,42 @@ def test_infsup_worker_and_in_process_results_are_equal():
     )
     proc = _run_script(script, STRICT)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("cut", ["after_layout", "inside_second_cell"])
+def test_worker_exits_quietly_on_a_cut_stream(cut):
+    # The parent stopped before every record arrived: the child exits 0
+    # and writes no reply.
+    script = (
+        "import marshal, os\n"
+        "from hdiv_geodecomp import assembly\n"
+        "from hdiv_geodecomp.mesh import resolve_mesh\n"
+        "space = assembly.assemble(resolve_mesh('criss_cross'), 'face', 2, -1)\n"
+        "layout, cells = assembly._float_inputs(space)\n"
+        "data = marshal.dumps(marshal.dumps(layout))\n"
+        f"if {cut!r} == 'inside_second_cell':\n"
+        "    first, second = next(cells), next(cells)\n"
+        "    data += marshal.dumps(marshal.dumps(first)) + marshal.dumps(marshal.dumps(second))[:-5]\n"
+        "inputs_r, inputs_w = os.pipe()\n"
+        "reply_r, reply_w = os.pipe()\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    os.close(inputs_w)\n"
+        "    os.close(reply_r)\n"
+        "    assembly._serve(inputs_r, reply_w)\n"
+        "os.close(inputs_r)\n"
+        "os.close(reply_w)\n"
+        "with open(inputs_w, 'wb') as out:\n"
+        "    out.write(data)\n"
+        "with open(reply_r, 'rb') as replies:\n"
+        "    reply = replies.read()\n"
+        "status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])\n"
+        "assert len(layout[3]) > 2\n"
+        "assert (status, reply) == (0, b''), (status, reply)\n"
+    )
+    proc = _run_script(script, STRICT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def _no_child_left_script(out, setup: str, code: int) -> str:

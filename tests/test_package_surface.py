@@ -1,14 +1,21 @@
 """The package surface: every public module-level function and class in
 src/hdiv_geodecomp is read by the package itself, or is a library entry
 point named below with its reason.  Code that only the tests read belongs
-in the test helpers (conftest.py, polynomial_reference.py)."""
+in the test helpers (conftest.py, polynomial_reference.py).  Every name
+imported in src or tests is read where it is imported, and the README's
+"Library use" example runs as printed."""
 
 from __future__ import annotations
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hdiv_geodecomp"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "hdiv_geodecomp"
 
 # The public names nothing in src reads, each kept for callers outside it.
 ENTRY_POINTS = {
@@ -66,3 +73,44 @@ def test_every_public_name_is_read_in_src_or_is_an_entry_point():
     unread = _unread_public_names()
     assert not unread - set(ENTRY_POINTS), "only tests read these; move them to a test helper"
     assert not set(ENTRY_POINTS) - unread, "src reads these, or they are gone: drop them from ENTRY_POINTS"
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """The names a module imports and never loads, skipping __future__
+    imports and lines marked "# noqa: F401" (an import for its effect)."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            local = alias.asname or alias.name.partition(".")[0]
+            if local not in loaded:
+                unread.append(f"{path.relative_to(TESTS.parent)}: {local}")
+    return unread
+
+
+def test_every_imported_name_is_read():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert [name for path in paths for name in _unread_imports(path)] == []
+
+
+def test_readme_library_use_block_runs_as_printed():
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Library use\n\n```python\n(.*?)```", readme, re.S)
+    proc = subprocess.run(
+        [sys.executable, "-c", block],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    dim, conformity, beta, merged = proc.stdout.split()
+    assert (dim, conformity, merged) == ("72", "pass", "pass")
+    assert float(beta) > 0

@@ -14,7 +14,6 @@ from hdiv_geodecomp.simplex import (
     SubSimplexId,
     barycentric_gradients,
     build_frame,
-    dot,
     enumerate_subsimplices,
     reference_simplex,
 )
