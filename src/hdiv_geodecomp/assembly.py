@@ -21,9 +21,9 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import chain
+from itertools import chain, repeat
 from math import comb, lcm, prod, sqrt
-from operator import add, eq, mul
+from operator import add, mul
 from typing import NoReturn
 
 from . import bernstein as bn
@@ -333,39 +333,37 @@ def _statements(space: GlobalSpace) -> list[tuple[str, tuple[int, ...], tensors.
 
 
 def _shared_site_rows(space: GlobalSpace, site: tuple[int, ...], contraction: tensors.Contraction):
-    """The global DoFs of the cells sharing a site and, per such cell, the
-    contracted restrictions of their basis functions to it: one integer row
-    per global DoF (zero off the cell) and one denominator."""
+    """Per cell sharing a site, the contracted restrictions of its basis
+    functions to it: a map from global DoF to integer row, holding the
+    nonzero rows only, and one denominator."""
     mesh = space.mesh
-    cells = mesh.cells_containing(site)
-    ids = sorted(set().union(*(space.local_to_global[c] for c in cells)))
     per_cell = []
-    for c in cells:
+    for c in mesh.cells_containing(site):
         member_rows, member_den = site_rows(space.cell_basis(c), mesh.local_site(c, site), contraction)
         ints, den = cell_rows(space, c, member_rows, member_den)
-        zero = [0] * len(ints[0])
-        by_global = dict(zip(space.local_to_global[c], ints))
-        per_cell.append(([by_global.get(g, zero) for g in ids], den))
-    return ids, per_cell
+        per_cell.append(({g: row for g, row in zip(space.local_to_global[c], ints) if any(row)}, den))
+    return per_cell
 
 
-def _scaled(rows, factor: int):
-    return rows if factor == 1 else [[x * factor for x in row] for row in rows]
+def _scaled(row: list[int], factor: int) -> list[int]:
+    return row if factor == 1 else [x * factor for x in row]
 
 
-def _jumps(ids, per_cell):
+def _jumps(per_cell):
     """(global DoF, first differing entry, difference) of each cell's rows
-    against the first cell's.  Both sides are brought over the lcm of
-    their denominators and compared as lists; a row that differs is
-    searched by cross-multiplication."""
+    against the first cell's, in global DoF order; a DoF missing from a
+    cell's map has a zero row there.  Rows on both sides are brought over
+    the lcm of their denominators and compared as lists; a row that
+    differs is searched by cross-multiplication."""
     (rows_a, d_a), *others = per_cell
     for rows_b, d_b in others:
         common = lcm(d_a, d_b)
-        same = map(eq, _scaled(rows_a, common // d_a), _scaled(rows_b, common // d_b))
-        for g, a, b, equal in zip(ids, rows_a, rows_b, same):
-            if equal:
+        f_a, f_b = common // d_a, common // d_b
+        for g in sorted(rows_a.keys() | rows_b.keys()):
+            a, b = rows_a.get(g), rows_b.get(g)
+            if a is not None and b is not None and _scaled(a, f_a) == _scaled(b, f_b):
                 continue
-            for entry, (x, y) in enumerate(zip(a, b)):
+            for entry, (x, y) in enumerate(zip(a or repeat(0), b or repeat(0))):
                 if x * d_b != y * d_a:
                     yield g, entry, Fraction(x, d_a) - Fraction(y, d_b)
                     break
@@ -405,20 +403,22 @@ def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> Che
         )
 
     for kind, site, contraction in _statements(space):
-        ids, per_cell = _shared_site_rows(space, site, contraction)
-        for g, entry, delta in _jumps(ids, per_cell):
+        per_cell = _shared_site_rows(space, site, contraction)
+        for g, entry, delta in _jumps(per_cell):
             record(kind, site, g, entry, delta)
         if kind != "normal_trace":
             extra_sites.add(site)
             continue
         facets_checked += 1
-        traces_compared += len(ids)
+        # Every global DoF of the two cells counts, zero rows included.
+        traces_compared += len(set().union(*(space.local_to_global[c] for c in mesh.cells_containing(site))))
         # At weights w the point is w / sum(w), so every lattice monomial
         # carries the same factor sum(w)^degree, which equality ignores.
         lattice_keys = bn.lattice(len(site), space.degree)
         (rows_a, d_a), (rows_b, d_b) = per_cell
         # A DoF whose rows are zero on both sides evaluates to zero on both.
-        live = [(g, a, b) for g, a, b in zip(ids, rows_a, rows_b) if any(a) or any(b)]
+        zero = [0] * max(map(len, chain(rows_a.values(), rows_b.values())), default=0)
+        live = [(g, rows_a.get(g, zero), rows_b.get(g, zero)) for g in sorted(rows_a.keys() | rows_b.keys())]
         for _ in range(samples):
             weights = [rng.randint(1, 997) for _ in site]
             monomials = [prod(w**e for w, e in zip(weights, alpha)) for alpha in lattice_keys]
@@ -853,9 +853,12 @@ def _serve(inputs_fd: int, reply_fd: int) -> NoReturn:
     """The life of an InfsupWorker's child: import numpy, read the layout
     and then one record per cell of its interior split with marshal.load,
     each decoded when _cell_pencils reaches it, and write back
-    _float_infsup of them.  It ends in os._exit, so none of the parent's
-    cleanup runs twice, and exits quietly (EOFError) when the pipe closes
-    before every record arrived, as when the parent stops early."""
+    _float_infsup of them.  The parent streams the records while it builds
+    the cell duals, so the child builds each cell's pencil while the parent
+    builds the next dual, and condenses and solves after the last record.
+    It ends in os._exit, so none of the parent's cleanup runs twice, and
+    exits quietly (EOFError) when the pipe closes before every record
+    arrived, as when the parent stops early."""
     code = 1
     try:
         import numpy  # noqa: F401  (loaded while the parent runs the exact units)
@@ -883,20 +886,34 @@ def _serve(inputs_fd: int, reply_fd: int) -> NoReturn:
         os._exit(code)
 
 
+# Bytes the records' pipe holds: every record of a 16-cell tetrahedral
+# mesh (about 700 KB), so the parent streams them without waiting while the
+# child is still importing numpy.  1 MiB is Linux's default pipe-max-size.
+_PIPE_BYTES = 1 << 20
+
+
 class InfsupWorker:
     """A forked child that runs the float step of one inf-sup constant.
 
     Forked when a run starts, the child imports numpy while the parent
-    runs the exact units, so the parent never loads numpy.  solve writes
-    the records of _float_inputs to a pipe with marshal.dump, one value
-    after another (each as the bytes of its marshal.dumps), and returns
-    the reply of _float_infsup, computed there on exactly the inputs the
-    parent would use.  The parent calls close on every path.
+    runs the exact units, so the parent never loads numpy.  stream writes
+    the records of _float_inputs to a pipe, one value after another (each
+    as the bytes of its marshal.dumps), each cell's as soon as its dual is
+    built, so the child reduces the cells while the parent goes on with
+    its exact units.  reply returns the reply of _float_infsup, computed
+    there on exactly the inputs the parent would use.  The pipe is widened
+    to _PIPE_BYTES where fcntl.F_SETPIPE_SZ allows; elsewhere a full pipe
+    only makes the parent wait for the child.  The parent calls close on
+    every path.
     """
 
     def __init__(self):
         inputs_r, inputs_w = os.pipe()
         reply_r, reply_w = os.pipe()
+        with contextlib.suppress(ImportError, AttributeError, OSError):
+            import fcntl
+
+            fcntl.fcntl(inputs_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         self.pid = os.fork()
         if self.pid == 0:
             os.close(inputs_w)
@@ -906,17 +923,32 @@ class InfsupWorker:
         os.close(reply_w)
         self._inputs = open(inputs_w, "wb")
         self._replies = open(reply_r, "rb")
+        self._streamed = False
         self._status: int | None = None
 
-    def solve(self, layout, cells) -> tuple:
-        """_float_infsup(layout, cells), computed in the child.  A child that
-        exits without a reply raises RuntimeError."""
+    def stream(self, space: GlobalSpace) -> None:
+        """Send the records of _float_inputs(space), unless they have been
+        sent: the cell duals are built in cell order, and each cell's
+        record goes as soon as its dual exists.  The pipe is closed
+        afterwards on every path, so a child short of records exits rather
+        than wait."""
+        if self._streamed:
+            return
+        self._streamed = True
         try:
+            layout, cells = _float_inputs(space)
             for record in chain((layout,), cells):
                 marshal.dump(marshal.dumps(record), self._inputs)
-            self._inputs.close()
+                self._inputs.flush()
         except BrokenPipeError:
-            pass  # the child stopped reading; its exit status says why
+            pass  # the child stopped reading; reply reports its exit status
+        finally:
+            with contextlib.suppress(BrokenPipeError):
+                self._inputs.close()
+
+    def reply(self) -> tuple:
+        """_float_infsup of the streamed records, computed in the child.  A
+        child that exits without a reply raises RuntimeError."""
         reply = self._replies.read()
         status = self._reap()
         if status != 0 or not reply:
@@ -924,7 +956,7 @@ class InfsupWorker:
         return marshal.loads(reply)
 
     def close(self) -> None:
-        """Stop the child, unless solve has reaped it, and reap it."""
+        """Stop the child, unless reply has reaped it, and reap it."""
         if self._status is None:
             os.kill(self.pid, signal.SIGKILL)
             self._reap()
@@ -951,13 +983,17 @@ def infsup_constant(space: GlobalSpace, worker: InfsupWorker | None = None) -> C
     Eigenvalues under KERNEL_THRESHOLD are discarded and counted, since
     none are expected at or above the degree threshold.  The exact inputs
     are collected here without numpy (_float_inputs); the float step
-    (_float_infsup) runs in the worker when one is given, else here, where
-    numpy is imported on its first use.
+    (_float_infsup) runs in the worker when one is given, on the records
+    it streamed earlier or streams now, else here, where numpy is imported
+    on its first use.
     """
     name = f"infsup[{space.label}]"
     threshold = space.family.div_onto_min_degree(space.mesh.dim, space.continuity_order)
-    solve = _float_infsup if worker is None else worker.solve
-    beta, discarded, error = solve(*_float_inputs(space))
+    if worker is None:
+        beta, discarded, error = _float_infsup(*_float_inputs(space))
+    else:
+        worker.stream(space)
+        beta, discarded, error = worker.reply()
     if error is not None:
         return CheckResult(name, FAIL, {"error": f"singular mass matrix: {error}"})
     if space.degree < threshold:

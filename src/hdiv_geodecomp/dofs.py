@@ -70,13 +70,6 @@ def _moment(site, weight, direction, scope, face=None):
     return DoFFunctional(site, (DoFTerm(weight, direction),), scope, face)
 
 
-def _pair(coeff: tuple, direction: tuple):
-    """The one pairing of a member coefficient with a functional direction."""
-    if isinstance(direction[0], tuple):
-        return tensors.frobenius(coeff, direction)
-    return tensors.dot(coeff, direction)
-
-
 class MomentTable:
     """Geometry-free moments of the member monomials of one degree on the n-simplex.
 
@@ -132,11 +125,13 @@ def _functional_rows(functionals, basis: SpaceBasis) -> linalg.IntegerRows:
     Each member is λ^β times its coefficient, so a term contributes
     moment × pairing.  The moment comes from the geometry-free table, once
     per term and distinct β supported on the functional's site (the others
-    are zero).  The pairing comes from one table over the basis's distinct
-    integer coefficients and the distinct term directions, the directions
-    told apart by identity and scaled to integers once.  A row accumulates
-    numerator × pairing in integers, one vector per moment denominator, and
-    is returned over its least positive denominator.
+    are zero; the supported β are found once per site).  The pairing comes
+    from one table over the basis's distinct integer coefficients and the
+    distinct term directions, the directions told apart by identity and
+    scaled to integers once, and is the Frobenius product for matrix
+    values, else the dot product.  A row accumulates numerator × pairing
+    in integers, one vector per moment denominator, and is returned over
+    its least positive denominator.
     """
     table = moment_table(basis.n, basis.degree)
     coeffs = basis.coefficients
@@ -156,15 +151,21 @@ def _functional_rows(functionals, basis: SpaceBasis) -> linalg.IntegerRows:
             ids.append(d)
         term_directions.append(ids)
     directions, direction_den = tensors.integer_values(distinct)
+    pair = tensors.frobenius if directions and isinstance(directions[0][0], tuple) else tensors.dot
     # pairing[d][c], computed on first use: a functional pairs only with
     # the coefficients of members supported on its site.
     pairing = [[None] * len(coeffs.values) for _ in directions]
     scale = coeffs.den * direction_den
     width = len(basis.members)
+    live_at: dict[SubSimplexId, list] = {}
     rows, dens = [], []
     for nf, ids in zip(functionals, term_directions):
-        site = set(nf.site.indices)
-        live = [(beta, cols) for beta, cols in groups.items() if basis.supports[cols[0][0]] <= site]
+        live = live_at.get(nf.site)
+        if live is None:
+            site = set(nf.site.indices)
+            live = live_at[nf.site] = [
+                (beta, cols) for beta, cols in groups.items() if basis.supports[cols[0][0]] <= site
+            ]
         by_den: dict[int, list[int]] = {}
         for term, d in zip(nf.terms, ids):
             pairs = pairing[d]
@@ -180,16 +181,19 @@ def _functional_rows(functionals, basis: SpaceBasis) -> linalg.IntegerRows:
                 for j, coeff in cols:
                     x = pairs[coeff]
                     if x is None:
-                        x = pairs[coeff] = _pair(coeffs.values[coeff], direction)
+                        x = pairs[coeff] = pair(coeffs.values[coeff], direction)
                     if x:
                         acc[j] += p * x
-        den = lcm(*by_den)
-        row = [0] * width
-        for q, acc in by_den.items():
-            f = den // q
-            for j, x in enumerate(acc):
-                if x:
-                    row[j] += f * x
+        if len(by_den) == 1:
+            ((den, row),) = by_den.items()
+        else:
+            den = lcm(*by_den)
+            row = [0] * width
+            for q, acc in by_den.items():
+                f = den // q
+                for j, x in enumerate(acc):
+                    if x:
+                        row[j] += f * x
         den *= scale
         g = gcd(den, *row)
         rows.append([x // g for x in row] if g > 1 else row)

@@ -21,12 +21,13 @@ matrix directly pass its rows to it without a dense form.
 Dense rows have one forward elimination, _echelon_int, fraction-free in
 the sense of Bareiss (Math. Comp. 1968): pivots in first-nonzero column
 order, cross-multiplication over the gcd and per-row content reduction.
-echelon_data hashes its pivots, and the pivot hashes in reports are taken
-from that order.  nullspace, solve_many and invert follow it with one back
-pass, _back_substitute, and read their results in integers: the kernel
-vectors, whose basis (and so the frame and quotient directions built from
-it) is fixed by that pivot order, and the solution rows, which do not
-depend on it.
+The decomposition certificate counts its pivots to rank the small dense
+coefficient sets of each monomial.  echelon_data hashes its pivots, and
+the pivot hashes in reports are taken from that order.  nullspace,
+solve_many and invert follow it with one back pass, _back_substitute, and
+read their results in integers: the kernel vectors, whose basis (and so
+the frame and quotient directions built from it) is fixed by that pivot
+order, and the solution rows, which do not depend on it.
 """
 
 from __future__ import annotations

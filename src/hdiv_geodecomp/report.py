@@ -66,13 +66,23 @@ class RunContext(Record, namedtuple("RunContext", "params mesh worker", defaults
     once, and one assembled space, so each cell DoF matrix is built and
     inverted once.  params is the CaseParams; without a mesh the context
     resolves params.mesh itself.  worker is the run's InfsupWorker, or None
-    to compute the inf-sup constant in this process."""
+    to compute the inf-sup constant in this process; with a worker, the
+    first unit that needs the cell duals builds them through
+    stream_float_records."""
 
     @cached_property
     def space(self) -> GlobalSpace:
         p = self.params
         mesh = self.mesh if self.mesh is not None else resolve_mesh(p.mesh)
         return assemble(mesh, p.family, p.degree, p.continuity_order)
+
+    def stream_float_records(self) -> None:
+        """With a worker, build the cell duals and div rows in cell order
+        and send each cell's float record as soon as its dual exists, once
+        per run, so the worker reduces while this process runs the exact
+        units; without one, do nothing."""
+        if self.worker is not None:
+            self.worker.stream(self.space)
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +164,15 @@ def unit_dims(run: RunContext) -> list[CheckResult]:
 
 def unit_conformity(run: RunContext) -> list[CheckResult]:
     p = run.params
+    run.stream_float_records()
     return [check_conformity(run.space, samples=CONFORMITY_SAMPLES, seed=p.seed)]
 
 
 def unit_infsup(run: RunContext) -> list[CheckResult]:
-    return [infsup_constant(run.space, run.worker), check_div_onto(run.space)]
+    run.stream_float_records()
+    # The exact rank runs while the worker finishes the float step.
+    div_onto = check_div_onto(run.space)
+    return [infsup_constant(run.space, run.worker), div_onto]
 
 
 UNITS = {
@@ -198,7 +212,9 @@ def run_units(names: list[str], p: CaseParams, mesh: Mesh | None = None) -> tupl
     looked up in UNITS when it runs, so a wrapper put there is called.
     When the units include infsup and numpy is not loaded yet, an
     InfsupWorker is forked before the first unit, so that numpy loads in
-    it while the exact units run here; it is reaped on every path.
+    it while the exact units run here.  The first of conformity and infsup
+    streams it the cell records as it builds the duals, and it reduces them
+    while the later units run; it is reaped on every path.
     """
     checks: list[CheckResult] = []
     timings: dict[str, int] = {}

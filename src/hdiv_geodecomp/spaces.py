@@ -190,7 +190,9 @@ def _rank_by_monomial(basis: SpaceBasis) -> int:
     in the value space.  The coefficients are read from the basis's
     integer table.  decompose gives every β on a sub-simplex the same
     coefficient objects, so each distinct tuple of coefficient ids is
-    ranked once and counted once per β that holds it."""
+    ranked once and counted once per β that holds it.  A set is a few
+    dense integer rows, so the dense elimination (linalg._echelon_int)
+    ranks it."""
     coeffs = basis.coefficients
     sites: dict[int, tuple] = {}
     by_monomial: dict[tuple, list[int]] = {}
@@ -202,7 +204,7 @@ def _rank_by_monomial(basis: SpaceBasis) -> int:
             raise AssertionError(f"member coefficient at {site} is not a {basis.family.value} value")
     betas_per_set = Counter(tuple(ids) for ids in by_monomial.values())
     return sum(
-        count * linalg.rank([tensors.flatten(coeffs.values[i]) for i in ids])
+        count * len(linalg._echelon_int([list(tensors.flatten(coeffs.values[i])) for i in ids]))
         for ids, count in betas_per_set.items()
     )
 

@@ -410,10 +410,11 @@ def test_cli_process_never_imports_numpy(tmp_path):
 STRICT = ("-W", "error")
 
 
-def test_infsup_worker_and_in_process_results_are_equal():
+def test_infsup_worker_and_in_process_results_are_equal(tmp_path):
+    out = tmp_path / "all.json"
     script = (
-        "import sys\n"
-        "from hdiv_geodecomp import assembly\n"
+        "import json, sys\n"
+        "from hdiv_geodecomp import assembly, cli, report\n"
         "from hdiv_geodecomp.assembly import InfsupWorker, assemble, infsup_constant\n"
         "from hdiv_geodecomp.mesh import resolve_mesh\n"
         "def refined():\n"
@@ -444,14 +445,27 @@ def test_infsup_worker_and_in_process_results_are_equal():
         "    finally:\n"
         "        worker.close()\n"
         "forked = {name: compute(name, True) for name in cases}\n"
+        "# The CLI's own worker on 'all': conformity streams the records.\n"
+        "conformity = report.UNITS['conformity']\n"
+        "def streaming_conformity(run):\n"
+        "    checks = conformity(run)\n"
+        "    assert run.worker._inputs.closed, 'conformity left records unsent'\n"
+        "    return checks\n"
+        "report.UNITS['conformity'] = streaming_conformity\n"
+        "argv = ['all', '--family', 'traceless', '--degree', '2', '--k', '0', '--mesh', 'refine(two_tets)']\n"
+        f"assert cli.run(argv + ['--out', {str(out)!r}]) == 0\n"
         "assert 'numpy' not in sys.modules\n"
         "for name in cases:\n"
         "    assert compute(name, False) == forked[name], (name, forked[name])\n"
+        f"(streamed,) = [c for c in json.load(open({str(out)!r}))['checks'] if c['name'].startswith('infsup[')]\n"
+        "assert streamed == forked['refined']._asdict(), (streamed, forked['refined'])\n"
         "assert forked['refined'].status == 'pass', forked['refined']\n"
         "assert forked['singular'].witness['error'].startswith('singular mass matrix')\n"
         "assert forked['cut'].witness['discarded_modes'] == 1, forked['cut']\n"
     )
-    proc = _run_script(script, STRICT)
+    # One BLAS thread on every side, as cli.run sets before any numpy
+    # import, so the in-process solves round as the workers' do.
+    proc = _run_script(script, STRICT, OPENBLAS_NUM_THREADS="1")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -496,7 +510,7 @@ def _no_child_left_script(out, setup: str, code: int) -> str:
         "import os, sys\n"
         "from hdiv_geodecomp import assembly, cli, report\n"
         f"{setup}\n"
-        "argv = ['all', '--family', 'face', '--degree', '2', '--mesh', 'two_triangles']\n"
+        "argv = ['all', '--family', 'face', '--degree', '2', '--mesh', 'criss_cross']\n"
         f"assert cli.run(argv + ['--out', {str(out)!r}]) == {code}\n"
         "try:\n"
         "    os.waitpid(-1, os.WNOHANG)\n"
@@ -508,23 +522,56 @@ def _no_child_left_script(out, setup: str, code: int) -> str:
     )
 
 
+# A unit sorted after conformity raises once every record has gone to the
+# worker, which is computing or done.
+RAISES_AFTER_STREAM = """
+def broken(run):
+    assert run.worker._inputs.closed, 'records left unsent'
+    raise RuntimeError('planted')
+report.UNITS['dims'] = broken
+"""
+
+# The worker exits on the first cell record while the parent waits, before
+# it builds the second one, so the parent's next write meets a closed pipe
+# and the stream stops there; the run then fails at infsup.
+DIES_MID_STREAM = """
+assembly._coeff_pair_matrix = lambda coefficients: os._exit(5)
+member_coefficients = assembly._member_coefficients
+built = []
+def second_after_exit(members):
+    built.append(None)
+    if len(built) == 2:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+    return member_coefficients(members)
+assembly._member_coefficients = second_after_exit
+conformity = report.UNITS['conformity']
+def cut_conformity(run):
+    checks = conformity(run)
+    assert len(built) == 2, built
+    return checks
+report.UNITS['conformity'] = cut_conformity
+"""
+
+
 @pytest.mark.parametrize(
-    "setup,code",
+    "setup,code,message",
     [
-        ("", 0),
+        ("", 0, None),
         # A unit sorted before infsup raises: the worker never gets its inputs.
-        ("def broken(run):\n    raise RuntimeError('planted')\nreport.UNITS['conformity'] = broken", 3),
+        ("def broken(run):\n    raise RuntimeError('planted')\nreport.UNITS['conformity'] = broken", 3, "planted"),
+        (RAISES_AFTER_STREAM, 3, "planted"),
         # The worker dies without a reply: the run fails instead of
         # computing the constant again in-process.
-        ("assembly._float_infsup = lambda *records: os._exit(5)", 3),
+        ("assembly._float_infsup = lambda *records: os._exit(5)", 3, "inf-sup worker exited with status 5"),
+        (DIES_MID_STREAM, 3, "inf-sup worker exited with status 5"),
     ],
-    ids=["passing", "unit_raises", "worker_crashes"],
+    ids=["passing", "unit_raises", "unit_raises_after_stream", "worker_crashes", "worker_dies_mid_stream"],
 )
-def test_cli_leaves_no_child_process(tmp_path, setup, code):
+def test_cli_leaves_no_child_process(tmp_path, setup, code, message):
     proc = _run_script(_no_child_left_script(tmp_path / "r.json", setup, code), STRICT)
     assert proc.returncode == 0, proc.stderr
-    if code == 3:
-        assert "planted" in proc.stderr or "inf-sup worker exited with status 5" in proc.stderr
+    if message is not None:
+        assert message in proc.stderr, proc.stderr
 
 
 def _openblas_threads_around_infsup(out, **env: str) -> list[str]:

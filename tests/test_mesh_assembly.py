@@ -626,12 +626,18 @@ def test_flipped_facet_is_detected():
 
 
 def _plain_violations(space: GlobalSpace, samples: int, seed: int) -> list[dict]:
-    """check_conformity's violation list, every row compared entry by entry
-    by cross-multiplication and every sample point evaluated in Fractions."""
+    """check_conformity's violation list, every row of every global DoF of
+    the cells at a site compared entry by entry by cross-multiplication and
+    every sample point evaluated in Fractions; a DoF that a cell's map of
+    nonzero rows leaves out has a zero row there."""
     rng = random.Random(seed)
     out = []
     for kind, site, contraction in assembly._statements(space):
-        ids, per_cell = assembly._shared_site_rows(space, site, contraction)
+        cells = space.mesh.cells_containing(site)
+        ids = sorted(set().union(*(space.local_to_global[c] for c in cells)))
+        sparse = assembly._shared_site_rows(space, site, contraction)
+        (width,) = {len(row) for rows, _ in sparse for row in rows.values()}
+        per_cell = [([rows.get(g, [0] * width) for g in ids], den) for rows, den in sparse]
         (rows_a, d_a), *others = per_cell
         for rows_b, d_b in others:
             for g, a, b in zip(ids, rows_a, rows_b):
