@@ -18,13 +18,13 @@ import os
 import random
 import signal
 import sys
+import tempfile
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import chain, repeat
 from math import comb, lcm, prod, sqrt
 from operator import add, mul
-from typing import NoReturn
 
 from . import bernstein as bn
 from . import linalg, tensors
@@ -260,6 +260,151 @@ def check_dims(space: GlobalSpace) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
+# child processes and the cell duals on two CPUs
+
+
+def _this_cpu() -> int | None:
+    """The CPU this process last ran on, where /proc reports it."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            fields = stat.read()
+    except OSError:
+        return None
+    # Field 39 of proc(5), counted after the parenthesized command name.
+    return int(fields[fields.rindex(b")") + 2:].split()[36])
+
+
+def _start_elsewhere(parent_cpu: int | None) -> None:
+    """Move this process off parent_cpu, then allow it every CPU it had.
+
+    A kernel that does not balance load between CPUs, as in a cpuset with
+    sched_load_balance off, keeps a forked child on its parent's CPU, where
+    the two would take turns.  Allowed every CPU again, the child stays
+    where it was moved until the kernel moves it."""
+    if parent_cpu is None or not hasattr(os, "sched_setaffinity"):
+        return
+    allowed = os.sched_getaffinity(0)
+    if parent_cpu in allowed and len(allowed) > 1:
+        os.sched_setaffinity(0, allowed - {parent_cpu})
+        os.sched_setaffinity(0, allowed)
+
+
+def _fork(body, *args, close: tuple[int, ...] = ()) -> int:
+    """Fork a child that starts on another CPU than this process's
+    (_start_elsewhere), closes the descriptors in close, runs body(*args)
+    and ends in os._exit, so none of the parent's cleanup runs twice: with
+    status 0 when body returns, else 1 after printing the traceback of what
+    it raised.  Returns the child's pid; the parent reaps it with _reap on
+    every path."""
+    cpu = _this_cpu()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            _start_elsewhere(cpu)
+            for fd in close:
+                os.close(fd)
+            body(*args)
+            code = 0
+        except BaseException:  # whatever is raised, the child ends in os._exit
+            import traceback
+
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _reap(pid: int, kill: bool = False) -> int:
+    """Wait for a child of _fork, sent SIGKILL first when kill is set, and
+    return its exit code."""
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _fill_cells(space: GlobalSpace, cells) -> tuple[dict, dict]:
+    """Build the dual coefficients and the div rows that the space's caches
+    lack for the given cells, in cell order; return the entries built."""
+    duals, divs = {}, {}
+    for ci in cells:
+        if ci not in space._dual_cache:
+            duals[ci] = space.dual_coefficients(ci)
+        if ci not in space._div_cache:
+            divs[ci] = space.div_rows(ci)
+    return duals, divs
+
+
+def _dump_cells(space: GlobalSpace, cells, fd: int) -> None:
+    """The life of _build_cell_duals' child: write to fd, as one
+    marshal.dumps value, the entries _fill_cells builds, or the text of the
+    AssemblyError it raises."""
+    try:
+        built = _fill_cells(space, cells)
+    except AssemblyError as exc:
+        built = str(exc)
+    with open(fd, "wb", closefd=False) as out:
+        out.write(marshal.dumps(built))
+
+
+def _may_fork() -> bool:
+    """Whether a forked child may build cell duals beside this process:
+    os.fork exists, the process may run on at least two CPUs and it has one
+    thread, by the kernel's count where /proc has it, else by the threading
+    module's."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        import threading
+
+        return threading.active_count() == 1
+
+
+def _build_cell_duals(space: GlobalSpace) -> None:
+    """Fill the space's dual and div caches for every cell that lacks
+    either, on two CPUs when the process may use them.
+
+    Each cell's DoF system is unisolvent by itself, so its dual is an exact
+    computation that depends on no other cell.  Of the cells to fill, a
+    child forked here builds the second half while this process builds the
+    first; the child writes its entries as one marshal value to an unlinked
+    temporary file, read back in one read once the child is reaped.  Entries
+    already cached, planted ones included, are kept.  A cell whose DoF
+    matrix is singular raises the AssemblyError it raises in process: the
+    first such cell of this half here, after the child is killed and
+    reaped, else the child's first.  The split runs when os.fork exists,
+    the process may run on at least two CPUs, it has one thread and at
+    least two cells are to be filled; otherwise every cell is filled here.
+    """
+    cells = [ci for ci in range(len(space.cell_dofs)) if ci not in space._dual_cache or ci not in space._div_cache]
+    if len(cells) < 2 or not _may_fork():
+        _fill_cells(space, cells)
+        return
+    half = len(cells) // 2
+    with tempfile.TemporaryFile() as out:
+        pid = _fork(_dump_cells, space, cells[half:], out.fileno())
+        try:
+            _fill_cells(space, cells[:half])
+        except BaseException:
+            _reap(pid, kill=True)
+            raise
+        status = _reap(pid)
+        out.seek(0)
+        data = out.read()
+    if status != 0 or not data:
+        raise RuntimeError(f"the cell dual helper exited with status {status} and no result")
+    built = marshal.loads(data)
+    if isinstance(built, str):
+        raise AssemblyError(built)
+    duals, divs = built
+    space._dual_cache.update(duals)
+    space._div_cache.update(divs)
+
+
+# ---------------------------------------------------------------------------
 # assembled rows and conformity
 
 
@@ -384,6 +529,7 @@ def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> Che
     points provide a redundant sampled guard.
     """
     mesh = space.mesh
+    _build_cell_duals(space)
     rng = random.Random(seed)
     violations: list[dict] = []
     facets_checked = 0
@@ -503,6 +649,7 @@ def _div_onto_rank(space: GlobalSpace) -> int:
     projected on K_T (s_T K_T), and M is eliminated sparse.  The global
     rows are never formed.
     """
+    _build_cell_duals(space)
     interior_rank = 0
     shared: dict[int, dict[int, int]] = {}
     offset = 0
@@ -593,9 +740,11 @@ def _float_inputs(space: GlobalSpace):
     global indices of its other DoFs).  Cell c's record is (its volume as
     (numerator, denominator), its members' exponents β, their coefficients
     (_member_coefficients), its div rows and its dual coefficients), the
-    last three as integer rows over one denominator.  Each cell's record is
+    last three as integer rows over one denominator.  The cell duals and
+    div rows are built first (_build_cell_duals); each cell's record is
     collected when the iterator reaches it.
     """
+    _build_cell_duals(space)
     mesh = space.mesh
     n = mesh.dim
     splits = space.interior_split
@@ -849,20 +998,18 @@ def _float_infsup(layout, cells) -> tuple:
     return beta, int(eigs.size - kept.size), None
 
 
-def _serve(inputs_fd: int, reply_fd: int) -> NoReturn:
-    """The life of an InfsupWorker's child: import numpy, read the layout
-    and then one record per cell of its interior split with marshal.load,
-    each decoded when _cell_pencils reaches it, and write back
-    _float_infsup of them.  The parent streams the records while it builds
-    the cell duals, so the child builds each cell's pencil while the parent
-    builds the next dual, and condenses and solves after the last record.
-    It ends in os._exit, so none of the parent's cleanup runs twice, and
-    exits quietly (EOFError) when the pipe closes before every record
+def _serve(inputs_fd: int, reply_fd: int) -> None:
+    """The life of an InfsupWorker's child (_fork): import numpy, read the
+    layout and then one record per cell of its interior split with
+    marshal.load, each decoded when _cell_pencils reaches it, and write back
+    _float_infsup of them.  The parent streams the records once it has the
+    cell duals, so the child builds the pencils while the parent goes on
+    with its exact units, and condenses and solves after the last record.
+    It returns quietly (EOFError) when the pipe closes before every record
     arrived, as when the parent stops early."""
-    code = 1
-    try:
-        import numpy  # noqa: F401  (loaded while the parent runs the exact units)
+    import numpy  # noqa: F401  (loaded while the parent runs the exact units)
 
+    try:
         with open(inputs_fd, "rb") as inputs:
 
             def record():
@@ -872,18 +1019,10 @@ def _serve(inputs_fd: int, reply_fd: int) -> NoReturn:
 
             layout = record()
             reply = _float_infsup(layout, (record() for _ in layout[3]))
-        with open(reply_fd, "wb") as out:
-            out.write(marshal.dumps(reply))
-        code = 0
     except EOFError:
-        code = 0
-    except BaseException:  # whatever is raised, the child ends in os._exit
-        import traceback
-
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        os._exit(code)
+        return
+    with open(reply_fd, "wb") as out:
+        out.write(marshal.dumps(reply))
 
 
 # Bytes the records' pipe holds: every record of a 16-cell tetrahedral
@@ -897,14 +1036,13 @@ class InfsupWorker:
 
     Forked when a run starts, the child imports numpy while the parent
     runs the exact units, so the parent never loads numpy.  stream writes
-    the records of _float_inputs to a pipe, one value after another (each
-    as the bytes of its marshal.dumps), each cell's as soon as its dual is
-    built, so the child reduces the cells while the parent goes on with
-    its exact units.  reply returns the reply of _float_infsup, computed
-    there on exactly the inputs the parent would use.  The pipe is widened
-    to _PIPE_BYTES where fcntl.F_SETPIPE_SZ allows; elsewhere a full pipe
-    only makes the parent wait for the child.  The parent calls close on
-    every path.
+    the records of _float_inputs to a pipe in cell order, one value after
+    another (each as the bytes of its marshal.dumps), so the child reduces
+    the cells while the parent goes on with its exact units.  reply
+    returns the reply of _float_infsup, computed there on exactly the
+    inputs the parent would use.  The pipe is widened to _PIPE_BYTES where
+    fcntl.F_SETPIPE_SZ allows; elsewhere a full pipe only makes the parent
+    wait for the child.  The parent calls close on every path.
     """
 
     def __init__(self):
@@ -914,11 +1052,7 @@ class InfsupWorker:
             import fcntl
 
             fcntl.fcntl(inputs_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        self.pid = os.fork()
-        if self.pid == 0:
-            os.close(inputs_w)
-            os.close(reply_r)
-            _serve(inputs_r, reply_w)
+        self.pid = _fork(_serve, inputs_r, reply_w, close=(inputs_w, reply_r))
         os.close(inputs_r)
         os.close(reply_w)
         self._inputs = open(inputs_w, "wb")
@@ -928,10 +1062,9 @@ class InfsupWorker:
 
     def stream(self, space: GlobalSpace) -> None:
         """Send the records of _float_inputs(space), unless they have been
-        sent: the cell duals are built in cell order, and each cell's
-        record goes as soon as its dual exists.  The pipe is closed
-        afterwards on every path, so a child short of records exits rather
-        than wait."""
+        sent, once the cell duals are built (_build_cell_duals).  The pipe
+        is closed afterwards on every path, so a child short of records
+        exits rather than wait."""
         if self._streamed:
             return
         self._streamed = True
@@ -958,14 +1091,13 @@ class InfsupWorker:
     def close(self) -> None:
         """Stop the child, unless reply has reaped it, and reap it."""
         if self._status is None:
-            os.kill(self.pid, signal.SIGKILL)
-            self._reap()
+            self._reap(kill=True)
 
-    def _reap(self) -> int:
+    def _reap(self, kill: bool = False) -> int:
         with contextlib.suppress(BrokenPipeError):
             self._inputs.close()
         self._replies.close()
-        self._status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self._status = _reap(self.pid, kill)
         return self._status
 
 

@@ -2,12 +2,14 @@
 
 Every suite unit maps one parameter set to a list of check results.  The
 units of one run execute serially, in sorted name order, on one shared
-RunContext; only the float step of the inf-sup unit may run in a worker
-process forked when the run starts.  A report is one JSON object, built
-by build_report and read by render_json and render_csv; the JSON
-rendering is byte-stable for fixed inputs and seed (sorted keys,
-rationals as "p/q" strings, floats at 17 significant digits), so reports
-can be diffed in CI.  Wall-clock timings are the one volatile field;
+RunContext.  Two pieces of their work may run in other processes: the
+float step of the inf-sup unit, in a worker forked when the run starts,
+and half of the cell duals, in a child that assembly._build_cell_duals
+forks while this process builds the other half.  A report is one JSON
+object, built by build_report and read by render_json and render_csv;
+the JSON rendering is byte-stable for fixed inputs and seed (sorted
+keys, rationals as "p/q" strings, floats at 17 significant digits), so
+reports can be diffed in CI.  Wall-clock timings are the one volatile field;
 consumers comparing runs should drop the timings object first.
 """
 
@@ -64,11 +66,12 @@ class CaseParams(NamedTuple):
 class RunContext(Record, namedtuple("RunContext", "params mesh worker", defaults=(None, None))):
     """What the units of one run share: the mesh, resolved and validated
     once, and one assembled space, so each cell DoF matrix is built and
-    inverted once.  params is the CaseParams; without a mesh the context
-    resolves params.mesh itself.  worker is the run's InfsupWorker, or None
-    to compute the inf-sup constant in this process; with a worker, the
-    first unit that needs the cell duals builds them through
-    stream_float_records."""
+    inverted once, by this process or by the child that
+    assembly._build_cell_duals forks for half of the cells.  params is the
+    CaseParams; without a mesh the context resolves params.mesh itself.
+    worker is the run's InfsupWorker, or None to compute the inf-sup
+    constant in this process; with a worker, the first unit that needs the
+    cell duals builds them through stream_float_records."""
 
     @cached_property
     def space(self) -> GlobalSpace:
@@ -77,10 +80,10 @@ class RunContext(Record, namedtuple("RunContext", "params mesh worker", defaults
         return assemble(mesh, p.family, p.degree, p.continuity_order)
 
     def stream_float_records(self) -> None:
-        """With a worker, build the cell duals and div rows in cell order
-        and send each cell's float record as soon as its dual exists, once
-        per run, so the worker reduces while this process runs the exact
-        units; without one, do nothing."""
+        """With a worker, build the cell duals and div rows and send the
+        float records in cell order, once per run, so the worker reduces
+        while this process runs the exact units; without one, do
+        nothing."""
         if self.worker is not None:
             self.worker.stream(self.space)
 
@@ -213,8 +216,8 @@ def run_units(names: list[str], p: CaseParams, mesh: Mesh | None = None) -> tupl
     When the units include infsup and numpy is not loaded yet, an
     InfsupWorker is forked before the first unit, so that numpy loads in
     it while the exact units run here.  The first of conformity and infsup
-    streams it the cell records as it builds the duals, and it reduces them
-    while the later units run; it is reaped on every path.
+    builds the cell duals and streams it the cell records, and it reduces
+    them while the later units run; it is reaped on every path.
     """
     checks: list[CheckResult] = []
     timings: dict[str, int] = {}

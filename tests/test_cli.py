@@ -308,22 +308,30 @@ def test_jobs_flag_takes_only_one_worker(tmp_path, argv):
     assert not (tmp_path / "two.json").exists()
 
 
-def _counting(calls: Counter, name, fn):
+def _counting(log: Path, name: str, fn):
+    """fn, appending its name to log on each call: a child that a run forks
+    to build cell duals appends too, so every call is counted once."""
+
     def wrapper(*args, **kwargs):
-        calls[name] += 1
+        with open(log, "a") as out:
+            out.write(name + "\n")
         return fn(*args, **kwargs)
 
     return wrapper
+
+
+def _calls(log: Path) -> Counter:
+    return Counter(log.read_text().split()) if log.exists() else Counter()
 
 
 def test_all_suite_shares_mesh_space_and_cell_duals(tmp_path, capsys, monkeypatch):
     path = tmp_path / "criss_cross.json"
     criss_cross = builtin_mesh("criss_cross")
     save_mesh(criss_cross, path)
-    calls: Counter = Counter()
+    log = tmp_path / "calls.log"
 
     def counted(name, fn):
-        return _counting(calls, name, fn)
+        return _counting(log, name, fn)
 
     monkeypatch.setattr(report, "assemble", counted("assemble", report.assemble))
     for module, fn in [(dofs, "dof_matrix"), (assembly, "dof_matrix"), (mesh, "validate_mesh")]:
@@ -332,6 +340,7 @@ def test_all_suite_shares_mesh_space_and_cell_duals(tmp_path, capsys, monkeypatc
         capsys, ["all", "--family", "face", "--degree", "2", "--mesh", str(path)]
     )
     assert code == 0
+    calls = _calls(log)
     assert calls["assemble"] == 1
     # one DoF matrix per cell, plus the reference cell of the unisolvence unit
     assert calls["dof_matrix"] == len(criss_cross.cells) + 1
@@ -339,14 +348,15 @@ def test_all_suite_shares_mesh_space_and_cell_duals(tmp_path, capsys, monkeypatc
     assert calls["validate_mesh"] == 1
 
 
-def test_infsup_builds_cell_div_rows_once_per_cell(capsys, monkeypatch):
-    calls: Counter = Counter()
-    monkeypatch.setattr(assembly, "div_rows", _counting(calls, "div_rows", assembly.div_rows))
-    monkeypatch.setattr(spaces, "div_row", _counting(calls, "div_row", spaces.div_row))
+def test_infsup_builds_cell_div_rows_once_per_cell(tmp_path, capsys, monkeypatch):
+    log = tmp_path / "calls.log"
+    monkeypatch.setattr(assembly, "div_rows", _counting(log, "div_rows", assembly.div_rows))
+    monkeypatch.setattr(spaces, "div_row", _counting(log, "div_row", spaces.div_row))
     code, _ = run_json(
         capsys, ["infsup", "--family", "traceless", "--degree", "2", "--mesh", "criss_cross"]
     )
     assert code == 0
+    calls = _calls(log)
     cells = len(builtin_mesh("criss_cross").cells)
     # inf-sup and div-onto share the (rows, denominator) of each cell
     assert calls["div_rows"] == cells
@@ -485,11 +495,7 @@ def test_worker_exits_quietly_on_a_cut_stream(cut):
         "    data += marshal.dumps(marshal.dumps(first)) + marshal.dumps(marshal.dumps(second))[:-5]\n"
         "inputs_r, inputs_w = os.pipe()\n"
         "reply_r, reply_w = os.pipe()\n"
-        "pid = os.fork()\n"
-        "if pid == 0:\n"
-        "    os.close(inputs_w)\n"
-        "    os.close(reply_r)\n"
-        "    assembly._serve(inputs_r, reply_w)\n"
+        "pid = assembly._fork(assembly._serve, inputs_r, reply_w, close=(inputs_w, reply_r))\n"
         "os.close(inputs_r)\n"
         "os.close(reply_w)\n"
         "with open(inputs_w, 'wb') as out:\n"
@@ -503,6 +509,148 @@ def test_worker_exits_quietly_on_a_cut_stream(cut):
     proc = _run_script(script, STRICT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+# Helpers of the scripts below.  on_cpus sets the CPUs that
+# assembly._build_cell_duals sees; it forks a child to build half of the
+# cell duals when it sees two.  builders() returns, and forgets, the pid of
+# every DoF matrix build since its last call.  repeat_interior gives one
+# cell two equal interior functionals, so its DoF matrix is singular.
+SPLIT_PRELUDE = """
+import atexit, marshal, os, tempfile, time
+from hdiv_geodecomp import assembly, report
+from hdiv_geodecomp.mesh import resolve_mesh
+def on_cpus(*cpus):
+    os.sched_getaffinity = lambda pid: set(cpus)
+fd, BUILDERS = tempfile.mkstemp()
+os.close(fd)
+atexit.register(os.remove, BUILDERS)
+dof_matrix = assembly.dof_matrix
+def logged_dof_matrix(*args):
+    with open(BUILDERS, 'a') as log:
+        log.write(f'{os.getpid()}\\n')
+    return dof_matrix(*args)
+assembly.dof_matrix = logged_dof_matrix
+def builders():
+    with open(BUILDERS, 'r+') as log:
+        pids = [int(line) for line in log]
+        log.truncate(0)
+    return pids
+def repeat_interior(space, victim):
+    functionals = space.cell_dofs[victim].functionals
+    dofs = list(space.cell_dofs)
+    dofs[victim] = dofs[victim]._replace(functionals=functionals[:-1] + functionals[-2:-1])
+    return space._replace(cell_dofs=tuple(dofs))
+def no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError('a child process is left')
+"""
+
+# A cell dual helper that sleeps past _run_script's timeout.
+SLEEPING_HELPER = "assembly._dump_cells = lambda *args: time.sleep(150)"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("refine(two_tets)", "traceless", 2, 0), ("criss_cross", "symmetric", 3, 0), ("refine(criss_cross)", "face", 2, -1)],
+    ids=["traceless_refine_two_tets", "symmetric_criss_cross", "face_refine_criss_cross"],
+)
+def test_cell_duals_built_on_two_cpus_equal_the_in_process_ones(case):
+    script = SPLIT_PRELUDE + (
+        f"mesh, family, degree, k = {case!r}\n"
+        "def filled(*cpus):\n"
+        "    on_cpus(*cpus)\n"
+        "    space = assembly.assemble(resolve_mesh(mesh), family, degree, k)\n"
+        "    assembly._build_cell_duals(space)\n"
+        "    layout, cells = assembly._float_inputs(space)\n"
+        "    return space, [marshal.dumps(record) for record in (layout, *cells)]\n"
+        "alone, alone_records = filled(0)\n"
+        "assert set(builders()) == {os.getpid()}\n"
+        "split, split_records = filled(0, 1)\n"
+        "pids = builders()\n"
+        "ncells = len(split.cell_dofs)\n"
+        "# This process builds half of the cells, rounded down, a child the rest.\n"
+        "assert sorted(map(pids.count, set(pids))) == [ncells // 2, ncells - ncells // 2], pids\n"
+        "assert pids.count(os.getpid()) == ncells // 2, pids\n"
+        "assert len(split._dual_cache) == len(split._div_cache) == ncells\n"
+        "assert split._dual_cache == alone._dual_cache\n"
+        "assert split._div_cache == alone._div_cache\n"
+        "# The inf-sup worker's records, byte for byte.\n"
+        "assert split_records == alone_records\n"
+        "no_child_left()\n"
+    )
+    proc = _run_script(script, STRICT)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cell_duals_built_on_two_cpus_keep_planted_entries():
+    # As the 'cut' control does: a cached entry is never built again.
+    script = SPLIT_PRELUDE + (
+        "on_cpus(0, 1)\n"
+        "alone = assembly.assemble(resolve_mesh('criss_cross'), 'face', 2, -1)\n"
+        "space = alone._replace()\n"
+        "div0, dual3 = ([[1]], 1), ([[2]], 3)\n"
+        "space._div_cache[0] = div0\n"
+        "space._dual_cache[3] = dual3\n"
+        "assembly._build_cell_duals(space)\n"
+        "assert space._div_cache[0] is div0 and space._dual_cache[3] is dual3\n"
+        "pids = builders()\n"
+        "assert len(pids) == 3 and len(set(pids)) == 2, pids\n"
+        "on_cpus(0)\n"
+        "assembly._build_cell_duals(alone)\n"
+        "assert {**alone._div_cache, 0: div0} == space._div_cache\n"
+        "assert {**alone._dual_cache, 3: dual3} == space._dual_cache\n"
+    )
+    proc = _run_script(script, STRICT)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("victim", [3, 0], ids=["child_half", "parent_half"])
+def test_cell_duals_on_two_cpus_raise_the_in_process_error(victim):
+    # criss_cross has four cells: this process builds cells 0 and 1, the
+    # child 2 and 3.  With the singular cell in this process's half, the
+    # child sleeps past _run_script's timeout, so only a kill ends it in time.
+    script = SPLIT_PRELUDE + (
+        f"victim = {victim}\n"
+        "def message(*cpus):\n"
+        "    on_cpus(*cpus)\n"
+        "    space = repeat_interior(assembly.assemble(resolve_mesh('criss_cross'), 'face', 2, -1), victim)\n"
+        "    try:\n"
+        "        assembly._build_cell_duals(space)\n"
+        "    except assembly.AssemblyError as exc:\n"
+        "        return str(exc)\n"
+        "    raise AssertionError('no error')\n"
+        "expected = message(0)\n"
+        "assert expected.startswith('cell (') and 'has a singular DoF matrix' in expected, expected\n"
+        "if victim < 2:\n"
+        f"    {SLEEPING_HELPER}\n"
+        "assert message(0, 1) == expected\n"
+        "no_child_left()\n"
+    )
+    proc = _run_script(script, STRICT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_a_forked_child_moves_off_its_parents_cpu_once(monkeypatch):
+    moves = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: moves.append(set(cpus)), raising=False)
+    assembly._start_elsewhere(1)
+    # Moved off CPU 1, then allowed every CPU again.
+    assert moves == [{0, 2}, {0, 1, 2}]
+    moves.clear()
+    assembly._start_elsewhere(None)
+    assembly._start_elsewhere(3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    assembly._start_elsewhere(1)
+    assert moves == []
+    monkeypatch.undo()
+    if os.path.exists("/proc/self/stat"):
+        assert assembly._this_cpu() in os.sched_getaffinity(0)
 
 
 def _no_child_left_script(out, setup: str, code: int) -> str:
@@ -553,6 +701,17 @@ report.UNITS['conformity'] = cut_conformity
 """
 
 
+def _singular_cell(victim: int, helper: str = "") -> str:
+    """Set-up of a run whose space has a singular DoF matrix in cell victim,
+    built on two CPUs."""
+    return SPLIT_PRELUDE + (
+        "on_cpus(0, 1)\n"
+        "assemble = report.assemble\n"
+        f"report.assemble = lambda *args: repeat_interior(assemble(*args), {victim})\n"
+        f"{helper}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "setup,code,message",
     [
@@ -564,8 +723,21 @@ report.UNITS['conformity'] = cut_conformity
         # computing the constant again in-process.
         ("assembly._float_infsup = lambda *records: os._exit(5)", 3, "inf-sup worker exited with status 5"),
         (DIES_MID_STREAM, 3, "inf-sup worker exited with status 5"),
+        # A cell of the cell dual helper's half is singular: its error ends
+        # the run.  One of this process's half is: the helper, which sleeps
+        # past the timeout, is killed and reaped.
+        (_singular_cell(3), 3, "cell (2, 3, 4) has a singular DoF matrix"),
+        (_singular_cell(0, SLEEPING_HELPER), 3, "cell (0, 1, 4) has a singular DoF matrix"),
     ],
-    ids=["passing", "unit_raises", "unit_raises_after_stream", "worker_crashes", "worker_dies_mid_stream"],
+    ids=[
+        "passing",
+        "unit_raises",
+        "unit_raises_after_stream",
+        "worker_crashes",
+        "worker_dies_mid_stream",
+        "singular_cell_in_helper_half",
+        "singular_cell_in_parent_half",
+    ],
 )
 def test_cli_leaves_no_child_process(tmp_path, setup, code, message):
     proc = _run_script(_no_child_left_script(tmp_path / "r.json", setup, code), STRICT)
