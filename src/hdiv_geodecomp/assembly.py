@@ -18,7 +18,6 @@ import os
 import random
 import signal
 import sys
-import tempfile
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property, partial
@@ -289,39 +288,104 @@ def _start_elsewhere(parent_cpu: int | None) -> None:
         os.sched_setaffinity(0, allowed)
 
 
-def _fork(body, *args, close: tuple[int, ...] = ()) -> int:
-    """Fork a child that starts on another CPU than this process's
-    (_start_elsewhere), closes the descriptors in close, runs body(*args)
-    and ends in os._exit, so none of the parent's cleanup runs twice: with
-    status 0 when body returns, else 1 after printing the traceback of what
-    it raised.  Returns the child's pid; the parent reaps it with _reap on
-    every path."""
-    cpu = _this_cpu()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
+# Bytes the inputs pipe of a _Child holds: every inf-sup record of a
+# 16-cell tetrahedral mesh (about 700 KB), so the parent streams them
+# without waiting while the worker is still importing numpy.  1 MiB is
+# Linux's default pipe-max-size.
+_PIPE_BYTES = 1 << 20
+
+
+class _Child:
+    """A forked child that runs body(inputs, *args) and sends back what it
+    returns.
+
+    The child starts on another CPU than this process's (_start_elsewhere).
+    inputs is a binary file of the values send writes, each read with
+    marshal.loads(marshal.load(inputs)); the pipe is widened to _PIPE_BYTES
+    where fcntl.F_SETPIPE_SZ allows.  The body's return value comes back as
+    one marshal value on a second pipe once the body is done.  The child
+    ends in os._exit, so none of the parent's cleanup runs twice: with
+    status 0 when the body returns or reads past the end of its inputs (an
+    EOFError, after which nothing is sent back), else 1 after printing the
+    traceback of what it raised.  The parent calls close on every path.
+    """
+
+    def __init__(self, name: str, body, *args):
+        self.name = name
+        self.status: int | None = None
+        inputs_r, inputs_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        with contextlib.suppress(ImportError, AttributeError, OSError):
+            import fcntl
+
+            fcntl.fcntl(inputs_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        cpu = _this_cpu()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                _start_elsewhere(cpu)
+                os.close(inputs_w)
+                os.close(reply_r)
+                with open(inputs_r, "rb") as inputs:
+                    reply = body(inputs, *args)
+                with open(reply_w, "wb") as out:
+                    out.write(marshal.dumps(reply))
+                code = 0
+            except EOFError:
+                code = 0
+            except BaseException:  # whatever is raised, the child ends in os._exit
+                import traceback
+
+                traceback.print_exc()
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
+        os.close(inputs_r)
+        os.close(reply_w)
+        self._inputs = open(inputs_w, "wb")
+        self._reply = open(reply_r, "rb")
+
+    def send(self, values) -> None:
+        """Write each of values to the child, then close the inputs, so a
+        body short of values reads EOFError; once they are closed, do
+        nothing.  Values the child no longer reads are dropped; result
+        reports its status."""
+        if self._inputs.closed:
+            return
         try:
-            _start_elsewhere(cpu)
-            for fd in close:
-                os.close(fd)
-            body(*args)
-            code = 0
-        except BaseException:  # whatever is raised, the child ends in os._exit
-            import traceback
-
-            traceback.print_exc()
-            sys.stderr.flush()
+            for value in values:
+                marshal.dump(marshal.dumps(value), self._inputs)
+                self._inputs.flush()
+        except BrokenPipeError:
+            pass
         finally:
-            os._exit(code)
-    return pid
+            self._close_inputs()
 
+    def result(self):
+        """The body's return value, once the child is reaped.  A child that
+        exits without one raises RuntimeError."""
+        self._close_inputs()
+        data = self._reply.read()
+        self._wait()
+        if self.status != 0 or not data:
+            raise RuntimeError(f"the {self.name} exited with status {self.status} and no result")
+        return marshal.loads(data)
 
-def _reap(pid: int, kill: bool = False) -> int:
-    """Wait for a child of _fork, sent SIGKILL first when kill is set, and
-    return its exit code."""
-    if kill:
-        os.kill(pid, signal.SIGKILL)
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    def close(self) -> None:
+        """Kill and reap the child, unless result has reaped it."""
+        if self.status is None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._wait()
+
+    def _close_inputs(self) -> None:
+        with contextlib.suppress(BrokenPipeError):
+            self._inputs.close()
+
+    def _wait(self) -> None:
+        self._close_inputs()
+        self._reply.close()
+        self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
 def _fill_cells(space: GlobalSpace, cells) -> tuple[dict, dict]:
@@ -336,24 +400,20 @@ def _fill_cells(space: GlobalSpace, cells) -> tuple[dict, dict]:
     return duals, divs
 
 
-def _dump_cells(space: GlobalSpace, cells, fd: int) -> None:
-    """The life of _build_cell_duals' child: write to fd, as one
-    marshal.dumps value, the entries _fill_cells builds, or the text of the
-    AssemblyError it raises."""
+def _helper_entries(inputs, space: GlobalSpace, cells):
+    """The body of _build_cell_duals' child: the entries _fill_cells
+    builds, or the text of the AssemblyError it raises."""
     try:
-        built = _fill_cells(space, cells)
+        return _fill_cells(space, cells)
     except AssemblyError as exc:
-        built = str(exc)
-    with open(fd, "wb", closefd=False) as out:
-        out.write(marshal.dumps(built))
+        return str(exc)
 
 
 def _may_fork() -> bool:
-    """Whether a forked child may build cell duals beside this process:
-    os.fork exists, the process may run on at least two CPUs and it has one
-    thread, by the kernel's count where /proc has it, else by the threading
-    module's."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or len(os.sched_getaffinity(0)) < 2:
+    """Whether this process may fork a _Child: os.fork exists and the
+    process has one thread, by the kernel's count where /proc has it, else
+    by the threading module's."""
+    if not hasattr(os, "fork"):
         return False
     try:
         return len(os.listdir("/proc/self/task")) == 1
@@ -369,34 +429,27 @@ def _build_cell_duals(space: GlobalSpace) -> None:
 
     Each cell's DoF system is unisolvent by itself, so its dual is an exact
     computation that depends on no other cell.  Of the cells to fill, a
-    child forked here builds the second half while this process builds the
-    first; the child writes its entries as one marshal value to an unlinked
-    temporary file, read back in one read once the child is reaped.  Entries
-    already cached, planted ones included, are kept.  A cell whose DoF
-    matrix is singular raises the AssemblyError it raises in process: the
-    first such cell of this half here, after the child is killed and
-    reaped, else the child's first.  The split runs when os.fork exists,
-    the process may run on at least two CPUs, it has one thread and at
-    least two cells are to be filled; otherwise every cell is filled here.
+    _Child forked here builds the second half (_helper_entries) while this
+    process builds the first.  Entries already cached, planted ones
+    included, are kept.  A cell whose DoF matrix is singular raises the
+    AssemblyError it raises in process: the first such cell of this half
+    here, after the child is killed and reaped, else the child's first.
+    The split runs when _may_fork holds, the process may run on at least
+    two CPUs and at least two cells are to be filled; otherwise every cell
+    is filled here.
     """
     cells = [ci for ci in range(len(space.cell_dofs)) if ci not in space._dual_cache or ci not in space._div_cache]
-    if len(cells) < 2 or not _may_fork():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if len(cells) < 2 or cpus < 2 or not _may_fork():
         _fill_cells(space, cells)
         return
     half = len(cells) // 2
-    with tempfile.TemporaryFile() as out:
-        pid = _fork(_dump_cells, space, cells[half:], out.fileno())
-        try:
-            _fill_cells(space, cells[:half])
-        except BaseException:
-            _reap(pid, kill=True)
-            raise
-        status = _reap(pid)
-        out.seek(0)
-        data = out.read()
-    if status != 0 or not data:
-        raise RuntimeError(f"the cell dual helper exited with status {status} and no result")
-    built = marshal.loads(data)
+    helper = _Child("cell dual helper", _helper_entries, space, cells[half:])
+    try:
+        _fill_cells(space, cells[:half])
+        built = helper.result()
+    finally:
+        helper.close()
     if isinstance(built, str):
         raise AssemblyError(built)
     duals, divs = built
@@ -998,110 +1051,41 @@ def _float_infsup(layout, cells) -> tuple:
     return beta, int(eigs.size - kept.size), None
 
 
-def _serve(inputs_fd: int, reply_fd: int) -> None:
-    """The life of an InfsupWorker's child (_fork): import numpy, read the
-    layout and then one record per cell of its interior split with
-    marshal.load, each decoded when _cell_pencils reaches it, and write back
-    _float_infsup of them.  The parent streams the records once it has the
-    cell duals, so the child builds the pencils while the parent goes on
-    with its exact units, and condenses and solves after the last record.
-    It returns quietly (EOFError) when the pipe closes before every record
-    arrived, as when the parent stops early."""
+def _serve(inputs) -> tuple:
+    """The body of the inf-sup worker (infsup_worker): import numpy, read
+    the layout and then one record per cell of its interior split, each
+    decoded when _cell_pencils reaches it, and return _float_infsup of
+    them.  The parent sends the records once it has the cell duals, so the
+    child builds the pencils while the parent goes on with its exact units,
+    and condenses and solves after the last record."""
     import numpy  # noqa: F401  (loaded while the parent runs the exact units)
 
-    try:
-        with open(inputs_fd, "rb") as inputs:
+    def record():
+        # The bytes of a record's marshal.dumps come in one read;
+        # marshal.load of the record itself reads item by item.
+        return marshal.loads(marshal.load(inputs))
 
-            def record():
-                # The bytes of a record's marshal.dumps come in one read;
-                # marshal.load of the record itself reads item by item.
-                return marshal.loads(marshal.load(inputs))
-
-            layout = record()
-            reply = _float_infsup(layout, (record() for _ in layout[3]))
-    except EOFError:
-        return
-    with open(reply_fd, "wb") as out:
-        out.write(marshal.dumps(reply))
+    layout = record()
+    return _float_infsup(layout, (record() for _ in layout[3]))
 
 
-# Bytes the records' pipe holds: every record of a 16-cell tetrahedral
-# mesh (about 700 KB), so the parent streams them without waiting while the
-# child is still importing numpy.  1 MiB is Linux's default pipe-max-size.
-_PIPE_BYTES = 1 << 20
+def infsup_worker() -> _Child | None:
+    """A _Child running _serve, forked so that numpy loads in it while this
+    process runs the exact units; None, to run the float step here, when
+    this process may not fork (_may_fork) or has loaded numpy already."""
+    if "numpy" in sys.modules or not _may_fork():
+        return None
+    return _Child("inf-sup worker", _serve)
 
 
-class InfsupWorker:
-    """A forked child that runs the float step of one inf-sup constant.
-
-    Forked when a run starts, the child imports numpy while the parent
-    runs the exact units, so the parent never loads numpy.  stream writes
-    the records of _float_inputs to a pipe in cell order, one value after
-    another (each as the bytes of its marshal.dumps), so the child reduces
-    the cells while the parent goes on with its exact units.  reply
-    returns the reply of _float_infsup, computed there on exactly the
-    inputs the parent would use.  The pipe is widened to _PIPE_BYTES where
-    fcntl.F_SETPIPE_SZ allows; elsewhere a full pipe only makes the parent
-    wait for the child.  The parent calls close on every path.
-    """
-
-    def __init__(self):
-        inputs_r, inputs_w = os.pipe()
-        reply_r, reply_w = os.pipe()
-        with contextlib.suppress(ImportError, AttributeError, OSError):
-            import fcntl
-
-            fcntl.fcntl(inputs_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        self.pid = _fork(_serve, inputs_r, reply_w, close=(inputs_w, reply_r))
-        os.close(inputs_r)
-        os.close(reply_w)
-        self._inputs = open(inputs_w, "wb")
-        self._replies = open(reply_r, "rb")
-        self._streamed = False
-        self._status: int | None = None
-
-    def stream(self, space: GlobalSpace) -> None:
-        """Send the records of _float_inputs(space), unless they have been
-        sent, once the cell duals are built (_build_cell_duals).  The pipe
-        is closed afterwards on every path, so a child short of records
-        exits rather than wait."""
-        if self._streamed:
-            return
-        self._streamed = True
-        try:
-            layout, cells = _float_inputs(space)
-            for record in chain((layout,), cells):
-                marshal.dump(marshal.dumps(record), self._inputs)
-                self._inputs.flush()
-        except BrokenPipeError:
-            pass  # the child stopped reading; reply reports its exit status
-        finally:
-            with contextlib.suppress(BrokenPipeError):
-                self._inputs.close()
-
-    def reply(self) -> tuple:
-        """_float_infsup of the streamed records, computed in the child.  A
-        child that exits without a reply raises RuntimeError."""
-        reply = self._replies.read()
-        status = self._reap()
-        if status != 0 or not reply:
-            raise RuntimeError(f"the inf-sup worker exited with status {status} and no result")
-        return marshal.loads(reply)
-
-    def close(self) -> None:
-        """Stop the child, unless reply has reaped it, and reap it."""
-        if self._status is None:
-            self._reap(kill=True)
-
-    def _reap(self, kill: bool = False) -> int:
-        with contextlib.suppress(BrokenPipeError):
-            self._inputs.close()
-        self._replies.close()
-        self._status = _reap(self.pid, kill)
-        return self._status
+def send_float_inputs(worker: _Child, space: GlobalSpace) -> None:
+    """Send the worker the records of _float_inputs(space) in cell order,
+    unless they have been sent; the cell duals are built first."""
+    layout, cells = _float_inputs(space)
+    worker.send(chain((layout,), cells))
 
 
-def infsup_constant(space: GlobalSpace, worker: InfsupWorker | None = None) -> CheckResult:
+def infsup_constant(space: GlobalSpace, worker: _Child | None = None) -> CheckResult:
     """Discrete inf-sup constant of the div pairing, floating point.
 
     beta^2 is the smallest eigenvalue of the pencil (C V^-1 C^T, Q), with V
@@ -1124,8 +1108,8 @@ def infsup_constant(space: GlobalSpace, worker: InfsupWorker | None = None) -> C
     if worker is None:
         beta, discarded, error = _float_infsup(*_float_inputs(space))
     else:
-        worker.stream(space)
-        beta, discarded, error = worker.reply()
+        send_float_inputs(worker, space)
+        beta, discarded, error = worker.result()
     if error is not None:
         return CheckResult(name, FAIL, {"error": f"singular mass matrix: {error}"})
     if space.degree < threshold:

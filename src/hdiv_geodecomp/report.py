@@ -2,14 +2,14 @@
 
 Every suite unit maps one parameter set to a list of check results.  The
 units of one run execute serially, in sorted name order, on one shared
-RunContext.  Two pieces of their work may run in other processes: the
-float step of the inf-sup unit, in a worker forked when the run starts,
-and half of the cell duals, in a child that assembly._build_cell_duals
-forks while this process builds the other half.  A report is one JSON
-object, built by build_report and read by render_json and render_csv;
-the JSON rendering is byte-stable for fixed inputs and seed (sorted
-keys, rationals as "p/q" strings, floats at 17 significant digits), so
-reports can be diffed in CI.  Wall-clock timings are the one volatile field;
+RunContext.  Two pieces of their work may run in forked children of one
+kind (assembly._Child): the float step of the inf-sup unit, in a worker
+forked when the run starts, and half of the cell duals, in a helper that
+assembly._build_cell_duals forks while this process builds the other
+half.  A report is one JSON object, built by build_report and read by
+render_json and render_csv; the JSON rendering is byte-stable for fixed
+inputs and seed (sorted keys, rationals as "p/q" strings, floats at 17
+significant digits), so reports can be diffed in CI.  Wall-clock timings are the one volatile field;
 consumers comparing runs should drop the timings object first.
 """
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import sys
 import tempfile
 import time
 from collections import Counter, namedtuple
@@ -29,12 +28,13 @@ from typing import NamedTuple
 from . import bernstein as bn
 from .assembly import (
     GlobalSpace,
-    InfsupWorker,
     assemble,
     check_conformity,
     check_dims,
     check_div_onto,
     infsup_constant,
+    infsup_worker,
+    send_float_inputs,
 )
 from .checks import FAIL, PASS, CheckResult
 from .dofs import certify_unisolvence
@@ -66,12 +66,13 @@ class CaseParams(NamedTuple):
 class RunContext(Record, namedtuple("RunContext", "params mesh worker", defaults=(None, None))):
     """What the units of one run share: the mesh, resolved and validated
     once, and one assembled space, so each cell DoF matrix is built and
-    inverted once, by this process or by the child that
+    inverted once, by this process or by the helper that
     assembly._build_cell_duals forks for half of the cells.  params is the
     CaseParams; without a mesh the context resolves params.mesh itself.
-    worker is the run's InfsupWorker, or None to compute the inf-sup
-    constant in this process; with a worker, the first unit that needs the
-    cell duals builds them through stream_float_records."""
+    worker is the run's inf-sup worker (assembly.infsup_worker), or None to
+    compute the inf-sup constant in this process; with a worker, the first
+    unit that needs the cell duals builds them through
+    stream_float_records."""
 
     @cached_property
     def space(self) -> GlobalSpace:
@@ -85,7 +86,7 @@ class RunContext(Record, namedtuple("RunContext", "params mesh worker", defaults
         while this process runs the exact units; without one, do
         nothing."""
         if self.worker is not None:
-            self.worker.stream(self.space)
+            send_float_inputs(self.worker, self.space)
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +214,18 @@ def run_units(names: list[str], p: CaseParams, mesh: Mesh | None = None) -> tupl
 
     Shared work is charged to the first unit that needs it.  Each unit is
     looked up in UNITS when it runs, so a wrapper put there is called.
-    When the units include infsup and numpy is not loaded yet, an
-    InfsupWorker is forked before the first unit, so that numpy loads in
-    it while the exact units run here.  The first of conformity and infsup
-    builds the cell duals and streams it the cell records, and it reduces
-    them while the later units run; it is reaped on every path.
+    When the units include infsup, the inf-sup worker is forked before the
+    first unit, so that numpy loads in it while the exact units run here,
+    unless this process may not fork or has loaded numpy already
+    (assembly.infsup_worker).  The first of conformity and infsup builds
+    the cell duals and sends it the cell records, and it reduces them while
+    the later units run; it is reaped on every path.
     """
     checks: list[CheckResult] = []
     timings: dict[str, int] = {}
     names = sorted(set(names))
     t0 = time.perf_counter()
-    fork = "infsup" in names and "numpy" not in sys.modules and hasattr(os, "fork")
-    worker = InfsupWorker() if fork else None
+    worker = infsup_worker() if "infsup" in names else None
     try:
         run = RunContext(p, mesh, worker)
         for name in names:

@@ -425,7 +425,7 @@ def test_infsup_worker_and_in_process_results_are_equal(tmp_path):
     script = (
         "import json, sys\n"
         "from hdiv_geodecomp import assembly, cli, report\n"
-        "from hdiv_geodecomp.assembly import InfsupWorker, assemble, infsup_constant\n"
+        "from hdiv_geodecomp.assembly import assemble, infsup_constant\n"
         "from hdiv_geodecomp.mesh import resolve_mesh\n"
         "def refined():\n"
         "    return assemble(resolve_mesh('refine(two_tets)'), 'traceless', 2, 0)\n"
@@ -449,7 +449,7 @@ def test_infsup_worker_and_in_process_results_are_equal(tmp_path):
         "    assembly._coeff_pair_matrix = zeroed if name == 'singular' else true_pairs\n"
         "    if not forked:\n"
         "        return infsup_constant(cases[name]())\n"
-        "    worker = InfsupWorker()\n"
+        "    worker = assembly._Child('inf-sup worker', assembly._serve)\n"
         "    try:\n"
         "        return infsup_constant(cases[name](), worker)\n"
         "    finally:\n"
@@ -484,7 +484,7 @@ def test_worker_exits_quietly_on_a_cut_stream(cut):
     # The parent stopped before every record arrived: the child exits 0
     # and writes no reply.
     script = (
-        "import marshal, os\n"
+        "import marshal\n"
         "from hdiv_geodecomp import assembly\n"
         "from hdiv_geodecomp.mesh import resolve_mesh\n"
         "space = assembly.assemble(resolve_mesh('criss_cross'), 'face', 2, -1)\n"
@@ -493,18 +493,17 @@ def test_worker_exits_quietly_on_a_cut_stream(cut):
         f"if {cut!r} == 'inside_second_cell':\n"
         "    first, second = next(cells), next(cells)\n"
         "    data += marshal.dumps(marshal.dumps(first)) + marshal.dumps(marshal.dumps(second))[:-5]\n"
-        "inputs_r, inputs_w = os.pipe()\n"
-        "reply_r, reply_w = os.pipe()\n"
-        "pid = assembly._fork(assembly._serve, inputs_r, reply_w, close=(inputs_w, reply_r))\n"
-        "os.close(inputs_r)\n"
-        "os.close(reply_w)\n"
-        "with open(inputs_w, 'wb') as out:\n"
-        "    out.write(data)\n"
-        "with open(reply_r, 'rb') as replies:\n"
-        "    reply = replies.read()\n"
-        "status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])\n"
+        "worker = assembly._Child('inf-sup worker', assembly._serve)\n"
+        "try:\n"
+        "    worker._inputs.write(data)\n"
+        "    worker.result()\n"
+        "except RuntimeError as exc:\n"
+        "    message = str(exc)\n"
+        "finally:\n"
+        "    worker.close()\n"
         "assert len(layout[3]) > 2\n"
-        "assert (status, reply) == (0, b''), (status, reply)\n"
+        "assert worker.status == 0, worker.status\n"
+        "assert message == 'the inf-sup worker exited with status 0 and no result', message\n"
     )
     proc = _run_script(script, STRICT)
     assert proc.returncode == 0, proc.stderr
@@ -550,7 +549,7 @@ def no_child_left():
 """
 
 # A cell dual helper that sleeps past _run_script's timeout.
-SLEEPING_HELPER = "assembly._dump_cells = lambda *args: time.sleep(150)"
+SLEEPING_HELPER = "assembly._helper_entries = lambda *args: time.sleep(150)"
 
 
 @pytest.mark.parametrize(
@@ -651,6 +650,116 @@ def test_a_forked_child_moves_off_its_parents_cpu_once(monkeypatch):
     monkeypatch.undo()
     if os.path.exists("/proc/self/stat"):
         assert assembly._this_cpu() in os.sched_getaffinity(0)
+
+
+# Each case runs assembly._Child directly and expects what the child's
+# stderr should hold: a raising body prints its traceback there.
+CHILD_CASES = {
+    "result_over_one_mebibyte": ("""
+def counted(inputs, step):
+    return list(range(0, marshal.loads(marshal.load(inputs)), step))
+child = assembly._Child('counter', counted, 1)
+try:
+    child.send([300_000])
+    result = child.result()
+finally:
+    child.close()
+assert len(marshal.dumps(result)) > 1 << 20
+assert result == list(range(300_000)) and child.status == 0
+""", ""),
+    "raising_body": ("""
+def raises(inputs):
+    raise ValueError('planted')
+child = assembly._Child('raiser', raises)
+try:
+    child.result()
+except RuntimeError as exc:
+    assert str(exc) == 'the raiser exited with status 1 and no result', exc
+else:
+    raise AssertionError('no error')
+finally:
+    child.close()
+""", "ValueError: planted"),
+    "close_kills_a_sleeping_child": ("""
+child = assembly._Child('sleeper', lambda inputs: time.sleep(150))
+start = time.monotonic()
+child.close()
+assert child.status == -signal.SIGKILL and time.monotonic() - start < 60, child.status
+""", ""),
+    "close_after_result_does_nothing": ("""
+child = assembly._Child('adder', lambda inputs, a, b: a + b, 2, 3)
+try:
+    assert child.result() == 5
+finally:
+    child.close()
+assert child.status == 0
+child.close()
+assert child.status == 0
+""", ""),
+    "inputs_cut_short": ("""
+def pair(inputs):
+    return [marshal.loads(marshal.load(inputs)) for _ in range(2)]
+child = assembly._Child('reader', pair)
+try:
+    child.send([1])
+    child.result()
+except RuntimeError as exc:
+    assert str(exc) == 'the reader exited with status 0 and no result', exc
+else:
+    raise AssertionError('no error')
+finally:
+    child.close()
+""", ""),
+}
+
+
+@pytest.mark.parametrize("case", list(CHILD_CASES))
+def test_forked_child(case):
+    body, stderr = CHILD_CASES[case]
+    script = SPLIT_PRELUDE + "import signal\n" + body + "no_child_left()\n"
+    proc = _run_script(script, STRICT)
+    assert proc.returncode == 0, proc.stderr
+    if stderr:
+        assert stderr in proc.stderr, proc.stderr
+    else:
+        assert proc.stderr == ""
+
+
+def test_a_live_thread_keeps_every_step_in_process(tmp_path):
+    # Forking a process that has threads can deadlock the child: with a
+    # second thread alive neither the inf-sup worker nor the cell dual
+    # helper is forked, numpy loads here, and the report is the forked one.
+    script = (
+        "import json, os, sys, threading\n"
+        "from hdiv_geodecomp import cli\n"
+        "argv = ['infsup', '--family', 'face', '--degree', '2', '--mesh', 'criss_cross']\n"
+        "def checks(name):\n"
+        f"    out = os.path.join({str(tmp_path)!r}, name)\n"
+        "    assert cli.run(argv + ['--out', out]) == 0\n"
+        "    with open(out) as report:\n"
+        "        return json.load(report)['checks']\n"
+        "forked = checks('forked.json')\n"
+        "assert 'numpy' not in sys.modules\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "def counted_fork():\n"
+        "    forks.append(None)\n"
+        "    return fork()\n"
+        "os.fork = counted_fork\n"
+        "stop = threading.Event()\n"
+        "thread = threading.Thread(target=stop.wait)\n"
+        "thread.start()\n"
+        "try:\n"
+        "    alone = checks('alone.json')\n"
+        "finally:\n"
+        "    stop.set()\n"
+        "    thread.join()\n"
+        "assert not forks, f'forked {len(forks)} children with a live thread'\n"
+        "assert 'numpy' in sys.modules, 'the float step ran in a child'\n"
+        "assert alone == forked, (alone, forked)\n"
+    )
+    proc = _run_script(script, STRICT)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _no_child_left_script(out, setup: str, code: int) -> str:
