@@ -56,8 +56,9 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
 
     keys[g] is the hashable identity of global DoF g; local_to_global[c][i]
     is the global index of cell c's i-th functional; cell_dofs[c] is cell
-    c's DoFSet.  Cell dual bases and cell div rows are computed on demand
-    and cached per instance, outside the fields.
+    c's DoFSet.  Each cell's dual basis and div rows are built together on
+    demand and kept per instance, outside the fields, as one entry of
+    _dual_cache: the pair (dual_coefficients, div_rows).
     """
 
     @property
@@ -66,10 +67,6 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
 
     @cached_property
     def _dual_cache(self) -> dict:
-        return {}
-
-    @cached_property
-    def _div_cache(self) -> dict:
         return {}
 
     @cached_property
@@ -115,10 +112,11 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
 
         The matrix is block lower-triangular over its site blocks, so the
         inverse is one small inverse per site plus block forward substitution.
+        A miss builds the cell's div rows too and keeps both in one entry.
         """
         hit = self._dual_cache.get(cell_index)
         if hit is not None:
-            return hit
+            return hit[0]
         dofs = self.cell_dofs[cell_index]
         basis = self.cell_basis(cell_index)
         mat = dof_matrix(dofs, basis)
@@ -131,17 +129,15 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
             inv = linalg.invert_block_lower(mat, blocks)
         except linalg.SingularMatrixError as exc:
             raise AssemblyError(f"cell {cell} has a singular DoF matrix: {exc}") from exc
-        self._dual_cache[cell_index] = inv
+        self._dual_cache[cell_index] = inv, div_rows(basis, self.mesh.cell_simplices[cell_index])
         return inv
 
     def div_rows(self, cell_index: int) -> tuple[list[list[int]], int]:
         """Per member of the cell basis, its div over the degree r-1 lattice,
-        component fastest: integer rows over one denominator."""
-        hit = self._div_cache.get(cell_index)
-        if hit is None:
-            simplex = self.mesh.cell_simplices[cell_index]
-            hit = self._div_cache[cell_index] = div_rows(self.cell_basis(cell_index), simplex)
-        return hit
+        component fastest: integer rows over one denominator, from the cell's entry."""
+        if cell_index not in self._dual_cache:
+            self.dual_coefficients(cell_index)
+        return self._dual_cache[cell_index][1]
 
 
 def _weight_alpha(functional) -> tuple[int, ...]:
@@ -288,10 +284,11 @@ def _start_elsewhere(parent_cpu: int | None) -> None:
         os.sched_setaffinity(0, allowed)
 
 
-# Bytes the inputs pipe of a _Child holds: every inf-sup record of a
-# 16-cell tetrahedral mesh (about 700 KB), so the parent streams them
-# without waiting while the worker is still importing numpy.  1 MiB is
-# Linux's default pipe-max-size.
+# Bytes the inputs pipe of a _Child holds, 1 MiB (Linux's pipe-max-size):
+# every inf-sup record of refine(two_tets) traceless r=2 (695 KB).  The
+# worker reads a record when _cell_pencils reaches it (17-21 ms for the 16
+# in process), so at the default 64 KiB send waits for it: 17-28 ms against
+# 4-5 ms widened, the worker idle on the other of two Xeon vCPUs.
 _PIPE_BYTES = 1 << 20
 
 
@@ -307,7 +304,8 @@ class _Child:
     ends in os._exit, so none of the parent's cleanup runs twice: with
     status 0 when the body returns or reads past the end of its inputs (an
     EOFError, after which nothing is sent back), else 1 after printing the
-    traceback of what it raised.  The parent calls close on every path.
+    traceback of what it raised.  If os.fork raises, the pipes are closed
+    first; else the parent calls close on every path.
     """
 
     def __init__(self, name: str, body, *args):
@@ -320,7 +318,12 @@ class _Child:
 
             fcntl.fcntl(inputs_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         cpu = _this_cpu()
-        self.pid = os.fork()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (inputs_r, inputs_w, reply_r, reply_w):
+                os.close(fd)
+            raise
         if self.pid == 0:
             code = 1
             try:
@@ -388,16 +391,11 @@ class _Child:
         self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
-def _fill_cells(space: GlobalSpace, cells) -> tuple[dict, dict]:
-    """Build the dual coefficients and the div rows that the space's caches
-    lack for the given cells, in cell order; return the entries built."""
-    duals, divs = {}, {}
+def _fill_cells(space: GlobalSpace, cells) -> dict:
+    """Build the given cells' entries, in cell order; return them."""
     for ci in cells:
-        if ci not in space._dual_cache:
-            duals[ci] = space.dual_coefficients(ci)
-        if ci not in space._div_cache:
-            divs[ci] = space.div_rows(ci)
-    return duals, divs
+        space.dual_coefficients(ci)
+    return {ci: space._dual_cache[ci] for ci in cells}
 
 
 def _helper_entries(inputs, space: GlobalSpace, cells):
@@ -424,13 +422,13 @@ def _may_fork() -> bool:
 
 
 def _build_cell_duals(space: GlobalSpace) -> None:
-    """Fill the space's dual and div caches for every cell that lacks
-    either, on two CPUs when the process may use them.
+    """Fill the space's entry, dual and div rows, for every cell that lacks
+    one, on two CPUs when the process may use them.
 
-    Each cell's DoF system is unisolvent by itself, so its dual is an exact
-    computation that depends on no other cell.  Of the cells to fill, a
-    _Child forked here builds the second half (_helper_entries) while this
-    process builds the first.  Entries already cached, planted ones
+    Each cell's DoF system is unisolvent by itself, so its entry is an
+    exact computation that depends on no other cell.  Of the cells to fill,
+    a _Child forked here builds the second half (_helper_entries) while
+    this process builds the first.  Entries already cached, planted ones
     included, are kept.  A cell whose DoF matrix is singular raises the
     AssemblyError it raises in process: the first such cell of this half
     here, after the child is killed and reaped, else the child's first.
@@ -438,7 +436,7 @@ def _build_cell_duals(space: GlobalSpace) -> None:
     two CPUs and at least two cells are to be filled; otherwise every cell
     is filled here.
     """
-    cells = [ci for ci in range(len(space.cell_dofs)) if ci not in space._dual_cache or ci not in space._div_cache]
+    cells = [ci for ci in range(len(space.cell_dofs)) if ci not in space._dual_cache]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if len(cells) < 2 or cpus < 2 or not _may_fork():
         _fill_cells(space, cells)
@@ -452,9 +450,7 @@ def _build_cell_duals(space: GlobalSpace) -> None:
         helper.close()
     if isinstance(built, str):
         raise AssemblyError(built)
-    duals, divs = built
-    space._dual_cache.update(duals)
-    space._div_cache.update(divs)
+    space._dual_cache.update(built)
 
 
 # ---------------------------------------------------------------------------
@@ -772,14 +768,6 @@ def _float_rows(ints, den):
     return np.array([[x / den for x in row] for row in ints])
 
 
-def _member_coefficients(members) -> tuple[list[list[int]], int]:
-    """Each member's flattened coefficient as an integer row, all over one
-    least denominator."""
-    ints, den = linalg.integer_form(x for m in members for x in tensors.flatten(m.coeff))
-    size = len(ints) // len(members)
-    return [ints[i:i + size] for i in range(0, len(ints), size)], den
-
-
 def _coeff_pair_matrix(coefficients):
     arr = _float_rows(*coefficients)
     return arr @ arr.T
@@ -791,11 +779,12 @@ def _float_inputs(space: GlobalSpace):
 
     The layout is (n, r, div width, space.interior_split, and per cell the
     global indices of its other DoFs).  Cell c's record is (its volume as
-    (numerator, denominator), its members' exponents β, their coefficients
-    (_member_coefficients), its div rows and its dual coefficients), the
-    last three as integer rows over one denominator.  The cell duals and
-    div rows are built first (_build_cell_duals); each cell's record is
-    collected when the iterator reaches it.
+    (numerator, denominator), its members' exponents β, their flattened
+    coefficients (the basis's integer coefficients, each member's by its
+    id), its div rows and its dual coefficients), the last three as integer
+    rows over one denominator.  The cell entries are built first
+    (_build_cell_duals); each cell's record is collected when the iterator
+    reaches it.
     """
     _build_cell_duals(space)
     mesh = space.mesh
@@ -806,11 +795,12 @@ def _float_inputs(space: GlobalSpace):
     def cells():
         for ci in range(len(mesh.cells)):
             vol = mesh.cell_simplices[ci].volume()
-            members = space.cell_basis(ci).members
+            basis = space.cell_basis(ci)
+            values, ids, den = basis.coefficients
             yield (
                 (vol.numerator, vol.denominator),
-                [m.beta for m in members],
-                _member_coefficients(members),
+                [m.beta for m in basis.members],
+                ([list(tensors.flatten(values[i])) for i in ids], den),
                 space.div_rows(ci),
                 space.dual_coefficients(ci),
             )
@@ -976,6 +966,8 @@ def _envelope_cholesky_solve(rows, cell_mats, rhs, top) -> None:
     blk = p // nb
     pos = offsets[blk] + (p - blk * nb) * widths[blk] + q - c0[blk]
     envelope = np.bincount(pos, weights=cell_mats[lower], minlength=int(offsets[-1]))
+    # Free the dead index arrays before the block loop, where the worker peaks.
+    del p, q, lower, blk, pos
 
     def block(I):
         return envelope[offsets[I]:offsets[I + 1]].reshape(bounds[I + 1] - bounds[I], widths[I])

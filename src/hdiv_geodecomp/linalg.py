@@ -28,6 +28,12 @@ solve_many and invert follow it with one back pass, _back_substitute, and
 read their results in integers: the kernel vectors, whose basis (and so
 the frame and quotient directions built from it) is fixed by that pivot
 order, and the solution rows, which do not depend on it.
+
+det keeps its own Bareiss elimination, dividing exactly by the previous
+pivot: _echelon_int divides each updated row by its content, so its pivots
+do not multiply to the determinant that Simplex needs exactly, for its
+degeneracy test and for volume.  One routine could serve both once an
+elimination tracks its row scales, as site-block determinants would.
 """
 
 from __future__ import annotations

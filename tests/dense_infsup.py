@@ -9,18 +9,29 @@ memory grows as dim_v^2, so it suits meshes of tens of cells.
 
 from __future__ import annotations
 
-from math import sqrt
+from fractions import Fraction
+from math import lcm, sqrt
 
 import numpy as np
 
 from hdiv_geodecomp import bernstein as bn
+from hdiv_geodecomp import tensors
 from hdiv_geodecomp.assembly import (
     KERNEL_THRESHOLD,
     GlobalSpace,
     _coeff_pair_matrix,
-    _member_coefficients,
     _moment_gram,
 )
+
+
+def member_coefficients(members) -> tuple[list[list[int]], int]:
+    """Each member's flattened coefficient, read as Fractions, as an
+    integer row, all over one least denominator: the reference for the
+    member coefficients of the float records, which the package reads from
+    the basis's integer coefficients instead."""
+    rows = [[Fraction(x) for x in tensors.flatten(m.coeff)] for m in members]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows], den
 
 
 def cell_pencil(space: GlobalSpace, ci: int):
@@ -36,7 +47,7 @@ def cell_pencil(space: GlobalSpace, ci: int):
     vol = float(mesh.cell_simplices[ci].volume())
     members = space.cell_basis(ci).members
     at = [positions[m.beta] for m in members]
-    gram_val = _coeff_pair_matrix(_member_coefficients(members)) * w_val[np.ix_(at, at)]
+    gram_val = _coeff_pair_matrix(member_coefficients(members)) * w_val[np.ix_(at, at)]
     rows, den = space.div_rows(ci)
     ndiv = np.array([[x / den for x in row] for row in rows])
     ndiv = ndiv.reshape(len(members), qlat, width)

@@ -434,7 +434,7 @@ def test_infsup_worker_and_in_process_results_are_equal(tmp_path):
         "def cut():\n"
         "    space = assemble(resolve_mesh('two_tets'), 'traceless', 2, 0)\n"
         "    rows, den = space.div_rows(0)\n"
-        "    space._div_cache[0] = ([[0] + row[1:] for row in rows], den)\n"
+        "    space._dual_cache[0] = space.dual_coefficients(0), ([[0] + row[1:] for row in rows], den)\n"
         "    return space\n"
         "true_pairs = assembly._coeff_pair_matrix\n"
         "calls = []\n"
@@ -574,9 +574,8 @@ def test_cell_duals_built_on_two_cpus_equal_the_in_process_ones(case):
         "# This process builds half of the cells, rounded down, a child the rest.\n"
         "assert sorted(map(pids.count, set(pids))) == [ncells // 2, ncells - ncells // 2], pids\n"
         "assert pids.count(os.getpid()) == ncells // 2, pids\n"
-        "assert len(split._dual_cache) == len(split._div_cache) == ncells\n"
+        "assert len(split._dual_cache) == ncells\n"
         "assert split._dual_cache == alone._dual_cache\n"
-        "assert split._div_cache == alone._div_cache\n"
         "# The inf-sup worker's records, byte for byte.\n"
         "assert split_records == alone_records\n"
         "no_child_left()\n"
@@ -591,17 +590,17 @@ def test_cell_duals_built_on_two_cpus_keep_planted_entries():
         "on_cpus(0, 1)\n"
         "alone = assembly.assemble(resolve_mesh('criss_cross'), 'face', 2, -1)\n"
         "space = alone._replace()\n"
-        "div0, dual3 = ([[1]], 1), ([[2]], 3)\n"
-        "space._div_cache[0] = div0\n"
-        "space._dual_cache[3] = dual3\n"
+        "entry0, entry3 = (([[2]], 3), ([[1]], 1)), (([[5]], 7), ([[4]], 1))\n"
+        "space._dual_cache[0] = entry0\n"
+        "space._dual_cache[3] = entry3\n"
         "assembly._build_cell_duals(space)\n"
-        "assert space._div_cache[0] is div0 and space._dual_cache[3] is dual3\n"
+        "assert space._dual_cache[0] is entry0 and space._dual_cache[3] is entry3\n"
+        "# Cells 1 and 2 are built, one in this process and one in the child.\n"
         "pids = builders()\n"
-        "assert len(pids) == 3 and len(set(pids)) == 2, pids\n"
+        "assert len(pids) == 2 and len(set(pids)) == 2, pids\n"
         "on_cpus(0)\n"
         "assembly._build_cell_duals(alone)\n"
-        "assert {**alone._div_cache, 0: div0} == space._div_cache\n"
-        "assert {**alone._dual_cache, 3: dual3} == space._dual_cache\n"
+        "assert {**alone._dual_cache, 0: entry0, 3: entry3} == space._dual_cache\n"
     )
     proc = _run_script(script, STRICT)
     assert proc.returncode == 0, proc.stderr
@@ -725,6 +724,32 @@ def test_forked_child(case):
         assert proc.stderr == ""
 
 
+def test_a_failed_fork_closes_the_childs_pipes(monkeypatch):
+    # os.fork raises BlockingIOError when no process can be made: the four
+    # pipe ends made for the child are closed before the error propagates.
+    made = []
+    pipe = os.pipe
+
+    def recorded_pipe():
+        ends = pipe()
+        made.extend(ends)
+        return ends
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", no_fork)
+    for _ in range(3):
+        with pytest.raises(BlockingIOError):
+            assembly._Child("inf-sup worker", assembly._serve)
+    monkeypatch.undo()
+    assert len(made) == 12
+    for fd in set(made):
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
 def test_a_live_thread_keeps_every_step_in_process(tmp_path):
     # Forking a process that has threads can deadlock the child: with a
     # second thread alive neither the inf-sup worker nor the cell dual
@@ -789,18 +814,18 @@ report.UNITS['dims'] = broken
 """
 
 # The worker exits on the first cell record while the parent waits, before
-# it builds the second one, so the parent's next write meets a closed pipe
-# and the stream stops there; the run then fails at infsup.
+# it reads the second record's div rows, so the parent's next write meets a
+# closed pipe and the stream stops there; the run then fails at infsup.
 DIES_MID_STREAM = """
 assembly._coeff_pair_matrix = lambda coefficients: os._exit(5)
-member_coefficients = assembly._member_coefficients
+div_rows = assembly.GlobalSpace.div_rows
 built = []
-def second_after_exit(members):
+def second_after_exit(space, cell_index):
     built.append(None)
     if len(built) == 2:
         os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
-    return member_coefficients(members)
-assembly._member_coefficients = second_after_exit
+    return div_rows(space, cell_index)
+assembly.GlobalSpace.div_rows = second_after_exit
 conformity = report.UNITS['conformity']
 def cut_conformity(run):
     checks = conformity(run)

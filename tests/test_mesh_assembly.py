@@ -47,11 +47,11 @@ from hdiv_geodecomp.mesh import (
     save_mesh,
 )
 from hdiv_geodecomp.simplex import build_frame, enumerate_subsimplices, reference_simplex
-from hdiv_geodecomp.spaces import Family, decompose, site_rows
+from hdiv_geodecomp.spaces import Family, decompose, div_rows, site_rows
 
 from conftest import rational_rows
 from dense_div_onto import dense_div_onto_rank, dense_div_onto_rows
-from dense_infsup import cell_pencil, dense_infsup
+from dense_infsup import cell_pencil, dense_infsup, member_coefficients
 
 
 # ---------------------------------------------------------------- meshes
@@ -480,7 +480,7 @@ def test_dual_coefficients_invert_the_dof_matrix():
     for ci in range(2):
         mat = dof_matrix(space.cell_dofs[ci], space.cell_basis(ci))
         dual, d = space.dual_coefficients(ci)
-        assert space.dual_coefficients(ci) is space._dual_cache[ci]
+        assert space.dual_coefficients(ci) is space._dual_cache[ci][0]
         assert all(type(x) is int for row in dual for x in row)
         assert d > 0 and gcd(d, *(x for row in dual for x in row)) == 1
         n = len(mat)
@@ -726,12 +726,13 @@ def test_row_kernels_build_no_fractions_once_the_duals_are_cached(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    for ci in range(len(space.mesh.cells)):
-        space.div_rows(ci)
+    # The cached div rows were built with the duals; build them again here.
+    cells = range(len(space.mesh.cells))
+    rebuilt = [div_rows(space.cell_basis(ci), space.mesh.cell_simplices[ci]) for ci in cells]
     for _, site, contraction in statements:
         assembly._shared_site_rows(space, site, contraction)
     monkeypatch.undo()
-    assert len(space._div_cache) == len(space.mesh.cells)
+    assert rebuilt == [space.div_rows(ci) for ci in cells]
     assert {kind for kind, _, _ in statements} == {"normal_trace", "value_at_vertex"}
     assert built["Fraction"] == 0
 
@@ -820,16 +821,22 @@ def test_div_onto_at_threshold_degrees():
         assert res.witness["deficit"] == 0
 
 
+def _plant_div_rows(space: GlobalSpace, cell: int, rows, den: int) -> None:
+    """Plant the cell's cache entry with its true dual and the given div
+    rows, so every later reader of div_rows sees them."""
+    space._dual_cache[cell] = space.dual_coefficients(cell), (rows, den)
+
+
 def _zero_div_columns(space: GlobalSpace, cell: int, columns) -> None:
     """Zero target columns of one cell's member div rows in the space's
-    cache, so every later reader of div_rows sees them cut."""
+    cache."""
     rows, den = space.div_rows(cell)
-    space._div_cache[cell] = ([[0 if j in columns else x for j, x in enumerate(row)] for row in rows], den)
+    _plant_div_rows(space, cell, [[0 if j in columns else x for j, x in enumerate(row)] for row in rows], den)
 
 
 def _zero_div_members(space: GlobalSpace, cell: int, members) -> None:
     rows, den = space.div_rows(cell)
-    space._div_cache[cell] = ([[0] * len(row) if j in members else row for j, row in enumerate(rows)], den)
+    _plant_div_rows(space, cell, [[0] * len(row) if j in members else row for j, row in enumerate(rows)], den)
 
 
 def test_div_onto_rank_drops_by_one_per_zeroed_target_column():
@@ -972,6 +979,24 @@ def test_infsup_condensed_solve_matches_the_dense_pencil(name, family, degree, k
     assert res.witness["beta"] == pytest.approx(beta, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize(
+    "name,family,degree,k",
+    [("criss_cross", "face", 2, -1), ("refine(two_tets)", "traceless", 2, 0), ("two_triangles", "symmetric", 3, 0)],
+    ids=["criss_cross-face-2--1", "refine_two_tets-traceless-2-0", "two_triangles-symmetric-3-0"],
+)
+def test_float_records_carry_the_fraction_member_coefficients(name, family, degree, k):
+    # The records read each member's coefficient from the basis's integer
+    # table by its id; the reference reads every member's Fractions.
+    space = assemble(resolve_mesh(name), family, degree, k)
+    _, cells = assembly._float_inputs(space)
+    records = list(cells)
+    assert len(records) == len(space.mesh.cells)
+    for ci, (_, betas, coefficients, _, _) in enumerate(records):
+        members = space.cell_basis(ci).members
+        assert betas == [m.beta for m in members]
+        assert coefficients == member_coefficients(members), ci
+
+
 @pytest.mark.parametrize("name,family,degree,k", [("criss_cross", "face", 2, -1), ("two_tets", "traceless", 2, 0)])
 def test_cell_pencils_are_the_local_products_in_interior_first_order(name, family, degree, k):
     # Reordering indexes the finished products, so every entry is the one
@@ -1045,7 +1070,7 @@ def test_infsup_discards_one_kernel_mode_per_zeroed_target_column(name, family, 
     # Cell 0's div image misses its first `cut` target coordinates, so the
     # coupling loses `cut` ranks and the pencil gains `cut` zero eigenvalues.
     rows, den = space.div_rows(0)
-    space._div_cache[0] = ([[0] * cut + row[cut:] for row in rows], den)
+    _plant_div_rows(space, 0, [[0] * cut + row[cut:] for row in rows], den)
     res = infsup_constant(space)
     assert res.status == FAIL
     beta, discarded = dense_infsup(space)
