@@ -293,45 +293,76 @@ _PIPE_BYTES = 1 << 20
 
 
 class _Child:
-    """A forked child that runs body(inputs, *args) and sends back what it
+    """A forked child that runs body(values, *args) and sends back what it
     returns.
 
-    The child starts on another CPU than this process's (_start_elsewhere).
-    inputs is a binary file of the values send writes, each read with
-    marshal.loads(marshal.load(inputs)); the pipe is widened to _PIPE_BYTES
-    where fcntl.F_SETPIPE_SZ allows.  The body's return value comes back as
-    one marshal value on a second pipe once the body is done.  The child
-    ends in os._exit, so none of the parent's cleanup runs twice: with
-    status 0 when the body returns or reads past the end of its inputs (an
-    EOFError, after which nothing is sent back), else 1 after printing the
-    traceback of what it raised.  If os.fork raises, the pipes are closed
-    first; else the parent calls close on every path.
+    start is the one way the package starts a child process.  values is an
+    endless iterator of the values send writes, each decoded when the body
+    reads it; reading past the last one raises EOFError.  On the pipe each
+    value is the bytes of its marshal.dumps, which marshal.load reads in
+    one call; the pipe is widened to _PIPE_BYTES where fcntl.F_SETPIPE_SZ
+    allows.  The child starts on another CPU than this process's
+    (_start_elsewhere).  The body's return value comes back as one marshal
+    value on a second pipe once the body is done.  The child ends in
+    os._exit, so none of the parent's cleanup runs twice: with status 0
+    when the body returns or reads past its last value (an EOFError, after
+    which nothing is sent back), else 1 after printing the traceback of
+    what it raised.  The parent calls close on every path.
     """
 
-    def __init__(self, name: str, body, *args):
+    def __init__(self, name: str, pid: int, inputs: int, reply: int):
         self.name = name
+        self.pid = pid
         self.status: int | None = None
-        inputs_r, inputs_w = os.pipe()
-        reply_r, reply_w = os.pipe()
-        with contextlib.suppress(ImportError, AttributeError, OSError):
-            import fcntl
+        self._inputs = open(inputs, "wb")
+        self._reply = open(reply, "rb")
 
-            fcntl.fcntl(inputs_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        cpu = _this_cpu()
+    @classmethod
+    def start(cls, name: str, body, *args) -> _Child | None:
+        """A child running body, or None, for the caller to do the work in
+        process, when this process may not fork: os.fork is missing,
+        another thread is alive (by the kernel's count where /proc has it,
+        else by the threading module's), since a child forked beside a
+        thread can deadlock, or os.pipe or os.fork raises OSError, as when
+        no process can be made; the pipe ends opened by then are closed."""
+        if not hasattr(os, "fork"):
+            return None
         try:
-            self.pid = os.fork()
-        except BaseException:
-            for fd in (inputs_r, inputs_w, reply_r, reply_w):
-                os.close(fd)
-            raise
-        if self.pid == 0:
+            threads = len(os.listdir("/proc/self/task"))
+        except OSError:
+            import threading
+
+            threads = threading.active_count()
+        if threads != 1:
+            return None
+        fds = []
+        pid = None
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            with contextlib.suppress(ImportError, AttributeError, OSError):
+                import fcntl
+
+                fcntl.fcntl(fds[1], fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            cpu = _this_cpu()
+            pid = os.fork()
+        except OSError:
+            return None
+        finally:
+            if pid is None:
+                for fd in fds:
+                    os.close(fd)
+        inputs_r, inputs_w, reply_r, reply_w = fds
+        if pid == 0:
             code = 1
             try:
                 _start_elsewhere(cpu)
                 os.close(inputs_w)
                 os.close(reply_r)
                 with open(inputs_r, "rb") as inputs:
-                    reply = body(inputs, *args)
+                    # marshal.load returns bytes, never None: an endless
+                    # iterator that raises EOFError past the last value.
+                    reply = body(map(marshal.loads, iter(partial(marshal.load, inputs), None)), *args)
                 with open(reply_w, "wb") as out:
                     out.write(marshal.dumps(reply))
                 code = 0
@@ -346,16 +377,12 @@ class _Child:
                 os._exit(code)
         os.close(inputs_r)
         os.close(reply_w)
-        self._inputs = open(inputs_w, "wb")
-        self._reply = open(reply_r, "rb")
+        return cls(name, pid, inputs_w, reply_r)
 
     def send(self, values) -> None:
         """Write each of values to the child, then close the inputs, so a
-        body short of values reads EOFError; once they are closed, do
-        nothing.  Values the child no longer reads are dropped; result
-        reports its status."""
-        if self._inputs.closed:
-            return
+        body short of values reads EOFError.  Values the child no longer
+        reads are dropped; result reports its status."""
         try:
             for value in values:
                 marshal.dump(marshal.dumps(value), self._inputs)
@@ -398,27 +425,13 @@ def _fill_cells(space: GlobalSpace, cells) -> dict:
     return {ci: space._dual_cache[ci] for ci in cells}
 
 
-def _helper_entries(inputs, space: GlobalSpace, cells):
+def _helper_entries(values, space: GlobalSpace, cells):
     """The body of _build_cell_duals' child: the entries _fill_cells
     builds, or the text of the AssemblyError it raises."""
     try:
         return _fill_cells(space, cells)
     except AssemblyError as exc:
         return str(exc)
-
-
-def _may_fork() -> bool:
-    """Whether this process may fork a _Child: os.fork exists and the
-    process has one thread, by the kernel's count where /proc has it, else
-    by the threading module's."""
-    if not hasattr(os, "fork"):
-        return False
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        import threading
-
-        return threading.active_count() == 1
 
 
 def _build_cell_duals(space: GlobalSpace) -> None:
@@ -432,17 +445,17 @@ def _build_cell_duals(space: GlobalSpace) -> None:
     included, are kept.  A cell whose DoF matrix is singular raises the
     AssemblyError it raises in process: the first such cell of this half
     here, after the child is killed and reaped, else the child's first.
-    The split runs when _may_fork holds, the process may run on at least
-    two CPUs and at least two cells are to be filled; otherwise every cell
-    is filled here.
+    The split runs when the process may run on at least two CPUs, at least
+    two cells are to be filled and _Child.start forks the helper; otherwise
+    every cell is filled here.
     """
     cells = [ci for ci in range(len(space.cell_dofs)) if ci not in space._dual_cache]
+    half = len(cells) // 2
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if len(cells) < 2 or cpus < 2 or not _may_fork():
+    helper = _Child.start("cell dual helper", _helper_entries, space, cells[half:]) if half and cpus > 1 else None
+    if helper is None:
         _fill_cells(space, cells)
         return
-    half = len(cells) // 2
-    helper = _Child("cell dual helper", _helper_entries, space, cells[half:])
     try:
         _fill_cells(space, cells[:half])
         built = helper.result()
@@ -1043,41 +1056,20 @@ def _float_infsup(layout, cells) -> tuple:
     return beta, int(eigs.size - kept.size), None
 
 
-def _serve(inputs) -> tuple:
-    """The body of the inf-sup worker (infsup_worker): import numpy, read
-    the layout and then one record per cell of its interior split, each
-    decoded when _cell_pencils reaches it, and return _float_infsup of
-    them.  The parent sends the records once it has the cell duals, so the
-    child builds the pencils while the parent goes on with its exact units,
-    and condenses and solves after the last record."""
+def _serve(values) -> tuple:
+    """The body of the inf-sup worker that report.run_units starts: import
+    numpy, read the layout and then one record per cell of its interior
+    split, each decoded when _cell_pencils reaches it, and return
+    _float_infsup of them.  The parent sends the records once it has built
+    every cell entry; the worker condenses and solves after the last one
+    while the parent runs its later exact units."""
     import numpy  # noqa: F401  (loaded while the parent runs the exact units)
 
-    def record():
-        # The bytes of a record's marshal.dumps come in one read;
-        # marshal.load of the record itself reads item by item.
-        return marshal.loads(marshal.load(inputs))
-
-    layout = record()
-    return _float_infsup(layout, (record() for _ in layout[3]))
+    layout = next(values)
+    return _float_infsup(layout, (next(values) for _ in layout[3]))
 
 
-def infsup_worker() -> _Child | None:
-    """A _Child running _serve, forked so that numpy loads in it while this
-    process runs the exact units; None, to run the float step here, when
-    this process may not fork (_may_fork) or has loaded numpy already."""
-    if "numpy" in sys.modules or not _may_fork():
-        return None
-    return _Child("inf-sup worker", _serve)
-
-
-def send_float_inputs(worker: _Child, space: GlobalSpace) -> None:
-    """Send the worker the records of _float_inputs(space) in cell order,
-    unless they have been sent; the cell duals are built first."""
-    layout, cells = _float_inputs(space)
-    worker.send(chain((layout,), cells))
-
-
-def infsup_constant(space: GlobalSpace, worker: _Child | None = None) -> CheckResult:
+def infsup_constant(space: GlobalSpace, reply: tuple | None = None) -> CheckResult:
     """Discrete inf-sup constant of the div pairing, floating point.
 
     beta^2 is the smallest eigenvalue of the pencil (C V^-1 C^T, Q), with V
@@ -1090,18 +1082,15 @@ def infsup_constant(space: GlobalSpace, worker: _Child | None = None) -> CheckRe
     as a dense dim_v x dim_v solve (see _condensed_schur).
     Eigenvalues under KERNEL_THRESHOLD are discarded and counted, since
     none are expected at or above the degree threshold.  The exact inputs
-    are collected here without numpy (_float_inputs); the float step
-    (_float_infsup) runs in the worker when one is given, on the records
-    it streamed earlier or streams now, else here, where numpy is imported
-    on its first use.
+    are collected without numpy (_float_inputs).  reply is the triple
+    (beta, discarded, error) of the float step (_float_infsup) as the
+    inf-sup worker computed it on those records; without one, as when no
+    worker could be forked, the step runs here, where numpy is imported on
+    its first use.
     """
     name = f"infsup[{space.label}]"
     threshold = space.family.div_onto_min_degree(space.mesh.dim, space.continuity_order)
-    if worker is None:
-        beta, discarded, error = _float_infsup(*_float_inputs(space))
-    else:
-        send_float_inputs(worker, space)
-        beta, discarded, error = worker.result()
+    beta, discarded, error = reply if reply is not None else _float_infsup(*_float_inputs(space))
     if error is not None:
         return CheckResult(name, FAIL, {"error": f"singular mass matrix: {error}"})
     if space.degree < threshold:

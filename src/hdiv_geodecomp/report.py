@@ -2,15 +2,17 @@
 
 Every suite unit maps one parameter set to a list of check results.  The
 units of one run execute serially, in sorted name order, on one shared
-RunContext.  Two pieces of their work may run in forked children of one
-kind (assembly._Child): the float step of the inf-sup unit, in a worker
-forked when the run starts, and half of the cell duals, in a helper that
-assembly._build_cell_duals forks while this process builds the other
-half.  A report is one JSON object, built by build_report and read by
-render_json and render_csv; the JSON rendering is byte-stable for fixed
-inputs and seed (sorted keys, rationals as "p/q" strings, floats at 17
-significant digits), so reports can be diffed in CI.  Wall-clock timings are the one volatile field;
-consumers comparing runs should drop the timings object first.
+RunContext.  Two pieces of their work may run in forked children, both
+started by assembly._Child.start: the float step of the inf-sup unit, in
+a worker that run_units starts when the run starts, and half of the cell
+duals, in a helper that assembly._build_cell_duals starts while this
+process builds the other half.  Where a child cannot be started, its
+work runs in this process with the same result.  A report is one JSON
+object, built by build_report and read by render_json and render_csv;
+the JSON rendering is byte-stable for fixed inputs and seed (sorted
+keys, rationals as "p/q" strings, floats at 17 significant digits), so
+reports can be diffed in CI.  Wall-clock timings are the one volatile
+field; consumers comparing runs should drop the timings object first.
 """
 
 from __future__ import annotations
@@ -18,27 +20,30 @@ from __future__ import annotations
 import io
 import json
 import os
+import sys
 import tempfile
 import time
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 from . import bernstein as bn
 from .assembly import (
     GlobalSpace,
+    _Child,
+    _float_inputs,
+    _serve,
     assemble,
     check_conformity,
     check_dims,
     check_div_onto,
     infsup_constant,
-    infsup_worker,
-    send_float_inputs,
 )
 from .checks import FAIL, PASS, CheckResult
 from .dofs import certify_unisolvence
-from .mesh import Mesh, resolve_mesh
+from .mesh import Mesh
 from .records import Record
 from .simplex import reference_simplex
 from .spaces import decompose, verify_bubble_characterization, verify_div_image
@@ -65,28 +70,29 @@ class CaseParams(NamedTuple):
 
 class RunContext(Record, namedtuple("RunContext", "params mesh worker", defaults=(None, None))):
     """What the units of one run share: the mesh, resolved and validated
-    once, and one assembled space, so each cell DoF matrix is built and
-    inverted once, by this process or by the helper that
-    assembly._build_cell_duals forks for half of the cells.  params is the
-    CaseParams; without a mesh the context resolves params.mesh itself.
-    worker is the run's inf-sup worker (assembly.infsup_worker), or None to
-    compute the inf-sup constant in this process; with a worker, the first
-    unit that needs the cell duals builds them through
-    stream_float_records."""
+    once by the CLI, and one assembled space on it, so each cell DoF
+    matrix is built and inverted once, by this process or by the helper
+    that assembly._build_cell_duals starts for half of the cells.  params
+    is the CaseParams.  worker is the run's inf-sup worker, or None, as
+    when the fork failed, to compute the inf-sup constant in this process;
+    with a worker, the first of conformity and infsup to run hands it the
+    float records (hand_off)."""
 
     @cached_property
     def space(self) -> GlobalSpace:
         p = self.params
-        mesh = self.mesh if self.mesh is not None else resolve_mesh(p.mesh)
-        return assemble(mesh, p.family, p.degree, p.continuity_order)
+        return assemble(self.mesh, p.family, p.degree, p.continuity_order)
 
-    def stream_float_records(self) -> None:
-        """With a worker, build the cell duals and div rows and send the
-        float records in cell order, once per run, so the worker reduces
-        while this process runs the exact units; without one, do
-        nothing."""
-        if self.worker is not None:
-            send_float_inputs(self.worker, self.space)
+    def hand_off(self) -> None:
+        """With a worker, build every cell entry and send it the records of
+        assembly._float_inputs in cell order, so it reduces while this
+        process runs the later exact units.  Only the first call of a run
+        does so; later calls, and runs without a worker, do nothing."""
+        if self.worker is None or "sent" in vars(self):
+            return
+        vars(self)["sent"] = True  # the instance __dict__, which cached_property writes too
+        layout, cells = _float_inputs(self.space)
+        self.worker.send(chain((layout,), cells))
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +174,16 @@ def unit_dims(run: RunContext) -> list[CheckResult]:
 
 def unit_conformity(run: RunContext) -> list[CheckResult]:
     p = run.params
-    run.stream_float_records()
+    run.hand_off()
     return [check_conformity(run.space, samples=CONFORMITY_SAMPLES, seed=p.seed)]
 
 
 def unit_infsup(run: RunContext) -> list[CheckResult]:
-    run.stream_float_records()
+    run.hand_off()
     # The exact rank runs while the worker finishes the float step.
     div_onto = check_div_onto(run.space)
-    return [infsup_constant(run.space, run.worker), div_onto]
+    reply = run.worker.result() if run.worker is not None else None
+    return [infsup_constant(run.space, reply), div_onto]
 
 
 UNITS = {
@@ -196,36 +203,37 @@ DIV_UNITS = ("bubbles", "div-image", "infsup")
 
 
 def expand_all(p: CaseParams) -> list[str]:
-    """The unit names 'all' covers for one parameter set."""
-    names = ["decompose", "unisolvence"]
-    if p.family is not Family.LAGRANGE:
-        names += ["bubbles", "div-image"]
-    if p.family is Family.TRACELESS:
-        names.append("dual-basis")
-    if p.mesh is not None:
-        names += ["assemble", "dims", "conformity"]
-        if p.family is not Family.LAGRANGE:
-            names.append("infsup")
-    return names
+    """The unit names 'all' covers for one parameter set: every unit but
+    the mesh units without a mesh, the div units for the Lagrange family
+    and dual-basis outside the traceless family."""
+    return [
+        name
+        for name in UNITS
+        if (p.mesh is not None or name not in MESH_UNITS)
+        and (p.family is not Family.LAGRANGE or name not in DIV_UNITS)
+        and (name != "dual-basis" or p.family is Family.TRACELESS)
+    ]
 
 
 def run_units(names: list[str], p: CaseParams, mesh: Mesh | None = None) -> tuple[list[CheckResult], dict]:
-    """Run units serially in sorted name order on one RunContext.
+    """Run units serially in sorted name order on one RunContext; a mesh
+    unit needs the mesh.
 
     Shared work is charged to the first unit that needs it.  Each unit is
     looked up in UNITS when it runs, so a wrapper put there is called.
-    When the units include infsup, the inf-sup worker is forked before the
-    first unit, so that numpy loads in it while the exact units run here,
-    unless this process may not fork or has loaded numpy already
-    (assembly.infsup_worker).  The first of conformity and infsup builds
-    the cell duals and sends it the cell records, and it reduces them while
-    the later units run; it is reaped on every path.
+    When the units include infsup and numpy is not loaded, the inf-sup
+    worker (assembly._serve) is started before the first unit, so that
+    numpy loads in it while the exact units run here.  The first of
+    conformity and infsup sends it the cell records once they are all
+    built, and infsup reads its reply after the exact div rank.  It is
+    reaped on every path.  Where no worker starts, as when the fork fails,
+    infsup computes the constant in this process.
     """
     checks: list[CheckResult] = []
     timings: dict[str, int] = {}
     names = sorted(set(names))
     t0 = time.perf_counter()
-    worker = infsup_worker() if "infsup" in names else None
+    worker = _Child.start("inf-sup worker", _serve) if "infsup" in names and "numpy" not in sys.modules else None
     try:
         run = RunContext(p, mesh, worker)
         for name in names:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -424,6 +425,7 @@ def test_infsup_worker_and_in_process_results_are_equal(tmp_path):
     out = tmp_path / "all.json"
     script = (
         "import json, sys\n"
+        "from itertools import chain\n"
         "from hdiv_geodecomp import assembly, cli, report\n"
         "from hdiv_geodecomp.assembly import assemble, infsup_constant\n"
         "from hdiv_geodecomp.mesh import resolve_mesh\n"
@@ -449,26 +451,29 @@ def test_infsup_worker_and_in_process_results_are_equal(tmp_path):
         "    assembly._coeff_pair_matrix = zeroed if name == 'singular' else true_pairs\n"
         "    if not forked:\n"
         "        return infsup_constant(cases[name]())\n"
-        "    worker = assembly._Child('inf-sup worker', assembly._serve)\n"
+        "    space = cases[name]()\n"
+        "    worker = assembly._Child.start('inf-sup worker', assembly._serve)\n"
         "    try:\n"
-        "        return infsup_constant(cases[name](), worker)\n"
+        "        layout, cells = assembly._float_inputs(space)\n"
+        "        worker.send(chain((layout,), cells))\n"
+        "        return infsup_constant(space, worker.result())\n"
         "    finally:\n"
         "        worker.close()\n"
         "forked = {name: compute(name, True) for name in cases}\n"
-        "# The CLI's own worker on 'all': conformity streams the records.\n"
+        "# The CLI's own worker on 'all': conformity sends the records.\n"
         "conformity = report.UNITS['conformity']\n"
-        "def streaming_conformity(run):\n"
+        "def sending_conformity(run):\n"
         "    checks = conformity(run)\n"
         "    assert run.worker._inputs.closed, 'conformity left records unsent'\n"
         "    return checks\n"
-        "report.UNITS['conformity'] = streaming_conformity\n"
+        "report.UNITS['conformity'] = sending_conformity\n"
         "argv = ['all', '--family', 'traceless', '--degree', '2', '--k', '0', '--mesh', 'refine(two_tets)']\n"
         f"assert cli.run(argv + ['--out', {str(out)!r}]) == 0\n"
         "assert 'numpy' not in sys.modules\n"
         "for name in cases:\n"
         "    assert compute(name, False) == forked[name], (name, forked[name])\n"
-        f"(streamed,) = [c for c in json.load(open({str(out)!r}))['checks'] if c['name'].startswith('infsup[')]\n"
-        "assert streamed == forked['refined']._asdict(), (streamed, forked['refined'])\n"
+        f"(sent,) = [c for c in json.load(open({str(out)!r}))['checks'] if c['name'].startswith('infsup[')]\n"
+        "assert sent == forked['refined']._asdict(), (sent, forked['refined'])\n"
         "assert forked['refined'].status == 'pass', forked['refined']\n"
         "assert forked['singular'].witness['error'].startswith('singular mass matrix')\n"
         "assert forked['cut'].witness['discarded_modes'] == 1, forked['cut']\n"
@@ -493,7 +498,7 @@ def test_worker_exits_quietly_on_a_cut_stream(cut):
         f"if {cut!r} == 'inside_second_cell':\n"
         "    first, second = next(cells), next(cells)\n"
         "    data += marshal.dumps(marshal.dumps(first)) + marshal.dumps(marshal.dumps(second))[:-5]\n"
-        "worker = assembly._Child('inf-sup worker', assembly._serve)\n"
+        "worker = assembly._Child.start('inf-sup worker', assembly._serve)\n"
         "try:\n"
         "    worker._inputs.write(data)\n"
         "    worker.result()\n"
@@ -655,9 +660,9 @@ def test_a_forked_child_moves_off_its_parents_cpu_once(monkeypatch):
 # stderr should hold: a raising body prints its traceback there.
 CHILD_CASES = {
     "result_over_one_mebibyte": ("""
-def counted(inputs, step):
-    return list(range(0, marshal.loads(marshal.load(inputs)), step))
-child = assembly._Child('counter', counted, 1)
+def counted(values, step):
+    return list(range(0, next(values), step))
+child = assembly._Child.start('counter', counted, 1)
 try:
     child.send([300_000])
     result = child.result()
@@ -667,9 +672,9 @@ assert len(marshal.dumps(result)) > 1 << 20
 assert result == list(range(300_000)) and child.status == 0
 """, ""),
     "raising_body": ("""
-def raises(inputs):
+def raises(values):
     raise ValueError('planted')
-child = assembly._Child('raiser', raises)
+child = assembly._Child.start('raiser', raises)
 try:
     child.result()
 except RuntimeError as exc:
@@ -680,13 +685,13 @@ finally:
     child.close()
 """, "ValueError: planted"),
     "close_kills_a_sleeping_child": ("""
-child = assembly._Child('sleeper', lambda inputs: time.sleep(150))
+child = assembly._Child.start('sleeper', lambda values: time.sleep(150))
 start = time.monotonic()
 child.close()
 assert child.status == -signal.SIGKILL and time.monotonic() - start < 60, child.status
 """, ""),
     "close_after_result_does_nothing": ("""
-child = assembly._Child('adder', lambda inputs, a, b: a + b, 2, 3)
+child = assembly._Child.start('adder', lambda values, a, b: a + b, 2, 3)
 try:
     assert child.result() == 5
 finally:
@@ -696,9 +701,9 @@ child.close()
 assert child.status == 0
 """, ""),
     "inputs_cut_short": ("""
-def pair(inputs):
-    return [marshal.loads(marshal.load(inputs)) for _ in range(2)]
-child = assembly._Child('reader', pair)
+def pair(values):
+    return [next(values) for _ in range(2)]
+child = assembly._Child.start('reader', pair)
 try:
     child.send([1])
     child.result()
@@ -725,8 +730,10 @@ def test_forked_child(case):
 
 
 def test_a_failed_fork_closes_the_childs_pipes(monkeypatch):
-    # os.fork raises BlockingIOError when no process can be made: the four
-    # pipe ends made for the child are closed before the error propagates.
+    # os.fork raises BlockingIOError when no process can be made, and
+    # os.pipe raises OSError when the process has no file descriptor left:
+    # _Child.start returns None, to run the work in process, and closes the
+    # pipe ends it made.
     made = []
     pipe = os.pipe
 
@@ -736,18 +743,85 @@ def test_a_failed_fork_closes_the_childs_pipes(monkeypatch):
         return ends
 
     def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "pipe", recorded_pipe)
     monkeypatch.setattr(os, "fork", no_fork)
+    # BLAS threads, alive once a test has loaded numpy in this process,
+    # would stop start before it makes its pipes.
+    monkeypatch.setattr(os, "listdir", lambda path: ["one thread"])
     for _ in range(3):
-        with pytest.raises(BlockingIOError):
-            assembly._Child("inf-sup worker", assembly._serve)
-    monkeypatch.undo()
+        assert assembly._Child.start("inf-sup worker", assembly._serve) is None
     assert len(made) == 12
+
+    def second_pipe_fails():
+        if len(made) % 4 == 2:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return recorded_pipe()
+
+    monkeypatch.setattr(os, "pipe", second_pipe_fails)
+    assert assembly._Child.start("inf-sup worker", assembly._serve) is None
+    monkeypatch.undo()
+    assert len(made) == 14
     for fd in set(made):
         with pytest.raises(OSError):
             os.fstat(fd)
+
+
+# Each case makes os.fork or os.pipe fail as when no process or file
+# descriptor can be made, after the run has forked once for the reference.
+FAILED_FORKS = {
+    "fork_raises": "def no_fork():\n    raise BlockingIOError(errno.EAGAIN, 'Resource temporarily unavailable')\nos.fork = no_fork\n",
+    "pipe_raises": "def no_pipe():\n    raise OSError(errno.EMFILE, 'Too many open files')\nos.pipe = no_pipe\n",
+}
+
+
+@pytest.mark.parametrize("case", list(FAILED_FORKS))
+def test_a_failed_fork_runs_the_work_in_process(tmp_path, case):
+    # Neither the inf-sup worker nor the cell dual helper starts: numpy
+    # loads here, and the report's checks are the forked run's.
+    script = (
+        "import errno, json, os, sys\n"
+        "from hdiv_geodecomp import cli\n"
+        "argv = ['all', '--family', 'face', '--degree', '2', '--mesh', 'criss_cross']\n"
+        "def checks(name):\n"
+        f"    out = os.path.join({str(tmp_path)!r}, name)\n"
+        "    assert cli.run(argv + ['--out', out]) == 0\n"
+        "    with open(out) as report:\n"
+        "        return json.load(report)['checks']\n"
+        "forked = checks('forked.json')\n"
+        "assert 'numpy' not in sys.modules\n"
+        + FAILED_FORKS[case]
+        + "alone = checks('alone.json')\n"
+        "assert 'numpy' in sys.modules, 'the float step ran in a child'\n"
+        "assert alone == forked, (alone, forked)\n"
+    )
+    proc = _run_script(script, STRICT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_one_all_run_sends_the_float_inputs_once(tmp_path):
+    # conformity builds and sends the records; infsup reads the reply.
+    script = (
+        "from hdiv_geodecomp import assembly, cli, report\n"
+        "calls = []\n"
+        "float_inputs = assembly._float_inputs\n"
+        "def counted_float_inputs(space):\n"
+        "    calls.append('_float_inputs')\n"
+        "    return float_inputs(space)\n"
+        "assembly._float_inputs = report._float_inputs = counted_float_inputs\n"
+        "send = assembly._Child.send\n"
+        "def counted_send(child, values):\n"
+        "    calls.append(child.name)\n"
+        "    return send(child, values)\n"
+        "assembly._Child.send = counted_send\n"
+        "argv = ['all', '--family', 'traceless', '--degree', '2', '--k', '0', '--mesh', 'refine(two_tets)']\n"
+        f"assert cli.run(argv + ['--out', {str(tmp_path / 'all.json')!r}]) == 0\n"
+        "assert sorted(calls) == ['_float_inputs', 'inf-sup worker'], calls\n"
+    )
+    proc = _run_script(script, STRICT)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_a_live_thread_keeps_every_step_in_process(tmp_path):
