@@ -58,7 +58,10 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
     is the global index of cell c's i-th functional; cell_dofs[c] is cell
     c's DoFSet.  Each cell's dual basis and div rows are built together on
     demand and kept per instance, outside the fields, as one entry of
-    _dual_cache: the pair (dual_coefficients, div_rows).
+    _dual_cache: the pair (dual_coefficients, div_rows).  The exact cell
+    work is done once per class: cell_basis decomposes the first cell of
+    the cell's congruence class (Mesh.cell_class), and an entry is built
+    once per dual class (_dual_classes) and kept under each of its cells.
     """
 
     @property
@@ -68,6 +71,20 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
     @cached_property
     def _dual_cache(self) -> dict:
         return {}
+
+    @cached_property
+    def _dual_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Per cell, the cells that share its entry, in cell order: its
+        congruence class, less the cells whose DoF set carries another
+        functionals tuple than its own.  assemble gives class-mates one
+        functionals tuple, so a cell whose functionals were replaced, as
+        flip_facet_orientation does, has a dual class of its own."""
+        keys = [(first, id(dofs.functionals)) for first, dofs in zip(self.mesh.cell_class, self.cell_dofs)]
+        classes: dict[tuple, list[int]] = {}
+        for ci, key in enumerate(keys):
+            classes.setdefault(key, []).append(ci)
+        mates = {key: tuple(cells) for key, cells in classes.items()}
+        return tuple(mates[key] for key in keys)
 
     @cached_property
     def scopes(self) -> tuple[str, ...]:
@@ -103,7 +120,9 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
         )
 
     def cell_basis(self, cell_index: int):
-        return decompose(self.family, self.mesh.cell_simplices[cell_index], self.degree)
+        """The decomposition of the first cell of the cell's class, which
+        equals the cell's own: one decompose per class."""
+        return decompose(self.family, self.mesh.cell_simplices[self.mesh.cell_class[cell_index]], self.degree)
 
     def dual_coefficients(self, cell_index: int) -> tuple[list[list[int]], int]:
         """Exact inverse of the cell DoF matrix as an integer matrix N over
@@ -112,7 +131,8 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
 
         The matrix is block lower-triangular over its site blocks, so the
         inverse is one small inverse per site plus block forward substitution.
-        A miss builds the cell's div rows too and keeps both in one entry.
+        A miss builds the cell's div rows too and keeps both in one entry,
+        under every cell of its dual class that has none (_keep).
         """
         hit = self._dual_cache.get(cell_index)
         if hit is not None:
@@ -129,8 +149,14 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
             inv = linalg.invert_block_lower(mat, blocks)
         except linalg.SingularMatrixError as exc:
             raise AssemblyError(f"cell {cell} has a singular DoF matrix: {exc}") from exc
-        self._dual_cache[cell_index] = inv, div_rows(basis, self.mesh.cell_simplices[cell_index])
+        self._keep(cell_index, (inv, div_rows(basis, self.mesh.cell_simplices[cell_index])))
         return inv
+
+    def _keep(self, cell_index: int, entry) -> None:
+        """Keep one entry object under every cell of cell_index's dual
+        class that has none; a cached entry, planted or not, is kept."""
+        for ci in self._dual_classes[cell_index]:
+            self._dual_cache.setdefault(ci, entry)
 
     def div_rows(self, cell_index: int) -> tuple[list[list[int]], int]:
         """Per member of the cell basis, its div over the degree r-1 lattice,
@@ -155,6 +181,11 @@ def assemble(mesh: Mesh, family: Family | str, degree: int, continuity_order: in
     their site; facewise functionals across the one or two cells containing
     their facet; interior moments stay cell-private.  The multiplicity of
     every merged DoF is checked against the incidence tables.
+
+    build_dofs runs once per congruence class (Mesh.cell_class), on the
+    class's first cell: the mesh frames read edge vectors only, so every
+    class-mate would build equal functionals.  Class-mates share that one
+    functionals tuple; each DoFSet keeps its own cell's simplex.
     """
     family = Family(family)
     key_index: dict[tuple, int] = {}
@@ -162,14 +193,17 @@ def assemble(mesh: Mesh, family: Family | str, degree: int, continuity_order: in
     seen_copies: list[int] = []
     cell_dofs = []
     tables = []
-    for ci in range(len(mesh.cells)):
-        dofs = build_dofs(
-            family,
-            mesh.cell_simplices[ci],
-            degree,
-            continuity_order,
-            frames=partial(mesh.global_frame, ci),
-        )
+    for ci, first in enumerate(mesh.cell_class):
+        if first == ci:
+            dofs = build_dofs(
+                family,
+                mesh.cell_simplices[ci],
+                degree,
+                continuity_order,
+                frames=partial(mesh.global_frame, ci),
+            )
+        else:
+            dofs = cell_dofs[first]._replace(simplex=mesh.cell_simplices[ci])
         l2g = []
         interior_seq = 0
         for nf in dofs.functionals:
@@ -285,10 +319,12 @@ def _start_elsewhere(parent_cpu: int | None) -> None:
 
 
 # Bytes the inputs pipe of a _Child holds, 1 MiB (Linux's pipe-max-size):
-# every inf-sup record of refine(two_tets) traceless r=2 (695 KB).  The
-# worker reads a record when _cell_pencils reaches it (17-21 ms for the 16
-# in process), so at the default 64 KiB send waits for it: 17-28 ms against
-# 4-5 ms widened, the worker idle on the other of two Xeon vCPUs.
+# every inf-sup record, one per class, of traceless r=2 on refine(two_tets)
+# (439 KB), refine(cube_freudenthal) (275 KB) and its refinement (392 KB).
+# The worker reads a record when _cell_pencils reaches it (9-13 ms for the
+# 10 of refine(two_tets) in process), so at the default 64 KiB send waits
+# for it: 12-18 ms against 2-3 ms widened, the worker idle on the other of
+# two Xeon vCPUs.
 _PIPE_BYTES = 1 << 20
 
 
@@ -419,7 +455,7 @@ class _Child:
 
 
 def _fill_cells(space: GlobalSpace, cells) -> dict:
-    """Build the given cells' entries, in cell order; return them."""
+    """Build the given cells' entries, in the order given; return them."""
     for ci in cells:
         space.dual_coefficients(ci)
     return {ci: space._dual_cache[ci] for ci in cells}
@@ -436,20 +472,27 @@ def _helper_entries(values, space: GlobalSpace, cells):
 
 def _build_cell_duals(space: GlobalSpace) -> None:
     """Fill the space's entry, dual and div rows, for every cell that lacks
-    one, on two CPUs when the process may use them.
+    one, once per dual class, on two CPUs when the process may use them.
 
     Each cell's DoF system is unisolvent by itself, so its entry is an
-    exact computation that depends on no other cell.  Of the cells to fill,
-    a _Child forked here builds the second half (_helper_entries) while
-    this process builds the first.  Entries already cached, planted ones
-    included, are kept.  A cell whose DoF matrix is singular raises the
-    AssemblyError it raises in process: the first such cell of this half
-    here, after the child is killed and reaped, else the child's first.
-    The split runs when the process may run on at least two CPUs, at least
-    two cells are to be filled and _Child.start forks the helper; otherwise
-    every cell is filled here.
+    exact computation that depends on no other cell, and the cells of one
+    dual class (GlobalSpace._dual_classes) have equal entries.  One entry
+    is built per dual class with a cell to fill, on the first such cell,
+    and kept under each of the class's cells that has none.  Of the
+    classes to fill, a _Child forked here builds the second half
+    (_helper_entries) while this process builds the first.  Entries
+    already cached, planted ones included, are kept.  A cell whose DoF
+    matrix is singular raises the AssemblyError it raises in process: the
+    first such cell of this half here, after the child is killed and
+    reaped, else the child's first.  The split runs when the process may
+    run on at least two CPUs, at least two classes are to be filled and
+    _Child.start forks the helper; otherwise every class is filled here.
     """
-    cells = [ci for ci in range(len(space.cell_dofs)) if ci not in space._dual_cache]
+    firsts: dict[int, int] = {}
+    for ci, mates in enumerate(space._dual_classes):
+        if ci not in space._dual_cache:
+            firsts.setdefault(mates[0], ci)
+    cells = list(firsts.values())
     half = len(cells) // 2
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     helper = _Child.start("cell dual helper", _helper_entries, space, cells[half:]) if half and cpus > 1 else None
@@ -463,7 +506,8 @@ def _build_cell_duals(space: GlobalSpace) -> None:
         helper.close()
     if isinstance(built, str):
         raise AssemblyError(built)
-    space._dual_cache.update(built)
+    for ci, entry in built.items():
+        space._keep(ci, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +548,20 @@ def _statements(space: GlobalSpace) -> list[tuple[str, tuple[int, ...], tensors.
     family), then with a nonnegative continuity order the whole value at
     shared vertices, normal components on shared sites up to the order, and
     for symmetric values the normal-normal component on shared sites above it.
+    Equal normals share one contraction object, on which check_conformity
+    keys the rows it keeps.
     """
     mesh = space.mesh
     family = space.family
+    normal_contraction = cache(tensors.normal_contraction)
+    normal_normal_contraction = cache(_normal_normal_contraction)
     out = []
     for facet in mesh.interior_facets:
         if family is Family.LAGRANGE:
             out.append(("normal_trace", facet, tensors.FLATTEN))
         else:
             (normal,) = mesh.frame_vectors(facet)[1]
-            out.append(("normal_trace", facet, tensors.normal_contraction(normal)))
+            out.append(("normal_trace", facet, normal_contraction(normal)))
     k = space.continuity_order if space.continuity_order is not None else -1
     if family is Family.LAGRANGE or k < 0:
         return out
@@ -527,28 +575,43 @@ def _statements(space: GlobalSpace) -> list[tuple[str, tuple[int, ...], tensors.
                 out.append(("value_at_vertex", gsite, tensors.FLATTEN))
             elif ell <= k:
                 out.extend(
-                    ("normal_component", gsite, tensors.normal_contraction(nrm))
+                    ("normal_component", gsite, normal_contraction(nrm))
                     for nrm in normals
                 )
             elif family is Family.SYMMETRIC:
                 out.extend(
-                    ("normal_normal", gsite, _normal_normal_contraction(normals[a], normals[b]))
+                    ("normal_normal", gsite, normal_normal_contraction(normals[a], normals[b]))
                     for a in range(len(normals))
                     for b in range(a, len(normals))
                 )
     return out
 
 
-def _shared_site_rows(space: GlobalSpace, site: tuple[int, ...], contraction: tensors.Contraction):
+def _shared_site_rows(space: GlobalSpace, site: tuple[int, ...], contraction: tensors.Contraction, kept: dict | None = None):
     """Per cell sharing a site, the contracted restrictions of its basis
     functions to it: a map from global DoF to integer row, holding the
-    nonzero rows only, and one denominator."""
+    nonzero rows only, and one denominator.
+
+    A cell's rows depend on its class's basis, its entry, its local labels
+    of the site and the contraction only.  kept, a dict that one
+    check_conformity holds while its statements are alive, keeps them
+    under that key, so the cells of one class build them once per local
+    site and contraction; the cell entries must be built before."""
     mesh = space.mesh
     per_cell = []
     for c in mesh.cells_containing(site):
-        member_rows, member_den = site_rows(space.cell_basis(c), mesh.local_site(c, site), contraction)
-        ints, den = cell_rows(space, c, member_rows, member_den)
-        per_cell.append(({g: row for g, row in zip(space.local_to_global[c], ints) if any(row)}, den))
+        local = mesh.local_site(c, site)
+        key = (mesh.cell_class[c], id(space._dual_cache.get(c)), local.indices, id(contraction))
+        rows = kept.get(key) if kept is not None else None
+        if rows is None:
+            member_rows, member_den = site_rows(space.cell_basis(c), local, contraction)
+            ints, den = cell_rows(space, c, member_rows, member_den)
+            rows = [(i, row) for i, row in enumerate(ints) if any(row)], den
+            if kept is not None:
+                kept[key] = rows
+        nonzero, den = rows
+        l2g = space.local_to_global[c]
+        per_cell.append(({l2g[i]: row for i, row in nonzero}, den))
     return per_cell
 
 
@@ -610,8 +673,9 @@ def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> Che
             }
         )
 
+    kept: dict = {}
     for kind, site, contraction in _statements(space):
-        per_cell = _shared_site_rows(space, site, contraction)
+        per_cell = _shared_site_rows(space, site, contraction, kept)
         for g, entry, delta in _jumps(per_cell):
             record(kind, site, g, entry, delta)
         if kind != "normal_trace":
@@ -709,32 +773,40 @@ def _div_onto_rank(space: GlobalSpace) -> int:
     every other row without touching K_T.  Hence rank D = sum_T r_T +
     rank M, where M holds each shared basis function's block segments
     projected on K_T (s_T K_T), and M is eliminated sparse.  The global
-    rows are never formed.
+    rows are never formed.  r_T, K_T and the segments depend on the cell's
+    entry and its interior split only, so they are computed once per
+    entry class (_entry_classes).
     """
-    _build_cell_duals(space)
     interior_rank = 0
     shared: dict[int, dict[int, int]] = {}
     offset = 0
-    for ci, l2g in enumerate(space.local_to_global):
-        # Column block ci keeps the cell's own denominators: scaling a
-        # block of columns by a nonzero constant leaves the rank unchanged.
-        member_rows, _ = space.div_rows(ci)
-        # Row i: the coefficients of basis function i over the members.
-        coeffs = list(zip(*space.dual_coefficients(ci)[0]))
-        inner, outer = space.interior_split[ci]
-        q_cell = len(member_rows[0])
-        interior = linalg._int_matmul([coeffs[i] for i in inner], member_rows)
-        kernel = linalg.nullspace(interior, cols=q_cell)
-        interior_rank += q_cell - len(kernel)
-        if kernel:
-            projected = linalg._int_matmul(member_rows, [list(col) for col in zip(*kernel)])
-            segments = linalg._int_matmul([coeffs[i] for i in outer], projected)
-            for i, segment in zip(outer, segments):
-                row = shared.setdefault(l2g[i], {})
-                for j, x in enumerate(segment, offset):
-                    if x:
-                        row[j] = x
-        offset += len(kernel)
+    blocks: dict[int, tuple[int, int, list]] = {}
+    for ci, (first, l2g) in enumerate(zip(_entry_classes(space), space.local_to_global)):
+        if first == ci:
+            # Column block ci keeps the cell's own denominators: scaling a
+            # block of columns by a nonzero constant leaves the rank unchanged.
+            member_rows, _ = space.div_rows(ci)
+            # Row i: the coefficients of basis function i over the members.
+            coeffs = list(zip(*space.dual_coefficients(ci)[0]))
+            inner, outer = space.interior_split[ci]
+            q_cell = len(member_rows[0])
+            interior = linalg._int_matmul([coeffs[i] for i in inner], member_rows)
+            kernel = linalg.nullspace(interior, cols=q_cell)
+            segments = []
+            if kernel:
+                projected = linalg._int_matmul(member_rows, [list(col) for col in zip(*kernel)])
+                segments = [
+                    (i, [(j, x) for j, x in enumerate(segment) if x])
+                    for i, segment in zip(outer, linalg._int_matmul([coeffs[i] for i in outer], projected))
+                ]
+            blocks[ci] = q_cell - len(kernel), len(kernel), segments
+        rank, width, segments = blocks[first]
+        interior_rank += rank
+        for i, segment in segments:
+            row = shared.setdefault(l2g[i], {})
+            for j, x in segment:
+                row[offset + j] = x
+        offset += width
     return interior_rank + linalg.sparse_rank(shared.values())
 
 
@@ -786,27 +858,46 @@ def _coeff_pair_matrix(coefficients):
     return arr @ arr.T
 
 
+def _entry_classes(space: GlobalSpace) -> list[int]:
+    """Per cell, the first cell of its dual class that holds the same
+    entry object, once every entry is built (_build_cell_duals).  The
+    cells of one entry class are translates with one DoF set and one
+    entry, so their div-onto blocks and float records are equal; a cell
+    whose planted entry differs from its class's has a class of its own."""
+    _build_cell_duals(space)
+    first: dict[tuple[int, int], int] = {}
+    return [
+        first.setdefault((mates[0], id(space._dual_cache[ci])), ci)
+        for ci, mates in enumerate(space._dual_classes)
+    ]
+
+
 def _float_inputs(space: GlobalSpace):
     """The exact inputs of the float inf-sup step as builtins that marshal
-    writes: a layout record and an iterator of one record per cell.
+    writes: a layout record and an iterator of one record per entry class
+    (_entry_classes), so each class's record is built and sent once.
 
-    The layout is (n, r, div width, space.interior_split, and per cell the
-    global indices of its other DoFs).  Cell c's record is (its volume as
-    (numerator, denominator), its members' exponents β, their flattened
-    coefficients (the basis's integer coefficients, each member's by its
-    id), its div rows and its dual coefficients), the last three as integer
-    rows over one denominator.  The cell entries are built first
-    (_build_cell_duals); each cell's record is collected when the iterator
-    reaches it.
+    The layout is (n, r, div width, per cell the index of its class among
+    the classes in order of their first cells, per class the interior split
+    of its first cell, and per cell the global indices of its other DoFs).
+    A class's record is (its first cell's volume as (numerator,
+    denominator), its members' exponents β, their flattened coefficients
+    (the basis's integer coefficients, each member's by its id), its div
+    rows and its dual coefficients), the last three as integer rows over
+    one denominator.  Class-mates are translates, so the volume is each
+    cell's own.  The cell entries are built first (_build_cell_duals);
+    each class's record is collected when the iterator reaches it.
     """
-    _build_cell_duals(space)
+    classes = _entry_classes(space)
+    firsts = sorted(set(classes))
+    index = {ci: i for i, ci in enumerate(firsts)}
     mesh = space.mesh
     n = mesh.dim
     splits = space.interior_split
     shared = [[l2g[i] for i in outer] for l2g, (_, outer) in zip(space.local_to_global, splits)]
 
-    def cells():
-        for ci in range(len(mesh.cells)):
+    def records():
+        for ci in firsts:
             vol = mesh.cell_simplices[ci].volume()
             basis = space.cell_basis(ci)
             values, ids, den = basis.coefficients
@@ -818,14 +909,16 @@ def _float_inputs(space: GlobalSpace):
                 space.dual_coefficients(ci),
             )
 
-    return (n, space.degree, space.family.div_width(n), splits, shared), cells()
+    layout = (n, space.degree, space.family.div_width(n), [index[ci] for ci in classes], [splits[ci] for ci in firsts], shared)
+    return layout, records()
 
 
-def _cell_pencils(layout, cells):
+def _cell_pencils(layout, records):
     """Per cell, the graph-norm mass V_T and the scaled div coupling C_T on
     the cell's own DoFs, interior DoFs first (the layout's interior split),
     stored in one (ncells, ndofs, ndofs) and one (ncells, q, ndofs) array,
-    from the records of _float_inputs.
+    from the records of _float_inputs: one pencil per class, copied to
+    each cell of the class.
 
     V_T is the value plus div Gram matrix of the cell's basis functions and
     C_T = sqrt(|T|) (L^T ⊗ I) times their div rows, with W = L L^T the
@@ -836,17 +929,20 @@ def _cell_pencils(layout, cells):
     """
     import numpy as np
 
-    n, r, width, splits, _ = layout
+    n, r, width, of_class, splits, _ = layout
     qlat = bn.space_dim(n, r - 1)
     w_val = np.array(_moment_gram(n + 1, r, n))
     chol_t = np.linalg.cholesky(np.array(_moment_gram(n + 1, r - 1, n))).T
     positions = bn.lattice_position(n + 1, r)
     orders = [inner + outer for inner, outer in splits]
+    cells: list[list[int]] = [[] for _ in orders]
+    for ci, k in enumerate(of_class):
+        cells[k].append(ci)
     ndofs = len(orders[0])
-    masses = np.empty((len(orders), ndofs, ndofs))
-    couplings = np.empty((len(orders), width * qlat, ndofs))
-    for ci, (order, cell) in enumerate(zip(orders, cells, strict=True)):
-        (num, den), betas, coefficients, div, dual = cell
+    masses = np.empty((len(of_class), ndofs, ndofs))
+    couplings = np.empty((len(of_class), width * qlat, ndofs))
+    for mates, order, record in zip(cells, orders, records, strict=True):
+        (num, den), betas, coefficients, div, dual = record
         vol = num / den
         # Every member scalar is λ^β, so the scalar Gram matrix is the
         # lattice Gram matrix at the β's.
@@ -858,8 +954,8 @@ def _cell_pencils(layout, cells):
             b_cell[comp::width, :] = chol_t @ ndiv[:, :, comp].T
         dual = _float_rows(*dual)
         mass = dual.T @ (vol * (gram_val + b_cell.T @ b_cell)) @ dual
-        masses[ci] = mass[np.ix_(order, order)]
-        couplings[ci] = (sqrt(vol) * (b_cell @ dual))[:, order]
+        masses[mates] = mass[np.ix_(order, order)]
+        couplings[mates] = (sqrt(vol) * (b_cell @ dual))[:, order]
     return masses, couplings
 
 
@@ -916,7 +1012,7 @@ _BAND_BLOCK = 128  # rows per block of the envelope Cholesky
 _SCHUR_PANEL = 512  # rows of S per product while accumulating Y^T Y
 
 
-def _condense_cells(layout, cells):
+def _condense_cells(layout, records):
     """Eliminate every cell's interior DoFs from its pencil (static
     condensation, Guyan, AIAA J. 3, 1965), batched over the cells, from the
     records of _float_inputs.
@@ -931,9 +1027,9 @@ def _condense_cells(layout, cells):
 
     # Each cell's pencil comes interior first; its other DoFs are numbered
     # over the mesh.
-    v, c = _cell_pencils(layout, cells)
+    v, c = _cell_pencils(layout, records)
     compact: dict[int, int] = {}
-    cell_b = [[compact.setdefault(g, len(compact)) for g in shared] for shared in layout[4]]
+    cell_b = [[compact.setdefault(g, len(compact)) for g in shared] for shared in layout[5]]
     rank_of = np.empty(len(compact), dtype=np.int64)
     rank_of[_reverse_cuthill_mckee(cell_b, len(compact))] = np.arange(len(compact))
     rows = rank_of[np.array(cell_b, dtype=np.int64)]
@@ -1001,7 +1097,7 @@ def _envelope_cholesky_solve(rows, cell_mats, rhs, top) -> None:
         rhs[r0:r1, :m] = inv_diag[I] @ (rhs[r0:r1, :m] - left @ rhs[base:r0, :m])
 
 
-def _condensed_schur(layout, cells):
+def _condensed_schur(layout, records):
     """S = C V^-1 C^T of the inf-sup pencil, without forming V, from the
     records of _float_inputs.
 
@@ -1019,7 +1115,7 @@ def _condensed_schur(layout, cells):
     """
     import numpy as np
 
-    rows, sigma, c_hat, diag_blocks = _condense_cells(layout, cells)
+    rows, sigma, c_hat, diag_blocks = _condense_cells(layout, records)
     ncells, qdim = c_hat.shape[:2]
     dim_q = qdim * ncells
     cell_first = rows.min(axis=1)
@@ -1041,14 +1137,14 @@ def _condensed_schur(layout, cells):
     return schur
 
 
-def _float_infsup(layout, cells) -> tuple:
+def _float_infsup(layout, records) -> tuple:
     """The numpy step of infsup_constant, on the records of _float_inputs:
     (beta, discarded eigenvalues, None), or (None, None, the text of
     numpy's LinAlgError) when a mass matrix is not positive definite."""
     import numpy as np
 
     try:
-        eigs = np.linalg.eigvalsh(_condensed_schur(layout, cells))
+        eigs = np.linalg.eigvalsh(_condensed_schur(layout, records))
     except np.linalg.LinAlgError as exc:
         return None, None, str(exc)
     kept = eigs[eigs > KERNEL_THRESHOLD]
@@ -1058,15 +1154,15 @@ def _float_infsup(layout, cells) -> tuple:
 
 def _serve(values) -> tuple:
     """The body of the inf-sup worker that report.run_units starts: import
-    numpy, read the layout and then one record per cell of its interior
-    split, each decoded when _cell_pencils reaches it, and return
+    numpy, read the layout and then one record per class of its interior
+    splits, each decoded when _cell_pencils reaches it, and return
     _float_infsup of them.  The parent sends the records once it has built
     every cell entry; the worker condenses and solves after the last one
     while the parent runs its later exact units."""
     import numpy  # noqa: F401  (loaded while the parent runs the exact units)
 
     layout = next(values)
-    return _float_infsup(layout, (next(values) for _ in layout[3]))
+    return _float_infsup(layout, (next(values) for _ in layout[4]))
 
 
 def infsup_constant(space: GlobalSpace, reply: tuple | None = None) -> CheckResult:

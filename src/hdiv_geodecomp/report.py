@@ -4,10 +4,11 @@ Every suite unit maps one parameter set to a list of check results.  The
 units of one run execute serially, in sorted name order, on one shared
 RunContext.  Two pieces of their work may run in forked children, both
 started by assembly._Child.start: the float step of the inf-sup unit, in
-a worker that run_units starts when the run starts, and half of the cell
-duals, in a helper that assembly._build_cell_duals starts while this
-process builds the other half.  Where a child cannot be started, its
-work runs in this process with the same result.  A report is one JSON
+a worker that run_units starts when the run starts, and the cell duals of
+half of the classes of congruent cells, in a helper that
+assembly._build_cell_duals starts while this process builds the other
+half.  Where a child cannot be started, its work runs in this process
+with the same result.  A report is one JSON
 object, built by build_report and read by render_json and render_csv;
 the JSON rendering is byte-stable for fixed inputs and seed (sorted
 keys, rationals as "p/q" strings, floats at 17 significant digits), so
@@ -70,13 +71,14 @@ class CaseParams(NamedTuple):
 
 class RunContext(Record, namedtuple("RunContext", "params mesh worker", defaults=(None, None))):
     """What the units of one run share: the mesh, resolved and validated
-    once by the CLI, and one assembled space on it, so each cell DoF
-    matrix is built and inverted once, by this process or by the helper
-    that assembly._build_cell_duals starts for half of the cells.  params
-    is the CaseParams.  worker is the run's inf-sup worker, or None, as
-    when the fork failed, to compute the inf-sup constant in this process;
-    with a worker, the first of conformity and infsup to run hands it the
-    float records (hand_off)."""
+    once by the CLI, and one assembled space on it, so the DoF matrix of
+    each class of congruent cells is built and inverted once, by this
+    process or by the helper that assembly._build_cell_duals starts for
+    half of the classes.  params is the CaseParams.  worker is the run's
+    inf-sup worker, or None, as when the fork failed, to compute the
+    inf-sup constant in this process; with a worker, the first of
+    conformity and infsup to run hands it the float records, one per
+    class (hand_off)."""
 
     @cached_property
     def space(self) -> GlobalSpace:
@@ -85,7 +87,7 @@ class RunContext(Record, namedtuple("RunContext", "params mesh worker", defaults
 
     def hand_off(self) -> None:
         """With a worker, build every cell entry and send it the records of
-        assembly._float_inputs in cell order, so it reduces while this
+        assembly._float_inputs in class order, so it reduces while this
         process runs the later exact units.  Only the first call of a run
         does so; later calls, and runs without a worker, do nothing."""
         if self.worker is None or "sent" in vars(self):
@@ -224,8 +226,8 @@ def run_units(names: list[str], p: CaseParams, mesh: Mesh | None = None) -> tupl
     When the units include infsup and numpy is not loaded, the inf-sup
     worker (assembly._serve) is started before the first unit, so that
     numpy loads in it while the exact units run here.  The first of
-    conformity and infsup sends it the cell records once they are all
-    built, and infsup reads its reply after the exact div rank.  It is
+    conformity and infsup sends it the class records once every cell
+    entry is built, and infsup reads its reply after the exact div rank.  It is
     reaped on every path.  Where no worker starts, as when the fork fails,
     infsup computes the constant in this process.
     """

@@ -576,9 +576,11 @@ def test_cell_duals_built_on_two_cpus_equal_the_in_process_ones(case):
         "split, split_records = filled(0, 1)\n"
         "pids = builders()\n"
         "ncells = len(split.cell_dofs)\n"
-        "# This process builds half of the cells, rounded down, a child the rest.\n"
-        "assert sorted(map(pids.count, set(pids))) == [ncells // 2, ncells - ncells // 2], pids\n"
-        "assert pids.count(os.getpid()) == ncells // 2, pids\n"
+        "nclasses = len(set(split.mesh.cell_class))\n"
+        "# One DoF matrix per class: this process builds half of the classes,\n"
+        "# rounded down, a child the rest.\n"
+        "assert sorted(map(pids.count, set(pids))) == [nclasses // 2, nclasses - nclasses // 2], pids\n"
+        "assert pids.count(os.getpid()) == nclasses // 2, pids\n"
         "assert len(split._dual_cache) == ncells\n"
         "assert split._dual_cache == alone._dual_cache\n"
         "# The inf-sup worker's records, byte for byte.\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -11,6 +12,8 @@ from fractions import Fraction
 from math import comb, gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdiv_geodecomp import assembly, bernstein as bn, cli, linalg, mesh as mesh_module, tensors
 from hdiv_geodecomp.assembly import (
@@ -93,9 +96,7 @@ def _four_simplex() -> Mesh:
 
 
 def _kuhn_4cube() -> Mesh:
-    points = list(itertools.product((0, 1), repeat=4))
-    paths = mesh_module._kuhn_paths(4)
-    return Mesh(4, points, [[points.index(p) for p in path] for path in paths])
+    return mesh_module._kuhn_cubes(list(itertools.product((0, 1), repeat=4)), [(0, 0, 0, 0)])
 
 
 def test_refinement_counts_and_volume_conservation():
@@ -121,24 +122,25 @@ def test_refinement_counts_and_volume_conservation():
 
 # sha256 of (dim, vertices, cells), vertex and cell order included.  The
 # golden reports cannot pin the order: their exact witnesses do not depend on it.
+# The refined digests pin refine's lexicographic vertex numbering.
 MESH_DIGESTS = {
     "unit_interval_3": "0a8ee5ca06cc7618f8d73ee9b384f52a6f9bbe7704b2bcaf3ef99d9665123f57",
-    "refine(unit_interval_3)": "91dc0438fa0ce18ce7474dc2fb0d9ef855153c2540f787d55f7658b62e6afc68",
-    "refine(refine(unit_interval_3))": "d2948fbe5ceac6de3ba28f067a6071e67122470d6ad0fa73ec7b153f6b233ecc",
+    "refine(unit_interval_3)": "143a6f9e29fba80fc3f24080cdc6b4d44b1a9657341c197adbd3ebe0fc195475",
+    "refine(refine(unit_interval_3))": "3eacd4ff2359d7be3a72ddc8a2054163ebac0aefd678d691d055ba4028e14f08",
     "two_triangles": "91160bc43930a221239b04262e9cc93551309bd015d010f0cb5827d679831eb1",
-    "refine(two_triangles)": "1140aa8dc7a5be9994ef8ad12e31b661a57133532acdcc997e82456c670c9190",
-    "refine(refine(two_triangles))": "de6e8254c295c1cae49a173f0267fdcee1b53f87f7307b3a2ab030246754f1fa",
+    "refine(two_triangles)": "d8c8d37bb0c1e1f813ec89dbb3a8c4e3184bd4765aa72d4c9b1a3805772e8ceb",
+    "refine(refine(two_triangles))": "48bab465c704b19800547d17fdc1a50b11ae307dec56b3341c35aa05a9dc035a",
     "criss_cross": "ad0053d969a5534804b6964a062ee067fa2c83acc138ad803c6c3580d8c8041a",
-    "refine(criss_cross)": "6e12f42b46d2c761dbdf539f945db5c0638b28383769585989609f01faadfa62",
-    "refine(refine(criss_cross))": "077c0369509147754ac6b3f069517ee4ec059f5108d4821bc757a24ae3c67930",
+    "refine(criss_cross)": "af7dc987666a12039cb6800f4dde308ee292e226f7a35bead7604a12df1f2bad",
+    "refine(refine(criss_cross))": "d4df6c0374036d4d31c707a98f23386023c9fd6b4421b19ab3ce3db65f03df65",
     "two_tets": "ada03acab8460d9ef1981684c903d8c2554d61372f45da76ab9424371d0ea2fb",
-    "refine(two_tets)": "d11e44dea3bbd26be6d8c02d83c61b1e6455c26d540decf7aabae5a08c0a76ff",
-    "refine(refine(two_tets))": "91f76404941c8c985a19da280a3c0efe6ab4e517a0ea8ab863f1fc7aa96f3569",
+    "refine(two_tets)": "b9e2e94025ee14dd5ab994207473861fef64f9def762e64e308e554126737153",
+    "refine(refine(two_tets))": "d29b8aa09d17bfd7d91121118c6a2a87ba078a1f6713dd756de49032dc35d53e",
     "cube_freudenthal": "9137256779c1f8e83c0df0fd2a73d03cc58ceb139b7b8fff2efa565ee9d8afb5",
-    "refine(cube_freudenthal)": "71ea9446dce253006c1c66544ed076f96f844e6180ba045d9310f09d7903f2f2",
-    "refine(refine(cube_freudenthal))": "0e0615e3cc3ca943b7610f31bae8beb4c103e6bf74ffc1f910020403d32d295e",
+    "refine(cube_freudenthal)": "5989550da2629251baa02560d3c6f59f58c287669dfc1f4f5bd6c79044bbd022",
+    "refine(refine(cube_freudenthal))": "5f9a25b5b070b9a5b31429813adc5f86a101465097e27ea9e1fdad7490073eaa",
     "fichera_coarse": "1441aa60f99a77da82e10303600aceddf194914790dc06b938795494e37365bc",
-    "refine(fichera_coarse)": "8e59b8c3924b77cb1061bd965ac0173635854e53ccee4eb38bdf2fcdaad6f171",
+    "refine(fichera_coarse)": "423b39d1000170589399ec84d1e8d38fc3e4d312f75bcb9009600c6ee9976f75",
 }
 
 
@@ -152,6 +154,57 @@ def test_builtin_and_refined_meshes_are_pinned_vertex_for_vertex():
         ]
         text = json.dumps(data, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == expected, name
+
+
+def _freudenthal_point_sets(m: Mesh) -> list[frozenset]:
+    """Per child, in refine's cell order, its point set: the Freudenthal
+    children of each cell in the cell's sorted local order."""
+    out = []
+    for cell in m.cells:
+        pts = [m.vertices[i] for i in cell]
+        for child in mesh_module._freudenthal_children(m.dim):
+            out.append(frozenset(tuple((a + b) / 2 for a, b in zip(pts[i], pts[j])) for i, j in child))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["unit_interval_3", "two_triangles", "criss_cross", "two_tets", "cube_freudenthal", "refine(two_tets)"]),
+    st.randoms(use_true_random=False),
+)
+def test_refine_numbers_its_vertices_lexicographically(name, rng):
+    # Any numbering of the coarse vertices: refine cuts each cell in its
+    # sorted local order, whatever the order of its output numbering.
+    coarse = builtin_mesh(name)
+    perm = list(range(len(coarse.vertices)))
+    rng.shuffle(perm)
+    shuffled = Mesh(coarse.dim, [coarse.vertices[i] for i in perm], [[perm.index(i) for i in c] for c in coarse.cells])
+    for m in (coarse, shuffled):
+        fine = refine(m)
+        assert list(fine.vertices) == sorted(fine.vertices)
+        assert [frozenset(fine.vertices[i] for i in c) for c in fine.cells] == _freudenthal_point_sets(m)
+
+
+@pytest.mark.parametrize("name, cells, classes", [
+    ("refine(two_tets)", 16, 10),
+    ("refine(refine(two_tets))", 128, 12),
+    ("refine(cube_freudenthal)", 48, 6),
+    ("refine(refine(cube_freudenthal))", 384, 6),
+    ("refine(criss_cross)", 16, 4),
+    ("refine(fichera_coarse)", 336, 6),
+    ("refine(kuhn 4-cube)", 384, 24),
+])
+def test_refined_meshes_keep_few_congruence_classes(name, cells, classes):
+    # Freudenthal refinement in a consistent vertex order has n! classes
+    # at every level of a Kuhn mesh (Bey, Numer. Math. 2000); two_tets is
+    # not one, and its count settles at 12 from the second level.
+    m = refine(_kuhn_4cube()) if name == "refine(kuhn 4-cube)" else builtin_mesh(name)
+    assert len(m.cells) == cells
+    assert len(set(m.cell_class)) == classes
+    for ci, first in enumerate(m.cell_class):
+        assert first <= ci and m.cell_class[first] == first
+        edges = [tuple(m.cell_simplices[c].edge_vector(0, j) for j in range(1, m.dim + 1)) for c in (ci, first)]
+        assert edges[0] == edges[1]
 
 
 def test_face_space_on_the_refined_4_simplex():
@@ -305,7 +358,7 @@ def test_shared_facet_normal_and_frames_are_cell_independent():
 @pytest.mark.parametrize("name, family, degree, k, pairs", [
     ("fichera_coarse", Family.TRACELESS, 2, 0, 36),
     ("fichera_coarse", Family.FACE, 2, -1, 36),
-    ("refine(criss_cross)", Family.SYMMETRIC, 3, 0, 4),
+    ("refine(criss_cross)", Family.SYMMETRIC, 3, 0, 12),
 ])
 def test_translated_cells_build_equal_dofs(name, family, degree, k, pairs):
     # Every direction comes from a mesh frame, which reads vertex
@@ -516,12 +569,82 @@ def test_site_block_dual_equals_dense_inverse(name, family, degree, k):
 
 
 def test_each_cell_is_decomposed_once():
-    # build_dofs (through bubble_space) and cell_basis must share one cache key.
+    # build_dofs (through bubble_space) and cell_basis must share one cache
+    # key: the first cell of each congruence class.
     decompose.cache_clear()
     space = assemble(builtin_mesh("refine(two_tets)"), "traceless", 2, 0)
     for ci in range(len(space.mesh.cells)):
         space.dual_coefficients(ci)
-    assert decompose.cache_info().misses == len(space.mesh.cells) == 16
+    assert len(space.mesh.cells) == 16
+    assert decompose.cache_info().misses == len(set(space.mesh.cell_class)) == 10
+
+
+def _fresh_dual(m: Mesh, ci: int, family, degree, k):
+    """Cell ci's dual built from its own simplex alone, shared by nothing."""
+    simplex = m.cell_simplices[ci]
+    dofs = build_dofs(family, simplex, degree, k, frames=functools.partial(m.global_frame, ci))
+    mat = dof_matrix(dofs, decompose(family, simplex, degree))
+    return rational_rows(linalg.invert(rational_rows(mat)))
+
+
+@pytest.mark.parametrize("order_b, shared", [((0, 1, 2), True), ((2, 1, 0), False), ((1, 2, 0), False)])
+@pytest.mark.parametrize("family, degree, k", [(Family.FACE, 2, -1), (Family.SYMMETRIC, 3, 0)])
+def test_translates_in_another_local_order_never_share_an_entry(order_b, shared, family, degree, k):
+    # Triangle b is triangle a moved by (2, 0); its vertices are numbered
+    # in order_b, so its sorted local order is a's only for (0, 1, 2).
+    a = [(0, 0), (1, 0), (0, 1)]
+    b = [(x + 2, y) for x, y in a]
+    m = Mesh(2, a + [b[i] for i in order_b], ((0, 1, 2), (3, 4, 5)))
+    space = assemble(m, family, degree, k)
+    assembly._build_cell_duals(space)
+    assert (m.cell_class[1] == 0) is shared
+    assert (space.cell_dofs[1].functionals is space.cell_dofs[0].functionals) is shared
+    assert (space._dual_cache[1] is space._dual_cache[0]) is shared
+    fresh = [_fresh_dual(m, ci, family, degree, k) for ci in range(2)]
+    # Sharing across another local order would be wrong: the duals differ.
+    assert (fresh[0] == fresh[1]) is shared
+    for ci in range(2):
+        dual, d = space.dual_coefficients(ci)
+        assert [[Fraction(x, d) for x in row] for row in dual] == fresh[ci]
+
+
+def test_a_flipped_cell_gets_an_entry_of_its_own():
+    # The victim's functionals differ from its class's, so its entry does;
+    # its class-mates keep one shared entry, the unbroken one.
+    m = builtin_mesh("refine(criss_cross)")
+    assert len(m.cells) == 16 and len(set(m.cell_class)) == 4
+    space = assemble(m, "symmetric", 3, 0)
+    broken = flip_facet_orientation(space)
+    res = check_conformity(broken)
+    assert res.status == FAIL
+    # As many as before refine numbered its vertices lexicographically.
+    assert len(res.witness["violations"]) == 6
+    assert check_conformity(space).status == PASS
+    victim = max(m.facet_cells[m.interior_facets[0]])
+    mates = [ci for ci, first in enumerate(m.cell_class) if first == m.cell_class[victim] and ci != victim]
+    assert len(mates) == 3
+    shared = broken._dual_cache[mates[0]]
+    assert all(broken._dual_cache[ci] is shared for ci in mates)
+    assert broken._dual_cache[victim] is not shared and broken._dual_cache[victim] != shared
+    assert shared == space._dual_cache[victim]
+
+
+def test_a_planted_div_cut_leaves_its_class_mates_entries():
+    space = assemble(builtin_mesh("refine(two_tets)"), "traceless", 2, 0)
+    m = space.mesh
+    assembly._build_cell_duals(space)
+    cell = next(ci for ci, first in enumerate(m.cell_class) if m.cell_class.count(first) > 1)
+    mates = [ci for ci, first in enumerate(m.cell_class) if first == m.cell_class[cell] and ci != cell]
+    entry = space._dual_cache[mates[0]]
+    assert space._dual_cache[cell] is entry
+    _zero_div_columns(space, cell, {0})
+    assert all(space._dual_cache[ci] is entry for ci in mates)
+    # The cut reaches one column block only: a rank shared over the class
+    # would lose one column per class-mate.
+    res = check_div_onto(space)
+    assert res.witness["rank"] == dense_div_onto_rank(space) == space.dim_q - 1
+    layout, _ = assembly._float_inputs(space)
+    assert len(layout[4]) == len(set(m.cell_class)) + 1
 
 
 def _with_cell_functionals(space, cell_index, functionals) -> GlobalSpace:
@@ -987,12 +1110,16 @@ def test_infsup_condensed_solve_matches_the_dense_pencil(name, family, degree, k
 def test_float_records_carry_the_fraction_member_coefficients(name, family, degree, k):
     # The records read each member's coefficient from the basis's integer
     # table by its id; the reference reads every member's Fractions.
+    # Each cell reads its class's record, which must carry the members of
+    # the cell's own decomposition.
     space = assemble(resolve_mesh(name), family, degree, k)
-    _, cells = assembly._float_inputs(space)
-    records = list(cells)
-    assert len(records) == len(space.mesh.cells)
-    for ci, (_, betas, coefficients, _, _) in enumerate(records):
-        members = space.cell_basis(ci).members
+    layout, records = assembly._float_inputs(space)
+    records = list(records)
+    assert len(records) == len(layout[4]) == len(set(space.mesh.cell_class))
+    assert len(layout[3]) == len(space.mesh.cells)
+    for ci, simplex in enumerate(space.mesh.cell_simplices):
+        _, betas, coefficients, _, _ = records[layout[3][ci]]
+        members = decompose(space.family, simplex, space.degree).members
         assert betas == [m.beta for m in members]
         assert coefficients == member_coefficients(members), ci
 
