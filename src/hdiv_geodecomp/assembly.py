@@ -318,32 +318,59 @@ def _start_elsewhere(parent_cpu: int | None) -> None:
         os.sched_setaffinity(0, allowed)
 
 
-# Bytes the inputs pipe of a _Child holds, 1 MiB (Linux's pipe-max-size):
-# every inf-sup record, one per class, of traceless r=2 on refine(two_tets)
-# (439 KB), refine(cube_freudenthal) (275 KB) and its refinement (392 KB).
-# The worker reads a record when _cell_pencils reaches it (9-13 ms for the
-# 10 of refine(two_tets) in process), so at the default 64 KiB send waits
-# for it: 12-18 ms against 2-3 ms widened, the worker idle on the other of
-# two Xeon vCPUs.
+# Bytes each pipe of a _Child holds, 1 MiB (Linux's pipe-max-size).  The
+# inputs carry every inf-sup record, one per class, of traceless r=2 on
+# refine(two_tets) (439 KB), refine(cube_freudenthal) (275 KB) and its
+# refinement (392 KB).  The worker reads a record when _cell_pencils
+# reaches it (9-13 ms for the 10 of refine(two_tets) in process), so at the
+# default 64 KiB send waits for it: 12-18 ms against 2-3 ms widened, the
+# worker idle on the other of two Xeon vCPUs.  The replies carry the cell
+# dual helper's entries, each written as soon as it is built, while this
+# process reads them only between its own builds.  Widened, the pipe holds
+# two of the largest entry measured, 523 KB for symmetric r=4 on
+# cube_freudenthal, and 26 of traceless r=2 on refine(two_tets) (39 KB),
+# so the helper does not wait for a read.
 _PIPE_BYTES = 1 << 20
 
 
-class _Child:
-    """A forked child that runs body(values, *args) and sends back what it
-    returns.
+def _write_value(file, value) -> None:
+    """Write value to file in _Child's wire format and flush it."""
+    data = marshal.dumps(value)
+    file.write(len(data).to_bytes(8, "little"))
+    file.write(data)
+    file.flush()
 
-    start is the one way the package starts a child process.  values is an
-    endless iterator of the values send writes, each decoded when the body
-    reads it; reading past the last one raises EOFError.  On the pipe each
-    value is the bytes of its marshal.dumps, which marshal.load reads in
-    one call; the pipe is widened to _PIPE_BYTES where fcntl.F_SETPIPE_SZ
+
+def _read_value(file) -> bytes:
+    """The marshal bytes of the next value on file, in _Child's wire
+    format; EOFError when the file ends before the value does."""
+    header = file.read(8)
+    if len(header) == 8:
+        size = int.from_bytes(header, "little")
+        data = file.read(size)
+        if len(data) == size:
+            return data
+    raise EOFError("the stream ended before the value did")
+
+
+class _Child:
+    """A forked child that runs the generator body(values, *args) and sends
+    back each value it yields as soon as it yields it.
+
+    start is the one way the package starts a child process.  Both pipes
+    carry one wire format: a value is the 8-byte little-endian length of
+    its marshal.dumps, then those bytes, so the reader takes each value in
+    one read of known size.  values is an endless iterator of the values
+    send writes, each decoded when the body reads it; reading past the last
+    one raises EOFError.  replies returns the values the body has yielded so
+    far without waiting; result waits for the child to end and returns the
+    rest.  Both pipes are widened to _PIPE_BYTES where fcntl.F_SETPIPE_SZ
     allows.  The child starts on another CPU than this process's
-    (_start_elsewhere).  The body's return value comes back as one marshal
-    value on a second pipe once the body is done.  The child ends in
-    os._exit, so none of the parent's cleanup runs twice: with status 0
-    when the body returns or reads past its last value (an EOFError, after
-    which nothing is sent back), else 1 after printing the traceback of
-    what it raised.  The parent calls close on every path.
+    (_start_elsewhere).  It ends in os._exit, so none of the parent's
+    cleanup runs twice: with status 0 when the body returns or reads past
+    its last value (an EOFError, after which nothing more is sent back),
+    else 1 after printing the traceback of what it raised.  The parent
+    calls close on every path.
     """
 
     def __init__(self, name: str, pid: int, inputs: int, reply: int):
@@ -351,7 +378,8 @@ class _Child:
         self.pid = pid
         self.status: int | None = None
         self._inputs = open(inputs, "wb")
-        self._reply = open(reply, "rb")
+        self._reply = open(reply, "rb", buffering=0)
+        self._buffer = bytearray()
 
     @classmethod
     def start(cls, name: str, body, *args) -> _Child | None:
@@ -379,7 +407,8 @@ class _Child:
             with contextlib.suppress(ImportError, AttributeError, OSError):
                 import fcntl
 
-                fcntl.fcntl(fds[1], fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+                for fd in fds[1::2]:
+                    fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
             cpu = _this_cpu()
             pid = os.fork()
         except OSError:
@@ -395,12 +424,11 @@ class _Child:
                 _start_elsewhere(cpu)
                 os.close(inputs_w)
                 os.close(reply_r)
-                with open(inputs_r, "rb") as inputs:
-                    # marshal.load returns bytes, never None: an endless
-                    # iterator that raises EOFError past the last value.
-                    reply = body(map(marshal.loads, iter(partial(marshal.load, inputs), None)), *args)
-                with open(reply_w, "wb") as out:
-                    out.write(marshal.dumps(reply))
+                with open(inputs_r, "rb") as inputs, open(reply_w, "wb") as out:
+                    # _read_value never returns None: an endless iterator
+                    # that raises EOFError past the last value.
+                    for reply in body(map(marshal.loads, iter(partial(_read_value, inputs), None)), *args):
+                        _write_value(out, reply)
                 code = 0
             except EOFError:
                 code = 0
@@ -421,28 +449,56 @@ class _Child:
         reads are dropped; result reports its status."""
         try:
             for value in values:
-                marshal.dump(marshal.dumps(value), self._inputs)
-                self._inputs.flush()
+                _write_value(self._inputs, value)
         except BrokenPipeError:
             pass
         finally:
             self._close_inputs()
 
-    def result(self):
-        """The body's return value, once the child is reaped.  A child that
-        exits without one raises RuntimeError."""
+    def replies(self) -> list:
+        """The values the child has sent since the last call, in order,
+        read without waiting: [] while none has arrived whole."""
+        import select
+
+        while not self._reply.closed and select.select([self._reply], [], [], 0)[0]:
+            data = self._reply.read(_PIPE_BYTES)
+            if data:
+                self._buffer += data
+            else:
+                self._reply.close()
+        return self._take()
+
+    def result(self) -> list:
+        """Every value the child sends that replies has not returned, once
+        the child is reaped.  A child that exits with a status other than 0,
+        or sends nothing more, raises RuntimeError."""
         self._close_inputs()
-        data = self._reply.read()
+        if not self._reply.closed:
+            self._buffer += self._reply.readall()
         self._wait()
-        if self.status != 0 or not data:
+        values = self._take()
+        if self.status != 0 or not values:
             raise RuntimeError(f"the {self.name} exited with status {self.status} and no result")
-        return marshal.loads(data)
+        return values
 
     def close(self) -> None:
         """Kill and reap the child, unless result has reaped it."""
         if self.status is None:
             os.kill(self.pid, signal.SIGKILL)
             self._wait()
+
+    def _take(self) -> list:
+        """The values whole in the reply buffer, in order; a part of the
+        next one stays there."""
+        buffer, start, values = self._buffer, 0, []
+        while len(buffer) >= start + 8:
+            end = start + 8 + int.from_bytes(buffer[start:start + 8], "little")
+            if end > len(buffer):
+                break
+            values.append(marshal.loads(buffer[start + 8:end]))
+            start = end
+        del buffer[:start]
+        return values
 
     def _close_inputs(self) -> None:
         with contextlib.suppress(BrokenPipeError):
@@ -454,20 +510,20 @@ class _Child:
         self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
-def _fill_cells(space: GlobalSpace, cells) -> dict:
-    """Build the given cells' entries, in the order given; return them."""
-    for ci in cells:
-        space.dual_coefficients(ci)
-    return {ci: space._dual_cache[ci] for ci in cells}
-
-
-def _helper_entries(values, space: GlobalSpace, cells):
-    """The body of _build_cell_duals' child: the entries _fill_cells
-    builds, or the text of the AssemblyError it raises."""
-    try:
-        return _fill_cells(space, cells)
-    except AssemblyError as exc:
-        return str(exc)
+def _helper_entries(values, space: GlobalSpace, cells, claimed):
+    """The body of _build_cell_duals' child: from the last of cells down to
+    the second, each cell's entry as soon as it is built, or the text of
+    the AssemblyError it raises, after which it builds nothing more.  It
+    stops at the first cell the parent has begun (claimed[i] set)."""
+    for i in range(len(cells) - 1, 0, -1):
+        if claimed[i]:
+            return
+        try:
+            space.dual_coefficients(cells[i])
+        except AssemblyError as exc:
+            yield str(exc)
+            return
+        yield space._dual_cache[cells[i]]
 
 
 def _build_cell_duals(space: GlobalSpace) -> None:
@@ -478,36 +534,54 @@ def _build_cell_duals(space: GlobalSpace) -> None:
     exact computation that depends on no other cell, and the cells of one
     dual class (GlobalSpace._dual_classes) have equal entries.  One entry
     is built per dual class with a cell to fill, on the first such cell,
-    and kept under each of the class's cells that has none.  Of the
-    classes to fill, a _Child forked here builds the second half
-    (_helper_entries) while this process builds the first.  Entries
-    already cached, planted ones included, are kept.  A cell whose DoF
-    matrix is singular raises the AssemblyError it raises in process: the
-    first such cell of this half here, after the child is killed and
-    reaped, else the child's first.  The split runs when the process may
-    run on at least two CPUs, at least two classes are to be filled and
-    _Child.start forks the helper; otherwise every class is filled here.
+    and kept under each of the class's cells that has none.  The classes
+    are split by demand: this process builds them from the front, one at a
+    time, while a _Child forked here builds them from the back and sends
+    each entry as soon as it is built (_helper_entries).  After each of its
+    own builds, this process keeps the entries that have arrived, without
+    waiting for more.  The two stop where they meet: this process marks
+    each class it begins in a byte of shared memory, the helper begins no
+    marked class, and the helper is then killed and reaped, losing at most
+    the one class both began.  The first class is always built here, before
+    any entry is read.  Entries already cached, planted ones included, are
+    kept.  A class whose DoF matrix is singular raises the AssemblyError it
+    raises in process, and of several, the first class's: the helper stops
+    at its first, and this process builds every class before it.  The
+    helper is forked when the process may run on at least two CPUs and at
+    least two classes are to be filled; otherwise, or when _Child.start
+    returns None, the same loop builds every class here.
     """
+    import mmap
+
     firsts: dict[int, int] = {}
     for ci, mates in enumerate(space._dual_classes):
         if ci not in space._dual_cache:
             firsts.setdefault(mates[0], ci)
     cells = list(firsts.values())
-    half = len(cells) // 2
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    helper = _Child.start("cell dual helper", _helper_entries, space, cells[half:]) if half and cpus > 1 else None
-    if helper is None:
-        _fill_cells(space, cells)
-        return
-    try:
-        _fill_cells(space, cells[:half])
-        built = helper.result()
-    finally:
-        helper.close()
-    if isinstance(built, str):
-        raise AssemblyError(built)
-    for ci, entry in built.items():
-        space._keep(ci, entry)
+    # One byte per class, shared with the helper: set as this process
+    # begins the class.
+    with mmap.mmap(-1, len(cells) or 1) as claimed:
+        helper = _Child.start("cell dual helper", _helper_entries, space, cells, claimed) if len(cells) > 1 and cpus > 1 else None
+        front, back, error = 0, len(cells), None
+        try:
+            while front < back:
+                claimed[front] = 1
+                space.dual_coefficients(cells[front])
+                front += 1
+                for entry in helper.replies() if helper is not None else ():
+                    if back == front:
+                        break
+                    back -= 1
+                    if isinstance(entry, str):
+                        error = entry
+                    else:
+                        space._keep(cells[back], entry)
+        finally:
+            if helper is not None:
+                helper.close()
+    if error is not None:
+        raise AssemblyError(error)
 
 
 # ---------------------------------------------------------------------------
@@ -1152,17 +1226,17 @@ def _float_infsup(layout, records) -> tuple:
     return beta, int(eigs.size - kept.size), None
 
 
-def _serve(values) -> tuple:
+def _serve(values):
     """The body of the inf-sup worker that report.run_units starts: import
     numpy, read the layout and then one record per class of its interior
-    splits, each decoded when _cell_pencils reaches it, and return
-    _float_infsup of them.  The parent sends the records once it has built
-    every cell entry; the worker condenses and solves after the last one
-    while the parent runs its later exact units."""
+    splits, each decoded when _cell_pencils reaches it, and yield
+    _float_infsup of them, its one reply.  The parent sends the records
+    once it has built every cell entry; the worker condenses and solves
+    after the last one while the parent runs its later exact units."""
     import numpy  # noqa: F401  (loaded while the parent runs the exact units)
 
     layout = next(values)
-    return _float_infsup(layout, (next(values) for _ in layout[4]))
+    yield _float_infsup(layout, (next(values) for _ in layout[4]))
 
 
 def infsup_constant(space: GlobalSpace, reply: tuple | None = None) -> CheckResult:

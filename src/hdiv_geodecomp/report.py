@@ -5,10 +5,10 @@ units of one run execute serially, in sorted name order, on one shared
 RunContext.  Two pieces of their work may run in forked children, both
 started by assembly._Child.start: the float step of the inf-sup unit, in
 a worker that run_units starts when the run starts, and the cell duals of
-half of the classes of congruent cells, in a helper that
-assembly._build_cell_duals starts while this process builds the other
-half.  Where a child cannot be started, its work runs in this process
-with the same result.  A report is one JSON
+the classes of congruent cells that this process does not reach first,
+in a helper that assembly._build_cell_duals starts to build them from the
+other end of the class list.  Where a child cannot be started, its work
+runs in this process with the same result.  A report is one JSON
 object, built by build_report and read by render_json and render_csv;
 the JSON rendering is byte-stable for fixed inputs and seed (sorted
 keys, rationals as "p/q" strings, floats at 17 significant digits), so
@@ -73,8 +73,9 @@ class RunContext(Record, namedtuple("RunContext", "params mesh worker", defaults
     """What the units of one run share: the mesh, resolved and validated
     once by the CLI, and one assembled space on it, so the DoF matrix of
     each class of congruent cells is built and inverted once, by this
-    process or by the helper that assembly._build_cell_duals starts for
-    half of the classes.  params is the CaseParams.  worker is the run's
+    process or by the helper that assembly._build_cell_duals starts to
+    build classes from the back of the list while this process builds
+    them from the front.  params is the CaseParams.  worker is the run's
     inf-sup worker, or None, as when the fork failed, to compute the
     inf-sup constant in this process; with a worker, the first of
     conformity and infsup to run hands it the float records, one per
@@ -184,7 +185,7 @@ def unit_infsup(run: RunContext) -> list[CheckResult]:
     run.hand_off()
     # The exact rank runs while the worker finishes the float step.
     div_onto = check_div_onto(run.space)
-    reply = run.worker.result() if run.worker is not None else None
+    (reply,) = run.worker.result() if run.worker is not None else (None,)
     return [infsup_constant(run.space, reply), div_onto]
 
 

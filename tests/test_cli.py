@@ -310,8 +310,10 @@ def test_jobs_flag_takes_only_one_worker(tmp_path, argv):
 
 
 def _counting(log: Path, name: str, fn):
-    """fn, appending its name to log on each call: a child that a run forks
-    to build cell duals appends too, so every call is counted once."""
+    """fn, appending its name to log on each call, in whichever process
+    makes it.  The tests that count with it see one CPU, so the cell duals
+    are built in process: with a helper, a class that both processes began
+    before they met is built in both."""
 
     def wrapper(*args, **kwargs):
         with open(log, "a") as out:
@@ -334,6 +336,7 @@ def test_all_suite_shares_mesh_space_and_cell_duals(tmp_path, capsys, monkeypatc
     def counted(name, fn):
         return _counting(log, name, fn)
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(report, "assemble", counted("assemble", report.assemble))
     for module, fn in [(dofs, "dof_matrix"), (assembly, "dof_matrix"), (mesh, "validate_mesh")]:
         monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
@@ -351,6 +354,7 @@ def test_all_suite_shares_mesh_space_and_cell_duals(tmp_path, capsys, monkeypatc
 
 def test_infsup_builds_cell_div_rows_once_per_cell(tmp_path, capsys, monkeypatch):
     log = tmp_path / "calls.log"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(assembly, "div_rows", _counting(log, "div_rows", assembly.div_rows))
     monkeypatch.setattr(spaces, "div_row", _counting(log, "div_row", spaces.div_row))
     code, _ = run_json(
@@ -456,7 +460,8 @@ def test_infsup_worker_and_in_process_results_are_equal(tmp_path):
         "    try:\n"
         "        layout, cells = assembly._float_inputs(space)\n"
         "        worker.send(chain((layout,), cells))\n"
-        "        return infsup_constant(space, worker.result())\n"
+        "        (reply,) = worker.result()\n"
+        "        return infsup_constant(space, reply)\n"
         "    finally:\n"
         "        worker.close()\n"
         "forked = {name: compute(name, True) for name in cases}\n"
@@ -489,15 +494,18 @@ def test_worker_exits_quietly_on_a_cut_stream(cut):
     # The parent stopped before every record arrived: the child exits 0
     # and writes no reply.
     script = (
-        "import marshal\n"
+        "import io\n"
         "from hdiv_geodecomp import assembly\n"
         "from hdiv_geodecomp.mesh import resolve_mesh\n"
         "space = assembly.assemble(resolve_mesh('criss_cross'), 'face', 2, -1)\n"
         "layout, cells = assembly._float_inputs(space)\n"
-        "data = marshal.dumps(marshal.dumps(layout))\n"
+        "stream = io.BytesIO()\n"
+        "assembly._write_value(stream, layout)\n"
+        "data = stream.getvalue()\n"
         f"if {cut!r} == 'inside_second_cell':\n"
-        "    first, second = next(cells), next(cells)\n"
-        "    data += marshal.dumps(marshal.dumps(first)) + marshal.dumps(marshal.dumps(second))[:-5]\n"
+        "    assembly._write_value(stream, next(cells))\n"
+        "    assembly._write_value(stream, next(cells))\n"
+        "    data = stream.getvalue()[:-5]\n"
         "worker = assembly._Child.start('inf-sup worker', assembly._serve)\n"
         "try:\n"
         "    worker._inputs.write(data)\n"
@@ -516,10 +524,11 @@ def test_worker_exits_quietly_on_a_cut_stream(cut):
 
 
 # Helpers of the scripts below.  on_cpus sets the CPUs that
-# assembly._build_cell_duals sees; it forks a child to build half of the
-# cell duals when it sees two.  builders() returns, and forgets, the pid of
-# every DoF matrix build since its last call.  repeat_interior gives one
-# cell two equal interior functionals, so its DoF matrix is singular.
+# assembly._build_cell_duals sees; it forks a child to build cell duals
+# from the back of its class list when it sees two.  builders() returns,
+# and forgets, the pid and the cell's vertices of every DoF matrix build
+# since its last call.  repeat_interior gives one cell two equal interior
+# functionals, so its DoF matrix is singular.
 SPLIT_PRELUDE = """
 import atexit, marshal, os, tempfile, time
 from hdiv_geodecomp import assembly, report
@@ -530,16 +539,16 @@ fd, BUILDERS = tempfile.mkstemp()
 os.close(fd)
 atexit.register(os.remove, BUILDERS)
 dof_matrix = assembly.dof_matrix
-def logged_dof_matrix(*args):
+def logged_dof_matrix(dofs, basis):
     with open(BUILDERS, 'a') as log:
-        log.write(f'{os.getpid()}\\n')
-    return dof_matrix(*args)
+        log.write(f'{os.getpid()};{dofs.simplex.vertices}\\n')
+    return dof_matrix(dofs, basis)
 assembly.dof_matrix = logged_dof_matrix
 def builders():
     with open(BUILDERS, 'r+') as log:
-        pids = [int(line) for line in log]
+        builds = [line.rstrip('\\n').split(';') for line in log]
         log.truncate(0)
-    return pids
+    return [(int(pid), vertices) for pid, vertices in builds]
 def repeat_interior(space, victim):
     functionals = space.cell_dofs[victim].functionals
     dofs = list(space.cell_dofs)
@@ -572,16 +581,24 @@ def test_cell_duals_built_on_two_cpus_equal_the_in_process_ones(case):
         "    layout, cells = assembly._float_inputs(space)\n"
         "    return space, [marshal.dumps(record) for record in (layout, *cells)]\n"
         "alone, alone_records = filled(0)\n"
-        "assert set(builders()) == {os.getpid()}\n"
+        "assert {pid for pid, _ in builders()} == {os.getpid()}\n"
         "split, split_records = filled(0, 1)\n"
-        "pids = builders()\n"
-        "ncells = len(split.cell_dofs)\n"
-        "nclasses = len(set(split.mesh.cell_class))\n"
-        "# One DoF matrix per class: this process builds half of the classes,\n"
-        "# rounded down, a child the rest.\n"
-        "assert sorted(map(pids.count, set(pids))) == [nclasses // 2, nclasses - nclasses // 2], pids\n"
-        "assert pids.count(os.getpid()) == nclasses // 2, pids\n"
-        "assert len(split._dual_cache) == ncells\n"
+        "cell_of = {str(s.vertices): ci for ci, s in enumerate(split.mesh.cell_simplices)}\n"
+        "built = {}\n"
+        "builds = builders()\n"
+        "for pid, vertices in builds:\n"
+        "    built.setdefault(cell_of[vertices], set()).add(pid)\n"
+        "# Each class's DoF matrix is built on its first cell, by this process\n"
+        "# or by the child; at most one class, begun by both before they met,\n"
+        "# is built by both.  This process builds the first class.\n"
+        "firsts = sorted(set(split.mesh.cell_class))\n"
+        "assert sorted(built) == firsts, built\n"
+        "assert os.getpid() in built[firsts[0]], built\n"
+        "assert len(set().union(*built.values())) <= 2, built\n"
+        "assert sum(len(pids) == 2 for pids in built.values()) <= 1, built\n"
+        "# Neither process builds a class twice, _float_inputs included.\n"
+        "assert len(builds) == sum(map(len, built.values())), builds\n"
+        "assert len(split._dual_cache) == len(split.cell_dofs)\n"
         "assert split._dual_cache == alone._dual_cache\n"
         "# The inf-sup worker's records, byte for byte.\n"
         "assert split_records == alone_records\n"
@@ -602,9 +619,13 @@ def test_cell_duals_built_on_two_cpus_keep_planted_entries():
         "space._dual_cache[3] = entry3\n"
         "assembly._build_cell_duals(space)\n"
         "assert space._dual_cache[0] is entry0 and space._dual_cache[3] is entry3\n"
-        "# Cells 1 and 2 are built, one in this process and one in the child.\n"
-        "pids = builders()\n"
-        "assert len(pids) == 2 and len(set(pids)) == 2, pids\n"
+        "# Cell 1 is built in this process, cell 2 in this one or the child.\n"
+        "cell_of = {str(s.vertices): ci for ci, s in enumerate(space.mesh.cell_simplices)}\n"
+        "built = {}\n"
+        "for pid, vertices in builders():\n"
+        "    built.setdefault(cell_of[vertices], set()).add(pid)\n"
+        "assert sorted(built) == [1, 2] and built[1] == {os.getpid()}, built\n"
+        "assert len(built[1] | built[2]) <= 2, built\n"
         "on_cpus(0)\n"
         "assembly._build_cell_duals(alone)\n"
         "assert {**alone._dual_cache, 0: entry0, 3: entry3} == space._dual_cache\n"
@@ -613,16 +634,25 @@ def test_cell_duals_built_on_two_cpus_keep_planted_entries():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("victim", [3, 0], ids=["child_half", "parent_half"])
-def test_cell_duals_on_two_cpus_raise_the_in_process_error(victim):
-    # criss_cross has four cells: this process builds cells 0 and 1, the
-    # child 2 and 3.  With the singular cell in this process's half, the
-    # child sleeps past _run_script's timeout, so only a kill ends it in time.
+@pytest.mark.parametrize(
+    "mesh, victims, helper",
+    [("criss_cross", (3,), ""), ("criss_cross", (0,), SLEEPING_HELPER), ("refine(criss_cross)", (1, 14), "")],
+    ids=["last_class", "first_class", "near_both_ends"],
+)
+def test_cell_duals_on_two_cpus_raise_the_in_process_error(mesh, victims, helper):
+    # The four cells of criss_cross are four classes: this process builds
+    # class 0 first, the child class 3 first.  With class 0 singular the
+    # child sleeps past _run_script's timeout, so only a kill ends it in
+    # time.  On refine(criss_cross) the victims' classes are the second and
+    # the last of six: whichever process meets its singular class first,
+    # the error is the second class's, as in process, on every run.
     script = SPLIT_PRELUDE + (
-        f"victim = {victim}\n"
+        f"mesh, victims = {mesh!r}, {victims!r}\n"
         "def message(*cpus):\n"
         "    on_cpus(*cpus)\n"
-        "    space = repeat_interior(assembly.assemble(resolve_mesh('criss_cross'), 'face', 2, -1), victim)\n"
+        "    space = assembly.assemble(resolve_mesh(mesh), 'face', 2, -1)\n"
+        "    for victim in victims:\n"
+        "        space = repeat_interior(space, victim)\n"
         "    try:\n"
         "        assembly._build_cell_duals(space)\n"
         "    except assembly.AssemblyError as exc:\n"
@@ -630,9 +660,30 @@ def test_cell_duals_on_two_cpus_raise_the_in_process_error(victim):
         "    raise AssertionError('no error')\n"
         "expected = message(0)\n"
         "assert expected.startswith('cell (') and 'has a singular DoF matrix' in expected, expected\n"
-        "if victim < 2:\n"
-        f"    {SLEEPING_HELPER}\n"
-        "assert message(0, 1) == expected\n"
+        f"{helper}\n"
+        "for _ in range(5):\n"
+        "    assert message(0, 1) == expected\n"
+        "    no_child_left()\n"
+    )
+    proc = _run_script(script, STRICT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_a_stalled_helper_leaves_every_class_to_this_process():
+    # The child sleeps past _run_script's timeout and sends nothing: this
+    # process builds every class without waiting for it, then kills it.
+    script = SPLIT_PRELUDE + (
+        "on_cpus(0, 1)\n"
+        f"{SLEEPING_HELPER}\n"
+        "space = assembly.assemble(resolve_mesh('refine(two_tets)'), 'traceless', 2, 0)\n"
+        "start = time.monotonic()\n"
+        "assembly._build_cell_duals(space)\n"
+        "elapsed = time.monotonic() - start\n"
+        "assert elapsed < 30, elapsed\n"
+        "pids = [pid for pid, _ in builders()]\n"
+        "assert pids == [os.getpid()] * len(set(space.mesh.cell_class)), pids\n"
+        "assert len(space._dual_cache) == len(space.cell_dofs)\n"
         "no_child_left()\n"
     )
     proc = _run_script(script, STRICT)
@@ -663,11 +714,11 @@ def test_a_forked_child_moves_off_its_parents_cpu_once(monkeypatch):
 CHILD_CASES = {
     "result_over_one_mebibyte": ("""
 def counted(values, step):
-    return list(range(0, next(values), step))
+    yield list(range(0, next(values), step))
 child = assembly._Child.start('counter', counted, 1)
 try:
     child.send([300_000])
-    result = child.result()
+    (result,) = child.result()
 finally:
     child.close()
 assert len(marshal.dumps(result)) > 1 << 20
@@ -693,9 +744,11 @@ child.close()
 assert child.status == -signal.SIGKILL and time.monotonic() - start < 60, child.status
 """, ""),
     "close_after_result_does_nothing": ("""
-child = assembly._Child.start('adder', lambda values, a, b: a + b, 2, 3)
+def adder(values, a, b):
+    yield a + b
+child = assembly._Child.start('adder', adder, 2, 3)
 try:
-    assert child.result() == 5
+    assert child.result() == [5]
 finally:
     child.close()
 assert child.status == 0
@@ -704,7 +757,7 @@ assert child.status == 0
 """, ""),
     "inputs_cut_short": ("""
 def pair(values):
-    return [next(values) for _ in range(2)]
+    yield [next(values) for _ in range(2)]
 child = assembly._Child.start('reader', pair)
 try:
     child.send([1])
@@ -715,6 +768,41 @@ else:
     raise AssertionError('no error')
 finally:
     child.close()
+""", ""),
+    "replies_arrive_in_order": ("""
+def three(values):
+    next(values)
+    yield 1
+    yield [2, 2]
+    yield 'three'
+child = assembly._Child.start('streamer', three)
+try:
+    assert child.replies() == []
+    child.send([None])
+    os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
+    assert child.replies() == [1, [2, 2], 'three']
+    assert child.replies() == []
+finally:
+    child.close()
+assert child.status == 0, child.status
+""", ""),
+    "killed_mid_stream": ("""
+def stream(values):
+    yield 'first'
+    yield list(range(300_000))
+    time.sleep(150)
+child = assembly._Child.start('streamer', stream)
+try:
+    got = []
+    deadline = time.monotonic() + 60
+    while len(got) < 2 and time.monotonic() < deadline:
+        got += child.replies()
+        time.sleep(0.001)
+    # The second value is larger than the pipe holds: it arrives in parts.
+    assert got == ['first', list(range(300_000))], got[:1]
+finally:
+    child.close()
+assert child.status == -signal.SIGKILL, child.status
 """, ""),
 }
 
@@ -933,8 +1021,8 @@ def _singular_cell(victim: int, helper: str = "") -> str:
         # computing the constant again in-process.
         ("assembly._float_infsup = lambda *records: os._exit(5)", 3, "inf-sup worker exited with status 5"),
         (DIES_MID_STREAM, 3, "inf-sup worker exited with status 5"),
-        # A cell of the cell dual helper's half is singular: its error ends
-        # the run.  One of this process's half is: the helper, which sleeps
+        # The last class is singular: its error ends the run, whichever
+        # process builds it.  The first class is: the helper, which sleeps
         # past the timeout, is killed and reaped.
         (_singular_cell(3), 3, "cell (2, 3, 4) has a singular DoF matrix"),
         (_singular_cell(0, SLEEPING_HELPER), 3, "cell (0, 1, 4) has a singular DoF matrix"),
@@ -945,8 +1033,8 @@ def _singular_cell(victim: int, helper: str = "") -> str:
         "unit_raises_after_stream",
         "worker_crashes",
         "worker_dies_mid_stream",
-        "singular_cell_in_helper_half",
-        "singular_cell_in_parent_half",
+        "singular_last_class",
+        "singular_first_class",
     ],
 )
 def test_cli_leaves_no_child_process(tmp_path, setup, code, message):
