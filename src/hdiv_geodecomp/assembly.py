@@ -13,6 +13,7 @@ inf-sup constants are the one place floating point enters.
 from __future__ import annotations
 
 import contextlib
+import io
 import marshal
 import os
 import random
@@ -490,14 +491,12 @@ class _Child:
     def _take(self) -> list:
         """The values whole in the reply buffer, in order; a part of the
         next one stays there."""
-        buffer, start, values = self._buffer, 0, []
-        while len(buffer) >= start + 8:
-            end = start + 8 + int.from_bytes(buffer[start:start + 8], "little")
-            if end > len(buffer):
-                break
-            values.append(marshal.loads(buffer[start + 8:end]))
-            start = end
-        del buffer[:start]
+        stream, values, used = io.BytesIO(self._buffer), [], 0
+        with contextlib.suppress(EOFError):
+            while True:
+                values.append(marshal.loads(_read_value(stream)))
+                used = stream.tell()
+        del self._buffer[:used]
         return values
 
     def _close_inputs(self) -> None:
@@ -510,20 +509,17 @@ class _Child:
         self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
-def _helper_entries(values, space: GlobalSpace, cells, claimed):
+def _helper_entries(values, space: GlobalSpace, cells):
     """The body of _build_cell_duals' child: from the last of cells down to
     the second, each cell's entry as soon as it is built, or the text of
-    the AssemblyError it raises, after which it builds nothing more.  It
-    stops at the first cell the parent has begun (claimed[i] set)."""
-    for i in range(len(cells) - 1, 0, -1):
-        if claimed[i]:
-            return
+    the AssemblyError it raises, after which it builds nothing more."""
+    for ci in reversed(cells[1:]):
         try:
-            space.dual_coefficients(cells[i])
+            space.dual_coefficients(ci)
         except AssemblyError as exc:
             yield str(exc)
             return
-        yield space._dual_cache[cells[i]]
+        yield space._dual_cache[ci]
 
 
 def _build_cell_duals(space: GlobalSpace) -> None:
@@ -539,47 +535,41 @@ def _build_cell_duals(space: GlobalSpace) -> None:
     time, while a _Child forked here builds them from the back and sends
     each entry as soon as it is built (_helper_entries).  After each of its
     own builds, this process keeps the entries that have arrived, without
-    waiting for more.  The two stop where they meet: this process marks
-    each class it begins in a byte of shared memory, the helper begins no
-    marked class, and the helper is then killed and reaped, losing at most
-    the one class both began.  The first class is always built here, before
-    any entry is read.  Entries already cached, planted ones included, are
-    kept.  A class whose DoF matrix is singular raises the AssemblyError it
-    raises in process, and of several, the first class's: the helper stops
-    at its first, and this process builds every class before it.  The
-    helper is forked when the process may run on at least two CPUs and at
-    least two classes are to be filled; otherwise, or when _Child.start
-    returns None, the same loop builds every class here.
+    waiting for more.  The two stop where they meet: the helper is then
+    killed and reaped, and the entries it built past that point, during
+    this process's last build, are dropped.  The first class is always
+    built here, before any entry is read.  Entries already cached, planted
+    ones included, are kept.  A class whose DoF matrix is singular raises
+    the AssemblyError it raises in process, and of several, the first
+    class's: the helper stops at its first, and this process builds every
+    class before it.  The helper is forked when the process may run on at
+    least two CPUs and at least two classes are to be filled; otherwise,
+    or when _Child.start returns None, the same loop builds every class
+    here.
     """
-    import mmap
-
     firsts: dict[int, int] = {}
     for ci, mates in enumerate(space._dual_classes):
         if ci not in space._dual_cache:
             firsts.setdefault(mates[0], ci)
     cells = list(firsts.values())
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    # One byte per class, shared with the helper: set as this process
-    # begins the class.
-    with mmap.mmap(-1, len(cells) or 1) as claimed:
-        helper = _Child.start("cell dual helper", _helper_entries, space, cells, claimed) if len(cells) > 1 and cpus > 1 else None
-        front, back, error = 0, len(cells), None
-        try:
-            while front < back:
-                claimed[front] = 1
-                space.dual_coefficients(cells[front])
-                front += 1
-                for entry in helper.replies() if helper is not None else ():
-                    if back == front:
-                        break
-                    back -= 1
-                    if isinstance(entry, str):
-                        error = entry
-                    else:
-                        space._keep(cells[back], entry)
-        finally:
-            if helper is not None:
-                helper.close()
+    helper = _Child.start("cell dual helper", _helper_entries, space, cells) if len(cells) > 1 and cpus > 1 else None
+    front, back, error = 0, len(cells), None
+    try:
+        while front < back:
+            space.dual_coefficients(cells[front])
+            front += 1
+            for entry in helper.replies() if helper is not None else ():
+                if back == front:
+                    break
+                back -= 1
+                if isinstance(entry, str):
+                    error = entry
+                else:
+                    space._keep(cells[back], entry)
+    finally:
+        if helper is not None:
+            helper.close()
     if error is not None:
         raise AssemblyError(error)
 

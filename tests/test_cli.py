@@ -309,22 +309,39 @@ def test_jobs_flag_takes_only_one_worker(tmp_path, argv):
     assert not (tmp_path / "two.json").exists()
 
 
-def _counting(log: Path, name: str, fn):
-    """fn, appending its name to log on each call, in whichever process
-    makes it.  The tests that count with it see one CPU, so the cell duals
-    are built in process: with a helper, a class that both processes began
-    before they met is built in both."""
+def _counting(log: Path, name: str, fn, cell=lambda *args: ""):
+    """fn, appending to log on each call its name, the pid of the process
+    that makes it, which may be a child that a run forks to build cell
+    duals, and cell(*args), the cell the call works on."""
 
     def wrapper(*args, **kwargs):
         with open(log, "a") as out:
-            out.write(name + "\n")
+            out.write(f"{name};{os.getpid()};{cell(*args)}\n")
         return fn(*args, **kwargs)
 
     return wrapper
 
 
+def _logged(log: Path) -> list[list[str]]:
+    return [line.split(";", 2) for line in log.read_text().splitlines()] if log.exists() else []
+
+
 def _calls(log: Path) -> Counter:
-    return Counter(log.read_text().split()) if log.exists() else Counter()
+    return Counter(name for name, _, _ in _logged(log))
+
+
+def _calls_per_process(log: Path, name: str) -> Counter:
+    """The calls of name per (pid, cell).  Each call made for a cell comes
+    from this process or from one child, and no process makes two for
+    one cell; the two processes may both make one."""
+    calls = Counter((int(pid), cell) for called, pid, cell in _logged(log) if called == name)
+    assert set(calls.values()) <= {1}, calls
+    assert len({pid for pid, _ in calls} - {os.getpid()}) <= 1, calls
+    return calls
+
+
+def _vertices(simplex) -> str:
+    return str(simplex.vertices)
 
 
 def test_all_suite_shares_mesh_space_and_cell_duals(tmp_path, capsys, monkeypatch):
@@ -332,41 +349,68 @@ def test_all_suite_shares_mesh_space_and_cell_duals(tmp_path, capsys, monkeypatc
     criss_cross = builtin_mesh("criss_cross")
     save_mesh(criss_cross, path)
     log = tmp_path / "calls.log"
+    cells = {_vertices(s) for s in criss_cross.cell_simplices}
 
-    def counted(name, fn):
-        return _counting(log, name, fn)
+    def counted(name, fn, cell=lambda *args: ""):
+        return _counting(log, name, fn, cell)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    def run() -> Counter:
+        log.unlink(missing_ok=True)
+        code, _ = run_json(
+            capsys, ["all", "--family", "face", "--degree", "2", "--mesh", str(path)]
+        )
+        assert code == 0
+        calls = _calls(log)
+        assert calls["assemble"] == 1
+        # once, when loading the file builds the Mesh
+        assert calls["validate_mesh"] == 1
+        return calls
+
     monkeypatch.setattr(report, "assemble", counted("assemble", report.assemble))
-    for module, fn in [(dofs, "dof_matrix"), (assembly, "dof_matrix"), (mesh, "validate_mesh")]:
-        monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
-    code, _ = run_json(
-        capsys, ["all", "--family", "face", "--degree", "2", "--mesh", str(path)]
-    )
-    assert code == 0
-    calls = _calls(log)
-    assert calls["assemble"] == 1
-    # one DoF matrix per cell, plus the reference cell of the unisolvence unit
-    assert calls["dof_matrix"] == len(criss_cross.cells) + 1
-    # once, when loading the file builds the Mesh
-    assert calls["validate_mesh"] == 1
+    for module in (dofs, assembly):
+        monkeypatch.setattr(module, "dof_matrix", counted("dof_matrix", module.dof_matrix, lambda d, b: _vertices(d.simplex)))
+    monkeypatch.setattr(mesh, "validate_mesh", counted("validate_mesh", mesh.validate_mesh))
+    # On the machine's CPUs: each of the four cells is its own class, and
+    # its DoF matrix is built in this process, in the cell dual helper, or
+    # in each when both began it, plus the reference cell of the
+    # unisolvence unit.  No process builds one twice, later units included.
+    run()
+    built = {cell for _, cell in _calls_per_process(log, "dof_matrix")}
+    assert cells < built and len(built) == len(cells) + 1, built
+    # On one CPU, no helper: one DoF matrix per cell, plus the reference cell.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run()["dof_matrix"] == len(criss_cross.cells) + 1
 
 
 def test_infsup_builds_cell_div_rows_once_per_cell(tmp_path, capsys, monkeypatch):
     log = tmp_path / "calls.log"
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(assembly, "div_rows", _counting(log, "div_rows", assembly.div_rows))
+    criss_cross = builtin_mesh("criss_cross")
+    cells = {_vertices(s) for s in criss_cross.cell_simplices}
+    monkeypatch.setattr(assembly, "div_rows", _counting(log, "div_rows", assembly.div_rows, lambda b, s: _vertices(s)))
     monkeypatch.setattr(spaces, "div_row", _counting(log, "div_row", spaces.div_row))
-    code, _ = run_json(
-        capsys, ["infsup", "--family", "traceless", "--degree", "2", "--mesh", "criss_cross"]
-    )
-    assert code == 0
-    calls = _calls(log)
-    cells = len(builtin_mesh("criss_cross").cells)
-    # inf-sup and div-onto share the (rows, denominator) of each cell
-    assert calls["div_rows"] == cells
     members = Family.TRACELESS.constrained_dim(2) * comb(2 + 2, 2)
-    assert calls["div_row"] == cells * members
+
+    def run() -> Counter:
+        log.unlink(missing_ok=True)
+        code, _ = run_json(
+            capsys, ["infsup", "--family", "traceless", "--degree", "2", "--mesh", "criss_cross"]
+        )
+        assert code == 0
+        return _calls(log)
+
+    # inf-sup and div-onto share the (rows, denominator) of each cell.  On
+    # the machine's CPUs each process builds a cell's rows at most once,
+    # together every cell's, one div_row per member of each.
+    run()
+    rows = _calls_per_process(log, "div_rows")
+    assert {cell for _, cell in rows} == cells, rows
+    per_row = Counter(int(pid) for called, pid, _ in _logged(log) if called == "div_row")
+    assert per_row == Counter({pid: n * members for pid, n in Counter(pid for pid, _ in rows).items()}), per_row
+    # On one CPU, in this process alone: one build per cell.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    calls = run()
+    assert calls["div_rows"] == len(cells)
+    assert calls["div_row"] == len(cells) * members
 
 
 def _run_script(script: str, flags: tuple[str, ...] = (), **env: str) -> subprocess.CompletedProcess:
@@ -578,6 +622,7 @@ def test_cell_duals_built_on_two_cpus_equal_the_in_process_ones(case):
         "    on_cpus(*cpus)\n"
         "    space = assembly.assemble(resolve_mesh(mesh), family, degree, k)\n"
         "    assembly._build_cell_duals(space)\n"
+        "    assert len(space._dual_cache) == len(space.cell_dofs)\n"
         "    layout, cells = assembly._float_inputs(space)\n"
         "    return space, [marshal.dumps(record) for record in (layout, *cells)]\n"
         "alone, alone_records = filled(0)\n"
@@ -589,16 +634,14 @@ def test_cell_duals_built_on_two_cpus_equal_the_in_process_ones(case):
         "for pid, vertices in builds:\n"
         "    built.setdefault(cell_of[vertices], set()).add(pid)\n"
         "# Each class's DoF matrix is built on its first cell, by this process\n"
-        "# or by the child; at most one class, begun by both before they met,\n"
-        "# is built by both.  This process builds the first class.\n"
+        "# or by the child, or by both when both began it before they met.\n"
+        "# This process builds the first class.\n"
         "firsts = sorted(set(split.mesh.cell_class))\n"
         "assert sorted(built) == firsts, built\n"
         "assert os.getpid() in built[firsts[0]], built\n"
         "assert len(set().union(*built.values())) <= 2, built\n"
-        "assert sum(len(pids) == 2 for pids in built.values()) <= 1, built\n"
         "# Neither process builds a class twice, _float_inputs included.\n"
         "assert len(builds) == sum(map(len, built.values())), builds\n"
-        "assert len(split._dual_cache) == len(split.cell_dofs)\n"
         "assert split._dual_cache == alone._dual_cache\n"
         "# The inf-sup worker's records, byte for byte.\n"
         "assert split_records == alone_records\n"
@@ -619,13 +662,14 @@ def test_cell_duals_built_on_two_cpus_keep_planted_entries():
         "space._dual_cache[3] = entry3\n"
         "assembly._build_cell_duals(space)\n"
         "assert space._dual_cache[0] is entry0 and space._dual_cache[3] is entry3\n"
-        "# Cell 1 is built in this process, cell 2 in this one or the child.\n"
+        "# Cell 1 is built in this process, cell 2 in this one, the child or\n"
+        "# both; no process builds a cell twice.\n"
         "cell_of = {str(s.vertices): ci for ci, s in enumerate(space.mesh.cell_simplices)}\n"
-        "built = {}\n"
-        "for pid, vertices in builders():\n"
-        "    built.setdefault(cell_of[vertices], set()).add(pid)\n"
-        "assert sorted(built) == [1, 2] and built[1] == {os.getpid()}, built\n"
-        "assert len(built[1] | built[2]) <= 2, built\n"
+        "builds = [(pid, cell_of[vertices]) for pid, vertices in builders()]\n"
+        "assert len(builds) == len(set(builds)), builds\n"
+        "assert {ci for _, ci in builds} == {1, 2}, builds\n"
+        "assert {pid for pid, ci in builds if ci == 1} == {os.getpid()}, builds\n"
+        "assert len({pid for pid, _ in builds}) <= 2, builds\n"
         "on_cpus(0)\n"
         "assembly._build_cell_duals(alone)\n"
         "assert {**alone._dual_cache, 0: entry0, 3: entry3} == space._dual_cache\n"
