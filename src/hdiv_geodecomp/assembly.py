@@ -46,6 +46,8 @@ from .tensors import Family
 
 # Eigenvalues of the inf-sup pencil below this are counted as kernel modes.
 KERNEL_THRESHOLD = 1e-10
+# Random rational points per interior facet for the sampled conformity guard.
+CONFORMITY_SAMPLES = 2
 
 
 class AssemblyError(ValueError):
@@ -57,12 +59,12 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
 
     keys[g] is the hashable identity of global DoF g; local_to_global[c][i]
     is the global index of cell c's i-th functional; cell_dofs[c] is cell
-    c's DoFSet.  Each cell's dual basis and div rows are built together on
-    demand and kept per instance, outside the fields, as one entry of
-    _dual_cache: the pair (dual_coefficients, div_rows).  The exact cell
-    work is done once per class: cell_basis decomposes the first cell of
-    the cell's congruence class (Mesh.cell_class), and an entry is built
-    once per dual class (_dual_classes) and kept under each of its cells.
+    c's DoFSet.  The exact cell work is done once per class (classes), on
+    its first cell: cell_basis decomposes it, and its dual basis and div
+    rows are built together on demand and kept per instance, outside the
+    fields, as one entry of _dual_cache under the first cell: the pair
+    (dual_coefficients, div_rows).  An entry planted there stands for the
+    whole class.
     """
 
     @property
@@ -74,18 +76,18 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
         return {}
 
     @cached_property
-    def _dual_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Per cell, the cells that share its entry, in cell order: its
-        congruence class, less the cells whose DoF set carries another
+    def classes(self) -> tuple[int, ...]:
+        """Per cell, the first cell of its class: its congruence class
+        (Mesh.cell_class), less the cells whose DoF set carries another
         functionals tuple than its own.  assemble gives class-mates one
         functionals tuple, so a cell whose functionals were replaced, as
-        flip_facet_orientation does, has a dual class of its own."""
-        keys = [(first, id(dofs.functionals)) for first, dofs in zip(self.mesh.cell_class, self.cell_dofs)]
-        classes: dict[tuple, list[int]] = {}
-        for ci, key in enumerate(keys):
-            classes.setdefault(key, []).append(ci)
-        mates = {key: tuple(cells) for key, cells in classes.items()}
-        return tuple(mates[key] for key in keys)
+        flip_facet_orientation does, is a class of its own, and its mates
+        elect the first of the rest."""
+        first: dict[tuple[int, int], int] = {}
+        return tuple(
+            first.setdefault((c, id(dofs.functionals)), ci)
+            for ci, (c, dofs) in enumerate(zip(self.mesh.cell_class, self.cell_dofs))
+        )
 
     @cached_property
     def scopes(self) -> tuple[str, ...]:
@@ -123,7 +125,7 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
     def cell_basis(self, cell_index: int):
         """The decomposition of the first cell of the cell's class, which
         equals the cell's own: one decompose per class."""
-        return decompose(self.family, self.mesh.cell_simplices[self.mesh.cell_class[cell_index]], self.degree)
+        return decompose(self.family, self.mesh.cell_simplices[self.classes[cell_index]], self.degree)
 
     def dual_coefficients(self, cell_index: int) -> tuple[list[list[int]], int]:
         """Exact inverse of the cell DoF matrix as an integer matrix N over
@@ -132,16 +134,17 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
 
         The matrix is block lower-triangular over its site blocks, so the
         inverse is one small inverse per site plus block forward substitution.
-        A miss builds the cell's div rows too and keeps both in one entry,
-        under every cell of its dual class that has none (_keep).
+        A miss builds it on the first cell of the cell's class, with that
+        cell's div rows, and keeps both in one entry under that cell.
         """
-        hit = self._dual_cache.get(cell_index)
+        first = self.classes[cell_index]
+        hit = self._dual_cache.get(first)
         if hit is not None:
             return hit[0]
-        dofs = self.cell_dofs[cell_index]
-        basis = self.cell_basis(cell_index)
+        dofs = self.cell_dofs[first]
+        basis = self.cell_basis(first)
         mat = dof_matrix(dofs, basis)
-        cell = self.mesh.cells[cell_index]
+        cell = self.mesh.cells[first]
         try:
             blocks = site_blocks(dofs, basis, mat)
         except SiteBlockError as exc:
@@ -150,21 +153,17 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
             inv = linalg.invert_block_lower(mat, blocks)
         except linalg.SingularMatrixError as exc:
             raise AssemblyError(f"cell {cell} has a singular DoF matrix: {exc}") from exc
-        self._keep(cell_index, (inv, div_rows(basis, self.mesh.cell_simplices[cell_index])))
+        self._dual_cache[first] = inv, div_rows(basis, self.mesh.cell_simplices[first])
         return inv
-
-    def _keep(self, cell_index: int, entry) -> None:
-        """Keep one entry object under every cell of cell_index's dual
-        class that has none; a cached entry, planted or not, is kept."""
-        for ci in self._dual_classes[cell_index]:
-            self._dual_cache.setdefault(ci, entry)
 
     def div_rows(self, cell_index: int) -> tuple[list[list[int]], int]:
         """Per member of the cell basis, its div over the degree r-1 lattice,
-        component fastest: integer rows over one denominator, from the cell's entry."""
-        if cell_index not in self._dual_cache:
-            self.dual_coefficients(cell_index)
-        return self._dual_cache[cell_index][1]
+        component fastest: integer rows over one denominator, from the entry
+        of the cell's class."""
+        first = self.classes[cell_index]
+        if first not in self._dual_cache:
+            self.dual_coefficients(first)
+        return self._dual_cache[first][1]
 
 
 def _weight_alpha(functional) -> tuple[int, ...]:
@@ -523,35 +522,29 @@ def _helper_entries(values, space: GlobalSpace, cells):
 
 
 def _build_cell_duals(space: GlobalSpace) -> None:
-    """Fill the space's entry, dual and div rows, for every cell that lacks
-    one, once per dual class, on two CPUs when the process may use them.
+    """Fill the entry, dual and div rows, of every class (GlobalSpace.classes)
+    that lacks one, on two CPUs when the process may use them.
 
     Each cell's DoF system is unisolvent by itself, so its entry is an
     exact computation that depends on no other cell, and the cells of one
-    dual class (GlobalSpace._dual_classes) have equal entries.  One entry
-    is built per dual class with a cell to fill, on the first such cell,
-    and kept under each of the class's cells that has none.  The classes
-    are split by demand: this process builds them from the front, one at a
-    time, while a _Child forked here builds them from the back and sends
-    each entry as soon as it is built (_helper_entries).  After each of its
-    own builds, this process keeps the entries that have arrived, without
-    waiting for more.  The two stop where they meet: the helper is then
-    killed and reaped, and the entries it built past that point, during
-    this process's last build, are dropped.  The first class is always
-    built here, before any entry is read.  Entries already cached, planted
-    ones included, are kept.  A class whose DoF matrix is singular raises
-    the AssemblyError it raises in process, and of several, the first
-    class's: the helper stops at its first, and this process builds every
-    class before it.  The helper is forked when the process may run on at
-    least two CPUs and at least two classes are to be filled; otherwise,
-    or when _Child.start returns None, the same loop builds every class
-    here.
+    class have equal entries: one is built per class, on its first cell.
+    The classes are split by demand: this process builds them from the
+    front, one at a time, while a _Child forked here builds them from the
+    back and sends each entry as soon as it is built (_helper_entries).
+    After each of its own builds, this process keeps the entries that have
+    arrived, without waiting for more.  The two stop where they meet: the
+    helper is then killed and reaped, and the entries it built past that
+    point, during this process's last build, are dropped.  The first class
+    is always built here, before any entry is read.  Entries already
+    cached, planted ones included, are kept.  A class whose DoF matrix is
+    singular raises the AssemblyError it raises in process, and of
+    several, the first class's: the helper stops at its first, and this
+    process builds every class before it.  The helper is forked when the
+    process may run on at least two CPUs and at least two classes are to
+    be filled; otherwise, or when _Child.start returns None, the same loop
+    builds every class here.
     """
-    firsts: dict[int, int] = {}
-    for ci, mates in enumerate(space._dual_classes):
-        if ci not in space._dual_cache:
-            firsts.setdefault(mates[0], ci)
-    cells = list(firsts.values())
+    cells = sorted(set(space.classes) - space._dual_cache.keys())
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     helper = _Child.start("cell dual helper", _helper_entries, space, cells) if len(cells) > 1 and cpus > 1 else None
     front, back, error = 0, len(cells), None
@@ -566,7 +559,7 @@ def _build_cell_duals(space: GlobalSpace) -> None:
                 if isinstance(entry, str):
                     error = entry
                 else:
-                    space._keep(cells[back], entry)
+                    space._dual_cache[cells[back]] = entry
     finally:
         if helper is not None:
             helper.close()
@@ -651,28 +644,28 @@ def _statements(space: GlobalSpace) -> list[tuple[str, tuple[int, ...], tensors.
     return out
 
 
-def _shared_site_rows(space: GlobalSpace, site: tuple[int, ...], contraction: tensors.Contraction, kept: dict | None = None):
+def _shared_site_rows(space: GlobalSpace, site: tuple[int, ...], contraction: tensors.Contraction, kept: dict):
     """Per cell sharing a site, the contracted restrictions of its basis
     functions to it: a map from global DoF to integer row, holding the
     nonzero rows only, and one denominator.
 
-    A cell's rows depend on its class's basis, its entry, its local labels
-    of the site and the contraction only.  kept, a dict that one
-    check_conformity holds while its statements are alive, keeps them
-    under that key, so the cells of one class build them once per local
-    site and contraction; the cell entries must be built before."""
+    A cell's rows depend on its class (GlobalSpace.classes), its local
+    labels of the site and the contraction only, and are built on the
+    class's first cell.  kept, a dict that one check_conformity holds while
+    its statements are alive, keeps them under the key (first cell, local
+    site, contraction), so the cells of one class build them once per local
+    site and contraction."""
     mesh = space.mesh
     per_cell = []
     for c in mesh.cells_containing(site):
         local = mesh.local_site(c, site)
-        key = (mesh.cell_class[c], id(space._dual_cache.get(c)), local.indices, id(contraction))
-        rows = kept.get(key) if kept is not None else None
+        first = space.classes[c]
+        key = (first, local.indices, id(contraction))
+        rows = kept.get(key)
         if rows is None:
-            member_rows, member_den = site_rows(space.cell_basis(c), local, contraction)
-            ints, den = cell_rows(space, c, member_rows, member_den)
-            rows = [(i, row) for i, row in enumerate(ints) if any(row)], den
-            if kept is not None:
-                kept[key] = rows
+            member_rows, member_den = site_rows(space.cell_basis(first), local, contraction)
+            ints, den = cell_rows(space, first, member_rows, member_den)
+            rows = kept[key] = [(i, row) for i, row in enumerate(ints) if any(row)], den
         nonzero, den = rows
         l2g = space.local_to_global[c]
         per_cell.append(({l2g[i]: row for i, row in nonzero}, den))
@@ -709,7 +702,7 @@ def _evaluate(row: list[int], monomials: list[int]) -> list[int]:
     return [sum(map(mul, row[w::width], monomials)) for w in range(width)]
 
 
-def check_conformity(space: GlobalSpace, samples: int = 2, seed: int = 0) -> CheckResult:
+def check_conformity(space: GlobalSpace, samples: int = CONFORMITY_SAMPLES, seed: int = 0) -> CheckResult:
     """Exact continuity of every assembled basis function.
 
     Each continuity statement restricts the basis functions of every cell
@@ -837,15 +830,17 @@ def _div_onto_rank(space: GlobalSpace) -> int:
     every other row without touching K_T.  Hence rank D = sum_T r_T +
     rank M, where M holds each shared basis function's block segments
     projected on K_T (s_T K_T), and M is eliminated sparse.  The global
-    rows are never formed.  r_T, K_T and the segments depend on the cell's
-    entry and its interior split only, so they are computed once per
-    entry class (_entry_classes).
+    rows are never formed.  r_T, K_T and the segments depend on the entry
+    and the interior split of the cell's class only, so they are computed
+    once per class (GlobalSpace.classes), on its first cell, after the
+    entries are built (_build_cell_duals).
     """
+    _build_cell_duals(space)
     interior_rank = 0
     shared: dict[int, dict[int, int]] = {}
     offset = 0
     blocks: dict[int, tuple[int, int, list]] = {}
-    for ci, (first, l2g) in enumerate(zip(_entry_classes(space), space.local_to_global)):
+    for ci, (first, l2g) in enumerate(zip(space.classes, space.local_to_global)):
         if first == ci:
             # Column block ci keeps the cell's own denominators: scaling a
             # block of columns by a nonzero constant leaves the rank unchanged.
@@ -922,24 +917,10 @@ def _coeff_pair_matrix(coefficients):
     return arr @ arr.T
 
 
-def _entry_classes(space: GlobalSpace) -> list[int]:
-    """Per cell, the first cell of its dual class that holds the same
-    entry object, once every entry is built (_build_cell_duals).  The
-    cells of one entry class are translates with one DoF set and one
-    entry, so their div-onto blocks and float records are equal; a cell
-    whose planted entry differs from its class's has a class of its own."""
-    _build_cell_duals(space)
-    first: dict[tuple[int, int], int] = {}
-    return [
-        first.setdefault((mates[0], id(space._dual_cache[ci])), ci)
-        for ci, mates in enumerate(space._dual_classes)
-    ]
-
-
 def _float_inputs(space: GlobalSpace):
     """The exact inputs of the float inf-sup step as builtins that marshal
-    writes: a layout record and an iterator of one record per entry class
-    (_entry_classes), so each class's record is built and sent once.
+    writes: a layout record and an iterator of one record per class
+    (GlobalSpace.classes), so each class's record is built and sent once.
 
     The layout is (n, r, div width, per cell the index of its class among
     the classes in order of their first cells, per class the interior split
@@ -949,10 +930,11 @@ def _float_inputs(space: GlobalSpace):
     (the basis's integer coefficients, each member's by its id), its div
     rows and its dual coefficients), the last three as integer rows over
     one denominator.  Class-mates are translates, so the volume is each
-    cell's own.  The cell entries are built first (_build_cell_duals);
+    cell's own.  The class entries are built first (_build_cell_duals);
     each class's record is collected when the iterator reaches it.
     """
-    classes = _entry_classes(space)
+    _build_cell_duals(space)
+    classes = space.classes
     firsts = sorted(set(classes))
     index = {ci: i for i, ci in enumerate(firsts)}
     mesh = space.mesh

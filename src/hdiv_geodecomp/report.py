@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 from . import bernstein as bn
 from .assembly import (
+    CONFORMITY_SAMPLES,
     GlobalSpace,
     _Child,
     _float_inputs,
@@ -54,8 +55,6 @@ SCHEMA_VERSION = "1"
 # The name of the one tangent-normal frame convention (simplex.build_frame),
 # kept in every report's params.
 FRAME_NAME = "edge_tangents_face_normals"
-# Random rational points per interior facet for the sampled conformity guard.
-CONFORMITY_SAMPLES = 2
 
 
 class CaseParams(NamedTuple):
@@ -178,7 +177,7 @@ def unit_dims(run: RunContext) -> list[CheckResult]:
 def unit_conformity(run: RunContext) -> list[CheckResult]:
     p = run.params
     run.hand_off()
-    return [check_conformity(run.space, samples=CONFORMITY_SAMPLES, seed=p.seed)]
+    return [check_conformity(run.space, seed=p.seed)]
 
 
 def unit_infsup(run: RunContext) -> list[CheckResult]:

@@ -413,6 +413,29 @@ def test_infsup_builds_cell_div_rows_once_per_cell(tmp_path, capsys, monkeypatch
     assert calls["div_row"] == len(cells) * members
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
+def test_cell_entries_are_asked_for_by_first_cells_only(tmp_path, capsys, monkeypatch, cpus):
+    # Each class's entry is kept under its first cell, and the package asks
+    # for it by that cell: a traced run counts a call for any other cell as
+    # a cache miss.  On two CPUs the cell dual helper's calls are logged
+    # too, from its own pid.
+    log = tmp_path / "calls.log"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    for name in ("dual_coefficients", "div_rows"):
+        original = getattr(assembly.GlobalSpace, name)
+        wrapper = _counting(log, name, original, lambda space, ci: f"{ci};{space.classes[ci]}")
+        monkeypatch.setattr(assembly.GlobalSpace, name, wrapper)
+    argv = ["all", "--family", "traceless", "--degree", "2", "--k", "0", "--mesh", "refine(two_tets)"]
+    code, _ = run_json(capsys, argv)
+    assert code == 0
+    calls = [(name, int(pid), *map(int, cell.split(";"))) for name, pid, cell in _logged(log)]
+    assert {name for name, *_ in calls} == {"dual_coefficients", "div_rows"}
+    assert all(ci == first for _, _, ci, first in calls), calls
+    firsts = {ci for _, pid, ci, _ in calls if pid == os.getpid()}
+    # This process reads the entry of every class, of which there are 10.
+    assert firsts == set(mesh.resolve_mesh("refine(two_tets)").cell_class) and len(firsts) == 10, firsts
+
+
 def _run_script(script: str, flags: tuple[str, ...] = (), **env: str) -> subprocess.CompletedProcess:
     """Run a Python script in a child with the package on its path, the
     given interpreter flags and the given variables set;
@@ -622,7 +645,8 @@ def test_cell_duals_built_on_two_cpus_equal_the_in_process_ones(case):
         "    on_cpus(*cpus)\n"
         "    space = assembly.assemble(resolve_mesh(mesh), family, degree, k)\n"
         "    assembly._build_cell_duals(space)\n"
-        "    assert len(space._dual_cache) == len(space.cell_dofs)\n"
+        "    # One entry per class, under its first cell.\n"
+        "    assert sorted(space._dual_cache) == sorted(set(space.classes))\n"
         "    layout, cells = assembly._float_inputs(space)\n"
         "    return space, [marshal.dumps(record) for record in (layout, *cells)]\n"
         "alone, alone_records = filled(0)\n"
@@ -636,7 +660,7 @@ def test_cell_duals_built_on_two_cpus_equal_the_in_process_ones(case):
         "# Each class's DoF matrix is built on its first cell, by this process\n"
         "# or by the child, or by both when both began it before they met.\n"
         "# This process builds the first class.\n"
-        "firsts = sorted(set(split.mesh.cell_class))\n"
+        "firsts = sorted(set(split.classes))\n"
         "assert sorted(built) == firsts, built\n"
         "assert os.getpid() in built[firsts[0]], built\n"
         "assert len(set().union(*built.values())) <= 2, built\n"
@@ -726,8 +750,8 @@ def test_a_stalled_helper_leaves_every_class_to_this_process():
         "elapsed = time.monotonic() - start\n"
         "assert elapsed < 30, elapsed\n"
         "pids = [pid for pid, _ in builders()]\n"
-        "assert pids == [os.getpid()] * len(set(space.mesh.cell_class)), pids\n"
-        "assert len(space._dual_cache) == len(space.cell_dofs)\n"
+        "assert pids == [os.getpid()] * len(set(space.classes)), pids\n"
+        "assert sorted(space._dual_cache) == sorted(set(space.classes))\n"
         "no_child_left()\n"
     )
     proc = _run_script(script, STRICT)

@@ -533,7 +533,7 @@ def test_dual_coefficients_invert_the_dof_matrix():
     for ci in range(2):
         mat = dof_matrix(space.cell_dofs[ci], space.cell_basis(ci))
         dual, d = space.dual_coefficients(ci)
-        assert space.dual_coefficients(ci) is space._dual_cache[ci][0]
+        assert space.dual_coefficients(ci) is space._dual_cache[space.classes[ci]][0]
         assert all(type(x) is int for row in dual for x in row)
         assert d > 0 and gcd(d, *(x for row in dual for x in row)) == 1
         n = len(mat)
@@ -599,7 +599,8 @@ def test_translates_in_another_local_order_never_share_an_entry(order_b, shared,
     assembly._build_cell_duals(space)
     assert (m.cell_class[1] == 0) is shared
     assert (space.cell_dofs[1].functionals is space.cell_dofs[0].functionals) is shared
-    assert (space._dual_cache[1] is space._dual_cache[0]) is shared
+    assert space.classes == ((0, 0) if shared else (0, 1))
+    assert sorted(space._dual_cache) == sorted(set(space.classes))
     fresh = [_fresh_dual(m, ci, family, degree, k) for ci in range(2)]
     # Sharing across another local order would be wrong: the duals differ.
     assert (fresh[0] == fresh[1]) is shared
@@ -608,43 +609,56 @@ def test_translates_in_another_local_order_never_share_an_entry(order_b, shared,
         assert [[Fraction(x, d) for x in row] for row in dual] == fresh[ci]
 
 
-def test_a_flipped_cell_gets_an_entry_of_its_own():
-    # The victim's functionals differ from its class's, so its entry does;
-    # its class-mates keep one shared entry, the unbroken one.
+@pytest.mark.parametrize("facet, victim, first", [((0, 3), 4, True), ((3, 6), 6, False)], ids=["first_of_its_class", "later_in_its_class"])
+def test_a_flipped_cell_gets_an_entry_of_its_own(facet, victim, first):
+    # The victim's functionals differ from its class's, so it is a class of
+    # its own; its class-mates keep one class and one entry, the unbroken
+    # one, under the first of them: when the victim was the first cell of
+    # the class, the mates elect a new one.
     m = builtin_mesh("refine(criss_cross)")
     assert len(m.cells) == 16 and len(set(m.cell_class)) == 4
+    assert max(m.facet_cells[facet]) == victim and (m.cell_class[victim] == victim) is first
     space = assemble(m, "symmetric", 3, 0)
-    broken = flip_facet_orientation(space)
+    broken = flip_facet_orientation(space, facet)
     res = check_conformity(broken)
     assert res.status == FAIL
+    assert facet in {tuple(v["site"]) for v in res.witness["violations"]}
     # As many as before refine numbered its vertices lexicographically.
     assert len(res.witness["violations"]) == 6
     assert check_conformity(space).status == PASS
-    victim = max(m.facet_cells[m.interior_facets[0]])
+    assert space.classes == m.cell_class
     mates = [ci for ci, first in enumerate(m.cell_class) if first == m.cell_class[victim] and ci != victim]
     assert len(mates) == 3
-    shared = broken._dual_cache[mates[0]]
-    assert all(broken._dual_cache[ci] is shared for ci in mates)
-    assert broken._dual_cache[victim] is not shared and broken._dual_cache[victim] != shared
-    assert shared == space._dual_cache[victim]
+    assert broken.classes[victim] == victim
+    assert all(broken.classes[ci] == mates[0] for ci in mates)
+    assert [c for ci, c in enumerate(broken.classes) if ci not in mates and ci != victim] == [
+        c for ci, c in enumerate(m.cell_class) if ci not in mates and ci != victim
+    ]
+    assert sorted(broken._dual_cache) == sorted(set(broken.classes))
+    assert len(broken._dual_cache) == len(set(m.cell_class)) + 1
+    assert broken._dual_cache[victim] != broken._dual_cache[mates[0]]
+    assert broken._dual_cache[mates[0]] == space._dual_cache[m.cell_class[victim]]
+    layout, _ = assembly._float_inputs(broken)
+    assert len(layout[4]) == len(set(m.cell_class)) + 1
 
 
-def test_a_planted_div_cut_leaves_its_class_mates_entries():
+def test_a_planted_div_cut_reaches_every_cell_of_its_class():
+    # An entry planted on a class stands for every cell of the class: a
+    # target column cut from it is cut from each cell's column block.
     space = assemble(builtin_mesh("refine(two_tets)"), "traceless", 2, 0)
     m = space.mesh
     assembly._build_cell_duals(space)
-    cell = next(ci for ci, first in enumerate(m.cell_class) if m.cell_class.count(first) > 1)
-    mates = [ci for ci, first in enumerate(m.cell_class) if first == m.cell_class[cell] and ci != cell]
-    entry = space._dual_cache[mates[0]]
-    assert space._dual_cache[cell] is entry
-    _zero_div_columns(space, cell, {0})
-    assert all(space._dual_cache[ci] is entry for ci in mates)
-    # The cut reaches one column block only: a rank shared over the class
-    # would lose one column per class-mate.
+    assert len(space._dual_cache) == len(set(space.classes)) == 10
+    first = max(set(space.classes), key=space.classes.count)
+    size = space.classes.count(first)
+    assert size == 4
+    entry = space._dual_cache[first]
+    _zero_div_columns(space, first, {0})
+    assert space._dual_cache[first] is not entry and len(space._dual_cache) == 10
     res = check_div_onto(space)
-    assert res.witness["rank"] == dense_div_onto_rank(space) == space.dim_q - 1
+    assert res.witness["rank"] == dense_div_onto_rank(space) == space.dim_q - size
     layout, _ = assembly._float_inputs(space)
-    assert len(layout[4]) == len(set(m.cell_class)) + 1
+    assert len(layout[4]) == len(set(m.cell_class))
 
 
 def _with_cell_functionals(space, cell_index, functionals) -> GlobalSpace:
@@ -758,7 +772,7 @@ def _plain_violations(space: GlobalSpace, samples: int, seed: int) -> list[dict]
     for kind, site, contraction in assembly._statements(space):
         cells = space.mesh.cells_containing(site)
         ids = sorted(set().union(*(space.local_to_global[c] for c in cells)))
-        sparse = assembly._shared_site_rows(space, site, contraction)
+        sparse = assembly._shared_site_rows(space, site, contraction, {})
         (width,) = {len(row) for rows, _ in sparse for row in rows.values()}
         per_cell = [([rows.get(g, [0] * width) for g in ids], den) for rows, den in sparse]
         (rows_a, d_a), *others = per_cell
@@ -853,7 +867,7 @@ def test_row_kernels_build_no_fractions_once_the_duals_are_cached(monkeypatch):
     cells = range(len(space.mesh.cells))
     rebuilt = [div_rows(space.cell_basis(ci), space.mesh.cell_simplices[ci]) for ci in cells]
     for _, site, contraction in statements:
-        assembly._shared_site_rows(space, site, contraction)
+        assembly._shared_site_rows(space, site, contraction, {})
     monkeypatch.undo()
     assert rebuilt == [space.div_rows(ci) for ci in cells]
     assert {kind for kind, _, _ in statements} == {"normal_trace", "value_at_vertex"}
@@ -945,14 +959,15 @@ def test_div_onto_at_threshold_degrees():
 
 
 def _plant_div_rows(space: GlobalSpace, cell: int, rows, den: int) -> None:
-    """Plant the cell's cache entry with its true dual and the given div
-    rows, so every later reader of div_rows sees them."""
-    space._dual_cache[cell] = space.dual_coefficients(cell), (rows, den)
+    """Plant the cache entry of the cell's class with its true dual and the
+    given div rows, so every later reader of div_rows on the class sees
+    them."""
+    space._dual_cache[space.classes[cell]] = space.dual_coefficients(cell), (rows, den)
 
 
 def _zero_div_columns(space: GlobalSpace, cell: int, columns) -> None:
-    """Zero target columns of one cell's member div rows in the space's
-    cache."""
+    """Zero target columns of the member div rows of one cell's class in
+    the space's cache."""
     rows, den = space.div_rows(cell)
     _plant_div_rows(space, cell, [[0 if j in columns else x for j, x in enumerate(row)] for row in rows], den)
 
