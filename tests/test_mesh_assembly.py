@@ -609,21 +609,22 @@ def test_translates_in_another_local_order_never_share_an_entry(order_b, shared,
         assert [[Fraction(x, d) for x in row] for row in dual] == fresh[ci]
 
 
-@pytest.mark.parametrize("facet, victim, first", [((0, 3), 4, True), ((3, 6), 6, False)], ids=["first_of_its_class", "later_in_its_class"])
-def test_a_flipped_cell_gets_an_entry_of_its_own(facet, victim, first):
+@pytest.mark.parametrize(
+    "facet, victim, victim_first", [((0, 3), 4, True), ((3, 6), 6, False)], ids=["first_of_its_class", "later_in_its_class"]
+)
+def test_a_flipped_cell_gets_an_entry_of_its_own(facet, victim, victim_first):
     # The victim's functionals differ from its class's, so it is a class of
     # its own; its class-mates keep one class and one entry, the unbroken
     # one, under the first of them: when the victim was the first cell of
     # the class, the mates elect a new one.
     m = builtin_mesh("refine(criss_cross)")
     assert len(m.cells) == 16 and len(set(m.cell_class)) == 4
-    assert max(m.facet_cells[facet]) == victim and (m.cell_class[victim] == victim) is first
+    assert max(m.facet_cells[facet]) == victim and (m.cell_class[victim] == victim) is victim_first
     space = assemble(m, "symmetric", 3, 0)
     broken = flip_facet_orientation(space, facet)
     res = check_conformity(broken)
     assert res.status == FAIL
     assert facet in {tuple(v["site"]) for v in res.witness["violations"]}
-    # As many as before refine numbered its vertices lexicographically.
     assert len(res.witness["violations"]) == 6
     assert check_conformity(space).status == PASS
     assert space.classes == m.cell_class
