@@ -46,6 +46,8 @@ from .tensors import Family
 
 # Eigenvalues of the inf-sup pencil below this are counted as kernel modes.
 KERNEL_THRESHOLD = 1e-10
+# infsup_sweep fails when beta moves by this fraction of its largest value.
+SWEEP_DRIFT_TOLERANCE = 0.2
 # Random rational points per interior facet for the sampled conformity guard.
 CONFORMITY_SAMPLES = 2
 
@@ -60,11 +62,11 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
     keys[g] is the hashable identity of global DoF g; local_to_global[c][i]
     is the global index of cell c's i-th functional; cell_dofs[c] is cell
     c's DoFSet.  The exact cell work is done once per class (classes), on
-    its first cell: cell_basis decomposes it, and its dual basis and div
-    rows are built together on demand and kept per instance, outside the
-    fields, as one entry of _dual_cache under the first cell: the pair
-    (dual_coefficients, div_rows).  An entry planted there stands for the
-    whole class.
+    its first cell: cell_basis decomposes the first cell of its congruence
+    class, and its dual basis and div rows are built together on demand
+    and kept per instance, outside the fields, as one entry of _dual_cache
+    under the first cell: the pair (dual_coefficients, div_rows).  An
+    entry planted there stands for the whole class.
     """
 
     @property
@@ -123,9 +125,11 @@ class GlobalSpace(Record, namedtuple("GlobalSpace", "mesh family degree continui
         )
 
     def cell_basis(self, cell_index: int):
-        """The decomposition of the first cell of the cell's class, which
-        equals the cell's own: one decompose per class."""
-        return decompose(self.family, self.mesh.cell_simplices[self.classes[cell_index]], self.degree)
+        """The decomposition of the first cell of the cell's congruence
+        class (Mesh.cell_class), which equals the cell's own: it depends on
+        geometry alone, so one decompose per congruence class, even where
+        classes splits one."""
+        return decompose(self.family, self.mesh.cell_simplices[self.mesh.cell_class[cell_index]], self.degree)
 
     def dual_coefficients(self, cell_index: int) -> tuple[list[list[int]], int]:
         """Exact inverse of the cell DoF matrix as an integer matrix N over
@@ -510,13 +514,13 @@ class _Child:
 
 def _helper_entries(values, space: GlobalSpace, cells):
     """The body of _build_cell_duals' child: from the last of cells down to
-    the second, each cell's entry as soon as it is built, or the text of
-    the AssemblyError it raises, after which it builds nothing more."""
+    the second, each cell's entry as soon as it is built.  It only ever
+    yields entries: at a cell that raises AssemblyError it returns, and the
+    parent, which then never receives that class, builds it and raises."""
     for ci in reversed(cells[1:]):
         try:
             space.dual_coefficients(ci)
-        except AssemblyError as exc:
-            yield str(exc)
+        except AssemblyError:
             return
         yield space._dual_cache[ci]
 
@@ -536,18 +540,19 @@ def _build_cell_duals(space: GlobalSpace) -> None:
     helper is then killed and reaped, and the entries it built past that
     point, during this process's last build, are dropped.  The first class
     is always built here, before any entry is read.  Entries already
-    cached, planted ones included, are kept.  A class whose DoF matrix is
-    singular raises the AssemblyError it raises in process, and of
-    several, the first class's: the helper stops at its first, and this
-    process builds every class before it.  The helper is forked when the
-    process may run on at least two CPUs and at least two classes are to
-    be filled; otherwise, or when _Child.start returns None, the same loop
-    builds every class here.
+    cached, planted ones included, are kept.  Only this process raises:
+    the helper sends nothing more from a class whose build raises
+    AssemblyError, as a singular DoF matrix does, so this process reaches
+    that class itself and raises the error there, and of several, the
+    first class's.  The helper is forked when the process may run on at
+    least two CPUs and at least two classes are to be filled; otherwise,
+    or when _Child.start returns None, the same loop builds every class
+    here.
     """
     cells = sorted(set(space.classes) - space._dual_cache.keys())
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     helper = _Child.start("cell dual helper", _helper_entries, space, cells) if len(cells) > 1 and cpus > 1 else None
-    front, back, error = 0, len(cells), None
+    front, back = 0, len(cells)
     try:
         while front < back:
             space.dual_coefficients(cells[front])
@@ -556,15 +561,10 @@ def _build_cell_duals(space: GlobalSpace) -> None:
                 if back == front:
                     break
                 back -= 1
-                if isinstance(entry, str):
-                    error = entry
-                else:
-                    space._dual_cache[cells[back]] = entry
+                space._dual_cache[cells[back]] = entry
     finally:
         if helper is not None:
             helper.close()
-    if error is not None:
-        raise AssemblyError(error)
 
 
 # ---------------------------------------------------------------------------
@@ -1253,11 +1253,11 @@ def infsup_constant(space: GlobalSpace, reply: tuple | None = None) -> CheckResu
     )
 
 
-def infsup_sweep(meshes, family: Family | str, degree: int, continuity_order: int, drift_tolerance: float = 0.2) -> CheckResult:
+def infsup_sweep(meshes, family: Family | str, degree: int, continuity_order: int) -> CheckResult:
     """Inf-sup constants over a refinement sequence plus a drift bound.
 
     The stability claim is h-uniformity; at desk scale the proxy is that the
-    constant stays positive and moves by less than the tolerated fraction of
+    constant stays positive and moves by less than SWEEP_DRIFT_TOLERANCE of
     its largest value across the levels.
     """
     results = []
@@ -1271,14 +1271,14 @@ def infsup_sweep(meshes, family: Family | str, degree: int, continuity_order: in
     if skipped:
         status = SKIPPED
     else:
-        status = PASS if all_pass and drift < drift_tolerance else FAIL
+        status = PASS if all_pass and drift < SWEEP_DRIFT_TOLERANCE else FAIL
     return CheckResult(
         name=f"infsup_sweep[{Family(family).value} r={degree} k={continuity_order} levels={len(betas)}]",
         status=status,
         witness={
             "betas": betas,
             "drift": drift,
-            "drift_tolerance": drift_tolerance,
+            "drift_tolerance": SWEEP_DRIFT_TOLERANCE,
             "levels": [len(m.cells) for m in meshes],
             "per_level": [res.witness for res in results],
         },

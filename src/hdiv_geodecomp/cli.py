@@ -123,13 +123,13 @@ def _resolve_case(parser: argparse.ArgumentParser, args) -> tuple[CaseParams, Me
 
 
 def run(argv=None) -> int:
-    # The float inf-sup solves are small, so one BLAS thread is faster than
-    # a pool.  OpenBLAS reads this when numpy is first imported: in the
-    # inf-sup worker that run_units starts, which inherits it since it is set
-    # here, before the fork, or in this process when no worker starts
-    # (another thread is alive, or os.fork is missing or fails).  A value
-    # the caller set wins.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # One BLAS thread, whatever the caller set: the last digits of beta
+    # depend on the thread count, and a report may not.  OpenBLAS reads
+    # this when numpy is first imported: in the inf-sup worker that
+    # run_units starts, which inherits it since it is set here, before the
+    # fork, or in this process when no worker starts (another thread is
+    # alive, or os.fork is missing or fails).
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -135,17 +135,6 @@ def flatten(value) -> tuple[Fraction, ...]:
     return tuple(value)
 
 
-def contract_normal(value, normal: Sequence) -> tuple[Fraction, ...]:
-    """Components of the normal contraction: A n for a matrix, (v·n,) for a
-    vector.  A one-component value (scalar, or a vector in one dimension) is
-    returned as is, so the sign of a 1D normal never enters."""
-    if value and isinstance(value[0], tuple):
-        return mat_vec(value, normal)
-    if len(value) == 1:
-        return (value[0],)
-    return (dot(value, normal),)
-
-
 def integer_values(values) -> tuple[list, int]:
     """Vectors or matrices rewritten as integer tensors of the same shape
     over one common denominator, the least one."""
@@ -173,15 +162,19 @@ FLATTEN = Contraction(flatten)
 
 
 def normal_contraction(normal: Sequence) -> Contraction:
-    """contract_normal against a rational normal N / den, N integers."""
+    """The normal contraction against a rational normal n = N / den, N
+    integers: the components A n of a matrix A, (v·n,) of a vector v.  A
+    one-component value (scalar, or a vector in one dimension) is kept as
+    is, so the sign of a 1D normal never enters."""
     ints, den = linalg.integer_form(normal)
     ints = tuple(ints)
 
     def apply(value):
-        if len(value) == 1 and not isinstance(value[0], tuple):
-            # contract_normal returns a one-component value as is
+        if value and isinstance(value[0], tuple):
+            return mat_vec(value, ints)
+        if len(value) == 1:
             return (value[0] * den,)
-        return contract_normal(value, ints)
+        return (dot(value, ints),)
 
     return Contraction(apply, den)
 

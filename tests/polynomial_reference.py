@@ -55,6 +55,18 @@ def derivative(p: bn.BernsteinPoly, direction: Sequence, simplex: Simplex) -> bn
     return bn.BernsteinPoly(p.domain, p.degree - 1, out)
 
 
+def contract_normal(value, normal: Sequence) -> tuple[Fraction, ...]:
+    """Components of the normal contraction in Fractions: A n for a matrix,
+    (v·n,) for a vector.  A one-component value (scalar, or a vector in one
+    dimension) is returned as is, so the sign of a 1D normal never enters.
+    The reference for tensors.normal_contraction."""
+    if value and isinstance(value[0], tuple):
+        return tensors.mat_vec(value, normal)
+    if len(value) == 1:
+        return (value[0],)
+    return (dot(value, normal),)
+
+
 def trace_div(member: ShapeFunction, facet: SubSimplexId, normal: Sequence):
     """Normal trace on a facet: (coeff ∘ n_F) scaled by the restricted scalar.
 
@@ -64,7 +76,7 @@ def trace_div(member: ShapeFunction, facet: SubSimplexId, normal: Sequence):
     if facet.dim != facet.parent_dim - 1:
         raise ValueError("normal traces are defined on facets only")
     restricted = bn.restrict(member.scalar, facet)
-    traced = tuple(restricted * c for c in tensors.contract_normal(member.coeff, normal))
+    traced = tuple(restricted * c for c in contract_normal(member.coeff, normal))
     return traced if isinstance(member.coeff[0], tuple) else traced[0]
 
 

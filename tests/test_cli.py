@@ -712,8 +712,9 @@ def test_cell_duals_on_two_cpus_raise_the_in_process_error(mesh, victims, helper
     # class 0 first, the child class 3 first.  With class 0 singular the
     # child sleeps past _run_script's timeout, so only a kill ends it in
     # time.  On refine(criss_cross) the victims' classes are the second and
-    # the last of six: whichever process meets its singular class first,
-    # the error is the second class's, as in process, on every run.
+    # the last of six.  The child sends nothing from its first singular
+    # class on, so this process builds the first singular class itself and
+    # raises the error of the in-process run, on every run.
     script = SPLIT_PRELUDE + (
         f"mesh, victims = {mesh!r}, {victims!r}\n"
         "def message(*cpus):\n"
@@ -721,9 +722,12 @@ def test_cell_duals_on_two_cpus_raise_the_in_process_error(mesh, victims, helper
         "    space = assembly.assemble(resolve_mesh(mesh), 'face', 2, -1)\n"
         "    for victim in victims:\n"
         "        space = repeat_interior(space, victim)\n"
+        "    singular = str(space.mesh.cell_simplices[min(victims)].vertices)\n"
         "    try:\n"
         "        assembly._build_cell_duals(space)\n"
         "    except assembly.AssemblyError as exc:\n"
+        "        builds = builders()\n"
+        "        assert (os.getpid(), singular) in builds, builds\n"
         "        return str(exc)\n"
         "    raise AssertionError('no error')\n"
         "expected = message(0)\n"
@@ -1089,9 +1093,9 @@ def _singular_cell(victim: int, helper: str = "") -> str:
         # computing the constant again in-process.
         ("assembly._float_infsup = lambda *records: os._exit(5)", 3, "inf-sup worker exited with status 5"),
         (DIES_MID_STREAM, 3, "inf-sup worker exited with status 5"),
-        # The last class is singular: its error ends the run, whichever
-        # process builds it.  The first class is: the helper, which sleeps
-        # past the timeout, is killed and reaped.
+        # The last class is singular: the helper stops there, and this
+        # process builds it and raises.  The first class is: the helper,
+        # which sleeps past the timeout, is killed and reaped.
         (_singular_cell(3), 3, "cell (2, 3, 4) has a singular DoF matrix"),
         (_singular_cell(0, SLEEPING_HELPER), 3, "cell (0, 1, 4) has a singular DoF matrix"),
     ],
@@ -1131,9 +1135,25 @@ def test_cli_gives_openblas_one_thread_by_default(tmp_path):
     assert _openblas_threads_around_infsup(tmp_path / "r.json") == ["None", "1"]
 
 
-def test_cli_keeps_a_preset_openblas_thread_count(tmp_path):
+def test_cli_overrides_a_preset_openblas_thread_count(tmp_path):
     threads = _openblas_threads_around_infsup(tmp_path / "r.json", OPENBLAS_NUM_THREADS="2")
-    assert threads == ["2", "2"]
+    assert threads == ["2", "1"]
+
+
+def test_reports_do_not_depend_on_a_preset_openblas_thread_count(tmp_path):
+    # Were the caller's value kept, beta would read 0.9817784938905213 with
+    # two threads against 0.98177849389052119 with one.
+    argv = ["infsup", "--family", "traceless", "--dim", "3", "--degree", "2", "--k", "0", "--mesh", "refine(cube_freudenthal)"]
+    reports = []
+    for name, env in (("unset", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+        out = tmp_path / f"{name}.json"
+        script = f"import sys\nfrom hdiv_geodecomp import cli\nsys.exit(cli.run({argv + ['--out', str(out)]!r}))\n"
+        proc = _run_script(script, **env)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(out.read_text())
+        del report["timings"]
+        reports.append(canonical_json(report))
+    assert reports[0] == reports[1]
 
 
 def test_serial_runs_do_not_load_the_process_pool(tmp_path):

@@ -18,7 +18,7 @@ from hdiv_geodecomp.simplex import SubSimplexId, build_frame, enumerate_subsimpl
 from hdiv_geodecomp.spaces import Family
 
 from conftest import random_simplex
-from polynomial_reference import bubble, derivative, lattice_basis, trace_div
+from polynomial_reference import bubble, contract_normal, derivative, lattice_basis, trace_div
 
 
 def _flat_matrix(basis):
@@ -489,7 +489,7 @@ def test_site_row_matches_restricted_coefficients(case, data):
         contract, contraction = tensors.flatten, tensors.FLATTEN
     else:
         normal = _fractions(data.draw, simp.dim)
-        contract = partial(tensors.contract_normal, normal=normal)
+        contract = partial(contract_normal, normal=normal)
         contraction = tensors.normal_contraction(normal)
     r = member.scalar.degree
     scalars = bn.coeff_vector(bn.restrict(member.scalar, site), r)

@@ -23,6 +23,7 @@ from hdiv_geodecomp.simplex import Frame, SubSimplexId, dot, enumerate_subsimpli
 from hdiv_geodecomp.spaces import Family
 
 from conftest import random_simplex, rational_rows, sym
+from polynomial_reference import contract_normal
 
 
 def _rationals():
@@ -227,7 +228,7 @@ def _contractions(n: int, matrix: bool, rng: random.Random):
     normal, left, right = vector(), vector(), vector()
     out = [
         (tensors.flatten, tensors.FLATTEN),
-        (partial(tensors.contract_normal, normal=normal), tensors.normal_contraction(normal)),
+        (partial(contract_normal, normal=normal), tensors.normal_contraction(normal)),
     ]
     if matrix:
         out.append((

@@ -643,6 +643,22 @@ def test_a_flipped_cell_gets_an_entry_of_its_own(facet, victim, victim_first):
     assert len(layout[4]) == len(set(m.cell_class)) + 1
 
 
+def test_a_flipped_space_decomposes_no_cell_again(monkeypatch):
+    # A decomposition depends on geometry alone, so cell_basis decomposes
+    # the first cell of each congruence class, even where classes splits
+    # one: with cell 4, the first of its class, flipped, its mates elect
+    # cell 5 and reuse cell 4's decomposition.  On one CPU, so that every
+    # decompose runs in this process.
+    monkeypatch.setattr(assembly.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    space = assemble(builtin_mesh("refine(criss_cross)"), "symmetric", 3, 0)
+    assert check_conformity(space).status == PASS
+    broken = flip_facet_orientation(space, (0, 3))
+    assert broken.classes[5] == 5 and broken.mesh.cell_class[5] == 4
+    misses = decompose.cache_info().misses
+    assert check_conformity(broken).status == FAIL
+    assert decompose.cache_info().misses == misses
+
+
 def test_a_planted_div_cut_reaches_every_cell_of_its_class():
     # An entry planted on a class stands for every cell of the class: a
     # target column cut from it is cut from each cell's column block.
