@@ -80,24 +80,27 @@ class MomentTable:
     exponent of the restricted monomial plus α.  It depends on the labels
     alone, not on the vertices, so one table serves every cell of a mesh.
     Entries are computed on first use; their number is bounded by the
-    sites, member monomials and weight monomials of (n, degree).
+    sites, member monomials and weight monomials of (n, degree).  λ^β is
+    restricted to a site once, with bn.restrict, and its exponent there
+    (None if it restricts to zero) serves every weight α.
     """
 
     def __init__(self, n: int, degree: int):
         self.domain = bn.full_domain(n)
         self.degree = degree
         self._entries: dict[tuple, Fraction] = {}
+        self._restricted: dict[tuple, bn.MultiIndex | None] = {}
 
     def entry(self, site: SubSimplexId, beta: bn.MultiIndex, alpha: bn.MultiIndex) -> Fraction:
         key = (site.indices, beta, alpha)
         value = self._entries.get(key)
         if value is None:
-            restricted = bn.restrict(bn.monomial(self.domain, beta), site)
-            if restricted.is_zero():
-                value = Fraction(0)
-            else:
-                (beta_g,) = restricted.coeffs
-                value = bn.moment(tuple(map(add, beta_g, alpha)), site.dim)
+            member = (site.indices, beta)
+            if member not in self._restricted:
+                restricted = bn.restrict(bn.monomial(self.domain, beta), site)
+                self._restricted[member] = next(iter(restricted.coeffs), None)
+            beta_g = self._restricted[member]
+            value = Fraction(0) if beta_g is None else bn.moment(tuple(map(add, beta_g, alpha)), site.dim)
             self._entries[key] = value
         return value
 
@@ -425,15 +428,19 @@ def site_blocks(dofs: DoFSet, basis: SpaceBasis, matrix) -> list[tuple[str, list
     return blocks
 
 
-def _block_rows(matrix: linalg.IntegerRows, row_idx, col_idx) -> list[list[int]]:
-    """The rows of one block, each divided by its gcd with the row's
-    denominator: the integers integer_form makes of the rational block row."""
-    out = []
+def _block_rows(matrix: linalg.IntegerRows, row_idx, col_idx) -> tuple[list[list[int]], list[int]]:
+    """The rows of one block, each divided by its gcd g with the row's
+    denominator d (the integers integer_form makes of the rational block
+    row), and the positive scales d / g, so each integer row is its scale
+    times the rational block row."""
+    out, scales = [], []
     for i in row_idx:
         part = [matrix[i][j] for j in col_idx]
-        g = gcd(matrix.denominators[i], *part)
+        d = matrix.denominators[i]
+        g = gcd(d, *part)
         out.append([x // g for x in part] if g > 1 else part)
-    return out
+        scales.append(d // g)
+    return out, scales
 
 
 def certify_unisolvence(
@@ -447,7 +454,10 @@ def certify_unisolvence(
 
     The matrix is eliminated one diagonal site block at a time, after
     site_blocks has checked that every block above the diagonal is exactly
-    zero; the sites above k of merged facets form one block.  The witness
+    zero; the sites above k of merged facets form one block.  Each block
+    goes to linalg.echelon_data with the row scales _block_rows divided
+    out, so the interior block, the Gram matrix of the bubbles, is
+    eliminated on its upper triangle with the dense pivots.  The witness
     records the matrix size, the method, the block sizes, a digest of the
     blocks' pivot hashes and, on failure, the first rank-deficient block.
     """
@@ -462,7 +472,7 @@ def certify_unisolvence(
     block_sizes = []
     digest = linalg.sha256()
     for label, row_idx, col_idx in site_blocks(dofs, basis, matrix):
-        rank, block_hash = linalg.echelon_data(_block_rows(matrix, row_idx, col_idx))
+        rank, block_hash = linalg.echelon_data(*_block_rows(matrix, row_idx, col_idx))
         digest.update(f"{label}:{block_hash};".encode())
         block_sizes.append([label, len(row_idx)])
         if rank != len(row_idx):
@@ -612,7 +622,7 @@ class MergedFaceDoFs(NamedTuple):
     span_check: CheckResult
 
 
-def merge_face_dofs(dofs: DoFSet, F: SubSimplexId) -> MergedFaceDoFs:
+def merge_face_dofs(dofs: DoFSet, F: SubSimplexId, frames=None) -> MergedFaceDoFs:
     """Replace the per-sub-simplex facewise moments on one facet.
 
     Vector moments collapse to plain facet moments (full P_r for the least
@@ -621,6 +631,10 @@ def merge_face_dofs(dofs: DoFSet, F: SubSimplexId) -> MergedFaceDoFs:
     moments to facet-tangential polynomial fields paired with the facet
     normal.  Span equality against the retained functionals on the facet is
     asserted by exact rank before the new set is returned.
+
+    The facet's normal and tangents come from frames(F), the same hook
+    build_dofs takes, and from simplex.build_frame when it is None; a set
+    built on mesh-shared frames is merged with the same frames.
     """
     family = dofs.family
     simplex = dofs.simplex
@@ -636,7 +650,7 @@ def merge_face_dofs(dofs: DoFSet, F: SubSimplexId) -> MergedFaceDoFs:
         raise ValueError(f"no facewise functionals on facet {F.indices}")
     k = dofs.continuity_order
     r = dofs.degree
-    frame = build_frame(simplex, F)
+    frame = build_frame(simplex, F) if frames is None else frames(F)
     n_face = frame.normals[0]
 
     added: list[DoFFunctional] = []

@@ -20,7 +20,8 @@ matrix directly pass its rows to it without a dense form.
 
 Dense rows have one forward elimination, _echelon_int, fraction-free in
 the sense of Bareiss (Math. Comp. 1968): pivots in first-nonzero column
-order, cross-multiplication over the gcd and per-row content reduction.
+order, each row below a pivot cross-multiplied by the pivot and its own
+entry in the pivot column, and per-row content reduction.
 The decomposition certificate counts its pivots to rank the small dense
 coefficient sets of each monomial.  echelon_data hashes its pivots, and
 the pivot hashes in reports are taken from that order.  nullspace,
@@ -28,6 +29,22 @@ solve_many and invert follow it with one back pass, _back_substitute, and
 read their results in integers: the kernel vectors, whose basis (and so
 the frame and quotient directions built from it) is fixed by that pivot
 order, and the solution rows, which do not depend on it.
+
+echelon_data also has a Gram path, _gram_pivots, for a square block whose
+rows are positive scales s_i times the rows of an exactly symmetric matrix
+M, as a DoF matrix's interior block is: its functionals are moments
+against the bubble space itself.  The block is eliminated on its upper
+triangle only, about half the work, and while every pivot is positive its
+pivots are _echelon_int's.  Three facts make them so.  The scales are
+positive, so every row _echelon_int holds at step k is a positive multiple
+of the same row of M's k-th Schur complement.  While the pivots stay
+positive nothing is swapped: the first nonzero of column k is the pivot.
+And content reduction maps every positive multiple of a row to one
+primitive row, so the pivot (the reduced row's entry, or the raw entry of
+a row never updated, on both paths) is the same.  A block that is not
+symmetric once the scales are undone, or whose pivot is ever zero or
+negative, goes to _echelon_int from scratch; nullspace, solve_many and
+invert never take the Gram path.
 
 det keeps its own Bareiss elimination, dividing exactly by the previous
 pivot: _echelon_int divides each updated row by its content, so its pivots
@@ -137,13 +154,79 @@ def _back_substitute(rows: list[list[int]], pivots: list[tuple[int, int]]) -> No
             rows[i] = _reduce_content(row)
 
 
-def echelon_data(mat: RowSeq) -> tuple[int, str]:
+def _gram_pivots(rows: list[list[int]], scales: list[int]) -> list[int] | None:
+    """_echelon_int's pivot values on a scaled symmetric block, from its
+    upper triangle; None for any other block, or at a pivot that is not
+    positive.
+
+    Row i of rows is scales[i] > 0 times row i of a matrix M, and M must be
+    square and exactly symmetric.  Row i is kept from column i on, as t_i
+    times the upper part of row i of M's Schur complement, with t_i a
+    positive rational held as num[i] / den[i].  At step k the complement is
+    symmetric, so row i's entry in column k is t_i / t_k times the pivot
+    row's entry x in column i: row i becomes q·piv·row_i − p·x·row_k over
+    the gcd of the two multipliers, p / q = t_i / t_k, and is divided by its
+    content.  A pivot is the pivot row's entry in its own column, content
+    reduced if the row was ever updated and the raw entry if not.
+    """
+    m = len(rows)
+    if any(len(row) != m for row in rows):
+        return None
+    for i, row in enumerate(rows):
+        s = scales[i]
+        for j in range(i + 1, m):
+            if row[j] * scales[j] != rows[j][i] * s:
+                return None
+    upper = [row[i:] for i, row in enumerate(rows)]
+    num, den = list(scales), [1] * m
+    pivots = []
+    for k in range(m):
+        pivot_row = upper[k]
+        piv = pivot_row[0]
+        if piv <= 0:
+            return None
+        pivots.append(piv)
+        for off in range(1, m - k):
+            x = pivot_row[off]
+            if not x:
+                continue
+            i = k + off
+            a, b = den[i] * num[k] * piv, num[i] * den[k] * x
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            new = [a * y - b * z for y, z in zip(upper[i], pivot_row[off:])]
+            c = gcd(*new)
+            if not c:  # row i's pivot will be zero
+                return None
+            upper[i] = [y // c for y in new] if c > 1 else new
+            # Row i is now a / c times t_i times the new complement row.
+            t_num, t_den = num[i] * a, den[i] * c
+            g = gcd(t_num, t_den)
+            num[i], den[i] = t_num // g, t_den // g
+    return pivots
+
+
+def echelon_data(mat: RowSeq, scales: Sequence[int] | None = None) -> tuple[int, str]:
     """Rank and pivot hash of the dense elimination: sha256 of the shape
-    and each step's pivot column and value, for rank certificates."""
-    rows = _int_rows(mat)
+    and each step's pivot column and value, for rank certificates.
+
+    scales, if given, are positive integers with row i of mat equal to
+    scales[i] times row i of a matrix M.  When M is square and exactly
+    symmetric the block is first eliminated on its upper triangle
+    (_gram_pivots); if every pivot there is positive, as for the Gram
+    matrix of independent vectors, they are _echelon_int's pivots (see the
+    module docstring), so the rank and hash are the same.  Any other block
+    goes to _echelon_int from scratch.
+    """
+    forms = [integer_form(row) for row in mat]
+    rows = [ints for ints, _ in forms]
     shape = f"{len(rows)}x{len(rows[0]) if rows else 0}"
-    pivots = _echelon_int(rows)
-    text = ",".join(f"{step}:{c}:{rows[r][c]}" for step, (r, c) in enumerate(pivots))
+    gram = None if scales is None else _gram_pivots(rows, [s * d for s, (_, d) in zip(scales, forms)])
+    if gram is not None:
+        pivots = list(enumerate(gram))
+    else:
+        pivots = [(c, rows[r][c]) for r, c in _echelon_int(rows)]
+    text = ",".join(f"{step}:{c}:{value}" for step, (c, value) in enumerate(pivots))
     return len(pivots), sha256(f"{shape};{text}".encode()).hexdigest()
 
 

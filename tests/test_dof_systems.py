@@ -204,6 +204,33 @@ def test_certificate_fails_on_a_repeated_functional():
     assert cert.witness["failure"] == {"block": "interior", "rank": interior - 1, "size": interior}
 
 
+def test_certificate_fails_on_a_singular_symmetric_interior_block(monkeypatch):
+    """Negative control of the Gram path: the interior block with its last
+    row and column repeating the ones before it stays symmetric, so it is
+    eliminated on its upper triangle until the zero pivot, then by the dense
+    pass, and the certificate keeps the dense elimination's failure and
+    digest."""
+    dofs = build_dofs(Family.TRACELESS, 2, 3, 0)
+    basis = decompose(Family.TRACELESS, reference_simplex(2), 3)
+    matrix = dof_matrix(dofs, basis)
+    label, rows, cols = dofmod.site_blocks(dofs, basis, matrix)[-1]
+    assert label == "interior"
+    planted = linalg.IntegerRows([list(row) for row in matrix], list(matrix.denominators))
+    planted[rows[-1]] = list(planted[rows[-2]])
+    planted.denominators[rows[-1]] = planted.denominators[rows[-2]]
+    for row in planted:
+        row[cols[-1]] = row[cols[-2]]
+    block, scales = dofmod._block_rows(planted, rows, cols)
+    m = len(block)
+    assert all(block[i][j] * scales[j] == block[j][i] * scales[i] for i in range(m) for j in range(m))
+    assert linalg._gram_pivots([list(row) for row in block], scales) is None
+    monkeypatch.setattr(dofmod, "dof_matrix", lambda dofs, basis: planted)
+    cert = certify_unisolvence(dofs=dofs)
+    assert cert.status == FAIL
+    assert cert.witness["failure"] == {"block": "interior", "rank": m - 1, "size": m}
+    assert cert.witness["pivot_hash"] == "6a7c868c1a88bb81ab98a93420f123edcdabf776580d6ef7aabdfc6369b958f8"
+
+
 # ------------------------------------------------------------ sparsity
 
 
@@ -456,6 +483,39 @@ def test_merge_validation():
         merge_face_dofs(build_dofs(Family.LAGRANGE, 2, 2, None), edge)
 
 
+@pytest.mark.parametrize(
+    "family,n,r,k",
+    [(Family.FACE, 3, 2, -1), (Family.FACE, 2, 3, 0), (Family.TRACELESS, 2, 3, 0), (Family.SYMMETRIC, 3, 3, 0)],
+)
+def test_merge_reads_the_frames_hook(family, n, r, k):
+    # A hook that negates one facet's normal: the functionals the merge
+    # adds on that facet carry the negated normal.
+    simplex = reference_simplex(n)
+    F = enumerate_subsimplices(n, n - 1)[1]
+
+    def frames(f):
+        frame = build_frame(simplex, f)
+        if f == F:
+            frame = frame._replace(normals=tuple(tuple(-x for x in v) for v in frame.normals))
+        return frame
+
+    frame = frames(F)
+    n_face = frame.normals[0]
+    if family is Family.FACE:
+        directions = [n_face]
+    elif family is Family.TRACELESS:
+        directions = [tensors.outer(e, n_face) for e in tensors.identity(n)]
+    else:
+        directions = [tensors.outer(t, n_face) for t in frame.tangents]
+    dofs = build_dofs(family, simplex, r, k, frames=frames)
+    merged = merge_face_dofs(dofs, F, frames=frames)
+    assert merged.span_check.status == PASS
+    assert all(t.direction in directions for nf in merged.added for t in nf.terms)
+    assert certify_unisolvence(dofs=merged.dofs).status == PASS
+    # Without the hook the merge reads the element frame's opposite normal.
+    assert not any(t.direction in directions for nf in merge_face_dofs(dofs, F).added for t in nf.terms)
+
+
 def test_merged_sets_stay_grouped_by_site():
     dofs = merge_all_faces(build_dofs(Family.FACE, 3, 2, -1))
     dims = [nf.site.dim for nf in dofs.functionals]
@@ -488,6 +548,33 @@ def test_moment_table_matches_bernstein_integrals(n, r):
     assert zeros or r == 0
     assert nonzeros
     assert dofmod.moment_table(n, r) is table
+
+
+@pytest.mark.parametrize("n,r", [(2, 3), (3, 4)])
+def test_moment_table_restricts_each_member_once_per_site(n, r, monkeypatch):
+    # Every site g, member monomial β and weight monomial α of degree <= r,
+    # against restrict, multiply and integrate; bn.restrict still runs, once
+    # per (g, β) however many weights follow.
+    full = bn.full_domain(n)
+    restrict = bn.restrict
+    calls = []
+
+    def counted(p, g):
+        calls.append((g.indices, *p.coeffs))
+        return restrict(p, g)
+
+    monkeypatch.setattr(bn, "restrict", counted)
+    table = dofmod.MomentTable(n, r)
+    members = []
+    for ell in range(n + 1):
+        for g in enumerate_subsimplices(n, ell):
+            for beta in bn.lattice(n + 1, r):
+                members.append((g.indices, beta))
+                for degree in range(r + 1):
+                    for alpha in bn.lattice(ell + 1, degree):
+                        oracle = bn.integrate(bn.multiply(restrict(bn.monomial(full, beta), g), bn.monomial(g, alpha)), g)
+                        assert table.entry(g, beta, alpha) == oracle
+    assert calls == members
 
 
 def test_moment_table_rejects_members_of_another_degree():

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdiv_geodecomp import dofs as dofmod
 from hdiv_geodecomp import linalg
+from hdiv_geodecomp.spaces import Family, decompose
 
-from conftest import rational_rows
+from conftest import random_simplex, rational_rows
 
 
 def random_rational_matrix(rng, rows, cols):
@@ -456,3 +458,123 @@ def test_block_lower_inverse_names_a_singular_diagonal_block(system, data):
 def test_int_division_is_the_correctly_rounded_fraction(x, d):
     # infsup_constant converts the integer cell duals with x / d
     assert x / d == float(Fraction(x, d))
+
+
+# ------------------------------------------------------------ Gram path
+
+
+def _scaled_gram(rng, m, rank=None):
+    """D·G with G = AᵀA for a random integer A of the given rank (full by
+    default) and D a random positive row scaling; returns (rows, D)."""
+    rank = m if rank is None else rank
+    while True:
+        a = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(rank + 2)]
+        if rank < m:
+            # The last columns repeat sums of the first ones: rank A <= rank.
+            for row in a:
+                for j in range(rank, m):
+                    row[j] = row[j - rank] + row[(j + 1) % rank]
+        if linalg.rank(a) == rank:
+            break
+    g = [[sum(row[i] * row[j] for row in a) for j in range(m)] for i in range(m)]
+    scales = [rng.randint(1, 12) for _ in range(m)]
+    return [[d * x for x in row] for d, row in zip(scales, g)], scales
+
+
+def _dense_data(rows):
+    return linalg.echelon_data([list(row) for row in rows])
+
+
+@pytest.mark.parametrize("m", range(1, 41))
+def test_gram_path_keeps_the_dense_rank_and_pivot_hash(m):
+    rows, scales = _scaled_gram(random.Random(1000 + m), m)
+    assert linalg._gram_pivots([list(row) for row in rows], scales) is not None
+    got = linalg.echelon_data(rows, scales)
+    assert got == _dense_data(rows)
+    assert got[0] == m
+
+
+def test_gram_path_reads_rational_rows_over_their_denominators():
+    # Row i of mat is scales[i] times row i of G / 7: integer_form scales
+    # each row by 7, and so must the Gram path's row scales.
+    rows, scales = _scaled_gram(random.Random(7), 9)
+    mat = [[Fraction(x, 7) for x in row] for row in rows]
+    assert linalg._gram_pivots([list(row) for row in rows], scales) is not None
+    assert linalg.echelon_data(mat, scales) == _dense_data(rows)
+
+
+# The elements of the golden reports (tests/golden) in dimensions 2 and 3:
+# (family, n, degree, k).
+_GOLDEN_ELEMENTS = [
+    ("face", 2, 2, -1),
+    ("symmetric", 2, 3, 0),
+    ("face", 3, 2, 1),
+    ("traceless", 3, 2, 0),
+    ("symmetric", 3, 2, 1),
+    ("traceless", 3, 3, 1),
+]
+
+
+def _interior_block(family, simplex, degree, k):
+    dofs = dofmod.build_dofs(Family(family), simplex, degree, k)
+    basis = decompose(dofs.family, dofs.simplex, degree)
+    matrix = dofmod.dof_matrix(dofs, basis)
+    ((_, rows, cols),) = [b for b in dofmod.site_blocks(dofs, basis, matrix) if b[0] == "interior"]
+    return dofmod._block_rows(matrix, rows, cols)
+
+
+@pytest.mark.parametrize("family,n,degree,k", _GOLDEN_ELEMENTS)
+def test_gram_path_takes_every_golden_interior_block(family, n, degree, k):
+    for simplex in (n, random_simplex(random.Random(n * 10 + degree), n)):
+        rows, scales = _interior_block(family, simplex, degree, k)
+        assert linalg._gram_pivots([list(row) for row in rows], scales) is not None
+        got = linalg.echelon_data(rows, scales)
+        assert got == _dense_data(rows)
+        assert got[0] == len(rows)
+
+
+def _falls_back(rows, scales):
+    """The Gram path declines the block, and echelon_data still returns
+    the dense elimination's rank and hash."""
+    assert linalg._gram_pivots([list(row) for row in rows], scales) is None
+    got = linalg.echelon_data(rows, scales)
+    assert got == _dense_data(rows)
+    return got
+
+
+def test_gram_path_falls_back_on_one_asymmetric_entry():
+    rows, scales = _scaled_gram(random.Random(3), 8)
+    rows[2][5] += scales[2]
+    assert _falls_back(rows, scales)[0] == 8
+
+
+def test_gram_path_falls_back_on_a_zero_leading_entry():
+    # Symmetric and invertible, but the dense pass swaps rows at step 0.
+    rows = [[0, 2, 1], [2, 3, 0], [1, 0, 5]]
+    assert _falls_back(rows, [1, 1, 1])[0] == 3
+    scaled = [[3 * x for x in rows[0]], rows[1], [2 * x for x in rows[2]]]
+    assert _falls_back(scaled, [3, 1, 2])[0] == 3
+
+
+def test_gram_path_falls_back_on_an_indefinite_block():
+    # AᵀJA with J = diag(1, ..., 1, -1): symmetric, invertible, first pivot
+    # positive and a later one negative.
+    rng = random.Random(5)
+    m = 7
+    while True:
+        a = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        j = [1] * (m - 1) + [-1]
+        g = [[sum(s * row[p] * row[q] for s, row in zip(j, a)) for q in range(m)] for p in range(m)]
+        if linalg.rank(g) == m and g[0][0] > 0:
+            break
+    assert _falls_back(g, [1] * m)[0] == m
+
+
+def test_gram_path_falls_back_on_a_singular_gram_block():
+    rows, scales = _scaled_gram(random.Random(11), 9, rank=6)
+    assert _falls_back(rows, scales)[0] == 6
+
+
+def test_gram_path_falls_back_on_a_wide_block():
+    rows, scales = _scaled_gram(random.Random(13), 5)
+    assert _falls_back([row + [1] for row in rows], scales)[0] == 5
