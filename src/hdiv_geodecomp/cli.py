@@ -162,8 +162,38 @@ def run(argv=None) -> int:
     return exit_code(checks)
 
 
+def _observed() -> bool:
+    """Whether someone may still act at interpreter exit: development mode,
+    which reports unclosed resources as the interpreter tears down, or a
+    profiler, tracer or coverage tool, which writes its results then."""
+    if sys.flags.dev_mode or sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6)
+    )
+
+
 def main() -> None:
-    sys.exit(run())
+    """The console script and python -m: run, then end the process.
+
+    By the time run returns, the report is written and every child is
+    reaped, so the process ends with os._exit once stdout and stderr are
+    flushed: that skips the teardown of module dicts and object graphs,
+    and the atexit hooks.  It leaves through sys.exit instead when it is
+    observed (_observed) or a flush raises.  run itself, which callers in
+    the same process use, returns normally.
+    """
+    code = run()
+    if not _observed():
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except Exception:
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

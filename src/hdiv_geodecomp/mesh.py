@@ -21,6 +21,7 @@ computed from the global vertex table.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -40,8 +41,6 @@ from .simplex import (
     integer_gradients,
     max_normalized,
 )
-
-Coordinate = tuple[Fraction, ...]
 
 BUILTIN_MESH_NAMES = (
     "unit_interval_<m>",
@@ -71,7 +70,7 @@ def _cell_index(value) -> int:
 
 class Mesh(Record, namedtuple("Mesh", "dim vertices cells")):
     """A conforming partition with exact rational vertex coordinates: dim,
-    the vertices as Coordinates, and the cells as vertex index tuples."""
+    the vertices as tuples of Fractions, and the cells as vertex index tuples."""
 
     def __new__(cls, dim: int, vertices, cells):
         pts = tuple(tuple(Fraction(x) for x in p) for p in vertices)
@@ -193,17 +192,18 @@ class Mesh(Record, namedtuple("Mesh", "dim vertices cells")):
         return Frame(f, tangents, normals)
 
 
-def _barycentric_of_point(simplex: Simplex, point: Coordinate) -> list[int]:
-    """The point's barycentric coordinates, all scaled by one positive
-    integer: their signs are the coordinates' signs.
+def _barycentric_of_point(
+    gradients: tuple[tuple[tuple[int, ...], ...], int], offset: list[int], den: int
+) -> list[int]:
+    """The barycentric coordinates of the point v₀ + offset / den in the cell
+    whose integer_gradients are (G, d), all scaled by d·den: their signs
+    are the coordinates' signs.
 
-    λ_i(p) = [i = 0] + ∇λ_i·(p − v₀), read from the cached integer
-    gradients G / d with p − v₀ = N / s as integers, so d·s·λ_i(p) =
-    [i = 0]·d·s + G_i·N.
+    λ_i(p) = [i = 0] + ∇λ_i·(p − v₀) with ∇λ_i = G_i / d, so
+    d·den·λ_i(p) = [i = 0]·d·den + G_i·offset.
     """
-    grads, den = integer_gradients(simplex)
-    offset, scale = linalg.integer_form(x - y for x, y in zip(point, simplex.vertices[0]))
-    return [int(i == 0) * den * scale + sum(g * x for g, x in zip(row, offset)) for i, row in enumerate(grads)]
+    grads, d = gradients
+    return [int(i == 0) * d * den + sum(g * x for g, x in zip(row, offset)) for i, row in enumerate(grads)]
 
 
 def validate_mesh(mesh: Mesh) -> None:
@@ -215,6 +215,13 @@ def validate_mesh(mesh: Mesh) -> None:
     the usual ways a vertex-indexed partition fails to be conforming.
     Two cells that overlap without sharing a vertex, such as the two
     triangles of a hexagram, still pass.
+
+    Both tests read the vertices scaled once to integers over one common
+    denominator.  The hanging-node test is one sweep (Bentley and Friedman,
+    ACM Computing Surveys 1979): with the vertices sorted on the first axis,
+    each cell meets only the vertices in its closed bounding box, which
+    holds its closed hull.  The error names the first offending cell and the
+    lowest vertex inside it.
     """
     if len(set(mesh.vertices)) != len(mesh.vertices):
         raise MeshError("two vertices share the same coordinates")
@@ -222,34 +229,41 @@ def validate_mesh(mesh: Mesh) -> None:
     for facet, cells in mesh.facet_cells.items():
         if len(cells) > 2:
             raise MeshError(f"facet {facet} is shared by {len(cells)} cells")
+    flat, den = linalg.integer_form(x for p in mesh.vertices for x in p)
+    points = [flat[i : i + mesh.dim] for i in range(0, len(flat), mesh.dim)]
+    gradients = [integer_gradients(s) for s in mesh.cell_simplices]
+
+    def barycentric(ci: int, vi: int) -> list[int]:
+        base = points[mesh.cells[ci][0]]
+        offset = [x - y for x, y in zip(points[vi], base)]
+        return _barycentric_of_point(gradients[ci], offset, den)
+
     for facet in mesh.interior_facets:
         c1, c2 = mesh.facet_cells[facet]
         (apex1,) = set(mesh.cells[c1]) - set(facet)
         (apex2,) = set(mesh.cells[c2]) - set(facet)
         # The barycentric coordinate of c1's apex vanishes on the facet, so
         # its sign at c2's apex tells the side of the facet c2 lies on.
-        coords = _barycentric_of_point(mesh.cell_simplices[c1], mesh.vertices[apex2])
-        if coords[mesh.cells[c1].index(apex1)] >= 0:
+        if barycentric(c1, apex2)[mesh.cells[c1].index(apex1)] >= 0:
             raise MeshError(
                 f"cells {mesh.cells[c1]} and {mesh.cells[c2]} lie on the same side "
                 f"of facet {facet}: folded mesh"
             )
+    columns = list(zip(*points))
+    order = sorted(range(len(points)), key=points.__getitem__)
+    firsts = [points[vi][0] for vi in order]
     for ci, cell in enumerate(mesh.cells):
-        simplex = mesh.cell_simplices[ci]
-        members = set(cell)
-        # The closed hull lies in the closed bounding box, so a vertex outside
-        # the box cannot be in the cell and needs no barycentric solve.
-        box = [(min(axis), max(axis)) for axis in zip(*simplex.vertices)]
-        for vi, point in enumerate(mesh.vertices):
-            if vi in members:
-                continue
-            if any(x < lo or x > hi for x, (lo, hi) in zip(point, box)):
-                continue
-            coords = _barycentric_of_point(simplex, point)
-            if all(x >= 0 for x in coords):
-                raise MeshError(
-                    f"vertex {vi} lies inside cell {cell}: hanging node"
-                )
+        (lo, hi), *box = [(min(axis), max(axis)) for axis in zip(*(points[vi] for vi in cell))]
+        window = order[bisect.bisect_left(firsts, lo) : bisect.bisect_right(firsts, hi)]
+        for column, (lo, hi) in zip(columns[1:], box):
+            window = [vi for vi in window if lo <= column[vi] <= hi]
+        inside = [
+            vi for vi in window if vi not in cell and min(barycentric(ci, vi)) >= 0
+        ]
+        if inside:
+            raise MeshError(
+                f"vertex {min(inside)} lies inside cell {cell}: hanging node"
+            )
 
 
 def _unit_interval(m: int) -> Mesh:

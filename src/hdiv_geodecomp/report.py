@@ -22,7 +22,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 import time
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -344,17 +343,24 @@ def _csv_cell(value) -> str:
 
 
 def write_atomic(text: str, path: str) -> None:
+    """Write text to path through a uniquely named part file in the same
+    directory, renamed over path once complete.  The part file is created
+    with mode 0666, so the report's permissions follow the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=directory, suffix=".part", delete=False
-    )
+    while True:
+        part = os.path.join(directory, f"tmp{os.urandom(6).hex()}.part")
+        try:
+            fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            pass
     try:
-        with handle:
+        with open(fd, "w") as handle:
             handle.write(text)
-        os.replace(handle.name, path)
+        os.replace(part, path)
     except BaseException:
-        if os.path.exists(handle.name):
-            os.unlink(handle.name)
+        if os.path.exists(part):
+            os.unlink(part)
         raise
 
 

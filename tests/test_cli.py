@@ -7,6 +7,7 @@ import errno
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -288,6 +289,19 @@ def test_reports_are_byte_identical_for_fixed_seed(tmp_path):
     assert not list(tmp_path.glob("*.part"))
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_reports_follow_the_umask(tmp_path, umask):
+    out = tmp_path / "r.json"
+    argv = ["dims", "--family", "face", "--dim", "2", "--degree", "2", "--mesh", "two_triangles"]
+    before = os.umask(umask)
+    try:
+        assert cli.run(argv + ["--out", str(out)]) == 0
+    finally:
+        os.umask(before)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+    assert not list(tmp_path.glob("*.part"))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -441,10 +455,15 @@ def _run_script(script: str, flags: tuple[str, ...] = (), **env: str) -> subproc
     given interpreter flags and the given variables set;
     OPENBLAS_NUM_THREADS is unset unless given.  A child that hangs, say
     on a worker it never reaps, fails the test after two minutes."""
+    return _run_python([*flags, "-c", script], **env)
+
+
+def _run_python(args: list[str], **env: str) -> subprocess.CompletedProcess:
+    """Run the interpreter with these arguments, as _run_script does."""
     src = Path(cli.__file__).resolve().parents[1]
     child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     return subprocess.run(
-        [sys.executable, *flags, "-c", script],
+        [sys.executable, *args],
         env={**child_env, "PYTHONPATH": str(src), **env},
         capture_output=True,
         text=True,
@@ -1217,6 +1236,113 @@ def test_cli_loads_no_dataclasses_or_inspect(tmp_path):
     assert proc.returncode == 0, proc.stderr
     if proc.stdout.startswith("preloaded"):
         pytest.skip(f"the interpreter loaded {proc.stdout.split()[1:]} before the package")
+
+
+# ---------------------------------------------------------------- process exit
+
+
+def test_report_on_a_stdout_pipe_equals_the_in_process_one(capsys):
+    # main ends the process with os._exit once stdout is flushed: the
+    # report read from the pipe is whole.
+    argv = ["all", "--family", "face", "--dim", "2", "--degree", "2"]
+    proc = _run_python(["-m", "hdiv_geodecomp.cli", *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert cli.run(argv) == 0
+    in_process = capsys.readouterr().out
+    piped, expected = json.loads(proc.stdout), json.loads(in_process)
+    del piped["timings"], expected["timings"]
+    assert piped == expected
+    assert _strip_timings(proc.stdout) == _strip_timings(in_process)
+
+
+_DIMS = ["dims", "--family", "face", "--dim", "2", "--degree", "2", "--mesh", "two_triangles"]
+
+
+def _main_script(argv: list[str], setup: str = "") -> str:
+    """Call cli.main() as the console script does, after setup."""
+    return (
+        "import atexit, sys\n"
+        "from hdiv_geodecomp import cli, report\n"
+        "from hdiv_geodecomp.checks import FAIL, CheckResult\n"
+        f"{setup}\n"
+        f"sys.argv = ['hdiv-geodecomp', *{argv!r}]\n"
+        "cli.main()\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "setup, argv, code, message",
+    [
+        ("", _DIMS, 0, None),
+        # The planted failures of test_check_failure_exits_one and
+        # test_internal_error_exits_three.
+        ("report.UNITS['dims'] = lambda p: [CheckResult('forced', FAIL, {'why': 'injected'})]",
+         _DIMS, 1, None),
+        ("", _DIMS[:-2], 2, "dims requires --mesh"),
+        ("def broken_unit(p):\n    raise RuntimeError('boom')\nreport.UNITS['dims'] = broken_unit",
+         _DIMS, 3, "RuntimeError: boom"),
+    ],
+    ids=["pass", "check_fails", "bad_arguments", "internal_error"],
+)
+def test_main_keeps_the_exit_code(setup, argv, code, message):
+    proc = _run_script(_main_script(argv, setup))
+    assert proc.returncode == code, proc.stderr
+    if code < 2:
+        (check,) = json.loads(proc.stdout)["checks"]
+        assert check["status"] == ("fail" if code else "pass")
+    if message is not None:
+        assert message in proc.stderr, proc.stderr
+
+
+# stdout whose first flush raises: main falls back to sys.exit, whose own
+# flush then succeeds.
+FLUSH_FAILS_ONCE = """
+class FlushFailsOnce:
+    def __init__(self, stream):
+        self.stream, self.failed = stream, False
+    def write(self, text):
+        return self.stream.write(text)
+    def flush(self):
+        if not self.failed:
+            self.failed = True
+            raise OSError('planted flush failure')
+        self.stream.flush()
+sys.stdout = FlushFailsOnce(sys.stdout)
+"""
+
+
+@pytest.mark.parametrize(
+    "flags, setup, teardown",
+    [
+        ((), "", False),
+        (("-X", "dev"), "", True),
+        ((), "sys.setprofile(lambda *args: None)", True),
+        ((), "sys.settrace(lambda *args: None)", True),
+        ((), FLUSH_FAILS_ONCE, True),
+    ],
+    ids=["normal", "dev_mode", "profile", "trace", "flush_raises"],
+)
+def test_main_skips_teardown_unless_observed(tmp_path, flags, setup, teardown):
+    # An atexit hook runs only on the normal exit path: under development
+    # mode, which reports unclosed resources at teardown, under a profile
+    # or trace function, whose tool reports at exit, and when a flush
+    # raises.
+    out = tmp_path / "r.json"
+    setup = f"atexit.register(lambda: print('atexit probe ran', file=sys.stderr))\n{setup}"
+    proc = _run_script(_main_script(_DIMS + ["--out", str(out)], setup), flags)
+    assert proc.returncode == 0, proc.stderr
+    assert ("atexit probe ran" in proc.stderr) is teardown, proc.stderr
+    assert json.loads(out.read_text())["checks"][0]["status"] == "pass"
+
+
+def test_main_lets_cprofile_write_its_stats(tmp_path):
+    # cProfile writes its stats after the profiled module returns; it
+    # registers as a profile function, or from Python 3.12 on as a
+    # sys.monitoring tool, and either keeps main on the sys.exit path.
+    stats = tmp_path / "cli.prof"
+    proc = _run_python(["-m", "cProfile", "-o", str(stats), "-m", "hdiv_geodecomp.cli", *_DIMS])
+    assert proc.returncode == 0, proc.stderr
+    assert stats.stat().st_size > 0
 
 
 def test_csv_projection_is_flat(capsys):

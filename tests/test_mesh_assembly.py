@@ -55,6 +55,7 @@ from hdiv_geodecomp.spaces import Family, decompose, div_rows, site_rows
 from conftest import rational_rows
 from dense_div_onto import dense_div_onto_rank, dense_div_onto_rows
 from dense_infsup import cell_pencil, dense_infsup, member_coefficients
+from scan_validate import scan_validate_mesh
 
 
 # ---------------------------------------------------------------- meshes
@@ -323,6 +324,145 @@ def test_validate_mesh_checks_each_instance_once(monkeypatch, tmp_path):
         _hanging_node_mesh()
     with pytest.raises(MeshError, match="folded mesh"):
         Mesh(2, ((0, 0), (1, 0), (0, 1), (Fraction(1, 2), 2)), ((0, 1, 2), (0, 1, 3)))
+
+
+def _verdicts(dim, vertices, cells) -> tuple[str | None, str | None]:
+    """The error, or None, of building a Mesh (the sweep) and of the
+    reference scan on the same unvalidated fields."""
+
+    def verdict(check):
+        try:
+            check()
+        except MeshError as exc:
+            return str(exc)
+        return None
+
+    pts = tuple(tuple(Fraction(x) for x in p) for p in vertices)
+    raw = tuple.__new__(Mesh, (dim, pts, tuple(tuple(sorted(c)) for c in cells)))
+    return verdict(lambda: Mesh(dim, vertices, cells)), verdict(lambda: scan_validate_mesh(raw))
+
+
+_BUILTIN_NAMES = (
+    "unit_interval_1",
+    "unit_interval_5",
+    "two_triangles",
+    "criss_cross",
+    "two_tets",
+    "cube_freudenthal",
+    "fichera_coarse",
+)
+
+
+@pytest.mark.parametrize("name", [*_BUILTIN_NAMES, *(f"refine({n})" for n in _BUILTIN_NAMES)])
+def test_sweep_and_scan_accept_every_builtin_mesh(name):
+    m = resolve_mesh(name)
+    assert _verdicts(m.dim, m.vertices, m.cells) == (None, None)
+
+
+def _perturbed(name: str, seed: int, free_vertex: bool):
+    """A builtin mesh with its vertices moved by seeded rational offsets of
+    up to half the shortest axis step, and, if asked, one more vertex
+    at a seeded point of a grid of 16 steps per axis over the mesh's box,
+    referenced by no cell: on a grid that fine the point often lands on a
+    cell's edge or facet, or on a vertex."""
+    m = resolve_mesh(name)
+    rng = random.Random(seed)
+    step = min(abs(a - b) for p in m.vertices for q in m.vertices for a, b in zip(p, q) if a != b)
+    verts = [
+        tuple(x + step * Fraction(rng.randint(-3, 3), rng.choice((6, 8, 12))) for x in p)
+        for p in m.vertices
+    ]
+    if free_vertex:
+        box = [(min(axis), max(axis)) for axis in zip(*m.vertices)]
+        verts.append(tuple(lo + (hi - lo) * Fraction(rng.randint(0, 16), 16) for lo, hi in box))
+    return m.dim, verts, m.cells
+
+
+@pytest.mark.parametrize("free_vertex", [False, True], ids=["moved", "moved_plus_free_vertex"])
+@pytest.mark.parametrize("name", ["refine(refine(criss_cross))", "refine(two_tets)", "refine(cube_freudenthal)"])
+def test_sweep_and_scan_agree_on_seeded_perturbed_meshes(name, free_vertex):
+    verdicts = [_verdicts(*_perturbed(name, seed, free_vertex)) for seed in range(12)]
+    for sweep, scan in verdicts:
+        assert sweep == scan
+    if free_vertex:
+        assert any(sweep and sweep.endswith("hanging node") for sweep, _ in verdicts)
+
+
+def _affine(points, scale, shift):
+    """The points moved far into negative coordinates, with a different
+    denominator on each axis."""
+    return [tuple(Fraction(x) * s + t for x, s, t in zip(p, scale, shift)) for p in points]
+
+
+_TRIANGLE = [(0, 0), (2, 0), (0, 2)]
+_FAR_TRIANGLE = [(2, 0), (2, 2), (0, 2)]
+_TET = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+_FAR_TET = [(1, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+_SKEW = ((Fraction(2, 3), Fraction(5, 7)), (Fraction(-9, 5), Fraction(-11, 3)))
+_SKEW3 = ((Fraction(2, 3), Fraction(5, 7), Fraction(3, 11)), (Fraction(-9, 5), -4, Fraction(-11, 3)))
+
+
+@pytest.mark.parametrize(
+    "dim, corners, free, skew, expected",
+    [
+        # On the hypotenuse, inside the box; on the leg x = 0, which is the
+        # first-axis start of the sweep window.
+        (2, _TRIANGLE, [(1, 1)], _SKEW, "vertex 3 lies inside cell (0, 1, 2): hanging node"),
+        (2, _TRIANGLE, [(0, Fraction(1, 3))], _SKEW, "vertex 3 lies inside cell (0, 1, 2): hanging node"),
+        (2, _TRIANGLE, [(2, 0)], _SKEW, "two vertices share the same coordinates"),
+        # On the legs x = 2 and y = 2, the far ends of the box on each axis.
+        (2, _FAR_TRIANGLE, [(2, 1)], _SKEW, "vertex 3 lies inside cell (0, 1, 2): hanging node"),
+        (2, _FAR_TRIANGLE, [(1, 2)], _SKEW, "vertex 3 lies inside cell (0, 1, 2): hanging node"),
+        # The box corner off the hull, and a point past the window's end.
+        (2, _TRIANGLE, [(2, 2)], _SKEW, None),
+        (2, _TRIANGLE, [(Fraction(201, 100), 0)], _SKEW, None),
+        # Two vertices in one cell, the later index first along the sweep:
+        # the error names the lower index.
+        (2, _TRIANGLE, [(Fraction(3, 2), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 4))], _SKEW,
+         "vertex 3 lies inside cell (0, 1, 2): hanging node"),
+        # On an edge of the tetrahedron, inside a facet off the box's
+        # faces, inside the facet z = 0 on the box's face, and at the box's
+        # far corner (1, 1, 1), outside the hull.
+        (3, _TET, [(Fraction(1, 2), Fraction(1, 2), 0)], _SKEW3,
+         "vertex 4 lies inside cell (0, 1, 2, 3): hanging node"),
+        (3, _TET, [(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))], _SKEW3,
+         "vertex 4 lies inside cell (0, 1, 2, 3): hanging node"),
+        (3, _TET, [(Fraction(1, 4), Fraction(1, 5), 0)], _SKEW3,
+         "vertex 4 lies inside cell (0, 1, 2, 3): hanging node"),
+        (3, _TET, [(1, 1, 1)], _SKEW3, None),
+        # Inside the facets x = 1, y = 1 and z = 1, the box's far faces.
+        (3, _FAR_TET, [(1, Fraction(3, 4), Fraction(3, 4))], _SKEW3,
+         "vertex 4 lies inside cell (0, 1, 2, 3): hanging node"),
+        (3, _FAR_TET, [(Fraction(3, 4), 1, Fraction(3, 4))], _SKEW3,
+         "vertex 4 lies inside cell (0, 1, 2, 3): hanging node"),
+        (3, _FAR_TET, [(Fraction(3, 4), Fraction(3, 4), 1)], _SKEW3,
+         "vertex 4 lies inside cell (0, 1, 2, 3): hanging node"),
+        (3, _TET, [(1, 1, 0), (0, 1, 1), (Fraction(1, 2), 0, Fraction(1, 2) + Fraction(1, 10**9))], _SKEW3,
+         None),
+        (1, [(0,), (1,)], [(Fraction(1, 3),)], ((Fraction(3, 7),), (Fraction(-5, 2),)),
+         "vertex 2 lies inside cell (0, 1): hanging node"),
+    ],
+    ids=[
+        "on_edge", "on_window_start", "duplicate", "on_window_end", "on_far_y_edge",
+        "box_corner", "past_window", "lowest_index", "on_tet_edge", "on_tet_facet",
+        "on_box_facet", "tet_box_corner", "on_far_x_facet", "on_far_y_facet",
+        "on_far_z_facet", "near_facet", "interval",
+    ],
+)
+def test_sweep_and_scan_agree_on_planted_vertices(dim, corners, free, skew, expected):
+    verts = _affine(corners + free, *skew)
+    assert all(x < 0 for p in verts for x in p)
+    cell = tuple(range(dim + 1))
+    assert _verdicts(dim, verts, [cell]) == (expected, expected)
+
+
+def test_sweep_names_the_first_offending_cell():
+    # Two cells of the fine pair each hold a free vertex; the second cell's
+    # vertex comes first along the sweep, and has the lower index.
+    verts = [(0, 0), (2, 0), (0, 2), (-2, 0), (-2, 2), (-1, Fraction(1, 2)), (1, Fraction(1, 2))]
+    cells = [(0, 1, 2), (0, 2, 3), (2, 3, 4)]
+    expected = "vertex 6 lies inside cell (0, 1, 2): hanging node"
+    assert _verdicts(2, verts, cells) == (expected, expected)
 
 
 def test_facet_normals_are_computed_once_per_facet():
