@@ -960,11 +960,11 @@ def _float_inputs(space: GlobalSpace):
 
 
 def _cell_pencils(layout, records):
-    """Per cell, the graph-norm mass V_T and the scaled div coupling C_T on
-    the cell's own DoFs, interior DoFs first (the layout's interior split),
-    stored in one (ncells, ndofs, ndofs) and one (ncells, q, ndofs) array,
-    from the records of _float_inputs: one pencil per class, copied to
-    each cell of the class.
+    """Per class, in class order, the graph-norm mass V_T and the scaled div
+    coupling C_T on its cells' DoFs, interior DoFs first (the layout's
+    interior split), in one (nclasses, ndofs, ndofs) and one (nclasses, q,
+    ndofs) array, from the records of _float_inputs.  Class-mates are
+    translates with equal volumes, so each cell's pencil is its class's.
 
     V_T is the value plus div Gram matrix of the cell's basis functions and
     C_T = sqrt(|T|) (L^T ⊗ I) times their div rows, with W = L L^T the
@@ -975,19 +975,16 @@ def _cell_pencils(layout, records):
     """
     import numpy as np
 
-    n, r, width, of_class, splits, _ = layout
+    n, r, width, _, splits, _ = layout
     qlat = bn.space_dim(n, r - 1)
     w_val = np.array(_moment_gram(n + 1, r, n))
     chol_t = np.linalg.cholesky(np.array(_moment_gram(n + 1, r - 1, n))).T
     positions = bn.lattice_position(n + 1, r)
     orders = [inner + outer for inner, outer in splits]
-    cells: list[list[int]] = [[] for _ in orders]
-    for ci, k in enumerate(of_class):
-        cells[k].append(ci)
     ndofs = len(orders[0])
-    masses = np.empty((len(of_class), ndofs, ndofs))
-    couplings = np.empty((len(of_class), width * qlat, ndofs))
-    for mates, order, record in zip(cells, orders, records, strict=True):
+    masses = np.empty((len(orders), ndofs, ndofs))
+    couplings = np.empty((len(orders), width * qlat, ndofs))
+    for k, (order, record) in enumerate(zip(orders, records, strict=True)):
         (num, den), betas, coefficients, div, dual = record
         vol = num / den
         # Every member scalar is λ^β, so the scalar Gram matrix is the
@@ -1000,8 +997,8 @@ def _cell_pencils(layout, records):
             b_cell[comp::width, :] = chol_t @ ndiv[:, :, comp].T
         dual = _float_rows(*dual)
         mass = dual.T @ (vol * (gram_val + b_cell.T @ b_cell)) @ dual
-        masses[mates] = mass[np.ix_(order, order)]
-        couplings[mates] = (sqrt(vol) * (b_cell @ dual))[:, order]
+        masses[k] = mass[np.ix_(order, order)]
+        couplings[k] = (sqrt(vol) * (b_cell @ dual))[:, order]
     return masses, couplings
 
 
@@ -1059,20 +1056,20 @@ _SCHUR_PANEL = 512  # rows of S per product while accumulating Y^T Y
 
 
 def _condense_cells(layout, records):
-    """Eliminate every cell's interior DoFs from its pencil (static
-    condensation, Guyan, AIAA J. 3, 1965), batched over the cells, from the
-    records of _float_inputs.
+    """Eliminate each class's interior DoFs from its pencil (static
+    condensation, Guyan, AIAA J. 3, 1965), batched over the classes, from
+    the records of _float_inputs.
 
-    With i the cell's interior DoFs, b the rest and V_ii = R R^T, returns
-    rows[c] (cell c's other DoFs, numbered 0..n_b-1 over the mesh in reverse
-    Cuthill-McKee order), the cellwise Schur complements V_bb - V_bi V_ii^-1
-    V_ib, the condensed couplings C_b - C_i V_ii^-1 V_ib and the diagonal
-    blocks C_i V_ii^-1 C_i^T, all from W_b = R^-1 V_ib and W_c = R^-1 C_i^T.
+    With i the interior DoFs, b the rest and V_ii = R R^T, returns per cell
+    c rows[c] (its other DoFs, numbered 0..n_b-1 over the mesh in reverse
+    Cuthill-McKee order) and of_class[c], the index of its class, and per
+    class Σ_T = V_bb - V_bi V_ii^-1 V_ib, Ĉ_T = C_b - C_i V_ii^-1 V_ib and
+    D_T = C_i V_ii^-1 C_i^T, all from W_b = R^-1 V_ib and W_c = R^-1 C_i^T.
     """
     import numpy as np
 
-    # Each cell's pencil comes interior first; its other DoFs are numbered
-    # over the mesh.
+    # Each class's pencil comes interior first; each cell's other DoFs are
+    # numbered over the mesh.
     v, c = _cell_pencils(layout, records)
     compact: dict[int, int] = {}
     cell_b = [[compact.setdefault(g, len(compact)) for g in shared] for shared in layout[5]]
@@ -1085,14 +1082,14 @@ def _condense_cells(layout, records):
     w_c = np.linalg.solve(lower, c[:, :, :ni].transpose(0, 2, 1))
     sigma = v[:, ni:, ni:] - w_b.transpose(0, 2, 1) @ w_b
     c_hat = c[:, :, ni:] - w_c.transpose(0, 2, 1) @ w_b
-    return rows, sigma, c_hat, w_c.transpose(0, 2, 1) @ w_c
+    return rows, np.array(layout[3], dtype=np.int64), sigma, c_hat, w_c.transpose(0, 2, 1) @ w_c
 
 
-def _envelope_cholesky_solve(rows, cell_mats, rhs, top) -> None:
-    """Factor Σ = L L^T, assembled from cell_mats[c] on the indices rows[c],
-    and overwrite rhs with L^-1 rhs; top[q] is the first nonzero row of
-    column q of rhs, nondecreasing in q (George and Liu, Computer Solution
-    of Large Sparse Positive Definite Systems, 1981, ch. 4).
+def _envelope_cholesky_solve(rows, of_class, class_mats, rhs, top) -> None:
+    """Factor Σ = L L^T, assembled from class_mats[of_class[c]] on the
+    indices rows[c], and overwrite rhs with L^-1 rhs; top[q] is the first
+    nonzero row of column q of rhs, nondecreasing in q (George and Liu,
+    Computer Solution of Large Sparse Positive Definite Systems, ch. 4).
 
     Σ's lower triangle is kept by blocks of rows: block I holds rows r0..r1
     and columns c0[I]..r1, c0[I] a block boundary at or before the first
@@ -1114,15 +1111,15 @@ def _envelope_cholesky_solve(rows, cell_mats, rhs, top) -> None:
     c0 = np.array([first[bounds[I]:bounds[I + 1]].min() // nb * nb for I in range(nblocks)], dtype=np.int64)
     widths = np.array(bounds[1:]) - c0
     offsets = np.concatenate([[0], np.cumsum(widths * np.diff(bounds))])
-    p = np.broadcast_to(rows[:, :, None], cell_mats.shape)
-    q = np.broadcast_to(rows[:, None, :], cell_mats.shape)
-    lower = p >= q
-    p, q = p[lower], q[lower]
+    cell, i, j = np.nonzero(rows[:, :, None] >= rows[:, None, :])
+    weights = class_mats[of_class[cell], i, j]
+    p, q = rows[cell, i], rows[cell, j]
+    del cell, i, j
     blk = p // nb
     pos = offsets[blk] + (p - blk * nb) * widths[blk] + q - c0[blk]
-    envelope = np.bincount(pos, weights=cell_mats[lower], minlength=int(offsets[-1]))
+    envelope = np.bincount(pos, weights=weights, minlength=int(offsets[-1]))
     # Free the dead index arrays before the block loop, where the worker peaks.
-    del p, q, lower, blk, pos
+    del p, q, blk, pos, weights
 
     def block(I):
         return envelope[offsets[I]:offsets[I + 1]].reshape(bounds[I + 1] - bounds[I], widths[I])
@@ -1152,7 +1149,8 @@ def _condensed_schur(layout, records):
     diagonal over the cells, Σ = V_bb - V_bi V_ii^-1 V_ib is assembled from
     the cellwise Schur complements and Ĉ = C_b - C_i V_ii^-1 V_ib keeps the
     sparsity of C_b.  With Σ = L L^T from the envelope Cholesky, the second
-    term is Y^T Y, Y = L^-1 Ĉ^T.
+    term is Y^T Y, Y = L^-1 Ĉ^T.  Each cell reads its class's blocks where
+    they are placed in Σ, Y and the diagonal of S.
 
     The rows of S come by cell, in the order of each cell's first row in
     Σ: a symmetric permutation, so the spectrum is unchanged, under which
@@ -1161,8 +1159,8 @@ def _condensed_schur(layout, records):
     """
     import numpy as np
 
-    rows, sigma, c_hat, diag_blocks = _condense_cells(layout, records)
-    ncells, qdim = c_hat.shape[:2]
+    rows, of_class, sigma, c_hat, diag_blocks = _condense_cells(layout, records)
+    ncells, qdim = len(rows), c_hat.shape[1]
     dim_q = qdim * ncells
     cell_first = rows.min(axis=1)
     by_first = np.argsort(cell_first, kind="stable")
@@ -1171,10 +1169,10 @@ def _condensed_schur(layout, records):
     columns = slot[:, None] * qdim + np.arange(qdim)
     top = np.repeat(cell_first[by_first], qdim)
     y = np.zeros((int(rows.max()) + 1, dim_q))
-    y[rows[:, :, None], columns[:, None, :]] = c_hat.transpose(0, 2, 1)
-    _envelope_cholesky_solve(rows, sigma, y, top)
+    y[rows[:, :, None], columns[:, None, :]] = c_hat.transpose(0, 2, 1)[of_class]
+    _envelope_cholesky_solve(rows, of_class, sigma, y, top)
     schur = np.zeros((dim_q, dim_q))
-    schur[columns[:, :, None], columns[:, None, :]] = diag_blocks
+    schur[columns[:, :, None], columns[:, None, :]] = diag_blocks[of_class]
     # Lower triangle of Y^T Y by panels of rows of S; rows of Y above the
     # panel's first top contribute nothing.
     for p0 in range(0, dim_q, _SCHUR_PANEL):

@@ -217,11 +217,13 @@ def validate_mesh(mesh: Mesh) -> None:
     triangles of a hexagram, still pass.
 
     Both tests read the vertices scaled once to integers over one common
-    denominator.  The hanging-node test is one sweep (Bentley and Friedman,
-    ACM Computing Surveys 1979): with the vertices sorted on the first axis,
-    each cell meets only the vertices in its closed bounding box, which
-    holds its closed hull.  The error names the first offending cell and the
-    lowest vertex inside it.
+    denominator, and barycentric gradients taken once per congruence class
+    (Mesh.cell_class): class-mates are translates with equal edge vectors.
+    The hanging-node test is one sweep (Bentley and Friedman, ACM Computing
+    Surveys 1979): with the vertices sorted on the first axis, each cell
+    meets only the vertices in its closed bounding box, which holds its
+    closed hull.  The error names the first offending cell and the lowest
+    vertex inside it.
     """
     if len(set(mesh.vertices)) != len(mesh.vertices):
         raise MeshError("two vertices share the same coordinates")
@@ -231,12 +233,12 @@ def validate_mesh(mesh: Mesh) -> None:
             raise MeshError(f"facet {facet} is shared by {len(cells)} cells")
     flat, den = linalg.integer_form(x for p in mesh.vertices for x in p)
     points = [flat[i : i + mesh.dim] for i in range(0, len(flat), mesh.dim)]
-    gradients = [integer_gradients(s) for s in mesh.cell_simplices]
+    gradients = {ci: integer_gradients(mesh.cell_simplices[ci]) for ci in set(mesh.cell_class)}
 
     def barycentric(ci: int, vi: int) -> list[int]:
         base = points[mesh.cells[ci][0]]
         offset = [x - y for x, y in zip(points[vi], base)]
-        return _barycentric_of_point(gradients[ci], offset, den)
+        return _barycentric_of_point(gradients[mesh.cell_class[ci]], offset, den)
 
     for facet in mesh.interior_facets:
         c1, c2 = mesh.facet_cells[facet]

@@ -72,3 +72,20 @@ def dense_infsup(space: GlobalSpace) -> tuple[float, int]:
     kept = eigs[eigs > KERNEL_THRESHOLD]
     beta = sqrt(float(kept.min())) if kept.size else 0.0
     return beta, int(eigs.size - kept.size)
+
+
+def condensed_cells(space: GlobalSpace):
+    """Every cell's own pencil in interior-first order, condensed by one
+    batched elimination over the cells: the reference for
+    assembly._condense_cells, which condenses once per class.  Returns the
+    per-cell Σ_T, Ĉ_T and D_T."""
+    pencils = [cell_pencil(space, ci) for ci in range(len(space.mesh.cells))]
+    orders = [inner + outer for inner, outer in space.interior_split]
+    v = np.array([mass[np.ix_(order, order)] for (mass, _), order in zip(pencils, orders)])
+    c = np.array([coupling[:, order] for (_, coupling), order in zip(pencils, orders)])
+    ni = len(space.interior_split[0][0])
+    lower = np.linalg.cholesky(v[:, :ni, :ni])
+    w_b = np.linalg.solve(lower, v[:, :ni, ni:])
+    w_c = np.linalg.solve(lower, c[:, :, :ni].transpose(0, 2, 1))
+    sigma = v[:, ni:, ni:] - w_b.transpose(0, 2, 1) @ w_b
+    return sigma, c[:, :, ni:] - w_c.transpose(0, 2, 1) @ w_b, w_c.transpose(0, 2, 1) @ w_c

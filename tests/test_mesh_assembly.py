@@ -54,7 +54,7 @@ from hdiv_geodecomp.spaces import Family, decompose, div_rows, site_rows
 
 from conftest import rational_rows
 from dense_div_onto import dense_div_onto_rank, dense_div_onto_rows
-from dense_infsup import cell_pencil, dense_infsup, member_coefficients
+from dense_infsup import cell_pencil, condensed_cells, dense_infsup, member_coefficients
 from scan_validate import scan_validate_mesh
 
 
@@ -463,6 +463,18 @@ def test_sweep_names_the_first_offending_cell():
     cells = [(0, 1, 2), (0, 2, 3), (2, 3, 4)]
     expected = "vertex 6 lies inside cell (0, 1, 2): hanging node"
     assert _verdicts(2, verts, cells) == (expected, expected)
+
+
+def test_sweep_finds_a_vertex_inside_a_later_class_mate():
+    # Gradients are taken once per class, from its first cell; a mate
+    # reads them from its own base vertex, so a vertex at its centroid is
+    # found in it.
+    m = refine(builtin_mesh("cube_freudenthal"))
+    victim = len(m.cells) - 1
+    assert m.cell_class[victim] < victim
+    centroid = tuple(sum(axis) / len(axis) for axis in zip(*(m.vertices[vi] for vi in m.cells[victim])))
+    expected = f"vertex {len(m.vertices)} lies inside cell {m.cells[victim]}: hanging node"
+    assert _verdicts(3, [*m.vertices, centroid], m.cells) == (expected, expected)
 
 
 def test_facet_normals_are_computed_once_per_facet():
@@ -1296,20 +1308,50 @@ def test_float_records_carry_the_fraction_member_coefficients(name, family, degr
         assert coefficients == member_coefficients(members), ci
 
 
-@pytest.mark.parametrize("name,family,degree,k", [("criss_cross", "face", 2, -1), ("two_tets", "traceless", 2, 0)])
+@pytest.mark.parametrize(
+    "name,family,degree,k",
+    [("criss_cross", "face", 2, -1), ("two_tets", "traceless", 2, 0), ("refine(two_tets)", "traceless", 2, 0)],
+)
 def test_cell_pencils_are_the_local_products_in_interior_first_order(name, family, degree, k):
+    # One pencil per class, read by each cell through its class index.
     # Reordering indexes the finished products, so every entry is the one
-    # the local order gives, bit for bit.
+    # the cell's own local order gives, bit for bit.  refine(two_tets) has
+    # 10 classes for 16 cells.
     import numpy as np
 
     space = assemble(resolve_mesh(name), family, degree, k)
-    masses, couplings = assembly._cell_pencils(*assembly._float_inputs(space))
-    assert masses.shape[0] == couplings.shape[0] == len(space.mesh.cells)
+    layout, records = assembly._float_inputs(space)
+    of_class = layout[3]
+    masses, couplings = assembly._cell_pencils(layout, records)
+    assert masses.shape[0] == couplings.shape[0] == len(set(space.classes)) == max(of_class) + 1
     for ci, (inner, outer) in enumerate(space.interior_split):
         mass, coupling = cell_pencil(space, ci)
         order = inner + outer
-        assert np.array_equal(masses[ci], mass[np.ix_(order, order)])
-        assert np.array_equal(couplings[ci], coupling[:, order])
+        assert np.array_equal(masses[of_class[ci]], mass[np.ix_(order, order)])
+        assert np.array_equal(couplings[of_class[ci]], coupling[:, order])
+
+
+def test_condensation_runs_once_per_class():
+    space = assemble(refine(builtin_mesh("cube_freudenthal")), "traceless", 2, 0)
+    rows, of_class, sigma, c_hat, diag_blocks = assembly._condense_cells(*assembly._float_inputs(space))
+    assert len(rows) == len(of_class) == 48
+    assert len(sigma) == len(c_hat) == len(diag_blocks) == 6
+    assert sorted(set(of_class.tolist())) == list(range(6))
+
+
+@pytest.mark.parametrize(
+    "name,family,degree,k", [("refine(two_tets)", "traceless", 2, 0), ("refine(criss_cross)", "symmetric", 3, 0)]
+)
+def test_class_condensation_is_the_per_cell_condensation_bit_for_bit(name, family, degree, k):
+    # Each class goes through the numpy operations that each of its cells
+    # went through alone, on equal inputs, so the blocks are equal exactly.
+    import numpy as np
+
+    space = assemble(resolve_mesh(name), family, degree, k)
+    _, of_class, *blocks = assembly._condense_cells(*assembly._float_inputs(space))
+    assert len(set(of_class.tolist())) < len(of_class)
+    for block, reference in zip(blocks, condensed_cells(space), strict=True):
+        assert np.array_equal(block[of_class], reference)
 
 
 @pytest.mark.parametrize(
